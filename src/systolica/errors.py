@@ -47,9 +47,3 @@ class DegenerateMarginError(SystolicaError):
 class InconsistentSceneError(SystolicaError):
     """A serialized scene disagrees with the configuration it claims to
     describe beyond roundoff."""
-
-
-class InfeasibleSignatureError(SystolicaError):
-    """The surface signature admits no solution: a count came out
-    negative, or the defect function has no root above the largest
-    boundary length."""

@@ -1,9 +1,14 @@
 """Upper half-plane model of the hyperbolic plane.
 
-Points carry Euclidean coordinates (x, y) with y > 0, tangent vectors are
-(dx, dy) pairs based at a point, and geodesics are half-circles centered
-on the real axis or vertical rays.  Everything here is closed-form; no
-iteration, no linear algebra.
+Points carry Euclidean coordinates (x, y) with y > 0 and tangent vectors
+are (dx, dy) pairs based at a point.  Isometries are real Moebius maps
+held as determinant-one 2x2 matrices.  A geodesic is the image of the
+upward imaginary axis under one of them, its frame (Beardon, *The
+Geometry of Discrete Groups*, ch. 7): arclength s sits at frame(i e^s).
+Half-circles and vertical rays are the same object, so no formula here
+tells them apart, and any question about two geodesics is asked of the
+relative frame g.frame^-1 h.frame, in which g is the imaginary axis.  Everything is closed-form; no iteration, no linear
+algebra.
 
 Orientation conventions (these propagate through the whole package):
 a quarter turn means rotating a tangent vector by +pi/2 counterclockwise
@@ -11,6 +16,7 @@ in the (dx, dy) chart, which is also a hyperbolic rotation because the
 model is conformal.  Oriented angles are counterclockwise-positive.
 """
 
+import cmath
 import math
 
 from .errors import DegenerateConfigurationError, NoPerpendicularError
@@ -19,21 +25,9 @@ from .errors import DegenerateConfigurationError, NoPerpendicularError
 # degenerates and every formula loses all precision there anyway.
 YMIN = 1e-12
 
-# Relative x-difference below which two points are considered vertically
-# aligned.  Beyond this the circle-center formula divides by ~0 and the
-# "circle" is numerically a vertical line.
-VERTICAL_EPS = 1e-13
-
-# Tangent directions this close to straight up/down are snapped to a
-# vertical geodesic.  A direction that is vertical up to roundoff would
-# otherwise produce a circle of radius ~1/slope whose point arithmetic
-# cancels catastrophically; honest directions essentially never fall in
-# (1e-13, 1e-9), but quarter-turns of computed tangents land there all
-# the time when the true side is vertical.
-DIRECTION_SNAP = 1e-9
-
-# Relative margin for deciding that two geodesics touch at infinity
-# (asymptotic) rather than admitting a common perpendicular.
+# Margin for deciding that two geodesics touch at infinity (asymptotic)
+# rather than admitting a common perpendicular: the distance of |ad + bc|,
+# the cosh of their distance or the cosine of their angle, from 1.
 ASYMPTOTIC_EPS = 1e-12
 
 
@@ -112,9 +106,13 @@ def cosh_dist(p, q):
 
 
 def dist(p, q):
-    """Hyperbolic distance between two points."""
-    c = cosh_dist(p, q)
-    return math.acosh(c) if c > 1.0 else 0.0
+    """Hyperbolic distance between two points.
+
+    Written as 2 asinh(|p - q| / (2 sqrt(y1 y2))) rather than
+    acosh(cosh_dist), which loses every digit of a short distance.
+    """
+    return 2.0 * math.asinh(math.hypot(p.x - q.x, p.y - q.y)
+                            / (2.0 * math.sqrt(p.y * q.y)))
 
 
 class HIsometry:
@@ -166,151 +164,119 @@ class HIsometry:
 class HGeodesic:
     """An oriented complete geodesic, parametrized at unit speed.
 
-    Circles store (center, radius, rightward) and use the parameter
-    sigma with point (c + r*tanh(sigma), r*sech(sigma)); verticals store
-    (x0, upward) with point (x0, exp(sigma)).  The arclength s relates to
-    sigma by sigma = sigma0 + dir*s, so s = 0 marks a chosen base point.
+    ``frame`` is an isometry taking the upward imaginary axis onto the
+    geodesic: arclength s sits at ``frame(i e^s)``, so s = 0 marks
+    ``frame(i)`` and the forward direction is the image of "up".  Every
+    geodesic, half-circle or vertical ray alike, is stored this way.
     """
 
-    __slots__ = ("kind", "c", "r", "x0", "dir", "sigma0")
+    __slots__ = ("frame",)
 
-    def __init__(self, kind, c=0.0, r=1.0, x0=0.0, direction=1.0, sigma0=0.0):
-        if kind not in ("circle", "vertical"):
-            raise ValueError(f"unknown geodesic kind {kind!r}")
-        if kind == "circle" and r <= 0.0:
-            raise ValueError("circle radius must be positive")
-        self.kind = kind
-        self.c = float(c)
-        self.r = float(r)
-        self.x0 = float(x0)
-        self.dir = 1.0 if direction >= 0 else -1.0
-        self.sigma0 = float(sigma0)
-
-    def _sigma(self, s):
-        return self.sigma0 + self.dir * s
+    def __init__(self, frame):
+        self.frame = frame
 
     def point_at(self, s):
-        sg = self._sigma(s)
-        if self.kind == "vertical":
-            return HPoint(self.x0, math.exp(sg))
-        return HPoint(self.c + self.r * math.tanh(sg), self.r / math.cosh(sg))
+        f, t = self.frame, math.exp(s)
+        ct = f.c * t
+        den = f.d * f.d + ct * ct
+        return HPoint((f.b * f.d + f.a * t * ct) / den, t / den)
 
     def tangent_at(self, s):
         """Unit tangent in the direction of increasing s."""
         p = self.point_at(s)
-        if self.kind == "vertical":
-            return HTangent(p, 0.0, self.dir * p.y)
-        sg = self._sigma(s)
-        sech = 1.0 / math.cosh(sg)
-        return HTangent(p, self.dir * p.y * sech, -self.dir * p.y * math.tanh(sg))
+        f = self.frame
+        ct = f.c * math.exp(s)
+        # the unit "up" vector i t at i t, pushed by the derivative
+        # 1/(c i t + d)^2, is i y (d - i ct)/(d + i ct) with y = t/|d + i ct|^2
+        v = 1j * p.y * complex(f.d, -ct) / complex(f.d, ct)
+        return HTangent(p, v.real, v.imag)
 
     def endpoints(self):
         """Boundary endpoints (backward, forward); math.inf encodes infinity."""
-        if self.kind == "vertical":
-            return (self.x0, math.inf) if self.dir > 0 else (math.inf, self.x0)
-        if self.dir > 0:
-            return (self.c - self.r, self.c + self.r)
-        return (self.c + self.r, self.c - self.r)
+        f = self.frame
+        return (f.b / f.d if f.d else math.inf, f.a / f.c if f.c else math.inf)
 
     def param_of(self, p):
-        """Arclength s with point_at(s) = p, for a point on the geodesic."""
-        if self.kind == "vertical":
-            sg = math.log(p.y)
-        else:
-            sg = _sigma_on_circle(self.c, self.r, p)
-        return self.dir * (sg - self.sigma0)
+        """Arclength s with point_at(s) = p, for a point on the geodesic.
+
+        For a point off the geodesic this is the parameter of its
+        orthogonal projection.
+        """
+        return math.log(abs(_pull(self.frame, p)))
 
     def standard_map(self):
-        """Isometry taking the upward imaginary axis onto this geodesic.
-
-        Forward direction is preserved; the arclength origin is not.
-        """
-        back, fwd = self.endpoints()
-        if fwd == math.inf:
-            return HIsometry(1.0, self.x0, 0.0, 1.0)
-        if back == math.inf:
-            return HIsometry(self.x0, -1.0, 1.0, 0.0)
-        if fwd > back:
-            return HIsometry(fwd, back, 1.0, 1.0)
-        return HIsometry(fwd, -back, 1.0, -1.0)
+        """Isometry taking the upward imaginary axis onto this geodesic,
+        i e^s onto point_at(s)."""
+        return self.frame
 
     def project(self, p):
         """Orthogonal projection: returns (foot point, distance to p)."""
-        w = self.standard_map().inverse().apply(p)
-        foot_std = HPoint(0.0, math.hypot(w.x, w.y))
-        d = math.asinh(abs(w.x) / w.y)
-        return self.standard_map().apply(foot_std), d
-
-    def side_of(self, p):
-        """+1 if p lies to the left of the oriented geodesic, -1 right, 0 on it."""
-        if self.kind == "vertical":
-            v = (p.x - self.x0) * (-self.dir)
-        else:
-            v = self.dir * ((p.x - self.c) ** 2 + p.y * p.y - self.r * self.r)
-        return (v > 0) - (v < 0)
+        w = _pull(self.frame, p)
+        return self.point_at(math.log(abs(w))), math.asinh(abs(w.real) / w.imag)
 
     def __repr__(self):
-        if self.kind == "vertical":
-            arrow = "up" if self.dir > 0 else "down"
-            return f"HGeodesic(vertical x0={self.x0:.6g}, {arrow})"
-        arrow = "right" if self.dir > 0 else "left"
-        return f"HGeodesic(circle c={self.c:.6g}, r={self.r:.6g}, {arrow})"
+        back, fwd = self.endpoints()
+        return f"HGeodesic({back:.6g} -> {fwd:.6g})"
+
+
+def _pull(frame, p):
+    """frame^-1(p) as a complex number: p seen from the frame, in which
+    the geodesic is the imaginary axis."""
+    return (frame.d * p.z - frame.b) / (frame.a - frame.c * p.z)
+
+
+def _frame_at(p, w):
+    """T_p R, with T_p = [[sqrt y, x/sqrt y], [0, 1/sqrt y]] taking i to p
+    and R the rotation about i by arg(w): the frame based at p whose
+    "up" points arg(w) counterclockwise from the chart's vertical."""
+    h = cmath.sqrt(w / abs(w))  # e^{i arg(w)/2}; the sign is immaterial
+    c, s = h.real, h.imag
+    r = math.sqrt(p.y)
+    return HIsometry(r * c - p.x * s / r, r * s + p.x * c / r, -s / r, c / r)
 
 
 def vertical_geodesic(x0, upward=True):
-    return HGeodesic("vertical", x0=x0, direction=1.0 if upward else -1.0)
+    """The vertical ray over x0, with s = 0 at x0 + i."""
+    if upward:
+        return HGeodesic(HIsometry(1.0, x0, 0.0, 1.0))
+    return HGeodesic(HIsometry(x0, -1.0, 1.0, 0.0))
 
 
 def circle_geodesic(c, r, rightward=True):
-    return HGeodesic("circle", c=c, r=r, direction=1.0 if rightward else -1.0)
+    """The half-circle of centre c and radius r, with s = 0 at its top."""
+    if r <= 0.0:
+        raise ValueError("circle radius must be positive")
+    if rightward:
+        return HGeodesic(HIsometry(c + r, c - r, 1.0, 1.0))
+    return HGeodesic(HIsometry(c - r, -c - r, 1.0, -1.0))
 
 
-def _sigma_on_circle(c, r, p):
-    """Arclength-style parameter of a point on the circle (c, r).
-
-    Equals atanh((x-c)/r) but written as a logarithm choosing the branch
-    that avoids cancellation, so it stays finite and accurate when the
-    point sits near either end of the circle.
-    """
-    d = p.x - c
-    if d >= 0.0:
-        return math.log((r + d) / p.y)
-    return -math.log((r - d) / p.y)
+def _toward(p, q):
+    """(q - p)/(q - conj p): q in the disk model centred at p, whose
+    argument is the direction from p to q turned clockwise by pi/2."""
+    zeta = (q.z - p.z) / (q.z - p.z.conjugate())
+    if zeta == 0:
+        raise DegenerateConfigurationError("geodesic through coincident points")
+    return zeta
 
 
 def geodesic_through(p, q):
     """The geodesic through two distinct points, oriented p -> q, s=0 at p."""
-    scale = max(abs(p.x), abs(q.x), p.y, q.y)
-    if abs(p.x - q.x) <= VERTICAL_EPS * scale:
-        if abs(p.y - q.y) <= VERTICAL_EPS * scale:
-            raise DegenerateConfigurationError("geodesic through coincident points")
-        d = 1.0 if q.y > p.y else -1.0
-        return HGeodesic("vertical", x0=p.x, direction=d, sigma0=math.log(p.y))
-    c = (p.x * p.x + p.y * p.y - q.x * q.x - q.y * q.y) / (2.0 * (p.x - q.x))
-    r = math.hypot(p.x - c, p.y)
-    d = 1.0 if q.x > p.x else -1.0
-    return HGeodesic("circle", c=c, r=r, direction=d,
-                     sigma0=_sigma_on_circle(c, r, p))
+    return HGeodesic(_frame_at(p, _toward(p, q)))
 
 
 def geodesic_from_direction(p, u):
     """The geodesic through the base of u in the direction of u, s=0 there."""
-    n = math.hypot(u.dx, u.dy)
-    if n == 0.0:
+    if u.dx == 0.0 and u.dy == 0.0:
         raise DegenerateConfigurationError("zero tangent vector has no direction")
-    if abs(u.dx) <= DIRECTION_SNAP * n:
-        d = 1.0 if u.dy > 0 else -1.0
-        return HGeodesic("vertical", x0=p.x, direction=d, sigma0=math.log(p.y))
-    c = p.x + p.y * (u.dy / u.dx)
-    r = math.hypot(p.x - c, p.y)
-    d = 1.0 if u.dx > 0 else -1.0
-    return HGeodesic("circle", c=c, r=r, direction=d,
-                     sigma0=_sigma_on_circle(c, r, p))
+    return HGeodesic(_frame_at(p, complex(u.dy, -u.dx)))
 
 
 def unit_toward(p, q):
     """Unit tangent at p pointing toward q."""
-    return geodesic_through(p, q).tangent_at(0.0)
+    zeta = _toward(p, q)
+    v = 1j * p.y * zeta / abs(zeta)
+    return HTangent(p, v.real, v.imag)
 
 
 def exp_point(u, t=1.0):
@@ -338,7 +304,7 @@ def translate_along(g, t):
     Fixes g setwise; a point at distance rho from g moves by a length
     whose cosh-factor is cosh(rho), the usual hyperbolic spreading.
     """
-    s = g.standard_map()
+    s = g.frame
     e = math.exp(t / 2.0)
     return (s @ HIsometry(e, 0.0, 0.0, 1.0 / e)) @ s.inverse()
 
@@ -356,7 +322,7 @@ def killing_vector(g, p):
 
     This is d/dt [translate_along(g, t)(p)] at t = 0, in closed form.
     """
-    s = g.standard_map()
+    s = g.frame
     # generator X = S diag(1/2, -1/2) S^{-1}; flow z' = b + (a - d) z - c z^2
     a = 0.5 * (s.a * s.d + s.b * s.c)
     b = -s.a * s.b
@@ -365,28 +331,23 @@ def killing_vector(g, p):
     return HTangent(p, v.real, v.imag)
 
 
-def _circle_circle_point(c1, r1, c2, r2):
-    """Upper intersection point of two circles centered on the real axis."""
-    x = (r1 * r1 - r2 * r2 - c1 * c1 + c2 * c2) / (2.0 * (c2 - c1))
-    ysq = r1 * r1 - (x - c1) * (x - c1)
-    if ysq <= 0.0:
-        raise DegenerateConfigurationError("circles do not meet in the upper half-plane")
-    return HPoint(x, math.sqrt(ysq))
+def _relative(g, h):
+    """Entries (a, b, c, d) of g.frame^-1 h.frame: h seen from the frame
+    in which g is the upward imaginary axis.  h then runs from b/d to
+    a/c on the real line."""
+    f, k = g.frame, h.frame
+    return (f.d * k.a - f.b * k.c, f.d * k.b - f.b * k.d,
+            f.a * k.c - f.c * k.a, f.a * k.d - f.c * k.b)
 
 
 def intersection_point(g, h):
     """The intersection point of two geodesics, if there is exactly one."""
-    if g.kind == "vertical" and h.kind == "vertical":
-        raise DegenerateConfigurationError("vertical geodesics never cross")
-    if g.kind == "vertical" or h.kind == "vertical":
-        v, c = (g, h) if g.kind == "vertical" else (h, g)
-        ysq = c.r * c.r - (v.x0 - c.c) * (v.x0 - c.c)
-        if ysq <= 0.0:
-            raise DegenerateConfigurationError("geodesics do not cross")
-        return HPoint(v.x0, math.sqrt(ysq))
-    if abs(g.c - h.c) <= VERTICAL_EPS * max(g.r, h.r, abs(g.c), abs(h.c)):
-        raise DegenerateConfigurationError("concentric geodesics do not cross")
-    return _circle_circle_point(g.c, g.r, h.c, h.r)
+    a, b, c, d = _relative(g, h)
+    # h crosses the axis iff its endpoints b/d and a/c have opposite
+    # signs; it does so on the circle |z|^2 = -(b/d)(a/c).
+    if a * b * c * d >= 0.0:
+        raise DegenerateConfigurationError("geodesics do not cross")
+    return g.point_at(0.5 * math.log(-a * b / (c * d)))
 
 
 class CommonPerpendicular:
@@ -413,49 +374,27 @@ def common_perpendicular(g, h):
     Returns a CommonPerpendicular with the foot on g first.  Raises
     NoPerpendicularError when the geodesics intersect, are asymptotic
     (shared boundary endpoint, e.g. any two verticals), or coincide.
+
+    With (a, b, c, d) = g.frame^-1 h.frame, cosh(length) = |ad + bc|.
+    Since ad - bc = 1, the length is 2 asinh(sqrt(bc)) when bc > 0 and
+    2 asinh(sqrt(-ad)) when ad < 0, and either sign pattern means h
+    stays on one side of g.  The perpendicular is the circle
+    |z|^2 = (b/d)(a/c) of the frame, so the foot on g sits at
+    s = log(ab/cd)/2 and, symmetrically, the foot on h at log(bd/ac)/2.
     """
-    if g.kind == "vertical" and h.kind == "vertical":
-        raise NoPerpendicularError("two verticals share the endpoint at infinity")
-
-    if g.kind == "vertical" or h.kind == "vertical":
-        swap = g.kind != "vertical"
-        v, c = (h, g) if swap else (g, h)
-        gap = abs(v.x0 - c.c)
-        if gap <= c.r * (1.0 + ASYMPTOTIC_EPS):
-            if gap >= c.r * (1.0 - ASYMPTOTIC_EPS):
-                raise NoPerpendicularError("vertical is asymptotic to the half-circle")
-            raise NoPerpendicularError("vertical crosses the half-circle")
-        r0 = math.sqrt((v.x0 - c.c) ** 2 - c.r * c.r)
-        foot_v = HPoint(v.x0, r0)
-        foot_c = _circle_circle_point(v.x0, r0, c.c, c.r)
-        d = dist(foot_v, foot_c)
-        if swap:
-            return CommonPerpendicular(foot_c, foot_v, d)
-        return CommonPerpendicular(foot_v, foot_c, d)
-
-    scale = max(g.r, h.r, abs(g.c), abs(h.c))
-    if abs(g.c - h.c) <= VERTICAL_EPS * scale:
-        if abs(g.r - h.r) <= VERTICAL_EPS * scale:
-            raise NoPerpendicularError("geodesics coincide")
-        # concentric half-circles: the perpendicular is the vertical ray
-        return CommonPerpendicular(
-            HPoint(g.c, g.r), HPoint(h.c, h.r), abs(math.log(g.r / h.r))
-        )
-    delta = ((g.c - h.c) ** 2 - g.r * g.r - h.r * h.r) / (2.0 * g.r * h.r)
-    if abs(delta) <= 1.0 + ASYMPTOTIC_EPS:
-        if abs(delta) >= 1.0 - ASYMPTOTIC_EPS:
-            raise NoPerpendicularError("geodesics are asymptotic")
+    a, b, c, d = _relative(g, h)
+    ad, bc = a * d, b * c
+    if 2.0 * min(abs(ad), abs(bc)) <= ASYMPTOTIC_EPS:
+        raise NoPerpendicularError("geodesics are asymptotic or coincide")
+    if ad * bc < 0.0:
         raise NoPerpendicularError("geodesics intersect")
-    c0 = (g.r * g.r - h.r * h.r + h.c * h.c - g.c * g.c) / (2.0 * (h.c - g.c))
-    r0 = math.sqrt(max((c0 - g.c) ** 2 - g.r * g.r, 0.0))
-    foot_g = _circle_circle_point(c0, r0, g.c, g.r)
-    foot_h = _circle_circle_point(c0, r0, h.c, h.r)
-    return CommonPerpendicular(foot_g, foot_h, dist(foot_g, foot_h))
+    length = 2.0 * math.asinh(math.sqrt(bc if bc > 0.0 else -ad))
+    return CommonPerpendicular(g.point_at(0.5 * math.log(a * b / (c * d))),
+                               h.point_at(0.5 * math.log(b * d / (a * c))),
+                               length)
 
 
 def dist_to_geodesic(p, g):
     """Distance from a point to a complete geodesic, in closed form."""
-    if g.kind == "vertical":
-        return math.asinh(abs(p.x - g.x0) / p.y)
-    pw = (p.x - g.c) ** 2 + p.y * p.y - g.r * g.r
-    return math.asinh(abs(pw) / (2.0 * g.r * p.y))
+    w = _pull(g.frame, p)
+    return math.asinh(abs(w.real) / w.imag)

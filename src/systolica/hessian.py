@@ -157,7 +157,8 @@ def first_derivatives(cfg: ChordConfig, weights: TransverseWeights,
         the endpoint velocities.  The total derivative is their sum.
     """
     _check_weights(cfg, weights)
-    d_metric = sum(a * math.cos(c.theta)
+    # sin(pi/2 - theta) is cos(theta), exactly 0 at a perpendicular crossing
+    d_metric = sum(a * math.sin(0.5 * math.pi - c.theta)
                    for a, c in zip(weights.weights, cfg.crossings))
     return d_metric, endpoints.u_par + endpoints.v_par
 
@@ -426,18 +427,15 @@ def scene_length(scene: HalfplaneScene, shear_t: float, end_t: float) -> float:
     ``shear_t`` times its weight (leaves composed from ``q`` inward, so
     the leaf nearest ``p`` acts last)."""
     ev = scene.endpoints
-    fwd_p = halfplane.unit_toward(scene.p, scene.q)
-    fwd_q = halfplane.unit_toward(scene.q, scene.p).scaled(-1.0)
-    left_p = halfplane.rotate_quarter(fwd_p)
-    left_q = halfplane.rotate_quarter(fwd_q)
-    u = halfplane.HTangent(
-        scene.p,
-        ev.u_perp * left_p.dx - ev.u_par * fwd_p.dx,
-        ev.u_perp * left_p.dy - ev.u_par * fwd_p.dy)
-    v = halfplane.HTangent(
-        scene.q,
-        ev.v_perp * left_q.dx + ev.v_par * fwd_q.dx,
-        ev.v_perp * left_q.dy + ev.v_par * fwd_q.dy)
+    # Seen from the chord's frame at either end, the chord runs up the
+    # imaginary axis through i: forward is +y, left is -x, and outward
+    # is -y at p and +y at q.
+    at_p = halfplane.geodesic_through(scene.p, scene.q).frame
+    e = math.exp(0.5 * halfplane.dist(scene.p, scene.q))
+    at_q = at_p @ halfplane.HIsometry(e, 0.0, 0.0, 1.0 / e)
+    i = halfplane.HPoint(0.0, 1.0)
+    u = at_p.push(halfplane.HTangent(i, -ev.u_perp, -ev.u_par))
+    v = at_q.push(halfplane.HTangent(i, -ev.v_perp, ev.v_par))
     pt = halfplane.exp_point(u, end_t) if halfplane.norm(u) > 0 else scene.p
     qt = halfplane.exp_point(v, end_t) if halfplane.norm(v) > 0 else scene.q
     iso = halfplane.HIsometry.identity()
@@ -448,15 +446,14 @@ def scene_length(scene: HalfplaneScene, shear_t: float, end_t: float) -> float:
 
 def _measure_scene(scene: HalfplaneScene):
     """Re-derive (length, [(s, theta)]) from the realized geometry."""
-    chord = halfplane.geodesic_through(scene.p, scene.q)
-    base = chord.param_of(scene.p)
+    chord = halfplane.geodesic_through(scene.p, scene.q)  # s = 0 at p
     length = halfplane.dist(scene.p, scene.q)
     crossings = []
     for leaf in scene.leaves:
         x = halfplane.intersection_point(chord, leaf)
-        s = chord.param_of(x) - base
+        s = chord.param_of(x)
         theta = halfplane.oriented_angle(
-            chord.tangent_at(chord.param_of(x)),
+            chord.tangent_at(s),
             leaf.tangent_at(leaf.param_of(x)))
         crossings.append((s, theta))
     return length, crossings

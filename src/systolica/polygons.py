@@ -30,19 +30,17 @@ from .errors import (
 )
 from .halfplane import (
     HGeodesic,
+    HIsometry,
     HPoint,
     HTangent,
     common_perpendicular,
     dist,
-    exp_point,
-    geodesic_from_direction,
     inner,
-    norm,
     oriented_angle,
     rotate_quarter,
     unit_toward,
 )
-from .trig import ACOSH_TOUCH, guarded_acosh
+from .trig import ACOSH_TOUCH, guarded_acosh, semiregular_partner
 
 
 @dataclass(frozen=True)
@@ -56,12 +54,19 @@ class MarkedRightPolygon:
     vertices:
         Realized vertices; vertices[j-1] is where side j starts.
     geodesics:
-        The complete geodesic carrying each side, oriented along the walk.
+        The complete geodesic carrying each side, oriented along the
+        walk; its frame is the walk's frame at the side's first vertex,
+        so s = 0 there and s = l_j at the next vertex.
     closure_defect:
-        dist(endpoint, start) plus the absolute angle mismatch after the
-        full circuit of n sides and n quarter turns.  A genuine polygon
-        has defect at roundoff level; realize() reports rather than
-        raises, so approximate side vectors can be inspected.
+        How far the walk fails to return to its start.  With F_1 the
+        frame at vertex 1 and F_{n+1} the frame after all n sides and n
+        quarter turns, the holonomy is H = F_1^-1 F_{n+1}, which is +-I
+        exactly when the polygon closes.  The defect is the Frobenius
+        distance ||H -+ I|| to the nearer sign; to first order it is
+        sqrt((d^2 + phi^2)/2) when the walk ends a distance d from
+        vertex 1, turned by phi from the initial direction.  A genuine
+        polygon has defect at roundoff level; realize() reports rather
+        than raises, so approximate side vectors can be inspected.
     coords:
         Pentagon-chain coordinates when the polygon was built from them,
         else None.
@@ -88,8 +93,9 @@ def realize(sides: Sequence[float]) -> MarkedRightPolygon:
     """Walk the closed right-angled polygon with the given side lengths.
 
     Places the midpoint of side 1 at (0, 1) heading right along the unit
-    circle, then walks each side along its geodesic and turns by +pi/2
-    after each one (counterclockwise traversal, interior on the left).
+    circle, then walks frames: F_{k+1} = F_k diag(e^{l_k/2}, e^{-l_k/2}) Q,
+    where Q turns by +pi/2 about i (counterclockwise traversal, interior
+    on the left).  Side k lies on HGeodesic(F_k) and starts at F_k(i).
     Centering the first side keeps the excursion depth at the polygon's
     intrinsic diameter, which matters for precision when side 1 is long.
     The closure defect is reported on the result, never raised:
@@ -100,32 +106,24 @@ def realize(sides: Sequence[float]) -> MarkedRightPolygon:
         raise ValueError("a right-angled polygon needs at least 5 sides")
     if any(not math.isfinite(s) or s <= 0 for s in sides):
         raise ValueError("side lengths must be positive and finite")
-    apex = HPoint(0.0, 1.0)
-    g1 = geodesic_from_direction(apex, HTangent(apex, apex.y, 0.0))
-    start = g1.point_at(-0.5 * sides[0])
-    start_dir = g1.tangent_at(-0.5 * sides[0])
-    vertices = [start]
-    geodesics = [g1]
-    p = g1.point_at(0.5 * sides[0])
-    u = rotate_quarter(g1.tangent_at(0.5 * sides[0]))
-    for length in sides[1:]:
-        vertices.append(p)
-        g = geodesic_from_direction(p, u)
-        geodesics.append(g)
-        p = g.point_at(length)
-        u = rotate_quarter(g.tangent_at(length))
-    gap = dist(p, start)
-    if gap < 1e-9:
-        # compare arrival direction with the initial one at the same base
-        angle_gap = abs(oriented_angle(HTangent(start, u.dx, u.dy),
-                                       HTangent(start, start_dir.dx, start_dir.dy)))
-    else:
-        angle_gap = 0.0
+    # rotation about i by -pi/2 (up becomes rightward), then back half of side 1
+    h = math.exp(-0.25 * sides[0])
+    start = frame = HIsometry(h, -1.0 / h, h, 1.0 / h)
+    geodesics = []
+    for length in sides:
+        geodesics.append(HGeodesic(frame))
+        # fused step and quarter turn, F diag(e, 1/e) [[1, 1], [-1, 1]];
+        # the constructor restores determinant one
+        e = math.exp(0.5 * length)
+        a, b, c, d = frame.a * e, frame.b / e, frame.c * e, frame.d / e
+        frame = HIsometry(a - b, a + b, c - d, c + d)
+    hol = start.inverse() @ frame
+    sign = 1.0 if hol.a + hol.d >= 0.0 else -1.0
     return MarkedRightPolygon(
         sides=sides,
-        vertices=tuple(vertices),
+        vertices=tuple(g.point_at(0.0) for g in geodesics),
         geodesics=tuple(geodesics),
-        closure_defect=gap + angle_gap,
+        closure_defect=math.hypot(hol.a - sign, hol.b, hol.c, hol.d - sign),
     )
 
 
@@ -365,11 +363,6 @@ class ChainDifferentials:
         return rank, float(svals[-1])
 
 
-def chain_differentials(points: Sequence[HPoint], closed: bool = True) -> ChainDifferentials:
-    """Evaluators for d(length) and d(angle) of a polygonal chain."""
-    return ChainDifferentials(points, closed=closed)
-
-
 # --------------------------------------------------------------------------
 # the semi-regular locus
 
@@ -440,7 +433,7 @@ def boundary_functional(ns: Sequence[int], l_even: float) -> BoundaryFunctional:
     deriv = 0.0
     coeffs = []
     for k in ns:
-        l_odd = 2.0 * math.asinh(math.cos(math.pi / k) / math.sinh(l_even / 2.0))
+        l_odd = semiregular_partner(l_even, k)
         coeff = -((1.0 + math.cosh(l_even)) / (1.0 + math.cosh(l_odd))) \
             * (math.sinh(l_odd) / math.sinh(l_even))
         coeffs.append(coeff)

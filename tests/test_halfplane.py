@@ -10,7 +10,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from systolica.errors import DegenerateConfigurationError, NoPerpendicularError
 from systolica.halfplane import (
@@ -85,6 +85,7 @@ class TestDistance:
 
     @given(finite_xy, log_y, finite_xy, log_y, finite_xy, log_y)
     @settings(max_examples=60, deadline=None)
+    @example(-1.0, 0.0, 0.0, 0.0, 1e-9, 0.0)  # q and r 1e-9 apart
     def test_triangle_inequality(self, x1, t1, x2, t2, x3, t3):
         p = HPoint(x1, math.exp(t1))
         q = HPoint(x2, math.exp(t2))
@@ -315,6 +316,18 @@ class TestCommonPerpendicular:
         assert length == pytest.approx(math.acosh(7.0 / math.sqrt(3.0)), abs=1e-9)
         assert f1.x == 5.0
         assert dist_to_geodesic(f2, g2) < 1e-10
+
+    def test_near_concentric_pair(self):
+        # centre gap 1e-7: cosh(length) = (r1^2 + r2^2 - gap^2)/(2 r1 r2),
+        # written through sinh(length/2) to keep every digit
+        gap, r1, r2 = 1e-7, 1.0, math.e
+        g1, g2 = circle_geodesic(0.0, r1), circle_geodesic(gap, r2)
+        want = 2.0 * math.asinh(math.sqrt(((r2 - r1) ** 2 - gap ** 2) / (4.0 * r1 * r2)))
+        f1, f2, length = common_perpendicular(g1, g2)
+        assert length == pytest.approx(want, abs=1e-14)
+        assert dist(f1, f2) == pytest.approx(want, abs=1e-14)
+        assert dist_to_geodesic(f1, g1) < 1e-14
+        assert dist_to_geodesic(f2, g2) < 1e-14
 
     def test_two_verticals_are_asymptotic(self):
         with pytest.raises(NoPerpendicularError):

@@ -12,7 +12,8 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from mpmath import mp, mpf
 
 from systolica.errors import DegenerateConfigurationError, NoPolygonError
 from systolica.halfplane import (
@@ -25,7 +26,7 @@ from systolica.halfplane import (
 from systolica.polygons import (
     BoundaryFunctional,
     boundary_functional,
-    chain_differentials,
+    ChainDifferentials,
     pentagon_coords,
     polygon_from_json,
     polygon_to_json,
@@ -155,7 +156,7 @@ def random_chain(rng, m, closed=True):
                for _ in range(m)]
         if any(dist(pts[i], pts[(i + 1) % m]) < 0.3 for i in range(m)):
             continue
-        cd = chain_differentials(pts, closed=closed)
+        cd = ChainDifferentials(pts, closed=closed)
         if all(0.15 < cd.theta(i) < 2 * math.pi - 0.15
                and abs(cd.theta(i) - math.pi) > 0.12
                for i in cd.angle_indices()):
@@ -171,7 +172,7 @@ class TestChainDifferentials:
         for trial in range(25):
             m = rng.randint(3, 6)
             pts = random_chain(rng, m)
-            cd = chain_differentials(pts)
+            cd = ChainDifferentials(pts)
             j = rng.randrange(m)
             ang = rng.uniform(0, 2 * math.pi)
             w = HTangent(pts[j], pts[j].y * math.cos(ang), pts[j].y * math.sin(ang))
@@ -180,8 +181,8 @@ class TestChainDifferentials:
             pp, pm = list(pts), list(pts)
             pp[j] = exp_point(w, eps)
             pm[j] = exp_point(w, -eps)
-            cdp = chain_differentials(pp)
-            cdm = chain_differentials(pm)
+            cdp = ChainDifferentials(pp)
+            cdm = ChainDifferentials(pm)
             for i in range(m):
                 fd_l = (cdp.length(i) - cdm.length(i)) / (2 * eps)
                 assert cd.d_length(i, var) == pytest.approx(fd_l, abs=1e-6)
@@ -191,7 +192,7 @@ class TestChainDifferentials:
     def test_open_chain_endpoints_have_no_angle(self):
         rng = random.Random(2)
         pts = random_chain(rng, 5, closed=False)
-        cd = chain_differentials(pts, closed=False)
+        cd = ChainDifferentials(pts, closed=False)
         assert list(cd.segment_indices()) == [0, 1, 2, 3]
         assert list(cd.angle_indices()) == [1, 2, 3]
 
@@ -199,14 +200,14 @@ class TestChainDifferentials:
         rng = random.Random(3)
         for m in (4, 5, 6):
             pts = random_chain(rng, m)
-            rank, smin = chain_differentials(pts).length_rank()
+            rank, smin = ChainDifferentials(pts).length_rank()
             assert rank == m
             assert smin > 1e-8
 
     def test_rejects_collapsed_segments(self):
         p = HPoint(0.0, 1.0)
         with pytest.raises(DegenerateConfigurationError):
-            chain_differentials([p, HPoint(0.0, 1.0 + 1e-12), HPoint(1.0, 1.0)])
+            ChainDifferentials([p, HPoint(0.0, 1.0 + 1e-12), HPoint(1.0, 1.0)])
 
 
 class TestRegularChains:
@@ -222,7 +223,7 @@ class TestRegularChains:
 
     def test_side_and_angle_match_the_closed_forms(self):
         for m, r in [(3, 1.0), (5, 1.3), (7, 0.6)]:
-            cd = chain_differentials(self.ring(m, r))
+            cd = ChainDifferentials(self.ring(m, r))
             ell = cd.length(0)
             theta = 2.0 * math.asin(math.cos(math.pi / m) / math.cosh(ell / 2))
             for i in range(m):
@@ -233,7 +234,7 @@ class TestRegularChains:
         rng = random.Random(17)
         for m, r in [(3, 1.0), (4, 0.8), (5, 1.3)]:
             pts = self.ring(m, r)
-            cd = chain_differentials(pts)
+            cd = ChainDifferentials(pts)
             ell = cd.length(0)
             theta = cd.theta(0)
             factor = -math.tanh(ell / 2) * math.tan(theta / 2)
@@ -299,7 +300,114 @@ class TestBoundaryFunctional:
 @given(c0=st.floats(min_value=0.4, max_value=2.0),
        c1=st.floats(min_value=0.4, max_value=2.0),
        c2=st.floats(min_value=0.4, max_value=2.0))
+@example(1.0, 1.0, 0.99999)  # sides 1 and 4 nearly concentric in the chart
 def test_every_positive_hexagon_coordinate_tuple_is_admissible(c0, c1, c2):
     poly = sides_from_pentagon_coords([c0, c1, c2])
     assert poly.closure_defect < 1e-9
     assert pentagon_coords(poly) == pytest.approx([c0, c1, c2], abs=1e-9)
+
+
+# --------------------------------------------------------------------------
+# the float frame walk against a 50-digit one
+
+EPS = 2.0 ** -52
+
+# Per-entry rounding of one walk step (exp, reciprocal, product, sum and
+# the determinant normalization) is at most about 4 EPS relative to
+# |F_j| |M_j|, and evaluating F(i) at most about 4 EPS relative to |F|;
+# C = 8 leaves a factor of two over that first-order count.
+WALK_C = 8.0
+
+
+def mp_walk(sides):
+    """Step matrices M_0..M_n and frames F_0 = I, F_{k+1} = F_k M_k of the
+    walk in realize(), at 50 digits: M_0 puts the midpoint of side 1 at i
+    heading right, M_k (k >= 1) is diag(e^{l_k/2}, e^{-l_k/2}) and a
+    quarter turn.  Vertex k is F_k(i)."""
+    r = 1 / mp.sqrt(2)
+    h = mp.exp(-mpf(sides[0]) / 4)
+    steps = [mp.matrix([[h, -1 / h], [h, 1 / h]]) * r]
+    for length in sides:
+        e = mp.exp(mpf(length) / 2)
+        steps.append(mp.matrix([[e, e], [-1 / e, 1 / e]]) * r)
+    frames = [mp.eye(2)]
+    for m in steps:
+        frames.append(frames[-1] * m)
+    return frames, steps
+
+
+def _at_i(a):
+    return (a[0, 0] * 1j + a[0, 1]) / (a[1, 0] * 1j + a[1, 1])
+
+
+def _sensitivity(f, p, weights):
+    """sum_rs |d(F P)(i) / dF_rs| weights_rs, as hyperbolic speed: how far
+    vertex (F P)(i) moves per unit of componentwise error in F."""
+    a = f * p
+    v = _at_i(a)
+    den = a[1, 0] * 1j + a[1, 1]
+    total = mpf(0)
+    for r in range(2):
+        for s in range(2):
+            b = mp.zeros(2)
+            b[r, 0], b[r, 1] = p[s, 0], p[s, 1]  # E_rs P
+            num = ((b[0, 0] * 1j + b[0, 1]) * den
+                   - (a[0, 0] * 1j + a[0, 1]) * (b[1, 0] * 1j + b[1, 1]))
+            total += abs(num / den ** 2) / v.imag * weights[r, s]
+    return total
+
+
+def walk_condition(frames, steps, k):
+    """First-order condition number of vertex k of the float walk.
+
+    Step j rounds F_{j+1} entrywise by at most a few EPS of
+    |F_j| |M_j|; the error then rides along P = F_{j+1}^-1 F_k to vertex
+    k.  Summing each entry's effect on vertex k, plus the rounding of
+    F_k(i) itself, gives cond_k: the vertex error is at most
+    C * EPS * cond_k to first order."""
+    def absm(m):
+        return mp.matrix([[abs(m[i, j]) for j in range(2)] for i in range(2)])
+
+    def inv(m):
+        return mp.matrix([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+
+    total = _sensitivity(frames[k], mp.eye(2), absm(frames[k]))
+    for j in range(k):
+        total += _sensitivity(frames[j + 1], inv(frames[j + 1]) * frames[k],
+                              absm(frames[j]) * absm(steps[j]))
+    return total
+
+
+def walk_budgets(sides):
+    """(vertex error, C * EPS * cond) for every vertex of realize(sides)."""
+    with mp.workdps(50):
+        poly = realize(sides)
+        frames, steps = mp_walk(sides)
+        out = []
+        for k, v in enumerate(poly.vertices, start=1):
+            want = _at_i(frames[k])
+            got = mp.mpc(v.x, v.y)
+            err = 2 * mp.asinh(abs(got - want)
+                               / (2 * mp.sqrt(got.imag * want.imag)))
+            out.append((float(err),
+                        WALK_C * EPS * float(walk_condition(frames, steps, k))))
+    return out
+
+
+@pytest.mark.parametrize("n", [17, 24])
+def test_realize_tracks_the_50_digit_frame_walk(n):
+    sides = sides_from_pentagon_coords([1.0] * (n - 3)).sides
+    for k, (err, budget) in enumerate(walk_budgets(sides), start=1):
+        assert err <= budget, f"vertex {k}: error {err:.3g} > budget {budget:.3g}"
+
+
+@pytest.mark.parametrize("n", range(12, 21, 2))
+def test_all_ones_chain_round_trip_at_even_n(n):
+    # Side n/2 + 1 is concentric with side 1 in the chart, by symmetry.
+    # Each h_j is read off the frames of sides 1 and j, whose error the
+    # walk budget bounds, so the round trip is held to that budget.
+    coords = [1.0] * (n - 3)
+    poly = sides_from_pentagon_coords(coords)
+    budget = max(b for _, b in walk_budgets(poly.sides))
+    assert poly.closure_defect <= budget
+    assert pentagon_coords(poly) == pytest.approx(coords, abs=budget)
