@@ -31,6 +31,16 @@ Gram structure makes the matrix positive definite outright.  Every
 formula in this module is pinned against ``fd_oracle``, the
 finite-difference channel that deforms an actual half-plane realization
 of the scene and differentiates the resulting distances numerically.
+
+The kernel ``cosh(s_<) cosh(L - s_>)`` is semiseparable: above the
+diagonal, entry ``(i, j)`` is a factor of ``i`` alone times a factor of
+``j`` alone.  So ``hessian_form`` and ``hessian_split`` never build it:
+with the crossings in chord order the quadratic form is one prefix sum
+of ``x_i cosh(s_i)`` weighted by ``x_j cosh(L - s_j)``, O(n) numpy work
+for n crossings.  ``hessian_margin`` reads its margins off adjacent
+gaps, also O(n).  ``hessian_matrix`` builds the dense kernel, O(n^2) in
+time and memory, and serves only as the reference for tests and
+eigenvalue checks.
 """
 
 from __future__ import annotations
@@ -181,41 +191,30 @@ def hessian_matrix(cfg: ChordConfig) -> np.ndarray:
     Negating the ``p`` slot turns the matrix into the Green's kernel of
     ``-d''+1`` on ``[0, L]`` sampled at all crossing and endpoint
     positions, which is a Gram matrix: the form is positive definite.
+
+    The matrix costs O(n^2) time and memory.  It is the dense reference
+    for tests and eigenvalue checks; ``hessian_form`` and
+    ``hessian_split`` evaluate the same form in O(n) without it.
     """
     n = cfg.n
     L = cfg.length
-    pos = [c.s for c in cfg.crossings]
-    H = np.empty((n + 2, n + 2))
-    for i in range(n):
-        for j in range(i, n):
-            val = math.cosh(pos[i]) * math.cosh(L - pos[j])
-            H[i, j] = H[j, i] = val
-    for i in range(n):
-        H[i, n] = H[n, i] = -math.cosh(L - pos[i])
-        H[i, n + 1] = H[n + 1, i] = math.cosh(pos[i])
-    H[n, n] = H[n + 1, n + 1] = math.cosh(L)
-    H[n, n + 1] = H[n + 1, n] = -1.0
+    t = np.array([c.s for c in cfg.crossings] + [0.0, L])
+    H = np.cosh(np.minimum.outer(t, t)) * np.cosh(L - np.maximum.outer(t, t))
+    H[n, :] *= -1.0
+    H[:, n] *= -1.0
     return H
-
-
-def _form_vector(cfg: ChordConfig, weights: TransverseWeights,
-                 endpoints: EndpointVariation) -> np.ndarray:
-    x = np.empty(cfg.n + 2)
-    for i, (a, c) in enumerate(zip(weights.weights, cfg.crossings)):
-        x[i] = math.sin(c.theta) * a
-    x[cfg.n] = endpoints.u_perp
-    x[cfg.n + 1] = endpoints.v_perp
-    return x
 
 
 def hessian_form(cfg: ChordConfig, weights: TransverseWeights,
                  endpoints: EndpointVariation = ZERO_ENDPOINTS) -> float:
     """Second derivative of the chord length for a joint shear/endpoint
-    variation, evaluated in closed form."""
-    _check_weights(cfg, weights)
-    x = _form_vector(cfg, weights, endpoints)
-    H = hessian_matrix(cfg)
-    return float(x @ H @ x) / math.sinh(cfg.length)
+    variation, evaluated in closed form.
+
+    This is ``shear2 + 2 * mixed + end2`` from ``hessian_split``: O(n)
+    numpy work, without building ``hessian_matrix``.
+    """
+    shear2, mixed, end2 = hessian_split(cfg, weights, endpoints)
+    return shear2 + 2.0 * mixed + end2
 
 
 def hessian_split(cfg: ChordConfig, weights: TransverseWeights,
@@ -229,15 +228,31 @@ def hessian_split(cfg: ChordConfig, weights: TransverseWeights,
     carrying the ``1/sinh(L)`` prefactor.  The joint second derivative
     is ``shear2 + 2 * mixed + end2``, matching the layout of
     ``fd_oracle(scene, order=2)``.
+
+    With ``x_i = sin(theta_i) a_i``, ``c_i = cosh(s_i)`` and
+    ``d_i = cosh(L - s_i)``, the kernel's crossing block is
+    ``c_min(i,j) d_max(i,j)``, so
+
+    ``shear2 = sum_j x_j d_j (x_j c_j + 2 sum_{i<j} x_i c_i)``,
+
+    one prefix sum over the crossings in chord order.  The endpoint
+    rows are ``-d`` and ``c``, so ``mixed = -u_perp (x.d) + v_perp (x.c)``
+    and ``end2 = cosh(L)(u_perp^2 + v_perp^2) - 2 u_perp v_perp``.  The
+    cost is O(n) numpy work; no ``(n+2) x (n+2)`` matrix is built.
     """
     _check_weights(cfg, weights)
-    xs = _form_vector(cfg, weights, ZERO_ENDPOINTS)
-    xe = _form_vector(cfg, TransverseWeights((0.0,) * cfg.n), endpoints)
-    H = hessian_matrix(cfg)
-    scale = math.sinh(cfg.length)
-    return (float(xs @ H @ xs) / scale,
-            float(xs @ H @ xe) / scale,
-            float(xe @ H @ xe) / scale)
+    L = cfg.length
+    scale = math.sinh(L)
+    s = np.array([c.s for c in cfg.crossings])
+    theta = np.array([c.theta for c in cfg.crossings])
+    x = np.sin(theta) * np.array(weights.weights)
+    xc = x * np.cosh(s)
+    xd = x * np.cosh(L - s)
+    shear2 = float(xc @ xd) + 2.0 * float(xd[1:] @ np.cumsum(xc)[:-1])
+    u, v = endpoints.u_perp, endpoints.v_perp
+    mixed = v * float(xc.sum()) - u * float(xd.sum())
+    end2 = math.cosh(L) * (u * u + v * v) - 2.0 * u * v
+    return shear2 / scale, mixed / scale, end2 / scale
 
 
 @dataclass(frozen=True)
@@ -264,11 +279,11 @@ class MarginReport:
     drop_q: float
 
 
-def _cosh_drop(b: float, e: float) -> float:
+def _cosh_drop(b, e):
     # cosh(b) - cosh(b - e), written as a product so the saturated case
     # b == e comes out exactly positive instead of a cancellation of
-    # nearly equal cosh values.
-    return 2.0 * math.sinh(b - 0.5 * e) * math.sinh(0.5 * e)
+    # nearly equal cosh values.  Works elementwise on arrays.
+    return 2.0 * np.sinh(b - 0.5 * e) * np.sinh(0.5 * e)
 
 
 def hessian_margin(cfg: ChordConfig) -> MarginReport:
@@ -294,7 +309,12 @@ def hessian_margin(cfg: ChordConfig) -> MarginReport:
     more crossings are present (random sparse configurations produce
     eigenvalues below -1), even though the kernel itself is always
     positive definite by its Gram factorization.  Use the eigenvalues
-    of ``hessian_matrix`` for quantitative positivity.
+    of ``hessian_matrix`` for quantitative positivity; that dense
+    matrix is the O(n^2) reference, not something this report builds.
+
+    The crossings are sorted, so a crossing's nearest marked point is
+    one of its two neighbours: ``epsilons`` is the smaller of the two
+    adjacent gaps in ``diff([0, s_1, ..., s_n, L])``, O(n) numpy work.
 
     Raises
     ------
@@ -305,32 +325,28 @@ def hessian_margin(cfg: ChordConfig) -> MarginReport:
         configuration itself.
     """
     L = cfg.length
-    pos = [c.s for c in cfg.crossings]
-    n = len(pos)
-    if n == 0:
+    if cfg.n == 0:
         raise DegenerateMarginError("no crossings: nothing to separate")
-    eps = []
-    for i, s in enumerate(pos):
-        gaps = [abs(s - t) for j, t in enumerate(pos) if j != i]
-        gaps.extend([s, L - s])
-        eps.append(min(gaps))
-    eps_p = pos[0]
-    eps_q = L - pos[-1]
-    bounds, drops = [], []
-    for s, e in zip(pos, eps):
-        if e > L - s:
-            raise DegenerateMarginError(
-                f"margin {e!r} at s={s!r} exceeds the far-endpoint gap")
-        bounds.append(math.cosh(s) * math.sinh(L - s - e) * e)
-        drops.append(math.cosh(s) * _cosh_drop(L - s, e))
+    s = np.array([c.s for c in cfg.crossings])
+    gaps = np.diff(np.concatenate(([0.0], s, [L])))
+    eps = np.minimum(gaps[:-1], gaps[1:])
+    far = L - s
+    over = eps > far
+    if over.any():
+        i = int(over.argmax())
+        raise DegenerateMarginError(
+            f"margin {eps[i].item()!r} at s={s[i].item()!r} exceeds the "
+            "far-endpoint gap")
+    eps_p, eps_q = float(gaps[0]), float(gaps[-1])
+    cosh_s = np.cosh(s)
     return MarginReport(
-        epsilons=tuple(eps), eps_p=eps_p, eps_q=eps_q,
-        bounds=tuple(bounds),
+        epsilons=tuple(eps.tolist()), eps_p=eps_p, eps_q=eps_q,
+        bounds=tuple((cosh_s * np.sinh(far - eps) * eps).tolist()),
         bound_p=math.sinh(L - eps_p) * eps_p,
         bound_q=math.sinh(L - eps_q) * eps_q,
-        drops=tuple(drops),
-        drop_p=_cosh_drop(L, eps_p),
-        drop_q=_cosh_drop(L, eps_q),
+        drops=tuple((cosh_s * _cosh_drop(far, eps)).tolist()),
+        drop_p=float(_cosh_drop(L, eps_p)),
+        drop_q=float(_cosh_drop(L, eps_q)),
     )
 
 

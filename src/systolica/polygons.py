@@ -336,29 +336,28 @@ class ChainDifferentials:
         val -= inner(variation[iq], up_next) / math.sinh(l_next)
         return val
 
-    def length_rank(self) -> tuple[int, float]:
-        """Rank data of the full set of length differentials.
-
-        Assembles the matrix of all d(length) functionals against an
-        orthonormal frame at each vertex and returns (rank, smallest
-        singular value).
+    def length_matrix(self) -> np.ndarray:
+        """The d(length) functionals against an orthonormal frame at
+        each vertex: one row per segment, columns (2k, 2k+1) for vertex
+        k.  Row i is ``d_length(i, .)``, so its only nonzeros are V_i
+        against the frame at x_i and U_{i+1} against the frame at
+        x_{i+1}: two ``unit_toward`` calls per row.
         """
-        cols = []
-        for i in range(self.m):
-            p = self.points[i]
-            cols.append((HTangent(p, p.y, 0.0), HTangent(p, 0.0, p.y)))
-        rows = []
-        for i in self.segment_indices():
-            row = []
-            for j in range(self.m):
-                zero = [HTangent(q, 0.0, 0.0) for q in self.points]
-                for comp in range(2):
-                    var = list(zero)
-                    var[j] = cols[j][comp]
-                    row.append(self.d_length(i, var))
-            rows.append(row)
-        mat = np.array(rows)
-        svals = np.linalg.svd(mat, compute_uv=False)
+        frames = [(HTangent(p, p.y, 0.0), HTangent(p, 0.0, p.y))
+                  for p in self.points]
+        segments = self.segment_indices()
+        mat = np.zeros((len(segments), 2 * self.m))
+        for i in segments:
+            j = self._next(i)
+            for k, vec in ((i, self._v_vec(i)), (j, self._u_vec(j))):
+                mat[i, 2 * k] = inner(frames[k][0], vec)
+                mat[i, 2 * k + 1] = inner(frames[k][1], vec)
+        return mat
+
+    def length_rank(self) -> tuple[int, float]:
+        """Rank data of the full set of length differentials:
+        (rank, smallest singular value) of ``length_matrix``."""
+        svals = np.linalg.svd(self.length_matrix(), compute_uv=False)
         rank = int(np.sum(svals > 1e-8 * svals[0]))
         return rank, float(svals[-1])
 

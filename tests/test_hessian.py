@@ -12,9 +12,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
+from systolica import hessian
 from systolica.errors import DegenerateMarginError, InconsistentSceneError
 from systolica.halfplane import (
     HPoint,
@@ -397,3 +399,166 @@ class TestSceneOracle:
         data["weights"] = [1.0]
         with pytest.raises(ValueError):
             scene_from_json(data)
+
+
+# ---------------------------------------------------------------------------
+# the O(n) prefix-sum kernel against the dense matrix and a 40-digit reference
+
+EPS = np.finfo(float).eps
+
+
+def long_scene(rng, n, length):
+    """n crossings spread over the whole chord, random angles, weights
+    and endpoint motion; the chord-kernel benchmark's scene shape."""
+    ss = sorted(rng.uniform(0.0, length) for _ in range(n))
+    cfg = ChordConfig(length, tuple(
+        LeafCrossing(s, rng.uniform(0.15, math.pi - 0.15)) for s in ss))
+    weights = TransverseWeights(tuple(rng.uniform(-1, 1) for _ in range(n)))
+    endpoints = EndpointVariation(
+        u_perp=rng.uniform(-1, 1), u_par=rng.uniform(-1, 1),
+        v_perp=rng.uniform(-1, 1), v_par=rng.uniform(-1, 1))
+    return cfg, weights, endpoints
+
+
+@st.composite
+def chord_scenes(draw, max_n=200):
+    n = draw(st.integers(0, max_n))
+    length = draw(st.floats(0.5, 10.0))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    cfg, weights, endpoints = long_scene(rng, n, length)
+    if draw(st.booleans()):
+        # one sign throughout, so rounding errors cannot cancel
+        weights = TransverseWeights(tuple(abs(w) for w in weights.weights))
+    return cfg, weights, endpoints
+
+
+def form_vectors(cfg, weights, endpoints):
+    """The shear and endpoint halves of the form vector in the slot
+    layout of ``hessian_matrix``."""
+    x = np.zeros(cfg.n + 2)
+    x[:cfg.n] = [math.sin(c.theta) * a
+                 for c, a in zip(cfg.crossings, weights.weights)]
+    e = np.zeros(cfg.n + 2)
+    e[cfg.n:] = endpoints.u_perp, endpoints.v_perp
+    return x, e
+
+
+def mp_split(cfg, weights, endpoints, dps=40):
+    """``(shear2, mixed, end2)`` by the same prefix sum at ``dps``
+    digits, together with the same three parts for ``|y|`` in place of
+    ``y = (x, -u_perp, v_perp)``.  Negating the p slot makes every
+    kernel entry positive, so the second triple is ``|y|^T G |y|`` split
+    the same way: the numerator of each part's condition number."""
+    with mp.workdps(dps):
+        L = mp.mpf(cfg.length)
+        u, v = mp.mpf(endpoints.u_perp), mp.mpf(endpoints.v_perp)
+        # xc and xd are the running sums of x c and x d, xc_abs and
+        # xd_abs those of their magnitudes
+        s2 = s2_abs = xc = xd = xc_abs = xd_abs = 0
+        for c, a in zip(cfg.crossings, weights.weights):
+            x = mp.sin(mp.mpf(c.theta)) * mp.mpf(a)
+            xc_j = x * mp.cosh(mp.mpf(c.s))
+            xd_j = x * mp.cosh(L - mp.mpf(c.s))
+            s2 += xd_j * (xc_j + 2 * xc)
+            s2_abs += abs(xd_j) * (abs(xc_j) + 2 * xc_abs)
+            xc += xc_j
+            xd += xd_j
+            xc_abs += abs(xc_j)
+            xd_abs += abs(xd_j)
+        cosh_L, sinh_L = mp.cosh(L), mp.sinh(L)
+        signed = (s2, v * xc - u * xd,
+                  cosh_L * (u * u + v * v) - 2 * u * v)
+        absolute = (s2_abs, abs(v) * xc_abs + abs(u) * xd_abs,
+                    cosh_L * (u * u + v * v) + 2 * abs(u * v))
+        return ([float(t / sinh_L) for t in signed],
+                [float(t / sinh_L) for t in absolute])
+
+
+class TestPrefixSumKernel:
+    @given(chord_scenes())
+    @example((ChordConfig(2.0, ()), TransverseWeights(()),
+              EndpointVariation(u_perp=0.3, v_perp=-0.7)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_dense_matrix(self, scene):
+        # Both sides add up n + 2 rounded products in different orders;
+        # recursive summation errs by at most about (n + 2) eps times the
+        # sum of the magnitudes (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 2nd ed., sec. 4.2), and each side has two
+        # such sums, so the gap is held to 4 (n + 2) eps |y|^T |H| |y|.
+        cfg, weights, endpoints = scene
+        H = hessian_matrix(cfg) / math.sinh(cfg.length)
+        x, e = form_vectors(cfg, weights, endpoints)
+        budget = 4 * (cfg.n + 2) * EPS
+        got = hessian_split(cfg, weights, endpoints)
+        for value, a, b in zip(got, (x, x, e), (x, e, e)):
+            scale = np.abs(a) @ np.abs(H) @ np.abs(b)
+            assert abs(value - a @ H @ b) <= budget * scale
+        y, y_abs = x + e, np.abs(x) + np.abs(e)
+        form = hessian_form(cfg, weights, endpoints)
+        assert abs(form - y @ H @ y) <= budget * (y_abs @ np.abs(H) @ y_abs)
+
+    @pytest.mark.parametrize("n", [1448, 10_000])
+    @pytest.mark.parametrize("length", [1.0, 10.0])
+    def test_tracks_the_40_digit_reference(self, n, length):
+        # The error of each part is held to 8 eps cond times its value,
+        # cond = |y|^T G |y| / |y^T G y| from the 40-digit evaluation.
+        # The observed error stays below 1 eps cond at these sizes; a
+        # recursive-summation worst case would grow like n eps cond.
+        cfg, weights, endpoints = long_scene(
+            random.Random(n + int(length)), n, length)
+        ref, ref_abs = mp_split(cfg, weights, endpoints)
+        got = hessian_split(cfg, weights, endpoints)
+        for value, want, scale in zip(got, ref, ref_abs):
+            assert abs(value - want) <= 8 * EPS * scale
+        form = hessian_form(cfg, weights, endpoints)
+        want = ref[0] + 2 * ref[1] + ref[2]
+        scale = ref_abs[0] + 2 * ref_abs[1] + ref_abs[2]
+        assert abs(form - want) <= 8 * EPS * scale
+
+    def test_form_and_split_never_build_the_matrix(self, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("hessian_matrix called")
+
+        monkeypatch.setattr(hessian, "hessian_matrix", refuse)
+        cfg, weights, endpoints = long_scene(random.Random(8), 50, 4.0)
+        hessian_form(cfg, weights, endpoints)
+        hessian_split(cfg, weights, endpoints)
+        hessian_margin(cfg)
+
+
+def brute_margins(cfg):
+    """Nearest marked point of every crossing by all-pairs search."""
+    pos = [c.s for c in cfg.crossings]
+    L = cfg.length
+    return tuple(
+        min([abs(s - t) for j, t in enumerate(pos) if j != i] + [s, L - s])
+        for i, s in enumerate(pos))
+
+
+GAPS = st.sampled_from([0.1, 0.125, 0.25, 0.3, 0.5])
+
+
+class TestAdjacentGapMargins:
+    @given(st.lists(GAPS, min_size=2, max_size=40))
+    @example([0.25, 0.25, 0.25, 0.25])
+    @example([0.1, 0.1, 0.1, 0.3, 0.1, 0.1])
+    @settings(max_examples=80, deadline=None)
+    def test_matches_all_pairs_search(self, gaps):
+        # Gaps drawn from a few values put equal adjacent gaps in most
+        # examples: exact ties for the binary fractions, last-bit near
+        # ties for 0.1 and 0.3 once they are accumulated.
+        ss = list(np.cumsum(gaps))
+        cfg = ChordConfig(ss[-1], tuple(LeafCrossing(s, 1.0) for s in ss[:-1]))
+        rep = hessian_margin(cfg)
+        assert rep.epsilons == brute_margins(cfg)
+        assert rep.eps_p == cfg.crossings[0].s
+        assert rep.eps_q == cfg.length - cfg.crossings[-1].s
+        L = cfg.length
+        for c, e, bound, drop in zip(cfg.crossings, rep.epsilons,
+                                     rep.bounds, rep.drops):
+            far = L - c.s
+            assert bound == pytest.approx(
+                math.cosh(c.s) * math.sinh(far - e) * e, rel=1e-13, abs=0)
+            assert drop == pytest.approx(
+                math.cosh(c.s) * 2 * math.sinh(far - e / 2) * math.sinh(e / 2),
+                rel=1e-13, abs=0)

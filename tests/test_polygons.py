@@ -204,6 +204,24 @@ class TestChainDifferentials:
             assert rank == m
             assert smin > 1e-8
 
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_length_matrix_is_the_d_length_matrix(self, closed):
+        # the matrix every d_length functional fills in, one frame
+        # vector at a time
+        rng = random.Random(19 + closed)
+        for m in (3, 4, 7, 12):
+            cd = ChainDifferentials(random_chain(rng, m, closed), closed)
+            zero = [HTangent(q, 0.0, 0.0) for q in cd.points]
+            ref = np.zeros((len(cd.segment_indices()), 2 * m))
+            for i in cd.segment_indices():
+                for j, q in enumerate(cd.points):
+                    for comp, frame in enumerate(
+                            (HTangent(q, q.y, 0.0), HTangent(q, 0.0, q.y))):
+                        var = list(zero)
+                        var[j] = frame
+                        ref[i, 2 * j + comp] = cd.d_length(i, var)
+            assert np.array_equal(cd.length_matrix(), ref)
+
     def test_rejects_collapsed_segments(self):
         p = HPoint(0.0, 1.0)
         with pytest.raises(DegenerateConfigurationError):
