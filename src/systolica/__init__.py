@@ -1,5 +1,6 @@
-"""Numerical hyperbolic geometry: half-plane kernel, right-angled polygon
-spaces, shear Hessians of distance, eutaxy classification, and extremal
-systole equations."""
+"""Numerical hyperbolic geometry in four layers: closed-form trigonometry
+(``trig``), the upper-half-plane kernel (``halfplane``), right-angled
+polygons and their moduli (``polygons``), and the first and second
+variation of chord length under shears (``hessian``)."""
 
 __version__ = "0.1.0"

@@ -38,10 +38,8 @@ class NoPolygonError(SystolicaError):
 
 
 class DegenerateMarginError(SystolicaError):
-    """A separation margin is not positive, so the diagonal-dominance
-    lower bound degenerates (a crossing sits on top of another crossing
-    or an endpoint, or epsilon exhausts the distance to the far
-    endpoint)."""
+    """A chord has no crossings, so it has no separation margins to
+    report."""
 
 
 class InconsistentSceneError(SystolicaError):

@@ -204,11 +204,6 @@ class HGeodesic:
         """
         return math.log(abs(_pull(self.frame, p)))
 
-    def standard_map(self):
-        """Isometry taking the upward imaginary axis onto this geodesic,
-        i e^s onto point_at(s)."""
-        return self.frame
-
     def project(self, p):
         """Orthogonal projection: returns (foot point, distance to p)."""
         w = _pull(self.frame, p)

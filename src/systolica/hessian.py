@@ -11,6 +11,12 @@ everything beyond the leaf (as seen from ``p``) along it; endpoints may
 move simultaneously with tangent vectors ``u`` at ``p`` and ``v`` at
 ``q``.
 
+The crossing data lives in arrays, not in one object per crossing:
+``ChordConfig`` holds the positions ``s`` and the angles ``theta`` as two
+read-only float64 arrays in chord order, validated once when it is
+built, and ``TransverseWeights`` holds the shear rates ``a`` the same
+way.  Every function below reads those arrays directly.
+
 Endpoint components use one parallel frame along the oriented chord:
 ``u_par`` and ``v_par`` point outward (away from the other endpoint),
 while ``u_perp`` and ``v_perp`` are both taken against the quarter-turn
@@ -47,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from operator import itemgetter
 
 import numpy as np
 
@@ -56,7 +62,6 @@ from .errors import (DegenerateMarginError, InconsistentSceneError,
                      SystolicaError)
 
 __all__ = [
-    "LeafCrossing",
     "ChordConfig",
     "TransverseWeights",
     "EndpointVariation",
@@ -78,60 +83,79 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LeafCrossing:
-    """One transverse leaf: position ``s`` along the chord and crossing
-    angle ``theta`` in ``(0, pi)`` measured counterclockwise from the
-    forward chord direction."""
+def _readonly_vector(values, what: str) -> np.ndarray:
+    # a private float64 copy, so no caller can change a validated config
+    a = np.array(values, dtype=np.float64)
+    if a.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D sequence of numbers")
+    a.setflags(write=False)
+    return a
 
-    s: float
-    theta: float
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChordConfig:
     """A chord of length ``length`` with ordered transverse crossings.
 
+    Crossing ``i`` sits at arclength ``s[i]`` from ``p`` and meets the
+    chord at angle ``theta[i]`` in ``(0, pi)``, measured counterclockwise
+    from the forward chord direction.  Both are stored as read-only 1-D
+    float64 arrays.
 
     Raises
     ------
     ValueError
-        If the length is not positive, a crossing sits outside the open
-        chord, the crossings are not strictly increasing in ``s``, or an
-        angle leaves ``(0, pi)``.
+        If the length is not positive and finite, ``s`` and ``theta``
+        differ in shape, a crossing sits outside the open chord, the
+        crossings are not strictly increasing in ``s``, or an angle leaves
+        ``(0, pi)``.  NaN fails every one of these tests.  The message
+        names the first bad crossing.
     """
 
     length: float
-    crossings: tuple[LeafCrossing, ...]
+    s: np.ndarray
+    theta: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length > 0):
+        L = float(self.length)
+        if not (math.isfinite(L) and L > 0):
             raise ValueError("chord length must be positive and finite")
-        object.__setattr__(self, "crossings", tuple(self.crossings))
-        prev = 0.0
-        for c in self.crossings:
-            if not (prev < c.s < self.length):
-                raise ValueError(
-                    f"crossing at s={c.s!r} outside the chord or out of order")
-            if not 0.0 < c.theta < math.pi:
-                raise ValueError(f"crossing angle {c.theta!r} outside (0, pi)")
-            prev = c.s
+        s = _readonly_vector(self.s, "crossing positions")
+        theta = _readonly_vector(self.theta, "crossing angles")
+        if s.shape != theta.shape:
+            raise ValueError(
+                f"{s.size} crossing positions but {theta.size} angles")
+        # diff([0, s..., L]) > 0, written so that crossing i owns the test
+        placed = (s > np.concatenate(([0.0], s[:-1]))) & (s < L)
+        angled = (theta > 0.0) & (theta < math.pi)
+        ok = placed & angled
+        if not ok.all():
+            i = int(ok.argmin())
+            if not placed[i]:
+                raise ValueError(f"crossing {i} at s={s[i].item()!r} outside "
+                                 "the chord or out of order")
+            raise ValueError(
+                f"crossing {i} angle {theta[i].item()!r} outside (0, pi)")
+        object.__setattr__(self, "length", L)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "theta", theta)
 
     @property
     def n(self) -> int:
-        return len(self.crossings)
+        return len(self.s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransverseWeights:
-    """Shear rates, one per crossing of the configuration."""
+    """Shear rates, one per crossing of the configuration, stored as a
+    read-only 1-D float64 array."""
 
-    weights: tuple[float, ...]
+    weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if any(not math.isfinite(w) for w in self.weights):
+        w = _readonly_vector(self.weights, "shear weights")
+        if not np.isfinite(w).all():
             raise ValueError("shear weights must be finite")
+        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
@@ -168,8 +192,7 @@ def first_derivatives(cfg: ChordConfig, weights: TransverseWeights,
     """
     _check_weights(cfg, weights)
     # sin(pi/2 - theta) is cos(theta), exactly 0 at a perpendicular crossing
-    d_metric = sum(a * math.sin(0.5 * math.pi - c.theta)
-                   for a, c in zip(weights.weights, cfg.crossings))
+    d_metric = float(weights.weights @ np.sin(0.5 * math.pi - cfg.theta))
     return d_metric, endpoints.u_par + endpoints.v_par
 
 
@@ -198,7 +221,7 @@ def hessian_matrix(cfg: ChordConfig) -> np.ndarray:
     """
     n = cfg.n
     L = cfg.length
-    t = np.array([c.s for c in cfg.crossings] + [0.0, L])
+    t = np.concatenate((cfg.s, [0.0, L]))
     H = np.cosh(np.minimum.outer(t, t)) * np.cosh(L - np.maximum.outer(t, t))
     H[n, :] *= -1.0
     H[:, n] *= -1.0
@@ -243,9 +266,8 @@ def hessian_split(cfg: ChordConfig, weights: TransverseWeights,
     _check_weights(cfg, weights)
     L = cfg.length
     scale = math.sinh(L)
-    s = np.array([c.s for c in cfg.crossings])
-    theta = np.array([c.theta for c in cfg.crossings])
-    x = np.sin(theta) * np.array(weights.weights)
+    s = cfg.s
+    x = np.sin(cfg.theta) * weights.weights
     xc = x * np.cosh(s)
     xd = x * np.cosh(L - s)
     shear2 = float(xc @ xd) + 2.0 * float(xd[1:] @ np.cumsum(xc)[:-1])
@@ -257,97 +279,43 @@ def hessian_split(cfg: ChordConfig, weights: TransverseWeights,
 
 @dataclass(frozen=True)
 class MarginReport:
-    """Separation margins and the stability weights they certify.
+    """Separation margins of the marked points on the chord.
 
     ``epsilons[i]`` is the distance from crossing ``i`` to its nearest
     neighbour among the other crossings and both endpoints; ``eps_p``
-    and ``eps_q`` are the end gaps.  ``drops`` hold the exact diagonal
-    surplus of the kernel over its dominance comparison (always strictly
-    positive), while ``bounds`` are the closed-form floors
-    ``cosh(s_i) sinh(L - s_i - eps_i) eps_i``, which may saturate to
-    zero when a margin exhausts the distance to the far endpoint.
+    and ``eps_q`` are the end gaps.  Each is one rounded difference of
+    two stored positions, so it is correct to half an ulp and strictly
+    positive for any valid configuration.
     """
 
     epsilons: tuple[float, ...]
     eps_p: float
     eps_q: float
-    bounds: tuple[float, ...]
-    bound_p: float
-    bound_q: float
-    drops: tuple[float, ...]
-    drop_p: float
-    drop_q: float
-
-
-def _cosh_drop(b, e):
-    # cosh(b) - cosh(b - e), written as a product so the saturated case
-    # b == e comes out exactly positive instead of a cancellation of
-    # nearly equal cosh values.  Works elementwise on arrays.
-    return 2.0 * np.sinh(b - 0.5 * e) * np.sinh(0.5 * e)
 
 
 def hessian_margin(cfg: ChordConfig) -> MarginReport:
-    """Separation margins of the marked points and the diagonal surplus
-    they generate in the second-variation kernel.
-
-    For each slot the report carries the exact surplus of the kernel
-    diagonal over its value with the margin spent,
-
-    ``drops[i]  = cosh(s_i) (cosh(L - s_i) - cosh(L - s_i - eps_i))``,
-
-    and the classical mean-value floor under it,
-
-    ``bounds[i] = cosh(s_i) sinh(L - s_i - eps_i) eps_i``,
-
-    with endpoint analogues ``cosh(L) - cosh(L - eps)`` over
-    ``sinh(L - eps) eps``.  Drops are strictly positive; a floor
-    saturates to zero exactly when the margin reaches the far endpoint.
-
-    These are separation diagnostics, not a certified lower bound on
-    the quadratic form: subtracting the drops from the diagonal does
-    not in general leave a positive-semidefinite matrix once two or
-    more crossings are present (random sparse configurations produce
-    eigenvalues below -1), even though the kernel itself is always
-    positive definite by its Gram factorization.  Use the eigenvalues
-    of ``hessian_matrix`` for quantitative positivity; that dense
-    matrix is the O(n^2) reference, not something this report builds.
+    """Separation margins of the marked points: how far each crossing
+    is from its nearest neighbour and how far the outer crossings are
+    from the endpoints.
 
     The crossings are sorted, so a crossing's nearest marked point is
     one of its two neighbours: ``epsilons`` is the smaller of the two
     adjacent gaps in ``diff([0, s_1, ..., s_n, L])``, O(n) numpy work.
+    The report is no bound on the quadratic form; use the eigenvalues of
+    ``hessian_matrix`` for quantitative positivity.
 
     Raises
     ------
     DegenerateMarginError
         If the configuration has no crossings (there is no gap
-        structure to report), or a margin exceeds the distance to the
-        far endpoint, which cannot happen for margins derived from the
-        configuration itself.
+        structure to report).
     """
-    L = cfg.length
     if cfg.n == 0:
         raise DegenerateMarginError("no crossings: nothing to separate")
-    s = np.array([c.s for c in cfg.crossings])
-    gaps = np.diff(np.concatenate(([0.0], s, [L])))
+    gaps = np.diff(np.concatenate(([0.0], cfg.s, [cfg.length])))
     eps = np.minimum(gaps[:-1], gaps[1:])
-    far = L - s
-    over = eps > far
-    if over.any():
-        i = int(over.argmax())
-        raise DegenerateMarginError(
-            f"margin {eps[i].item()!r} at s={s[i].item()!r} exceeds the "
-            "far-endpoint gap")
-    eps_p, eps_q = float(gaps[0]), float(gaps[-1])
-    cosh_s = np.cosh(s)
-    return MarginReport(
-        epsilons=tuple(eps.tolist()), eps_p=eps_p, eps_q=eps_q,
-        bounds=tuple((cosh_s * np.sinh(far - eps) * eps).tolist()),
-        bound_p=math.sinh(L - eps_p) * eps_p,
-        bound_q=math.sinh(L - eps_q) * eps_q,
-        drops=tuple((cosh_s * _cosh_drop(far, eps)).tolist()),
-        drop_p=float(_cosh_drop(L, eps_p)),
-        drop_q=float(_cosh_drop(L, eps_q)),
-    )
+    return MarginReport(epsilons=tuple(eps.tolist()),
+                        eps_p=float(gaps[0]), eps_q=float(gaps[-1]))
 
 
 @dataclass(frozen=True)
@@ -370,7 +338,7 @@ def shear_kinematics(cfg: ChordConfig, h_index: int, l_index: int) -> ShearRates
     """Rates of the moving-chord picture: shear leaf ``h`` at unit rate
     and watch what happens at the earlier leaf ``l``.
 
-    Indices are 0-based positions into ``cfg.crossings``; ``l_index``
+    Indices are 0-based positions into ``cfg.s``; ``l_index``
     must be strictly smaller than ``h_index`` (the leaf being watched
     crosses the chord nearer to ``p`` than the leaf being sheared).
     """
@@ -384,14 +352,14 @@ def shear_kinematics(cfg: ChordConfig, h_index: int, l_index: int) -> ShearRates
             "kinematic rates are defined at crossings strictly before the "
             f"sheared leaf (got l_index={l_index}, h_index={h_index})")
     L = cfg.length
-    sh = cfg.crossings[h_index]
-    sl = cfg.crossings[l_index]
+    s_h, s_l = cfg.s[[h_index, l_index]].tolist()
+    th_h, th_l = cfg.theta[[h_index, l_index]].tolist()
     sinh_L = math.sinh(L)
-    rho_prime = math.cosh(L - sh.s) * math.sin(sh.theta) / sinh_L
-    f_prime = (math.cosh(L - sh.s) * math.sinh(sl.s) * math.sin(sh.theta)
-               / (sinh_L * math.sin(sl.theta)))
-    dcos_theta = (math.cosh(sl.s) * math.cosh(L - sh.s)
-                  * math.sin(sl.theta) * math.sin(sh.theta) / sinh_L)
+    rho_prime = math.cosh(L - s_h) * math.sin(th_h) / sinh_L
+    f_prime = (math.cosh(L - s_h) * math.sinh(s_l) * math.sin(th_h)
+               / (sinh_L * math.sin(th_l)))
+    dcos_theta = (math.cosh(s_l) * math.cosh(L - s_h)
+                  * math.sin(th_l) * math.sin(th_h) / sinh_L)
     return ShearRates(rho_prime=rho_prime, f_prime=f_prime,
                       dcos_theta=dcos_theta)
 
@@ -428,11 +396,11 @@ def realize_scene(cfg: ChordConfig, weights: TransverseWeights,
     p = halfplane.HPoint(0.0, 1.0)
     q = halfplane.HPoint(0.0, math.exp(cfg.length))
     leaves = []
-    for c in cfg.crossings:
-        base = halfplane.HPoint(0.0, math.exp(c.s))
+    for s, theta in zip(cfg.s.tolist(), cfg.theta.tolist()):
+        base = halfplane.HPoint(0.0, math.exp(s))
         up = halfplane.HTangent(base, 0.0, base.y)
         leaves.append(halfplane.geodesic_from_direction(
-            base, halfplane.rotate_tangent(up, c.theta)))
+            base, halfplane.rotate_tangent(up, theta)))
     return HalfplaneScene(cfg=cfg, weights=weights, endpoints=endpoints,
                           p=p, q=q, leaves=tuple(leaves))
 
@@ -455,24 +423,23 @@ def scene_length(scene: HalfplaneScene, shear_t: float, end_t: float) -> float:
     pt = halfplane.exp_point(u, end_t) if halfplane.norm(u) > 0 else scene.p
     qt = halfplane.exp_point(v, end_t) if halfplane.norm(v) > 0 else scene.q
     iso = halfplane.HIsometry.identity()
-    for leaf, a in zip(scene.leaves, scene.weights.weights):
+    for leaf, a in zip(scene.leaves, scene.weights.weights.tolist()):
         iso = iso @ halfplane.translate_along(leaf, shear_t * a)
     return halfplane.dist(pt, iso.apply(qt))
 
 
 def _measure_scene(scene: HalfplaneScene):
-    """Re-derive (length, [(s, theta)]) from the realized geometry."""
+    """Re-derive the length and the (2, n) rows (s, theta) from the
+    realized geometry."""
     chord = halfplane.geodesic_through(scene.p, scene.q)  # s = 0 at p
     length = halfplane.dist(scene.p, scene.q)
-    crossings = []
+    measured = []
     for leaf in scene.leaves:
         x = halfplane.intersection_point(chord, leaf)
         s = chord.param_of(x)
-        theta = halfplane.oriented_angle(
-            chord.tangent_at(s),
-            leaf.tangent_at(leaf.param_of(x)))
-        crossings.append((s, theta))
-    return length, crossings
+        measured.append((s, halfplane.oriented_angle(
+            chord.tangent_at(s), leaf.tangent_at(leaf.param_of(x)))))
+    return length, np.array(measured).reshape(-1, 2).T
 
 
 FD_STEP = 1e-4
@@ -500,21 +467,25 @@ def fd_oracle(scene: HalfplaneScene, order: int):
         For any ``order`` other than 1 or 2.
     """
     try:
-        length, crossings = _measure_scene(scene)
+        length, (s, theta) = _measure_scene(scene)
     except SystolicaError as exc:
         raise InconsistentSceneError(
             f"scene geometry is not a transverse chord configuration: {exc}"
         ) from exc
-    if abs(length - scene.cfg.length) > 1e-10:
+    cfg = scene.cfg
+    if abs(length - cfg.length) > 1e-10:
         raise InconsistentSceneError(
-            f"realized chord length {length!r} != {scene.cfg.length!r}")
-    if len(crossings) != scene.cfg.n:
+            f"realized chord length {length!r} != {cfg.length!r}")
+    if s.shape != cfg.s.shape:
         raise InconsistentSceneError("crossing count mismatch")
-    for (s, theta), c in zip(crossings, scene.cfg.crossings):
-        if abs(s - c.s) > 1e-10 or abs(theta - c.theta) > 1e-10:
-            raise InconsistentSceneError(
-                f"leaf measured at (s={s!r}, theta={theta!r}) but declared "
-                f"(s={c.s!r}, theta={c.theta!r})")
+    # written as agreement so that a NaN measurement is refused too
+    agree = (np.abs(s - cfg.s) <= 1e-10) & (np.abs(theta - cfg.theta) <= 1e-10)
+    if not agree.all():
+        i = int(agree.argmin())
+        raise InconsistentSceneError(
+            f"leaf {i} measured at (s={s[i].item()!r}, "
+            f"theta={theta[i].item()!r}) but declared "
+            f"(s={cfg.s[i].item()!r}, theta={cfg.theta[i].item()!r})")
     h = FD_STEP
     D = scene_length
     if order == 1:
@@ -535,6 +506,7 @@ def fd_oracle(scene: HalfplaneScene, order: int):
 # scene serialization
 
 SCENE_FIELDS = ("chord_length", "crossings", "weights", "endpoint")
+ENDPOINT_FIELDS = ("u_perp", "u_par", "v_perp", "v_par")
 
 
 def scene_to_json(cfg: ChordConfig, weights: TransverseWeights,
@@ -543,36 +515,37 @@ def scene_to_json(cfg: ChordConfig, weights: TransverseWeights,
     _check_weights(cfg, weights)
     return {
         "chord_length": cfg.length,
-        "crossings": [{"s": c.s, "theta": c.theta} for c in cfg.crossings],
-        "weights": list(weights.weights),
-        "endpoint": {
-            "u_perp": endpoints.u_perp,
-            "u_par": endpoints.u_par,
-            "v_perp": endpoints.v_perp,
-            "v_par": endpoints.v_par,
-        },
+        "crossings": [{"s": s, "theta": theta} for s, theta
+                      in zip(cfg.s.tolist(), cfg.theta.tolist())],
+        "weights": weights.weights.tolist(),
+        "endpoint": {k: getattr(endpoints, k) for k in ENDPOINT_FIELDS},
     }
 
 
 def scene_from_json(data: dict) -> tuple[ChordConfig, TransverseWeights, EndpointVariation]:
     """Rebuild (config, weights, endpoint variation) from a scene dict.
 
-    Structural problems raise ValueError; the finite-difference oracle
+    Malformed input raises ValueError; the finite-difference oracle
     layers its own consistency checks on top of this.
     """
+    if not isinstance(data, dict):
+        raise ValueError("a scene must be a JSON object")
     missing = [k for k in SCENE_FIELDS if k not in data]
     if missing:
         raise ValueError(f"scene is missing fields: {missing}")
-    crossings = tuple(LeafCrossing(float(c["s"]), float(c["theta"]))
-                      for c in data["crossings"])
-    cfg = ChordConfig(length=float(data["chord_length"]), crossings=crossings)
-    weights = TransverseWeights(tuple(float(w) for w in data["weights"]))
-    _check_weights(cfg, weights)
     ep = data["endpoint"]
-    endpoints = EndpointVariation(
-        u_perp=float(ep.get("u_perp", 0.0)),
-        u_par=float(ep.get("u_par", 0.0)),
-        v_perp=float(ep.get("v_perp", 0.0)),
-        v_par=float(ep.get("v_par", 0.0)),
-    )
+    if not isinstance(ep, dict):
+        raise ValueError("scene 'endpoint' must be a JSON object")
+    try:
+        # one pass over the crossings; np.empty keeps the (n, 2) shape at n = 0
+        pairs = list(map(itemgetter("s", "theta"), data["crossings"]))
+        rows = np.array(pairs or np.empty((0, 2)), dtype=np.float64)
+        length = float(data["chord_length"])
+        weights = TransverseWeights(data["weights"])
+        endpoints = EndpointVariation(
+            **{k: float(ep.get(k, 0.0)) for k in ENDPOINT_FIELDS})
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed scene: {exc!r}") from exc
+    cfg = ChordConfig(length, s=rows[:, 0], theta=rows[:, 1])
+    _check_weights(cfg, weights)
     return cfg, weights, endpoints

@@ -455,13 +455,20 @@ def polygon_to_json(poly: MarkedRightPolygon) -> dict:
 
 
 def polygon_from_json(data: dict) -> MarkedRightPolygon:
-    sides = data.get("sides")
+    if not isinstance(data, dict):
+        raise ValueError("a polygon must be a JSON object")
+    sides, coords = data.get("sides"), data.get("coords")
     if not isinstance(sides, (list, tuple)):
         raise ValueError("polygon JSON needs a 'sides' array")
-    if "n" in data and int(data["n"]) != len(sides):
-        raise ValueError("polygon JSON 'n' disagrees with the sides array")
+    try:
+        if "n" in data and int(data["n"]) != len(sides):
+            raise ValueError("polygon JSON 'n' disagrees with the sides array")
+        sides = [float(s) for s in sides]
+        if coords is not None:
+            coords = tuple(float(c) for c in coords)
+    except TypeError as exc:
+        raise ValueError(f"malformed polygon: {exc!r}") from exc
     poly = realize(sides)
-    coords = data.get("coords")
     if coords is not None:
-        poly = replace(poly, coords=tuple(float(c) for c in coords))
+        poly = replace(poly, coords=coords)
     return poly

@@ -9,6 +9,7 @@ every test run.
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mpmath import mp
 
 from systolica import hessian
 from systolica.errors import DegenerateMarginError, InconsistentSceneError
+from systolica.polygons import polygon_from_json
 from systolica.halfplane import (
     HPoint,
     HTangent,
@@ -33,7 +35,6 @@ from systolica.hessian import (
     ChordConfig,
     EndpointVariation,
     HalfplaneScene,
-    LeafCrossing,
     TransverseWeights,
     fd_oracle,
     first_derivatives,
@@ -53,7 +54,7 @@ N0_DIAG = 1.1547005383792517
 N0_CROSS = -0.5773502691896258
 
 # Two-crossing reference kernel: L = 2, crossings (0.7, 1.1), (1.4, 0.6).
-REF_CFG = ChordConfig(2.0, (LeafCrossing(0.7, 1.1), LeafCrossing(1.4, 0.6)))
+REF_CFG = ChordConfig(2.0, s=(0.7, 1.4), theta=(1.1, 0.6))
 REF_MATRIX = np.array([
     [2.4738304546629495, 1.4879591991912162, -1.9709142303266285, 1.255169005630943],
     [1.4879591991912162, 2.5498153186942383, -1.1854652182422678, 2.1508984653931407],
@@ -69,9 +70,8 @@ def random_config(rng, max_n=6, min_n=0):
         ss = sorted(rng.uniform(0.05 * length, 0.95 * length) for _ in range(n))
         if all(b - a > 0.03 * length for a, b in zip(ss, ss[1:])):
             break
-    crossings = tuple(
-        LeafCrossing(s, rng.uniform(0.12 * math.pi, 0.88 * math.pi)) for s in ss)
-    return ChordConfig(length=length, crossings=crossings)
+    theta = [rng.uniform(0.12 * math.pi, 0.88 * math.pi) for _ in ss]
+    return ChordConfig(length=length, s=ss, theta=theta)
 
 
 def random_scene(rng, max_n=6, min_n=0):
@@ -86,19 +86,31 @@ def random_scene(rng, max_n=6, min_n=0):
 class TestConfigValidation:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
-            ChordConfig(0.0, ())
+            ChordConfig(0.0, (), ())
 
     def test_rejects_out_of_order_crossings(self):
         with pytest.raises(ValueError):
-            ChordConfig(2.0, (LeafCrossing(1.4, 1.0), LeafCrossing(0.7, 1.0)))
+            ChordConfig(2.0, s=(1.4, 0.7), theta=(1.0, 1.0))
 
-    def test_rejects_crossing_outside_chord(self):
-        with pytest.raises(ValueError):
-            ChordConfig(2.0, (LeafCrossing(2.0, 1.0),))
+    @pytest.mark.parametrize("s", [2.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_crossing_outside_chord(self, s):
+        # for most values crossing 1 is out of order too; the first is named
+        with pytest.raises(ValueError, match="crossing 0 at s="):
+            ChordConfig(2.0, s=(s, 1.5), theta=(1.0, 1.0))
 
-    def test_rejects_angle_outside_range(self):
+    @pytest.mark.parametrize("theta", [math.pi, 0.0, math.nan])
+    def test_rejects_angle_outside_range(self, theta):
+        with pytest.raises(ValueError, match="crossing 1 angle"):
+            ChordConfig(2.0, s=(0.5, 1.0), theta=(1.0, theta))
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf])
+    def test_rejects_nonfinite_length(self, length):
         with pytest.raises(ValueError):
-            ChordConfig(2.0, (LeafCrossing(1.0, math.pi),))
+            ChordConfig(length, (), ())
+
+    def test_rejects_unequal_positions_and_angles(self):
+        with pytest.raises(ValueError):
+            ChordConfig(2.0, s=(0.5, 1.0), theta=(1.0,))
 
     def test_rejects_nonfinite_weight(self):
         with pytest.raises(ValueError):
@@ -111,19 +123,18 @@ class TestConfigValidation:
 
 class TestFirstDerivatives:
     def test_perpendicular_crossing_contributes_nothing(self):
-        cfg = ChordConfig(2.0, (LeafCrossing(1.0, math.pi / 2),))
+        cfg = ChordConfig(2.0, s=(1.0,), theta=(math.pi / 2,))
         d_metric, _ = first_derivatives(cfg, TransverseWeights((5.0,)))
         assert d_metric == 0.0
 
     def test_metric_part_is_linear_in_weights(self):
-        cfg = ChordConfig(
-            2.0, (LeafCrossing(0.8, math.pi / 2), LeafCrossing(1.3, math.pi / 3)))
+        cfg = ChordConfig(2.0, s=(0.8, 1.3), theta=(math.pi / 2, math.pi / 3))
         d_metric, _ = first_derivatives(cfg, TransverseWeights((1.0, 2.0)))
         assert d_metric == pytest.approx(1.0, abs=1e-15)
 
     def test_endpoint_part_reads_outward_components(self):
         _, d_end = first_derivatives(
-            ChordConfig(1.5, ()), TransverseWeights(()),
+            ChordConfig(1.5, (), ()), TransverseWeights(()),
             EndpointVariation(u_par=0.25, v_par=-0.75, u_perp=3.0, v_perp=-2.0))
         assert d_end == pytest.approx(-0.5, abs=1e-15)
 
@@ -142,7 +153,7 @@ class TestFirstDerivatives:
 class TestHessianMatrix:
     def test_endpoint_block_at_arccosh_two(self):
         d = math.acosh(2.0)
-        H = hessian_matrix(ChordConfig(d, ())) / math.sinh(d)
+        H = hessian_matrix(ChordConfig(d, (), ())) / math.sinh(d)
         expected = np.array([[N0_DIAG, N0_CROSS], [N0_CROSS, N0_DIAG]])
         assert np.max(np.abs(H - expected)) < 1e-15
 
@@ -152,7 +163,7 @@ class TestHessianMatrix:
     def test_single_crossing_entry_magnitudes(self):
         # s = 1 on a chord of length 2: crossing diagonal cosh(1)^2, both
         # couplings of magnitude cosh(1), endpoint corner -1.
-        H = hessian_matrix(ChordConfig(2.0, (LeafCrossing(1.0, 0.9),)))
+        H = hessian_matrix(ChordConfig(2.0, s=(1.0,), theta=(0.9,)))
         c1 = math.cosh(1.0)
         assert H[0, 0] == pytest.approx(c1 * c1, abs=1e-15)
         assert H[0, 1] == pytest.approx(-c1, abs=1e-15)
@@ -178,13 +189,13 @@ class TestHessianMatrix:
 
 class TestHessianForm:
     def test_single_leaf_anchor(self):
-        cfg = ChordConfig(2.0, (LeafCrossing(1.0, math.pi / 2),))
+        cfg = ChordConfig(2.0, s=(1.0,), theta=(math.pi / 2,))
         value = hessian_form(cfg, TransverseWeights((1.0,)))
         assert value == pytest.approx(0.6565176427496656, abs=1e-12)
 
     def test_endpoint_anchor_two_tanh_one(self):
         value = hessian_form(
-            ChordConfig(2.0, ()), TransverseWeights(()),
+            ChordConfig(2.0, (), ()), TransverseWeights(()),
             EndpointVariation(u_perp=1.0, v_perp=1.0))
         assert value == pytest.approx(1.5231883119115297, abs=1e-12)
 
@@ -227,7 +238,7 @@ class TestHessianForm:
         # (cosh d (a^2+b^2) - 2ab)/sinh d and
         # (a-b)^2/sinh d + tanh(d/2)(a^2+b^2).
         form = hessian_form(
-            ChordConfig(d, ()), TransverseWeights(()),
+            ChordConfig(d, (), ()), TransverseWeights(()),
             EndpointVariation(u_perp=a, v_perp=b))
         rewritten = (a - b) ** 2 / math.sinh(d) + math.tanh(d / 2) * (a * a + b * b)
         assert form == pytest.approx(rewritten, abs=1e-11)
@@ -242,52 +253,45 @@ class TestHessianForm:
 
 class TestMargins:
     def test_midpoint_crossing_saturates_floor(self):
-        rep = hessian_margin(ChordConfig(2.0, (LeafCrossing(1.0, 1.0),)))
+        rep = hessian_margin(ChordConfig(2.0, s=(1.0,), theta=(1.0,)))
         assert rep.epsilons == (1.0,)
-        assert rep.bounds == (0.0,)
-        assert rep.drops[0] == pytest.approx(0.838017210726572, abs=1e-14)
-        assert rep.bound_p == pytest.approx(1.1752011936438014, abs=1e-14)
-        assert rep.drop_p == pytest.approx(2.2191150562683877, abs=1e-14)
 
     def test_reference_config_margins(self):
         rep = hessian_margin(REF_CFG)
         assert rep.epsilons == pytest.approx((0.7, 0.6))
         assert rep.eps_p == pytest.approx(0.7)
         assert rep.eps_q == pytest.approx(0.6)
-        assert rep.bounds[0] == pytest.approx(0.5593754905454702, abs=1e-13)
-        assert rep.bounds[1] == 0.0  # margin meets the far endpoint
-        assert rep.drops == pytest.approx((0.9858712554717337, 0.3989168533010977))
-
-    def test_drops_always_positive_floors_never_negative(self):
-        rng = random.Random(31)
-        for _ in range(40):
-            cfg = random_config(rng, min_n=1)
-            rep = hessian_margin(cfg)
-            assert min(rep.drops) > 0
-            assert min((rep.drop_p, rep.drop_q)) > 0
-            assert min(rep.bounds) >= 0
 
     def test_no_crossings_raises(self):
         with pytest.raises(DegenerateMarginError):
-            hessian_margin(ChordConfig(2.0, ()))
+            hessian_margin(ChordConfig(2.0, (), ()))
+
+    def test_long_chord_margins_stay_finite(self):
+        # cosh(s) near the far end of a chord this long overflows; the
+        # margins are gaps and must not touch it
+        cfg = ChordConfig(1000.0, s=(1e-3, 0.5, 999.0, 999.999),
+                          theta=(1.0, 1.0, 1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = hessian_margin(cfg)
+        assert np.isfinite(rep.epsilons).all()
+        assert math.isfinite(rep.eps_p) and math.isfinite(rep.eps_q)
+        assert rep.eps_p == 1e-3
 
 
 class TestKinematics:
     def test_rotation_rate_anchor(self):
-        cfg = ChordConfig(
-            2.0, (LeafCrossing(0.5, 1.0), LeafCrossing(1.0, math.pi / 2)))
+        cfg = ChordConfig(2.0, s=(0.5, 1.0), theta=(1.0, math.pi / 2))
         rates = shear_kinematics(cfg, 1, 0)
         assert rates.rho_prime == pytest.approx(0.4254590641196607, abs=1e-14)
 
     def test_slide_rate_anchor(self):
-        cfg = ChordConfig(
-            2.0, (LeafCrossing(0.5, math.pi / 2), LeafCrossing(1.0, math.pi / 2)))
+        cfg = ChordConfig(2.0, s=(0.5, 1.0), theta=(math.pi / 2, math.pi / 2))
         rates = shear_kinematics(cfg, 1, 0)
         assert rates.f_prime == pytest.approx(0.22170472099251845, abs=1e-14)
 
     def test_rotation_rate_limit_near_q(self):
-        cfg = ChordConfig(
-            2.0, (LeafCrossing(0.4, 1.0), LeafCrossing(2.0 - 1e-7, math.pi / 2)))
+        cfg = ChordConfig(2.0, s=(0.4, 2.0 - 1e-7), theta=(1.0, math.pi / 2))
         rates = shear_kinematics(cfg, 1, 0)
         assert rates.rho_prime == pytest.approx(1.0 / math.sinh(2.0), rel=1e-9)
 
@@ -320,10 +324,10 @@ class TestKinematics:
         p = HPoint(0.0, 1.0)
         q = HPoint(0.0, math.exp(cfg.length))
         leaves = []
-        for c in cfg.crossings:
-            base = HPoint(0.0, math.exp(c.s))
+        for s, theta in zip(cfg.s.tolist(), cfg.theta.tolist()):
+            base = HPoint(0.0, math.exp(s))
             up = HTangent(base, 0.0, base.y)
-            leaves.append(geodesic_from_direction(base, rotate_tangent(up, c.theta)))
+            leaves.append(geodesic_from_direction(base, rotate_tangent(up, theta)))
         leaf_h, leaf_l = leaves[h_idx], leaves[l_idx]
 
         def state(t):
@@ -354,7 +358,8 @@ class TestKinematics:
 class TestSceneOracle:
     def test_rejects_mismatched_length(self):
         scene = random_scene(random.Random(3), min_n=1)
-        stretched = ChordConfig(scene.cfg.length + 0.5, scene.cfg.crossings)
+        stretched = ChordConfig(scene.cfg.length + 0.5, scene.cfg.s,
+                                scene.cfg.theta)
         bad = HalfplaneScene(cfg=stretched, weights=scene.weights,
                              endpoints=scene.endpoints, p=scene.p, q=scene.q,
                              leaves=scene.leaves)
@@ -362,7 +367,7 @@ class TestSceneOracle:
             fd_oracle(bad, 1)
 
     def test_rejects_clockwise_leaf(self):
-        cfg = ChordConfig(2.0, (LeafCrossing(0.9, 1.2),))
+        cfg = ChordConfig(2.0, s=(0.9,), theta=(1.2,))
         scene = realize_scene(cfg, TransverseWeights((1.0,)))
         base = HPoint(0.0, math.exp(0.9))
         up = HTangent(base, 0.0, base.y)
@@ -384,8 +389,10 @@ class TestSceneOracle:
         endpoints = EndpointVariation(u_perp=0.2, v_par=-0.6)
         blob = json.dumps(scene_to_json(cfg, weights, endpoints))
         cfg2, w2, ev2 = scene_from_json(json.loads(blob))
-        assert cfg2 == cfg
-        assert w2 == weights
+        assert np.array_equal(cfg2.length, cfg.length)
+        assert np.array_equal(cfg2.s, cfg.s)
+        assert np.array_equal(cfg2.theta, cfg.theta)
+        assert np.array_equal(w2.weights, weights.weights)
         assert ev2 == endpoints
 
     def test_scene_json_missing_field(self):
@@ -401,6 +408,36 @@ class TestSceneOracle:
             scene_from_json(data)
 
 
+def _scene_with(**fields):
+    data = scene_to_json(REF_CFG, TransverseWeights((0.0, 0.0)))
+    data.update(fields)
+    return data
+
+
+@pytest.mark.parametrize("reader, data", [
+    (scene_from_json, _scene_with(crossings=[{"s": 0.7}])),
+    (scene_from_json, _scene_with(crossings=5)),
+    (scene_from_json, _scene_with(crossings=[0.7, 1.4])),
+    (scene_from_json, _scene_with(crossings=[{"s": [0.7], "theta": [1.1]},
+                                             {"s": [1.4], "theta": [0.6]}])),
+    (scene_from_json, _scene_with(endpoint=[])),
+    (scene_from_json, _scene_with(weights=5)),
+    (scene_from_json, _scene_with(chord_length=None)),
+    (scene_from_json, 5),
+    (polygon_from_json, 5),
+    (polygon_from_json, {"sides": [1.0] * 5, "n": None}),
+    (polygon_from_json, {"sides": [1.0] * 5, "coords": 5}),
+])
+def test_json_readers_raise_value_error_on_malformed_input(reader, data):
+    with pytest.raises(ValueError):
+        reader(data)
+
+
+def test_every_export_resolves():
+    for name in hessian.__all__:
+        getattr(hessian, name)
+
+
 # ---------------------------------------------------------------------------
 # the O(n) prefix-sum kernel against the dense matrix and a 40-digit reference
 
@@ -411,8 +448,8 @@ def long_scene(rng, n, length):
     """n crossings spread over the whole chord, random angles, weights
     and endpoint motion; the chord-kernel benchmark's scene shape."""
     ss = sorted(rng.uniform(0.0, length) for _ in range(n))
-    cfg = ChordConfig(length, tuple(
-        LeafCrossing(s, rng.uniform(0.15, math.pi - 0.15)) for s in ss))
+    theta = [rng.uniform(0.15, math.pi - 0.15) for _ in ss]
+    cfg = ChordConfig(length, s=ss, theta=theta)
     weights = TransverseWeights(tuple(rng.uniform(-1, 1) for _ in range(n)))
     endpoints = EndpointVariation(
         u_perp=rng.uniform(-1, 1), u_par=rng.uniform(-1, 1),
@@ -436,8 +473,7 @@ def form_vectors(cfg, weights, endpoints):
     """The shear and endpoint halves of the form vector in the slot
     layout of ``hessian_matrix``."""
     x = np.zeros(cfg.n + 2)
-    x[:cfg.n] = [math.sin(c.theta) * a
-                 for c, a in zip(cfg.crossings, weights.weights)]
+    x[:cfg.n] = np.sin(cfg.theta) * weights.weights
     e = np.zeros(cfg.n + 2)
     e[cfg.n:] = endpoints.u_perp, endpoints.v_perp
     return x, e
@@ -455,10 +491,11 @@ def mp_split(cfg, weights, endpoints, dps=40):
         # xc and xd are the running sums of x c and x d, xc_abs and
         # xd_abs those of their magnitudes
         s2 = s2_abs = xc = xd = xc_abs = xd_abs = 0
-        for c, a in zip(cfg.crossings, weights.weights):
-            x = mp.sin(mp.mpf(c.theta)) * mp.mpf(a)
-            xc_j = x * mp.cosh(mp.mpf(c.s))
-            xd_j = x * mp.cosh(L - mp.mpf(c.s))
+        for s, theta, a in zip(cfg.s.tolist(), cfg.theta.tolist(),
+                               weights.weights.tolist()):
+            x = mp.sin(mp.mpf(theta)) * mp.mpf(a)
+            xc_j = x * mp.cosh(mp.mpf(s))
+            xd_j = x * mp.cosh(L - mp.mpf(s))
             s2 += xd_j * (xc_j + 2 * xc)
             s2_abs += abs(xd_j) * (abs(xc_j) + 2 * xc_abs)
             xc += xc_j
@@ -476,7 +513,7 @@ def mp_split(cfg, weights, endpoints, dps=40):
 
 class TestPrefixSumKernel:
     @given(chord_scenes())
-    @example((ChordConfig(2.0, ()), TransverseWeights(()),
+    @example((ChordConfig(2.0, (), ()), TransverseWeights(()),
               EndpointVariation(u_perp=0.3, v_perp=-0.7)))
     @settings(max_examples=60, deadline=None)
     def test_matches_the_dense_matrix(self, scene):
@@ -528,7 +565,7 @@ class TestPrefixSumKernel:
 
 def brute_margins(cfg):
     """Nearest marked point of every crossing by all-pairs search."""
-    pos = [c.s for c in cfg.crossings]
+    pos = cfg.s.tolist()
     L = cfg.length
     return tuple(
         min([abs(s - t) for j, t in enumerate(pos) if j != i] + [s, L - s])
@@ -548,17 +585,8 @@ class TestAdjacentGapMargins:
         # examples: exact ties for the binary fractions, last-bit near
         # ties for 0.1 and 0.3 once they are accumulated.
         ss = list(np.cumsum(gaps))
-        cfg = ChordConfig(ss[-1], tuple(LeafCrossing(s, 1.0) for s in ss[:-1]))
+        cfg = ChordConfig(ss[-1], s=ss[:-1], theta=[1.0] * (len(ss) - 1))
         rep = hessian_margin(cfg)
         assert rep.epsilons == brute_margins(cfg)
-        assert rep.eps_p == cfg.crossings[0].s
-        assert rep.eps_q == cfg.length - cfg.crossings[-1].s
-        L = cfg.length
-        for c, e, bound, drop in zip(cfg.crossings, rep.epsilons,
-                                     rep.bounds, rep.drops):
-            far = L - c.s
-            assert bound == pytest.approx(
-                math.cosh(c.s) * math.sinh(far - e) * e, rel=1e-13, abs=0)
-            assert drop == pytest.approx(
-                math.cosh(c.s) * 2 * math.sinh(far - e / 2) * math.sinh(e / 2),
-                rel=1e-13, abs=0)
+        assert rep.eps_p == cfg.s[0]
+        assert rep.eps_q == cfg.length - cfg.s[-1]
