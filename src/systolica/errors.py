@@ -14,7 +14,9 @@ class SystolicaError(Exception):
 class DegenerateConfigurationError(SystolicaError):
     """Input collapses to a measure-zero case where the requested quantity
     is undefined (coincident points, zero-length chord, angle at a
-    degenerate vertex, diagonal argument below 1)."""
+    degenerate vertex, diagonal argument below 1), or lies beyond the
+    float range in which it can be evaluated (a chord longer than
+    ``hessian.MAX_CHORD_LENGTH``, whose sinh overflows)."""
 
 
 class NoPerpendicularError(SystolicaError):

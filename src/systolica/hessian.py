@@ -52,14 +52,15 @@ eigenvalue checks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
 from . import halfplane
-from .errors import (DegenerateMarginError, InconsistentSceneError,
-                     SystolicaError)
+from .errors import (DegenerateConfigurationError, DegenerateMarginError,
+                     InconsistentSceneError, SystolicaError)
 
 __all__ = [
     "ChordConfig",
@@ -78,6 +79,7 @@ __all__ = [
     "scene_length",
     "fd_oracle",
     "FD_STEP",
+    "MAX_CHORD_LENGTH",
     "scene_to_json",
     "scene_from_json",
 ]
@@ -178,6 +180,17 @@ def _check_weights(cfg: ChordConfig, weights: TransverseWeights) -> None:
             f"{len(weights.weights)} weights for {cfg.n} crossings")
 
 
+# The longest chord whose sinh(L) and cosh(L) are finite floats.
+MAX_CHORD_LENGTH = math.asinh(sys.float_info.max)
+
+
+def _check_length(cfg: ChordConfig) -> None:
+    if cfg.length > MAX_CHORD_LENGTH:
+        raise DegenerateConfigurationError(
+            f"chord length {cfg.length!r} exceeds {MAX_CHORD_LENGTH!r}, "
+            "beyond which sinh(L) overflows")
+
+
 def first_derivatives(cfg: ChordConfig, weights: TransverseWeights,
                       endpoints: EndpointVariation = ZERO_ENDPOINTS,
                       ) -> tuple[float, float]:
@@ -217,8 +230,11 @@ def hessian_matrix(cfg: ChordConfig) -> np.ndarray:
 
     The matrix costs O(n^2) time and memory.  It is the dense reference
     for tests and eigenvalue checks; ``hessian_form`` and
-    ``hessian_split`` evaluate the same form in O(n) without it.
+    ``hessian_split`` evaluate the same form in O(n) without it.  Like
+    them it raises ``DegenerateConfigurationError`` for a chord longer
+    than ``MAX_CHORD_LENGTH``.
     """
+    _check_length(cfg)
     n = cfg.n
     L = cfg.length
     t = np.concatenate((cfg.s, [0.0, L]))
@@ -262,8 +278,15 @@ def hessian_split(cfg: ChordConfig, weights: TransverseWeights,
     rows are ``-d`` and ``c``, so ``mixed = -u_perp (x.d) + v_perp (x.c)``
     and ``end2 = cosh(L)(u_perp^2 + v_perp^2) - 2 u_perp v_perp``.  The
     cost is O(n) numpy work; no ``(n+2) x (n+2)`` matrix is built.
+
+    Raises
+    ------
+    DegenerateConfigurationError
+        If the chord is longer than ``MAX_CHORD_LENGTH``, where
+        ``sinh(L)`` leaves the float range.
     """
     _check_weights(cfg, weights)
+    _check_length(cfg)
     L = cfg.length
     scale = math.sinh(L)
     s = cfg.s
@@ -340,7 +363,9 @@ def shear_kinematics(cfg: ChordConfig, h_index: int, l_index: int) -> ShearRates
 
     Indices are 0-based positions into ``cfg.s``; ``l_index``
     must be strictly smaller than ``h_index`` (the leaf being watched
-    crosses the chord nearer to ``p`` than the leaf being sheared).
+    crosses the chord nearer to ``p`` than the leaf being sheared).  A
+    chord longer than ``MAX_CHORD_LENGTH`` raises
+    ``DegenerateConfigurationError``.
     """
     n = cfg.n
     if not 0 <= h_index < n:
@@ -351,6 +376,7 @@ def shear_kinematics(cfg: ChordConfig, h_index: int, l_index: int) -> ShearRates
         raise ValueError(
             "kinematic rates are defined at crossings strictly before the "
             f"sheared leaf (got l_index={l_index}, h_index={h_index})")
+    _check_length(cfg)
     L = cfg.length
     s_h, s_l = cfg.s[[h_index, l_index]].tolist()
     th_h, th_l = cfg.theta[[h_index, l_index]].tolist()
@@ -405,11 +431,10 @@ def realize_scene(cfg: ChordConfig, weights: TransverseWeights,
                           p=p, q=q, leaves=tuple(leaves))
 
 
-def scene_length(scene: HalfplaneScene, shear_t: float, end_t: float) -> float:
-    """Deformed chord length: endpoints moved a parameter ``end_t``
-    along their variation vectors, the far side of each leaf sheared by
-    ``shear_t`` times its weight (leaves composed from ``q`` inward, so
-    the leaf nearest ``p`` acts last)."""
+def _moved_endpoints(scene: HalfplaneScene, t: float):
+    """The endpoints ``(p_t, q_t)`` moved a parameter ``t`` along their
+    variation vectors: one chord frame, two pushed tangents and up to two
+    exponential maps, O(1) whatever ``n``."""
     ev = scene.endpoints
     # Seen from the chord's frame at either end, the chord runs up the
     # imaginary axis through i: forward is +y, left is -x, and outward
@@ -420,12 +445,38 @@ def scene_length(scene: HalfplaneScene, shear_t: float, end_t: float) -> float:
     i = halfplane.HPoint(0.0, 1.0)
     u = at_p.push(halfplane.HTangent(i, -ev.u_perp, -ev.u_par))
     v = at_q.push(halfplane.HTangent(i, -ev.v_perp, ev.v_par))
-    pt = halfplane.exp_point(u, end_t) if halfplane.norm(u) > 0 else scene.p
-    qt = halfplane.exp_point(v, end_t) if halfplane.norm(v) > 0 else scene.q
+    pt = halfplane.exp_point(u, t) if halfplane.norm(u) > 0 else scene.p
+    qt = halfplane.exp_point(v, t) if halfplane.norm(v) > 0 else scene.q
+    return pt, qt
+
+
+def _shear_isometry(scene: HalfplaneScene, t: float):
+    """The far side of each leaf sheared by ``t`` times its weight, the
+    leaves composed from ``q`` inward so the leaf nearest ``p`` acts
+    last.  The identity at ``t == 0``; otherwise ``n`` ``translate_along``
+    calls and ``n`` products."""
     iso = halfplane.HIsometry.identity()
+    if t == 0.0:
+        return iso
     for leaf, a in zip(scene.leaves, scene.weights.weights.tolist()):
-        iso = iso @ halfplane.translate_along(leaf, shear_t * a)
-    return halfplane.dist(pt, iso.apply(qt))
+        iso = iso @ halfplane.translate_along(leaf, t * a)
+    return iso
+
+
+def scene_length(scene: HalfplaneScene, shear_t: float, end_t: float) -> float:
+    """Deformed chord length: endpoints moved a parameter ``end_t``
+    along their variation vectors, the far side of each leaf sheared by
+    ``shear_t`` times its weight (leaves composed from ``q`` inward, so
+    the leaf nearest ``p`` acts last).
+
+    Each call builds the moved endpoints (one chord frame, O(1)) and,
+    unless ``shear_t == 0``, the composed shear (``n`` leaf translations
+    and ``n`` products), then measures one distance.  ``fd_oracle``
+    evaluates its grid from the same two helpers, calling each once per
+    distinct step.
+    """
+    pt, qt = _moved_endpoints(scene, end_t)
+    return halfplane.dist(pt, _shear_isometry(scene, shear_t).apply(qt))
 
 
 def _measure_scene(scene: HalfplaneScene):
@@ -455,6 +506,14 @@ def fd_oracle(scene: HalfplaneScene, order: int):
     derivatives along each parameter and the mixed partial, so the
     second derivative of the joint motion is
     ``shear2 + 2 * mixed + end2``.
+
+    Each call measures the scene once (one chord, ``n`` intersections),
+    builds the shear isometries for ``shear_t = -h, +h`` once each
+    (``2n`` ``translate_along`` calls and ``2n`` products, whatever the
+    order) and the moved endpoints for ``end_t = -h, 0, +h`` once each,
+    then reads its 4 or 9 grid values at one isometry application and
+    one distance apiece.  Each grid value is exactly
+    ``scene_length(scene, i * h, j * h)`` with ``h = FD_STEP``.
 
     Raises
     ------
@@ -486,20 +545,25 @@ def fd_oracle(scene: HalfplaneScene, order: int):
             f"leaf {i} measured at (s={s[i].item()!r}, "
             f"theta={theta[i].item()!r}) but declared "
             f"(s={cfg.s[i].item()!r}, theta={cfg.theta[i].item()!r})")
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
     h = FD_STEP
-    D = scene_length
+    shear = {i: _shear_isometry(scene, i * h) for i in (-1, 0, 1)}
+    moved = {j: _moved_endpoints(scene, j * h) for j in (-1, 0, 1)}
+
+    def D(i, j):  # exactly scene_length(scene, i * h, j * h)
+        pt, qt = moved[j]
+        return halfplane.dist(pt, shear[i].apply(qt))
+
     if order == 1:
-        d_shear = (D(scene, h, 0.0) - D(scene, -h, 0.0)) / (2.0 * h)
-        d_end = (D(scene, 0.0, h) - D(scene, 0.0, -h)) / (2.0 * h)
+        d_shear = (D(1, 0) - D(-1, 0)) / (2.0 * h)
+        d_end = (D(0, 1) - D(0, -1)) / (2.0 * h)
         return d_shear, d_end
-    if order == 2:
-        grid = {(i, j): D(scene, i * h, j * h)
-                for i in (-1, 0, 1) for j in (-1, 0, 1)}
-        shear2 = (grid[1, 0] - 2.0 * grid[0, 0] + grid[-1, 0]) / (h * h)
-        end2 = (grid[0, 1] - 2.0 * grid[0, 0] + grid[0, -1]) / (h * h)
-        mixed = (grid[1, 1] - grid[1, -1] - grid[-1, 1] + grid[-1, -1]) / (4.0 * h * h)
-        return shear2, mixed, end2
-    raise ValueError(f"order must be 1 or 2, got {order!r}")
+    grid = {(i, j): D(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)}
+    shear2 = (grid[1, 0] - 2.0 * grid[0, 0] + grid[-1, 0]) / (h * h)
+    end2 = (grid[0, 1] - 2.0 * grid[0, 0] + grid[0, -1]) / (h * h)
+    mixed = (grid[1, 1] - grid[1, -1] - grid[-1, 1] + grid[-1, -1]) / (4.0 * h * h)
+    return shear2, mixed, end2
 
 
 # ---------------------------------------------------------------------------

@@ -454,7 +454,20 @@ def polygon_to_json(poly: MarkedRightPolygon) -> dict:
     }
 
 
+# How far JSON "coords" may sit from the sides' own pentagon-chain
+# coordinates, relative to each coordinate.
+COORDS_RTOL = 1e-6
+
+
 def polygon_from_json(data: dict) -> MarkedRightPolygon:
+    """Realize a polygon from ``polygon_to_json`` output.
+
+    The optional ``"coords"`` must be the n - 3 pentagon-chain
+    coordinates of the sides: each within ``COORDS_RTOL`` relative of
+    ``pentagon_coords`` of the realized polygon.  The JSON values are
+    kept.  Malformed input, including coordinates that fail that test,
+    raises ValueError.
+    """
     if not isinstance(data, dict):
         raise ValueError("a polygon must be a JSON object")
     sides, coords = data.get("sides"), data.get("coords")
@@ -469,6 +482,14 @@ def polygon_from_json(data: dict) -> MarkedRightPolygon:
     except TypeError as exc:
         raise ValueError(f"malformed polygon: {exc!r}") from exc
     poly = realize(sides)
-    if coords is not None:
-        poly = replace(poly, coords=coords)
-    return poly
+    if coords is None:
+        return poly
+    if len(coords) != poly.n - 3:
+        raise ValueError(f"{len(coords)} pentagon-chain coordinates for "
+                         f"a {poly.n}-gon, expected {poly.n - 3}")
+    # the sides' coordinates are positive and finite, so this also
+    # refuses zero, negative and non-finite entries
+    for k, (c, want) in enumerate(zip(coords, pentagon_coords(poly))):
+        if not abs(c - want) <= COORDS_RTOL * want:
+            raise ValueError(f"coordinate {k} is {c!r} but the sides give {want!r}")
+    return replace(poly, coords=coords)

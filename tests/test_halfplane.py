@@ -11,6 +11,7 @@ import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath import mp, mpf
 
 from systolica.errors import DegenerateConfigurationError, NoPerpendicularError
 from systolica.halfplane import (
@@ -228,6 +229,65 @@ class TestTranslateAndKilling:
                 vals.append(inner(killing_vector(g, pt), gamma.tangent_at(s)))
             for v in vals[1:]:
                 assert v == pytest.approx(vals[0], abs=1e-9)
+
+
+EPS = 2.0 ** -52
+
+
+def random_geodesic(rng, kind):
+    if kind == "circle":
+        return circle_geodesic(rng.uniform(-4, 4), math.exp(rng.uniform(-3, 3)),
+                               rightward=rng.random() < 0.5)
+    if kind == "vertical":
+        return vertical_geodesic(rng.uniform(-4, 4), upward=rng.random() < 0.5)
+    p, q = (HPoint(rng.uniform(-3, 3), math.exp(rng.uniform(-3, 3)))
+            for _ in range(2))
+    return geodesic_through(p, q)
+
+
+def mp_translation(frame, t, dps=50):
+    """F diag(e^{t/2}, e^{-t/2}) F^-1 and X = F diag(1, -1) F^-1 at dps
+    digits for the stored frame F, with F^-1 its exact inverse, and the
+    frame's determinant drift |det F - 1|; entries in row-major order."""
+    with mp.workdps(dps):
+        F = mp.matrix([[mpf(frame.a), mpf(frame.b)], [mpf(frame.c), mpf(frame.d)]])
+        half = mpf(t) / 2
+        M = F * mp.diag([mp.exp(half), mp.exp(-half)]) * F ** -1
+        X = F * mp.diag([1, -1]) * F ** -1
+        return list(M), list(X), abs(mp.det(F) - 1)
+
+
+class TestClosedFormTranslation:
+    @pytest.mark.parametrize("kind", ["circle", "vertical", "through"])
+    def test_matches_the_50_digit_conjugation(self, kind):
+        # translate_along is cosh(t/2) I + sinh(t/2) X, with X's entries
+        # ad + bc, -2ab and 2cd read off the frame F; |ad| + |bc| is at
+        # most ||F||_F^2 / 2 and |2ab|, |2cd| at most ||F||_F^2.  Counting
+        # one ulp for cosh and sinh, one rounding per flop and the
+        # reference's rounding to float, an entry errs by at most
+        # 2 eps (cosh(t/2) + |sinh(t/2)| ||F||_F^2), which is at most
+        # 3 eps ||F||_F^2 cosh(t/2) since ||F||_F^2 >= 2 at det F = 1.
+        # The closed form also takes det F as 1, where the
+        # stored frame is 1 only to rounding; the exact conjugation divides
+        # X by det F, so the entries differ by a further
+        # |sinh(t/2)| |det F - 1| |X_ij|, computed here at 50 digits.
+        rng = random.Random({"circle": 31, "vertical": 32, "through": 33}[kind])
+        for _ in range(200):
+            g = random_geodesic(rng, kind)
+            t = rng.uniform(-10.0, 10.0)
+            f = g.frame
+            norm2 = f.a * f.a + f.b * f.b + f.c * f.c + f.d * f.d
+            want, X, drift = mp_translation(f, t)
+            m = translate_along(g, t)
+            for got, w, x in zip((m.a, m.b, m.c, m.d), want, X):
+                budget = (3 * EPS * norm2 * math.cosh(t / 2)
+                          + abs(math.sinh(t / 2)) * float(drift * abs(x)))
+                assert abs(got - float(w)) <= budget
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_length(self, t):
+        with pytest.raises(ValueError):
+            translate_along(circle_geodesic(0.0, 1.0), t)
 
 
 class TestAngles:

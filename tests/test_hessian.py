@@ -17,8 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from systolica import hessian
-from systolica.errors import DegenerateMarginError, InconsistentSceneError
+from systolica import halfplane, hessian
+from systolica.errors import (DegenerateConfigurationError,
+                              DegenerateMarginError, InconsistentSceneError)
 from systolica.polygons import polygon_from_json
 from systolica.halfplane import (
     HPoint,
@@ -44,6 +45,7 @@ from systolica.hessian import (
     hessian_split,
     realize_scene,
     scene_from_json,
+    scene_length,
     scene_to_json,
     shear_kinematics,
 )
@@ -590,3 +592,75 @@ class TestAdjacentGapMargins:
         assert rep.epsilons == brute_margins(cfg)
         assert rep.eps_p == cfg.s[0]
         assert rep.eps_q == cfg.length - cfg.s[-1]
+
+
+# ---------------------------------------------------------------------------
+# chords beyond the float range
+
+class TestLongChords:
+    @pytest.mark.parametrize("length", [711.0, 1000.0])
+    def test_kernels_reject_chords_whose_sinh_overflows(self, length):
+        cfg = ChordConfig(length, s=(1.0, length - 1.0), theta=(1.0, 2.0))
+        weights = TransverseWeights((0.5, -0.5))
+        for kernel in (lambda: hessian_form(cfg, weights),
+                       lambda: hessian_split(cfg, weights),
+                       lambda: shear_kinematics(cfg, 1, 0),
+                       lambda: hessian_matrix(cfg)):
+            with pytest.raises(DegenerateConfigurationError):
+                kernel()
+
+    def test_longest_chord_is_accepted(self):
+        longest = hessian.MAX_CHORD_LENGTH
+        assert math.isfinite(math.sinh(longest))
+        cfg = ChordConfig(longest, s=(1.0, 2.0), theta=(1.0, 2.0))
+        rates = shear_kinematics(cfg, 1, 0)
+        assert math.isfinite(rates.rho_prime) and rates.rho_prime > 0
+        beyond = ChordConfig(math.nextafter(longest, math.inf), s=(1.0, 2.0),
+                             theta=(1.0, 2.0))
+        with pytest.raises(DegenerateConfigurationError):
+            shear_kinematics(beyond, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's grid: each shear and each endpoint pair built once
+
+@st.composite
+def oracle_scenes(draw, max_n=40):
+    n = draw(st.integers(0, max_n))
+    length = draw(st.floats(1.0, 6.0))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return realize_scene(*long_scene(rng, n, length))
+
+
+class TestOracleGrid:
+    @given(oracle_scenes())
+    @settings(max_examples=30, deadline=None)
+    def test_oracle_is_the_difference_quotients_of_scene_length(self, scene):
+        h = hessian.FD_STEP
+
+        def D(i, j):
+            return scene_length(scene, i * h, j * h)
+
+        assert fd_oracle(scene, 1) == (
+            (D(1, 0) - D(-1, 0)) / (2.0 * h),
+            (D(0, 1) - D(0, -1)) / (2.0 * h))
+        assert fd_oracle(scene, 2) == (
+            (D(1, 0) - 2.0 * D(0, 0) + D(-1, 0)) / (h * h),
+            (D(1, 1) - D(1, -1) - D(-1, 1) + D(-1, -1)) / (4.0 * h * h),
+            (D(0, 1) - 2.0 * D(0, 0) + D(0, -1)) / (h * h))
+
+    def test_oracle_composes_each_shear_once(self, monkeypatch):
+        translate = halfplane.translate_along
+        calls = []
+
+        def counted(g, t):
+            calls.append(t)
+            return translate(g, t)
+
+        monkeypatch.setattr(halfplane, "translate_along", counted)
+        scene = realize_scene(*long_scene(random.Random(9), 12, 3.0))
+        for order in (1, 2):
+            calls.clear()
+            fd_oracle(scene, order)
+            # one leaf translation per leaf for shear_t = -h and for +h
+            assert len(calls) == 2 * scene.cfg.n

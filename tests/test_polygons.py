@@ -111,6 +111,28 @@ class TestPentagonChart:
         with pytest.raises(ValueError):
             polygon_from_json({"n": 5, "sides": [1.0] * 6})
 
+    @pytest.mark.parametrize("coords", [
+        [5.0, 5.0],  # wrong count and wrong values
+        [5.0, 5.0, 5.0],
+        [1.0, 1.2],
+        [1.0, 1.2, 0.8, 1.0],
+        [1.0, 1.2, 0.0],
+        [1.0, -1.2, 0.8],
+        [1.0, 1.2, math.nan],
+        [1.0, 1.2, math.inf],
+        [1.0, 1.2, 0.8 * (1 + 2e-6)],
+    ])
+    def test_json_coords_must_be_the_sides_coordinates(self, coords):
+        data = polygon_to_json(sides_from_pentagon_coords([1.0, 1.2, 0.8]))
+        data["coords"] = coords
+        with pytest.raises(ValueError):
+            polygon_from_json(data)
+
+    def test_json_coords_within_tolerance_are_kept(self):
+        data = polygon_to_json(sides_from_pentagon_coords([1.0, 1.2, 0.8]))
+        data["coords"] = [c * (1 + 5e-7) for c in data["coords"]]
+        assert polygon_from_json(data).coords == tuple(data["coords"])
+
 
 class TestTangentU:
     def test_matches_the_exact_pentagon_curve(self):
