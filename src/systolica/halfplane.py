@@ -304,11 +304,11 @@ def angle_data(p, q, u):
     return abs(a), (a > 0) - (a < 0)
 
 
-def _generator(frame):
+def _generator(a, b, c, d):
     """Entries (A, B, C) of X = F diag(1, -1) F^-1 = [[A, B], [C, -A]] for
     the frame F = [[a, b], [c, d]] of determinant one: A = ad + bc,
-    B = -2ab, C = 2cd.  X/2 generates translation along the geodesic."""
-    a, b, c, d = frame.a, frame.b, frame.c, frame.d
+    B = -2ab, C = 2cd.  X/2 generates translation along the geodesic.
+    The entries may be floats or numpy columns of many frames."""
     return a * d + b * c, -2.0 * a * b, 2.0 * c * d
 
 
@@ -327,7 +327,8 @@ def translate_along(g, t):
     """
     if not math.isfinite(t):
         raise ValueError(f"translation length must be finite (t={t!r})")
-    A, B, C = _generator(g.frame)
+    f = g.frame
+    A, B, C = _generator(f.a, f.b, f.c, f.d)
     ch, sh = math.cosh(0.5 * t), math.sinh(0.5 * t)
     return HIsometry._unimodular(ch + sh * A, sh * B, sh * C, ch - sh * A)
 
@@ -346,23 +347,26 @@ def killing_vector(g, p):
     This is d/dt [translate_along(g, t)(p)] at t = 0, in closed form.
     """
     # the flow of X/2 = [[A, B], [C, -A]]/2 is z' = B/2 + A z - (C/2) z^2
-    A, B, C = _generator(g.frame)
+    f = g.frame
+    A, B, C = _generator(f.a, f.b, f.c, f.d)
     v = 0.5 * B + A * p.z - 0.5 * C * p.z * p.z
     return HTangent(p, v.real, v.imag)
 
 
-def _relative(g, h):
-    """Entries (a, b, c, d) of g.frame^-1 h.frame: h seen from the frame
-    in which g is the upward imaginary axis.  h then runs from b/d to
-    a/c on the real line."""
-    f, k = g.frame, h.frame
-    return (f.d * k.a - f.b * k.c, f.d * k.b - f.b * k.d,
-            f.a * k.c - f.c * k.a, f.a * k.d - f.c * k.b)
+def _relative(f, a, b, c, d):
+    """Entries of f^-1 [[a, b], [c, d]] for a frame f of determinant one:
+    the frame (a, b, c, d) seen from f, in which f's geodesic is the
+    upward imaginary axis.  Its geodesic then runs from b/d to a/c on the
+    real line.  The entries may be floats or numpy columns of many
+    frames."""
+    return (f.d * a - f.b * c, f.d * b - f.b * d,
+            f.a * c - f.c * a, f.a * d - f.c * b)
 
 
 def intersection_point(g, h):
     """The intersection point of two geodesics, if there is exactly one."""
-    a, b, c, d = _relative(g, h)
+    k = h.frame
+    a, b, c, d = _relative(g.frame, k.a, k.b, k.c, k.d)
     # h crosses the axis iff its endpoints b/d and a/c have opposite
     # signs; it does so on the circle |z|^2 = -(b/d)(a/c).
     if a * b * c * d >= 0.0:
@@ -402,7 +406,8 @@ def common_perpendicular(g, h):
     |z|^2 = (b/d)(a/c) of the frame, so the foot on g sits at
     s = log(ab/cd)/2 and, symmetrically, the foot on h at log(bd/ac)/2.
     """
-    a, b, c, d = _relative(g, h)
+    k = h.frame
+    a, b, c, d = _relative(g.frame, k.a, k.b, k.c, k.d)
     ad, bc = a * d, b * c
     if 2.0 * min(abs(ad), abs(bc)) <= ASYMPTOTIC_EPS:
         raise NoPerpendicularError("geodesics are asymptotic or coincide")

@@ -15,7 +15,12 @@ The crossing data lives in arrays, not in one object per crossing:
 ``ChordConfig`` holds the positions ``s`` and the angles ``theta`` as two
 read-only float64 arrays in chord order, validated once when it is
 built, and ``TransverseWeights`` holds the shear rates ``a`` the same
-way.  Every function below reads those arrays directly.
+way.  Every function below reads those arrays directly.  A realized
+``HalfplaneScene`` holds its leaves the same way, as one read-only
+(n, 4) array of frame entries, so ``realize_scene``, the oracle's
+measurement of a scene and its composed shears each cost O(1) numpy
+calls (plus, for a shear, one float loop over n 2 x 2 products) rather
+than n half-plane objects.
 
 Endpoint components use one parallel frame along the oriented chord:
 ``u_par`` and ``v_par`` point outward (away from the other endpoint),
@@ -279,6 +284,13 @@ def hessian_split(cfg: ChordConfig, weights: TransverseWeights,
     and ``end2 = cosh(L)(u_perp^2 + v_perp^2) - 2 u_perp v_perp``.  The
     cost is O(n) numpy work; no ``(n+2) x (n+2)`` matrix is built.
 
+    ``c`` and ``d`` are finite for every admitted ``L``, but a product
+    ``c_i d_j`` overflows once ``L + s_i - s_j`` passes about 709.  So
+    ``x`` carries a factor ``h = e^{-L/2}``: each scaled product
+    ``x_i c_i h x_j d_j h`` with ``i <= j`` is about
+    ``x_i x_j e^{s_i - s_j} / 4``, and the prefactors become ``1/(sinh(L) h^2)`` and ``1/(sinh(L) h)``,
+    so the form stays finite up to ``MAX_CHORD_LENGTH``.
+
     Raises
     ------
     DegenerateConfigurationError
@@ -288,16 +300,16 @@ def hessian_split(cfg: ChordConfig, weights: TransverseWeights,
     _check_weights(cfg, weights)
     _check_length(cfg)
     L = cfg.length
+    h = math.exp(-0.5 * L)
     scale = math.sinh(L)
-    s = cfg.s
-    x = np.sin(cfg.theta) * weights.weights
-    xc = x * np.cosh(s)
-    xd = x * np.cosh(L - s)
+    x = np.sin(cfg.theta) * weights.weights * h
+    xc = x * np.cosh(cfg.s)
+    xd = x * np.cosh(L - cfg.s)
     shear2 = float(xc @ xd) + 2.0 * float(xd[1:] @ np.cumsum(xc)[:-1])
     u, v = endpoints.u_perp, endpoints.v_perp
     mixed = v * float(xc.sum()) - u * float(xd.sum())
     end2 = math.cosh(L) * (u * u + v * v) - 2.0 * u * v
-    return shear2 / scale, mixed / scale, end2 / scale
+    return shear2 / (scale * h * h), mixed / (scale * h), end2 / scale
 
 
 @dataclass(frozen=True)
@@ -393,15 +405,26 @@ def shear_kinematics(cfg: ChordConfig, h_index: int, l_index: int) -> ShearRates
 # ---------------------------------------------------------------------------
 # explicit half-plane scenes and the finite-difference oracle
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HalfplaneScene:
     """A chord configuration realized as actual half-plane geometry.
 
     Carries both the abstract data (``cfg``, ``weights``, ``endpoints``)
     and its geometric realization: the endpoints ``p``, ``q`` and one
-    complete geodesic per crossing.  ``fd_oracle`` re-measures the
-    geometry and refuses to differentiate a scene whose realization
-    drifted from its configuration.
+    complete geodesic per crossing.  ``leaves`` is one read-only (n, 4)
+    float64 array: row ``i`` holds the entries ``(a, b, c, d)`` of the
+    frame of leaf ``i``, the matrix taking the upward imaginary axis onto
+    the leaf as in ``halfplane.HGeodesic``, normalized to determinant one
+    as ``halfplane.HIsometry`` is.  ``fd_oracle`` re-measures the geometry
+    and refuses to differentiate a scene whose realization drifted from
+    its configuration.
+
+    Raises
+    ------
+    ValueError
+        If ``leaves`` is not an (n, 4) array, or a row has a non-finite
+        entry or a determinant that is not positive and finite.  The
+        message names the first bad leaf.
     """
 
     cfg: ChordConfig
@@ -409,7 +432,22 @@ class HalfplaneScene:
     endpoints: EndpointVariation
     p: "halfplane.HPoint"
     q: "halfplane.HPoint"
-    leaves: tuple
+    leaves: np.ndarray
+
+    def __post_init__(self):
+        rows = np.array(self.leaves, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != 4:
+            raise ValueError("leaves must be an (n, 4) array of frame entries")
+        a, b, c, d = rows.T
+        det = a * d - b * c  # not finite if any entry is not
+        ok = np.isfinite(det) & (det > 0.0)
+        if not ok.all():
+            i = int(ok.argmin())
+            raise ValueError(f"leaf {i} frame {rows[i].tolist()!r} is not "
+                             "finite with positive determinant")
+        rows /= np.sqrt(det)[:, None]
+        rows.setflags(write=False)
+        object.__setattr__(self, "leaves", rows)
 
 
 def realize_scene(cfg: ChordConfig, weights: TransverseWeights,
@@ -417,24 +455,38 @@ def realize_scene(cfg: ChordConfig, weights: TransverseWeights,
                   ) -> HalfplaneScene:
     """Place the configuration on the imaginary axis: ``p = i``,
     ``q = i e^L``, leaf ``i`` through ``i e^{s_i}`` rotated by
-    ``theta_i`` from the upward direction."""
+    ``theta_i`` from the upward direction.
+
+    With ``r = e^{s/2}``, ``c = cos(theta/2)`` and ``sigma = sin(theta/2)``
+    the frame of a leaf is ``(r c, r sigma, -sigma/r, c/r)``: the
+    translation to ``i e^s`` after the rotation about ``i``.  All ``n``
+    rows come from one numpy pass, O(1) numpy calls.
+
+    Raises
+    ------
+    DegenerateConfigurationError
+        If ``e^L`` is not a float (``L`` above about 709.78), so that
+        ``q`` cannot be placed.
+    """
     _check_weights(cfg, weights)
-    p = halfplane.HPoint(0.0, 1.0)
-    q = halfplane.HPoint(0.0, math.exp(cfg.length))
-    leaves = []
-    for s, theta in zip(cfg.s.tolist(), cfg.theta.tolist()):
-        base = halfplane.HPoint(0.0, math.exp(s))
-        up = halfplane.HTangent(base, 0.0, base.y)
-        leaves.append(halfplane.geodesic_from_direction(
-            base, halfplane.rotate_tangent(up, theta)))
+    try:
+        top = math.exp(cfg.length)
+    except OverflowError:
+        raise DegenerateConfigurationError(
+            f"chord length {cfg.length!r}: q = i e^L is not a float") from None
+    r = np.exp(0.5 * cfg.s)
+    c, sigma = np.cos(0.5 * cfg.theta), np.sin(0.5 * cfg.theta)
+    leaves = np.stack((r * c, r * sigma, -sigma / r, c / r), axis=1)
     return HalfplaneScene(cfg=cfg, weights=weights, endpoints=endpoints,
-                          p=p, q=q, leaves=tuple(leaves))
+                          p=halfplane.HPoint(0.0, 1.0),
+                          q=halfplane.HPoint(0.0, top), leaves=leaves)
 
 
-def _moved_endpoints(scene: HalfplaneScene, t: float):
-    """The endpoints ``(p_t, q_t)`` moved a parameter ``t`` along their
-    variation vectors: one chord frame, two pushed tangents and up to two
-    exponential maps, O(1) whatever ``n``."""
+def _endpoint_paths(scene: HalfplaneScene):
+    """The geodesics along which ``p`` and ``q`` move under their
+    variation vectors, each with its speed; ``(None, 0.0)`` for an
+    endpoint that stays.  One chord frame and two pushed tangents, O(1)
+    whatever ``n``."""
     ev = scene.endpoints
     # Seen from the chord's frame at either end, the chord runs up the
     # imaginary axis through i: forward is +y, left is -x, and outward
@@ -443,24 +495,55 @@ def _moved_endpoints(scene: HalfplaneScene, t: float):
     e = math.exp(0.5 * halfplane.dist(scene.p, scene.q))
     at_q = at_p @ halfplane.HIsometry(e, 0.0, 0.0, 1.0 / e)
     i = halfplane.HPoint(0.0, 1.0)
-    u = at_p.push(halfplane.HTangent(i, -ev.u_perp, -ev.u_par))
-    v = at_q.push(halfplane.HTangent(i, -ev.v_perp, ev.v_par))
-    pt = halfplane.exp_point(u, t) if halfplane.norm(u) > 0 else scene.p
-    qt = halfplane.exp_point(v, t) if halfplane.norm(v) > 0 else scene.q
+    paths = []
+    for frame, dx, dy in ((at_p, -ev.u_perp, -ev.u_par),
+                          (at_q, -ev.v_perp, ev.v_par)):
+        u = frame.push(halfplane.HTangent(i, dx, dy))
+        speed = halfplane.norm(u)
+        paths.append((halfplane.geodesic_from_direction(u.base, u), speed)
+                     if speed > 0 else (None, 0.0))
+    return paths
+
+
+def _moved_endpoints(scene: HalfplaneScene, paths, t: float):
+    """The endpoints ``(p_t, q_t)`` moved a parameter ``t`` along their
+    ``_endpoint_paths``: one point on each moving path, O(1)."""
+    (gp, vp), (gq, vq) = paths
+    pt = gp.point_at(t * vp) if vp > 0 else scene.p
+    qt = gq.point_at(t * vq) if vq > 0 else scene.q
     return pt, qt
 
 
 def _shear_isometry(scene: HalfplaneScene, t: float):
     """The far side of each leaf sheared by ``t`` times its weight, the
     leaves composed from ``q`` inward so the leaf nearest ``p`` acts
-    last.  The identity at ``t == 0``; otherwise ``n`` ``translate_along``
-    calls and ``n`` products."""
-    iso = halfplane.HIsometry.identity()
+    last: the product, in leaf order, of the translations
+    ``cosh(t a/2) I + sinh(t a/2) X`` along each leaf, as
+    ``halfplane.translate_along`` builds them.
+
+    The identity at ``t == 0``.  Otherwise the generators ``X`` of all
+    leaves and the ``cosh``/``sinh`` factors come from O(1) numpy calls,
+    and one plain-float loop multiplies the ``n`` 2 x 2 matrices.  The
+    result is stored without renormalizing, as ``translate_along`` stores
+    each factor.
+
+    Raises
+    ------
+    ValueError
+        If ``t`` is not finite.
+    """
+    if not math.isfinite(t):
+        raise ValueError(f"shear parameter must be finite (t={t!r})")
     if t == 0.0:
-        return iso
-    for leaf, a in zip(scene.leaves, scene.weights.weights.tolist()):
-        iso = iso @ halfplane.translate_along(leaf, t * a)
-    return iso
+        return halfplane.HIsometry.identity()
+    A, B, C = halfplane._generator(*scene.leaves.T)
+    half = 0.5 * t * scene.weights.weights
+    ch, sh = np.cosh(half), np.sinh(half)
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for p, q, r, u in zip((ch + sh * A).tolist(), (sh * B).tolist(),
+                          (sh * C).tolist(), (ch - sh * A).tolist()):
+        a, b, c, d = a * p + b * r, a * q + b * u, c * p + d * r, c * q + d * u
+    return halfplane.HIsometry._unimodular(a, b, c, d)
 
 
 def scene_length(scene: HalfplaneScene, shear_t: float, end_t: float) -> float:
@@ -469,28 +552,46 @@ def scene_length(scene: HalfplaneScene, shear_t: float, end_t: float) -> float:
     ``shear_t`` times its weight (leaves composed from ``q`` inward, so
     the leaf nearest ``p`` acts last).
 
-    Each call builds the moved endpoints (one chord frame, O(1)) and,
-    unless ``shear_t == 0``, the composed shear (``n`` leaf translations
-    and ``n`` products), then measures one distance.  ``fd_oracle``
-    evaluates its grid from the same two helpers, calling each once per
-    distinct step.
+    Each call builds the endpoint paths and moved endpoints (one chord
+    frame, O(1)) and, unless ``shear_t == 0``, the composed shear (O(1)
+    numpy calls and an ``n``-step float product loop), then measures one
+    distance.  ``fd_oracle`` evaluates its grid from the same helpers,
+    building the paths once and each shear once per distinct step.
     """
-    pt, qt = _moved_endpoints(scene, end_t)
+    pt, qt = _moved_endpoints(scene, _endpoint_paths(scene), end_t)
     return halfplane.dist(pt, _shear_isometry(scene, shear_t).apply(qt))
 
 
 def _measure_scene(scene: HalfplaneScene):
-    """Re-derive the length and the (2, n) rows (s, theta) from the
-    realized geometry."""
-    chord = halfplane.geodesic_through(scene.p, scene.q)  # s = 0 at p
-    length = halfplane.dist(scene.p, scene.q)
-    measured = []
-    for leaf in scene.leaves:
-        x = halfplane.intersection_point(chord, leaf)
-        s = chord.param_of(x)
-        measured.append((s, halfplane.oriented_angle(
-            chord.tangent_at(s), leaf.tangent_at(leaf.param_of(x)))))
-    return length, np.array(measured).reshape(-1, 2).T
+    """Re-derive the length and the crossing positions and angles from
+    the realized geometry: ``(length, s, theta)``.
+
+    Leaf ``i`` seen from the chord's frame (s = 0 at ``p``) has the
+    relative frame ``(a, b, c, d)`` and runs from ``b/d`` to ``a/c``;
+    it crosses the chord iff ``abcd < 0``, at
+    ``s = (log|a/c| + log|b/d|)/2``, the log of the crossing radius of
+    ``halfplane.intersection_point`` taken as a sum so that it stays
+    finite where ``e^{2s}`` overflows.  The angle is
+    ``atan2(-2 sign(ac) sqrt(-abcd), ad + bc)``, free of cancellation and
+    signed, so a leaf that crosses clockwise measures outside ``(0, pi)``.
+    All ``n`` leaves cost O(1) numpy calls.
+
+    Raises
+    ------
+    DegenerateConfigurationError
+        If a leaf misses the chord; the message names the first one.
+    """
+    chord = halfplane.geodesic_through(scene.p, scene.q).frame
+    a, b, c, d = halfplane._relative(chord, *scene.leaves.T)
+    abcd = a * b * c * d
+    crossing = abcd < 0.0
+    if not crossing.all():
+        raise DegenerateConfigurationError(
+            f"leaf {int(crossing.argmin())} does not cross the chord")
+    s = 0.5 * (np.log(np.abs(a / c)) + np.log(np.abs(b / d)))
+    theta = np.arctan2(np.copysign(2.0 * np.sqrt(-abcd), -(a * c)),
+                       a * d + b * c)
+    return halfplane.dist(scene.p, scene.q), s, theta
 
 
 FD_STEP = 1e-4
@@ -507,12 +608,13 @@ def fd_oracle(scene: HalfplaneScene, order: int):
     second derivative of the joint motion is
     ``shear2 + 2 * mixed + end2``.
 
-    Each call measures the scene once (one chord, ``n`` intersections),
-    builds the shear isometries for ``shear_t = -h, +h`` once each
-    (``2n`` ``translate_along`` calls and ``2n`` products, whatever the
-    order) and the moved endpoints for ``end_t = -h, 0, +h`` once each,
-    then reads its 4 or 9 grid values at one isometry application and
-    one distance apiece.  Each grid value is exactly
+    Each call measures the scene once (``_measure_scene``, O(1) numpy
+    calls), builds the shear isometries for ``shear_t = -h, +h`` once
+    each (O(1) numpy calls and an ``n``-step float product loop apiece,
+    whatever the order), the endpoint paths once and the moved endpoints
+    for ``end_t = -h, 0, +h`` once each, then reads its 4 or 9 grid
+    values at one isometry application and one distance apiece.  No
+    half-plane object is built per leaf.  Each grid value is exactly
     ``scene_length(scene, i * h, j * h)`` with ``h = FD_STEP``.
 
     Raises
@@ -526,7 +628,7 @@ def fd_oracle(scene: HalfplaneScene, order: int):
         For any ``order`` other than 1 or 2.
     """
     try:
-        length, (s, theta) = _measure_scene(scene)
+        length, s, theta = _measure_scene(scene)
     except SystolicaError as exc:
         raise InconsistentSceneError(
             f"scene geometry is not a transverse chord configuration: {exc}"
@@ -549,7 +651,8 @@ def fd_oracle(scene: HalfplaneScene, order: int):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
     h = FD_STEP
     shear = {i: _shear_isometry(scene, i * h) for i in (-1, 0, 1)}
-    moved = {j: _moved_endpoints(scene, j * h) for j in (-1, 0, 1)}
+    paths = _endpoint_paths(scene)
+    moved = {j: _moved_endpoints(scene, paths, j * h) for j in (-1, 0, 1)}
 
     def D(i, j):  # exactly scene_length(scene, i * h, j * h)
         pt, qt = moved[j]

@@ -17,11 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from systolica import halfplane, hessian
+from systolica import hessian
 from systolica.errors import (DegenerateConfigurationError,
                               DegenerateMarginError, InconsistentSceneError)
 from systolica.polygons import polygon_from_json
 from systolica.halfplane import (
+    HGeodesic,
+    HIsometry,
     HPoint,
     HTangent,
     geodesic_from_direction,
@@ -368,17 +370,84 @@ class TestSceneOracle:
         with pytest.raises(InconsistentSceneError):
             fd_oracle(bad, 1)
 
-    def test_rejects_clockwise_leaf(self):
-        cfg = ChordConfig(2.0, s=(0.9,), theta=(1.2,))
+    @pytest.mark.parametrize("theta", [1.2, math.pi / 2])
+    @pytest.mark.parametrize("flip", ["mirrored", "reversed"])
+    def test_rejects_clockwise_leaf(self, theta, flip):
+        # At pi/2 both flips are the leaf reversed, (b, -a, d, -c): it
+        # crosses at the declared unsigned angle, so only the sign of the
+        # measured angle refuses it.
+        cfg = ChordConfig(2.0, s=(0.9,), theta=(theta,))
         scene = realize_scene(cfg, TransverseWeights((1.0,)))
-        base = HPoint(0.0, math.exp(0.9))
-        up = HTangent(base, 0.0, base.y)
-        mirrored = geodesic_from_direction(base, rotate_tangent(up, -1.2))
+        if flip == "mirrored":
+            base = HPoint(0.0, math.exp(0.9))
+            up = HTangent(base, 0.0, base.y)
+            f = geodesic_from_direction(base, rotate_tangent(up, -theta)).frame
+            row = (f.a, f.b, f.c, f.d)
+        else:
+            a, b, c, d = scene.leaves[0]
+            row = (b, -a, d, -c)
         bad = HalfplaneScene(cfg=cfg, weights=scene.weights,
                              endpoints=scene.endpoints, p=scene.p, q=scene.q,
-                             leaves=(mirrored,))
+                             leaves=[row])
         with pytest.raises(InconsistentSceneError):
             fd_oracle(bad, 2)
+
+    @pytest.mark.parametrize("row", [
+        (4.0, 2.0, 1.0, 1.0),    # the half-circle from 2 to 4, beside the chord
+        (1.0, 1.0, 0.0, 1.0),    # the vertical over 1, asymptotic at infinity
+        (2.0, 0.0, 1.0, 1.0),    # the half-circle from 0 to 2, asymptotic at 0
+        (0.5, -0.5, 1.0, 1.0),   # crosses the chord's geodesic below p
+    ])
+    def test_rejects_leaf_missing_the_chord(self, row):
+        cfg = ChordConfig(2.0, s=(0.5, 1.0), theta=(1.0, 1.0))
+        scene = realize_scene(cfg, TransverseWeights((1.0, 1.0)))
+        bad = HalfplaneScene(cfg=cfg, weights=scene.weights,
+                             endpoints=scene.endpoints, p=scene.p, q=scene.q,
+                             leaves=[scene.leaves[0], row])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InconsistentSceneError, match="leaf 1"):
+                fd_oracle(bad, 1)
+
+    @pytest.mark.parametrize("leaves", [
+        [(1.0, 0.0, 0.0)],                    # not four entries
+        [1.0, 0.0, 0.0, 1.0],                 # not one row per leaf
+        [(1.0, 0.0, 0.0, 1.0), (1.0, 1.0, 1.0, 1.0)],    # determinant 0
+        [(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)],    # determinant -1
+        [(1.0, 0.0, 0.0, 1.0), (math.nan, 0.0, 0.0, 1.0)],
+        [(1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, math.inf)],
+    ])
+    def test_scene_rejects_malformed_leaves(self, leaves):
+        scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)))
+        with pytest.raises(ValueError):
+            HalfplaneScene(cfg=REF_CFG, weights=scene.weights,
+                           endpoints=scene.endpoints, p=scene.p, q=scene.q,
+                           leaves=leaves)
+
+    def test_scene_leaves_are_a_normalized_private_copy(self):
+        scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)))
+        rows = np.array(scene.leaves)
+        scaled = HalfplaneScene(cfg=REF_CFG, weights=scene.weights,
+                                endpoints=scene.endpoints, p=scene.p,
+                                q=scene.q, leaves=4.0 * rows)
+        # rows has determinant one to rounding, so rescaling 4 rows by
+        # sqrt(16 det) = 4 sqrt(det) moves each entry by an ulp at most
+        assert np.allclose(scaled.leaves, rows, rtol=2 * EPS, atol=0.0)
+        # the determinant of each stored row is one to the rounding of
+        # its entries (1.5 eps each, from the square root and division)
+        # and of the determinant itself
+        a, b, c, d = scaled.leaves.T
+        assert (np.abs(a * d - b * c - 1.0)
+                <= 4 * EPS * (np.abs(a * d) + np.abs(b * c))).all()
+        with pytest.raises(ValueError):
+            scene.leaves[0, 0] = 1.0
+
+    def test_realize_rejects_a_chord_whose_far_end_overflows(self):
+        # e^L leaves the float range above log(float max) = 709.78..., below
+        # MAX_CHORD_LENGTH, so q = i e^L cannot be placed
+        cfg = ChordConfig(709.9, s=(1.0, 2.0), theta=(1.0, 1.0))
+        with pytest.raises(DegenerateConfigurationError):
+            realize_scene(cfg, TransverseWeights((1.0, 1.0)))
 
     def test_rejects_unknown_order(self):
         scene = random_scene(random.Random(4))
@@ -609,6 +678,23 @@ class TestLongChords:
             with pytest.raises(DegenerateConfigurationError):
                 kernel()
 
+    @pytest.mark.parametrize("ends", [
+        EndpointVariation(), EndpointVariation(u_perp=0.3, v_perp=-0.7)])
+    def test_split_stays_finite_at_the_longest_chord(self, ends):
+        # Every term depends on L through e^{-L} or e^{-2L} factors next
+        # to O(e^{s}) ones, so beyond L = 60 the form moves by less than
+        # e^{-56} relative, and the longest chord must give the L = 60
+        # value to rounding: a few roundings per term.
+        weights = TransverseWeights((1.0, 1.0))
+        longest, near = (ChordConfig(length, s=(1.0, 2.0), theta=(1.0, 1.0))
+                         for length in (hessian.MAX_CHORD_LENGTH, 60.0))
+        got = hessian_split(longest, weights, ends)
+        assert np.isfinite(got).all()
+        assert got == pytest.approx(hessian_split(near, weights, ends),
+                                    rel=8 * EPS, abs=0.0)
+        assert hessian_form(longest, weights, ends) == pytest.approx(
+            hessian_form(near, weights, ends), rel=8 * EPS, abs=0.0)
+
     def test_longest_chord_is_accepted(self):
         longest = hessian.MAX_CHORD_LENGTH
         assert math.isfinite(math.sinh(longest))
@@ -650,17 +736,128 @@ class TestOracleGrid:
             (D(0, 1) - 2.0 * D(0, 0) + D(0, -1)) / (h * h))
 
     def test_oracle_composes_each_shear_once(self, monkeypatch):
-        translate = halfplane.translate_along
-        calls = []
+        shear = hessian._shear_isometry
+        steps = []
 
-        def counted(g, t):
-            calls.append(t)
-            return translate(g, t)
+        def counted(scene, t):
+            steps.append(t)
+            return shear(scene, t)
 
-        monkeypatch.setattr(halfplane, "translate_along", counted)
+        monkeypatch.setattr(hessian, "_shear_isometry", counted)
         scene = realize_scene(*long_scene(random.Random(9), 12, 3.0))
+        h = hessian.FD_STEP
         for order in (1, 2):
-            calls.clear()
+            steps.clear()
             fd_oracle(scene, order)
-            # one leaf translation per leaf for shear_t = -h and for +h
-            assert len(calls) == 2 * scene.cfg.n
+            # one composed shear for shear_t = -h and one for +h
+            assert sorted(t for t in steps if t != 0.0) == [-h, h]
+
+    @given(oracle_scenes(),
+           st.one_of(st.sampled_from([hessian.FD_STEP, -hessian.FD_STEP]),
+                     st.floats(-2.0, 2.0)))
+    @example(realize_scene(ChordConfig(1.0, s=(0.08, 0.13, 0.76, 0.8),
+                                       theta=(1.38, 2.21, 0.31, 1.41)),
+                           TransverseWeights((0.44, -0.54, 0.89, 0.8))),
+             2.225073858507e-311)
+    @settings(max_examples=40, deadline=None)
+    def test_shear_is_the_ordered_product_of_leaf_translations(self, scene, t):
+        # The reference is the exact (50-digit) product, in leaf order, of
+        # the translate_along matrices.  The shear builds the same factors
+        # with numpy's cosh and sinh, each entry within 2 eps of the
+        # factor's absolute matrix |T| = [[ch + |sh A|, |sh B|],
+        # [|sh C|, ch + |sh A|]], and each of its n 2 x 2 products adds
+        # at most 2 eps |P||T|; to first order the error is below
+        # (4n + 4) eps |T_1| ... |T_n|, entrywise.  A rounding that
+        # underflows errs by an absolute half of the smallest subnormal
+        # instead (a subnormal t makes sinh(t a/2) B subnormal), carried
+        # forward by at most the largest entry of that product.
+        got = hessian._shear_isometry(scene, t)
+        factors = [translate_along(HGeodesic(HIsometry._unimodular(*row)), t * a)
+                   for row, a in zip(scene.leaves.tolist(),
+                                     scene.weights.weights.tolist())]
+        absolute = np.eye(2)
+        with mp.workdps(50):
+            exact = mp.eye(2)
+            for m in factors:
+                exact = exact * mp.matrix([[m.a, m.b], [m.c, m.d]])
+                big = max(m.a, m.d)  # ch + |sh A|
+                absolute = absolute @ np.array([[big, abs(m.b)],
+                                                [abs(m.c), big]])
+            want = np.array(exact.tolist(), dtype=float)
+        err = np.abs(np.array([[got.a, got.b], [got.c, got.d]]) - want)
+        tiny = np.nextafter(0.0, 1.0)
+        assert (err <= (4 * scene.cfg.n + 4)
+                * (EPS * absolute + tiny * absolute.max())).all()
+
+    def test_shear_rejects_nonfinite_step(self):
+        scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)))
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                scene_length(scene, t, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form measurement against a 50-digit reference
+
+def _translation(t):
+    e = math.exp(0.5 * t)
+    return np.array([[e, 0.0], [0.0, 1.0 / e]])
+
+
+def _rotation(theta):
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    return np.array([[c, s], [-s, c]])
+
+
+def mp_crossing(row):
+    """(s, theta) at 50 digits of the geodesic with frame ``row`` along the
+    upward imaginary axis, from its endpoints and not from the measured
+    formula: it runs from x1 = b/d to x2 = a/c on the half-circle through
+    i sqrt(-x1 x2), whose forward tangent there is sign(x2 - x1) (y, m)
+    with m the circle's centre."""
+    with mp.workdps(50):
+        a, b, c, d = (mp.mpf(v) for v in row)
+        x1, x2 = b / d, a / c
+        y, m, sign = mp.sqrt(-x1 * x2), (x1 + x2) / 2, mp.sign(x2 - x1)
+        return float(mp.log(y)), float(mp.atan2(-sign * y, sign * m))
+
+
+class TestClosedFormMeasurement:
+    def test_tracks_the_50_digit_reference(self):
+        # Random frames D(s) R(theta) D(tau) on the chord p = i, where the
+        # relative frame is the stored row exactly.  First-order rounding
+        # budgets of the two formulas, for the row (a, b, c, d):
+        #   s = (l1 + l2)/2 with l1 = log|a/c|, l2 = log|b/d|: two
+        #     quotients, two logs and a sum, eps (1 + |l1| + |l2| + |s|);
+        #   theta = atan2(Y, X) with X = ad + bc, Y = 2 sqrt(-abcd) and
+        #     X^2 + Y^2 = 1: X errs by eps (|ad| + |bc|), Y by 1.25 eps Y,
+        #     so theta by eps ((|ad| + |bc| + 1.25) Y + |theta|).
+        # Each is held to twice its budget, for the last-ulp error of
+        # numpy's log and atan2.
+        rng = random.Random(61)
+        for k in range(600):
+            length = rng.uniform(1.0, 6.0)
+            s = (rng.uniform(0.0, length), 1e-4 * length * rng.random(),
+                 length - 1e-4 * length * rng.random())[k % 3]
+            theta = (rng.uniform(0.15, math.pi - 0.15),
+                     0.15 + 1e-3 * rng.random(),
+                     math.pi - 0.15 - 1e-3 * rng.random())[k // 3 % 3]
+            frame = (_translation(s) @ _rotation(theta)
+                     @ _translation(rng.uniform(-3.0, 3.0)))
+            cfg = ChordConfig(length, s=(s,), theta=(theta,))
+            placed = realize_scene(cfg, TransverseWeights((1.0,)))
+            scene = HalfplaneScene(cfg=cfg, weights=placed.weights,
+                                   endpoints=placed.endpoints, p=placed.p,
+                                   q=placed.q, leaves=frame.reshape(1, 4))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, (got_s,), (got_theta,) = hessian._measure_scene(scene)
+            row = scene.leaves[0].tolist()
+            want_s, want_theta = mp_crossing(row)
+            a, b, c, d = row
+            l1, l2 = math.log(abs(a / c)), math.log(abs(b / d))
+            y = 2.0 * math.sqrt(-a * b * c * d)
+            assert abs(got_s - want_s) <= 2 * EPS * (
+                1 + abs(l1) + abs(l2) + abs(want_s))
+            assert abs(got_theta - want_theta) <= 2 * EPS * (
+                (abs(a * d) + abs(b * c) + 1.25) * y + abs(want_theta))
