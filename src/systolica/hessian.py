@@ -20,7 +20,10 @@ way.  Every function below reads those arrays directly.  A realized
 (n, 4) array of frame entries, so ``realize_scene``, the oracle's
 measurement of a scene and its composed shears each cost O(1) numpy
 calls (plus, for a shear, one float loop over n 2 x 2 products) rather
-than n half-plane objects.
+than n half-plane objects.  A scene is immutable, so the oracle's
+checked 3 x 3 grid of deformed lengths is a property of the scene: it is
+computed on the first ``fd_oracle`` call and memoized on the scene, and
+orders 1 and 2 read their difference quotients from it.
 
 Endpoint components use one parallel frame along the oriented chord:
 ``u_par`` and ``v_par`` point outward (away from the other endpoint),
@@ -56,6 +59,7 @@ eigenvalue checks.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -419,6 +423,14 @@ class HalfplaneScene:
     and refuses to differentiate a scene whose realization drifted from
     its configuration.
 
+    A scene is immutable: the dataclass is frozen, ``cfg`` and
+    ``weights`` hold read-only arrays, and ``p``, ``q`` and ``leaves``
+    are private copies taken here, so no point or array the caller keeps
+    can change it.  The private ``_grid`` memo holds what ``fd_oracle``
+    needs: it is filled on first use with the nine deformed lengths of a
+    scene that passed the consistency check (see ``_checked_grid``).  A
+    check or grid that raises leaves the memo empty.
+
     Raises
     ------
     ValueError
@@ -448,6 +460,14 @@ class HalfplaneScene:
         rows /= np.sqrt(det)[:, None]
         rows.setflags(write=False)
         object.__setattr__(self, "leaves", rows)
+        object.__setattr__(self, "p", halfplane.HPoint(self.p.x, self.p.y))
+        object.__setattr__(self, "q", halfplane.HPoint(self.q.x, self.q.y))
+
+    @functools.cached_property
+    def _grid(self):
+        # cached_property stores only a returned value: a scene whose
+        # check or grid raises raises again on the next access
+        return _checked_grid(self)
 
 
 def realize_scene(cfg: ChordConfig, weights: TransverseWeights,
@@ -556,7 +576,8 @@ def scene_length(scene: HalfplaneScene, shear_t: float, end_t: float) -> float:
     frame, O(1)) and, unless ``shear_t == 0``, the composed shear (O(1)
     numpy calls and an ``n``-step float product loop), then measures one
     distance.  ``fd_oracle`` evaluates its grid from the same helpers,
-    building the paths once and each shear once per distinct step.
+    building the paths once and each shear once per distinct step, once
+    per scene.
     """
     pt, qt = _moved_endpoints(scene, _endpoint_paths(scene), end_t)
     return halfplane.dist(pt, _shear_isometry(scene, shear_t).apply(qt))
@@ -597,35 +618,17 @@ def _measure_scene(scene: HalfplaneScene):
 FD_STEP = 1e-4
 
 
-def fd_oracle(scene: HalfplaneScene, order: int):
-    """Differentiate the realized chord length numerically.
+def _checked_grid(scene: HalfplaneScene) -> dict:
+    """Check the scene against its configuration, then evaluate the
+    3 x 3 grid ``{(i, j): scene_length(scene, i * h, j * h)}`` for
+    ``i, j`` in ``(-1, 0, 1)`` and ``h = FD_STEP``.
 
-    ``order == 1`` returns ``(d_shear, d_endpoints)`` by central
-    differences with step ``FD_STEP`` in each deformation parameter
-    separately; ``order == 2`` evaluates the full 3 x 3 grid of
-    deformations and returns ``(shear2, mixed, end2)``: the pure second
-    derivatives along each parameter and the mixed partial, so the
-    second derivative of the joint motion is
-    ``shear2 + 2 * mixed + end2``.
-
-    Each call measures the scene once (``_measure_scene``, O(1) numpy
-    calls), builds the shear isometries for ``shear_t = -h, +h`` once
-    each (O(1) numpy calls and an ``n``-step float product loop apiece,
-    whatever the order), the endpoint paths once and the moved endpoints
-    for ``end_t = -h, 0, +h`` once each, then reads its 4 or 9 grid
-    values at one isometry application and one distance apiece.  No
-    half-plane object is built per leaf.  Each grid value is exactly
-    ``scene_length(scene, i * h, j * h)`` with ``h = FD_STEP``.
-
-    Raises
-    ------
-    InconsistentSceneError
-        If the realized geometry disagrees with ``scene.cfg`` by more
-        than 1e-10 in the chord length or any crossing position or
-        angle (including a leaf that misses the chord or crosses it
-        clockwise).
-    ValueError
-        For any ``order`` other than 1 or 2.
+    One ``_measure_scene`` (O(1) numpy calls), the two shears for
+    ``shear_t = -h, +h`` (O(1) numpy calls and an ``n``-step float
+    product loop apiece), one set of endpoint paths, the moved endpoints
+    for ``end_t = -h, 0, +h`` and nine distances.  Each value is computed
+    exactly as ``scene_length`` computes it.  ``HalfplaneScene._grid``
+    memoizes the result.
     """
     try:
         length, s, theta = _measure_scene(scene)
@@ -647,22 +650,73 @@ def fd_oracle(scene: HalfplaneScene, order: int):
             f"leaf {i} measured at (s={s[i].item()!r}, "
             f"theta={theta[i].item()!r}) but declared "
             f"(s={cfg.s[i].item()!r}, theta={cfg.theta[i].item()!r})")
+    h = FD_STEP
+    steps = (-1, 0, 1)
+    shear = {i: _shear_isometry(scene, i * h) for i in steps}
+    try:
+        paths = _endpoint_paths(scene)
+        moved = {j: _moved_endpoints(scene, paths, j * h) for j in steps}
+        return {(i, j): halfplane.dist(moved[j][0], shear[i].apply(moved[j][1]))
+                for i in steps for j in steps}
+    except ValueError as exc:
+        # a deformed endpoint left the float half-plane (y below YMIN)
+        raise DegenerateConfigurationError(
+            f"chord of length {cfg.length!r} deforms out of the float "
+            f"half-plane: {exc}") from exc
+
+
+def fd_oracle(scene: HalfplaneScene, order: int):
+    """Differentiate the realized chord length numerically.
+
+    ``order == 1`` returns ``(d_shear, d_endpoints)`` by central
+    differences with step ``FD_STEP`` in each deformation parameter
+    separately; ``order == 2`` returns ``(shear2, mixed, end2)`` from
+    the full 3 x 3 grid of deformations: the pure second derivatives
+    along each parameter and the mixed partial, so the second derivative
+    of the joint motion is ``shear2 + 2 * mixed + end2``.  Each grid
+    value is exactly ``scene_length(scene, i * h, j * h)`` with
+    ``h = FD_STEP``.
+
+    The cost is paid per scene, not per call.  The first call on a scene
+    checks it and evaluates all nine grid values (``_checked_grid``: one
+    measurement, two composed shears, one set of endpoint paths, nine
+    distances); the scene memoizes them, so any later call, of either
+    order, costs one lookup and a few flops.  Orders 1 and 2 read the
+    same values, so calling them in either order gives the same results.
+    Nothing that raises is memoized: a scene that fails its check or its
+    grid raises again on every call.
+
+    Accuracy falls with the chord length, because the grid differences
+    distances of about ``L`` in floats.  For crossings
+    s = (1, L/2, L - 1), theta = (1, 2, 0.5), weights (1, -1, 0.5) and
+    endpoint motion (0.3, 0.1, -0.2, 0.4), the order-2 error against
+    ``hessian_split``, relative to max(1, |value|), is at most 2e-7 up to
+    L = 25, then 7e-6 at L = 30, 3e-3 at 35, 0.69 at 40 and 39 at 45.
+    No error is raised for that loss.  At L = 50 and beyond, a deformed
+    far endpoint of that family leaves the float half-plane, which is
+    refused below.
+
+    Raises
+    ------
+    InconsistentSceneError
+        If the realized geometry disagrees with ``scene.cfg`` by more
+        than 1e-10 in the chord length or any crossing position or
+        angle (including a leaf that misses the chord or crosses it
+        clockwise).
+    DegenerateConfigurationError
+        If a deformed endpoint comes within ``halfplane.YMIN`` of the
+        real axis, as it does on the long chords above.
+    ValueError
+        For any ``order`` other than 1 or 2, after the scene is checked.
+    """
+    grid = scene._grid
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
     h = FD_STEP
-    shear = {i: _shear_isometry(scene, i * h) for i in (-1, 0, 1)}
-    paths = _endpoint_paths(scene)
-    moved = {j: _moved_endpoints(scene, paths, j * h) for j in (-1, 0, 1)}
-
-    def D(i, j):  # exactly scene_length(scene, i * h, j * h)
-        pt, qt = moved[j]
-        return halfplane.dist(pt, shear[i].apply(qt))
-
     if order == 1:
-        d_shear = (D(1, 0) - D(-1, 0)) / (2.0 * h)
-        d_end = (D(0, 1) - D(0, -1)) / (2.0 * h)
+        d_shear = (grid[1, 0] - grid[-1, 0]) / (2.0 * h)
+        d_end = (grid[0, 1] - grid[0, -1]) / (2.0 * h)
         return d_shear, d_end
-    grid = {(i, j): D(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)}
     shear2 = (grid[1, 0] - 2.0 * grid[0, 0] + grid[-1, 0]) / (h * h)
     end2 = (grid[0, 1] - 2.0 * grid[0, 0] + grid[0, -1]) / (h * h)
     mixed = (grid[1, 1] - grid[1, -1] - grid[-1, 1] + grid[-1, -1]) / (4.0 * h * h)

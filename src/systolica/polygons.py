@@ -341,17 +341,31 @@ class ChainDifferentials:
         each vertex: one row per segment, columns (2k, 2k+1) for vertex
         k.  Row i is ``d_length(i, .)``, so its only nonzeros are V_i
         against the frame at x_i and U_{i+1} against the frame at
-        x_{i+1}: two ``unit_toward`` calls per row.
+        x_{i+1}.
+
+        In the frame (y, 0), (0, y) at z_k, the unit vector at z_k
+        pointing away from z_other has the components of -i zeta/|zeta|,
+        with zeta = (z_other - z_k)/(z_other - conj(z_k)), the direction
+        ``unit_toward`` reads.  Both blocks of all rows come from one
+        complex-array pass over the segments, O(1) numpy calls.
+
+        Raises
+        ------
+        DegenerateConfigurationError
+            If a segment's end points coincide (zeta = 0).
         """
-        frames = [(HTangent(p, p.y, 0.0), HTangent(p, 0.0, p.y))
-                  for p in self.points]
-        segments = self.segment_indices()
-        mat = np.zeros((len(segments), 2 * self.m))
-        for i in segments:
-            j = self._next(i)
-            for k, vec in ((i, self._v_vec(i)), (j, self._u_vec(j))):
-                mat[i, 2 * k] = inner(frames[k][0], vec)
-                mat[i, 2 * k + 1] = inner(frames[k][1], vec)
+        rows = np.arange(len(self.segment_indices()))
+        nxt = (rows + 1) % self.m
+        z = np.array([p.z for p in self.points])
+        mat = np.zeros((len(rows), 2 * self.m))
+        for k, other in ((rows, nxt), (nxt, rows)):
+            zeta = (z[other] - z[k]) / (z[other] - z[k].conj())
+            if not zeta.all():
+                raise DegenerateConfigurationError(
+                    f"segment {int((zeta == 0).argmax())} has coincident ends")
+            w = -1j * zeta / np.abs(zeta)
+            mat[rows, 2 * k] = w.real
+            mat[rows, 2 * k + 1] = w.imag
         return mat
 
     def length_rank(self) -> tuple[int, float]:
@@ -387,18 +401,24 @@ def proportionality_check(poly: MarkedRightPolygon) -> float:
     cancel on the whole tangent space of the moduli space.  Returns the
     largest absolute value over the basis vectors tangent_u(poly, i); a
     genuine alternating polygon stays below 1e-8.
+
+    The sums are read off ``tangent_u``'s four nonzeros without building
+    the vectors: with l_i = side i and l_j = side i+1, slots i and i+2
+    (same parity as side i) add up to 1 + 1/cosh(l_j), and slots i-1 and
+    i+1 to -tanh(l_j)/sinh(l_i) - tanh(l_j)/tanh(l_i).  All n basis
+    vectors cost one numpy pass over the sides, O(n).
     """
     l1, l2 = _split_alternating(poly)
     a = (1.0 + math.cosh(l1)) / math.sinh(l1)
     b = (1.0 + math.cosh(l2)) / math.sinh(l2)
-    n = poly.n
-    worst = 0.0
-    for i in range(1, n + 1):
-        v = tangent_u(poly, i)
-        s_odd = float(np.sum(v[0::2]))
-        s_even = float(np.sum(v[1::2]))
-        worst = max(worst, abs(a * s_odd + b * s_even))
-    return worst
+    li = np.array(poly.sides)
+    lj = np.roll(li, -1)  # side i+1, cyclic
+    own = 1.0 + 1.0 / np.cosh(lj)
+    other = -np.tanh(lj) / np.sinh(li) - np.tanh(lj) / np.tanh(li)
+    odd = np.arange(poly.n) % 2 == 0  # sides 1, 3, ... in 0-based slots
+    s_odd = np.where(odd, own, other)
+    s_even = np.where(odd, other, own)
+    return float(np.abs(a * s_odd + b * s_even).max())
 
 
 @dataclass(frozen=True)

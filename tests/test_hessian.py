@@ -735,22 +735,73 @@ class TestOracleGrid:
             (D(1, 1) - D(1, -1) - D(-1, 1) + D(-1, -1)) / (4.0 * h * h),
             (D(0, 1) - 2.0 * D(0, 0) + D(0, -1)) / (h * h))
 
-    def test_oracle_composes_each_shear_once(self, monkeypatch):
-        shear = hessian._shear_isometry
-        steps = []
+    @pytest.mark.parametrize("orders", [(1, 2), (2, 1)])
+    def test_oracle_composes_each_shear_once(self, monkeypatch, orders):
+        shear, measure = hessian._shear_isometry, hessian._measure_scene
+        steps, measured = [], []
 
         def counted(scene, t):
             steps.append(t)
             return shear(scene, t)
 
+        def counted_measure(scene):
+            measured.append(scene)
+            return measure(scene)
+
         monkeypatch.setattr(hessian, "_shear_isometry", counted)
+        monkeypatch.setattr(hessian, "_measure_scene", counted_measure)
         scene = realize_scene(*long_scene(random.Random(9), 12, 3.0))
         h = hessian.FD_STEP
-        for order in (1, 2):
-            steps.clear()
+        for order in orders:
             fd_oracle(scene, order)
-            # one composed shear for shear_t = -h and one for +h
-            assert sorted(t for t in steps if t != 0.0) == [-h, h]
+        # over both orders on one scene: one measurement, and one composed
+        # shear for shear_t = -h and one for +h
+        assert sorted(t for t in steps if t != 0.0) == [-h, h]
+        assert measured == [scene]
+
+    def test_inconsistent_scene_raises_on_every_call(self):
+        # the test_rejects_mismatched_length construction
+        scene = random_scene(random.Random(3), min_n=1)
+        stretched = ChordConfig(scene.cfg.length + 0.5, scene.cfg.s,
+                                scene.cfg.theta)
+        bad = HalfplaneScene(cfg=stretched, weights=scene.weights,
+                             endpoints=scene.endpoints, p=scene.p, q=scene.q,
+                             leaves=scene.leaves)
+        for order in (1, 2, 1, 2):
+            with pytest.raises(InconsistentSceneError):
+                fd_oracle(bad, order)
+
+    @given(oracle_scenes(max_n=12))
+    @settings(max_examples=20, deadline=None)
+    def test_call_order_does_not_change_the_results(self, scene):
+        # two realizations of one configuration, asked in opposite orders
+        twin = realize_scene(scene.cfg, scene.weights, scene.endpoints)
+        first, second = fd_oracle(scene, 1), fd_oracle(scene, 2)
+        assert (fd_oracle(twin, 2), fd_oracle(twin, 1)) == (second, first)
+
+    def test_scene_endpoints_are_private_copies(self):
+        scene = realize_scene(REF_CFG, TransverseWeights((0.4, -1.1)),
+                              EndpointVariation(u_perp=0.2, v_par=-0.6))
+        p, q = HPoint(scene.p.x, scene.p.y), HPoint(scene.q.x, scene.q.y)
+        copy = HalfplaneScene(cfg=REF_CFG, weights=scene.weights,
+                              endpoints=scene.endpoints, p=p, q=q,
+                              leaves=scene.leaves)
+        want = fd_oracle(copy, 2)
+        p.y, q.x = 2.0, 0.5  # a caller-held point changes after the fact
+        assert (copy.p.y, copy.q.x) == (scene.p.y, scene.q.x)
+        assert fd_oracle(copy, 2) == want == fd_oracle(scene, 2)
+
+    @pytest.mark.parametrize("length", [50.0, 60.0])
+    def test_long_chord_is_refused_with_a_typed_error(self, length):
+        # the deformed far endpoint comes within YMIN of the real axis;
+        # the refusal is not memoized, so it repeats on every call
+        cfg = ChordConfig(length, s=(1.0, length / 2, length - 1.0),
+                          theta=(1.0, 2.0, 0.5))
+        scene = realize_scene(cfg, TransverseWeights((1.0, -1.0, 0.5)),
+                              EndpointVariation(0.3, 0.1, -0.2, 0.4))
+        for order in (1, 2, 2):
+            with pytest.raises(DegenerateConfigurationError):
+                fd_oracle(scene, order)
 
     @given(oracle_scenes(),
            st.one_of(st.sampled_from([hessian.FD_STEP, -hessian.FD_STEP]),

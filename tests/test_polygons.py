@@ -9,6 +9,7 @@ space.
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from systolica.polygons import (
     tangent_u,
 )
 from systolica.trig import semiregular_partner
+
+EPS = np.finfo(float).eps
 
 # frozen assembly of two small polygons; the first side of the pentagon
 # doubles as acosh(sinh(1)*sinh(1.2)) which pins the n=5 branch exactly
@@ -229,7 +232,11 @@ class TestChainDifferentials:
     @pytest.mark.parametrize("closed", [True, False])
     def test_length_matrix_is_the_d_length_matrix(self, closed):
         # the matrix every d_length functional fills in, one frame
-        # vector at a time
+        # vector at a time.  Both paths give the components of unit
+        # vectors, length_matrix within 4 eps of exact (the 50-digit test
+        # below) and d_length within 4 eps plus the rounding of
+        # unit_toward's scaling by y and of inner's y*dx, y*y and
+        # quotient, 2.5 eps more; so they agree to 11 eps, absolute.
         rng = random.Random(19 + closed)
         for m in (3, 4, 7, 12):
             cd = ChainDifferentials(random_chain(rng, m, closed), closed)
@@ -242,7 +249,42 @@ class TestChainDifferentials:
                         var = list(zero)
                         var[j] = frame
                         ref[i, 2 * j + comp] = cd.d_length(i, var)
-            assert np.array_equal(cd.length_matrix(), ref)
+            assert np.abs(cd.length_matrix() - ref).max() <= 11 * EPS
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_length_matrix_tracks_the_50_digit_reference(self, closed):
+        # Entry blocks are the components of -i zeta/|zeta| with
+        # zeta = (z_o - z_k)/(z_o - conj z_k), here at 50 digits.  First-
+        # order rounding budget of the float pass, relative to |zeta| = 1
+        # after normalizing: eps/2 for each of the two componentwise
+        # differences, 2 eps for the complex quotient, eps/2 for |zeta|
+        # and eps/2 for the final division, 4 eps in all, absolute.
+        # Every entry outside the two blocks of a row is exactly zero.
+        rng = random.Random(23 + closed)
+        for m in (3, 4, 7, 12, 24):
+            cd = ChainDifferentials(random_chain(rng, m, closed), closed)
+            segments = cd.segment_indices()
+            want = np.zeros((len(segments), 2 * m))
+            with mp.workdps(50):
+                z = [mp.mpc(q.x, q.y) for q in cd.points]
+                for i in segments:
+                    j = (i + 1) % m
+                    for k, other in ((i, j), (j, i)):
+                        zeta = (z[other] - z[k]) / (z[other] - mp.conj(z[k]))
+                        w = -1j * zeta / abs(zeta)
+                        want[i, 2 * k] = float(w.real)
+                        want[i, 2 * k + 1] = float(w.imag)
+            got = cd.length_matrix()
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.abs(got - want).max() <= 4 * EPS
+
+    def test_length_matrix_rejects_coincident_ends(self):
+        cd = ChainDifferentials(random_chain(random.Random(4), 4))
+        cd.points[2] = cd.points[1]  # the constructor's check is behind us
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateConfigurationError, match="segment 1"):
+                cd.length_matrix()
 
     def test_rejects_collapsed_segments(self):
         p = HPoint(0.0, 1.0)
@@ -296,6 +338,27 @@ class TestAlternatingLocus:
             poly = realize([l1, semiregular_partner(l1, n)] * n)
             assert poly.closure_defect < 1e-9
             assert proportionality_check(poly) < 1e-8
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_proportionality_is_the_dense_basis_residual(self, k):
+        # For tangent_u the weighted sums cancel term by term for any
+        # alternating sides: b tanh(l2) = 1 + 1/cosh(l2), so both sums of
+        # a basis vector are a (1 + 1/cosh l_j) with opposite signs.
+        # Sides off the partner relation therefore test the closed form
+        # too, where a wrong term would leave a residual of order one.
+        # The dense reference sums the full tangent_u vectors.  Each of
+        # the two nonzero terms per sum errs by a few eps relative in
+        # either path (a tanh, a sinh or cosh and a quotient), so the two
+        # residuals agree to 8 eps (a sum|v_odd| + b sum|v_even|).
+        l1, l2 = 0.7 + 0.1 * k, 1.9 - 0.1 * k
+        poly = realize([l1, l2] * k)
+        a = (1.0 + math.cosh(l1)) / math.sinh(l1)
+        b = (1.0 + math.cosh(l2)) / math.sinh(l2)
+        vs = [tangent_u(poly, i) for i in range(1, 2 * k + 1)]
+        dense = max(abs(a * v[0::2].sum() + b * v[1::2].sum()) for v in vs)
+        budget = max(8 * EPS * (a * np.abs(v[0::2]).sum()
+                                + b * np.abs(v[1::2]).sum()) for v in vs)
+        assert abs(proportionality_check(poly) - dense) <= budget
 
     def test_rejects_polygons_off_the_locus(self):
         poly = sides_from_pentagon_coords([0.8, 1.1, 0.9])
