@@ -100,16 +100,12 @@ def oriented_angle(u, v):
     return math.atan2(cross, dot)
 
 
-def cosh_dist(p, q):
-    dx, dy = p.x - q.x, p.y - q.y
-    return 1.0 + (dx * dx + dy * dy) / (2.0 * p.y * q.y)
-
-
 def dist(p, q):
     """Hyperbolic distance between two points.
 
     Written as 2 asinh(|p - q| / (2 sqrt(y1 y2))) rather than
-    acosh(cosh_dist), which loses every digit of a short distance.
+    acosh(1 + |p - q|^2 / (2 y1 y2)), which loses every digit of a short
+    distance.
     """
     return 2.0 * math.asinh(math.hypot(p.x - q.x, p.y - q.y)
                             / (2.0 * math.sqrt(p.y * q.y)))
@@ -215,11 +211,6 @@ class HGeodesic:
         """
         return math.log(abs(_pull(self.frame, p)))
 
-    def project(self, p):
-        """Orthogonal projection: returns (foot point, distance to p)."""
-        w = _pull(self.frame, p)
-        return self.point_at(math.log(abs(w))), math.asinh(abs(w.real) / w.imag)
-
     def __repr__(self):
         back, fwd = self.endpoints()
         return f"HGeodesic({back:.6g} -> {fwd:.6g})"
@@ -285,25 +276,6 @@ def unit_toward(p, q):
     return HTangent(p, v.real, v.imag)
 
 
-def exp_point(u, t=1.0):
-    """Walk distance t*|u| from the base of u in the direction of u."""
-    return geodesic_from_direction(u.base, u).point_at(t * norm(u))
-
-
-def angle_data(p, q, u):
-    """Angle at p between the direction toward q and the tangent u.
-
-    Returns (psi, sign): psi in [0, pi] is the unoriented angle, sign is
-    +1 when u sits counterclockwise from the direction toward q, -1
-    clockwise, 0 when aligned.  Raises if p and q coincide or u vanishes.
-    """
-    if math.hypot(u.dx, u.dy) == 0.0:
-        raise DegenerateConfigurationError("angle of a zero vector is undefined")
-    e = unit_toward(p, q)  # raises DegenerateConfigurationError if p == q
-    a = oriented_angle(e, u)
-    return abs(a), (a > 0) - (a < 0)
-
-
 def _generator(a, b, c, d):
     """Entries (A, B, C) of X = F diag(1, -1) F^-1 = [[A, B], [C, -A]] for
     the frame F = [[a, b], [c, d]] of determinant one: A = ad + bc,
@@ -331,26 +303,6 @@ def translate_along(g, t):
     A, B, C = _generator(f.a, f.b, f.c, f.d)
     ch, sh = math.cosh(0.5 * t), math.sinh(0.5 * t)
     return HIsometry._unimodular(ch + sh * A, sh * B, sh * C, ch - sh * A)
-
-
-def rotate_about(p, phi):
-    """Isometry rotating tangents at p by +phi (counterclockwise)."""
-    sy = math.sqrt(p.y)
-    m = HIsometry(sy, p.x / sy, 0.0, 1.0 / sy)
-    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-    return (m @ HIsometry(c, s, -s, c)) @ m.inverse()
-
-
-def killing_vector(g, p):
-    """Value at p of the Killing field generating translation along g.
-
-    This is d/dt [translate_along(g, t)(p)] at t = 0, in closed form.
-    """
-    # the flow of X/2 = [[A, B], [C, -A]]/2 is z' = B/2 + A z - (C/2) z^2
-    f = g.frame
-    A, B, C = _generator(f.a, f.b, f.c, f.d)
-    v = 0.5 * B + A * p.z - 0.5 * C * p.z * p.z
-    return HTangent(p, v.real, v.imag)
 
 
 def _relative(f, a, b, c, d):
@@ -383,9 +335,6 @@ class CommonPerpendicular:
         self.foot_first = foot_first
         self.foot_second = foot_second
         self.length = float(length)
-
-    def __iter__(self):
-        return iter((self.foot_first, self.foot_second, self.length))
 
     def __repr__(self):
         return (f"CommonPerpendicular({self.foot_first!r}, "

@@ -62,7 +62,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter
 
 import numpy as np
@@ -75,7 +75,6 @@ __all__ = [
     "ChordConfig",
     "TransverseWeights",
     "EndpointVariation",
-    "ShearRates",
     "MarginReport",
     "HalfplaneScene",
     "first_derivatives",
@@ -83,7 +82,6 @@ __all__ = [
     "hessian_form",
     "hessian_split",
     "hessian_margin",
-    "shear_kinematics",
     "realize_scene",
     "scene_length",
     "fd_oracle",
@@ -172,12 +170,20 @@ class TransverseWeights:
 @dataclass(frozen=True)
 class EndpointVariation:
     """Endpoint velocities in the chord frame described in the module
-    docstring; all four components default to zero."""
+    docstring; all four default to zero and are stored as floats.  A
+    component that is NaN or infinite raises ValueError."""
 
     u_perp: float = 0.0
     u_par: float = 0.0
     v_perp: float = 0.0
     v_par: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = float(getattr(self, f.name))
+            if not math.isfinite(v):
+                raise ValueError(f"endpoint component {f.name} must be finite")
+            object.__setattr__(self, f.name, v)
 
 
 ZERO_ENDPOINTS = EndpointVariation()
@@ -355,55 +361,6 @@ def hessian_margin(cfg: ChordConfig) -> MarginReport:
     eps = np.minimum(gaps[:-1], gaps[1:])
     return MarginReport(epsilons=tuple(eps.tolist()),
                         eps_p=float(gaps[0]), eps_q=float(gaps[-1]))
-
-
-@dataclass(frozen=True)
-class ShearRates:
-    """First-order kinematics at an earlier crossing while shearing a
-    later leaf at unit rate.
-
-    ``rho_prime`` is the rotation rate of the chord direction at ``p``;
-    ``f_prime`` the sliding rate of the crossing point of leaf ``l``
-    along its own leaf; ``dcos_theta`` the rate of change of the cosine
-    of the crossing angle at leaf ``l``.
-    """
-
-    rho_prime: float
-    f_prime: float
-    dcos_theta: float
-
-
-def shear_kinematics(cfg: ChordConfig, h_index: int, l_index: int) -> ShearRates:
-    """Rates of the moving-chord picture: shear leaf ``h`` at unit rate
-    and watch what happens at the earlier leaf ``l``.
-
-    Indices are 0-based positions into ``cfg.s``; ``l_index``
-    must be strictly smaller than ``h_index`` (the leaf being watched
-    crosses the chord nearer to ``p`` than the leaf being sheared).  A
-    chord longer than ``MAX_CHORD_LENGTH`` raises
-    ``DegenerateConfigurationError``.
-    """
-    n = cfg.n
-    if not 0 <= h_index < n:
-        raise ValueError(f"h_index {h_index} out of range 0..{n - 1}")
-    if not 0 <= l_index < n:
-        raise ValueError(f"l_index {l_index} out of range 0..{n - 1}")
-    if l_index >= h_index:
-        raise ValueError(
-            "kinematic rates are defined at crossings strictly before the "
-            f"sheared leaf (got l_index={l_index}, h_index={h_index})")
-    _check_length(cfg)
-    L = cfg.length
-    s_h, s_l = cfg.s[[h_index, l_index]].tolist()
-    th_h, th_l = cfg.theta[[h_index, l_index]].tolist()
-    sinh_L = math.sinh(L)
-    rho_prime = math.cosh(L - s_h) * math.sin(th_h) / sinh_L
-    f_prime = (math.cosh(L - s_h) * math.sinh(s_l) * math.sin(th_h)
-               / (sinh_L * math.sin(th_l)))
-    dcos_theta = (math.cosh(s_l) * math.cosh(L - s_h)
-                  * math.sin(th_l) * math.sin(th_h) / sinh_L)
-    return ShearRates(rho_prime=rho_prime, f_prime=f_prime,
-                      dcos_theta=dcos_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -746,8 +703,8 @@ def scene_to_json(cfg: ChordConfig, weights: TransverseWeights,
 def scene_from_json(data: dict) -> tuple[ChordConfig, TransverseWeights, EndpointVariation]:
     """Rebuild (config, weights, endpoint variation) from a scene dict.
 
-    Malformed input raises ValueError; the finite-difference oracle
-    layers its own consistency checks on top of this.
+    Malformed input, an unknown ``endpoint`` key too, raises ValueError;
+    the finite-difference oracle layers its own checks on top of this.
     """
     if not isinstance(data, dict):
         raise ValueError("a scene must be a JSON object")
@@ -763,8 +720,7 @@ def scene_from_json(data: dict) -> tuple[ChordConfig, TransverseWeights, Endpoin
         rows = np.array(pairs or np.empty((0, 2)), dtype=np.float64)
         length = float(data["chord_length"])
         weights = TransverseWeights(data["weights"])
-        endpoints = EndpointVariation(
-            **{k: float(ep.get(k, 0.0)) for k in ENDPOINT_FIELDS})
+        endpoints = EndpointVariation(**ep)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed scene: {exc!r}") from exc
     cfg = ChordConfig(length, s=rows[:, 0], theta=rows[:, 1])

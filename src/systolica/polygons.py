@@ -3,13 +3,16 @@
 A marked right-angled n-gon is determined up to isometry by its cyclic
 side lengths, and the admissible length vectors form a codimension-3
 submanifold of R^n.  The chart used everywhere here is the pentagon
-chain: the perpendiculars dropped from side 1 onto sides 4..n-2 cut the
-polygon into right-angled pentagons, and the tuple
+chain: the perpendiculars h_3 = l_2, h_4, ..., h_{n-1} = l_n from side 1
+onto sides 3..n-1 cut the polygon into right-angled pentagons, one
+between each consecutive pair, and the tuple
 
     (l_3, h_4, h_5, ..., h_{n-2}, l_{n-1})
 
-of one side of the first pentagon, the perpendicular lengths, and one
-side of the last pentagon gives n - 3 free positive coordinates.
+of side 3, the inner perpendiculars, and side n-1 gives n - 3 free
+positive coordinates.  With P = ``trig.pentagon_side``, the pentagon
+between h_k and h_{k+1} has the tail P(h_{k+1}, h_k) of side k, the head
+P(h_k, h_{k+1}) of side k+1 and the piece P(tail, h_{k+1}) of side 1.
 
 Side indices are 1-based throughout the public API, matching the
 coordinate names; arrays returned to the caller are 0-based with slot
@@ -24,10 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateConfigurationError,
-    NoPolygonError,
-)
+from .errors import DegenerateConfigurationError, NoPentagonError, NoPolygonError
 from .halfplane import (
     HGeodesic,
     HIsometry,
@@ -40,7 +40,7 @@ from .halfplane import (
     rotate_quarter,
     unit_toward,
 )
-from .trig import ACOSH_TOUCH, guarded_acosh, semiregular_partner
+from .trig import pentagon_perpendicular, pentagon_side, semiregular_partner
 
 
 @dataclass(frozen=True)
@@ -100,108 +100,68 @@ def realize(sides: Sequence[float]) -> MarkedRightPolygon:
     intrinsic diameter, which matters for precision when side 1 is long.
     The closure defect is reported on the result, never raised:
     inadmissible side vectors are allowed and simply fail to close up.
+    A walk that overflows or comes within ``halfplane.YMIN`` of the real
+    axis raises DegenerateConfigurationError.
     """
     sides = tuple(float(s) for s in sides)
     if len(sides) < 5:
         raise ValueError("a right-angled polygon needs at least 5 sides")
     if any(not math.isfinite(s) or s <= 0 for s in sides):
         raise ValueError("side lengths must be positive and finite")
-    # rotation about i by -pi/2 (up becomes rightward), then back half of side 1
-    h = math.exp(-0.25 * sides[0])
-    start = frame = HIsometry(h, -1.0 / h, h, 1.0 / h)
-    geodesics = []
-    for length in sides:
-        geodesics.append(HGeodesic(frame))
-        # fused step and quarter turn, F diag(e, 1/e) [[1, 1], [-1, 1]];
-        # the constructor restores determinant one
-        e = math.exp(0.5 * length)
-        a, b, c, d = frame.a * e, frame.b / e, frame.c * e, frame.d / e
-        frame = HIsometry(a - b, a + b, c - d, c + d)
-    hol = start.inverse() @ frame
+    try:
+        # turn up into rightward about i, then back half of side 1
+        h = math.exp(-0.25 * sides[0])
+        start = frame = HIsometry(h, -1.0 / h, h, 1.0 / h)
+        geodesics = []
+        for length in sides:
+            geodesics.append(HGeodesic(frame))
+            # fused step and quarter turn, F diag(e, 1/e) [[1, 1], [-1, 1]];
+            # the constructor restores determinant one
+            e = math.exp(0.5 * length)
+            a, b, c, d = frame.a * e, frame.b / e, frame.c * e, frame.d / e
+            frame = HIsometry(a - b, a + b, c - d, c + d)
+        hol = start.inverse() @ frame
+        vertices = tuple(g.point_at(0.0) for g in geodesics)
+    except (ArithmeticError, ValueError) as exc:
+        raise DegenerateConfigurationError(f"the walk left the float range: {exc}") from exc
     sign = 1.0 if hol.a + hol.d >= 0.0 else -1.0
     return MarkedRightPolygon(
         sides=sides,
-        vertices=tuple(g.point_at(0.0) for g in geodesics),
+        vertices=vertices,
         geodesics=tuple(geodesics),
         closure_defect=math.hypot(hol.a - sign, hol.b, hol.c, hol.d - sign),
     )
-
-
-def _first_pentagon(l3: float, h4: float) -> tuple[float, float, float]:
-    """Sides (l2, q4, p1) of the pentagon cut off by the perpendicular h4."""
-    l2 = math.asinh(math.cosh(h4) / math.sinh(l3))
-    q4 = math.asinh(math.cosh(l2) / math.sinh(h4))
-    p1 = math.asinh(math.cosh(l3) / math.sinh(h4))
-    return l2, q4, p1
 
 
 def sides_from_pentagon_coords(coords: Sequence[float]) -> MarkedRightPolygon:
     """Assemble the marked right-angled polygon from pentagon-chain
     coordinates (l_3, h_4, ..., h_{n-2}, l_{n-1}) with n = len(coords)+3.
 
-    For n >= 6 every positive coordinate tuple is admissible.  For n = 5
-    the two coordinates are the adjacent sides (l_3, l_4) of a pentagon
-    and must satisfy sinh(l_3) sinh(l_4) > 1; otherwise NoPolygonError
-    reports the failing slot.
+    For n >= 6 every positive coordinate tuple is admissible: l_3 is the
+    first tail and l_{n-1} the last head of the module docstring's
+    pentagons, which gives h_3 and h_{n-1}.  For n = 5 the two coordinates
+    are the adjacent sides (l_3, l_4) of a pentagon and must satisfy
+    sinh(l_3) sinh(l_4) > 1; otherwise NoPolygonError reports the failing
+    slot.  Sides that overflow raise DegenerateConfigurationError.
     """
     coords = tuple(float(c) for c in coords)
     if len(coords) < 2:
         raise ValueError("need at least two coordinates (n >= 5)")
-    if any(not math.isfinite(c) or c <= 0 for c in coords):
-        raise ValueError("pentagon-chain coordinates must be positive")
-    n = len(coords) + 3
-
-    if n == 5:
-        l3, l4 = coords
-        s = math.sinh(l3) * math.sinh(l4)
-        if s <= 1.0 + ACOSH_TOUCH:
-            raise NoPolygonError(
-                f"no right-angled pentagon with adjacent sides l3={l3!r}, "
-                f"l4={l4!r} (sinh*sinh = {s!r} <= 1)",
-                index=0,
-            )
-        l1 = math.acosh(s)
-        l2 = math.asinh(math.cosh(l4) / math.sinh(l1))
-        l5 = math.asinh(math.cosh(l3) / math.sinh(l1))
-        return replace(realize((l1, l2, l3, l4, l5)), coords=coords)
-
-    l3 = coords[0]
-    hs = coords[1:-1]  # h_4 .. h_{n-2}
-    l_last = coords[-1]  # l_{n-1}
-
-    l2, q4, p1 = _first_pentagon(l3, hs[0])
-
-    # middle pentagons between consecutive perpendiculars h_i, h_{i+1}
-    t = {}  # tail of side i beyond the foot of h_i
-    s_in = {}  # head of side i+1 up to the foot of h_{i+1}
-    c_mid = []  # pieces of side 1
-    for idx in range(len(hs) - 1):
-        i = 4 + idx
-        hi, hj = hs[idx], hs[idx + 1]
-        t[i] = math.asinh(math.cosh(hj) / math.sinh(hi))
-        s_in[i + 1] = math.asinh(math.cosh(hi) / math.sinh(hj))
-        c_mid.append(guarded_acosh(1.0 / (math.tanh(hi) * math.tanh(hj))))
-
-    # last pentagon beyond h_{n-2}
-    h_last = hs[-1]
-    l_n = math.asinh(math.cosh(h_last) / math.sinh(l_last))
-    u_tail = math.asinh(math.cosh(l_n) / math.sinh(h_last))
-    c_last = guarded_acosh(1.0 / (math.tanh(h_last) * math.tanh(l_n)))
-
-    sides = [0.0] * n
-    sides[0] = p1 + sum(c_mid) + c_last
-    sides[1] = l2
-    sides[2] = l3
-    if n == 6:
-        sides[3] = q4 + u_tail
+    if len(coords) == 2:  # n = 5: (l_3, l_4) and their perpendicular l_1
+        try:
+            l1 = pentagon_perpendicular(*coords)
+        except NoPentagonError as exc:
+            raise NoPolygonError(str(exc), index=0) from exc
+        sides = (l1, pentagon_side(coords[1], l1), *coords, pentagon_side(coords[0], l1))
     else:
-        sides[3] = q4 + t[4]
-        for j in range(5, n - 2):
-            sides[j - 1] = s_in[j] + t[j]
-        sides[n - 3] = s_in[n - 2] + u_tail
-    sides[n - 2] = l_last
-    sides[n - 1] = l_n
-
+        h = (pentagon_side(coords[1], coords[0]), *coords[1:-1],
+             pentagon_side(coords[-2], coords[-1]))  # h_3 .. h_{n-1}
+        pairs = list(zip(h, h[1:]))  # the pentagons, (h_k, h_{k+1})
+        tails = [coords[0]] + [pentagon_side(b, a) for a, b in pairs[1:]]
+        heads = [pentagon_side(a, b) for a, b in pairs[:-1]] + [coords[-1]]
+        pieces = [pentagon_side(t, b) for t, (_, b) in zip(tails, pairs)]
+        sides = (sum(pieces), h[0], tails[0],
+                 *(a + b for a, b in zip(heads, tails[1:])), heads[-1], h[-1])
     return replace(realize(sides), coords=coords)
 
 
@@ -443,8 +403,6 @@ def boundary_functional(ns: Sequence[int], l_even: float) -> BoundaryFunctional:
 
     and the derivative of the total is the coefficient-weighted count.
     """
-    if l_even <= 0:
-        raise ValueError("side length must be positive")
     ns = [int(k) for k in ns]
     if not ns or any(k < 3 for k in ns):
         raise ValueError("each polygon needs n >= 3 sides of each type")
@@ -493,9 +451,10 @@ def polygon_from_json(data: dict) -> MarkedRightPolygon:
     sides, coords = data.get("sides"), data.get("coords")
     if not isinstance(sides, (list, tuple)):
         raise ValueError("polygon JSON needs a 'sides' array")
+    n = data.get("n", len(sides))
+    if type(n) is not int or n != len(sides):  # a JSON integer, not a bool
+        raise ValueError(f"polygon JSON 'n' is {n!r}, not {len(sides)}")
     try:
-        if "n" in data and int(data["n"]) != len(sides):
-            raise ValueError("polygon JSON 'n' disagrees with the sides array")
         sides = [float(s) for s in sides]
         if coords is not None:
             coords = tuple(float(c) for c in coords)

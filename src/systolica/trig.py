@@ -34,22 +34,54 @@ def guarded_acosh(x: float) -> float:
     return math.acosh(x)
 
 
+def _check_lengths(*lengths):
+    for x in lengths:
+        if not 0.0 < x < math.inf:  # NaN fails this too
+            raise ValueError(f"lengths must be positive and finite, got {x!r}")
+
+
 def pentagon_perpendicular(a: float, b: float) -> float:
     """Side of a right-angled pentagon opposite to the adjacent pair (a, b).
 
     Equivalently: the common perpendicular between the two sides that
     extend a and b.  Exists only when sinh(a) sinh(b) > 1; below that
-    threshold the five right angles cannot close up.
+    threshold the five right angles cannot close up.  Raises
+    DegenerateConfigurationError where sinh(a) sinh(b) overflows.
     """
-    if a <= 0 or b <= 0:
-        raise ValueError("pentagon sides must be positive")
-    s = math.sinh(a) * math.sinh(b)
+    _check_lengths(a, b)
+    try:
+        s = math.sinh(a) * math.sinh(b)
+    except OverflowError:
+        s = math.inf
+    if s == math.inf:
+        raise DegenerateConfigurationError(f"sinh({a!r}) sinh({b!r}) overflows")
     if s <= 1.0 + ACOSH_TOUCH:
         raise NoPentagonError(
             f"no right-angled pentagon with adjacent sides {a!r}, {b!r} "
             f"(sinh*sinh = {s!r} <= 1)"
         )
     return math.acosh(s)
+
+
+def pentagon_side(x: float, y: float) -> float:
+    """asinh(cosh x / sinh y): the side z of a right-angled pentagon with
+    cosh x = sinh y sinh z, the side next to y that is, like y, opposite
+    x (Buser, ch. 2), and every piece of the chart in ``polygons``.  The
+    quotient rounds three times and asinh has relative condition at most
+    1, so z is within a few eps relative.  Raises ValueError unless x and
+    y are positive and finite, and DegenerateConfigurationError where
+    cosh x, sinh y or their quotient overflows.
+    """
+    try:
+        z = math.asinh(math.cosh(x) / math.sinh(y))
+    except (OverflowError, ZeroDivisionError):
+        z = math.nan
+    # valid arguments give a positive finite z unless the float range is
+    # exceeded; testing the result keeps the chart's 3n calls cheap
+    if 0.0 < x and 0.0 < z < math.inf:
+        return z
+    _check_lengths(x, y)
+    raise DegenerateConfigurationError(f"pentagon side of ({x!r}, {y!r}) overflows")
 
 
 def trirectangle_center(h_side: float, n: int) -> float:
@@ -62,8 +94,7 @@ def trirectangle_center(h_side: float, n: int) -> float:
     """
     if n < 3:
         raise ValueError(f"need n >= 3 sides of each type, got n={n}")
-    if h_side <= 0:
-        raise ValueError("half-side must be positive")
+    _check_lengths(h_side)
     return math.acosh(math.cosh(h_side) / math.sin(math.pi / n))
 
 
@@ -82,8 +113,7 @@ def diagonal_same_type(h1: float, k: float, n: int) -> float:
         raise ValueError(f"need n >= 3, got n={n}")
     if not 1 <= k <= n - 1 or k != int(k):
         raise ValueError(f"slot count k must be an integer in 1..n-1, got {k!r}")
-    if h1 <= 0:
-        raise ValueError("center distance must be positive")
+    _check_lengths(h1)
     return 2.0 * guarded_acosh(math.cosh(h1) * math.sin(k * math.pi / n))
 
 
@@ -100,8 +130,7 @@ def diagonal_mixed_type(h1: float, h2: float, k: float, n: int) -> float:
         raise ValueError(f"need n >= 3, got n={n}")
     if k != int(k) or int(k) % 2 == 0 or not 3 <= k <= 2 * n - 3:
         raise ValueError(f"slot count k must be odd in 3..2n-3, got {k!r}")
-    if h1 <= 0 or h2 <= 0:
-        raise ValueError("center distances must be positive")
+    _check_lengths(h1, h2)
     arg = (math.sinh(h1) * math.sinh(h2)
            - math.cosh(h1) * math.cosh(h2) * math.cos(k * math.pi / n))
     return 2.0 * guarded_acosh(arg)
@@ -115,8 +144,7 @@ def semiregular_partner(l1: float, n: int) -> float:
     """
     if n < 3:
         raise ValueError(f"a right-angled polygon needs 2n >= 6 sides, got n={n}")
-    if l1 <= 0:
-        raise ValueError("side length must be positive")
+    _check_lengths(l1)
     return 2.0 * math.asinh(math.cos(math.pi / n) / math.sinh(l1 / 2.0))
 
 
@@ -126,6 +154,5 @@ def equilateral_angle(x: float) -> float:
     Strictly decreasing from pi/3 (Euclidean limit) to 0, equal to
     2*arcsin(1 / (2 cosh(x/2))).
     """
-    if x <= 0:
-        raise ValueError("side length must be positive")
+    _check_lengths(x)
     return 2.0 * math.asin(1.0 / (2.0 * math.cosh(x / 2.0)))

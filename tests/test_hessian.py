@@ -1,7 +1,6 @@
 """Second-variation formulas against the finite-difference channel.
 
-Every closed form here was frozen only after ``fd_oracle`` (and the
-standalone Richardson measurements for the kinematic rates) agreed with
+Every closed form here was frozen only after ``fd_oracle`` agreed with
 it; the sweeps below re-run a smaller version of that certification on
 every test run.
 """
@@ -27,12 +26,8 @@ from systolica.halfplane import (
     HPoint,
     HTangent,
     geodesic_from_direction,
-    geodesic_through,
-    intersection_point,
-    oriented_angle,
     rotate_tangent,
     translate_along,
-    unit_toward,
 )
 from systolica.hessian import (
     ChordConfig,
@@ -49,7 +44,6 @@ from systolica.hessian import (
     scene_from_json,
     scene_length,
     scene_to_json,
-    shear_kinematics,
 )
 
 # The closed chord-length-2 endpoint Hessian at d = arccosh(2), i.e.
@@ -119,6 +113,14 @@ class TestConfigValidation:
     def test_rejects_nonfinite_weight(self):
         with pytest.raises(ValueError):
             TransverseWeights((math.nan,))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["u_perp", "u_par", "v_perp", "v_par"])
+    def test_rejects_nonfinite_endpoint_component(self, field, value):
+        # unchecked, it reaches hessian_split as a NaN form and fd_oracle
+        # as a chord that leaves the float half-plane
+        with pytest.raises(ValueError, match=field):
+            EndpointVariation(**{field: value})
 
     def test_weight_count_must_match(self):
         with pytest.raises(ValueError):
@@ -283,82 +285,6 @@ class TestMargins:
         assert rep.eps_p == 1e-3
 
 
-class TestKinematics:
-    def test_rotation_rate_anchor(self):
-        cfg = ChordConfig(2.0, s=(0.5, 1.0), theta=(1.0, math.pi / 2))
-        rates = shear_kinematics(cfg, 1, 0)
-        assert rates.rho_prime == pytest.approx(0.4254590641196607, abs=1e-14)
-
-    def test_slide_rate_anchor(self):
-        cfg = ChordConfig(2.0, s=(0.5, 1.0), theta=(math.pi / 2, math.pi / 2))
-        rates = shear_kinematics(cfg, 1, 0)
-        assert rates.f_prime == pytest.approx(0.22170472099251845, abs=1e-14)
-
-    def test_rotation_rate_limit_near_q(self):
-        cfg = ChordConfig(2.0, s=(0.4, 2.0 - 1e-7), theta=(1.0, math.pi / 2))
-        rates = shear_kinematics(cfg, 1, 0)
-        assert rates.rho_prime == pytest.approx(1.0 / math.sinh(2.0), rel=1e-9)
-
-    def test_frozen_reference_rates(self):
-        rates = shear_kinematics(REF_CFG, 1, 0)
-        assert rates.rho_prime == pytest.approx(0.18455742368906006, abs=1e-14)
-        assert rates.f_prime == pytest.approx(0.15709279337006743, abs=1e-14)
-        assert rates.dcos_theta == pytest.approx(0.20644886046988808, abs=1e-14)
-
-    def test_watched_leaf_must_precede_sheared_leaf(self):
-        with pytest.raises(ValueError):
-            shear_kinematics(REF_CFG, 0, 1)
-        with pytest.raises(ValueError):
-            shear_kinematics(REF_CFG, 1, 1)
-        with pytest.raises(ValueError):
-            shear_kinematics(REF_CFG, 2, 0)
-
-    def test_rates_against_moving_chord_measurement(self):
-        rng = random.Random(909)
-        worst = 0.0
-        for _ in range(8):
-            cfg = random_config(rng, max_n=4, min_n=2)
-            h_idx = rng.randint(1, cfg.n - 1)
-            l_idx = rng.randint(0, h_idx - 1)
-            worst = max(worst, self._measured_gap(cfg, h_idx, l_idx))
-        assert worst < 1e-6
-
-    @staticmethod
-    def _measured_gap(cfg, h_idx, l_idx):
-        p = HPoint(0.0, 1.0)
-        q = HPoint(0.0, math.exp(cfg.length))
-        leaves = []
-        for s, theta in zip(cfg.s.tolist(), cfg.theta.tolist()):
-            base = HPoint(0.0, math.exp(s))
-            up = HTangent(base, 0.0, base.y)
-            leaves.append(geodesic_from_direction(base, rotate_tangent(up, theta)))
-        leaf_h, leaf_l = leaves[h_idx], leaves[l_idx]
-
-        def state(t):
-            qt = translate_along(leaf_h, t).apply(q)
-            chord = geodesic_through(p, qt)
-            x = intersection_point(chord, leaf_l)
-            ang_p = oriented_angle(HTangent(p, 0.0, 1.0), unit_toward(p, qt))
-            slide = leaf_l.param_of(x)
-            cos_th = math.cos(oriented_angle(
-                chord.tangent_at(chord.param_of(x)),
-                leaf_l.tangent_at(slide)))
-            return ang_p, slide, cos_th
-
-        # Intersection-point noise swamps small steps, so the measurement
-        # uses a coarse pair of steps and Richardson extrapolation.
-        def rate(idx, h=4e-3):
-            def central(hh):
-                plus, minus = state(hh), state(-hh)
-                return (plus[idx] - minus[idx]) / (2.0 * hh)
-            return (4.0 * central(h) - central(2.0 * h)) / 3.0
-
-        rates = shear_kinematics(cfg, h_idx, l_idx)
-        return max(abs(rate(0) - rates.rho_prime),
-                   abs(rate(1) - rates.f_prime),
-                   abs(rate(2) - rates.dcos_theta))
-
-
 class TestSceneOracle:
     def test_rejects_mismatched_length(self):
         scene = random_scene(random.Random(3), min_n=1)
@@ -492,21 +418,20 @@ def _scene_with(**fields):
     (scene_from_json, _scene_with(crossings=[{"s": [0.7], "theta": [1.1]},
                                              {"s": [1.4], "theta": [0.6]}])),
     (scene_from_json, _scene_with(endpoint=[])),
+    (scene_from_json, _scene_with(endpoint={"u_prep": 0.3})),  # a typo
+    (scene_from_json, _scene_with(endpoint={"v_par": math.inf})),
     (scene_from_json, _scene_with(weights=5)),
     (scene_from_json, _scene_with(chord_length=None)),
     (scene_from_json, 5),
     (polygon_from_json, 5),
     (polygon_from_json, {"sides": [1.0] * 5, "n": None}),
+    (polygon_from_json, {"sides": [1.0] * 6, "n": 6.7}),
+    (polygon_from_json, {"sides": [1.0] * 6, "n": "6"}),
     (polygon_from_json, {"sides": [1.0] * 5, "coords": 5}),
 ])
 def test_json_readers_raise_value_error_on_malformed_input(reader, data):
     with pytest.raises(ValueError):
         reader(data)
-
-
-def test_every_export_resolves():
-    for name in hessian.__all__:
-        getattr(hessian, name)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +598,6 @@ class TestLongChords:
         weights = TransverseWeights((0.5, -0.5))
         for kernel in (lambda: hessian_form(cfg, weights),
                        lambda: hessian_split(cfg, weights),
-                       lambda: shear_kinematics(cfg, 1, 0),
                        lambda: hessian_matrix(cfg)):
             with pytest.raises(DegenerateConfigurationError):
                 kernel()
@@ -698,13 +622,14 @@ class TestLongChords:
     def test_longest_chord_is_accepted(self):
         longest = hessian.MAX_CHORD_LENGTH
         assert math.isfinite(math.sinh(longest))
+        weights = TransverseWeights((1.0, 1.0))
         cfg = ChordConfig(longest, s=(1.0, 2.0), theta=(1.0, 2.0))
-        rates = shear_kinematics(cfg, 1, 0)
-        assert math.isfinite(rates.rho_prime) and rates.rho_prime > 0
+        shear2, _, _ = hessian_split(cfg, weights)
+        assert math.isfinite(shear2) and shear2 > 0
         beyond = ChordConfig(math.nextafter(longest, math.inf), s=(1.0, 2.0),
                              theta=(1.0, 2.0))
         with pytest.raises(DegenerateConfigurationError):
-            shear_kinematics(beyond, 1, 0)
+            hessian_split(beyond, weights)
 
 
 # ---------------------------------------------------------------------------

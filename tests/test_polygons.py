@@ -18,11 +18,12 @@ from mpmath import mp, mpf
 
 from systolica.errors import DegenerateConfigurationError, NoPolygonError
 from systolica.halfplane import (
+    HIsometry,
     HPoint,
     HTangent,
     dist,
-    exp_point,
-    rotate_about,
+    geodesic_from_direction,
+    norm,
 )
 from systolica.polygons import (
     BoundaryFunctional,
@@ -36,7 +37,7 @@ from systolica.polygons import (
     sides_from_pentagon_coords,
     tangent_u,
 )
-from systolica.trig import semiregular_partner
+from systolica.trig import pentagon_perpendicular, pentagon_side, semiregular_partner
 
 EPS = np.finfo(float).eps
 
@@ -97,6 +98,21 @@ class TestPentagonChart:
             sides_from_pentagon_coords([1.0])
         with pytest.raises(ValueError):
             sides_from_pentagon_coords([1.0, -0.5, 1.0])
+
+    @pytest.mark.parametrize("build, args", [
+        (sides_from_pentagon_coords, ([800.0, 1.0, 1.0],)),
+        (sides_from_pentagon_coords, ([1.0, 1.0, 800.0],)),
+        (sides_from_pentagon_coords, ([800.0, 1.0],)),
+        (pentagon_perpendicular, (800.0, 1.0)),
+        (pentagon_side, (800.0, 1.0)),
+        (pentagon_side, (1.0, 800.0)),
+        (pentagon_side, (700.0, 1e-300)),  # the quotient overflows
+        (realize, ([800.0] * 6,)),
+        (realize, ([3000.0] * 6,)),  # e^{-l/4} underflows to zero
+    ])
+    def test_input_beyond_the_float_range_fails_typed(self, build, args):
+        with pytest.raises(DegenerateConfigurationError):
+            build(*args)
 
     def test_realize_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
@@ -204,8 +220,9 @@ class TestChainDifferentials:
             var = [HTangent(q, 0.0, 0.0) for q in pts]
             var[j] = w
             pp, pm = list(pts), list(pts)
-            pp[j] = exp_point(w, eps)
-            pm[j] = exp_point(w, -eps)
+            g = geodesic_from_direction(pts[j], w)
+            pp[j] = g.point_at(eps * norm(w))
+            pm[j] = g.point_at(-eps * norm(w))
             cdp = ChainDifferentials(pp)
             cdm = ChainDifferentials(pm)
             for i in range(m):
@@ -298,10 +315,11 @@ class TestRegularChains:
 
     @staticmethod
     def ring(m, radius):
-        center = HPoint(0.0, 1.0)
+        # the rotation about i by 2a is [[cos a, sin a], [-sin a, cos a]]
         top = HPoint(0.0, math.exp(radius))
-        return [rotate_about(center, 2 * math.pi * k / m).apply(top)
-                for k in range(m)]
+        halves = [math.pi * k / m for k in range(m)]
+        return [HIsometry(math.cos(a), math.sin(a), -math.sin(a), math.cos(a)).apply(top)
+                for a in halves]
 
     def test_side_and_angle_match_the_closed_forms(self):
         for m, r in [(3, 1.0), (5, 1.3), (7, 0.6)]:
@@ -395,8 +413,9 @@ class TestBoundaryFunctional:
             boundary_functional([], 1.0)
         with pytest.raises(ValueError):
             boundary_functional([2], 1.0)
-        with pytest.raises(ValueError):
-            boundary_functional([3], 0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                boundary_functional([3, 4], bad)
 
 
 @settings(max_examples=50, deadline=None)
@@ -514,3 +533,72 @@ def test_all_ones_chain_round_trip_at_even_n(n):
     budget = max(b for _, b in walk_budgets(poly.sides))
     assert poly.closure_defect <= budget
     assert pentagon_coords(poly) == pytest.approx(coords, abs=budget)
+
+
+# --------------------------------------------------------------------------
+# the pentagon chain against a 60-digit assembly
+
+# One pentagon_side rounds cosh and sinh (an ulp each), their quotient
+# (half an ulp) and asinh (an ulp), and asinh(r) has relative condition
+# r / (sqrt(1 + r^2) asinh r) <= 1: 3.5 eps relative, 4 eps with margin.
+CHAIN_U = 4 * EPS
+
+
+def mp_chain(coords):
+    """(sides, budgets): the chart's sides at 60 digits, and for each a
+    first-order bound on the relative error of the float assembly.
+
+    The bound follows the float chain's data flow.  Each z = P(x, y) =
+    asinh(cosh x / sinh y) adds CHAIN_U z of its own to what it inherits
+    through dz/dx = tanh x tanh z and dz/dy = -tanh z / tanh y, and each
+    sum adds half an ulp per addition.  The values of the pieces of side
+    1 come from the relation cosh c = coth h_k coth h_{k+1}, not from P."""
+    n = len(coords) + 3
+    with mp.workdps(60):
+        def side(x, y):  # (value, error bound) pairs in and out
+            (x, ex), (y, ey) = x, y
+            z = mp.asinh(mp.cosh(x) / mp.sinh(y))
+            return z, CHAIN_U * z + mp.tanh(z) * (mp.tanh(x) * ex + ey / mp.tanh(y))
+
+        def total(*terms):
+            v = sum(t[0] for t in terms)
+            return v, sum(t[1] for t in terms) + (len(terms) - 1) * EPS / 2 * v
+
+        c = [(mpf(x), mpf(0)) for x in coords]
+        if n == 5:
+            # l1 = acosh(s), s = sinh l3 sinh l4 rounded by 2.5 eps
+            s = mp.sinh(c[0][0]) * mp.sinh(c[1][0])
+            l1 = (mp.acosh(s), CHAIN_U * (mp.acosh(s) + s / mp.sqrt(s * s - 1)))
+            sides = [l1, side(c[1], l1), c[0], c[1], side(c[0], l1)]
+        else:
+            h = [side(c[1], c[0]), *c[1:-1], side(c[-2], c[-1])]
+            tails = [c[0]] + [side(h[k + 1], h[k]) for k in range(1, n - 4)]
+            heads = [side(h[k], h[k + 1]) for k in range(n - 5)] + [c[-1]]
+            pieces = [(mp.acosh(1 / (mp.tanh(h[k][0]) * mp.tanh(h[k + 1][0]))),
+                       side(t, h[k + 1])[1]) for k, t in enumerate(tails)]
+            sides = [total(*pieces), h[0], tails[0],
+                     *(total(a, b) for a, b in zip(heads, tails[1:])),
+                     heads[-1], h[-1]]
+        return [float(v) for v, _ in sides], [float(e / v) for v, e in sides]
+
+
+@pytest.mark.parametrize("n", range(5, 25))
+def test_chain_tracks_the_60_digit_assembly(n):
+    # Random coordinates across (0.05, 6), then the pair (12, 12.5) at
+    # the start, the middle and the end of the chain, where the side-1
+    # piece between them is about 1e-5: acosh(1/(tanh tanh)) lost 2e-7
+    # relative there.
+    rng = random.Random(600 + n)
+    chains = []
+    while len(chains) < 8:
+        coords = [rng.uniform(0.05, 6.0) for _ in range(n - 3)]
+        if n > 5 or math.sinh(coords[0]) * math.sinh(coords[1]) > 1.01:
+            chains.append(coords)
+    for j in sorted({0, (n - 5) // 2, n - 5}):
+        chains.append([1.0] * j + [12.0, 12.5] + [1.0] * (n - 5 - j))
+    for coords in chains:
+        got = sides_from_pentagon_coords(coords).sides
+        want, budgets = mp_chain(coords)
+        for k, (g, w, b) in enumerate(zip(got, want, budgets), start=1):
+            assert abs(g - w) <= b * w, (
+                f"side {k} of {coords}: error {abs(g - w) / w:.3g} > {b:.3g}")

@@ -1,0 +1,91 @@
+"""The public surface of each module, pinned.
+
+Adding or deleting a public name means editing these lists in the same
+change, so the API grows only by decision and a deletion cannot leave a
+dangling export behind.
+"""
+
+import inspect
+
+import pytest
+
+from systolica import errors, halfplane, hessian, polygons, trig
+
+PUBLIC = {
+    errors: {
+        "DegenerateConfigurationError", "DegenerateMarginError",
+        "InconsistentSceneError", "NoPentagonError", "NoPerpendicularError",
+        "NoPolygonError", "SystolicaError",
+    },
+    trig: {
+        "ACOSH_SLACK", "ACOSH_TOUCH", "diagonal_mixed_type",
+        "diagonal_same_type", "equilateral_angle", "guarded_acosh",
+        "pentagon_perpendicular", "pentagon_side", "semiregular_partner",
+        "trirectangle_center",
+    },
+    halfplane: {
+        "ASYMPTOTIC_EPS", "CommonPerpendicular", "HGeodesic", "HIsometry",
+        "HPoint", "HTangent", "YMIN", "circle_geodesic",
+        "common_perpendicular", "dist", "dist_to_geodesic",
+        "geodesic_from_direction", "geodesic_through", "inner",
+        "intersection_point", "norm", "oriented_angle", "rotate_quarter",
+        "rotate_tangent", "translate_along", "unit_toward",
+        "vertical_geodesic",
+    },
+    polygons: {
+        "BoundaryFunctional", "COORDS_RTOL", "ChainDifferentials",
+        "MarkedRightPolygon", "boundary_functional", "pentagon_coords",
+        "polygon_from_json", "polygon_to_json", "proportionality_check",
+        "realize", "sides_from_pentagon_coords", "tangent_u",
+    },
+    hessian: {
+        "ChordConfig", "ENDPOINT_FIELDS", "EndpointVariation", "FD_STEP",
+        "HalfplaneScene", "MAX_CHORD_LENGTH", "MarginReport", "SCENE_FIELDS",
+        "TransverseWeights", "ZERO_ENDPOINTS", "fd_oracle",
+        "first_derivatives", "hessian_form", "hessian_margin",
+        "hessian_matrix", "hessian_split", "realize_scene", "scene_from_json",
+        "scene_length", "scene_to_json",
+    },
+}
+
+# public methods and properties each class defines itself
+METHODS = {
+    halfplane.HPoint: {"z"},
+    halfplane.HTangent: {"scaled", "w"},
+    halfplane.HIsometry: {"apply", "identity", "inverse", "push"},
+    halfplane.HGeodesic: {"endpoints", "param_of", "point_at", "tangent_at"},
+    halfplane.CommonPerpendicular: set(),
+    polygons.MarkedRightPolygon: {"n", "side_geodesic"},
+    polygons.ChainDifferentials: {
+        "angle_indices", "d_length", "d_theta", "length", "length_matrix",
+        "length_rank", "segment_indices", "theta",
+    },
+    hessian.ChordConfig: {"n"},
+}
+
+
+def public_names(module):
+    """Names the module defines itself, not the ones it imports."""
+    return {name for name, value in vars(module).items()
+            if not name.startswith("_") and not inspect.ismodule(value)
+            and getattr(value, "__module__", module.__name__) == module.__name__}
+
+
+@pytest.mark.parametrize("module", list(PUBLIC), ids=lambda m: m.__name__)
+def test_public_names_are_the_listed_ones(module):
+    assert public_names(module) == PUBLIC[module]
+
+
+def test_every_hessian_export_resolves():
+    for name in hessian.__all__:
+        getattr(hessian, name)
+    assert set(hessian.__all__) <= PUBLIC[hessian]
+
+
+@pytest.mark.parametrize("cls", list(METHODS), ids=lambda c: c.__name__)
+def test_public_methods_are_the_listed_ones(cls):
+    own = {name for name, value in vars(cls).items()
+           if not name.startswith("_")
+           and (inspect.isfunction(value)
+                or isinstance(value, (property, classmethod, staticmethod)))}
+    assert own == METHODS[cls]

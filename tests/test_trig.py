@@ -34,6 +34,7 @@ from systolica.trig import (
     equilateral_angle,
     guarded_acosh,
     pentagon_perpendicular,
+    pentagon_side,
     semiregular_partner,
     trirectangle_center,
 )
@@ -68,6 +69,23 @@ class TestPentagonPerpendicular:
             want = common_perpendicular(g_e, g_c).length
             assert pentagon_perpendicular(a, b) == pytest.approx(want, abs=1e-11)
 
+    def test_pentagon_side_solves_every_relation_of_the_walked_pentagon(self):
+        # The walked pentagon has the cyclic sides (a, b, c, d, e): the
+        # corner (e, a) sits at i, c runs from the end of b to the foot of
+        # the perpendicular d, and e from that foot on the vertical to i.
+        # Each side's two opposite sides are the next two but one, and
+        # pentagon_side(x, y) returns the one of them next to y.
+        for a, b in [(0.8, 1.5), (1.2, 1.2), (2.5, 0.5), (0.95, 0.95)]:
+            g_e, g_c = self._figure(a, b)
+            cp = common_perpendicular(g_e, g_c)
+            corner = g_c.point_at(0.0)  # where c leaves the end of b
+            sides = (a, b, dist(corner, cp.foot_second), cp.length,
+                     dist(HPoint(0.0, 1.0), cp.foot_first))
+            for k, x in enumerate(sides):
+                y, z = sides[(k + 2) % 5], sides[(k + 3) % 5]
+                assert pentagon_side(x, y) == pytest.approx(z, rel=1e-10)
+                assert pentagon_side(x, z) == pytest.approx(y, rel=1e-10)
+
     def test_too_small_sides_leave_no_pentagon(self):
         # sinh(0.5)^2 < 1: the would-be opposite sides cross instead
         g_e, g_c = self._figure(0.5, 0.5)
@@ -80,11 +98,11 @@ class TestPentagonPerpendicular:
         s = PENTAGON_SELF_DUAL
         assert pentagon_perpendicular(s, s) == pytest.approx(s, abs=1e-14)
 
-    def test_rejects_nonpositive_sides(self):
-        with pytest.raises(ValueError):
-            pentagon_perpendicular(0.0, 1.0)
-        with pytest.raises(ValueError):
-            pentagon_perpendicular(1.0, -2.0)
+    @pytest.mark.parametrize("f", [pentagon_perpendicular, pentagon_side])
+    def test_rejects_nonpositive_sides(self, f):
+        for a, b in [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)]:
+            with pytest.raises(ValueError):
+                f(a, b)
 
 
 class TestSemiRegularPolygonFigures:
@@ -185,6 +203,19 @@ def test_argument_validation():
         semiregular_partner(-1.0, 4)
     with pytest.raises(ValueError):
         equilateral_angle(0.0)
+    for bad in (math.nan, math.inf):
+        for call in (lambda: pentagon_perpendicular(bad, 1.0),
+                     lambda: pentagon_perpendicular(1.0, bad),
+                     lambda: pentagon_side(bad, 1.0),
+                     lambda: pentagon_side(1.0, bad),
+                     lambda: trirectangle_center(bad, 4),
+                     lambda: diagonal_same_type(bad, 2, 5),
+                     lambda: diagonal_mixed_type(bad, 1.0, 3, 5),
+                     lambda: diagonal_mixed_type(1.0, bad, 3, 5),
+                     lambda: semiregular_partner(bad, 4),
+                     lambda: equilateral_angle(bad)):
+            with pytest.raises(ValueError):
+                call()
 
 
 # ---------------------------------------------------------------------------
