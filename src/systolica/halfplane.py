@@ -66,9 +66,6 @@ class HTangent:
     def w(self):
         return complex(self.dx, self.dy)
 
-    def scaled(self, a):
-        return HTangent(self.base, a * self.dx, a * self.dy)
-
     def __repr__(self):
         return f"HTangent({self.base!r}, {self.dx!r}, {self.dy!r})"
 
@@ -248,10 +245,17 @@ def circle_geodesic(c, r, rightward=True):
     return HGeodesic(HIsometry(c - r, -c - r, 1.0, -1.0))
 
 
+def _disk(zp, zq):
+    """(zq - zp)/(zq - conj zp): zq in the disk model centred at zp, whose
+    argument is the direction from zp to zq turned clockwise by pi/2 and
+    whose modulus is tanh of half their distance.  The arguments may be
+    complex numbers or numpy arrays of them."""
+    return (zq - zp) / (zq - zp.conjugate())
+
+
 def _toward(p, q):
-    """(q - p)/(q - conj p): q in the disk model centred at p, whose
-    argument is the direction from p to q turned clockwise by pi/2."""
-    zeta = (q.z - p.z) / (q.z - p.z.conjugate())
+    """``_disk`` of two points, refusing coincident ones."""
+    zeta = _disk(p.z, q.z)
     if zeta == 0:
         raise DegenerateConfigurationError("geodesic through coincident points")
     return zeta

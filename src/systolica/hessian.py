@@ -703,8 +703,12 @@ def scene_to_json(cfg: ChordConfig, weights: TransverseWeights,
 def scene_from_json(data: dict) -> tuple[ChordConfig, TransverseWeights, EndpointVariation]:
     """Rebuild (config, weights, endpoint variation) from a scene dict.
 
-    Malformed input, an unknown ``endpoint`` key too, raises ValueError;
-    the finite-difference oracle layers its own checks on top of this.
+    Malformed input raises ValueError: an unknown ``endpoint`` key too,
+    and a ``chord_length`` or endpoint component that is not a JSON
+    number, an int or a float (a bool, a numeric string or a numpy
+    scalar is not).  The crossing and
+    weight arrays are converted by numpy without a per-value type check.
+    The finite-difference oracle layers its own checks on top of this.
     """
     if not isinstance(data, dict):
         raise ValueError("a scene must be a JSON object")
@@ -714,6 +718,9 @@ def scene_from_json(data: dict) -> tuple[ChordConfig, TransverseWeights, Endpoin
     ep = data["endpoint"]
     if not isinstance(ep, dict):
         raise ValueError("scene 'endpoint' must be a JSON object")
+    for field, v in (("chord_length", data["chord_length"]), *ep.items()):
+        if type(v) not in (int, float):
+            raise ValueError(f"scene field {field!r} must be a JSON number, got {v!r}")
     try:
         # one pass over the crossings; np.empty keeps the (n, 2) shape at n = 0
         pairs = list(map(itemgetter("s", "theta"), data["crossings"]))

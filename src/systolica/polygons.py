@@ -28,18 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateConfigurationError, NoPentagonError, NoPolygonError
-from .halfplane import (
-    HGeodesic,
-    HIsometry,
-    HPoint,
-    HTangent,
-    common_perpendicular,
-    dist,
-    inner,
-    oriented_angle,
-    rotate_quarter,
-    unit_toward,
-)
+from .halfplane import HGeodesic, HIsometry, HPoint, _disk, common_perpendicular, dist
 from .trig import pentagon_perpendicular, pentagon_side, semiregular_partner
 
 
@@ -197,14 +186,17 @@ def tangent_u(poly: MarkedRightPolygon, i: int) -> np.ndarray:
     n = poly.n
     if not 1 <= i <= n:
         raise ValueError(f"side index {i} out of range 1..{n}")
-    li = poly.sides[i - 1]
-    lj = poly.sides[i % n]  # side i+1, cyclic
     v = np.zeros(n)
-    v[(i - 2) % n] = -math.tanh(lj) / math.sinh(li)
     v[i - 1] = 1.0
-    v[i % n] = -math.tanh(lj) / math.tanh(li)
-    v[(i + 1) % n] = 1.0 / math.cosh(lj)
+    v[[(i - 2) % n, i % n, (i + 1) % n]] = _tangent_entries(poly.sides[i - 1],
+                                                             poly.sides[i % n])
     return v
+
+
+def _tangent_entries(li, lj):
+    """``tangent_u``'s entries at sides i-1, i+1 and i+2 from l_i and
+    l_{i+1}, which may be floats or numpy arrays."""
+    return -np.tanh(lj) / np.sinh(li), -np.tanh(lj) / np.tanh(li), 1.0 / np.cosh(lj)
 
 
 # --------------------------------------------------------------------------
@@ -212,121 +204,85 @@ def tangent_u(poly: MarkedRightPolygon, i: int) -> np.ndarray:
 
 
 class ChainDifferentials:
-    """First-order behaviour of segment lengths and vertex angles of a
-    polygonal chain under independent motions of its vertices.
+    """First-order behaviour of the segment lengths and vertex angles of a
+    polygonal chain x_0, ..., x_{m-1} under independent motions of its
+    vertices.
 
-    Conventions: at an interior vertex x_i, U_i points away from x_{i-1}
-    and V_i points away from x_{i+1}; theta_i is the counterclockwise
-    angle from V_i to U_i in (0, 2*pi), which is the interior angle when
-    the chain runs counterclockwise.  U_i^perp rotates U_i by +pi/2 and
-    V_i^perp rotates V_i by -pi/2.
+    Segment r runs from x_r to x_{r+1}: a closed chain has m segments,
+    the last one back to x_0, an open chain m - 1.  At a vertex x_k, U_k
+    is the unit vector pointing away from x_{k-1} and V_k the one
+    pointing away from x_{k+1}; theta_k is the counterclockwise angle
+    from V_k to U_k in (0, 2*pi), the interior angle when the chain runs
+    counterclockwise.  Every vertex of a closed chain has an angle, and
+    row k of ``angles`` and ``angle_matrix`` is vertex k; the two ends of
+    an open chain have none, and row r is vertex r + 1.
 
-    A variation is one tangent vector per vertex.  For a closed chain all
-    indices are cyclic; for an open chain the first and last vertices
-    carry lengths only on one side and no angle.
+    A variation moves each vertex by a tangent vector, written in the
+    orthonormal frame (y, 0), (0, y) at the vertex.  Both matrices have
+    one column pair (2k, 2k+1) per vertex k, holding the differential of
+    their row's length or angle against that vertex's two components.
+
+    The constructor does the geometry once: ``lengths`` (read-only, one
+    per segment, from ``halfplane.dist``) and, as complex components in
+    those frames, V at each segment's start and U at its end.  The unit
+    vector at z_k pointing away from z_o is -i zeta/|zeta| with
+    zeta = ``halfplane._disk(z_k, z_o)``, so all of them come from one
+    complex-array pass, and each method is O(1) numpy calls on them.
     """
 
     def __init__(self, points: Sequence[HPoint], closed: bool = True):
-        self.points = list(points)
-        self.closed = closed
-        m = len(self.points)
+        self.points = tuple(points)
+        m = self.m = len(self.points)
         if m < 3:
             raise ValueError("a chain needs at least 3 vertices")
-        self.m = m
-        for a, b in zip(self.points, self.points[1:]):
-            if dist(a, b) < 1e-9:
-                raise DegenerateConfigurationError("chain has a collapsed segment")
-        if closed and dist(self.points[-1], self.points[0]) < 1e-9:
-            raise DegenerateConfigurationError("closed chain repeats its start")
-
-    # -- index helpers ----------------------------------------------------
-    def _next(self, i: int) -> int:
-        return (i + 1) % self.m if self.closed else i + 1
-
-    def _prev(self, i: int) -> int:
-        return (i - 1) % self.m if self.closed else i - 1
-
-    def segment_indices(self) -> range:
-        return range(self.m) if self.closed else range(self.m - 1)
-
-    def angle_indices(self) -> range:
-        return range(self.m) if self.closed else range(1, self.m - 1)
-
-    # -- geometry ---------------------------------------------------------
-    def length(self, i: int) -> float:
-        return dist(self.points[i], self.points[self._next(i)])
-
-    def _u_vec(self, i: int) -> HTangent:
-        e = unit_toward(self.points[i], self.points[self._prev(i)])
-        return e.scaled(-1.0)
-
-    def _v_vec(self, i: int) -> HTangent:
-        e = unit_toward(self.points[i], self.points[self._next(i)])
-        return e.scaled(-1.0)
-
-    def theta(self, i: int) -> float:
-        """Oriented vertex angle in (0, 2*pi), ccw from V_i to U_i."""
-        a = oriented_angle(self._v_vec(i), self._u_vec(i))
-        return a if a > 0 else a + 2.0 * math.pi
-
-    # -- differentials ----------------------------------------------------
-    def d_length(self, i: int, variation: Sequence[HTangent]) -> float:
-        """Derivative of the length of segment (x_i, x_{i+1})."""
-        j = self._next(i)
-        return (inner(variation[i], self._v_vec(i))
-                + inner(variation[j], self._u_vec(j)))
-
-    def d_theta(self, i: int, variation: Sequence[HTangent]) -> float:
-        """Derivative of the vertex angle at x_i.
-
-        Own-vertex terms carry coth of the adjacent lengths against the
-        rotated frame; each neighbour contributes through 1/sinh of the
-        shared segment with the opposite sign.
-        """
-        ip, iq = self._prev(i), self._next(i)
-        l_prev = self.length(ip)
-        l_next = self.length(i)
-        u_perp = rotate_quarter(self._u_vec(i))
-        v_perp = rotate_quarter(self._v_vec(i)).scaled(-1.0)
-        val = (inner(variation[i], u_perp) / math.tanh(l_prev)
-               + inner(variation[i], v_perp) / math.tanh(l_next))
-        vp_prev = rotate_quarter(self._v_vec(ip)).scaled(-1.0)
-        up_next = rotate_quarter(self._u_vec(iq))
-        val -= inner(variation[ip], vp_prev) / math.sinh(l_prev)
-        val -= inner(variation[iq], up_next) / math.sinh(l_next)
-        return val
-
-    def length_matrix(self) -> np.ndarray:
-        """The d(length) functionals against an orthonormal frame at
-        each vertex: one row per segment, columns (2k, 2k+1) for vertex
-        k.  Row i is ``d_length(i, .)``, so its only nonzeros are V_i
-        against the frame at x_i and U_{i+1} against the frame at
-        x_{i+1}.
-
-        In the frame (y, 0), (0, y) at z_k, the unit vector at z_k
-        pointing away from z_other has the components of -i zeta/|zeta|,
-        with zeta = (z_other - z_k)/(z_other - conj(z_k)), the direction
-        ``unit_toward`` reads.  Both blocks of all rows come from one
-        complex-array pass over the segments, O(1) numpy calls.
-
-        Raises
-        ------
-        DegenerateConfigurationError
-            If a segment's end points coincide (zeta = 0).
-        """
-        rows = np.arange(len(self.segment_indices()))
-        nxt = (rows + 1) % self.m
+        ends = self.points[1:] + self.points[:1] if closed else self.points[1:]
+        lengths = [dist(p, q) for p, q in zip(self.points, ends)]
+        if min(lengths) < 1e-9:
+            raise DegenerateConfigurationError(
+                f"segment {lengths.index(min(lengths))} of the chain is collapsed")
+        self.lengths = np.array(lengths)
+        self.lengths.flags.writeable = False
+        seg = np.arange(len(lengths))
+        self._ends = seg, (seg + 1) % m  # each segment's first and last vertex
         z = np.array([p.z for p in self.points])
+        zs, ze = z[:len(lengths)], z[self._ends[1]]
+        self._v, self._u = (-1j * zeta / np.abs(zeta)
+                            for zeta in (_disk(zs, ze), _disk(ze, zs)))
+        # the segments into and out of each vertex that has an angle
+        self._into, self._out = ((seg - 1) % m, seg) if closed else (seg[:-1], seg[1:])
+
+    def _matrix(self, *blocks) -> np.ndarray:
+        """One row per block entry; block (k, w) puts w's components at
+        vertex k's column pair."""
+        rows = np.arange(len(blocks[0][1]))
         mat = np.zeros((len(rows), 2 * self.m))
-        for k, other in ((rows, nxt), (nxt, rows)):
-            zeta = (z[other] - z[k]) / (z[other] - z[k].conj())
-            if not zeta.all():
-                raise DegenerateConfigurationError(
-                    f"segment {int((zeta == 0).argmax())} has coincident ends")
-            w = -1j * zeta / np.abs(zeta)
+        for k, w in blocks:
             mat[rows, 2 * k] = w.real
             mat[rows, 2 * k + 1] = w.imag
         return mat
+
+    def angles(self) -> np.ndarray:
+        """The vertex angles theta in (0, 2*pi)."""
+        a = np.angle(self._u[self._into] * self._v[self._out].conj())
+        return np.where(a > 0.0, a, a + 2.0 * math.pi)
+
+    def length_matrix(self) -> np.ndarray:
+        """The d(length) rows, one per segment: V at the segment's start
+        and U at its end are its only nonzeros."""
+        start, end = self._ends
+        return self._matrix((start, self._v), (end, self._u))
+
+    def angle_matrix(self) -> np.ndarray:
+        """The d(theta) rows.  With l_prev and l_next the lengths of the
+        segments into and out of x_k, the row of theta_k has the blocks
+        i(U_k/tanh l_prev - V_k/tanh l_next) at x_k, i V_{k-1}/sinh l_prev
+        at x_{k-1} and -i U_{k+1}/sinh l_next at x_{k+1}."""
+        into, out = self._into, self._out
+        l_in, l_out = self.lengths[into], self.lengths[out]
+        return self._matrix(
+            (into, 1j * self._v[into] / np.sinh(l_in)),
+            (out, 1j * (self._u[into] / np.tanh(l_in) - self._v[out] / np.tanh(l_out))),
+            ((out + 1) % self.m, -1j * self._u[out] / np.sinh(l_out)))
 
     def length_rank(self) -> tuple[int, float]:
         """Rank data of the full set of length differentials:
@@ -357,24 +313,22 @@ def proportionality_check(poly: MarkedRightPolygon) -> float:
     alternating locus.
 
     On a semi-regular right-angled 2m-gon the weighted sums
-    (1+cosh l1)/sinh l1 * sum(d l_odd) + (1+cosh l2)/sinh l2 * sum(d l_even)
-    cancel on the whole tangent space of the moduli space.  Returns the
-    largest absolute value over the basis vectors tangent_u(poly, i); a
-    genuine alternating polygon stays below 1e-8.
+    coth(l1/2) sum(d l_odd) + coth(l2/2) sum(d l_even), where
+    coth(l/2) = (1 + cosh l)/sinh l, cancel on the whole tangent space of
+    the moduli space.  Returns the largest absolute value over the basis
+    vectors tangent_u(poly, i); a genuine alternating polygon stays below
+    1e-8.
 
     The sums are read off ``tangent_u``'s four nonzeros without building
-    the vectors: with l_i = side i and l_j = side i+1, slots i and i+2
-    (same parity as side i) add up to 1 + 1/cosh(l_j), and slots i-1 and
-    i+1 to -tanh(l_j)/sinh(l_i) - tanh(l_j)/tanh(l_i).  All n basis
-    vectors cost one numpy pass over the sides, O(n).
+    the vectors: slots i and i+2 (same parity as side i) hold 1 and the
+    entry at i+2, slots i-1 and i+1 the other two.  All n basis vectors
+    cost one numpy pass over the sides, O(n).
     """
     l1, l2 = _split_alternating(poly)
-    a = (1.0 + math.cosh(l1)) / math.sinh(l1)
-    b = (1.0 + math.cosh(l2)) / math.sinh(l2)
+    a, b = 1.0 / math.tanh(0.5 * l1), 1.0 / math.tanh(0.5 * l2)
     li = np.array(poly.sides)
-    lj = np.roll(li, -1)  # side i+1, cyclic
-    own = 1.0 + 1.0 / np.cosh(lj)
-    other = -np.tanh(lj) / np.sinh(li) - np.tanh(lj) / np.tanh(li)
+    before, after, far = _tangent_entries(li, np.roll(li, -1))
+    own, other = 1.0 + far, before + after
     odd = np.arange(poly.n) % 2 == 0  # sides 1, 3, ... in 0-based slots
     s_odd = np.where(odd, own, other)
     s_even = np.where(odd, other, own)
@@ -400,19 +354,22 @@ def boundary_functional(ns: Sequence[int], l_even: float) -> BoundaryFunctional:
     coefficient d(l_odd)/d(l_even) is strictly negative:
 
         -(1 + cosh l_even) sinh l_odd / ((1 + cosh l_odd) sinh l_even)
+            = -tanh(l_odd/2) / tanh(l_even/2),
 
-    and the derivative of the total is the coefficient-weighted count.
+    evaluated in the second form, which cannot overflow, and the
+    derivative of the total is the coefficient-weighted count.  Each n_i
+    must be an integer >= 3 (ValueError); where a partner length leaves
+    the float range, ``semiregular_partner`` raises
+    DegenerateConfigurationError.
     """
-    ns = [int(k) for k in ns]
-    if not ns or any(k < 3 for k in ns):
-        raise ValueError("each polygon needs n >= 3 sides of each type")
+    if not ns:
+        raise ValueError("need at least one polygon")
     total = 0.0
     deriv = 0.0
     coeffs = []
     for k in ns:
         l_odd = semiregular_partner(l_even, k)
-        coeff = -((1.0 + math.cosh(l_even)) / (1.0 + math.cosh(l_odd))) \
-            * (math.sinh(l_odd) / math.sinh(l_even))
+        coeff = -math.tanh(0.5 * l_odd) / math.tanh(0.5 * l_even)
         coeffs.append(coeff)
         total += k * l_odd
         deriv += k * coeff
@@ -443,26 +400,24 @@ def polygon_from_json(data: dict) -> MarkedRightPolygon:
     The optional ``"coords"`` must be the n - 3 pentagon-chain
     coordinates of the sides: each within ``COORDS_RTOL`` relative of
     ``pentagon_coords`` of the realized polygon.  The JSON values are
-    kept.  Malformed input, including coordinates that fail that test,
-    raises ValueError.
+    kept.  Malformed input raises ValueError: a ``"sides"`` or
+    ``"coords"`` entry that is not a JSON number, an int or a float (a
+    bool, a numeric string or a numpy scalar is not), or coordinates
+    that fail that test.
     """
     if not isinstance(data, dict):
         raise ValueError("a polygon must be a JSON object")
     sides, coords = data.get("sides"), data.get("coords")
-    if not isinstance(sides, (list, tuple)):
-        raise ValueError("polygon JSON needs a 'sides' array")
+    for field, values in (("sides", sides), ("coords", () if coords is None else coords)):
+        if not isinstance(values, (list, tuple)) or not set(map(type, values)) <= {int, float}:
+            raise ValueError(f"polygon JSON '{field}' must be an array of numbers")
     n = data.get("n", len(sides))
     if type(n) is not int or n != len(sides):  # a JSON integer, not a bool
         raise ValueError(f"polygon JSON 'n' is {n!r}, not {len(sides)}")
-    try:
-        sides = [float(s) for s in sides]
-        if coords is not None:
-            coords = tuple(float(c) for c in coords)
-    except TypeError as exc:
-        raise ValueError(f"malformed polygon: {exc!r}") from exc
     poly = realize(sides)
     if coords is None:
         return poly
+    coords = tuple(float(c) for c in coords)
     if len(coords) != poly.n - 3:
         raise ValueError(f"{len(coords)} pentagon-chain coordinates for "
                          f"a {poly.n}-gon, expected {poly.n - 3}")

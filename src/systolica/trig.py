@@ -3,10 +3,15 @@
 Every function here is a single formula; the geometric content (which
 pentagon, which Lambert quadrilateral, which pair of polygon sides) is
 spelled out in the docstring and verified against explicitly constructed
-half-plane figures in the test suite.
+half-plane figures in the test suite.  Malformed arguments raise
+ValueError: a length that is not positive and finite, a count n that is
+not an integer >= 3.  A formula whose intermediate leaves the float range
+raises DegenerateConfigurationError rather than OverflowError or a
+silently infinite value.
 """
 
 import math
+from numbers import Integral
 
 from .errors import DegenerateConfigurationError, NoPentagonError
 
@@ -38,6 +43,27 @@ def _check_lengths(*lengths):
     for x in lengths:
         if not 0.0 < x < math.inf:  # NaN fails this too
             raise ValueError(f"lengths must be positive and finite, got {x!r}")
+
+
+def _check_order(n):
+    # an Integral but not a bool; type(n) is int first, as isinstance
+    # against the Integral ABC is slow
+    if not (type(n) is int or isinstance(n, Integral) and not isinstance(n, bool)) or n < 3:
+        raise ValueError(f"need an integer n >= 3 sides of each type, got n={n!r}")
+
+
+def _in_range(formula, name, *args):
+    """formula() for the checked arguments ``args`` of ``name``, raising
+    DegenerateConfigurationError where an intermediate left the float
+    range, which makes the result infinite or NaN: ``pentagon_side``'s
+    guard, evaluate and then test the result."""
+    try:
+        z = formula()
+    except OverflowError:
+        z = math.nan
+    if 0.0 <= z < math.inf:
+        return z
+    raise DegenerateConfigurationError(f"{name}{args!r} leaves the float range")
 
 
 def pentagon_perpendicular(a: float, b: float) -> float:
@@ -92,10 +118,10 @@ def trirectangle_center(h_side: float, n: int) -> float:
     pi/n and cosh(center distance) * sin(pi/n) = cosh(h_side), where
     h_side is half the length of a side of the *other* type.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3 sides of each type, got n={n}")
+    _check_order(n)
     _check_lengths(h_side)
-    return math.acosh(math.cosh(h_side) / math.sin(math.pi / n))
+    return _in_range(lambda: math.acosh(math.cosh(h_side) / math.sin(math.pi / n)),
+                     "trirectangle_center", h_side, n)
 
 
 def diagonal_same_type(h1: float, k: float, n: int) -> float:
@@ -109,12 +135,12 @@ def diagonal_same_type(h1: float, k: float, n: int) -> float:
     the value at k = n-1 repeats it; the strict diagonals are k in
     2..n-2.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got n={n}")
+    _check_order(n)
     if not 1 <= k <= n - 1 or k != int(k):
         raise ValueError(f"slot count k must be an integer in 1..n-1, got {k!r}")
     _check_lengths(h1)
-    return 2.0 * guarded_acosh(math.cosh(h1) * math.sin(k * math.pi / n))
+    return _in_range(lambda: 2.0 * guarded_acosh(math.cosh(h1) * math.sin(k * math.pi / n)),
+                     "diagonal_same_type", h1, k, n)
 
 
 def diagonal_mixed_type(h1: float, h2: float, k: float, n: int) -> float:
@@ -126,14 +152,14 @@ def diagonal_mixed_type(h1: float, h2: float, k: float, n: int) -> float:
     cosh = sinh(h1) sinh(h2) - cosh(h1) cosh(h2) cos(k pi / n); the full
     arc doubles it.  k = 1 is excluded: adjacent sides meet at a vertex.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got n={n}")
+    _check_order(n)
     if k != int(k) or int(k) % 2 == 0 or not 3 <= k <= 2 * n - 3:
         raise ValueError(f"slot count k must be odd in 3..2n-3, got {k!r}")
     _check_lengths(h1, h2)
-    arg = (math.sinh(h1) * math.sinh(h2)
-           - math.cosh(h1) * math.cosh(h2) * math.cos(k * math.pi / n))
-    return 2.0 * guarded_acosh(arg)
+    return _in_range(lambda: 2.0 * guarded_acosh(
+        math.sinh(h1) * math.sinh(h2)
+        - math.cosh(h1) * math.cosh(h2) * math.cos(k * math.pi / n)),
+        "diagonal_mixed_type", h1, h2, k, n)
 
 
 def semiregular_partner(l1: float, n: int) -> float:
@@ -142,10 +168,10 @@ def semiregular_partner(l1: float, n: int) -> float:
 
     Involutive in l1 <-> l2 for fixed n.
     """
-    if n < 3:
-        raise ValueError(f"a right-angled polygon needs 2n >= 6 sides, got n={n}")
+    _check_order(n)
     _check_lengths(l1)
-    return 2.0 * math.asinh(math.cos(math.pi / n) / math.sinh(l1 / 2.0))
+    return _in_range(lambda: 2.0 * math.asinh(math.cos(math.pi / n) / math.sinh(l1 / 2.0)),
+                     "semiregular_partner", l1, n)
 
 
 def equilateral_angle(x: float) -> float:
@@ -155,4 +181,5 @@ def equilateral_angle(x: float) -> float:
     2*arcsin(1 / (2 cosh(x/2))).
     """
     _check_lengths(x)
-    return 2.0 * math.asin(1.0 / (2.0 * math.cosh(x / 2.0)))
+    return _in_range(lambda: 2.0 * math.asin(0.5 / math.cosh(x / 2.0)),
+                     "equilateral_angle", x)

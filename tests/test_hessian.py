@@ -422,8 +422,15 @@ def _scene_with(**fields):
     (scene_from_json, _scene_with(endpoint={"v_par": math.inf})),
     (scene_from_json, _scene_with(weights=5)),
     (scene_from_json, _scene_with(chord_length=None)),
+    (scene_from_json, _scene_with(chord_length="2")),
+    (scene_from_json, _scene_with(chord_length=True, crossings=[], weights=[])),
+    (scene_from_json, _scene_with(endpoint={"u_perp": True})),
+    (scene_from_json, _scene_with(endpoint={"v_par": "0.5"})),
     (scene_from_json, 5),
     (polygon_from_json, 5),
+    (polygon_from_json, {"sides": [True, 1.0, 1.0, 1.0, "1.5"]}),
+    (polygon_from_json, {"sides": [1.0, 1.0, 1.0, 1.0, "1.5"]}),
+    (polygon_from_json, {"sides": [1.0, 1.0, 1.0, True, 1.5]}),
     (polygon_from_json, {"sides": [1.0] * 5, "n": None}),
     (polygon_from_json, {"sides": [1.0] * 6, "n": 6.7}),
     (polygon_from_json, {"sides": [1.0] * 6, "n": "6"}),

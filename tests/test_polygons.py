@@ -9,7 +9,6 @@ space.
 
 import math
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from systolica.halfplane import (
     HTangent,
     dist,
     geodesic_from_direction,
-    norm,
 )
 from systolica.polygons import (
     BoundaryFunctional,
@@ -140,6 +138,8 @@ class TestPentagonChart:
         [1.0, 1.2, math.nan],
         [1.0, 1.2, math.inf],
         [1.0, 1.2, 0.8 * (1 + 2e-6)],
+        [True, 1.2, 0.8],  # JSON numbers only, though true == 1
+        ["1.0", 1.2, 0.8],
     ])
     def test_json_coords_must_be_the_sides_coordinates(self, coords):
         data = polygon_to_json(sides_from_pentagon_coords([1.0, 1.2, 0.8]))
@@ -197,11 +197,26 @@ def random_chain(rng, m, closed=True):
                for _ in range(m)]
         if any(dist(pts[i], pts[(i + 1) % m]) < 0.3 for i in range(m)):
             continue
-        cd = ChainDifferentials(pts, closed=closed)
-        if all(0.15 < cd.theta(i) < 2 * math.pi - 0.15
-               and abs(cd.theta(i) - math.pi) > 0.12
-               for i in cd.angle_indices()):
+        theta = ChainDifferentials(pts, closed=closed).angles()
+        if np.all((0.15 < theta) & (theta < 2 * math.pi - 0.15)
+                  & (np.abs(theta - math.pi) > 0.12)):
             return pts
+
+
+def mp_vertex_chain(cd):
+    """At the working precision: (lengths, V, U), with V at each
+    segment's start and U at its end as the complex components
+    -i zeta/|zeta|, zeta = (z_o - z_k)/(z_o - conj z_k)."""
+    z = [mp.mpc(q.x, q.y) for q in cd.points]
+    ends = [(r, (r + 1) % cd.m) for r in range(len(cd.lengths))]
+
+    def unit(k, o):
+        zeta = (z[o] - z[k]) / (z[o] - mp.conj(z[k]))
+        return -1j * zeta / abs(zeta)
+
+    lengths = [2 * mp.asinh(abs(z[b] - z[a]) / (2 * mp.sqrt(z[a].imag * z[b].imag)))
+               for a, b in ends]
+    return lengths, [unit(a, b) for a, b in ends], [unit(b, a) for a, b in ends]
 
 
 class TestChainDifferentials:
@@ -210,33 +225,37 @@ class TestChainDifferentials:
     def test_against_finite_differences(self):
         rng = random.Random(11)
         eps = 1e-5
-        for trial in range(25):
+        for trial in range(30):
+            closed = trial % 3 != 0
             m = rng.randint(3, 6)
-            pts = random_chain(rng, m)
-            cd = ChainDifferentials(pts)
+            pts = random_chain(rng, m, closed)
+            cd = ChainDifferentials(pts, closed)
             j = rng.randrange(m)
             ang = rng.uniform(0, 2 * math.pi)
-            w = HTangent(pts[j], pts[j].y * math.cos(ang), pts[j].y * math.sin(ang))
-            var = [HTangent(q, 0.0, 0.0) for q in pts]
-            var[j] = w
+            var = np.zeros(2 * m)  # vertex j moves at unit speed
+            var[2 * j:2 * j + 2] = math.cos(ang), math.sin(ang)
+            g = geodesic_from_direction(pts[j], HTangent(pts[j], *var[2 * j:2 * j + 2]))
             pp, pm = list(pts), list(pts)
-            g = geodesic_from_direction(pts[j], w)
-            pp[j] = g.point_at(eps * norm(w))
-            pm[j] = g.point_at(-eps * norm(w))
-            cdp = ChainDifferentials(pp)
-            cdm = ChainDifferentials(pm)
-            for i in range(m):
-                fd_l = (cdp.length(i) - cdm.length(i)) / (2 * eps)
-                assert cd.d_length(i, var) == pytest.approx(fd_l, abs=1e-6)
-                fd_t = (cdp.theta(i) - cdm.theta(i)) / (2 * eps)
-                assert cd.d_theta(i, var) == pytest.approx(fd_t, abs=1e-6)
+            pp[j], pm[j] = g.point_at(eps), g.point_at(-eps)
+            cdp = ChainDifferentials(pp, closed)
+            cdm = ChainDifferentials(pm, closed)
+            fd_l = (cdp.lengths - cdm.lengths) / (2 * eps)
+            assert cd.length_matrix() @ var == pytest.approx(fd_l, abs=1e-6)
+            fd_t = (cdp.angles() - cdm.angles()) / (2 * eps)
+            assert cd.angle_matrix() @ var == pytest.approx(fd_t, abs=1e-6)
 
     def test_open_chain_endpoints_have_no_angle(self):
+        # row r of an open chain is vertex r + 1, which sees the same two
+        # segments, through the same elementwise arithmetic, as in the
+        # closed chain through the same points
         rng = random.Random(2)
         pts = random_chain(rng, 5, closed=False)
         cd = ChainDifferentials(pts, closed=False)
-        assert list(cd.segment_indices()) == [0, 1, 2, 3]
-        assert list(cd.angle_indices()) == [1, 2, 3]
+        ring = ChainDifferentials(pts)
+        assert cd.length_matrix().shape == (4, 10)
+        assert np.array_equal(cd.lengths, ring.lengths[:4])
+        assert np.array_equal(cd.angles(), ring.angles()[1:4])
+        assert np.array_equal(cd.angle_matrix(), ring.angle_matrix()[1:4])
 
     def test_length_differentials_have_full_rank(self):
         rng = random.Random(3)
@@ -247,61 +266,75 @@ class TestChainDifferentials:
             assert smin > 1e-8
 
     @pytest.mark.parametrize("closed", [True, False])
-    def test_length_matrix_is_the_d_length_matrix(self, closed):
-        # the matrix every d_length functional fills in, one frame
-        # vector at a time.  Both paths give the components of unit
-        # vectors, length_matrix within 4 eps of exact (the 50-digit test
-        # below) and d_length within 4 eps plus the rounding of
-        # unit_toward's scaling by y and of inner's y*dx, y*y and
-        # quotient, 2.5 eps more; so they agree to 11 eps, absolute.
-        rng = random.Random(19 + closed)
-        for m in (3, 4, 7, 12):
-            cd = ChainDifferentials(random_chain(rng, m, closed), closed)
-            zero = [HTangent(q, 0.0, 0.0) for q in cd.points]
-            ref = np.zeros((len(cd.segment_indices()), 2 * m))
-            for i in cd.segment_indices():
-                for j, q in enumerate(cd.points):
-                    for comp, frame in enumerate(
-                            (HTangent(q, q.y, 0.0), HTangent(q, 0.0, q.y))):
-                        var = list(zero)
-                        var[j] = frame
-                        ref[i, 2 * j + comp] = cd.d_length(i, var)
-            assert np.abs(cd.length_matrix() - ref).max() <= 11 * EPS
-
-    @pytest.mark.parametrize("closed", [True, False])
     def test_length_matrix_tracks_the_50_digit_reference(self, closed):
-        # Entry blocks are the components of -i zeta/|zeta| with
-        # zeta = (z_o - z_k)/(z_o - conj z_k), here at 50 digits.  First-
-        # order rounding budget of the float pass, relative to |zeta| = 1
-        # after normalizing: eps/2 for each of the two componentwise
-        # differences, 2 eps for the complex quotient, eps/2 for |zeta|
-        # and eps/2 for the final division, 4 eps in all, absolute.
-        # Every entry outside the two blocks of a row is exactly zero.
+        # Entry blocks are the components of V and U, here at 50 digits.
+        # First-order rounding budget of the float pass, relative to
+        # |zeta| = 1 after normalizing: eps/2 for each of the two
+        # componentwise differences, 2 eps for the complex quotient,
+        # eps/2 for |zeta| and eps/2 for the final division, 4 eps in
+        # all, absolute.  Every entry outside the two blocks of a row is
+        # exactly zero.
         rng = random.Random(23 + closed)
         for m in (3, 4, 7, 12, 24):
             cd = ChainDifferentials(random_chain(rng, m, closed), closed)
-            segments = cd.segment_indices()
-            want = np.zeros((len(segments), 2 * m))
+            want = np.zeros((len(cd.lengths), 2 * m))
             with mp.workdps(50):
-                z = [mp.mpc(q.x, q.y) for q in cd.points]
-                for i in segments:
-                    j = (i + 1) % m
-                    for k, other in ((i, j), (j, i)):
-                        zeta = (z[other] - z[k]) / (z[other] - mp.conj(z[k]))
-                        w = -1j * zeta / abs(zeta)
-                        want[i, 2 * k] = float(w.real)
-                        want[i, 2 * k + 1] = float(w.imag)
+                _, v, u = mp_vertex_chain(cd)
+                for r in range(len(cd.lengths)):
+                    for k, w in ((r, v[r]), ((r + 1) % m, u[r])):
+                        want[r, 2 * k] = float(w.real)
+                        want[r, 2 * k + 1] = float(w.imag)
             got = cd.length_matrix()
             assert np.array_equal(got == 0.0, want == 0.0)
             assert np.abs(got - want).max() <= 4 * EPS
 
-    def test_length_matrix_rejects_coincident_ends(self):
-        cd = ChainDifferentials(random_chain(random.Random(4), 4))
-        cd.points[2] = cd.points[1]  # the constructor's check is behind us
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DegenerateConfigurationError, match="segment 1"):
-                cd.length_matrix()
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_angles_track_the_50_digit_reference(self, closed):
+        # First-order budgets of the float values against 50 digits.  U
+        # and V each err by at most 4 eps in modulus (the length-matrix
+        # budget above), and a length by 4 eps relative: dist rounds the
+        # two differences and hypot (1.5 eps), the product, square root
+        # and quotient (1.25 eps), and asinh, of relative condition at
+        # most 1, rounds once more.
+        # theta = arg(U conj V) with |U conj V| = 1 takes the error of the
+        # product, 4 + 4 + 2 eps, plus arctan2 (2 ulp of a value below pi,
+        # 4 eps), the shift by 2 pi (half an ulp below 2 pi and the
+        # rounding of 2 pi itself, 3 eps) and the reference's rounding to
+        # float (2 eps): 19 eps, absolute.
+        # Each matrix term is +-i U or V times f = 1/sinh l or 1/tanh l,
+        # whose relative condition in l is kappa = l coth l or
+        # 2l/sinh 2l.  It errs by |f| (4 + 4 kappa + 4 + 1/2 + 1/2 + 1/2)
+        # eps: the unit vector, the length, sinh or tanh (4 eps allowed),
+        # the quotient, the own block's one sum and the reference's
+        # rounding to float.
+        rng = random.Random(29 + closed)
+        for m in (3, 4, 7, 12, 24):
+            cd = ChainDifferentials(random_chain(rng, m, closed), closed)
+            vertices = range(m) if closed else range(1, m - 1)
+            theta = np.zeros(len(vertices))
+            want = np.zeros((len(vertices), 2 * m))
+            budget = np.zeros_like(want)
+            with mp.workdps(50):
+                ls, v, u = mp_vertex_chain(cd)
+                # per segment: (1/sinh l, budget in eps), (1/tanh l, budget)
+                csch = [(1 / mp.sinh(l), (10 + 4 * l / mp.tanh(l)) / mp.sinh(l)) for l in ls]
+                coth = [(1 / mp.tanh(l), (10 + 8 * l / mp.sinh(2 * l)) / mp.tanh(l))
+                        for l in ls]
+                for r, k in enumerate(vertices):
+                    i, o = (k - 1) % m, k  # the segments into and out of x_k
+                    a = mp.arg(u[i] * mp.conj(v[o]))
+                    theta[r] = float(a if a > 0 else a + 2 * mp.pi)
+                    blocks = {i: (1j * v[i] * csch[i][0], csch[i][1]),
+                              k: (1j * (u[i] * coth[i][0] - v[o] * coth[o][0]),
+                                  coth[i][1] + coth[o][1]),
+                              (k + 1) % m: (-1j * u[o] * csch[o][0], csch[o][1])}
+                    for col, (w, b) in blocks.items():
+                        want[r, 2 * col:2 * col + 2] = float(w.real), float(w.imag)
+                        budget[r, 2 * col:2 * col + 2] = float(b) * EPS
+            assert np.abs(cd.angles() - theta).max() <= 19 * EPS
+            got = cd.angle_matrix()
+            assert np.array_equal(got == 0.0, budget == 0.0)
+            assert np.all(np.abs(got - want) <= budget)
 
     def test_rejects_collapsed_segments(self):
         p = HPoint(0.0, 1.0)
@@ -324,30 +357,20 @@ class TestRegularChains:
     def test_side_and_angle_match_the_closed_forms(self):
         for m, r in [(3, 1.0), (5, 1.3), (7, 0.6)]:
             cd = ChainDifferentials(self.ring(m, r))
-            ell = cd.length(0)
+            ell = cd.lengths[0]
             theta = 2.0 * math.asin(math.cos(math.pi / m) / math.cosh(ell / 2))
-            for i in range(m):
-                assert cd.length(i) == pytest.approx(ell, abs=1e-12)
-                assert cd.theta(i) == pytest.approx(theta, abs=1e-12)
+            assert cd.lengths == pytest.approx([ell] * m, abs=1e-12)
+            assert cd.angles() == pytest.approx([theta] * m, abs=1e-12)
 
     def test_angle_sum_identity(self):
-        rng = random.Random(17)
+        # d(sum theta) = -tanh(l/2) tan(theta/2) d(sum l) as covectors,
+        # so on every variation of the ring's vertices
         for m, r in [(3, 1.0), (4, 0.8), (5, 1.3)]:
-            pts = self.ring(m, r)
-            cd = ChainDifferentials(pts)
-            ell = cd.length(0)
-            theta = cd.theta(0)
-            factor = -math.tanh(ell / 2) * math.tan(theta / 2)
-            for _ in range(4):
-                var = []
-                for q in pts:
-                    a = rng.uniform(0, 2 * math.pi)
-                    s = rng.uniform(0.2, 1.0)
-                    var.append(HTangent(q, s * q.y * math.cos(a),
-                                        s * q.y * math.sin(a)))
-                lhs = sum(cd.d_theta(i, var) for i in range(m))
-                rhs = factor * sum(cd.d_length(i, var) for i in range(m))
-                assert lhs == pytest.approx(rhs, abs=1e-9)
+            cd = ChainDifferentials(self.ring(m, r))
+            factor = -math.tanh(cd.lengths[0] / 2) * math.tan(cd.angles()[0] / 2)
+            lhs = cd.angle_matrix().sum(axis=0)
+            rhs = factor * cd.length_matrix().sum(axis=0)
+            assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 class TestAlternatingLocus:
@@ -407,6 +430,20 @@ class TestBoundaryFunctional:
         l_eq = 2.0 * math.asinh(1.0 / math.sqrt(2.0))
         bf = boundary_functional([3], l_eq)
         assert bf.coefficients[0] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_long_even_side_keeps_finite_data(self):
+        # At 50 digits, against the float partner and coefficient
+        # -tanh(l_odd/2)/tanh(l_even/2).  Each rounds a few times (cos,
+        # sinh, a quotient and asinh; tanh twice and a quotient), and
+        # every step has relative condition at most 1: 8 eps relative.
+        # The (1 + cosh)/sinh form of the coefficient overflowed here.
+        bf = boundary_functional([3], 800.0)
+        with mp.workdps(50):
+            l_odd = 2 * mp.asinh(mp.cos(mp.pi / 3) / mp.sinh(400))
+            coeff = -mp.tanh(l_odd / 2) / mp.tanh(400)
+            assert bf.value == pytest.approx(float(3 * l_odd), rel=8 * EPS)
+            assert bf.coefficients[0] == pytest.approx(float(coeff), rel=8 * EPS)
+            assert bf.derivative == pytest.approx(float(3 * coeff), rel=8 * EPS)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,9 @@ change, so the API grows only by decision and a deletion cannot leave a
 dangling export behind.
 """
 
+import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -51,14 +53,13 @@ PUBLIC = {
 # public methods and properties each class defines itself
 METHODS = {
     halfplane.HPoint: {"z"},
-    halfplane.HTangent: {"scaled", "w"},
+    halfplane.HTangent: {"w"},
     halfplane.HIsometry: {"apply", "identity", "inverse", "push"},
     halfplane.HGeodesic: {"endpoints", "param_of", "point_at", "tangent_at"},
     halfplane.CommonPerpendicular: set(),
     polygons.MarkedRightPolygon: {"n", "side_geodesic"},
     polygons.ChainDifferentials: {
-        "angle_indices", "d_length", "d_theta", "length", "length_matrix",
-        "length_rank", "segment_indices", "theta",
+        "angle_matrix", "angles", "length_matrix", "length_rank",
     },
     hessian.ChordConfig: {"n"},
 }
@@ -89,3 +90,16 @@ def test_public_methods_are_the_listed_ones(cls):
            and (inspect.isfunction(value)
                 or isinstance(value, (property, classmethod, staticmethod)))}
     assert own == METHODS[cls]
+
+
+def test_declared_scripts_resolve():
+    # an installed entry point imports its target when it runs
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"].get("scripts", {})
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"script {name!r}: {target} is not callable"

@@ -27,7 +27,7 @@ from systolica.halfplane import (
     rotate_tangent,
     vertical_geodesic,
 )
-from systolica.polygons import realize
+from systolica.polygons import boundary_functional, realize
 from systolica.trig import (
     diagonal_mixed_type,
     diagonal_same_type,
@@ -216,6 +216,26 @@ def test_argument_validation():
                      lambda: equilateral_angle(bad)):
             with pytest.raises(ValueError):
                 call()
+
+
+@pytest.mark.parametrize("call, args, error", [
+    (semiregular_partner, (2000.0, 3), DegenerateConfigurationError),
+    (trirectangle_center, (800.0, 4), DegenerateConfigurationError),
+    (diagonal_same_type, (800.0, 2, 5), DegenerateConfigurationError),
+    (diagonal_mixed_type, (800.0, 1.0, 3, 4), DegenerateConfigurationError),
+    (equilateral_angle, (2000.0,), DegenerateConfigurationError),
+    # cos(pi/n) / sinh(l/2) overflows to inf without an exception
+    (semiregular_partner, (1e-320, 3), DegenerateConfigurationError),
+    (boundary_functional, ([3], 1e-320), DegenerateConfigurationError),
+    (semiregular_partner, (1.0, 3.5), ValueError),
+    (boundary_functional, ([3.7], 1.0), ValueError),
+    (trirectangle_center, (1.0, 4.0), ValueError),
+    (diagonal_same_type, (1.0, 2, 5.0), ValueError),
+    (diagonal_mixed_type, (1.0, 1.0, 3, "4"), ValueError),
+])
+def test_float_range_and_non_integral_counts_fail_typed(call, args, error):
+    with pytest.raises(error):
+        call(*args)
 
 
 # ---------------------------------------------------------------------------
