@@ -330,6 +330,18 @@ def intersection_point(g, h):
     return g.point_at(0.5 * math.log(-a * b / (c * d)))
 
 
+def _perpendicular_length(f, k):
+    """Length of the common perpendicular of the geodesics of frames f
+    and k, without its feet; see ``common_perpendicular``."""
+    a, b, c, d = _relative(f, k.a, k.b, k.c, k.d)
+    ad, bc = a * d, b * c
+    if 2.0 * min(abs(ad), abs(bc)) <= ASYMPTOTIC_EPS:
+        raise NoPerpendicularError("geodesics are asymptotic or coincide")
+    if ad * bc < 0.0:
+        raise NoPerpendicularError("geodesics intersect")
+    return 2.0 * math.asinh(math.sqrt(bc if bc > 0.0 else -ad))
+
+
 class CommonPerpendicular:
     """The common perpendicular segment between two disjoint geodesics."""
 
@@ -360,13 +372,8 @@ def common_perpendicular(g, h):
     s = log(ab/cd)/2 and, symmetrically, the foot on h at log(bd/ac)/2.
     """
     k = h.frame
+    length = _perpendicular_length(g.frame, k)
     a, b, c, d = _relative(g.frame, k.a, k.b, k.c, k.d)
-    ad, bc = a * d, b * c
-    if 2.0 * min(abs(ad), abs(bc)) <= ASYMPTOTIC_EPS:
-        raise NoPerpendicularError("geodesics are asymptotic or coincide")
-    if ad * bc < 0.0:
-        raise NoPerpendicularError("geodesics intersect")
-    length = 2.0 * math.asinh(math.sqrt(bc if bc > 0.0 else -ad))
     return CommonPerpendicular(g.point_at(0.5 * math.log(a * b / (c * d))),
                                h.point_at(0.5 * math.log(b * d / (a * c))),
                                length)

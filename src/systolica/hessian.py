@@ -61,9 +61,9 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 import sys
 from dataclasses import dataclass, fields
-from operator import itemgetter
 
 import numpy as np
 
@@ -700,15 +700,32 @@ def scene_to_json(cfg: ChordConfig, weights: TransverseWeights,
     }
 
 
+def _flat_floats(values: list) -> np.ndarray:
+    # one C call converts every value by the float protocol and refuses
+    # a string, null, nested array or integer beyond the float range,
+    # where np.array would parse a numeric string or add a dimension
+    return np.frombuffer(struct.pack(f"{len(values)}d", *values))
+
+
 def scene_from_json(data: dict) -> tuple[ChordConfig, TransverseWeights, EndpointVariation]:
     """Rebuild (config, weights, endpoint variation) from a scene dict.
 
-    Malformed input raises ValueError: an unknown ``endpoint`` key too,
-    and a ``chord_length`` or endpoint component that is not a JSON
-    number, an int or a float (a bool, a numeric string or a numpy
-    scalar is not).  The crossing and
-    weight arrays are converted by numpy without a per-value type check.
-    The finite-difference oracle layers its own checks on top of this.
+    Each crossing field is read in one flat pass: the ``s`` values, then
+    the ``theta`` values, and ``weights`` as given, each converted once to
+    float64 by ``struct.pack``.  That is O(n) dict lookups and three flat
+    conversions, with no nested-sequence shape discovery.
+
+    Malformed input raises ValueError: a missing field, an unknown
+    ``endpoint`` key, a crossing that is not an object or lacks ``s`` or
+    ``theta``, a ``chord_length`` or endpoint component that is not a
+    JSON number (an int or a float by exact type; a bool, a numeric
+    string or a numpy scalar is not), an ``s``, ``theta`` or weight that
+    is not a number (a string, ``null`` or a nested array), an integer
+    beyond the float range, and every check of ``ChordConfig`` and
+    ``TransverseWeights``.  A boolean ``s``, ``theta`` or weight is still
+    read as 0 or 1, because an exact-type check per value would cost
+    more than the conversion itself.  The finite-difference oracle
+    layers its own checks on top of this.
     """
     if not isinstance(data, dict):
         raise ValueError("a scene must be a JSON object")
@@ -722,14 +739,14 @@ def scene_from_json(data: dict) -> tuple[ChordConfig, TransverseWeights, Endpoin
         if type(v) not in (int, float):
             raise ValueError(f"scene field {field!r} must be a JSON number, got {v!r}")
     try:
-        # one pass over the crossings; np.empty keeps the (n, 2) shape at n = 0
-        pairs = list(map(itemgetter("s", "theta"), data["crossings"]))
-        rows = np.array(pairs or np.empty((0, 2)), dtype=np.float64)
+        crossings = data["crossings"]
+        s = _flat_floats([c["s"] for c in crossings])
+        theta = _flat_floats([c["theta"] for c in crossings])
+        weights = TransverseWeights(_flat_floats(data["weights"]))
         length = float(data["chord_length"])
-        weights = TransverseWeights(data["weights"])
         endpoints = EndpointVariation(**ep)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError, struct.error) as exc:
         raise ValueError(f"malformed scene: {exc!r}") from exc
-    cfg = ChordConfig(length, s=rows[:, 0], theta=rows[:, 1])
+    cfg = ChordConfig(length, s=s, theta=theta)
     _check_weights(cfg, weights)
     return cfg, weights, endpoints

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateConfigurationError, NoPentagonError, NoPolygonError
-from .halfplane import HGeodesic, HIsometry, HPoint, _disk, common_perpendicular, dist
+from .halfplane import HGeodesic, HIsometry, HPoint, _disk, _perpendicular_length, dist
 from .trig import pentagon_perpendicular, pentagon_side, semiregular_partner
 
 
@@ -158,17 +158,17 @@ def pentagon_coords(poly: MarkedRightPolygon) -> tuple[float, ...]:
     """Read the pentagon-chain coordinates off a realized polygon.
 
     Independent of the assembly direction: l_3 and l_{n-1} come straight
-    from the side vector, and each h_i is measured as the common
-    perpendicular between the geodesics of side 1 and side i.
+    from the side vector, and each h_i (4 <= i <= n - 2) is the length of
+    the common perpendicular between the geodesics of side 1 and side i,
+    read without its feet.
     """
     n = poly.n
     if n < 5:
         raise ValueError("a right-angled polygon needs at least 5 sides")
     if n == 5:
         return (poly.sides[2], poly.sides[3])
-    g1 = poly.side_geodesic(1)
-    hs = [common_perpendicular(g1, poly.side_geodesic(i)).length
-          for i in range(4, n - 1)]
+    f1 = poly.geodesics[0].frame
+    hs = [_perpendicular_length(f1, g.frame) for g in poly.geodesics[3:n - 2]]
     return (poly.sides[2], *hs, poly.sides[n - 2])
 
 
@@ -402,8 +402,8 @@ def polygon_from_json(data: dict) -> MarkedRightPolygon:
     ``pentagon_coords`` of the realized polygon.  The JSON values are
     kept.  Malformed input raises ValueError: a ``"sides"`` or
     ``"coords"`` entry that is not a JSON number, an int or a float (a
-    bool, a numeric string or a numpy scalar is not), or coordinates
-    that fail that test.
+    bool, a numeric string or a numpy scalar is not), an integer beyond
+    the float range, or coordinates that fail that test.
     """
     if not isinstance(data, dict):
         raise ValueError("a polygon must be a JSON object")
@@ -414,10 +414,14 @@ def polygon_from_json(data: dict) -> MarkedRightPolygon:
     n = data.get("n", len(sides))
     if type(n) is not int or n != len(sides):  # a JSON integer, not a bool
         raise ValueError(f"polygon JSON 'n' is {n!r}, not {len(sides)}")
+    try:
+        sides = tuple(map(float, sides))
+        coords = None if coords is None else tuple(map(float, coords))
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ValueError(f"polygon JSON number out of range: {exc}") from exc
     poly = realize(sides)
     if coords is None:
         return poly
-    coords = tuple(float(c) for c in coords)
     if len(coords) != poly.n - 3:
         raise ValueError(f"{len(coords)} pentagon-chain coordinates for "
                          f"a {poly.n}-gon, expected {poly.n - 3}")

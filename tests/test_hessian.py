@@ -435,6 +435,26 @@ def _scene_with(**fields):
     (polygon_from_json, {"sides": [1.0] * 6, "n": 6.7}),
     (polygon_from_json, {"sides": [1.0] * 6, "n": "6"}),
     (polygon_from_json, {"sides": [1.0] * 5, "coords": 5}),
+    # integers beyond the float range, and values that are not numbers
+    (scene_from_json, _scene_with(chord_length=10**400)),
+    (scene_from_json, _scene_with(weights=[10**400, 0.0])),
+    (scene_from_json, _scene_with(endpoint={"u_perp": 10**400})),
+    (scene_from_json, _scene_with(crossings=[{"s": 10**400, "theta": 1.1},
+                                             {"s": 1.4, "theta": 0.6}])),
+    (scene_from_json, _scene_with(crossings=[{"s": 0.7, "theta": 10**400},
+                                             {"s": 1.4, "theta": 0.6}])),
+    (scene_from_json, _scene_with(crossings=[{"s": "0.7", "theta": 1.1},
+                                             {"s": 1.4, "theta": 0.6}])),
+    (scene_from_json, _scene_with(crossings=[{"s": None, "theta": 1.1},
+                                             {"s": 1.4, "theta": 0.6}])),
+    (scene_from_json, _scene_with(crossings=[{"s": 0.7, "theta": "1.1"},
+                                             {"s": 1.4, "theta": 0.6}])),
+    (scene_from_json, _scene_with(crossings=[{"s": 0.7, "theta": None},
+                                             {"s": 1.4, "theta": 0.6}])),
+    (scene_from_json, _scene_with(weights=["0.1", 0.0])),
+    (scene_from_json, _scene_with(weights=[None, 0.0])),
+    (polygon_from_json, {"sides": [10**400, 1.0, 1.0, 1.0, 1.0]}),
+    (polygon_from_json, {"sides": [1.0] * 6, "coords": [10**400, 1.0, 1.0]}),
 ])
 def test_json_readers_raise_value_error_on_malformed_input(reader, data):
     with pytest.raises(ValueError):
@@ -470,6 +490,19 @@ def chord_scenes(draw, max_n=200):
         # one sign throughout, so rounding errors cannot cancel
         weights = TransverseWeights(tuple(abs(w) for w in weights.weights))
     return cfg, weights, endpoints
+
+
+@settings(max_examples=60, deadline=None)
+@given(chord_scenes(max_n=50))
+def test_scene_json_round_trip_is_exact(scene):
+    cfg, weights, endpoints = scene
+    cfg2, w2, ev2 = scene_from_json(scene_to_json(cfg, weights, endpoints))
+    assert cfg2.length == cfg.length
+    assert cfg2.s.dtype == cfg2.theta.dtype == w2.weights.dtype == np.float64
+    assert cfg2.s.shape == cfg2.theta.shape == w2.weights.shape == (cfg.n,)
+    assert (cfg2.s == cfg.s).all() and (cfg2.theta == cfg.theta).all()
+    assert (w2.weights == weights.weights).all()
+    assert ev2 == endpoints
 
 
 def form_vectors(cfg, weights, endpoints):

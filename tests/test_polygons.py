@@ -15,11 +15,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from systolica.errors import DegenerateConfigurationError, NoPolygonError
+from systolica.errors import (DegenerateConfigurationError, NoPerpendicularError,
+                              NoPolygonError)
 from systolica.halfplane import (
     HIsometry,
     HPoint,
     HTangent,
+    common_perpendicular,
     dist,
     geodesic_from_direction,
 )
@@ -85,6 +87,31 @@ class TestPentagonChart:
             assert poly.closure_defect < 1e-10
             back = pentagon_coords(poly)
             assert back == pytest.approx(coords, abs=1e-10)
+
+    def test_coords_equal_the_common_perpendicular_route(self):
+        # half of the polygons close up, half are walks of arbitrary sides
+        # in which side 1 may cross some side i; both ways of reading h_i
+        # must agree bit for bit or refuse the same polygon
+        rng = random.Random(5)
+        refused = 0
+        for _ in range(200):
+            n = rng.randint(6, 24)
+            if rng.random() < 0.5:
+                poly = realize([rng.uniform(0.2, 2.0) for _ in range(n)])
+            else:
+                poly = sides_from_pentagon_coords(
+                    [rng.uniform(0.4, 2.0) for _ in range(n - 3)])
+            g1 = poly.side_geodesic(1)
+            try:
+                hs = [common_perpendicular(g1, poly.side_geodesic(i)).length
+                      for i in range(4, n - 1)]
+            except NoPerpendicularError:
+                refused += 1
+                with pytest.raises(NoPerpendicularError):
+                    pentagon_coords(poly)
+                continue
+            assert pentagon_coords(poly) == (poly.sides[2], *hs, poly.sides[n - 2])
+        assert 0 < refused < 200
 
     def test_pentagon_needs_large_enough_adjacent_sides(self):
         with pytest.raises(NoPolygonError) as exc:
