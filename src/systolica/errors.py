@@ -3,8 +3,10 @@
 Every geometric failure mode gets its own class so callers can tell a
 degenerate input (fixable) from a genuinely infeasible problem (not).
 Plain ``ValueError`` is reserved for malformed arguments: wrong lengths,
-out-of-range indices, non-finite numbers.
+out-of-range indices, non-finite numbers, and values that are not numbers.
 """
+
+import struct
 
 
 class SystolicaError(Exception):
@@ -47,3 +49,15 @@ class DegenerateMarginError(SystolicaError):
 class InconsistentSceneError(SystolicaError):
     """A serialized scene disagrees with the configuration it claims to
     describe beyond roundoff."""
+
+
+def _real_floats(values, what: str) -> tuple:
+    """``values`` as a tuple of floats by the float protocol, in one C
+    call: a string (which ``float`` parses), None, a nested sequence or
+    an integer beyond the float range raises ValueError."""
+    try:
+        values = tuple(values)
+        fmt = f"{len(values)}d"
+        return struct.unpack(fmt, struct.pack(fmt, *values))
+    except (struct.error, TypeError, OverflowError) as exc:
+        raise ValueError(f"{what} must be a sequence of numbers: {exc}") from exc

@@ -113,7 +113,6 @@ class HIsometry:
 
     The matrix is normalized to determinant one on construction; a
     non-positive determinant is rejected rather than silently flipped.
-    ``_unimodular`` stores entries that are of determinant one already.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -124,20 +123,6 @@ class HIsometry:
             raise ValueError(f"matrix must have positive determinant (det={det!r})")
         s = math.sqrt(det)
         self.a, self.b, self.c, self.d = a / s, b / s, c / s, d / s
-
-    @classmethod
-    def _unimodular(cls, a, b, c, d):
-        """Float entries whose determinant is one by construction, stored
-        as given.  The constructor's renormalization divides by a rounded
-        determinant, whose error grows like eps (|ad| + |bc|), so it
-        would amplify the entries' rounding by the square of their size."""
-        m = cls.__new__(cls)
-        m.a, m.b, m.c, m.d = a, b, c, d
-        return m
-
-    @classmethod
-    def identity(cls):
-        return cls(1.0, 0.0, 0.0, 1.0)
 
     def apply(self, p):
         den = self.c * p.z + self.d
@@ -280,14 +265,6 @@ def unit_toward(p, q):
     return HTangent(p, v.real, v.imag)
 
 
-def _generator(a, b, c, d):
-    """Entries (A, B, C) of X = F diag(1, -1) F^-1 = [[A, B], [C, -A]] for
-    the frame F = [[a, b], [c, d]] of determinant one: A = ad + bc,
-    B = -2ab, C = 2cd.  X/2 generates translation along the geodesic.
-    The entries may be floats or numpy columns of many frames."""
-    return a * d + b * c, -2.0 * a * b, 2.0 * c * d
-
-
 def translate_along(g, t):
     """Isometry translating by length t along g (forward for t > 0).
 
@@ -295,18 +272,23 @@ def translate_along(g, t):
     whose cosh-factor is cosh(rho), the usual hyperbolic spreading.
 
     Closed form: F diag(e^{t/2}, e^{-t/2}) F^-1 = cosh(t/2) I + sinh(t/2) X
-    with X read off the frame g.frame (see ``_generator``).  One call
-    costs a cosh, a sinh, about ten flops and one HIsometry.  The entries
-    are stored without renormalizing, since their determinant is
-    cosh^2 - sinh^2 = 1 by construction, and dividing by a rounded
-    determinant would amplify their rounding by the square of their size.
+    with F = g.frame = [[a, b], [c, d]] of determinant one and
+    X = F diag(1, -1) F^-1 = [[A, B], [C, -A]], A = ad + bc, B = -2ab,
+    C = 2cd.  One call costs a cosh, a sinh, about ten flops and one
+    HIsometry.  The entries are stored without the constructor's
+    renormalization, since their determinant is cosh^2 - sinh^2 = 1 by
+    construction, and dividing by a rounded determinant, whose error
+    grows like eps (|ad| + |bc|), would amplify their rounding by the
+    square of their size.
     """
     if not math.isfinite(t):
         raise ValueError(f"translation length must be finite (t={t!r})")
     f = g.frame
-    A, B, C = _generator(f.a, f.b, f.c, f.d)
+    A, B, C = f.a * f.d + f.b * f.c, -2.0 * f.a * f.b, 2.0 * f.c * f.d
     ch, sh = math.cosh(0.5 * t), math.sinh(0.5 * t)
-    return HIsometry._unimodular(ch + sh * A, sh * B, sh * C, ch - sh * A)
+    m = HIsometry.__new__(HIsometry)
+    m.a, m.b, m.c, m.d = ch + sh * A, sh * B, sh * C, ch - sh * A
+    return m
 
 
 def _relative(f, a, b, c, d):

@@ -12,18 +12,14 @@ move simultaneously with tangent vectors ``u`` at ``p`` and ``v`` at
 ``q``.
 
 The crossing data lives in arrays, not in one object per crossing:
-``ChordConfig`` holds the positions ``s`` and the angles ``theta`` as two
-read-only float64 arrays in chord order, validated once when it is
-built, and ``TransverseWeights`` holds the shear rates ``a`` the same
-way.  Every function below reads those arrays directly.  A realized
-``HalfplaneScene`` holds its leaves the same way, as one read-only
-(n, 4) array of frame entries, so ``realize_scene``, the oracle's
-measurement of a scene and its composed shears each cost O(1) numpy
-calls (plus, for a shear, one float loop over n 2 x 2 products) rather
-than n half-plane objects.  A scene is immutable, so the oracle's
-checked 3 x 3 grid of deformed lengths is a property of the scene: it is
-computed on the first ``fd_oracle`` call and memoized on the scene, and
-orders 1 and 2 read their difference quotients from it.
+``ChordConfig`` holds ``s`` and ``theta``, and ``TransverseWeights`` the
+rates ``a``, as read-only float64 arrays in chord order, validated once,
+and a realized ``HalfplaneScene`` holds its leaves as one (n, 4) array
+of frame entries.  ``fd_oracle`` measures a scene in O(1) numpy calls,
+then walks the chord in its own frame: one 2 x 2 matrix chain from ``p``
+to ``q`` per shear step, so it rounds relative to the chord, not to
+half-plane coordinates of size ``e^L``.  Its checked 3 x 3 grid of
+deformed lengths is memoized on the immutable scene.
 
 Endpoint components use one parallel frame along the oriented chord:
 ``u_par`` and ``v_par`` point outward (away from the other endpoint),
@@ -46,15 +42,11 @@ formula in this module is pinned against ``fd_oracle``, the
 finite-difference channel that deforms an actual half-plane realization
 of the scene and differentiates the resulting distances numerically.
 
-The kernel ``cosh(s_<) cosh(L - s_>)`` is semiseparable: above the
-diagonal, entry ``(i, j)`` is a factor of ``i`` alone times a factor of
-``j`` alone.  So ``hessian_form`` and ``hessian_split`` never build it:
-with the crossings in chord order the quadratic form is one prefix sum
-of ``x_i cosh(s_i)`` weighted by ``x_j cosh(L - s_j)``, O(n) numpy work
-for n crossings.  ``hessian_margin`` reads its margins off adjacent
-gaps, also O(n).  ``hessian_matrix`` builds the dense kernel, O(n^2) in
-time and memory, and serves only as the reference for tests and
-eigenvalue checks.
+The kernel ``cosh(s_<) cosh(L - s_>)`` is semiseparable, so
+``hessian_form`` and ``hessian_split`` evaluate the form as one prefix
+sum, O(n) numpy work, without building it; ``hessian_margin`` is O(n)
+too.  ``hessian_matrix`` builds the dense O(n^2) kernel only as the
+reference for tests and eigenvalue checks.
 """
 
 from __future__ import annotations
@@ -69,7 +61,7 @@ import numpy as np
 
 from . import halfplane
 from .errors import (DegenerateConfigurationError, DegenerateMarginError,
-                     InconsistentSceneError, SystolicaError)
+                     InconsistentSceneError, SystolicaError, _real_floats)
 
 __all__ = [
     "ChordConfig",
@@ -94,6 +86,8 @@ __all__ = [
 
 def _readonly_vector(values, what: str) -> np.ndarray:
     # a private float64 copy, so no caller can change a validated config
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "biuf"):
+        values = _real_floats(values, what)
     a = np.array(values, dtype=np.float64)
     if a.ndim != 1:
         raise ValueError(f"{what} must be a 1-D sequence of numbers")
@@ -113,8 +107,9 @@ class ChordConfig:
     Raises
     ------
     ValueError
-        If the length is not positive and finite, ``s`` and ``theta``
-        differ in shape, a crossing sits outside the open chord, the
+        If a value is not a number (a string, None or an integer beyond
+        the float range), the length is not positive and finite, ``s`` and
+        ``theta`` differ in shape, a crossing sits outside the open chord, the
         crossings are not strictly increasing in ``s``, or an angle leaves
         ``(0, pi)``.  NaN fails every one of these tests.  The message
         names the first bad crossing.
@@ -125,7 +120,7 @@ class ChordConfig:
     theta: np.ndarray
 
     def __post_init__(self):
-        L = float(self.length)
+        L, = _real_floats((self.length,), "chord length")
         if not (math.isfinite(L) and L > 0):
             raise ValueError("chord length must be positive and finite")
         s = _readonly_vector(self.s, "crossing positions")
@@ -156,7 +151,8 @@ class ChordConfig:
 @dataclass(frozen=True, eq=False)
 class TransverseWeights:
     """Shear rates, one per crossing of the configuration, stored as a
-    read-only 1-D float64 array."""
+    read-only 1-D float64 array.  A rate that is not a finite number
+    raises ValueError."""
 
     weights: np.ndarray
 
@@ -171,7 +167,7 @@ class TransverseWeights:
 class EndpointVariation:
     """Endpoint velocities in the chord frame described in the module
     docstring; all four default to zero and are stored as floats.  A
-    component that is NaN or infinite raises ValueError."""
+    component that is not a finite number raises ValueError."""
 
     u_perp: float = 0.0
     u_par: float = 0.0
@@ -179,11 +175,13 @@ class EndpointVariation:
     v_par: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            v = float(getattr(self, f.name))
+        names = [f.name for f in fields(self)]
+        values = _real_floats([getattr(self, k) for k in names],
+                              "endpoint components")
+        for name, v in zip(names, values):
             if not math.isfinite(v):
-                raise ValueError(f"endpoint component {f.name} must be finite")
-            object.__setattr__(self, f.name, v)
+                raise ValueError(f"endpoint component {name} must be finite")
+            object.__setattr__(self, name, v)
 
 
 ZERO_ENDPOINTS = EndpointVariation()
@@ -376,17 +374,14 @@ class HalfplaneScene:
     float64 array: row ``i`` holds the entries ``(a, b, c, d)`` of the
     frame of leaf ``i``, the matrix taking the upward imaginary axis onto
     the leaf as in ``halfplane.HGeodesic``, normalized to determinant one
-    as ``halfplane.HIsometry`` is.  ``fd_oracle`` re-measures the geometry
-    and refuses to differentiate a scene whose realization drifted from
-    its configuration.
+    as ``halfplane.HIsometry`` is.  ``fd_oracle`` re-measures the geometry,
+    refuses a scene that drifted from its configuration, and walks it.
 
     A scene is immutable: the dataclass is frozen, ``cfg`` and
     ``weights`` hold read-only arrays, and ``p``, ``q`` and ``leaves``
-    are private copies taken here, so no point or array the caller keeps
-    can change it.  The private ``_grid`` memo holds what ``fd_oracle``
-    needs: it is filled on first use with the nine deformed lengths of a
-    scene that passed the consistency check (see ``_checked_grid``).  A
-    check or grid that raises leaves the memo empty.
+    are private copies taken here.  The private ``_grid`` memo holds the
+    nine deformed lengths ``fd_oracle`` needs once ``_checked_grid`` has
+    computed them; a check or grid that raises leaves it empty.
 
     Raises
     ------
@@ -459,85 +454,105 @@ def realize_scene(cfg: ChordConfig, weights: TransverseWeights,
                           q=halfplane.HPoint(0.0, top), leaves=leaves)
 
 
-def _endpoint_paths(scene: HalfplaneScene):
-    """The geodesics along which ``p`` and ``q`` move under their
-    variation vectors, each with its speed; ``(None, 0.0)`` for an
-    endpoint that stays.  One chord frame and two pushed tangents, O(1)
-    whatever ``n``."""
-    ev = scene.endpoints
-    # Seen from the chord's frame at either end, the chord runs up the
-    # imaginary axis through i: forward is +y, left is -x, and outward
-    # is -y at p and +y at q.
-    at_p = halfplane.geodesic_through(scene.p, scene.q).frame
-    e = math.exp(0.5 * halfplane.dist(scene.p, scene.q))
-    at_q = at_p @ halfplane.HIsometry(e, 0.0, 0.0, 1.0 / e)
-    i = halfplane.HPoint(0.0, 1.0)
-    paths = []
-    for frame, dx, dy in ((at_p, -ev.u_perp, -ev.u_par),
-                          (at_q, -ev.v_perp, ev.v_par)):
-        u = frame.push(halfplane.HTangent(i, dx, dy))
-        speed = halfplane.norm(u)
-        paths.append((halfplane.geodesic_from_direction(u.base, u), speed)
-                     if speed > 0 else (None, 0.0))
-    return paths
+def _shear_chain(length: float, s, theta, weights, t: float):
+    """The chord's far end sheared by ``t``, ``M(t)`` in the chord's frame
+    (``p = i``, ``q = D(L) i``, ``D(x) = diag(e^{x/2}, e^{-x/2})``), as
+    entries ``(a, b, c, d)``: the sheared ``q`` is ``M(t) i``.
 
-
-def _moved_endpoints(scene: HalfplaneScene, paths, t: float):
-    """The endpoints ``(p_t, q_t)`` moved a parameter ``t`` along their
-    ``_endpoint_paths``: one point on each moving path, O(1)."""
-    (gp, vp), (gq, vq) = paths
-    pt = gp.point_at(t * vp) if vp > 0 else scene.p
-    qt = gq.point_at(t * vq) if vq > 0 else scene.q
-    return pt, qt
-
-
-def _shear_isometry(scene: HalfplaneScene, t: float):
-    """The far side of each leaf sheared by ``t`` times its weight, the
-    leaves composed from ``q`` inward so the leaf nearest ``p`` acts
-    last: the product, in leaf order, of the translations
-    ``cosh(t a/2) I + sinh(t a/2) X`` along each leaf, as
-    ``halfplane.translate_along`` builds them.
-
-    The identity at ``t == 0``.  Otherwise the generators ``X`` of all
-    leaves and the ``cosh``/``sinh`` factors come from O(1) numpy calls,
-    and one plain-float loop multiplies the ``n`` 2 x 2 matrices.  The
-    result is stored without renormalizing, as ``translate_along`` stores
-    each factor.
-
-    Raises
-    ------
-    ValueError
-        If ``t`` is not finite.
+    The shear by ``x = t a`` along the leaf at ``(s, theta)`` is
+    ``D(s) (I + E) D(-s)``, ``E = (cosh - 1) I + sinh X`` at ``x/2`` with
+    ``X = [[cos theta, -sin theta], [-sin theta, -cos theta]]``, so
+    ``M = D(s_1) K_1 D(s_2 - s_1) ... K_n D(L - s_n)`` with ``K = I + E``.
+    The loop carries the difference ``Psi_i = D(-s_{i+1}) P_i - I`` of
+    the first ``i`` steps ``P_i`` from ``D``: ``Psi_0 = 0``,
+    ``Psi_i = D(-g) (Psi_{i-1} K_i + E_i) D(g)`` for the gap
+    ``g = s_{i+1} - s_i`` (``s_{n+1} = L``), and ``M = D(L) (I + Psi_n)``.
+    So each step rounds relative to ``Psi = O(t)``, not to entries of
+    size ``e^{s/2}``; ``cosh - 1`` is ``2 sinh^2(x/4)``.  O(1) numpy calls
+    and an ``n``-step float loop, none at ``t == 0``.  An overflow leaves
+    a non-finite entry.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"shear parameter must be finite (t={t!r})")
-    if t == 0.0:
-        return halfplane.HIsometry.identity()
-    A, B, C = halfplane._generator(*scene.leaves.T)
-    half = 0.5 * t * scene.weights.weights
-    ch, sh = np.cosh(half), np.sinh(half)
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for p, q, r, u in zip((ch + sh * A).tolist(), (sh * B).tolist(),
-                          (sh * C).tolist(), (ch - sh * A).tolist()):
-        a, b, c, d = a * p + b * r, a * q + b * u, c * p + d * r, c * q + d * u
-    return halfplane.HIsometry._unimodular(a, b, c, d)
+    a = b = c = d = 0.0
+    if t != 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = (0.5 * t) * weights
+            sh, ch1 = np.sinh(half), 2.0 * np.sinh(0.5 * half) ** 2
+            cs, e12 = sh * np.cos(theta), sh * -np.sin(theta)
+            e11, e22 = ch1 + cs, ch1 - cs
+            g = np.exp(np.concatenate((s[1:], (length,))) - s)
+            steps = (1.0 + e11, 1.0 + e22, e11, e12, e22, g)
+        for k11, k22, e11, e12, e22, g in zip(*(v.tolist() for v in steps)):
+            a, b, c, d = (a * k11 + b * e12 + e11,
+                          (a * e12 + b * k22 + e12) / g,
+                          (c * k11 + d * e12 + e12) * g,
+                          c * e12 + d * k22 + e22)
+    e = math.exp(0.5 * length)
+    return e * (1.0 + a), e * b, c / e, (1.0 + d) / e
+
+
+def _endpoint_frames(ev: EndpointVariation, t: float):
+    """The frames ``E = R(phi) D(t |w|)``, as entries, that move ``p`` and
+    ``q`` by ``t`` along their variation vectors ``w`` to ``E(i)``: in
+    the chord's frame at either end the chord runs up the imaginary axis
+    through ``i`` (left is -x; outward is -y at ``p``, +y at ``q``), and
+    ``R(phi)``, ``halfplane._frame_at`` at ``i``, turns "up" onto ``w``.
+    An overflow raises DegenerateConfigurationError."""
+    frames = []
+    for dx, dy in ((-ev.u_perp, -ev.u_par), (-ev.v_perp, ev.v_par)):
+        x = 0.5 * t * math.hypot(dx, dy)
+        if x == 0.0:
+            frames.append((1.0, 0.0, 0.0, 1.0))
+            continue
+        try:
+            e, ei = math.exp(x), math.exp(-x)
+            f = halfplane._frame_at(halfplane.HPoint(0.0, 1.0), complex(dy, -dx))
+        except OverflowError as exc:
+            raise DegenerateConfigurationError(
+                f"endpoint moved {t!r} x {math.hypot(dx, dy)!r} overflows") from exc
+        frames.append((f.a * e, f.b * ei, f.c * e, f.d * ei))
+    return frames
+
+
+def _chord_distance(ep, m, eq) -> float:
+    """The distance from ``E_p(i)`` to ``M E_q(i)``: for
+    ``[[A, B], [C, D]] = E_p^-1 M E_q`` of determinant one,
+    ``4 sinh^2(d/2) = (A - D)^2 + (B + C)^2``.  A distance that is not
+    finite raises DegenerateConfigurationError."""
+    (pa, pb, pc, pd), (ma, mb, mc, md), (qa, qb, qc, qd) = ep, m, eq
+    a, b = pd * ma - pb * mc, pd * mb - pb * md  # E_p^-1 M
+    c, d = pa * mc - pc * ma, pa * md - pc * mb
+    A, B = a * qa + b * qc, a * qb + b * qd
+    C, D = c * qa + d * qc, c * qb + d * qd
+    dist = 2.0 * math.asinh(0.5 * math.hypot(A - D, B + C))
+    if not math.isfinite(dist):
+        raise DegenerateConfigurationError(
+            f"the deformed chord length {dist!r} is not a finite float")
+    return dist
 
 
 def scene_length(scene: HalfplaneScene, shear_t: float, end_t: float) -> float:
     """Deformed chord length: endpoints moved a parameter ``end_t``
     along their variation vectors, the far side of each leaf sheared by
     ``shear_t`` times its weight (leaves composed from ``q`` inward, so
-    the leaf nearest ``p`` acts last).
+    the leaf nearest ``p`` acts last).  The chord is walked in its own
+    frame from the measured ``(length, s, theta)`` by the helpers of
+    ``fd_oracle``'s grid: ``_shear_chain``, ``_endpoint_frames`` and
+    ``_chord_distance``.
 
-    Each call builds the endpoint paths and moved endpoints (one chord
-    frame, O(1)) and, unless ``shear_t == 0``, the composed shear (O(1)
-    numpy calls and an ``n``-step float product loop), then measures one
-    distance.  ``fd_oracle`` evaluates its grid from the same helpers,
-    building the paths once and each shear once per distinct step, once
-    per scene.
+    Raises
+    ------
+    ValueError
+        If ``shear_t`` or ``end_t`` is not finite.
+    DegenerateConfigurationError
+        If a leaf misses the chord or the deformed chord overflows.
     """
-    pt, qt = _moved_endpoints(scene, _endpoint_paths(scene), end_t)
-    return halfplane.dist(pt, _shear_isometry(scene, shear_t).apply(qt))
+    if not (math.isfinite(shear_t) and math.isfinite(end_t)):
+        raise ValueError(f"deformation parameters must be finite "
+                         f"(shear_t={shear_t!r}, end_t={end_t!r})")
+    length, s, theta = _measure_scene(scene)
+    ep, eq = _endpoint_frames(scene.endpoints, end_t)
+    m = _shear_chain(length, s, theta, scene.weights.weights, shear_t)
+    return _chord_distance(ep, m, eq)
 
 
 def _measure_scene(scene: HalfplaneScene):
@@ -580,12 +595,11 @@ def _checked_grid(scene: HalfplaneScene) -> dict:
     3 x 3 grid ``{(i, j): scene_length(scene, i * h, j * h)}`` for
     ``i, j`` in ``(-1, 0, 1)`` and ``h = FD_STEP``.
 
-    One ``_measure_scene`` (O(1) numpy calls), the two shears for
-    ``shear_t = -h, +h`` (O(1) numpy calls and an ``n``-step float
-    product loop apiece), one set of endpoint paths, the moved endpoints
-    for ``end_t = -h, 0, +h`` and nine distances.  Each value is computed
-    exactly as ``scene_length`` computes it.  ``HalfplaneScene._grid``
-    memoizes the result.
+    One ``_measure_scene`` (O(1) numpy calls), the chains for
+    ``shear_t = -h, +h`` (O(1) numpy calls and an ``n``-step float loop
+    apiece), the endpoint frames for ``end_t = -h, 0, +h`` and nine
+    distances.  Each value is computed exactly as ``scene_length``
+    computes it.  ``HalfplaneScene._grid`` memoizes the result.
     """
     try:
         length, s, theta = _measure_scene(scene)
@@ -609,17 +623,11 @@ def _checked_grid(scene: HalfplaneScene) -> dict:
             f"(s={cfg.s[i].item()!r}, theta={cfg.theta[i].item()!r})")
     h = FD_STEP
     steps = (-1, 0, 1)
-    shear = {i: _shear_isometry(scene, i * h) for i in steps}
-    try:
-        paths = _endpoint_paths(scene)
-        moved = {j: _moved_endpoints(scene, paths, j * h) for j in steps}
-        return {(i, j): halfplane.dist(moved[j][0], shear[i].apply(moved[j][1]))
-                for i in steps for j in steps}
-    except ValueError as exc:
-        # a deformed endpoint left the float half-plane (y below YMIN)
-        raise DegenerateConfigurationError(
-            f"chord of length {cfg.length!r} deforms out of the float "
-            f"half-plane: {exc}") from exc
+    chains = {i: _shear_chain(length, s, theta, scene.weights.weights, i * h)
+              for i in steps}
+    ends = {j: _endpoint_frames(scene.endpoints, j * h) for j in steps}
+    return {(i, j): _chord_distance(ends[j][0], chains[i], ends[j][1])
+            for i in steps for j in steps}
 
 
 def fd_oracle(scene: HalfplaneScene, order: int):
@@ -634,24 +642,19 @@ def fd_oracle(scene: HalfplaneScene, order: int):
     value is exactly ``scene_length(scene, i * h, j * h)`` with
     ``h = FD_STEP``.
 
-    The cost is paid per scene, not per call.  The first call on a scene
-    checks it and evaluates all nine grid values (``_checked_grid``: one
-    measurement, two composed shears, one set of endpoint paths, nine
-    distances); the scene memoizes them, so any later call, of either
-    order, costs one lookup and a few flops.  Orders 1 and 2 read the
-    same values, so calling them in either order gives the same results.
-    Nothing that raises is memoized: a scene that fails its check or its
-    grid raises again on every call.
+    The first call on a scene checks it and evaluates the nine grid
+    values (``_checked_grid``); the scene memoizes them, so a later call
+    of either order costs a lookup and a few flops and reads the same
+    values.  Nothing that raises is memoized.
 
-    Accuracy falls with the chord length, because the grid differences
-    distances of about ``L`` in floats.  For crossings
-    s = (1, L/2, L - 1), theta = (1, 2, 0.5), weights (1, -1, 0.5) and
-    endpoint motion (0.3, 0.1, -0.2, 0.4), the order-2 error against
-    ``hessian_split``, relative to max(1, |value|), is at most 2e-7 up to
-    L = 25, then 7e-6 at L = 30, 3e-3 at 35, 0.69 at 40 and 39 at 45.
-    No error is raised for that loss.  At L = 50 and beyond, a deformed
-    far endpoint of that family leaves the float half-plane, which is
-    refused below.
+    The walk rounds in the chord's frame, not in half-plane coordinates
+    of size ``e^L``: to first order a grid value ``d`` errs by at most
+    (10 + d) eps, plus 32 eps coth(d/2) with moving endpoints, for any
+    ``n`` with ``n FD_STEP max|a|`` small, and an order-2 value by its
+    O(FD_STEP^2) truncation plus four such budgets over FD_STEP^2 (see
+    tests/test_hessian.py).  On s = (1, L/2, L - 1), theta = (1, 2, 0.5),
+    weights (1, -1, 0.5) and endpoint motion (0.3, 0.1, -0.2, 0.4) the
+    order-2 error, relative to max(1, |value|), is at most 2e-6 up to L = 700.
 
     Raises
     ------
@@ -661,8 +664,8 @@ def fd_oracle(scene: HalfplaneScene, order: int):
         angle (including a leaf that misses the chord or crosses it
         clockwise).
     DegenerateConfigurationError
-        If a deformed endpoint comes within ``halfplane.YMIN`` of the
-        real axis, as it does on the long chords above.
+        If a deformed length is not a finite float, as when a shear or
+        an endpoint motion of ``FD_STEP`` overflows.
     ValueError
         For any ``order`` other than 1 or 2, after the scene is checked.
     """

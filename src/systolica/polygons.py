@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, NoPentagonError, NoPolygonError
+from .errors import DegenerateConfigurationError, NoPentagonError, NoPolygonError, _real_floats
 from .halfplane import HGeodesic, HIsometry, HPoint, _disk, _perpendicular_length, dist
 from .trig import pentagon_perpendicular, pentagon_side, semiregular_partner
 
@@ -92,7 +92,7 @@ def realize(sides: Sequence[float]) -> MarkedRightPolygon:
     A walk that overflows or comes within ``halfplane.YMIN`` of the real
     axis raises DegenerateConfigurationError.
     """
-    sides = tuple(float(s) for s in sides)
+    sides = _real_floats(sides, "side lengths")
     if len(sides) < 5:
         raise ValueError("a right-angled polygon needs at least 5 sides")
     if any(not math.isfinite(s) or s <= 0 for s in sides):
@@ -133,7 +133,7 @@ def sides_from_pentagon_coords(coords: Sequence[float]) -> MarkedRightPolygon:
     sinh(l_3) sinh(l_4) > 1; otherwise NoPolygonError reports the failing
     slot.  Sides that overflow raise DegenerateConfigurationError.
     """
-    coords = tuple(float(c) for c in coords)
+    coords = _real_floats(coords, "pentagon coordinates")
     if len(coords) < 2:
         raise ValueError("need at least two coordinates (n >= 5)")
     if len(coords) == 2:  # n = 5: (l_3, l_4) and their perpendicular l_1

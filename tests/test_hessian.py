@@ -21,13 +21,10 @@ from systolica.errors import (DegenerateConfigurationError,
                               DegenerateMarginError, InconsistentSceneError)
 from systolica.polygons import polygon_from_json
 from systolica.halfplane import (
-    HGeodesic,
-    HIsometry,
     HPoint,
     HTangent,
     geodesic_from_direction,
     rotate_tangent,
-    translate_along,
 )
 from systolica.hessian import (
     ChordConfig,
@@ -461,6 +458,27 @@ def test_json_readers_raise_value_error_on_malformed_input(reader, data):
         reader(data)
 
 
+@pytest.mark.parametrize("build, args, kwargs", [
+    # an integer beyond the float range, a numeric string and None, each
+    # refused where float() would raise OverflowError or parse the string
+    (ChordConfig, (10**400, (), ()), {}),
+    (ChordConfig, ("3.0", (), ()), {}),
+    (ChordConfig, (None, (), ()), {}),
+    (ChordConfig, (3.0,), {"s": (10**400,), "theta": (1.0,)}),
+    (ChordConfig, (3.0,), {"s": ("1.0",), "theta": ("1.0",)}),
+    (ChordConfig, (3.0,), {"s": (None,), "theta": (1.0,)}),
+    (TransverseWeights, ((10**400,),), {}),
+    (TransverseWeights, (("0.5",),), {}),
+    (TransverseWeights, ((None,),), {}),
+    (EndpointVariation, (), {"u_perp": 10**400}),
+    (EndpointVariation, (), {"u_perp": "0.5"}),
+    (EndpointVariation, (), {"v_par": None}),
+])
+def test_constructors_raise_value_error_on_malformed_input(build, args, kwargs):
+    with pytest.raises(ValueError):
+        build(*args, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # the O(n) prefix-sum kernel against the dense matrix and a 40-digit reference
 
@@ -673,7 +691,7 @@ class TestLongChords:
 
 
 # ---------------------------------------------------------------------------
-# the oracle's grid: each shear and each endpoint pair built once
+# the oracle's grid: each shear chain and each pair of endpoint frames built once
 
 @st.composite
 def oracle_scenes(draw, max_n=40):
@@ -702,25 +720,25 @@ class TestOracleGrid:
 
     @pytest.mark.parametrize("orders", [(1, 2), (2, 1)])
     def test_oracle_composes_each_shear_once(self, monkeypatch, orders):
-        shear, measure = hessian._shear_isometry, hessian._measure_scene
+        chain, measure = hessian._shear_chain, hessian._measure_scene
         steps, measured = [], []
 
-        def counted(scene, t):
+        def counted(length, s, theta, weights, t):
             steps.append(t)
-            return shear(scene, t)
+            return chain(length, s, theta, weights, t)
 
         def counted_measure(scene):
             measured.append(scene)
             return measure(scene)
 
-        monkeypatch.setattr(hessian, "_shear_isometry", counted)
+        monkeypatch.setattr(hessian, "_shear_chain", counted)
         monkeypatch.setattr(hessian, "_measure_scene", counted_measure)
         scene = realize_scene(*long_scene(random.Random(9), 12, 3.0))
         h = hessian.FD_STEP
         for order in orders:
             fd_oracle(scene, order)
-        # over both orders on one scene: one measurement, and one composed
-        # shear for shear_t = -h and one for +h
+        # over both orders on one scene: one measurement, and one chain
+        # built for shear_t = -h and one for +h (at 0 no loop runs)
         assert sorted(t for t in steps if t != 0.0) == [-h, h]
         assert measured == [scene]
 
@@ -756,18 +774,6 @@ class TestOracleGrid:
         assert (copy.p.y, copy.q.x) == (scene.p.y, scene.q.x)
         assert fd_oracle(copy, 2) == want == fd_oracle(scene, 2)
 
-    @pytest.mark.parametrize("length", [50.0, 60.0])
-    def test_long_chord_is_refused_with_a_typed_error(self, length):
-        # the deformed far endpoint comes within YMIN of the real axis;
-        # the refusal is not memoized, so it repeats on every call
-        cfg = ChordConfig(length, s=(1.0, length / 2, length - 1.0),
-                          theta=(1.0, 2.0, 0.5))
-        scene = realize_scene(cfg, TransverseWeights((1.0, -1.0, 0.5)),
-                              EndpointVariation(0.3, 0.1, -0.2, 0.4))
-        for order in (1, 2, 2):
-            with pytest.raises(DegenerateConfigurationError):
-                fd_oracle(scene, order)
-
     @given(oracle_scenes(),
            st.one_of(st.sampled_from([hessian.FD_STEP, -hessian.FD_STEP]),
                      st.floats(-2.0, 2.0)))
@@ -777,39 +783,227 @@ class TestOracleGrid:
              2.225073858507e-311)
     @settings(max_examples=40, deadline=None)
     def test_shear_is_the_ordered_product_of_leaf_translations(self, scene, t):
-        # The reference is the exact (50-digit) product, in leaf order, of
-        # the translate_along matrices.  The shear builds the same factors
-        # with numpy's cosh and sinh, each entry within 2 eps of the
-        # factor's absolute matrix |T| = [[ch + |sh A|, |sh B|],
-        # [|sh C|, ch + |sh A|]], and each of its n 2 x 2 products adds
-        # at most 2 eps |P||T|; to first order the error is below
-        # (4n + 4) eps |T_1| ... |T_n|, entrywise.  A rounding that
-        # underflows errs by an absolute half of the smallest subnormal
-        # instead (a subnormal t makes sinh(t a/2) B subnormal), carried
-        # forward by at most the largest entry of that product.
-        got = hessian._shear_isometry(scene, t)
-        factors = [translate_along(HGeodesic(HIsometry._unimodular(*row)), t * a)
-                   for row, a in zip(scene.leaves.tolist(),
-                                     scene.weights.weights.tolist())]
-        absolute = np.eye(2)
+        # The reference is the exact (50-digit) chain
+        # D(s_1) K_1 D(s_2 - s_1) ... K_n D(L - s_n) of the same floats.
+        # The float chain is D(L) (I + Psi_n) with
+        # Psi_i = D(-g_i) (Psi_{i-1} K_i + E_i) D(g_i).  Taking each numpy
+        # function within 4 ulps (8u, u = eps/2), E errs by at most 20u
+        # of its absolute value (sinh, sinh^2, cos and sin), K = I + E by
+        # 21u, and e^{+-g} for a gap rounded to u g by (8 + L) u; with the
+        # step's own 2u and the scaling's u, each step errs by at most
+        # (32 + L) u of its absolute terms, and by induction
+        # |delta Psi_n| <= (32 + L) n u |Psi|_n, where |Psi| is the chain
+        # of absolute values.  In the coordinates of M that is
+        # D(s_{i+1}) |Psi|_i = A_i, with A_0 = 0 and
+        # A_i = A_{i-1} (I + |E_i|) D(g_i) + D(s_i) |E_i| D(g_i).  The
+        # final D(L) (I + Psi) adds 4u |M| (exp, the sum and the
+        # product).  A rounding that underflows (a subnormal t) errs by an
+        # absolute half of the smallest subnormal instead: adding tiny/u
+        # to each |E| entry carries that through A.
+        cfg, w = scene.cfg, scene.weights.weights
+        got = np.array(hessian._shear_chain(cfg.length, cfg.s, cfg.theta, w, t))
+        u, tiny = EPS / 2, np.nextafter(0.0, 1.0)
         with mp.workdps(50):
-            exact = mp.eye(2)
-            for m in factors:
-                exact = exact * mp.matrix([[m.a, m.b], [m.c, m.d]])
-                big = max(m.a, m.d)  # ch + |sh A|
-                absolute = absolute @ np.array([[big, abs(m.b)],
-                                                [abs(m.c), big]])
-            want = np.array(exact.tolist(), dtype=float)
-        err = np.abs(np.array([[got.a, got.b], [got.c, got.d]]) - want)
-        tiny = np.nextafter(0.0, 1.0)
-        assert (err <= (4 * scene.cfg.n + 4)
-                * (EPS * absolute + tiny * absolute.max())).all()
+            want = np.array(mp_chain(cfg.length, cfg.s, cfg.theta, w, t).tolist(),
+                            dtype=float).ravel()
+        x = 0.5 * t * w
+        e_diag = 2.0 * np.sinh(0.5 * x) ** 2 + np.abs(np.sinh(x) * np.cos(cfg.theta))
+        e_off = np.abs(np.sinh(x) * np.sin(cfg.theta))
+        A = np.zeros((2, 2))
+        for s, gap, ed, eo in zip(cfg.s, np.diff(cfg.s, append=cfg.length),
+                                  e_diag + tiny / u, e_off + tiny / u):
+            E = np.array([[ed, eo], [eo, ed]])
+            g = np.diag([math.exp(0.5 * gap), math.exp(-0.5 * gap)])
+            A = A @ (np.eye(2) + E) @ g + np.diag(
+                [math.exp(0.5 * s), math.exp(-0.5 * s)]) @ E @ g
+        budget = 4 * u * np.abs(want) + (32 + cfg.length) * cfg.n * u * A.ravel()
+        assert (np.abs(got - want) <= budget).all()
 
     def test_shear_rejects_nonfinite_step(self):
         scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)))
         for t in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 scene_length(scene, t, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's accuracy: a rounding budget that does not grow with n or L
+
+def mp_chain(length, s, theta, weights, t):
+    """The sheared far end M(t) = D(s_1) K_1 D(s_2 - s_1) ... K_n D(L - s_n)
+    in the working precision, the given floats taken as exact:
+    D(x) = diag(e^{x/2}, e^{-x/2}) and K the translation along a leaf,
+    cosh(x) I + sinh(x) [[cos theta, -sin theta], [-sin theta, -cos theta]]
+    at x = t a / 2."""
+    M, prev = mp.eye(2), mp.mpf(0)
+    for si, th, a in zip(np.asarray(s).tolist(), np.asarray(theta).tolist(),
+                         np.asarray(weights).tolist()):
+        x = mp.mpf(t) * mp.mpf(a) / 2
+        ch, sh = mp.cosh(x), mp.sinh(x)
+        c, sn = mp.cos(th), mp.sin(th)
+        K = mp.matrix([[ch + sh * c, -sh * sn], [-sh * sn, ch - sh * c]])
+        M = M * mp_translation(mp.mpf(si) - prev) * K
+        prev = mp.mpf(si)
+    return M * mp_translation(mp.mpf(length) - prev)
+
+
+def mp_translation(x):
+    e = mp.exp(x / 2)
+    return mp.matrix([[e, 0], [0, 1 / e]])
+
+
+def mp_moved(m, dx, dy, t):
+    """m applied to the point at arclength t |w| from i along w = (dx, dy):
+    the rotation about i by the angle phi from "up" to w, after
+    D(t |w|), taking i to that point."""
+    phi = mp.atan2(-mp.mpf(dx), mp.mpf(dy))
+    c, s = mp.cos(phi / 2), mp.sin(phi / 2)
+    f = m * mp.matrix([[c, s], [-s, c]]) * mp_translation(
+        mp.mpf(t) * mp.hypot(dx, dy))
+    return (f[0, 0] * 1j + f[0, 1]) / (f[1, 0] * 1j + f[1, 1])
+
+
+def mp_grid(scene, steps):
+    """scene_length(scene, i h, j h) to 50 digits for (i, j) in steps,
+    from the scene's measured (length, s, theta): p and q moved along
+    their variation vectors in the chord's frame (p = i, q = D(L) i), q
+    sheared by M(i h), and the distance of the two points.  The height
+    of the sheared q is a determinant-one cancellation among entries of
+    size e^{L/2}, so the working precision grows by L digits."""
+    length, s, theta = hessian._measure_scene(scene)
+    ev, h = scene.endpoints, hessian.FD_STEP
+    out = {}
+    with mp.workdps(50 + int(length)):
+        chains = {i: mp_chain(length, s, theta, scene.weights.weights, i * h)
+                  for i in {i for i, _ in steps}}
+        for i, j in steps:
+            zp = mp_moved(mp.eye(2), -ev.u_perp, -ev.u_par, j * h)
+            zq = mp_moved(chains[i], -ev.v_perp, ev.v_par, j * h)
+            out[i, j] = 2 * mp.asinh(
+                abs(zp - zq) / (2 * mp.sqrt(zp.imag * zq.imag)))
+    return out
+
+
+def mp_order_two(W, k):
+    """(shear2, mixed, end2) from the values W at step k h."""
+    h2 = (k * hessian.FD_STEP) ** 2
+    return ((W[k, 0] - 2 * W[0, 0] + W[-k, 0]) / h2,
+            (W[k, k] - W[k, -k] - W[-k, k] + W[-k, -k]) / (4 * h2),
+            (W[0, k] - 2 * W[0, 0] + W[0, -k]) / h2)
+
+
+# Rounding of one grid value d, first order, with u = eps/2.  With the
+# endpoints fixed (j = 0) the frames are exactly I and G = M =
+# D(L) (I + Psi): exp (2u), 1 + Psi (u) and the product (u) put 4u on
+# its diagonal, A - D cancels by coth(d/2), and hypot adds 2u; asinh
+# turns a relative error r of its argument into 2 r tanh(d/2), so these
+# give 2 tanh(d/2) (4u coth(d/2) + 3u) <= 7 eps, and the rounding of
+# asinh itself is within eps d.  Psi rounds by (32 + L) n u |Psi| (see
+# the chain test) with |Psi| <= n h max|a| / 2, which through the same
+# coth(d/2) adds at most 3 eps for n <= 40, L <= 6 and |a| <= 1, and for
+# the three crossings of the long chords below: (10 + d) eps in all.  A
+# moving endpoint adds the roundings of E_p and E_q (6u per entry from
+# _frame_at's normalization, exp and a product) and of the two products
+# (2u per entry), 16u in all, entrywise against |R_p| |M| |R_q|, whose
+# Frobenius norm is at most twice that of G for rotations R.  Since
+# X^2 = |G|_F^2 - 2 and |G|_F^2 = X^2 coth^2(d/2), that moves d by at
+# most 2 tanh(d/2) 2 (16u) coth^2(d/2) = 32 eps coth(d/2).
+def value_budget(d, moving):
+    return (10 + d + (32 / math.tanh(d / 2) if moving else 0)) * EPS
+
+
+GRID = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+RICHARDSON = [(i, 0) for i in (-2, 2)] + [(0, j) for j in (-2, 2)] + [
+    (i, j) for i in (-2, 2) for j in (-2, 2)]
+
+
+def assert_oracle_within_budget(scene):
+    """Each grid value within ``value_budget`` of the 50-digit walk, and
+    the order-2 oracle within the budgets of its quotients' values plus
+    twice Richardson's truncation estimate |D(2h) - D(h)| / 3 from the
+    50-digit walk, against ``hessian_split``.  The quotients' own
+    rounding (u d from the first subtraction, the rest exact by Sterbenz,
+    and 2u of the value) is added to the rounding term."""
+    h = hessian.FD_STEP
+    W = mp_grid(scene, GRID + RICHARDSON)
+    grid = scene._grid
+    moving = scene.endpoints != EndpointVariation()
+    budget = {(i, j): value_budget(d, moving and j != 0)
+              for (i, j), d in grid.items()}
+    for key in GRID:
+        assert abs(grid[key] - float(W[key])) <= budget[key], key
+    got = fd_oracle(scene, 2)
+    want = hessian_split(scene.cfg, scene.weights, scene.endpoints)
+    with mp.workdps(50 + int(scene.cfg.length)):
+        near, far = mp_order_two(W, 1), mp_order_two(W, 2)
+        trunc = [float(abs(b - a)) / 3 for a, b in zip(near, far)]
+    d = EPS * max(grid.values())
+    rounding = [
+        (budget[1, 0] + 2 * budget[0, 0] + budget[-1, 0] + d) / h ** 2,
+        (budget[1, 1] + budget[1, -1] + budget[-1, 1] + budget[-1, -1] + d)
+        / (4 * h ** 2),
+        (budget[0, 1] + 2 * budget[0, 0] + budget[0, -1] + d) / h ** 2]
+    for g, w, t, r in zip(got, want, trunc, rounding):
+        assert abs(g - w) <= 2 * t + r + 2 * EPS * abs(w)
+
+
+class TestOracleAccuracy:
+    def test_order_two_error_does_not_grow_with_n(self):
+        # n = 1..40 crossings on chords up to L = 6: the rounding budget
+        # above is the same for every n, and the truncation is the
+        # scheme's own, so a chain whose rounding grew with n would fail
+        rng = random.Random(40)
+        for n in range(1, 41):
+            scene = realize_scene(*long_scene(rng, n, rng.uniform(1.0, 6.0)))
+            assert_oracle_within_budget(scene)
+
+    @pytest.mark.parametrize("length", [30.0, 45.0, 50.0, 60.0, 300.0, 700.0])
+    def test_long_chord_keeps_its_accuracy(self, length):
+        # q sits at D(L) i, yet the walk rounds relative to the chord's
+        # own frame, so only the final rounding of d ~ L grows with L
+        cfg = ChordConfig(length, s=(1.0, length / 2, length - 1.0),
+                          theta=(1.0, 2.0, 0.5))
+        scene = realize_scene(cfg, TransverseWeights((1.0, -1.0, 0.5)),
+                              EndpointVariation(0.3, 0.1, -0.2, 0.4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_oracle_within_budget(scene)
+
+
+class TestOracleRefusals:
+    """What the walk cannot evaluate is refused with a typed error, and
+    numpy's overflow warnings stay inside the library."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_as_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_overflowing_shear_is_refused(self):
+        # sinh(FD_STEP * 1e10 / 2) overflows, and the chain turns NaN
+        scene = realize_scene(REF_CFG, TransverseWeights((1e10, -1e10)))
+        for order in (1, 2):
+            with pytest.raises(DegenerateConfigurationError):
+                fd_oracle(scene, order)
+
+    def test_overflowing_endpoint_frame_is_refused(self):
+        scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)),
+                              EndpointVariation(v_par=1e300))
+        with pytest.raises(DegenerateConfigurationError):
+            fd_oracle(scene, 2)
+
+    def test_nonfinite_endpoint_step_is_a_value_error(self):
+        scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)),
+                              EndpointVariation(u_par=0.5))
+        with pytest.raises(ValueError):
+            scene_length(scene, 0.0, math.nan)
+
+    def test_endpoint_step_beyond_the_float_range_is_refused(self):
+        scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)),
+                              EndpointVariation(u_par=0.5))
+        with pytest.raises(DegenerateConfigurationError):
+            scene_length(scene, 0.0, 1e6)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,17 @@ class TestPentagonChart:
         with pytest.raises(ValueError):
             realize([1.0, 0.0, 1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("build, values", [
+        (realize, [10**400, 1, 1, 1, 1]),  # beyond the float range
+        (realize, ["1.5", 1, 1, 1, 1]),
+        (realize, [None, 1, 1, 1, 1]),
+        (sides_from_pentagon_coords, [10**400, 1.0, 1.0]),
+        (sides_from_pentagon_coords, [1.0, "1.0", 1.0]),
+    ])
+    def test_values_that_are_not_numbers_raise_value_error(self, build, values):
+        with pytest.raises(ValueError):
+            build(values)
+
     def test_json_round_trip(self):
         poly = sides_from_pentagon_coords([0.8, 1.1, 0.9])
         data = polygon_to_json(poly)

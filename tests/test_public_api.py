@@ -54,7 +54,7 @@ PUBLIC = {
 METHODS = {
     halfplane.HPoint: {"z"},
     halfplane.HTangent: {"w"},
-    halfplane.HIsometry: {"apply", "identity", "inverse", "push"},
+    halfplane.HIsometry: {"apply", "inverse", "push"},
     halfplane.HGeodesic: {"endpoints", "param_of", "point_at", "tangent_at"},
     halfplane.CommonPerpendicular: set(),
     polygons.MarkedRightPolygon: {"n", "side_geodesic"},
