@@ -118,11 +118,11 @@ class HIsometry:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        det = a * d - b * c
-        if not math.isfinite(det) or det <= 0.0:
-            raise ValueError(f"matrix must have positive determinant (det={det!r})")
-        s = math.sqrt(det)
-        self.a, self.b, self.c, self.d = a / s, b / s, c / s, d / s
+        self.a, self.b, self.c, self.d = _unit(a, b, c, d)
+
+    def __iter__(self):
+        """The entries, so that ``a, b, c, d = frame`` unpacks them."""
+        return iter((self.a, self.b, self.c, self.d))
 
     def apply(self, p):
         den = self.c * p.z + self.d
@@ -148,6 +148,26 @@ class HIsometry:
 
     def __repr__(self):
         return f"HIsometry({self.a:.6g}, {self.b:.6g}, {self.c:.6g}, {self.d:.6g})"
+
+
+def _unit(a, b, c, d):
+    """The entries divided by the square root of their determinant, as
+    ``HIsometry`` stores them; a determinant that is not positive and
+    finite raises ValueError."""
+    det = a * d - b * c
+    if not math.isfinite(det) or det <= 0.0:
+        raise ValueError(f"matrix must have positive determinant (det={det!r})")
+    s = math.sqrt(det)
+    return a / s, b / s, c / s, d / s
+
+
+def _frame(a, b, c, d):
+    """An HIsometry holding these entries as given, for entries whose
+    determinant is one by construction: dividing by a rounded determinant
+    would change their last bits."""
+    m = HIsometry.__new__(HIsometry)
+    m.a, m.b, m.c, m.d = a, b, c, d
+    return m
 
 
 class HGeodesic:
@@ -286,25 +306,23 @@ def translate_along(g, t):
     f = g.frame
     A, B, C = f.a * f.d + f.b * f.c, -2.0 * f.a * f.b, 2.0 * f.c * f.d
     ch, sh = math.cosh(0.5 * t), math.sinh(0.5 * t)
-    m = HIsometry.__new__(HIsometry)
-    m.a, m.b, m.c, m.d = ch + sh * A, sh * B, sh * C, ch - sh * A
-    return m
+    return _frame(ch + sh * A, sh * B, sh * C, ch - sh * A)
 
 
 def _relative(f, a, b, c, d):
-    """Entries of f^-1 [[a, b], [c, d]] for a frame f of determinant one:
-    the frame (a, b, c, d) seen from f, in which f's geodesic is the
-    upward imaginary axis.  Its geodesic then runs from b/d to a/c on the
-    real line.  The entries may be floats or numpy columns of many
-    frames."""
-    return (f.d * a - f.b * c, f.d * b - f.b * d,
-            f.a * c - f.c * a, f.a * d - f.c * b)
+    """Entries of f^-1 [[a, b], [c, d]] for a frame f of determinant one,
+    an HIsometry or any four entries: the frame (a, b, c, d) seen from
+    f, in which f's geodesic is the upward imaginary axis.  Its geodesic
+    then runs from b/d to a/c on the real line.  The entries may be
+    floats or numpy columns of many frames."""
+    fa, fb, fc, fd = f
+    return (fd * a - fb * c, fd * b - fb * d,
+            fa * c - fc * a, fa * d - fc * b)
 
 
 def intersection_point(g, h):
     """The intersection point of two geodesics, if there is exactly one."""
-    k = h.frame
-    a, b, c, d = _relative(g.frame, k.a, k.b, k.c, k.d)
+    a, b, c, d = _relative(g.frame, *h.frame)
     # h crosses the axis iff its endpoints b/d and a/c have opposite
     # signs; it does so on the circle |z|^2 = -(b/d)(a/c).
     if a * b * c * d >= 0.0:
@@ -312,12 +330,13 @@ def intersection_point(g, h):
     return g.point_at(0.5 * math.log(-a * b / (c * d)))
 
 
-def _perpendicular_length(f, k):
-    """Length of the common perpendicular of the geodesics of frames f
-    and k, without its feet; see ``common_perpendicular``."""
-    a, b, c, d = _relative(f, k.a, k.b, k.c, k.d)
+def _perpendicular_length(a, b, c, d):
+    """Length of the common perpendicular of two geodesics, without its
+    feet, from the float entries of their relative frame (``_relative``);
+    see ``common_perpendicular``."""
     ad, bc = a * d, b * c
-    if 2.0 * min(abs(ad), abs(bc)) <= ASYMPTOTIC_EPS:
+    touch = 0.5 * ASYMPTOTIC_EPS  # |ad + bc| - 1 is 2 min(|ad|, |bc|)
+    if -touch <= ad <= touch or -touch <= bc <= touch:
         raise NoPerpendicularError("geodesics are asymptotic or coincide")
     if ad * bc < 0.0:
         raise NoPerpendicularError("geodesics intersect")
@@ -353,9 +372,8 @@ def common_perpendicular(g, h):
     |z|^2 = (b/d)(a/c) of the frame, so the foot on g sits at
     s = log(ab/cd)/2 and, symmetrically, the foot on h at log(bd/ac)/2.
     """
-    k = h.frame
-    length = _perpendicular_length(g.frame, k)
-    a, b, c, d = _relative(g.frame, k.a, k.b, k.c, k.d)
+    a, b, c, d = _relative(g.frame, *h.frame)
+    length = _perpendicular_length(a, b, c, d)
     return CommonPerpendicular(g.point_at(0.5 * math.log(a * b / (c * d))),
                                h.point_at(0.5 * math.log(b * d / (a * c))),
                                length)

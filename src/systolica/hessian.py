@@ -381,7 +381,8 @@ class HalfplaneScene:
     ``weights`` hold read-only arrays, and ``p``, ``q`` and ``leaves``
     are private copies taken here.  The private ``_grid`` memo holds the
     nine deformed lengths ``fd_oracle`` needs once ``_checked_grid`` has
-    computed them; a check or grid that raises leaves it empty.
+    computed them, and ``_steps`` the two steps they were taken at; a
+    check, step or grid that raises leaves them empty.
 
     Raises
     ------
@@ -420,6 +421,10 @@ class HalfplaneScene:
         # cached_property stores only a returned value: a scene whose
         # check or grid raises raises again on the next access
         return _checked_grid(self)
+
+    @functools.cached_property
+    def _steps(self):
+        return _fd_steps(self)
 
 
 def realize_scene(cfg: ChordConfig, weights: TransverseWeights,
@@ -589,15 +594,48 @@ def _measure_scene(scene: HalfplaneScene):
 
 FD_STEP = 1e-4
 
+# How far one finite-difference step may move the scene: a total rate r
+# with FD_STEP r beyond it is stepped by _FD_REACH / r instead.
+_FD_REACH = 1e-2
+
+
+def _fd_steps(scene: HalfplaneScene) -> tuple[float, float]:
+    """The oracle's steps ``(h_s, h_e)`` in ``shear_t`` and ``end_t``.
+
+    Each is ``FD_STEP`` unless its total rate r, the sum of ``|a_i|``
+    for the shear and of the endpoint speeds ``|u| + |v|`` for the
+    endpoints, has ``FD_STEP r`` above ``_FD_REACH``; then it is
+    ``_FD_REACH / r``.  So no step moves the scene by more than
+    ``_FD_REACH`` in all, and the truncation error stays
+    O(_FD_REACH^2) relative to the output's scale r^2 however many
+    crossings share the motion.  A total rate with ``FD_STEP r`` beyond
+    ``MAX_CHORD_LENGTH`` is outside the oracle's range and raises
+    DegenerateConfigurationError.
+    """
+    ev = scene.endpoints
+    return (_fd_step(math.fsum(map(abs, scene.weights.weights.tolist())), "shear rates"),
+            _fd_step(math.hypot(ev.u_perp, ev.u_par) + math.hypot(ev.v_perp, ev.v_par),
+                     "endpoint speeds"))
+
+
+def _fd_step(r: float, what: str) -> float:
+    if FD_STEP * r <= _FD_REACH:
+        return FD_STEP
+    if FD_STEP * r > MAX_CHORD_LENGTH:
+        raise DegenerateConfigurationError(
+            f"{what} sum to {r!r}, beyond the oracle's range: a step of "
+            f"FD_STEP moves the scene by {FD_STEP * r!r}")
+    return _FD_REACH / r
+
 
 def _checked_grid(scene: HalfplaneScene) -> dict:
     """Check the scene against its configuration, then evaluate the
-    3 x 3 grid ``{(i, j): scene_length(scene, i * h, j * h)}`` for
-    ``i, j`` in ``(-1, 0, 1)`` and ``h = FD_STEP``.
+    3 x 3 grid ``{(i, j): scene_length(scene, i * h_s, j * h_e)}`` for
+    ``i, j`` in ``(-1, 0, 1)`` and the steps ``scene._steps``.
 
     One ``_measure_scene`` (O(1) numpy calls), the chains for
-    ``shear_t = -h, +h`` (O(1) numpy calls and an ``n``-step float loop
-    apiece), the endpoint frames for ``end_t = -h, 0, +h`` and nine
+    ``shear_t = -h_s, +h_s`` (O(1) numpy calls and an ``n``-step float
+    loop apiece), the endpoint frames for ``end_t = -h_e, 0, +h_e`` and nine
     distances.  Each value is computed exactly as ``scene_length``
     computes it.  ``HalfplaneScene._grid`` memoizes the result.
     """
@@ -621,11 +659,11 @@ def _checked_grid(scene: HalfplaneScene) -> dict:
             f"leaf {i} measured at (s={s[i].item()!r}, "
             f"theta={theta[i].item()!r}) but declared "
             f"(s={cfg.s[i].item()!r}, theta={cfg.theta[i].item()!r})")
-    h = FD_STEP
+    hs, he = scene._steps
     steps = (-1, 0, 1)
-    chains = {i: _shear_chain(length, s, theta, scene.weights.weights, i * h)
+    chains = {i: _shear_chain(length, s, theta, scene.weights.weights, i * hs)
               for i in steps}
-    ends = {j: _endpoint_frames(scene.endpoints, j * h) for j in steps}
+    ends = {j: _endpoint_frames(scene.endpoints, j * he) for j in steps}
     return {(i, j): _chord_distance(ends[j][0], chains[i], ends[j][1])
             for i in steps for j in steps}
 
@@ -634,13 +672,16 @@ def fd_oracle(scene: HalfplaneScene, order: int):
     """Differentiate the realized chord length numerically.
 
     ``order == 1`` returns ``(d_shear, d_endpoints)`` by central
-    differences with step ``FD_STEP`` in each deformation parameter
-    separately; ``order == 2`` returns ``(shear2, mixed, end2)`` from
-    the full 3 x 3 grid of deformations: the pure second derivatives
-    along each parameter and the mixed partial, so the second derivative
-    of the joint motion is ``shear2 + 2 * mixed + end2``.  Each grid
-    value is exactly ``scene_length(scene, i * h, j * h)`` with
-    ``h = FD_STEP``.
+    differences in each deformation parameter separately; ``order == 2``
+    returns ``(shear2, mixed, end2)`` from the full 3 x 3 grid of
+    deformations: the pure second derivatives along each parameter and
+    the mixed partial, so the second derivative of the joint motion is
+    ``shear2 + 2 * mixed + end2``.  Each grid value is exactly
+    ``scene_length(scene, i * h_s, j * h_e)``.  The steps are
+    ``FD_STEP`` unless a total rate r, the sum of the shear weights'
+    or of the two endpoint speeds' sizes, has ``FD_STEP r`` above 1e-2;
+    that step is then 1e-2 / r, so no step moves the scene by more than
+    1e-2 in all.
 
     The first call on a scene checks it and evaluates the nine grid
     values (``_checked_grid``); the scene memoizes them, so a later call
@@ -650,9 +691,9 @@ def fd_oracle(scene: HalfplaneScene, order: int):
     The walk rounds in the chord's frame, not in half-plane coordinates
     of size ``e^L``: to first order a grid value ``d`` errs by at most
     (10 + d) eps, plus 32 eps coth(d/2) with moving endpoints, for any
-    ``n`` with ``n FD_STEP max|a|`` small, and an order-2 value by its
-    O(FD_STEP^2) truncation plus four such budgets over FD_STEP^2 (see
-    tests/test_hessian.py).  On s = (1, L/2, L - 1), theta = (1, 2, 0.5),
+    ``n`` with ``h_s sum|a|`` small, and an order-2 value by its
+    truncation, O((h r)^2) relative to r^2, plus four such budgets over
+    h^2 (see tests/test_hessian.py).  On s = (1, L/2, L - 1), theta = (1, 2, 0.5),
     weights (1, -1, 0.5) and endpoint motion (0.3, 0.1, -0.2, 0.4) the
     order-2 error, relative to max(1, |value|), is at most 2e-6 up to L = 700.
 
@@ -664,22 +705,23 @@ def fd_oracle(scene: HalfplaneScene, order: int):
         angle (including a leaf that misses the chord or crosses it
         clockwise).
     DegenerateConfigurationError
-        If a deformed length is not a finite float, as when a shear or
-        an endpoint motion of ``FD_STEP`` overflows.
+        If a total rate r has ``FD_STEP r`` beyond ``MAX_CHORD_LENGTH``
+        (r above about 7.1e6), or a deformed length is not a finite
+        float, as when an endpoint motion overflows.
     ValueError
         For any ``order`` other than 1 or 2, after the scene is checked.
     """
     grid = scene._grid
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
-    h = FD_STEP
+    hs, he = scene._steps
     if order == 1:
-        d_shear = (grid[1, 0] - grid[-1, 0]) / (2.0 * h)
-        d_end = (grid[0, 1] - grid[0, -1]) / (2.0 * h)
+        d_shear = (grid[1, 0] - grid[-1, 0]) / (2.0 * hs)
+        d_end = (grid[0, 1] - grid[0, -1]) / (2.0 * he)
         return d_shear, d_end
-    shear2 = (grid[1, 0] - 2.0 * grid[0, 0] + grid[-1, 0]) / (h * h)
-    end2 = (grid[0, 1] - 2.0 * grid[0, 0] + grid[0, -1]) / (h * h)
-    mixed = (grid[1, 1] - grid[1, -1] - grid[-1, 1] + grid[-1, -1]) / (4.0 * h * h)
+    shear2 = (grid[1, 0] - 2.0 * grid[0, 0] + grid[-1, 0]) / (hs * hs)
+    end2 = (grid[0, 1] - 2.0 * grid[0, 0] + grid[0, -1]) / (he * he)
+    mixed = (grid[1, 1] - grid[1, -1] - grid[-1, 1] + grid[-1, -1]) / (4.0 * hs * he)
     return shear2, mixed, end2
 
 

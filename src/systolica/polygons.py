@@ -14,6 +14,12 @@ positive coordinates.  With P = ``trig.pentagon_side``, the pentagon
 between h_k and h_{k+1} has the tail P(h_{k+1}, h_k) of side k, the head
 P(h_k, h_{k+1}) of side k+1 and the piece P(tail, h_{k+1}) of side 1.
 
+A realized polygon is one table of frame rows, one per side, and no
+object per side.  The chart builds every row in closed form off side 1's
+frame, so its geometry rounds like the coordinates; ``realize`` walks a
+side vector alone, whose rounding the walk amplifies by up to e^{l_1}.
+Both are O(n) float loops.
+
 Side indices are 1-based throughout the public API, matching the
 coordinate names; arrays returned to the caller are 0-based with slot
 j-1 holding data for side j.
@@ -21,49 +27,59 @@ j-1 holding data for side j.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import halfplane
 from .errors import DegenerateConfigurationError, NoPentagonError, NoPolygonError, _real_floats
-from .halfplane import HGeodesic, HIsometry, HPoint, _disk, _perpendicular_length, dist
+from .halfplane import (HGeodesic, HPoint, _disk, _frame, _perpendicular_length,
+                        _relative, _unit, dist)
 from .trig import pentagon_perpendicular, pentagon_side, semiregular_partner
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkedRightPolygon:
     """A realized marked right-angled polygon.
+
+    The geometry is one immutable table of frame rows, not one object
+    per side; ``geodesics`` and ``vertices`` are built from it on first
+    access, and ``side_geodesic`` builds one geodesic per call.
 
     Attributes
     ----------
     sides:
         Cyclic side lengths (l_1, ..., l_n).
-    vertices:
-        Realized vertices; vertices[j-1] is where side j starts.
-    geodesics:
-        The complete geodesic carrying each side, oriented along the
-        walk; its frame is the walk's frame at the side's first vertex,
-        so s = 0 there and s = l_j at the next vertex.
+    frames:
+        frames[j-1] = (a, b, c, d), the entries of the frame of side j,
+        a matrix of determinant one taking the upward imaginary axis onto
+        the geodesic of side j (as ``halfplane.HGeodesic`` holds it),
+        oriented counterclockwise around the polygon, with s = 0 at the
+        side's first vertex and s = l_j at the next.
     closure_defect:
-        How far the walk fails to return to its start.  With F_1 the
-        frame at vertex 1 and F_{n+1} the frame after all n sides and n
-        quarter turns, the holonomy is H = F_1^-1 F_{n+1}, which is +-I
-        exactly when the polygon closes.  The defect is the Frobenius
-        distance ||H -+ I|| to the nearer sign; to first order it is
-        sqrt((d^2 + phi^2)/2) when the walk ends a distance d from
-        vertex 1, turned by phi from the initial direction.  A genuine
-        polygon has defect at roundoff level; realize() reports rather
-        than raises, so approximate side vectors can be inspected.
+        The constructor's residual; a genuine polygon has it at roundoff
+        level, and the constructors report rather than raise it.
+        ``realize`` walks the sides and reports how far the walk fails
+        to return to its start: with F_1 the frame at vertex 1 and
+        F_{n+1} the frame after all n sides and n quarter turns, the
+        holonomy H = F_1^-1 F_{n+1} is +-I exactly when the polygon
+        closes, and the defect is the Frobenius distance ||H -+ I|| to
+        the nearer sign, to first order sqrt((d^2 + phi^2)/2) when the
+        walk ends a distance d from vertex 1, turned by phi.  The chart
+        builds every row in closed form and reports the right-angle
+        defect, max |ad + bc| over the relative frames of consecutive
+        sides, the largest |cos| of a corner angle; it does not see
+        where a row puts s = 0.
     coords:
         Pentagon-chain coordinates when the polygon was built from them,
         else None.
     """
 
     sides: tuple[float, ...]
-    vertices: tuple[HPoint, ...]
-    geodesics: tuple[HGeodesic, ...]
+    frames: tuple[tuple[float, float, float, float], ...]
     closure_defect: float
     coords: tuple[float, ...] | None = None
 
@@ -71,11 +87,41 @@ class MarkedRightPolygon:
     def n(self) -> int:
         return len(self.sides)
 
+    @functools.cached_property
+    def geodesics(self) -> tuple[HGeodesic, ...]:
+        """The complete geodesic carrying each side, from ``frames``."""
+        return tuple(HGeodesic(_frame(*row)) for row in self.frames)
+
+    @functools.cached_property
+    def vertices(self) -> tuple[HPoint, ...]:
+        """vertices[j-1] is where side j starts, the image of i under its
+        frame: ``HGeodesic.point_at(0)``'s expression, y = 1/(c^2 + d^2)."""
+        return tuple(HPoint(*_vertex(*row)) for row in self.frames)
+
     def side_geodesic(self, i: int) -> HGeodesic:
         """The oriented geodesic carrying side i (1-based)."""
         if not 1 <= i <= self.n:
             raise ValueError(f"side index {i} out of range 1..{self.n}")
-        return self.geodesics[i - 1]
+        return HGeodesic(_frame(*self.frames[i - 1]))
+
+
+def _vertex(a, b, c, d):
+    """The point (x, y) = F(i) of the frame F = (a, b, c, d)."""
+    den = d * d + c * c
+    return (b * d + a * c) / den, 1.0 / den
+
+
+def _checked(rows):
+    """``rows`` as a tuple, refusing a vertex that ``HPoint`` would refuse
+    (not finite, or within ``halfplane.YMIN`` of the real axis) with
+    DegenerateConfigurationError."""
+    ymin, inf = halfplane.YMIN, math.inf
+    for k, (a, b, c, d) in enumerate(rows, start=1):
+        x, y = _vertex(a, b, c, d)
+        if not (ymin <= y < inf and -inf < x < inf):
+            raise DegenerateConfigurationError(
+                f"vertex {k} at ({x!r}, {y!r}) is not a finite point above YMIN")
+    return tuple(rows)
 
 
 def realize(sides: Sequence[float]) -> MarkedRightPolygon:
@@ -84,13 +130,17 @@ def realize(sides: Sequence[float]) -> MarkedRightPolygon:
     Places the midpoint of side 1 at (0, 1) heading right along the unit
     circle, then walks frames: F_{k+1} = F_k diag(e^{l_k/2}, e^{-l_k/2}) Q,
     where Q turns by +pi/2 about i (counterclockwise traversal, interior
-    on the left).  Side k lies on HGeodesic(F_k) and starts at F_k(i).
-    Centering the first side keeps the excursion depth at the polygon's
-    intrinsic diameter, which matters for precision when side 1 is long.
-    The closure defect is reported on the result, never raised:
+    on the left), each renormalized to determinant one.  Row k of
+    ``frames`` is F_k.  Centering the first side keeps the excursion depth
+    at the polygon's intrinsic diameter, which matters for precision when
+    side 1 is long.  One float loop over the sides, O(n), with no object
+    per side.  The closure defect (the holonomy's, see
+    ``MarkedRightPolygon``) is reported on the result, never raised:
     inadmissible side vectors are allowed and simply fail to close up.
-    A walk that overflows or comes within ``halfplane.YMIN`` of the real
-    axis raises DegenerateConfigurationError.
+    Its float error grows like eps e^{l_1}, so a long side vector that
+    is admissible may still close only to that.  A walk that overflows
+    or puts a vertex within ``halfplane.YMIN`` of the real axis raises
+    DegenerateConfigurationError.
     """
     sides = _real_floats(sides, "side lengths")
     if len(sides) < 5:
@@ -100,26 +150,74 @@ def realize(sides: Sequence[float]) -> MarkedRightPolygon:
     try:
         # turn up into rightward about i, then back half of side 1
         h = math.exp(-0.25 * sides[0])
-        start = frame = HIsometry(h, -1.0 / h, h, 1.0 / h)
-        geodesics = []
+        a0, b0, c0, d0 = a, b, c, d = _unit(h, -1.0 / h, h, 1.0 / h)
+        rows = []
         for length in sides:
-            geodesics.append(HGeodesic(frame))
-            # fused step and quarter turn, F diag(e, 1/e) [[1, 1], [-1, 1]];
-            # the constructor restores determinant one
+            rows.append((a, b, c, d))
+            # fused step and quarter turn, F diag(e, 1/e) [[1, 1], [-1, 1]]
             e = math.exp(0.5 * length)
-            a, b, c, d = frame.a * e, frame.b / e, frame.c * e, frame.d / e
-            frame = HIsometry(a - b, a + b, c - d, c + d)
-        hol = start.inverse() @ frame
-        vertices = tuple(g.point_at(0.0) for g in geodesics)
+            a, b, c, d = a * e, b / e, c * e, d / e
+            a, b, c, d = _unit(a - b, a + b, c - d, c + d)
+        ia, ib, ic, id_ = _unit(d0, -b0, -c0, a0)  # F_1^-1
+        ha, hb, hc, hd = _unit(ia * a + ib * c, ia * b + ib * d,
+                               ic * a + id_ * c, ic * b + id_ * d)
+        rows = _checked(rows)
     except (ArithmeticError, ValueError) as exc:
         raise DegenerateConfigurationError(f"the walk left the float range: {exc}") from exc
-    sign = 1.0 if hol.a + hol.d >= 0.0 else -1.0
-    return MarkedRightPolygon(
-        sides=sides,
-        vertices=vertices,
-        geodesics=tuple(geodesics),
-        closure_defect=math.hypot(hol.a - sign, hol.b, hol.c, hol.d - sign),
-    )
+    sign = 1.0 if ha + hd >= 0.0 else -1.0
+    return MarkedRightPolygon(sides=sides, frames=rows,
+                              closure_defect=math.hypot(ha - sign, hb, hc, hd - sign))
+
+
+# 1/sqrt(2), the scale of a quarter turn Q = [[1, 1], [-1, 1]] / sqrt(2)
+_R = math.sqrt(0.5)
+
+
+def _chart_frames(l1, h, heads, pieces):
+    """The rows of sides 1..n, each a fixed product off side 1's frame
+    F_1 = Q^-1 D(-l_1/2), with D(x) = diag(e^{x/2}, e^{-x/2}):
+
+        F_2 = F_1 D(l_1) Q,  F_n = -F_1 Q^-1 D(-l_n),
+        F_k = F_1 D(sigma_k) Q D(h_k) Q D(-eta_k)   (3 <= k <= n - 1),
+
+    where sigma_k is the foot of h_k on side 1, l_1 less the pieces of
+    side 1 before it, and eta_k the head of side k (eta_3 = 0).  With
+    mu = sigma_k - l_1/2, s = sinh(h_k/2), c = cosh(h_k/2),
+    u = e^{(mu - eta_k)/2} and v = e^{-(mu + eta_k)/2}, F_k is
+    (s u + c v, c/v + s/u, s u - c v, c/v - s/u) / sqrt(2).  No row
+    depends on the one before, so no error is carried along the chain.
+    Each row has the walk's sign: the walk closes at F_{n+1} = -F_1."""
+    q = 0.25 * l1
+    e, ch, sh = math.exp(-q), math.cosh(q), math.sinh(q)
+    rows = [(_R * e, -_R / e, _R * e, _R / e), (ch, sh, sh, ch)]
+    mu = 2.0 * q
+    for hk, eta, piece in zip(h, (0.0, *heads), (*pieces, 0.0)):
+        u, v = math.exp(0.5 * (mu - eta)), math.exp(-0.5 * (mu + eta))
+        s, c = _R * math.sinh(0.5 * hk), _R * math.cosh(0.5 * hk)
+        rows.append((s * u + c * v, c / v + s / u, s * u - c * v, c / v - s / u))
+        mu -= piece
+    t = math.exp(0.5 * h[-1])
+    rows.append((sh / t, ch * t, -ch / t, -sh * t))
+    return rows
+
+
+def _right_angle_defect(rows) -> float:
+    """max |ad + bc| over the relative frames (a, b, c, d) =
+    F_k^-1 F_{k+1} of consecutive rows, cyclically: the cosine of the
+    angle at which the two geodesics meet, 0 at a right angle.  A NaN is
+    returned as it is."""
+    worst = 0.0
+    f = rows[-1]
+    for row in rows:
+        a, b, c, d = row
+        a, b, c, d = _relative(f, a, b, c, d)
+        cos = a * d + b * c
+        if not -worst <= cos <= worst:
+            if cos != cos:
+                return cos
+            worst = abs(cos)
+        f = row
+    return worst
 
 
 def sides_from_pentagon_coords(coords: Sequence[float]) -> MarkedRightPolygon:
@@ -128,10 +226,17 @@ def sides_from_pentagon_coords(coords: Sequence[float]) -> MarkedRightPolygon:
 
     For n >= 6 every positive coordinate tuple is admissible: l_3 is the
     first tail and l_{n-1} the last head of the module docstring's
-    pentagons, which gives h_3 and h_{n-1}.  For n = 5 the two coordinates
-    are the adjacent sides (l_3, l_4) of a pentagon and must satisfy
-    sinh(l_3) sinh(l_4) > 1; otherwise NoPolygonError reports the failing
-    slot.  Sides that overflow raise DegenerateConfigurationError.
+    pentagons, which gives h_3 and h_{n-1}.  For n = 5 the two
+    coordinates are the adjacent sides (l_3, l_4) of a pentagon and must
+    satisfy sinh(l_3) sinh(l_4) > 1; otherwise NoPolygonError reports the
+    failing slot.  The sides are one pass of ``trig.pentagon_side``, and
+    every frame row is a closed-form product off side 1's frame
+    (``_chart_frames``), with no walk: the geometry rounds like the
+    coordinates, where walking the rounded sides loses eps e^{l_1}.  The
+    closure defect is the right-angle defect.  Two float loops, O(n),
+    with no object per side.  Sides or frames that overflow, or a vertex
+    within ``halfplane.YMIN`` of the real axis, raise
+    DegenerateConfigurationError.
     """
     coords = _real_floats(coords, "pentagon coordinates")
     if len(coords) < 2:
@@ -141,7 +246,9 @@ def sides_from_pentagon_coords(coords: Sequence[float]) -> MarkedRightPolygon:
             l1 = pentagon_perpendicular(*coords)
         except NoPentagonError as exc:
             raise NoPolygonError(str(exc), index=0) from exc
-        sides = (l1, pentagon_side(coords[1], l1), *coords, pentagon_side(coords[0], l1))
+        h = (pentagon_side(coords[1], l1), pentagon_side(coords[0], l1))  # l_2, l_5
+        heads, pieces = coords[1:], (l1,)
+        sides = (l1, h[0], *coords, h[1])
     else:
         h = (pentagon_side(coords[1], coords[0]), *coords[1:-1],
              pentagon_side(coords[-2], coords[-1]))  # h_3 .. h_{n-1}
@@ -149,9 +256,15 @@ def sides_from_pentagon_coords(coords: Sequence[float]) -> MarkedRightPolygon:
         tails = [coords[0]] + [pentagon_side(b, a) for a, b in pairs[1:]]
         heads = [pentagon_side(a, b) for a, b in pairs[:-1]] + [coords[-1]]
         pieces = [pentagon_side(t, b) for t, (_, b) in zip(tails, pairs)]
-        sides = (sum(pieces), h[0], tails[0],
+        l1 = sum(pieces)
+        sides = (l1, h[0], tails[0],
                  *(a + b for a, b in zip(heads, tails[1:])), heads[-1], h[-1])
-    return replace(realize(sides), coords=coords)
+    try:
+        rows = _checked(_chart_frames(l1, h, heads, pieces))
+    except ArithmeticError as exc:
+        raise DegenerateConfigurationError(f"the chart left the float range: {exc}") from exc
+    return MarkedRightPolygon(sides=sides, frames=rows,
+                              closure_defect=_right_angle_defect(rows), coords=coords)
 
 
 def pentagon_coords(poly: MarkedRightPolygon) -> tuple[float, ...]:
@@ -160,15 +273,16 @@ def pentagon_coords(poly: MarkedRightPolygon) -> tuple[float, ...]:
     Independent of the assembly direction: l_3 and l_{n-1} come straight
     from the side vector, and each h_i (4 <= i <= n - 2) is the length of
     the common perpendicular between the geodesics of side 1 and side i,
-    read without its feet.
+    read from their frame rows without its feet.
     """
     n = poly.n
     if n < 5:
         raise ValueError("a right-angled polygon needs at least 5 sides")
     if n == 5:
         return (poly.sides[2], poly.sides[3])
-    f1 = poly.geodesics[0].frame
-    hs = [_perpendicular_length(f1, g.frame) for g in poly.geodesics[3:n - 2]]
+    f1 = poly.frames[0]
+    hs = [_perpendicular_length(*_relative(f1, a, b, c, d))
+          for a, b, c, d in poly.frames[3:n - 2]]
     return (poly.sides[2], *hs, poly.sides[n - 2])
 
 
@@ -389,21 +503,25 @@ def polygon_to_json(poly: MarkedRightPolygon) -> dict:
     }
 
 
-# How far JSON "coords" may sit from the sides' own pentagon-chain
-# coordinates, relative to each coordinate.
+# How far the JSON "sides" may sit from the sides that the JSON "coords"
+# give through the chart, relative to each side.
 COORDS_RTOL = 1e-6
 
 
 def polygon_from_json(data: dict) -> MarkedRightPolygon:
     """Realize a polygon from ``polygon_to_json`` output.
 
-    The optional ``"coords"`` must be the n - 3 pentagon-chain
-    coordinates of the sides: each within ``COORDS_RTOL`` relative of
-    ``pentagon_coords`` of the realized polygon.  The JSON values are
-    kept.  Malformed input raises ValueError: a ``"sides"`` or
-    ``"coords"`` entry that is not a JSON number, an int or a float (a
-    bool, a numeric string or a numpy scalar is not), an integer beyond
-    the float range, or coordinates that fail that test.
+    Without ``"coords"`` the sides are walked by ``realize``.  With them,
+    the polygon is built through the chart by
+    ``sides_from_pentagon_coords``, which keeps the JSON coordinates, and
+    each JSON side must be within ``COORDS_RTOL`` relative of the chart's
+    side; the polygon carries the chart's sides.  Malformed input raises
+    ValueError: a ``"sides"`` or ``"coords"`` entry that is not a JSON
+    number, an int or a float (a bool, a numeric string or a numpy
+    scalar is not), an integer beyond the float range, a count of
+    coordinates other than n - 3, a coordinate that is not positive and
+    finite, or sides that fail that test.  Coordinates the chart cannot
+    assemble raise its typed errors.
     """
     if not isinstance(data, dict):
         raise ValueError("a polygon must be a JSON object")
@@ -419,15 +537,15 @@ def polygon_from_json(data: dict) -> MarkedRightPolygon:
         coords = None if coords is None else tuple(map(float, coords))
     except OverflowError as exc:  # a JSON integer beyond the float range
         raise ValueError(f"polygon JSON number out of range: {exc}") from exc
-    poly = realize(sides)
     if coords is None:
-        return poly
-    if len(coords) != poly.n - 3:
+        return realize(sides)
+    if len(coords) != n - 3:
         raise ValueError(f"{len(coords)} pentagon-chain coordinates for "
-                         f"a {poly.n}-gon, expected {poly.n - 3}")
-    # the sides' coordinates are positive and finite, so this also
-    # refuses zero, negative and non-finite entries
-    for k, (c, want) in enumerate(zip(coords, pentagon_coords(poly))):
-        if not abs(c - want) <= COORDS_RTOL * want:
-            raise ValueError(f"coordinate {k} is {c!r} but the sides give {want!r}")
-    return replace(poly, coords=coords)
+                         f"a {n}-gon, expected {n - 3}")
+    poly = sides_from_pentagon_coords(coords)
+    # the chart's sides are positive and finite, so this also refuses
+    # zero, negative and non-finite sides
+    for k, (side, want) in enumerate(zip(sides, poly.sides), start=1):
+        if not abs(side - want) <= COORDS_RTOL * want:
+            raise ValueError(f"side {k} is {side!r} but the coordinates give {want!r}")
+    return poly

@@ -864,32 +864,33 @@ def mp_moved(m, dx, dy, t):
 
 
 def mp_grid(scene, steps):
-    """scene_length(scene, i h, j h) to 50 digits for (i, j) in steps,
-    from the scene's measured (length, s, theta): p and q moved along
-    their variation vectors in the chord's frame (p = i, q = D(L) i), q
-    sheared by M(i h), and the distance of the two points.  The height
-    of the sheared q is a determinant-one cancellation among entries of
-    size e^{L/2}, so the working precision grows by L digits."""
+    """scene_length(scene, i h_s, j h_e) to 50 digits for (i, j) in steps,
+    at the oracle's steps (h_s, h_e), from the scene's measured
+    (length, s, theta): p and q moved along their variation vectors in
+    the chord's frame (p = i, q = D(L) i), q sheared by M(i h_s), and the
+    distance of the two points.  The height of the sheared q is a
+    determinant-one cancellation among entries of size e^{L/2}, so the
+    working precision grows by L digits."""
     length, s, theta = hessian._measure_scene(scene)
-    ev, h = scene.endpoints, hessian.FD_STEP
+    ev, (hs, he) = scene.endpoints, scene._steps
     out = {}
     with mp.workdps(50 + int(length)):
-        chains = {i: mp_chain(length, s, theta, scene.weights.weights, i * h)
+        chains = {i: mp_chain(length, s, theta, scene.weights.weights, i * hs)
                   for i in {i for i, _ in steps}}
         for i, j in steps:
-            zp = mp_moved(mp.eye(2), -ev.u_perp, -ev.u_par, j * h)
-            zq = mp_moved(chains[i], -ev.v_perp, ev.v_par, j * h)
+            zp = mp_moved(mp.eye(2), -ev.u_perp, -ev.u_par, j * he)
+            zq = mp_moved(chains[i], -ev.v_perp, ev.v_par, j * he)
             out[i, j] = 2 * mp.asinh(
                 abs(zp - zq) / (2 * mp.sqrt(zp.imag * zq.imag)))
     return out
 
 
-def mp_order_two(W, k):
-    """(shear2, mixed, end2) from the values W at step k h."""
-    h2 = (k * hessian.FD_STEP) ** 2
-    return ((W[k, 0] - 2 * W[0, 0] + W[-k, 0]) / h2,
-            (W[k, k] - W[k, -k] - W[-k, k] + W[-k, -k]) / (4 * h2),
-            (W[0, k] - 2 * W[0, 0] + W[0, -k]) / h2)
+def mp_order_two(W, k, steps):
+    """(shear2, mixed, end2) from the values W at steps k (h_s, h_e)."""
+    hs, he = (k * mp.mpf(h) for h in steps)
+    return ((W[k, 0] - 2 * W[0, 0] + W[-k, 0]) / hs ** 2,
+            (W[k, k] - W[k, -k] - W[-k, k] + W[-k, -k]) / (4 * hs * he),
+            (W[0, k] - 2 * W[0, 0] + W[0, -k]) / he ** 2)
 
 
 # Rounding of one grid value d, first order, with u = eps/2.  With the
@@ -900,8 +901,9 @@ def mp_order_two(W, k):
 # give 2 tanh(d/2) (4u coth(d/2) + 3u) <= 7 eps, and the rounding of
 # asinh itself is within eps d.  Psi rounds by (32 + L) n u |Psi| (see
 # the chain test) with |Psi| <= n h max|a| / 2, which through the same
-# coth(d/2) adds at most 3 eps for n <= 40, L <= 6 and |a| <= 1, and for
-# the three crossings of the long chords below: (10 + d) eps in all.  A
+# coth(d/2) adds at most 3 eps for n <= 40, L <= 6 and |a| <= 1, for
+# the three crossings of the long chords below, and for the two of the
+# large rates, whose step keeps h sum|a| at 1e-2: (10 + d) eps in all.  A
 # moving endpoint adds the roundings of E_p and E_q (6u per entry from
 # _frame_at's normalization, exp and a product) and of the two products
 # (2u per entry), 16u in all, entrywise against |R_p| |M| |R_q|, whose
@@ -924,7 +926,7 @@ def assert_oracle_within_budget(scene):
     50-digit walk, against ``hessian_split``.  The quotients' own
     rounding (u d from the first subtraction, the rest exact by Sterbenz,
     and 2u of the value) is added to the rounding term."""
-    h = hessian.FD_STEP
+    hs, he = scene._steps
     W = mp_grid(scene, GRID + RICHARDSON)
     grid = scene._grid
     moving = scene.endpoints != EndpointVariation()
@@ -935,14 +937,14 @@ def assert_oracle_within_budget(scene):
     got = fd_oracle(scene, 2)
     want = hessian_split(scene.cfg, scene.weights, scene.endpoints)
     with mp.workdps(50 + int(scene.cfg.length)):
-        near, far = mp_order_two(W, 1), mp_order_two(W, 2)
+        near, far = mp_order_two(W, 1, (hs, he)), mp_order_two(W, 2, (hs, he))
         trunc = [float(abs(b - a)) / 3 for a, b in zip(near, far)]
     d = EPS * max(grid.values())
     rounding = [
-        (budget[1, 0] + 2 * budget[0, 0] + budget[-1, 0] + d) / h ** 2,
+        (budget[1, 0] + 2 * budget[0, 0] + budget[-1, 0] + d) / hs ** 2,
         (budget[1, 1] + budget[1, -1] + budget[-1, 1] + budget[-1, -1] + d)
-        / (4 * h ** 2),
-        (budget[0, 1] + 2 * budget[0, 0] + budget[0, -1] + d) / h ** 2]
+        / (4 * hs * he),
+        (budget[0, 1] + 2 * budget[0, 0] + budget[0, -1] + d) / he ** 2]
     for g, w, t, r in zip(got, want, trunc, rounding):
         assert abs(g - w) <= 2 * t + r + 2 * EPS * abs(w)
 
@@ -968,6 +970,70 @@ class TestOracleAccuracy:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert_oracle_within_budget(scene)
+
+
+class TestOracleSteps:
+    """A total rate r (the shear weights' sizes, or the two endpoint
+    speeds, summed) with FD_STEP r above 1e-2 gets the step 1e-2 / r; the
+    order-2 outputs then err by O(1e-6) of their scale r^2, where FD_STEP
+    loses every digit."""
+
+    FOUND = ChordConfig(2.0, s=(0.7, 1.4), theta=(1.1, 0.6))
+
+    @pytest.mark.parametrize("rate, steps", [
+        (0.0, (hessian.FD_STEP, hessian.FD_STEP)),
+        (60.0, (hessian.FD_STEP, hessian.FD_STEP)),
+        (1e3, (1e-2 / 1.5e3, hessian.FD_STEP)),
+        (1e6, (1e-2 / 1.5e6, hessian.FD_STEP))])
+    def test_only_a_step_that_moves_the_scene_too_far_is_scaled(self, rate, steps):
+        scene = realize_scene(self.FOUND, TransverseWeights((-rate, rate / 2)),
+                              EndpointVariation(u_perp=0.6, v_par=-0.8))
+        assert scene._steps == steps
+        moved = realize_scene(self.FOUND, TransverseWeights((0.3, -0.2)),
+                              EndpointVariation(u_perp=0.6 * rate, u_par=0.8 * rate,
+                                                v_par=rate / 2))
+        assert moved._steps == steps[::-1]
+
+    def test_many_crossings_share_one_step(self):
+        # 1000 crossings with weights in [5, 10]: each rate alone keeps
+        # FD_STEP small, but their shears add up, and the order-2 error
+        # of FD_STEP is 1.9e-3; the step for the sum keeps it O(1e-6)
+        rng = random.Random(3)
+        s = sorted(rng.uniform(0.0, 6.0) for _ in range(1000))
+        cfg = ChordConfig(6.0, s=s, theta=[rng.uniform(0.15, math.pi - 0.15) for _ in s])
+        weights = TransverseWeights([rng.uniform(5.0, 10.0) for _ in s])
+        scene = realize_scene(cfg, weights)
+        assert scene._steps[0] == 1e-2 / math.fsum(weights.weights.tolist())
+        shear2, _, _ = fd_oracle(scene, 2)
+        want, _, _ = hessian_split(cfg, weights)
+        assert shear2 == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("w", [1e3, 1e4, 1e6])
+    def test_large_shear_rates_keep_their_accuracy(self, w):
+        # FD_STEP itself is off by 8.1e-5, 1.1e-2 and 93% here
+        scene = realize_scene(self.FOUND, TransverseWeights((w, -w / 2)))
+        assert_oracle_within_budget(scene)
+        shear2, _, _ = fd_oracle(scene, 2)
+        want, _, _ = hessian_split(self.FOUND, scene.weights)
+        assert shear2 == pytest.approx(want, rel=1e-6)
+
+    def test_large_endpoint_speed_keeps_its_accuracy(self):
+        # u_par moves p along the chord, so end2 is 0; FD_STEP itself
+        # moves p past q and gives 1.6e9
+        ev = EndpointVariation(u_par=1e5)
+        scene = realize_scene(self.FOUND, TransverseWeights((1.0, -0.5)), ev)
+        assert_oracle_within_budget(scene)
+        _, _, end2 = fd_oracle(scene, 2)
+        assert abs(end2) <= 1e-6 * 1e5 ** 2
+
+    def test_rates_beyond_the_oracles_range_are_refused(self):
+        rate = 1.01 * hessian.MAX_CHORD_LENGTH / hessian.FD_STEP
+        for weights, ev in [((rate, 1.0), EndpointVariation()),
+                            ((1.0, 1.0), EndpointVariation(v_perp=rate))]:
+            scene = realize_scene(self.FOUND, TransverseWeights(weights), ev)
+            for order in (1, 2):
+                with pytest.raises(DegenerateConfigurationError, match="range"):
+                    fd_oracle(scene, order)
 
 
 class TestOracleRefusals:

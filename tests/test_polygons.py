@@ -9,15 +9,18 @@ space.
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
+from systolica import halfplane, polygons
 from systolica.errors import (DegenerateConfigurationError, NoPerpendicularError,
                               NoPolygonError)
 from systolica.halfplane import (
+    HGeodesic,
     HIsometry,
     HPoint,
     HTangent,
@@ -47,6 +50,18 @@ PENTAGON_SIDES = (1.1753002364660627, 1.0386778666805139, 1.0,
                   1.2, 0.9184666237052919)
 HEXAGON_SIDES = (1.8143493286660695, 1.3880521073768781, 0.8,
                  2.4001304938489234, 0.9, 1.2623782554610337)
+# realize(HEXAGON_SIDES) as the walk with one object per side gave it
+HEXAGON_FRAMES = (
+    (0.44925666281864396, -1.1129495484006657, 0.44925666281864396, 1.1129495484006657),
+    (1.1046466055649178, 0.46930174002031494, 0.46930174002031494, 1.1046466055649178),
+    (1.3978023357972895, 1.729357255791486, 0.2740679854938813, 1.0544849021541158),
+    (0.6548185056964738, 2.2942071612104304, -0.2107043706066929, 0.7889216928992031),
+    (1.0488225146561019, 2.025983039754646, -0.6627089157447328, -0.32668732679271895),
+    (0.24964921755052916, 2.076563985201456, -0.5876265464883882, -0.8822143539925917))
+HEXAGON_VERTICES = (
+    (-0.7197734176655047, 0.6942090659319563), (0.7197734176655046, 0.6942090659319564),
+    (1.8589536105043638, 0.8424233128659347), (2.507486952202692, 1.4997140735436758),
+    (-2.485634428460827, 1.831811439525633), (-1.7610025951926531, 0.8899907967561952))
 
 
 def pentagon_curve(sides, i, t):
@@ -185,10 +200,94 @@ class TestPentagonChart:
         with pytest.raises(ValueError):
             polygon_from_json(data)
 
+    def test_json_round_trip_through_the_chart_at_20_to_24(self):
+        # walking these sides misses the coordinates by more than
+        # COORDS_RTOL on 11 of 120 such polygons; the chart rebuilds them
+        rng = random.Random(7)
+        for _ in range(120):
+            poly = sides_from_pentagon_coords(random_coords(rng, rng.randint(20, 24)))
+            again = polygon_from_json(polygon_to_json(poly))
+            assert (again.sides, again.frames, again.coords) == (
+                poly.sides, poly.frames, poly.coords)
+
+    def test_json_sides_must_be_the_coordinates_sides(self):
+        data = polygon_to_json(sides_from_pentagon_coords([1.0, 1.2, 0.8]))
+        data["sides"][3] *= 1 + 2e-6
+        with pytest.raises(ValueError, match="side 4"):
+            polygon_from_json(data)
+
     def test_json_coords_within_tolerance_are_kept(self):
         data = polygon_to_json(sides_from_pentagon_coords([1.0, 1.2, 0.8]))
         data["coords"] = [c * (1 + 5e-7) for c in data["coords"]]
         assert polygon_from_json(data).coords == tuple(data["coords"])
+
+
+class TestFrameTable:
+    def test_realize_keeps_the_walks_bits(self):
+        poly = realize(HEXAGON_SIDES)
+        assert poly.frames == HEXAGON_FRAMES
+        assert poly.closure_defect == 1.3440693017233997e-15
+        assert tuple((v.x, v.y) for v in poly.vertices) == HEXAGON_VERTICES
+        assert tuple(tuple(g.frame) for g in poly.geodesics) == HEXAGON_FRAMES
+        assert tuple(poly.side_geodesic(4).frame) == HEXAGON_FRAMES[3]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts of the HIsometry, HGeodesic and HPoint objects made, by
+        their constructors or, for an HIsometry, by ``halfplane._frame``."""
+        counts = Counter()
+
+        def counted(name, make):
+            def wrapper(*args):
+                counts[name] += 1
+                return make(*args)
+            return wrapper
+
+        for cls in (HIsometry, HGeodesic, HPoint):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+        frame = counted("HIsometry", halfplane._frame)
+        for module in (halfplane, polygons):
+            monkeypatch.setattr(module, "_frame", frame)
+        return counts
+
+    def test_constructors_build_no_object_per_side(self, built):
+        for coords in ([1.0, 1.2], [0.7, 1.3, 0.9, 1.6, 1.1] * 4):
+            poly = sides_from_pentagon_coords(coords)
+            pentagon_coords(poly)
+            realize(poly.sides)
+            polygon_from_json(polygon_to_json(poly))
+        assert not built
+
+    def test_geometry_is_built_on_access(self, built):
+        poly = sides_from_pentagon_coords([0.7, 1.3, 0.9, 1.6, 1.1])
+        poly.side_geodesic(3)
+        assert built == {"HGeodesic": 1, "HIsometry": 1}
+        assert poly.geodesics is poly.geodesics and poly.vertices is poly.vertices
+        assert built == {"HGeodesic": 9, "HIsometry": 9, "HPoint": 8}
+
+    def test_vertices_are_the_frames_images_of_i(self):
+        poly = sides_from_pentagon_coords([0.7, 1.3, 0.9, 1.6, 1.1])
+        for g, v in zip(poly.geodesics, poly.vertices):
+            p = g.point_at(0.0)
+            assert (p.x, p.y) == (v.x, v.y)
+
+    def test_right_angle_defect_sees_a_turned_side(self):
+        # side 2 turned about vertex 2 by phi, F_2 R(phi) with R the
+        # rotation about i, meets side 1 at pi/2 + phi: |cos| = sin(phi)
+        # (the pair alone, whose two cyclic corners are that one corner)
+        rows = sides_from_pentagon_coords([0.7, 1.3, 0.9]).frames[:2]
+        assert polygons._right_angle_defect(rows) < 1e-15
+        phi = 1e-3
+        c, s = math.cos(phi / 2), math.sin(phi / 2)
+        a, b, cc, d = rows[1]
+        turned = (a * c - b * s, a * s + b * c, cc * c - d * s, cc * s + d * c)
+        assert polygons._right_angle_defect((rows[0], turned)) == pytest.approx(
+            math.sin(phi), rel=1e-9)
+
+    def test_vertex_near_the_real_axis_fails_typed(self):
+        # side 1 of length 60 puts vertex 1 at height about 2 e^-30
+        with pytest.raises(DegenerateConfigurationError, match="vertex 1"):
+            realize([60.0, 1.0, 1.0, 1.0, 1.0])
 
 
 class TestTangentU:
@@ -619,41 +718,54 @@ def test_all_ones_chain_round_trip_at_even_n(n):
 CHAIN_U = 4 * EPS
 
 
+def mp_side(x, y):
+    """P(x, y) on (value, error bound) pairs at the working precision:
+    the value, and what the float P adds (CHAIN_U z) to what it inherits
+    through dz/dx = tanh x tanh z and dz/dy = -tanh z / tanh y."""
+    (x, ex), (y, ey) = x, y
+    z = mp.asinh(mp.cosh(x) / mp.sinh(y))
+    return z, CHAIN_U * z + mp.tanh(z) * (mp.tanh(x) * ex + ey / mp.tanh(y))
+
+
+def mp_total(*terms):
+    """A float sum of (value, error bound) pairs: half an ulp per addition."""
+    v = sum(t[0] for t in terms)
+    return v, sum(t[1] for t in terms) + (len(terms) - 1) * EPS / 2 * v
+
+
+def mp_pentagons(coords):
+    """The chart at the working precision, as (value, error bound) pairs
+    for the float chain: h_3..h_{n-1}, the tails of sides 3..n-2, the
+    heads of sides 4..n-1 and the pieces of side 1.  The values of the
+    pieces come from the relation cosh c = coth h_k coth h_{k+1}, not
+    from P.  For n = 5 the one piece is l_1 = acosh(s) with
+    s = sinh l_3 sinh l_4, which rounds by 2.5 eps."""
+    n = len(coords) + 3
+    c = [(mpf(x), mpf(0)) for x in coords]
+    if n == 5:
+        s = mp.sinh(c[0][0]) * mp.sinh(c[1][0])
+        l1 = (mp.acosh(s), CHAIN_U * (mp.acosh(s) + s / mp.sqrt(s * s - 1)))
+        return [mp_side(c[1], l1), mp_side(c[0], l1)], c[:1], c[1:], [l1]
+    h = [mp_side(c[1], c[0]), *c[1:-1], mp_side(c[-2], c[-1])]
+    tails = [c[0]] + [mp_side(h[k + 1], h[k]) for k in range(1, n - 4)]
+    heads = [mp_side(h[k], h[k + 1]) for k in range(n - 5)] + [c[-1]]
+    pieces = [(mp.acosh(1 / (mp.tanh(h[k][0]) * mp.tanh(h[k + 1][0]))),
+               mp_side(t, h[k + 1])[1]) for k, t in enumerate(tails)]
+    return h, tails, heads, pieces
+
+
 def mp_chain(coords):
     """(sides, budgets): the chart's sides at 60 digits, and for each a
     first-order bound on the relative error of the float assembly.
 
-    The bound follows the float chain's data flow.  Each z = P(x, y) =
-    asinh(cosh x / sinh y) adds CHAIN_U z of its own to what it inherits
-    through dz/dx = tanh x tanh z and dz/dy = -tanh z / tanh y, and each
-    sum adds half an ulp per addition.  The values of the pieces of side
-    1 come from the relation cosh c = coth h_k coth h_{k+1}, not from P."""
-    n = len(coords) + 3
+    The bound follows the float chain's data flow (``mp_side``): each
+    z = P(x, y) = asinh(cosh x / sinh y) adds CHAIN_U z of its own to
+    what it inherits, and each sum adds half an ulp per addition."""
     with mp.workdps(60):
-        def side(x, y):  # (value, error bound) pairs in and out
-            (x, ex), (y, ey) = x, y
-            z = mp.asinh(mp.cosh(x) / mp.sinh(y))
-            return z, CHAIN_U * z + mp.tanh(z) * (mp.tanh(x) * ex + ey / mp.tanh(y))
-
-        def total(*terms):
-            v = sum(t[0] for t in terms)
-            return v, sum(t[1] for t in terms) + (len(terms) - 1) * EPS / 2 * v
-
-        c = [(mpf(x), mpf(0)) for x in coords]
-        if n == 5:
-            # l1 = acosh(s), s = sinh l3 sinh l4 rounded by 2.5 eps
-            s = mp.sinh(c[0][0]) * mp.sinh(c[1][0])
-            l1 = (mp.acosh(s), CHAIN_U * (mp.acosh(s) + s / mp.sqrt(s * s - 1)))
-            sides = [l1, side(c[1], l1), c[0], c[1], side(c[0], l1)]
-        else:
-            h = [side(c[1], c[0]), *c[1:-1], side(c[-2], c[-1])]
-            tails = [c[0]] + [side(h[k + 1], h[k]) for k in range(1, n - 4)]
-            heads = [side(h[k], h[k + 1]) for k in range(n - 5)] + [c[-1]]
-            pieces = [(mp.acosh(1 / (mp.tanh(h[k][0]) * mp.tanh(h[k + 1][0]))),
-                       side(t, h[k + 1])[1]) for k, t in enumerate(tails)]
-            sides = [total(*pieces), h[0], tails[0],
-                     *(total(a, b) for a, b in zip(heads, tails[1:])),
-                     heads[-1], h[-1]]
+        h, tails, heads, pieces = mp_pentagons(coords)
+        sides = [mp_total(*pieces), h[0], tails[0],
+                 *(mp_total(a, b) for a, b in zip(heads, tails[1:])),
+                 heads[-1], h[-1]]
         return [float(v) for v, _ in sides], [float(e / v) for v, e in sides]
 
 
@@ -677,3 +789,178 @@ def test_chain_tracks_the_60_digit_assembly(n):
         for k, (g, w, b) in enumerate(zip(got, want, budgets), start=1):
             assert abs(g - w) <= b * w, (
                 f"side {k} of {coords}: error {abs(g - w) / w:.3g} > {b:.3g}")
+
+
+# --------------------------------------------------------------------------
+# the chart's frame rows against 50 digits
+
+U = EPS / 2  # math's exp, sinh and cosh are taken within an ulp, 2U
+
+
+def mp_chart(coords):
+    """The chart at 50 digits, built as matrix products off side 1's
+    frame: F_1 = Q^-1 D(-l_1/2), F_2 = F_1 D(l_1) Q,
+    F_k = F_1 D(sigma_k) Q D(h_k) Q D(-eta_k) for 3 <= k <= n - 1 and
+    F_n = -F_1 Q^-1 D(-l_n) (the walk closes at F_{n+1} = -F_1), with
+    sigma_k the foot of h_k on side 1 and eta_k the head of side k.
+    Returns (sides, rows, budgets): the sides, the rows F_1..F_n as
+    lists (a, b, c, d), and for each entry a first-order bound on the
+    error of the float row.
+
+    The bound follows the float data flow of ``sides_from_pentagon_coords``
+    with the chain's errors of ``mp_pentagons``: l_1 = sum of the pieces,
+    mu = l_1/2 less one piece per row (a rounding each), and for rows
+    3..n-1 the terms T = s e^{(mu - eta)/2} and c e^{-(mu + eta)/2} (and
+    their reciprocal pairs), s, c = sinh, cosh(h/2)/sqrt 2.  s and c
+    each round 4U (the constant, sinh or cosh, the product) and inherit
+    coth(h/2)/2 or tanh(h/2)/2 of h's error; an exponential rounds its
+    argument (U |mu -+ eta| / 2) and itself (2U) and inherits half the
+    errors of mu and eta; each product or quotient adds U and each sum U
+    of its result.  Rows 1, 2 and n are one or two such factors of l_1/4
+    and l_n."""
+    with mp.workdps(50):
+        h, tails, heads, pieces = mp_pentagons(coords)
+        l1, dl1 = mp_total(*pieces)
+        sides = [l1, h[0][0], tails[0][0],
+                 *(a[0] + b[0] for a, b in zip(heads, tails[1:])),
+                 heads[-1][0], h[-1][0]]
+        q = mp.matrix([[1, 1], [-1, 1]]) / mp.sqrt(2)
+
+        def d(x):
+            return mp.matrix([[mp.exp(x / 2), 0], [0, mp.exp(-x / 2)]])
+
+        f1 = q ** -1 * d(-l1 / 2)
+        frames = [f1, f1 * d(l1) * q]
+        r = l1 / 4
+        dr = dl1 / 4
+        e = mp.exp(-r)
+        budgets = [[(4 * U + dr) * v / mp.sqrt(2) for v in (e, 1 / e, e, 1 / e)],
+                   [(2 * U + dr / mp.tanh(r)) * abs(v)
+                    for v in (mp.cosh(r), mp.sinh(r), mp.sinh(r), mp.cosh(r))]]
+        mu, dmu = l1 / 2, dl1 / 2
+        etas = [(mpf(0), mpf(0))] + heads
+        for k, ((hk, dh), (eta, deta)) in enumerate(zip(h, etas)):
+            frames.append(f1 * d(l1 / 2 + mu) * q * d(hk) * q * d(-eta))
+            s, c = mp.sinh(hk / 2) / mp.sqrt(2), mp.cosh(hk / 2) / mp.sqrt(2)
+            eu, ev = mp.exp((mu - eta) / 2), mp.exp(-(mu + eta) / 2)
+            rs = 4 * U + dh / (2 * mp.tanh(hk / 2))
+            rc = 4 * U + dh * mp.tanh(hk / 2) / 2
+            ru = 2 * U + U * abs(mu - eta) / 2 + (dmu + deta) / 2
+            rv = 2 * U + U * abs(mu + eta) / 2 + (dmu + deta) / 2
+            t1, t2 = s * eu * (rs + ru + U), c * ev * (rc + rv + U)
+            t3, t4 = c / ev * (rc + rv + U), s / eu * (rs + ru + U)
+            a, b = s * eu + c * ev, c / ev + s / eu
+            cc, dd = s * eu - c * ev, c / ev - s / eu
+            budgets.append([t1 + t2 + U * abs(a), t3 + t4 + U * abs(b),
+                            t1 + t2 + U * abs(cc), t3 + t4 + U * abs(dd)])
+            if k < len(pieces):
+                mu -= pieces[k][0]
+                dmu += pieces[k][1] + U * abs(mu)
+        ln, dln = h[-1]
+        frames.append(-f1 * q ** -1 * d(-ln))
+        t = mp.exp(ln / 2)
+        rt = 2 * U + dln / 2
+        sh, ch = mp.sinh(r), mp.cosh(r)
+        budgets.append([(2 * U + dr / mp.tanh(r) + rt + U) * sh / t,
+                        (2 * U + dr * mp.tanh(r) + rt + U) * ch * t,
+                        (2 * U + dr * mp.tanh(r) + rt + U) * ch / t,
+                        (2 * U + dr / mp.tanh(r) + rt + U) * sh * t])
+        rows = [[f[0, 0], f[0, 1], f[1, 0], f[1, 1]] for f in frames]
+    return sides, rows, budgets
+
+
+def mp_relative(f, df, g, dg):
+    """The relative frame f^-1 g = (A, B, C, D) of two exact rows, and for
+    each entry a first-order bound on its float error: the rows' errors
+    df, dg carried through A = f_d a - f_b c (and likewise), plus the
+    evaluation's two products and difference, 2U of |f_d a| + |f_b c|."""
+    (fa, fb, fc, fd), (ga, gb, gc, gd) = f, g
+    (ea, eb, ec, ed), (xa, xb, xc, xd) = df, dg
+    terms = [((fd, ga, ed, xa), (fb, gc, eb, xc)), ((fd, gb, ed, xb), (fb, gd, eb, xd)),
+             ((fa, gc, ea, xc), (fc, ga, ec, xa)), ((fa, gd, ea, xd), (fc, gb, ec, xb))]
+    out, err = [], []
+    for (p, x, dp, dx), (r, y, dr, dy) in terms:
+        out.append(p * x - r * y)
+        big = abs(p * x) + abs(r * y)
+        err.append(abs(p) * dx + dp * abs(x) + abs(r) * dy + dr * abs(y) + 2 * U * big)
+    return out, err
+
+
+def mp_cos_budget(rel, err):
+    """First-order bound on the float |AD + BC| of a relative frame whose
+    exact value is 0: the entries' errors plus two products and a sum."""
+    (a, b, c, d), (ea, eb, ec, ed) = rel, err
+    return ea * abs(d) + abs(a) * ed + eb * abs(c) + abs(b) * ec + 2 * U * (
+        abs(a * d) + abs(b * c))
+
+
+def mp_h_budget(rel, err):
+    """(h, bound): the perpendicular 2 asinh(sqrt(x)), x = bc or -ad, of a
+    relative frame, and a first-order bound on the float value: x's
+    error (its entries' and the product's U x) through
+    dh/dx = 1/sqrt(x (1 + x)), sqrt's U through 2/sqrt(1 + x), and
+    asinh's 2U of h."""
+    (a, b, c, d), (ea, eb, ec, ed) = rel, err
+    if b * c > 0:
+        x, dx = b * c, eb * abs(c) + abs(b) * ec
+    else:
+        x, dx = -a * d, ea * abs(d) + abs(a) * ed
+    h = 2 * mp.asinh(mp.sqrt(x))
+    return h, ((dx + U * x) / mp.sqrt(x * (1 + x)) + 2 * U * mp.sqrt(x / (1 + x))
+               + 2 * U * h)
+
+
+def random_coords(rng, n):
+    return [rng.uniform(0.4, 2.0) for _ in range(n - 3)]
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_chart_rows_track_the_50_digit_walk(n):
+    # The rows are held to the walk of the exact sides, which the chart
+    # must reproduce as it stands: an error in a foot sigma_k, a head
+    # eta_k or a sign moves a row by O(1), while the right-angle defect
+    # sees neither where a row puts s = 0 nor its sign.  The exact chart
+    # equals that walk to the working precision, and each float row is
+    # within twice its first-order budget (``mp_chart``).
+    rng = random.Random(700 + n)
+    chains = ([[rng.uniform(0.9, 2.0) for _ in range(2)] for _ in range(6)] if n == 5
+              else [random_coords(rng, n) for _ in range(6)] + [[1.0] * (n - 3)])
+    for coords in chains:
+        rows = sides_from_pentagon_coords(coords).frames
+        sides, want, budgets = mp_chart(coords)
+        with mp.workdps(50):
+            frames, _ = mp_walk(sides)
+            for k, (row, exact, b) in enumerate(zip(rows, want, budgets), start=1):
+                walk = frames[k]
+                walk = [walk[0, 0], walk[0, 1], walk[1, 0], walk[1, 1]]
+                scale = max(abs(v) for v in walk)
+                assert max(abs(x - y) for x, y in zip(exact, walk)) <= mpf(10) ** -40 * scale
+                for x, y, e in zip(row, walk, b):
+                    assert abs(x - y) <= 2 * e, f"row {k} of {coords}"
+
+
+@pytest.mark.parametrize("n", range(19, 25))
+def test_chart_round_trip_and_closure_track_the_50_digit_chart(n):
+    # Random chains with coordinates in [0.4, 2], where the walk of the
+    # rounded sides closed only to 1e-4: the float rows stay within twice
+    # their budget of the exact chart, the right-angle defect and the
+    # round trip within twice what those row errors and the evaluation
+    # allow, and both below 1e-9.
+    rng = random.Random(900 + n)
+    for coords in [random_coords(rng, n) for _ in range(4)]:
+        poly = sides_from_pentagon_coords(coords)
+        _, want, budgets = mp_chart(coords)
+        with mp.workdps(50):
+            for row, exact, b in zip(poly.frames, want, budgets):
+                assert all(abs(x - y) <= 2 * e for x, y, e in zip(row, exact, b))
+            pairs = zip(want[-1:] + want[:-1], budgets[-1:] + budgets[:-1], want, budgets)
+            closure = max(mp_cos_budget(*mp_relative(*p)) for p in pairs)
+            back = pentagon_coords(poly)
+            assert back[0] == coords[0] and back[-1] == coords[-1]
+            for k, got in enumerate(back[1:-1], start=4):
+                h, dh = mp_h_budget(*mp_relative(want[0], budgets[0],
+                                                 want[k - 1], budgets[k - 1]))
+                assert abs(got - h) <= 2 * dh
+        assert poly.closure_defect <= 2 * closure
+        assert poly.closure_defect <= 1e-9
+        assert pentagon_coords(poly) == pytest.approx(coords, rel=1e-9)

@@ -5,6 +5,7 @@ change, so the API grows only by decision and a deletion cannot leave a
 dangling export behind.
 """
 
+import functools
 import importlib
 import inspect
 from pathlib import Path
@@ -57,7 +58,7 @@ METHODS = {
     halfplane.HIsometry: {"apply", "inverse", "push"},
     halfplane.HGeodesic: {"endpoints", "param_of", "point_at", "tangent_at"},
     halfplane.CommonPerpendicular: set(),
-    polygons.MarkedRightPolygon: {"n", "side_geodesic"},
+    polygons.MarkedRightPolygon: {"geodesics", "n", "side_geodesic", "vertices"},
     polygons.ChainDifferentials: {
         "angle_matrix", "angles", "length_matrix", "length_rank",
     },
@@ -88,7 +89,8 @@ def test_public_methods_are_the_listed_ones(cls):
     own = {name for name, value in vars(cls).items()
            if not name.startswith("_")
            and (inspect.isfunction(value)
-                or isinstance(value, (property, classmethod, staticmethod)))}
+                or isinstance(value, (property, functools.cached_property,
+                                      classmethod, staticmethod)))}
     assert own == METHODS[cls]
 
 
