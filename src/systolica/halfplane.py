@@ -7,8 +7,8 @@ upward imaginary axis under one of them, its frame (Beardon, *The
 Geometry of Discrete Groups*, ch. 7): arclength s sits at frame(i e^s).
 Half-circles and vertical rays are the same object, so no formula here
 tells them apart, and any question about two geodesics is asked of the
-relative frame g.frame^-1 h.frame, in which g is the imaginary axis.  Everything is closed-form; no iteration, no linear
-algebra.
+relative frame g.frame^-1 h.frame, in which g is the imaginary axis.
+Everything is closed-form; no iteration, no linear algebra.
 
 Orientation conventions (these propagate through the whole package):
 a quarter turn means rotating a tangent vector by +pi/2 counterclockwise
@@ -139,12 +139,7 @@ class HIsometry:
         return HIsometry(self.d, -self.b, -self.c, self.a)
 
     def __matmul__(self, other):
-        return HIsometry(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return HIsometry(*_product(self, other.a, other.b, other.c, other.d))
 
     def __repr__(self):
         return f"HIsometry({self.a:.6g}, {self.b:.6g}, {self.c:.6g}, {self.d:.6g})"
@@ -171,13 +166,9 @@ def _frame(a, b, c, d):
 
 
 class HGeodesic:
-    """An oriented complete geodesic, parametrized at unit speed.
-
-    ``frame`` is an isometry taking the upward imaginary axis onto the
-    geodesic: arclength s sits at ``frame(i e^s)``, so s = 0 marks
-    ``frame(i)`` and the forward direction is the image of "up".  Every
-    geodesic, half-circle or vertical ray alike, is stored this way.
-    """
+    """An oriented complete geodesic, parametrized at unit speed: its
+    ``frame`` takes the upward imaginary axis onto it, arclength s to
+    ``_point``'s frame(i e^s), so "up" is forward and s = 0 is frame(i)."""
 
     __slots__ = ("frame",)
 
@@ -185,20 +176,17 @@ class HGeodesic:
         self.frame = frame
 
     def point_at(self, s):
-        f, t = self.frame, math.exp(s)
-        ct = f.c * t
-        den = f.d * f.d + ct * ct
-        return HPoint((f.b * f.d + f.a * t * ct) / den, t / den)
+        f = self.frame
+        return HPoint(*_point(f.a, f.b, f.c, f.d, math.exp(s)))
 
     def tangent_at(self, s):
         """Unit tangent in the direction of increasing s."""
-        p = self.point_at(s)
-        f = self.frame
-        ct = f.c * math.exp(s)
+        f, t = self.frame, math.exp(s)
+        x, y = _point(f.a, f.b, f.c, f.d, t)
         # the unit "up" vector i t at i t, pushed by the derivative
         # 1/(c i t + d)^2, is i y (d - i ct)/(d + i ct) with y = t/|d + i ct|^2
-        v = 1j * p.y * complex(f.d, -ct) / complex(f.d, ct)
-        return HTangent(p, v.real, v.imag)
+        v = 1j * y * complex(f.d, -f.c * t) / complex(f.d, f.c * t)
+        return HTangent(HPoint(x, y), v.real, v.imag)
 
     def endpoints(self):
         """Boundary endpoints (backward, forward); math.inf encodes infinity."""
@@ -224,14 +212,32 @@ def _pull(frame, p):
     return (frame.d * p.z - frame.b) / (frame.a - frame.c * p.z)
 
 
-def _frame_at(p, w):
-    """T_p R, with T_p = [[sqrt y, x/sqrt y], [0, 1/sqrt y]] taking i to p
-    and R the rotation about i by arg(w): the frame based at p whose
-    "up" points arg(w) counterclockwise from the chart's vertical."""
+def _point(a, b, c, d, t=1.0):
+    """(x, y) of F(i t) for the frame F = (a, b, c, d) of determinant one."""
+    ct = c * t
+    den = d * d + ct * ct
+    return (b * d + a * t * ct) / den, t / den
+
+
+def _frame_at(x, r, c, s):
+    """Entries of T R, the frame at x + i r^2 whose "up" points phi
+    counterclockwise from the chart's vertical: T = [[r, x/r], [0, 1/r]]
+    and the rotation R = [[c, s], [-s, c]], (c, s) = (cos, sin)(phi/2).
+    The arguments may be floats or numpy columns."""
+    return r * c - x * s / r, r * s + x * c / r, -s / r, c / r
+
+
+def _half_turn(w):
+    """(c, s) of ``_frame_at`` for phi = arg(w), the turn of "up" onto w."""
     h = cmath.sqrt(w / abs(w))  # e^{i arg(w)/2}; the sign is immaterial
-    c, s = h.real, h.imag
-    r = math.sqrt(p.y)
-    return HIsometry(r * c - p.x * s / r, r * s + p.x * c / r, -s / r, c / r)
+    return h.real, h.imag
+
+
+def _product(f, a, b, c, d):
+    """Entries of f [[a, b], [c, d]], for f an HIsometry or four entries."""
+    fa, fb, fc, fd = f
+    return (fa * a + fb * c, fa * b + fb * d,
+            fc * a + fd * c, fc * b + fd * d)
 
 
 def vertical_geodesic(x0, upward=True):
@@ -268,14 +274,15 @@ def _toward(p, q):
 
 def geodesic_through(p, q):
     """The geodesic through two distinct points, oriented p -> q, s=0 at p."""
-    return HGeodesic(_frame_at(p, _toward(p, q)))
+    return HGeodesic(HIsometry(*_frame_at(p.x, math.sqrt(p.y), *_half_turn(_toward(p, q)))))
 
 
 def geodesic_from_direction(p, u):
     """The geodesic through the base of u in the direction of u, s=0 there."""
     if u.dx == 0.0 and u.dy == 0.0:
         raise DegenerateConfigurationError("zero tangent vector has no direction")
-    return HGeodesic(_frame_at(p, complex(u.dy, -u.dx)))
+    c, s = _half_turn(complex(u.dy, -u.dx))
+    return HGeodesic(HIsometry(*_frame_at(p.x, math.sqrt(p.y), c, s)))
 
 
 def unit_toward(p, q):

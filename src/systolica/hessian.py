@@ -62,6 +62,7 @@ import numpy as np
 from . import halfplane
 from .errors import (DegenerateConfigurationError, DegenerateMarginError,
                      InconsistentSceneError, SystolicaError, _real_floats)
+from .halfplane import _frame_at, _half_turn, _product, _relative, _unit
 
 __all__ = [
     "ChordConfig",
@@ -434,10 +435,9 @@ def realize_scene(cfg: ChordConfig, weights: TransverseWeights,
     ``q = i e^L``, leaf ``i`` through ``i e^{s_i}`` rotated by
     ``theta_i`` from the upward direction.
 
-    With ``r = e^{s/2}``, ``c = cos(theta/2)`` and ``sigma = sin(theta/2)``
-    the frame of a leaf is ``(r c, r sigma, -sigma/r, c/r)``: the
-    translation to ``i e^s`` after the rotation about ``i``.  All ``n``
-    rows come from one numpy pass, O(1) numpy calls.
+    The frame of a leaf is ``halfplane._frame_at`` at ``x = 0``,
+    ``r = e^{s/2}``, turned by ``theta``.  All ``n`` rows come from one
+    numpy pass, O(1) numpy calls.
 
     Raises
     ------
@@ -451,9 +451,8 @@ def realize_scene(cfg: ChordConfig, weights: TransverseWeights,
     except OverflowError:
         raise DegenerateConfigurationError(
             f"chord length {cfg.length!r}: q = i e^L is not a float") from None
-    r = np.exp(0.5 * cfg.s)
-    c, sigma = np.cos(0.5 * cfg.theta), np.sin(0.5 * cfg.theta)
-    leaves = np.stack((r * c, r * sigma, -sigma / r, c / r), axis=1)
+    half = 0.5 * cfg.theta
+    leaves = np.stack(_frame_at(0.0, np.exp(0.5 * cfg.s), np.cos(half), np.sin(half)), axis=1)
     return HalfplaneScene(cfg=cfg, weights=weights, endpoints=endpoints,
                           p=halfplane.HPoint(0.0, 1.0),
                           q=halfplane.HPoint(0.0, top), leaves=leaves)
@@ -500,8 +499,8 @@ def _endpoint_frames(ev: EndpointVariation, t: float):
     ``q`` by ``t`` along their variation vectors ``w`` to ``E(i)``: in
     the chord's frame at either end the chord runs up the imaginary axis
     through ``i`` (left is -x; outward is -y at ``p``, +y at ``q``), and
-    ``R(phi)``, ``halfplane._frame_at`` at ``i``, turns "up" onto ``w``.
-    An overflow raises DegenerateConfigurationError."""
+    ``R(phi)``, ``halfplane._frame_at`` at ``i`` normalized by ``_unit``,
+    turns "up" onto ``w``.  An overflow raises DegenerateConfigurationError."""
     frames = []
     for dx, dy in ((-ev.u_perp, -ev.u_par), (-ev.v_perp, ev.v_par)):
         x = 0.5 * t * math.hypot(dx, dy)
@@ -510,11 +509,11 @@ def _endpoint_frames(ev: EndpointVariation, t: float):
             continue
         try:
             e, ei = math.exp(x), math.exp(-x)
-            f = halfplane._frame_at(halfplane.HPoint(0.0, 1.0), complex(dy, -dx))
+            a, b, c, d = _unit(*_frame_at(0.0, 1.0, *_half_turn(complex(dy, -dx))))
         except OverflowError as exc:
             raise DegenerateConfigurationError(
                 f"endpoint moved {t!r} x {math.hypot(dx, dy)!r} overflows") from exc
-        frames.append((f.a * e, f.b * ei, f.c * e, f.d * ei))
+        frames.append((a * e, b * ei, c * e, d * ei))
     return frames
 
 
@@ -523,11 +522,7 @@ def _chord_distance(ep, m, eq) -> float:
     ``[[A, B], [C, D]] = E_p^-1 M E_q`` of determinant one,
     ``4 sinh^2(d/2) = (A - D)^2 + (B + C)^2``.  A distance that is not
     finite raises DegenerateConfigurationError."""
-    (pa, pb, pc, pd), (ma, mb, mc, md), (qa, qb, qc, qd) = ep, m, eq
-    a, b = pd * ma - pb * mc, pd * mb - pb * md  # E_p^-1 M
-    c, d = pa * mc - pc * ma, pa * md - pc * mb
-    A, B = a * qa + b * qc, a * qb + b * qd
-    C, D = c * qa + d * qc, c * qb + d * qd
+    A, B, C, D = _product(_relative(ep, *m), *eq)
     dist = 2.0 * math.asinh(0.5 * math.hypot(A - D, B + C))
     if not math.isfinite(dist):
         raise DegenerateConfigurationError(
@@ -580,7 +575,7 @@ def _measure_scene(scene: HalfplaneScene):
         If a leaf misses the chord; the message names the first one.
     """
     chord = halfplane.geodesic_through(scene.p, scene.q).frame
-    a, b, c, d = halfplane._relative(chord, *scene.leaves.T)
+    a, b, c, d = _relative(chord, *scene.leaves.T)
     abcd = a * b * c * d
     crossing = abcd < 0.0
     if not crossing.all():

@@ -30,14 +30,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
 from . import halfplane
 from .errors import DegenerateConfigurationError, NoPentagonError, NoPolygonError, _real_floats
-from .halfplane import (HGeodesic, HPoint, _disk, _frame, _perpendicular_length,
-                        _relative, _unit, dist)
+from .halfplane import (HGeodesic, HPoint, _disk, _frame, _perpendicular_length, _point,
+                        _product, _relative, _unit, dist)
 from .trig import pentagon_perpendicular, pentagon_side, semiregular_partner
 
 
@@ -94,21 +95,20 @@ class MarkedRightPolygon:
 
     @functools.cached_property
     def vertices(self) -> tuple[HPoint, ...]:
-        """vertices[j-1] is where side j starts, the image of i under its
-        frame: ``HGeodesic.point_at(0)``'s expression, y = 1/(c^2 + d^2)."""
-        return tuple(HPoint(*_vertex(*row)) for row in self.frames)
+        """vertices[j-1] = F_j(i), where side j starts (``halfplane._point``)."""
+        return tuple(HPoint(*_point(*row)) for row in self.frames)
 
     def side_geodesic(self, i: int) -> HGeodesic:
         """The oriented geodesic carrying side i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"side index {i} out of range 1..{self.n}")
-        return HGeodesic(_frame(*self.frames[i - 1]))
+        return HGeodesic(_frame(*self.frames[_side_index(i, self.n)]))
 
 
-def _vertex(a, b, c, d):
-    """The point (x, y) = F(i) of the frame F = (a, b, c, d)."""
-    den = d * d + c * c
-    return (b * d + a * c) / den, 1.0 / den
+def _side_index(i, n: int) -> int:
+    """Slot i - 1 of side i, an Integral but not a bool in 1..n, else ValueError."""
+    if not (type(i) is int or isinstance(i, Integral) and not isinstance(i, bool)) \
+            or not 1 <= i <= n:
+        raise ValueError(f"side index must be an integer in 1..{n}, got {i!r}")
+    return i - 1
 
 
 def _checked(rows):
@@ -117,7 +117,7 @@ def _checked(rows):
     DegenerateConfigurationError."""
     ymin, inf = halfplane.YMIN, math.inf
     for k, (a, b, c, d) in enumerate(rows, start=1):
-        x, y = _vertex(a, b, c, d)
+        x, y = _point(a, b, c, d)
         if not (ymin <= y < inf and -inf < x < inf):
             raise DegenerateConfigurationError(
                 f"vertex {k} at ({x!r}, {y!r}) is not a finite point above YMIN")
@@ -158,9 +158,7 @@ def realize(sides: Sequence[float]) -> MarkedRightPolygon:
             e = math.exp(0.5 * length)
             a, b, c, d = a * e, b / e, c * e, d / e
             a, b, c, d = _unit(a - b, a + b, c - d, c + d)
-        ia, ib, ic, id_ = _unit(d0, -b0, -c0, a0)  # F_1^-1
-        ha, hb, hc, hd = _unit(ia * a + ib * c, ia * b + ib * d,
-                               ic * a + id_ * c, ic * b + id_ * d)
+        ha, hb, hc, hd = _unit(*_product(_unit(d0, -b0, -c0, a0), a, b, c, d))  # F_1^-1 F
         rows = _checked(rows)
     except (ArithmeticError, ValueError) as exc:
         raise DegenerateConfigurationError(f"the walk left the float range: {exc}") from exc
@@ -298,19 +296,18 @@ def tangent_u(poly: MarkedRightPolygon, i: int) -> np.ndarray:
           -tanh(l_{i+1}) coth(l_i),  1/cosh(l_{i+1}) ].
     """
     n = poly.n
-    if not 1 <= i <= n:
-        raise ValueError(f"side index {i} out of range 1..{n}")
+    k = _side_index(i, n)
     v = np.zeros(n)
-    v[i - 1] = 1.0
-    v[[(i - 2) % n, i % n, (i + 1) % n]] = _tangent_entries(poly.sides[i - 1],
-                                                             poly.sides[i % n])
+    v[k] = 1.0
+    v[[k - 1, (k + 1) % n, (k + 2) % n]] = _tangent_entries(poly.sides[k],
+                                                             poly.sides[(k + 1) % n])
     return v
 
 
 def _tangent_entries(li, lj):
-    """``tangent_u``'s entries at sides i-1, i+1 and i+2 from l_i and
-    l_{i+1}, which may be floats or numpy arrays."""
-    return -np.tanh(lj) / np.sinh(li), -np.tanh(lj) / np.tanh(li), 1.0 / np.cosh(lj)
+    """``tangent_u``'s entries at sides i-1, i+1 and i+2 from l_i, l_{i+1}."""
+    t = math.tanh(lj)
+    return -t / math.sinh(li), -t / math.tanh(li), 1.0 / math.cosh(lj)
 
 
 # --------------------------------------------------------------------------
@@ -436,17 +433,17 @@ def proportionality_check(poly: MarkedRightPolygon) -> float:
     The sums are read off ``tangent_u``'s four nonzeros without building
     the vectors: slots i and i+2 (same parity as side i) hold 1 and the
     entry at i+2, slots i-1 and i+1 the other two.  All n basis vectors
-    cost one numpy pass over the sides, O(n).
+    cost one float pass over the sides, O(n).
     """
     l1, l2 = _split_alternating(poly)
-    a, b = 1.0 / math.tanh(0.5 * l1), 1.0 / math.tanh(0.5 * l2)
-    li = np.array(poly.sides)
-    before, after, far = _tangent_entries(li, np.roll(li, -1))
-    own, other = 1.0 + far, before + after
-    odd = np.arange(poly.n) % 2 == 0  # sides 1, 3, ... in 0-based slots
-    s_odd = np.where(odd, own, other)
-    s_even = np.where(odd, other, own)
-    return float(np.abs(a * s_odd + b * s_even).max())
+    coth = 1.0 / math.tanh(0.5 * l1), 1.0 / math.tanh(0.5 * l2)
+    sides, n = poly.sides, poly.n
+    worst = 0.0
+    for k in range(n):  # side k + 1, odd for even k
+        before, after, far = _tangent_entries(sides[k], sides[(k + 1) % n])
+        own, other = coth[k % 2], coth[1 - k % 2]
+        worst = max(worst, abs(own * (1.0 + far) + other * (before + after)))
+    return worst
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,7 @@ def diagonal_mixed_type(h1: float, h2: float, k: float, n: int) -> float:
     arc doubles it.  k = 1 is excluded: adjacent sides meet at a vertex.
     """
     _check_order(n)
-    if k != int(k) or int(k) % 2 == 0 or not 3 <= k <= 2 * n - 3:
+    if not 3 <= k <= 2 * n - 3 or k != int(k) or int(k) % 2 == 0:
         raise ValueError(f"slot count k must be odd in 3..2n-3, got {k!r}")
     _check_lengths(h1, h2)
     return _in_range(lambda: 2.0 * guarded_acosh(

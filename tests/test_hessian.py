@@ -742,6 +742,15 @@ class TestOracleGrid:
         assert sorted(t for t in steps if t != 0.0) == [-h, h]
         assert measured == [scene]
 
+    def test_grid_builds_only_the_chord(self, built):
+        # the endpoint frames, the shear chains and the distances are
+        # entries: one grid makes the chord's geodesic and its frame
+        scene = realize_scene(*long_scene(random.Random(9), 12, 3.0))
+        assert scene.endpoints != EndpointVariation()
+        built.clear()
+        fd_oracle(scene, 2)
+        assert built == {"HGeodesic": 1, "HIsometry": 1}
+
     def test_inconsistent_scene_raises_on_every_call(self):
         # the test_rejects_mismatched_length construction
         scene = random_scene(random.Random(3), min_n=1)

@@ -9,18 +9,16 @@ space.
 
 import math
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from systolica import halfplane, polygons
+from systolica import polygons
 from systolica.errors import (DegenerateConfigurationError, NoPerpendicularError,
                               NoPolygonError)
 from systolica.halfplane import (
-    HGeodesic,
     HIsometry,
     HPoint,
     HTangent,
@@ -231,25 +229,6 @@ class TestFrameTable:
         assert tuple(tuple(g.frame) for g in poly.geodesics) == HEXAGON_FRAMES
         assert tuple(poly.side_geodesic(4).frame) == HEXAGON_FRAMES[3]
 
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """Counts of the HIsometry, HGeodesic and HPoint objects made, by
-        their constructors or, for an HIsometry, by ``halfplane._frame``."""
-        counts = Counter()
-
-        def counted(name, make):
-            def wrapper(*args):
-                counts[name] += 1
-                return make(*args)
-            return wrapper
-
-        for cls in (HIsometry, HGeodesic, HPoint):
-            monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
-        frame = counted("HIsometry", halfplane._frame)
-        for module in (halfplane, polygons):
-            monkeypatch.setattr(module, "_frame", frame)
-        return counts
-
     def test_constructors_build_no_object_per_side(self, built):
         for coords in ([1.0, 1.2], [0.7, 1.3, 0.9, 1.6, 1.1] * 4):
             poly = sides_from_pentagon_coords(coords)
@@ -321,10 +300,12 @@ class TestTangentU:
         poly = sides_from_pentagon_coords([1.0, 1.2])
         for i in range(1, 6):
             assert tangent_u(poly, i)[i - 1] == 1.0
-        with pytest.raises(ValueError):
-            tangent_u(poly, 0)
-        with pytest.raises(ValueError):
-            tangent_u(poly, 6)
+        for bad in (0, 6, 2.5, True):
+            with pytest.raises(ValueError):
+                tangent_u(poly, bad)
+            with pytest.raises(ValueError):
+                poly.side_geodesic(bad)
+        assert tangent_u(poly, np.int64(2)).tolist() == tangent_u(poly, 2).tolist()
 
 
 def random_chain(rng, m, closed=True):

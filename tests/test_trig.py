@@ -232,6 +232,8 @@ def test_argument_validation():
     (trirectangle_center, (1.0, 4.0), ValueError),
     (diagonal_same_type, (1.0, 2, 5.0), ValueError),
     (diagonal_mixed_type, (1.0, 1.0, 3, "4"), ValueError),
+    (diagonal_mixed_type, (1.0, 1.0, math.inf, 5), ValueError),
+    (diagonal_mixed_type, (1.0, 1.0, -math.inf, 5), ValueError),
 ])
 def test_float_range_and_non_integral_counts_fail_typed(call, args, error):
     with pytest.raises(error):
