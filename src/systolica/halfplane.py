@@ -272,9 +272,15 @@ def _toward(p, q):
     return zeta
 
 
+def _frame_through(p, q):
+    """Entries of the frame of the geodesic through two distinct points,
+    oriented p -> q, s=0 at p, normalized by ``_unit``."""
+    return _unit(*_frame_at(p.x, math.sqrt(p.y), *_half_turn(_toward(p, q))))
+
+
 def geodesic_through(p, q):
     """The geodesic through two distinct points, oriented p -> q, s=0 at p."""
-    return HGeodesic(HIsometry(*_frame_at(p.x, math.sqrt(p.y), *_half_turn(_toward(p, q)))))
+    return HGeodesic(_frame(*_frame_through(p, q)))
 
 
 def geodesic_from_direction(p, u):

@@ -16,10 +16,11 @@ The crossing data lives in arrays, not in one object per crossing:
 rates ``a``, as read-only float64 arrays in chord order, validated once,
 and a realized ``HalfplaneScene`` holds its leaves as one (n, 4) array
 of frame entries.  ``fd_oracle`` measures a scene in O(1) numpy calls,
-then walks the chord in its own frame: one 2 x 2 matrix chain from ``p``
-to ``q`` per shear step, so it rounds relative to the chord, not to
-half-plane coordinates of size ``e^L``.  Its checked 3 x 3 grid of
-deformed lengths is memoized on the immutable scene.
+then walks the chord in its own frame: one float loop from ``p`` to
+``q`` carries the 2 x 2 matrix chains of both shear steps ``+h`` and
+``-h``, so it rounds relative to the chord, not to half-plane
+coordinates of size ``e^L``.  Its checked 3 x 3 grid of deformed
+lengths is memoized on the immutable scene.
 
 Endpoint components use one parallel frame along the oriented chord:
 ``u_par`` and ``v_par`` point outward (away from the other endpoint),
@@ -62,7 +63,7 @@ import numpy as np
 from . import halfplane
 from .errors import (DegenerateConfigurationError, DegenerateMarginError,
                      InconsistentSceneError, SystolicaError, _real_floats)
-from .halfplane import _frame_at, _half_turn, _product, _relative, _unit
+from .halfplane import _frame_at, _frame_through, _half_turn, _product, _relative, _unit
 
 __all__ = [
     "ChordConfig",
@@ -388,9 +389,11 @@ class HalfplaneScene:
     Raises
     ------
     ValueError
-        If ``leaves`` is not an (n, 4) array, or a row has a non-finite
-        entry or a determinant that is not positive and finite.  The
-        message names the first bad leaf.
+        If ``weights`` or the rows of ``leaves`` are not one per crossing
+        of ``cfg`` (the message names both counts), ``leaves`` is not an
+        (n, 4) array, or a row has a non-finite entry or a determinant
+        that is not positive and finite, when the message names the first
+        bad leaf.
     """
 
     cfg: ChordConfig
@@ -401,9 +404,12 @@ class HalfplaneScene:
     leaves: np.ndarray
 
     def __post_init__(self):
+        _check_weights(self.cfg, self.weights)
         rows = np.array(self.leaves, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != 4:
             raise ValueError("leaves must be an (n, 4) array of frame entries")
+        if len(rows) != self.cfg.n:
+            raise ValueError(f"{len(rows)} leaves for {self.cfg.n} crossings")
         a, b, c, d = rows.T
         det = a * d - b * c  # not finite if any entry is not
         ok = np.isfinite(det) & (det > 0.0)
@@ -458,10 +464,11 @@ def realize_scene(cfg: ChordConfig, weights: TransverseWeights,
                           q=halfplane.HPoint(0.0, top), leaves=leaves)
 
 
-def _shear_chain(length: float, s, theta, weights, t: float):
-    """The chord's far end sheared by ``t``, ``M(t)`` in the chord's frame
-    (``p = i``, ``q = D(L) i``, ``D(x) = diag(e^{x/2}, e^{-x/2})``), as
-    entries ``(a, b, c, d)``: the sheared ``q`` is ``M(t) i``.
+def _shear_chains(length: float, s, theta, weights, t: float):
+    """The chord's far end sheared by ``t`` and by ``-t``, the pair
+    ``(M(t), M(-t))`` in the chord's frame (``p = i``, ``q = D(L) i``,
+    ``D(x) = diag(e^{x/2}, e^{-x/2})``), each as entries ``(a, b, c, d)``:
+    the sheared ``q`` is ``M(t) i``.
 
     The shear by ``x = t a`` along the leaf at ``(s, theta)`` is
     ``D(s) (I + E) D(-s)``, ``E = (cosh - 1) I + sinh X`` at ``x/2`` with
@@ -472,11 +479,18 @@ def _shear_chain(length: float, s, theta, weights, t: float):
     ``Psi_i = D(-g) (Psi_{i-1} K_i + E_i) D(g)`` for the gap
     ``g = s_{i+1} - s_i`` (``s_{n+1} = L``), and ``M = D(L) (I + Psi_n)``.
     So each step rounds relative to ``Psi = O(t)``, not to entries of
-    size ``e^{s/2}``; ``cosh - 1`` is ``2 sinh^2(x/4)``.  O(1) numpy calls
-    and an ``n``-step float loop, none at ``t == 0``.  An overflow leaves
-    a non-finite entry.
+    size ``e^{s/2}``; ``cosh - 1`` is ``2 sinh^2(x/4)``.
+
+    sinh is odd and ``2 sinh^2(x/4)`` even, both exactly so in floats,
+    so ``E`` at ``-t`` is ``E`` at ``t`` with ``e11`` and ``e22``
+    swapped and ``e12`` negated; the loop carries the ``-t`` difference
+    beside the ``+t`` one from the same step values, each sum written
+    with the negated terms subtracted, which rounds exactly as a walk
+    at ``-t`` would.  O(1) numpy calls and one ``n``-step float loop
+    for both signs, none at ``t == 0``.  An overflow leaves a non-finite
+    entry.
     """
-    a = b = c = d = 0.0
+    a = b = c = d = am = bm = cm = dm = 0.0  # Psi at +t, then at -t
     if t != 0.0:
         with np.errstate(over="ignore", invalid="ignore"):
             half = (0.5 * t) * weights
@@ -486,35 +500,56 @@ def _shear_chain(length: float, s, theta, weights, t: float):
             g = np.exp(np.concatenate((s[1:], (length,))) - s)
             steps = (1.0 + e11, 1.0 + e22, e11, e12, e22, g)
         for k11, k22, e11, e12, e22, g in zip(*(v.tolist() for v in steps)):
-            a, b, c, d = (a * k11 + b * e12 + e11,
-                          (a * e12 + b * k22 + e12) / g,
-                          (c * k11 + d * e12 + e12) * g,
-                          c * e12 + d * k22 + e22)
+            a, b, c, d, am, bm, cm, dm = (
+                a * k11 + b * e12 + e11,
+                (a * e12 + b * k22 + e12) / g,
+                (c * k11 + d * e12 + e12) * g,
+                c * e12 + d * k22 + e22,
+                am * k22 - bm * e12 + e22,
+                (bm * k11 - am * e12 - e12) / g,
+                (cm * k22 - dm * e12 - e12) * g,
+                dm * k11 - cm * e12 + e11)
     e = math.exp(0.5 * length)
+    return _far_end(e, a, b, c, d), _far_end(e, am, bm, cm, dm)
+
+
+def _far_end(e: float, a=0.0, b=0.0, c=0.0, d=0.0):
+    """Entries of ``D(L) (I + Psi)`` for ``e = e^{L/2}`` and
+    ``Psi = (a, b, c, d)``: the chain's far end, ``D(L)`` at ``Psi = 0``."""
     return e * (1.0 + a), e * b, c / e, (1.0 + d) / e
 
 
+_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+
+
 def _endpoint_frames(ev: EndpointVariation, t: float):
-    """The frames ``E = R(phi) D(t |w|)``, as entries, that move ``p`` and
-    ``q`` by ``t`` along their variation vectors ``w`` to ``E(i)``: in
-    the chord's frame at either end the chord runs up the imaginary axis
+    """The pairs ``(E_p, E_q)`` at ``t`` and at ``-t``: the frames
+    ``E = R(phi) D(t |w|)``, as entries, that move ``p`` and ``q`` by
+    ``t`` along their variation vectors ``w`` to ``E(i)``.  In the
+    chord's frame at either end the chord runs up the imaginary axis
     through ``i`` (left is -x; outward is -y at ``p``, +y at ``q``), and
     ``R(phi)``, ``halfplane._frame_at`` at ``i`` normalized by ``_unit``,
-    turns "up" onto ``w``.  An overflow raises DegenerateConfigurationError."""
-    frames = []
+    turns "up" onto ``w``.  With ``R(phi) = (a, b, c, d)`` and
+    ``x = t |w| / 2``, ``E(t)`` is ``(a e^x, b e^-x, c e^x, d e^-x)`` and
+    ``E(-t)`` the same with ``e^x`` and ``e^-x`` swapped, so one rotation
+    and one exp pair per endpoint give both.  An overflow at either sign
+    raises DegenerateConfigurationError."""
+    plus, minus = [], []
     for dx, dy in ((-ev.u_perp, -ev.u_par), (-ev.v_perp, ev.v_par)):
         x = 0.5 * t * math.hypot(dx, dy)
         if x == 0.0:
-            frames.append((1.0, 0.0, 0.0, 1.0))
+            plus.append(_IDENTITY)
+            minus.append(_IDENTITY)
             continue
         try:
             e, ei = math.exp(x), math.exp(-x)
             a, b, c, d = _unit(*_frame_at(0.0, 1.0, *_half_turn(complex(dy, -dx))))
         except OverflowError as exc:
             raise DegenerateConfigurationError(
-                f"endpoint moved {t!r} x {math.hypot(dx, dy)!r} overflows") from exc
-        frames.append((a * e, b * ei, c * e, d * ei))
-    return frames
+                f"endpoint moved +-{t!r} x {math.hypot(dx, dy)!r} overflows") from exc
+        plus.append((a * e, b * ei, c * e, d * ei))
+        minus.append((a * ei, b * e, c * ei, d * e))
+    return tuple(plus), tuple(minus)
 
 
 def _chord_distance(ep, m, eq) -> float:
@@ -536,8 +571,10 @@ def scene_length(scene: HalfplaneScene, shear_t: float, end_t: float) -> float:
     ``shear_t`` times its weight (leaves composed from ``q`` inward, so
     the leaf nearest ``p`` acts last).  The chord is walked in its own
     frame from the measured ``(length, s, theta)`` by the helpers of
-    ``fd_oracle``'s grid: ``_shear_chain``, ``_endpoint_frames`` and
-    ``_chord_distance``.
+    ``fd_oracle``'s grid: ``_shear_chains`` and ``_endpoint_frames``,
+    which give the ``+t`` and ``-t`` members of a pair, of which this
+    reads the first, and ``_chord_distance``.  That is O(1) numpy calls
+    and one ``n``-step float loop.
 
     Raises
     ------
@@ -550,8 +587,8 @@ def scene_length(scene: HalfplaneScene, shear_t: float, end_t: float) -> float:
         raise ValueError(f"deformation parameters must be finite "
                          f"(shear_t={shear_t!r}, end_t={end_t!r})")
     length, s, theta = _measure_scene(scene)
-    ep, eq = _endpoint_frames(scene.endpoints, end_t)
-    m = _shear_chain(length, s, theta, scene.weights.weights, shear_t)
+    ep, eq = _endpoint_frames(scene.endpoints, end_t)[0]
+    m = _shear_chains(length, s, theta, scene.weights.weights, shear_t)[0]
     return _chord_distance(ep, m, eq)
 
 
@@ -559,9 +596,10 @@ def _measure_scene(scene: HalfplaneScene):
     """Re-derive the length and the crossing positions and angles from
     the realized geometry: ``(length, s, theta)``.
 
-    Leaf ``i`` seen from the chord's frame (s = 0 at ``p``) has the
-    relative frame ``(a, b, c, d)`` and runs from ``b/d`` to ``a/c``;
-    it crosses the chord iff ``abcd < 0``, at
+    Leaf ``i`` seen from the chord's frame (s = 0 at ``p``, as entries
+    from ``halfplane._frame_through``) has the relative frame
+    ``(a, b, c, d)`` and runs from ``b/d`` to ``a/c``; it crosses the
+    chord iff ``abcd < 0``, at
     ``s = (log|a/c| + log|b/d|)/2``, the log of the crossing radius of
     ``halfplane.intersection_point`` taken as a sum so that it stays
     finite where ``e^{2s}`` overflows.  The angle is
@@ -574,8 +612,7 @@ def _measure_scene(scene: HalfplaneScene):
     DegenerateConfigurationError
         If a leaf misses the chord; the message names the first one.
     """
-    chord = halfplane.geodesic_through(scene.p, scene.q).frame
-    a, b, c, d = _relative(chord, *scene.leaves.T)
+    a, b, c, d = _relative(_frame_through(scene.p, scene.q), *scene.leaves.T)
     abcd = a * b * c * d
     crossing = abcd < 0.0
     if not crossing.all():
@@ -628,11 +665,14 @@ def _checked_grid(scene: HalfplaneScene) -> dict:
     3 x 3 grid ``{(i, j): scene_length(scene, i * h_s, j * h_e)}`` for
     ``i, j`` in ``(-1, 0, 1)`` and the steps ``scene._steps``.
 
-    One ``_measure_scene`` (O(1) numpy calls), the chains for
-    ``shear_t = -h_s, +h_s`` (O(1) numpy calls and an ``n``-step float
-    loop apiece), the endpoint frames for ``end_t = -h_e, 0, +h_e`` and nine
-    distances.  Each value is computed exactly as ``scene_length``
-    computes it.  ``HalfplaneScene._grid`` memoizes the result.
+    One ``_measure_scene`` (O(1) numpy calls), one ``_shear_chains`` for
+    the chains at ``shear_t = +h_s, -h_s`` (O(1) numpy calls and one
+    ``n``-step float loop for both), one ``_endpoint_frames`` for
+    ``end_t = +h_e, -h_e`` and nine distances; at 0 the chain is ``D(L)``
+    and the endpoint frames are the identity.  Each value is bit for bit
+    what ``scene_length`` computes, whose walk at ``-t`` rounds as the
+    pair's second member does.  ``HalfplaneScene._grid`` memoizes the
+    result.
     """
     try:
         length, s, theta = _measure_scene(scene)
@@ -644,8 +684,6 @@ def _checked_grid(scene: HalfplaneScene) -> dict:
     if abs(length - cfg.length) > 1e-10:
         raise InconsistentSceneError(
             f"realized chord length {length!r} != {cfg.length!r}")
-    if s.shape != cfg.s.shape:
-        raise InconsistentSceneError("crossing count mismatch")
     # written as agreement so that a NaN measurement is refused too
     agree = (np.abs(s - cfg.s) <= 1e-10) & (np.abs(theta - cfg.theta) <= 1e-10)
     if not agree.all():
@@ -655,12 +693,12 @@ def _checked_grid(scene: HalfplaneScene) -> dict:
             f"theta={theta[i].item()!r}) but declared "
             f"(s={cfg.s[i].item()!r}, theta={cfg.theta[i].item()!r})")
     hs, he = scene._steps
-    steps = (-1, 0, 1)
-    chains = {i: _shear_chain(length, s, theta, scene.weights.weights, i * hs)
-              for i in steps}
-    ends = {j: _endpoint_frames(scene.endpoints, j * he) for j in steps}
+    plus, minus = _shear_chains(length, s, theta, scene.weights.weights, hs)
+    chains = {-1: minus, 0: _far_end(math.exp(0.5 * length)), 1: plus}
+    plus, minus = _endpoint_frames(scene.endpoints, he)
+    ends = {-1: minus, 0: (_IDENTITY, _IDENTITY), 1: plus}
     return {(i, j): _chord_distance(ends[j][0], chains[i], ends[j][1])
-            for i in steps for j in steps}
+            for i in (-1, 0, 1) for j in (-1, 0, 1)}
 
 
 def fd_oracle(scene: HalfplaneScene, order: int):
@@ -679,9 +717,10 @@ def fd_oracle(scene: HalfplaneScene, order: int):
     1e-2 in all.
 
     The first call on a scene checks it and evaluates the nine grid
-    values (``_checked_grid``); the scene memoizes them, so a later call
-    of either order costs a lookup and a few flops and reads the same
-    values.  Nothing that raises is memoized.
+    values (``_checked_grid``): O(1) numpy calls and one ``n``-step float
+    loop, which walks the chains at both shear steps at once.  The scene
+    memoizes them, so a later call of either order costs a lookup and a
+    few flops and reads the same values.  Nothing that raises is memoized.
 
     The walk rounds in the chord's frame, not in half-plane coordinates
     of size ``e^L``: to first order a grid value ``d`` errs by at most

@@ -363,14 +363,14 @@ class ChainDifferentials:
         self._into, self._out = ((seg - 1) % m, seg) if closed else (seg[:-1], seg[1:])
 
     def _matrix(self, *blocks) -> np.ndarray:
-        """One row per block entry; block (k, w) puts w's components at
-        vertex k's column pair."""
+        """One row per block entry; block (k, w) puts w at vertex k's
+        column of one complex array, whose float64 view is the column
+        pair (real, imaginary)."""
         rows = np.arange(len(blocks[0][1]))
-        mat = np.zeros((len(rows), 2 * self.m))
+        mat = np.zeros((len(rows), self.m), dtype=complex)
         for k, w in blocks:
-            mat[rows, 2 * k] = w.real
-            mat[rows, 2 * k + 1] = w.imag
-        return mat
+            mat[rows, k] = w
+        return mat.view(np.float64)
 
     def angles(self) -> np.ndarray:
         """The vertex angles theta in (0, 2*pi)."""

@@ -347,6 +347,21 @@ class TestSceneOracle:
                            endpoints=scene.endpoints, p=scene.p, q=scene.q,
                            leaves=leaves)
 
+    def test_scene_rejects_counts_that_disagree_with_its_config(self):
+        # the walk would broadcast one weight over every leaf, or zip
+        # weights and leaves of different counts, so the scene refuses
+        # to be built
+        cfg = ChordConfig(3.0, s=(0.5, 1.5, 2.5), theta=(1.0, 2.0, 0.5))
+        scene = realize_scene(cfg, TransverseWeights((0.7, -0.2, 0.4)))
+        for weights, leaves, message in [
+                (TransverseWeights((0.7,)), scene.leaves, "1 weights for 3 crossings"),
+                (scene.weights, scene.leaves[:1], "1 leaves for 3 crossings"),
+                (scene.weights, np.tile(scene.leaves, (2, 1)),
+                 "6 leaves for 3 crossings")]:
+            with pytest.raises(ValueError, match=message):
+                HalfplaneScene(cfg=cfg, weights=weights, endpoints=scene.endpoints,
+                               p=scene.p, q=scene.q, leaves=leaves)
+
     def test_scene_leaves_are_a_normalized_private_copy(self):
         scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)))
         rows = np.array(scene.leaves)
@@ -720,36 +735,36 @@ class TestOracleGrid:
 
     @pytest.mark.parametrize("orders", [(1, 2), (2, 1)])
     def test_oracle_composes_each_shear_once(self, monkeypatch, orders):
-        chain, measure = hessian._shear_chain, hessian._measure_scene
+        chains, measure = hessian._shear_chains, hessian._measure_scene
         steps, measured = [], []
 
         def counted(length, s, theta, weights, t):
             steps.append(t)
-            return chain(length, s, theta, weights, t)
+            return chains(length, s, theta, weights, t)
 
         def counted_measure(scene):
             measured.append(scene)
             return measure(scene)
 
-        monkeypatch.setattr(hessian, "_shear_chain", counted)
+        monkeypatch.setattr(hessian, "_shear_chains", counted)
         monkeypatch.setattr(hessian, "_measure_scene", counted_measure)
         scene = realize_scene(*long_scene(random.Random(9), 12, 3.0))
         h = hessian.FD_STEP
         for order in orders:
             fd_oracle(scene, order)
-        # over both orders on one scene: one measurement, and one chain
-        # built for shear_t = -h and one for +h (at 0 no loop runs)
-        assert sorted(t for t in steps if t != 0.0) == [-h, h]
+        # over both orders on one scene: one measurement, and one walk
+        # at shear_t = h that gives the chains at -h and +h
+        assert steps == [h]
         assert measured == [scene]
 
     def test_grid_builds_only_the_chord(self, built):
-        # the endpoint frames, the shear chains and the distances are
-        # entries: one grid makes the chord's geodesic and its frame
+        # the chord's frame, the endpoint frames, the shear chains and
+        # the distances are entries: one grid makes no object
         scene = realize_scene(*long_scene(random.Random(9), 12, 3.0))
         assert scene.endpoints != EndpointVariation()
         built.clear()
         fd_oracle(scene, 2)
-        assert built == {"HGeodesic": 1, "HIsometry": 1}
+        assert built == {}
 
     def test_inconsistent_scene_raises_on_every_call(self):
         # the test_rejects_mismatched_length construction
@@ -808,13 +823,11 @@ class TestOracleGrid:
         # final D(L) (I + Psi) adds 4u |M| (exp, the sum and the
         # product).  A rounding that underflows (a subnormal t) errs by an
         # absolute half of the smallest subnormal instead: adding tiny/u
-        # to each |E| entry carries that through A.
+        # to each |E| entry carries that through A.  |E| is even in t, so
+        # the pair's chains at +t and -t are held to the same A.
         cfg, w = scene.cfg, scene.weights.weights
-        got = np.array(hessian._shear_chain(cfg.length, cfg.s, cfg.theta, w, t))
+        pair = hessian._shear_chains(cfg.length, cfg.s, cfg.theta, w, t)
         u, tiny = EPS / 2, np.nextafter(0.0, 1.0)
-        with mp.workdps(50):
-            want = np.array(mp_chain(cfg.length, cfg.s, cfg.theta, w, t).tolist(),
-                            dtype=float).ravel()
         x = 0.5 * t * w
         e_diag = 2.0 * np.sinh(0.5 * x) ** 2 + np.abs(np.sinh(x) * np.cos(cfg.theta))
         e_off = np.abs(np.sinh(x) * np.sin(cfg.theta))
@@ -825,8 +838,12 @@ class TestOracleGrid:
             g = np.diag([math.exp(0.5 * gap), math.exp(-0.5 * gap)])
             A = A @ (np.eye(2) + E) @ g + np.diag(
                 [math.exp(0.5 * s), math.exp(-0.5 * s)]) @ E @ g
-        budget = 4 * u * np.abs(want) + (32 + cfg.length) * cfg.n * u * A.ravel()
-        assert (np.abs(got - want) <= budget).all()
+        for sign, got in zip((1, -1), pair):
+            with mp.workdps(50):
+                want = np.array(mp_chain(cfg.length, cfg.s, cfg.theta, w,
+                                         sign * t).tolist(), dtype=float).ravel()
+            budget = 4 * u * np.abs(want) + (32 + cfg.length) * cfg.n * u * A.ravel()
+            assert (np.abs(np.array(got) - want) <= budget).all()
 
     def test_shear_rejects_nonfinite_step(self):
         scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)))
