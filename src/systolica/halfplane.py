@@ -1,8 +1,7 @@
 """Upper half-plane model of the hyperbolic plane.
 
-Points carry Euclidean coordinates (x, y) with y > 0 and tangent vectors
-are (dx, dy) pairs based at a point.  Isometries are real Moebius maps
-held as determinant-one 2x2 matrices.  A geodesic is the image of the
+Points carry Euclidean coordinates (x, y) with y > 0.  Isometries are
+real Moebius maps held as determinant-one 2x2 matrices.  A geodesic is the image of the
 upward imaginary axis under one of them, its frame (Beardon, *The
 Geometry of Discrete Groups*, ch. 7): arclength s sits at frame(i e^s).
 Half-circles and vertical rays are the same object, so no formula here
@@ -11,9 +10,10 @@ relative frame g.frame^-1 h.frame, in which g is the imaginary axis.
 Everything is closed-form; no iteration, no linear algebra.
 
 Orientation conventions (these propagate through the whole package):
-a quarter turn means rotating a tangent vector by +pi/2 counterclockwise
-in the (dx, dy) chart, which is also a hyperbolic rotation because the
-model is conformal.  Oriented angles are counterclockwise-positive.
+angles are counterclockwise-positive in the (x, y) chart, where they are
+also the hyperbolic angles because the model is conformal.  A quarter
+turn is +pi/2, and ``_frame_at`` turns a frame's "up" by phi
+counterclockwise from the chart's vertical.
 """
 
 import cmath
@@ -52,51 +52,6 @@ class HPoint:
         return f"HPoint({self.x!r}, {self.y!r})"
 
 
-class HTangent:
-    """A tangent vector (dx, dy) based at an HPoint."""
-
-    __slots__ = ("base", "dx", "dy")
-
-    def __init__(self, base, dx, dy):
-        self.base = base
-        self.dx = float(dx)
-        self.dy = float(dy)
-
-    @property
-    def w(self):
-        return complex(self.dx, self.dy)
-
-    def __repr__(self):
-        return f"HTangent({self.base!r}, {self.dx!r}, {self.dy!r})"
-
-
-def inner(u, v):
-    """Hyperbolic inner product of two tangents at the same base point."""
-    y = u.base.y
-    return (u.dx * v.dx + u.dy * v.dy) / (y * y)
-
-
-def norm(u):
-    return math.hypot(u.dx, u.dy) / u.base.y
-
-
-def rotate_quarter(u):
-    """Rotate a tangent by +pi/2 (counterclockwise)."""
-    return HTangent(u.base, -u.dy, u.dx)
-
-
-def rotate_tangent(u, phi):
-    c, s = math.cos(phi), math.sin(phi)
-    return HTangent(u.base, c * u.dx - s * u.dy, s * u.dx + c * u.dy)
-
-
-def oriented_angle(u, v):
-    """Counterclockwise angle from u to v, in (-pi, pi]."""
-    cross = u.dx * v.dy - u.dy * v.dx
-    dot = u.dx * v.dx + u.dy * v.dy
-    return math.atan2(cross, dot)
-
-
 def dist(p, q):
     """Hyperbolic distance between two points.
 
@@ -123,23 +78,6 @@ class HIsometry:
     def __iter__(self):
         """The entries, so that ``a, b, c, d = frame`` unpacks them."""
         return iter((self.a, self.b, self.c, self.d))
-
-    def apply(self, p):
-        den = self.c * p.z + self.d
-        z = (self.a * p.z + self.b) / den
-        return HPoint(z.real, z.imag)
-
-    def push(self, u):
-        """Pushforward of a tangent vector (derivative of the Moebius map)."""
-        den = self.c * u.base.z + self.d
-        w = u.w / (den * den)
-        return HTangent(self.apply(u.base), w.real, w.imag)
-
-    def inverse(self):
-        return HIsometry(self.d, -self.b, -self.c, self.a)
-
-    def __matmul__(self, other):
-        return HIsometry(*_product(self, other.a, other.b, other.c, other.d))
 
     def __repr__(self):
         return f"HIsometry({self.a:.6g}, {self.b:.6g}, {self.c:.6g}, {self.d:.6g})"
@@ -179,37 +117,14 @@ class HGeodesic:
         f = self.frame
         return HPoint(*_point(f.a, f.b, f.c, f.d, math.exp(s)))
 
-    def tangent_at(self, s):
-        """Unit tangent in the direction of increasing s."""
-        f, t = self.frame, math.exp(s)
-        x, y = _point(f.a, f.b, f.c, f.d, t)
-        # the unit "up" vector i t at i t, pushed by the derivative
-        # 1/(c i t + d)^2, is i y (d - i ct)/(d + i ct) with y = t/|d + i ct|^2
-        v = 1j * y * complex(f.d, -f.c * t) / complex(f.d, f.c * t)
-        return HTangent(HPoint(x, y), v.real, v.imag)
-
     def endpoints(self):
         """Boundary endpoints (backward, forward); math.inf encodes infinity."""
         f = self.frame
         return (f.b / f.d if f.d else math.inf, f.a / f.c if f.c else math.inf)
 
-    def param_of(self, p):
-        """Arclength s with point_at(s) = p, for a point on the geodesic.
-
-        For a point off the geodesic this is the parameter of its
-        orthogonal projection.
-        """
-        return math.log(abs(_pull(self.frame, p)))
-
     def __repr__(self):
         back, fwd = self.endpoints()
         return f"HGeodesic({back:.6g} -> {fwd:.6g})"
-
-
-def _pull(frame, p):
-    """frame^-1(p) as a complex number: p seen from the frame, in which
-    the geodesic is the imaginary axis."""
-    return (frame.d * p.z - frame.b) / (frame.a - frame.c * p.z)
 
 
 def _point(a, b, c, d, t=1.0):
@@ -240,22 +155,6 @@ def _product(f, a, b, c, d):
             fc * a + fd * c, fc * b + fd * d)
 
 
-def vertical_geodesic(x0, upward=True):
-    """The vertical ray over x0, with s = 0 at x0 + i."""
-    if upward:
-        return HGeodesic(HIsometry(1.0, x0, 0.0, 1.0))
-    return HGeodesic(HIsometry(x0, -1.0, 1.0, 0.0))
-
-
-def circle_geodesic(c, r, rightward=True):
-    """The half-circle of centre c and radius r, with s = 0 at its top."""
-    if r <= 0.0:
-        raise ValueError("circle radius must be positive")
-    if rightward:
-        return HGeodesic(HIsometry(c + r, c - r, 1.0, 1.0))
-    return HGeodesic(HIsometry(c - r, -c - r, 1.0, -1.0))
-
-
 def _disk(zp, zq):
     """(zq - zp)/(zq - conj zp): zq in the disk model centred at zp, whose
     argument is the direction from zp to zq turned clockwise by pi/2 and
@@ -278,50 +177,6 @@ def _frame_through(p, q):
     return _unit(*_frame_at(p.x, math.sqrt(p.y), *_half_turn(_toward(p, q))))
 
 
-def geodesic_through(p, q):
-    """The geodesic through two distinct points, oriented p -> q, s=0 at p."""
-    return HGeodesic(_frame(*_frame_through(p, q)))
-
-
-def geodesic_from_direction(p, u):
-    """The geodesic through the base of u in the direction of u, s=0 there."""
-    if u.dx == 0.0 and u.dy == 0.0:
-        raise DegenerateConfigurationError("zero tangent vector has no direction")
-    c, s = _half_turn(complex(u.dy, -u.dx))
-    return HGeodesic(HIsometry(*_frame_at(p.x, math.sqrt(p.y), c, s)))
-
-
-def unit_toward(p, q):
-    """Unit tangent at p pointing toward q."""
-    zeta = _toward(p, q)
-    v = 1j * p.y * zeta / abs(zeta)
-    return HTangent(p, v.real, v.imag)
-
-
-def translate_along(g, t):
-    """Isometry translating by length t along g (forward for t > 0).
-
-    Fixes g setwise; a point at distance rho from g moves by a length
-    whose cosh-factor is cosh(rho), the usual hyperbolic spreading.
-
-    Closed form: F diag(e^{t/2}, e^{-t/2}) F^-1 = cosh(t/2) I + sinh(t/2) X
-    with F = g.frame = [[a, b], [c, d]] of determinant one and
-    X = F diag(1, -1) F^-1 = [[A, B], [C, -A]], A = ad + bc, B = -2ab,
-    C = 2cd.  One call costs a cosh, a sinh, about ten flops and one
-    HIsometry.  The entries are stored without the constructor's
-    renormalization, since their determinant is cosh^2 - sinh^2 = 1 by
-    construction, and dividing by a rounded determinant, whose error
-    grows like eps (|ad| + |bc|), would amplify their rounding by the
-    square of their size.
-    """
-    if not math.isfinite(t):
-        raise ValueError(f"translation length must be finite (t={t!r})")
-    f = g.frame
-    A, B, C = f.a * f.d + f.b * f.c, -2.0 * f.a * f.b, 2.0 * f.c * f.d
-    ch, sh = math.cosh(0.5 * t), math.sinh(0.5 * t)
-    return _frame(ch + sh * A, sh * B, sh * C, ch - sh * A)
-
-
 def _relative(f, a, b, c, d):
     """Entries of f^-1 [[a, b], [c, d]] for a frame f of determinant one,
     an HIsometry or any four entries: the frame (a, b, c, d) seen from
@@ -331,16 +186,6 @@ def _relative(f, a, b, c, d):
     fa, fb, fc, fd = f
     return (fd * a - fb * c, fd * b - fb * d,
             fa * c - fc * a, fa * d - fc * b)
-
-
-def intersection_point(g, h):
-    """The intersection point of two geodesics, if there is exactly one."""
-    a, b, c, d = _relative(g.frame, *h.frame)
-    # h crosses the axis iff its endpoints b/d and a/c have opposite
-    # signs; it does so on the circle |z|^2 = -(b/d)(a/c).
-    if a * b * c * d >= 0.0:
-        raise DegenerateConfigurationError("geodesics do not cross")
-    return g.point_at(0.5 * math.log(-a * b / (c * d)))
 
 
 def _perpendicular_length(a, b, c, d):
@@ -390,9 +235,3 @@ def common_perpendicular(g, h):
     return CommonPerpendicular(g.point_at(0.5 * math.log(a * b / (c * d))),
                                h.point_at(0.5 * math.log(b * d / (a * c))),
                                length)
-
-
-def dist_to_geodesic(p, g):
-    """Distance from a point to a complete geodesic, in closed form."""
-    w = _pull(g.frame, p)
-    return math.asinh(abs(w.real) / w.imag)

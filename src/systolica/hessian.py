@@ -599,10 +599,14 @@ def _measure_scene(scene: HalfplaneScene):
     Leaf ``i`` seen from the chord's frame (s = 0 at ``p``, as entries
     from ``halfplane._frame_through``) has the relative frame
     ``(a, b, c, d)`` and runs from ``b/d`` to ``a/c``; it crosses the
-    chord iff ``abcd < 0``, at
-    ``s = (log|a/c| + log|b/d|)/2``, the log of the crossing radius of
-    ``halfplane.intersection_point`` taken as a sum so that it stays
-    finite where ``e^{2s}`` overflows.  The angle is
+    chord iff ``abcd < 0``, on the circle ``|z|^2 = -(b/d)(a/c)``.
+    Since ``ad - bc = 1`` and ``ad + bc = cos(theta)`` for a crossing
+    leaf, ``abcd`` is formed as ``(ad)(bc)``, a product of two factors
+    at most 1 in size, and the log of the crossing radius is taken
+    through ``(a/c)(b/d) = abcd / (cd)^2`` as
+    ``s = log(-abcd)/2 - log|c| - log|d|``: no quotient is formed, so
+    ``s`` stays finite where ``e^{2s}``, ``a/c`` or ``b/d`` overflows and
+    where ``cd`` underflows.  The angle is
     ``atan2(-2 sign(ac) sqrt(-abcd), ad + bc)``, free of cancellation and
     signed, so a leaf that crosses clockwise measures outside ``(0, pi)``.
     All ``n`` leaves cost O(1) numpy calls.
@@ -613,14 +617,14 @@ def _measure_scene(scene: HalfplaneScene):
         If a leaf misses the chord; the message names the first one.
     """
     a, b, c, d = _relative(_frame_through(scene.p, scene.q), *scene.leaves.T)
-    abcd = a * b * c * d
-    crossing = abcd < 0.0
+    ad, bc = a * d, b * c
+    minus_abcd = -(ad * bc)
+    crossing = minus_abcd > 0.0
     if not crossing.all():
         raise DegenerateConfigurationError(
             f"leaf {int(crossing.argmin())} does not cross the chord")
-    s = 0.5 * (np.log(np.abs(a / c)) + np.log(np.abs(b / d)))
-    theta = np.arctan2(np.copysign(2.0 * np.sqrt(-abcd), -(a * c)),
-                       a * d + b * c)
+    s = 0.5 * np.log(minus_abcd) - (np.log(np.abs(c)) + np.log(np.abs(d)))
+    theta = np.arctan2(np.copysign(2.0 * np.sqrt(minus_abcd), -(a * c)), ad + bc)
     return halfplane.dist(scene.p, scene.q), s, theta
 
 

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+import reference
 from systolica import halfplane, polygons
 from systolica.halfplane import HGeodesic, HIsometry, HPoint
 
@@ -21,6 +22,6 @@ def built(monkeypatch):
     for cls in (HIsometry, HGeodesic, HPoint):
         monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
     frame = counted("HIsometry", halfplane._frame)
-    for module in (halfplane, polygons):
+    for module in (polygons, reference):
         monkeypatch.setattr(module, "_frame", frame)
     return counts

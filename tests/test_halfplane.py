@@ -1,4 +1,5 @@
-"""Tests for the upper half-plane kernel.
+"""Tests for the upper half-plane kernel and for the reference geometry
+(``reference.py``) that the other test modules measure it with.
 
 The independent route for distances: move the pair onto the imaginary
 axis with explicitly constructed isometries (never using dist itself)
@@ -14,21 +15,25 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from systolica.errors import DegenerateConfigurationError, NoPerpendicularError
-from systolica.halfplane import (
-    HIsometry,
-    HPoint,
+from systolica.halfplane import HIsometry, HPoint, common_perpendicular, dist
+
+from reference import (
     HTangent,
+    apply,
     circle_geodesic,
-    common_perpendicular,
-    dist,
+    compose,
     dist_to_geodesic,
     geodesic_from_direction,
     geodesic_through,
     inner,
     intersection_point,
+    inverse,
     norm,
     oriented_angle,
+    param_of,
+    push,
     rotate_quarter,
+    tangent_at,
     translate_along,
     unit_toward,
     vertical_geodesic,
@@ -52,10 +57,10 @@ def vertical_oracle_dist(p, q):
     """
     sy = math.sqrt(p.y)
     to_i = HIsometry(1.0 / sy, -p.x / sy, 0.0, sy)
-    q1 = to_i.apply(q)
+    q1 = apply(to_i, q)
     phi = oriented_angle(HTangent(HPoint(0, 1), 0.0, 1.0), unit_toward(HPoint(0, 1), q1))
     c, s = math.cos(phi / 2), math.sin(phi / 2)
-    q2 = HIsometry(c, -s, s, c).apply(q1)
+    q2 = apply(HIsometry(c, -s, s, c), q1)
     assert abs(q2.x) < 1e-9
     return abs(math.log(q2.y))
 
@@ -110,7 +115,7 @@ class TestIsometries:
     def test_distance_invariance(self, a, b, c, x1, t1, x2, t2):
         m = HIsometry(a, b, c, (1.0 + b * c) / a)  # det 1 by construction
         p, q = HPoint(x1, math.exp(t1)), HPoint(x2, math.exp(t2))
-        assert dist(m.apply(p), m.apply(q)) == pytest.approx(dist(p, q), abs=1e-9)
+        assert dist(apply(m, p), apply(m, q)) == pytest.approx(dist(p, q), abs=1e-9)
 
     def test_pushforward_preserves_inner(self):
         rng = random.Random(23)
@@ -120,16 +125,16 @@ class TestIsometries:
             v = HTangent(p, rng.uniform(-1, 1), rng.uniform(-1, 1))
             a, b, c = rng.uniform(0.5, 2.0), rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)
             m = HIsometry(a, b, c, (1.0 + b * c) / a)  # det 1 by construction
-            assert inner(m.push(u), m.push(v)) == pytest.approx(inner(u, v), abs=1e-9)
+            assert inner(push(m, u), push(m, v)) == pytest.approx(inner(u, v), abs=1e-9)
 
     def test_compose_and_inverse(self):
         m = HIsometry(2.0, 1.0, 0.5, 1.0)
         n = HIsometry(1.0, -0.3, 0.0, 1.0)
         p = HPoint(0.2, 1.7)
-        lhs = (m @ n).apply(p)
-        rhs = m.apply(n.apply(p))
+        lhs = apply(compose(m, n), p)
+        rhs = apply(m, apply(n, p))
         assert dist(lhs, rhs) < 1e-12
-        back = m.inverse().apply(m.apply(p))
+        back = apply(inverse(m), apply(m, p))
         assert dist(back, p) < 1e-12
 
 
@@ -141,12 +146,12 @@ class TestGeodesics:
             g = geodesic_through(p, q)
             assert dist(g.point_at(0.0), p) < 1e-9
             assert dist(g.point_at(dist(p, q)), q) < 1e-9
-            assert norm(g.tangent_at(rng.uniform(-1, 1))) == pytest.approx(1.0, abs=1e-12)
+            assert norm(tangent_at(g, rng.uniform(-1, 1))) == pytest.approx(1.0, abs=1e-12)
 
     def test_param_of_inverts_point_at(self):
         g = circle_geodesic(0.7, 2.2, rightward=False)
         for s in (-1.3, 0.0, 0.9):
-            assert g.param_of(g.point_at(s)) == pytest.approx(s, abs=1e-12)
+            assert param_of(g, g.point_at(s)) == pytest.approx(s, abs=1e-12)
 
     def test_from_direction_matches_tangent(self):
         rng = random.Random(6)
@@ -154,7 +159,7 @@ class TestGeodesics:
             (p,) = hpoints(rng, 1)
             a = rng.uniform(-math.pi, math.pi)
             u = HTangent(p, p.y * math.cos(a), p.y * math.sin(a))
-            v = geodesic_from_direction(p, u).tangent_at(0.0)
+            v = tangent_at(geodesic_from_direction(p, u), 0.0)
             assert math.hypot(v.dx - u.dx, v.dy - u.dy) < 1e-9
 
     def test_coincident_points_raise(self):
@@ -167,7 +172,7 @@ class TestGeodesics:
         for _ in range(50):
             p, a, b = hpoints(rng, 3)
             g = geodesic_through(a, b)
-            s0 = g.param_of(p)  # the parameter of p's orthogonal projection
+            s0 = param_of(g, p)  # the parameter of p's orthogonal projection
             d = dist_to_geodesic(p, g)
             assert d == pytest.approx(dist(p, g.point_at(s0)), abs=1e-9)
             # any other point of g is farther
@@ -183,14 +188,14 @@ class TestTranslate:
             g = geodesic_through(p, q)
             t = rng.uniform(-2, 2)
             m = translate_along(g, t)
-            assert dist(m.apply(g.point_at(0.4)), g.point_at(0.4 + t)) < 1e-9
+            assert dist(apply(m, g.point_at(0.4)), g.point_at(0.4 + t)) < 1e-9
 
     def test_group_law(self):
         g = circle_geodesic(-1.0, 1.5)
-        m = translate_along(g, 0.7) @ translate_along(g, 0.9)
+        m = compose(translate_along(g, 0.7), translate_along(g, 0.9))
         n = translate_along(g, 1.6)
         p = HPoint(0.3, 0.8)
-        assert dist(m.apply(p), n.apply(p)) < 1e-11
+        assert dist(apply(m, p), apply(n, p)) < 1e-11
 
 EPS = 2.0 ** -52
 
@@ -295,8 +300,8 @@ class TestCommonPerpendicular:
             assert dist_to_geodesic(f2, g2) < 1e-9
             seg = geodesic_through(f1, f2)
             for g, f in ((g1, f1), (g2, f2)):
-                a = oriented_angle(seg.tangent_at(seg.param_of(f)),
-                                   g.tangent_at(g.param_of(f)))
+                a = oriented_angle(tangent_at(seg, param_of(seg, f)),
+                                   tangent_at(g, param_of(g, f)))
                 assert abs(a) == pytest.approx(math.pi / 2, abs=1e-8)
             # the perpendicular realizes the minimal distance
             assert length <= dist(g1.point_at(0.3), g2.point_at(-0.2)) + 1e-12

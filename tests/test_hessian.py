@@ -20,12 +20,7 @@ from systolica import hessian
 from systolica.errors import (DegenerateConfigurationError,
                               DegenerateMarginError, InconsistentSceneError)
 from systolica.polygons import polygon_from_json
-from systolica.halfplane import (
-    HPoint,
-    HTangent,
-    geodesic_from_direction,
-    rotate_tangent,
-)
+from systolica.halfplane import HPoint
 from systolica.hessian import (
     ChordConfig,
     EndpointVariation,
@@ -42,6 +37,8 @@ from systolica.hessian import (
     scene_length,
     scene_to_json,
 )
+
+from reference import HTangent, geodesic_from_direction, rotate_tangent
 
 # The closed chord-length-2 endpoint Hessian at d = arccosh(2), i.e.
 # (1/sinh d)[[cosh d, -1], [-1, cosh d]] with sinh d = sqrt(3).
@@ -985,13 +982,21 @@ class TestOracleAccuracy:
             scene = realize_scene(*long_scene(rng, n, rng.uniform(1.0, 6.0)))
             assert_oracle_within_budget(scene)
 
-    @pytest.mark.parametrize("length", [30.0, 45.0, 50.0, 60.0, 300.0, 700.0])
-    def test_long_chord_keeps_its_accuracy(self, length):
+    @pytest.mark.parametrize("cfg, weights", [
+        *((ChordConfig(length, s=(1.0, length / 2, length - 1.0),
+                       theta=(1.0, 2.0, 0.5)), (1.0, -1.0, 0.5))
+          for length in (30.0, 45.0, 50.0, 60.0, 300.0, 700.0)),
+        # near-tangent leaves, whose far endpoint -e^s cot(theta/2) or
+        # e^s tan(theta/2) in the chord's frame is beyond the float range
+        (ChordConfig(700.0, s=(692.0647053396148,), theta=(1e-12,)), (1.0,)),
+        (ChordConfig(700.0, s=(694.8175870820836,), theta=(math.pi - 1e-12,)),
+         (1.0,))],
+        ids=["30.0", "45.0", "50.0", "60.0", "300.0", "700.0",
+             "700.0-tangent-at-0", "700.0-tangent-at-pi"])
+    def test_long_chord_keeps_its_accuracy(self, cfg, weights):
         # q sits at D(L) i, yet the walk rounds relative to the chord's
         # own frame, so only the final rounding of d ~ L grows with L
-        cfg = ChordConfig(length, s=(1.0, length / 2, length - 1.0),
-                          theta=(1.0, 2.0, 0.5))
-        scene = realize_scene(cfg, TransverseWeights((1.0, -1.0, 0.5)),
+        scene = realize_scene(cfg, TransverseWeights(weights),
                               EndpointVariation(0.3, 0.1, -0.2, 0.4))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1128,22 +1133,34 @@ class TestClosedFormMeasurement:
     def test_tracks_the_50_digit_reference(self):
         # Random frames D(s) R(theta) D(tau) on the chord p = i, where the
         # relative frame is the stored row exactly.  First-order rounding
-        # budgets of the two formulas, for the row (a, b, c, d):
-        #   s = (l1 + l2)/2 with l1 = log|a/c|, l2 = log|b/d|: two
-        #     quotients, two logs and a sum, eps (1 + |l1| + |l2| + |s|);
-        #   theta = atan2(Y, X) with X = ad + bc, Y = 2 sqrt(-abcd) and
+        # budgets of the two formulas, for the row (a, b, c, d), with
+        # u = eps/2, q = -(ad)(bc), l0 = log q and lx = log|x|:
+        #   s = l0/2 - (lc + ld): q rounds by 3u relative, so l0 by
+        #     3u + u |l0|, halved; the logs of c and d, their sum and the
+        #     difference add u (|lc| + |ld| + |lc + ld| + |s|), and the
+        #     reference's own rounding u |s|, so
+        #     eps (0.75 + |l0|/4 + (|lc| + |ld| + |lc + ld|)/2 + |s|);
+        #   theta = atan2(Y, X) with X = ad + bc, Y = 2 sqrt(q) and
         #     X^2 + Y^2 = 1: X errs by eps (|ad| + |bc|), Y by 1.25 eps Y,
         #     so theta by eps ((|ad| + |bc| + 1.25) Y + |theta|).
         # Each is held to twice its budget, for the last-ulp error of
-        # numpy's log and atan2.
+        # numpy's log and atan2.  The last 240 draws are chords up to
+        # L = 700 with theta within 1e-12 of 0 or pi, where the leaf's
+        # endpoint a/c = -e^s cot(theta/2) or b/d = e^s tan(theta/2)
+        # overflows once s passes about 681.
         rng = random.Random(61)
-        for k in range(600):
-            length = rng.uniform(1.0, 6.0)
+        for k in range(840):
+            near_tangent = k >= 600
+            length = rng.uniform(600.0, 700.0) if near_tangent else rng.uniform(1.0, 6.0)
             s = (rng.uniform(0.0, length), 1e-4 * length * rng.random(),
                  length - 1e-4 * length * rng.random())[k % 3]
-            theta = (rng.uniform(0.15, math.pi - 0.15),
-                     0.15 + 1e-3 * rng.random(),
-                     math.pi - 0.15 - 1e-3 * rng.random())[k // 3 % 3]
+            if near_tangent:
+                theta = (1e-12 * (1.0 - rng.random()),
+                         math.pi - 1e-12 * (1.0 - rng.random()))[k // 3 % 2]
+            else:
+                theta = (rng.uniform(0.15, math.pi - 0.15),
+                         0.15 + 1e-3 * rng.random(),
+                         math.pi - 0.15 - 1e-3 * rng.random())[k // 3 % 3]
             frame = (_translation(s) @ _rotation(theta)
                      @ _translation(rng.uniform(-3.0, 3.0)))
             cfg = ChordConfig(length, s=(s,), theta=(theta,))
@@ -1157,9 +1174,11 @@ class TestClosedFormMeasurement:
             row = scene.leaves[0].tolist()
             want_s, want_theta = mp_crossing(row)
             a, b, c, d = row
-            l1, l2 = math.log(abs(a / c)), math.log(abs(b / d))
-            y = 2.0 * math.sqrt(-a * b * c * d)
+            q = -(a * d) * (b * c)
+            l0, lc, ld = math.log(q), math.log(abs(c)), math.log(abs(d))
+            y = 2.0 * math.sqrt(q)
             assert abs(got_s - want_s) <= 2 * EPS * (
-                1 + abs(l1) + abs(l2) + abs(want_s))
+                0.75 + abs(l0) / 4 + (abs(lc) + abs(ld) + abs(lc + ld)) / 2
+                + abs(want_s))
             assert abs(got_theta - want_theta) <= 2 * EPS * (
                 (abs(a * d) + abs(b * c) + 1.25) * y + abs(want_theta))

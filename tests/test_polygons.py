@@ -18,14 +18,7 @@ from mpmath import mp, mpf
 from systolica import polygons
 from systolica.errors import (DegenerateConfigurationError, NoPerpendicularError,
                               NoPolygonError)
-from systolica.halfplane import (
-    HIsometry,
-    HPoint,
-    HTangent,
-    common_perpendicular,
-    dist,
-    geodesic_from_direction,
-)
+from systolica.halfplane import HIsometry, HPoint, common_perpendicular, dist
 from systolica.polygons import (
     BoundaryFunctional,
     boundary_functional,
@@ -39,6 +32,8 @@ from systolica.polygons import (
     tangent_u,
 )
 from systolica.trig import pentagon_perpendicular, pentagon_side, semiregular_partner
+
+from reference import HTangent, apply, geodesic_from_direction
 
 EPS = np.finfo(float).eps
 
@@ -469,7 +464,7 @@ class TestRegularChains:
         # the rotation about i by 2a is [[cos a, sin a], [-sin a, cos a]]
         top = HPoint(0.0, math.exp(radius))
         halves = [math.pi * k / m for k in range(m)]
-        return [HIsometry(math.cos(a), math.sin(a), -math.sin(a), math.cos(a)).apply(top)
+        return [apply(HIsometry(math.cos(a), math.sin(a), -math.sin(a), math.cos(a)), top)
                 for a in halves]
 
     def test_side_and_angle_match_the_closed_forms(self):

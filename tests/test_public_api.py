@@ -5,6 +5,7 @@ change, so the API grows only by decision and a deletion cannot leave a
 dangling export behind.
 """
 
+import ast
 import functools
 import importlib
 import inspect
@@ -28,12 +29,7 @@ PUBLIC = {
     },
     halfplane: {
         "ASYMPTOTIC_EPS", "CommonPerpendicular", "HGeodesic", "HIsometry",
-        "HPoint", "HTangent", "YMIN", "circle_geodesic",
-        "common_perpendicular", "dist", "dist_to_geodesic",
-        "geodesic_from_direction", "geodesic_through", "inner",
-        "intersection_point", "norm", "oriented_angle", "rotate_quarter",
-        "rotate_tangent", "translate_along", "unit_toward",
-        "vertical_geodesic",
+        "HPoint", "YMIN", "common_perpendicular", "dist",
     },
     polygons: {
         "BoundaryFunctional", "COORDS_RTOL", "ChainDifferentials",
@@ -54,9 +50,8 @@ PUBLIC = {
 # public methods and properties each class defines itself
 METHODS = {
     halfplane.HPoint: {"z"},
-    halfplane.HTangent: {"w"},
-    halfplane.HIsometry: {"apply", "inverse", "push"},
-    halfplane.HGeodesic: {"endpoints", "param_of", "point_at", "tangent_at"},
+    halfplane.HIsometry: set(),
+    halfplane.HGeodesic: {"endpoints", "point_at"},
     halfplane.CommonPerpendicular: set(),
     polygons.MarkedRightPolygon: {"geodesics", "n", "side_geodesic", "vertices"},
     polygons.ChainDifferentials: {
@@ -84,20 +79,59 @@ def test_every_hessian_export_resolves():
     assert set(hessian.__all__) <= PUBLIC[hessian]
 
 
+def public_methods(cls):
+    """Public methods and properties the class defines itself."""
+    return {name for name, value in vars(cls).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(value)
+                 or isinstance(value, (property, functools.cached_property,
+                                       classmethod, staticmethod)))}
+
+
 @pytest.mark.parametrize("cls", list(METHODS), ids=lambda c: c.__name__)
 def test_public_methods_are_the_listed_ones(cls):
-    own = {name for name, value in vars(cls).items()
-           if not name.startswith("_")
-           and (inspect.isfunction(value)
-                or isinstance(value, (property, functools.cached_property,
-                                      classmethod, staticmethod)))}
-    assert own == METHODS[cls]
+    assert public_methods(cls) == METHODS[cls]
+
+
+ROOT = Path(__file__).parents[1]
+
+
+def references(tree):
+    """(name, enclosing) for each name the tree loads, reads as an
+    attribute or imports, with the names of the functions and classes
+    whose definitions enclose it."""
+    def walk(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name):
+            yield node.id, enclosing
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, enclosing
+        elif isinstance(node, ast.alias):
+            yield node.name, enclosing
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, enclosing)
+    return walk(tree, frozenset())
+
+
+def test_halfplane_surface_has_callers_outside_the_tests():
+    # Every public name and method of the kernel is referenced by the
+    # library or the benchmark outside its own definition, matched by
+    # name; geometry that only the tests use belongs in tests/reference.py.
+    surface = public_names(halfplane).union(*(
+        public_methods(value) for value in vars(halfplane).values()
+        if inspect.isclass(value) and value.__module__ == halfplane.__name__))
+    used = set()
+    for path in sorted(ROOT.glob("src/systolica/*.py")) + sorted(ROOT.glob("perfbench/*.py")):
+        used.update(name for name, enclosing in references(ast.parse(path.read_text()))
+                    if name not in enclosing)
+    assert surface - used == set()
 
 
 def test_declared_scripts_resolve():
     # an installed entry point imports its target when it runs
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
-    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+    with open(ROOT / "pyproject.toml", "rb") as f:
         scripts = tomllib.load(f)["project"].get("scripts", {})
     for name, target in scripts.items():
         module, _, attr = target.partition(":")

