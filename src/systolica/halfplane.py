@@ -12,7 +12,7 @@ Everything is closed-form; no iteration, no linear algebra.
 Orientation conventions (these propagate through the whole package):
 angles are counterclockwise-positive in the (x, y) chart, where they are
 also the hyperbolic angles because the model is conformal.  A quarter
-turn is +pi/2, and ``_frame_at`` turns a frame's "up" by phi
+turn is +pi/2, and ``_turned`` turns a frame's "up" by phi
 counterclockwise from the chart's vertical.
 """
 
@@ -134,16 +134,23 @@ def _point(a, b, c, d, t=1.0):
     return (b * d + a * t * ct) / den, t / den
 
 
-def _frame_at(x, r, c, s):
-    """Entries of T R, the frame at x + i r^2 whose "up" points phi
-    counterclockwise from the chart's vertical: T = [[r, x/r], [0, 1/r]]
-    and the rotation R = [[c, s], [-s, c]], (c, s) = (cos, sin)(phi/2).
-    The arguments may be floats or numpy columns."""
-    return r * c - x * s / r, r * s + x * c / r, -s / r, c / r
+def _turned(r, c, s):
+    """Entries of diag(r, 1/r) R, the frame at i r^2 whose "up" points phi
+    counterclockwise from the chart's vertical, for the rotation
+    R = [[c, s], [-s, c]], (c, s) = (cos, sin)(phi/2).  The arguments may
+    be floats or numpy columns."""
+    return r * c, r * s, -s / r, c / r
+
+
+def _shifted(x, a, b, c, d):
+    """Entries of [[1, x], [0, 1]] [[a, b], [c, d]]: the frame moved by x
+    along the real axis, so ``_shifted(x, *_turned(r, c, s))`` is the
+    frame at x + i r^2."""
+    return a + x * c, b + x * d, c, d
 
 
 def _half_turn(w):
-    """(c, s) of ``_frame_at`` for phi = arg(w), the turn of "up" onto w."""
+    """(c, s) of ``_turned`` for phi = arg(w), the turn of "up" onto w."""
     h = cmath.sqrt(w / abs(w))  # e^{i arg(w)/2}; the sign is immaterial
     return h.real, h.imag
 
@@ -174,7 +181,7 @@ def _toward(p, q):
 def _frame_through(p, q):
     """Entries of the frame of the geodesic through two distinct points,
     oriented p -> q, s=0 at p, normalized by ``_unit``."""
-    return _unit(*_frame_at(p.x, math.sqrt(p.y), *_half_turn(_toward(p, q))))
+    return _unit(*_shifted(p.x, *_turned(math.sqrt(p.y), *_half_turn(_toward(p, q)))))
 
 
 def _relative(f, a, b, c, d):
@@ -229,9 +236,12 @@ def common_perpendicular(g, h):
     stays on one side of g.  The perpendicular is the circle
     |z|^2 = (b/d)(a/c) of the frame, so the foot on g sits at
     s = log(ab/cd)/2 and, symmetrically, the foot on h at log(bd/ac)/2.
+    Each is a sum of the logs of single entries, so no quotient is formed
+    and a foot stays finite wherever its point is a float.
     """
     a, b, c, d = _relative(g.frame, *h.frame)
     length = _perpendicular_length(a, b, c, d)
-    return CommonPerpendicular(g.point_at(0.5 * math.log(a * b / (c * d))),
-                               h.point_at(0.5 * math.log(b * d / (a * c))),
+    la, lb, lc, ld = math.log(abs(a)), math.log(abs(b)), math.log(abs(c)), math.log(abs(d))
+    return CommonPerpendicular(g.point_at(0.5 * (la + lb - lc - ld)),
+                               h.point_at(0.5 * (lb + ld - la - lc)),
                                length)

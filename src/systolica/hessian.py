@@ -17,10 +17,10 @@ rates ``a``, as read-only float64 arrays in chord order, validated once,
 and a realized ``HalfplaneScene`` holds its leaves as one (n, 4) array
 of frame entries.  ``fd_oracle`` measures a scene in O(1) numpy calls,
 then walks the chord in its own frame: one float loop from ``p`` to
-``q`` carries the 2 x 2 matrix chains of both shear steps ``+h`` and
-``-h``, so it rounds relative to the chord, not to half-plane
-coordinates of size ``e^L``.  Its checked 3 x 3 grid of deformed
-lengths is memoized on the immutable scene.
+``q`` carries the Taylor coefficients of the sheared chain, so it
+rounds relative to the chord, not to half-plane coordinates of size
+``e^L``.  Both orders of its derivatives are memoized on the immutable
+scene.
 
 Endpoint components use one parallel frame along the oriented chord:
 ``u_par`` and ``v_par`` point outward (away from the other endpoint),
@@ -39,9 +39,10 @@ points (crossings and endpoints), conjugated by a sign flip on the
 ``p`` slot: shears displace only the far segment of the chord, so they
 co-operate with motion at ``q`` and work against motion at ``p``.  The
 Gram structure makes the matrix positive definite outright.  Every
-formula in this module is pinned against ``fd_oracle``, the
-finite-difference channel that deforms an actual half-plane realization
-of the scene and differentiates the resulting distances numerically.
+formula in this module is pinned against ``fd_oracle``, the independent
+channel that deforms an actual half-plane realization of the scene and
+differentiates the deformed distance exactly, by Taylor jets, up to
+rounding.
 
 The kernel ``cosh(s_<) cosh(L - s_>)`` is semiseparable, so
 ``hessian_form`` and ``hessian_split`` evaluate the form as one prefix
@@ -57,13 +58,14 @@ import math
 import struct
 import sys
 from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
 from . import halfplane
 from .errors import (DegenerateConfigurationError, DegenerateMarginError,
                      InconsistentSceneError, SystolicaError, _real_floats)
-from .halfplane import _frame_at, _frame_through, _half_turn, _product, _relative, _unit
+from .halfplane import _frame_through, _half_turn, _product, _relative, _turned, _unit
 
 __all__ = [
     "ChordConfig",
@@ -77,9 +79,7 @@ __all__ = [
     "hessian_split",
     "hessian_margin",
     "realize_scene",
-    "scene_length",
     "fd_oracle",
-    "FD_STEP",
     "MAX_CHORD_LENGTH",
     "scene_to_json",
     "scene_from_json",
@@ -364,7 +364,7 @@ def hessian_margin(cfg: ChordConfig) -> MarginReport:
 
 
 # ---------------------------------------------------------------------------
-# explicit half-plane scenes and the finite-difference oracle
+# explicit half-plane scenes and the Taylor-jet oracle
 
 @dataclass(frozen=True, eq=False)
 class HalfplaneScene:
@@ -377,14 +377,14 @@ class HalfplaneScene:
     frame of leaf ``i``, the matrix taking the upward imaginary axis onto
     the leaf as in ``halfplane.HGeodesic``, normalized to determinant one
     as ``halfplane.HIsometry`` is.  ``fd_oracle`` re-measures the geometry,
-    refuses a scene that drifted from its configuration, and walks it.
+    refuses a scene that drifted from its configuration, and
+    differentiates it.
 
     A scene is immutable: the dataclass is frozen, ``cfg`` and
     ``weights`` hold read-only arrays, and ``p``, ``q`` and ``leaves``
-    are private copies taken here.  The private ``_grid`` memo holds the
-    nine deformed lengths ``fd_oracle`` needs once ``_checked_grid`` has
-    computed them, and ``_steps`` the two steps they were taken at; a
-    check, step or grid that raises leaves them empty.
+    are private copies taken here.  The private ``_jet`` memo holds both
+    orders of ``fd_oracle`` once ``_oracle_jet`` has computed them; a
+    check or jet that raises leaves it empty.
 
     Raises
     ------
@@ -424,14 +424,10 @@ class HalfplaneScene:
         object.__setattr__(self, "q", halfplane.HPoint(self.q.x, self.q.y))
 
     @functools.cached_property
-    def _grid(self):
+    def _jet(self):
         # cached_property stores only a returned value: a scene whose
-        # check or grid raises raises again on the next access
-        return _checked_grid(self)
-
-    @functools.cached_property
-    def _steps(self):
-        return _fd_steps(self)
+        # check or jet raises raises again on the next access
+        return _oracle_jet(self)
 
 
 def realize_scene(cfg: ChordConfig, weights: TransverseWeights,
@@ -441,9 +437,9 @@ def realize_scene(cfg: ChordConfig, weights: TransverseWeights,
     ``q = i e^L``, leaf ``i`` through ``i e^{s_i}`` rotated by
     ``theta_i`` from the upward direction.
 
-    The frame of a leaf is ``halfplane._frame_at`` at ``x = 0``,
-    ``r = e^{s/2}``, turned by ``theta``.  All ``n`` rows come from one
-    numpy pass, O(1) numpy calls.
+    The frame of a leaf is ``halfplane._turned`` at ``r = e^{s/2}``,
+    turned by ``theta``: the frame at ``i r^2`` with no shift.  All ``n``
+    rows come from one numpy pass, O(1) numpy calls.
 
     Raises
     ------
@@ -458,143 +454,17 @@ def realize_scene(cfg: ChordConfig, weights: TransverseWeights,
         raise DegenerateConfigurationError(
             f"chord length {cfg.length!r}: q = i e^L is not a float") from None
     half = 0.5 * cfg.theta
-    leaves = np.stack(_frame_at(0.0, np.exp(0.5 * cfg.s), np.cos(half), np.sin(half)), axis=1)
+    leaves = np.stack(_turned(np.exp(0.5 * cfg.s), np.cos(half), np.sin(half)), axis=1)
     return HalfplaneScene(cfg=cfg, weights=weights, endpoints=endpoints,
                           p=halfplane.HPoint(0.0, 1.0),
                           q=halfplane.HPoint(0.0, top), leaves=leaves)
 
 
-def _shear_chains(length: float, s, theta, weights, t: float):
-    """The chord's far end sheared by ``t`` and by ``-t``, the pair
-    ``(M(t), M(-t))`` in the chord's frame (``p = i``, ``q = D(L) i``,
-    ``D(x) = diag(e^{x/2}, e^{-x/2})``), each as entries ``(a, b, c, d)``:
-    the sheared ``q`` is ``M(t) i``.
-
-    The shear by ``x = t a`` along the leaf at ``(s, theta)`` is
-    ``D(s) (I + E) D(-s)``, ``E = (cosh - 1) I + sinh X`` at ``x/2`` with
-    ``X = [[cos theta, -sin theta], [-sin theta, -cos theta]]``, so
-    ``M = D(s_1) K_1 D(s_2 - s_1) ... K_n D(L - s_n)`` with ``K = I + E``.
-    The loop carries the difference ``Psi_i = D(-s_{i+1}) P_i - I`` of
-    the first ``i`` steps ``P_i`` from ``D``: ``Psi_0 = 0``,
-    ``Psi_i = D(-g) (Psi_{i-1} K_i + E_i) D(g)`` for the gap
-    ``g = s_{i+1} - s_i`` (``s_{n+1} = L``), and ``M = D(L) (I + Psi_n)``.
-    So each step rounds relative to ``Psi = O(t)``, not to entries of
-    size ``e^{s/2}``; ``cosh - 1`` is ``2 sinh^2(x/4)``.
-
-    sinh is odd and ``2 sinh^2(x/4)`` even, both exactly so in floats,
-    so ``E`` at ``-t`` is ``E`` at ``t`` with ``e11`` and ``e22``
-    swapped and ``e12`` negated; the loop carries the ``-t`` difference
-    beside the ``+t`` one from the same step values, each sum written
-    with the negated terms subtracted, which rounds exactly as a walk
-    at ``-t`` would.  O(1) numpy calls and one ``n``-step float loop
-    for both signs, none at ``t == 0``.  An overflow leaves a non-finite
-    entry.
-    """
-    a = b = c = d = am = bm = cm = dm = 0.0  # Psi at +t, then at -t
-    if t != 0.0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            half = (0.5 * t) * weights
-            sh, ch1 = np.sinh(half), 2.0 * np.sinh(0.5 * half) ** 2
-            cs, e12 = sh * np.cos(theta), sh * -np.sin(theta)
-            e11, e22 = ch1 + cs, ch1 - cs
-            g = np.exp(np.concatenate((s[1:], (length,))) - s)
-            steps = (1.0 + e11, 1.0 + e22, e11, e12, e22, g)
-        for k11, k22, e11, e12, e22, g in zip(*(v.tolist() for v in steps)):
-            a, b, c, d, am, bm, cm, dm = (
-                a * k11 + b * e12 + e11,
-                (a * e12 + b * k22 + e12) / g,
-                (c * k11 + d * e12 + e12) * g,
-                c * e12 + d * k22 + e22,
-                am * k22 - bm * e12 + e22,
-                (bm * k11 - am * e12 - e12) / g,
-                (cm * k22 - dm * e12 - e12) * g,
-                dm * k11 - cm * e12 + e11)
-    e = math.exp(0.5 * length)
-    return _far_end(e, a, b, c, d), _far_end(e, am, bm, cm, dm)
-
-
-def _far_end(e: float, a=0.0, b=0.0, c=0.0, d=0.0):
-    """Entries of ``D(L) (I + Psi)`` for ``e = e^{L/2}`` and
-    ``Psi = (a, b, c, d)``: the chain's far end, ``D(L)`` at ``Psi = 0``."""
-    return e * (1.0 + a), e * b, c / e, (1.0 + d) / e
-
-
-_IDENTITY = (1.0, 0.0, 0.0, 1.0)
-
-
-def _endpoint_frames(ev: EndpointVariation, t: float):
-    """The pairs ``(E_p, E_q)`` at ``t`` and at ``-t``: the frames
-    ``E = R(phi) D(t |w|)``, as entries, that move ``p`` and ``q`` by
-    ``t`` along their variation vectors ``w`` to ``E(i)``.  In the
-    chord's frame at either end the chord runs up the imaginary axis
-    through ``i`` (left is -x; outward is -y at ``p``, +y at ``q``), and
-    ``R(phi)``, ``halfplane._frame_at`` at ``i`` normalized by ``_unit``,
-    turns "up" onto ``w``.  With ``R(phi) = (a, b, c, d)`` and
-    ``x = t |w| / 2``, ``E(t)`` is ``(a e^x, b e^-x, c e^x, d e^-x)`` and
-    ``E(-t)`` the same with ``e^x`` and ``e^-x`` swapped, so one rotation
-    and one exp pair per endpoint give both.  An overflow at either sign
-    raises DegenerateConfigurationError."""
-    plus, minus = [], []
-    for dx, dy in ((-ev.u_perp, -ev.u_par), (-ev.v_perp, ev.v_par)):
-        x = 0.5 * t * math.hypot(dx, dy)
-        if x == 0.0:
-            plus.append(_IDENTITY)
-            minus.append(_IDENTITY)
-            continue
-        try:
-            e, ei = math.exp(x), math.exp(-x)
-            a, b, c, d = _unit(*_frame_at(0.0, 1.0, *_half_turn(complex(dy, -dx))))
-        except OverflowError as exc:
-            raise DegenerateConfigurationError(
-                f"endpoint moved +-{t!r} x {math.hypot(dx, dy)!r} overflows") from exc
-        plus.append((a * e, b * ei, c * e, d * ei))
-        minus.append((a * ei, b * e, c * ei, d * e))
-    return tuple(plus), tuple(minus)
-
-
-def _chord_distance(ep, m, eq) -> float:
-    """The distance from ``E_p(i)`` to ``M E_q(i)``: for
-    ``[[A, B], [C, D]] = E_p^-1 M E_q`` of determinant one,
-    ``4 sinh^2(d/2) = (A - D)^2 + (B + C)^2``.  A distance that is not
-    finite raises DegenerateConfigurationError."""
-    A, B, C, D = _product(_relative(ep, *m), *eq)
-    dist = 2.0 * math.asinh(0.5 * math.hypot(A - D, B + C))
-    if not math.isfinite(dist):
-        raise DegenerateConfigurationError(
-            f"the deformed chord length {dist!r} is not a finite float")
-    return dist
-
-
-def scene_length(scene: HalfplaneScene, shear_t: float, end_t: float) -> float:
-    """Deformed chord length: endpoints moved a parameter ``end_t``
-    along their variation vectors, the far side of each leaf sheared by
-    ``shear_t`` times its weight (leaves composed from ``q`` inward, so
-    the leaf nearest ``p`` acts last).  The chord is walked in its own
-    frame from the measured ``(length, s, theta)`` by the helpers of
-    ``fd_oracle``'s grid: ``_shear_chains`` and ``_endpoint_frames``,
-    which give the ``+t`` and ``-t`` members of a pair, of which this
-    reads the first, and ``_chord_distance``.  That is O(1) numpy calls
-    and one ``n``-step float loop.
-
-    Raises
-    ------
-    ValueError
-        If ``shear_t`` or ``end_t`` is not finite.
-    DegenerateConfigurationError
-        If a leaf misses the chord or the deformed chord overflows.
-    """
-    if not (math.isfinite(shear_t) and math.isfinite(end_t)):
-        raise ValueError(f"deformation parameters must be finite "
-                         f"(shear_t={shear_t!r}, end_t={end_t!r})")
-    length, s, theta = _measure_scene(scene)
-    ep, eq = _endpoint_frames(scene.endpoints, end_t)[0]
-    m = _shear_chains(length, s, theta, scene.weights.weights, shear_t)[0]
-    return _chord_distance(ep, m, eq)
-
-
 def _measure_scene(scene: HalfplaneScene):
     """Re-derive the length and the crossing positions and angles from
-    the realized geometry: ``(length, s, theta)``.
+    the realized geometry: ``(length, s, theta, cos, sin)``, where
+    ``cos`` and ``sin`` are those of ``theta`` as the relative frames
+    give them.
 
     Leaf ``i`` seen from the chord's frame (s = 0 at ``p``, as entries
     from ``halfplane._frame_through``) has the relative frame
@@ -606,8 +476,8 @@ def _measure_scene(scene: HalfplaneScene):
     through ``(a/c)(b/d) = abcd / (cd)^2`` as
     ``s = log(-abcd)/2 - log|c| - log|d|``: no quotient is formed, so
     ``s`` stays finite where ``e^{2s}``, ``a/c`` or ``b/d`` overflows and
-    where ``cd`` underflows.  The angle is
-    ``atan2(-2 sign(ac) sqrt(-abcd), ad + bc)``, free of cancellation and
+    where ``cd`` underflows.  ``sin(theta)`` is ``-2 sign(ac) sqrt(-abcd)``
+    and the angle is ``atan2(sin, cos)``, free of cancellation and
     signed, so a leaf that crosses clockwise measures outside ``(0, pi)``.
     All ``n`` leaves cost O(1) numpy calls.
 
@@ -624,66 +494,21 @@ def _measure_scene(scene: HalfplaneScene):
         raise DegenerateConfigurationError(
             f"leaf {int(crossing.argmin())} does not cross the chord")
     s = 0.5 * np.log(minus_abcd) - (np.log(np.abs(c)) + np.log(np.abs(d)))
-    theta = np.arctan2(np.copysign(2.0 * np.sqrt(minus_abcd), -(a * c)), ad + bc)
-    return halfplane.dist(scene.p, scene.q), s, theta
+    cos, sin = ad + bc, np.copysign(2.0 * np.sqrt(minus_abcd), -(a * c))
+    return halfplane.dist(scene.p, scene.q), s, np.arctan2(sin, cos), cos, sin
 
 
-FD_STEP = 1e-4
-
-# How far one finite-difference step may move the scene: a total rate r
-# with FD_STEP r beyond it is stepped by _FD_REACH / r instead.
-_FD_REACH = 1e-2
-
-
-def _fd_steps(scene: HalfplaneScene) -> tuple[float, float]:
-    """The oracle's steps ``(h_s, h_e)`` in ``shear_t`` and ``end_t``.
-
-    Each is ``FD_STEP`` unless its total rate r, the sum of ``|a_i|``
-    for the shear and of the endpoint speeds ``|u| + |v|`` for the
-    endpoints, has ``FD_STEP r`` above ``_FD_REACH``; then it is
-    ``_FD_REACH / r``.  So no step moves the scene by more than
-    ``_FD_REACH`` in all, and the truncation error stays
-    O(_FD_REACH^2) relative to the output's scale r^2 however many
-    crossings share the motion.  A total rate with ``FD_STEP r`` beyond
-    ``MAX_CHORD_LENGTH`` is outside the oracle's range and raises
-    DegenerateConfigurationError.
-    """
-    ev = scene.endpoints
-    return (_fd_step(math.fsum(map(abs, scene.weights.weights.tolist())), "shear rates"),
-            _fd_step(math.hypot(ev.u_perp, ev.u_par) + math.hypot(ev.v_perp, ev.v_par),
-                     "endpoint speeds"))
-
-
-def _fd_step(r: float, what: str) -> float:
-    if FD_STEP * r <= _FD_REACH:
-        return FD_STEP
-    if FD_STEP * r > MAX_CHORD_LENGTH:
-        raise DegenerateConfigurationError(
-            f"{what} sum to {r!r}, beyond the oracle's range: a step of "
-            f"FD_STEP moves the scene by {FD_STEP * r!r}")
-    return _FD_REACH / r
-
-
-def _checked_grid(scene: HalfplaneScene) -> dict:
-    """Check the scene against its configuration, then evaluate the
-    3 x 3 grid ``{(i, j): scene_length(scene, i * h_s, j * h_e)}`` for
-    ``i, j`` in ``(-1, 0, 1)`` and the steps ``scene._steps``.
-
-    One ``_measure_scene`` (O(1) numpy calls), one ``_shear_chains`` for
-    the chains at ``shear_t = +h_s, -h_s`` (O(1) numpy calls and one
-    ``n``-step float loop for both), one ``_endpoint_frames`` for
-    ``end_t = +h_e, -h_e`` and nine distances; at 0 the chain is ``D(L)``
-    and the endpoint frames are the identity.  Each value is bit for bit
-    what ``scene_length`` computes, whose walk at ``-t`` rounds as the
-    pair's second member does.  ``HalfplaneScene._grid`` memoizes the
-    result.
-    """
+def _checked_measure(scene: HalfplaneScene):
+    """``_measure_scene``, refused with InconsistentSceneError unless it
+    agrees with ``scene.cfg`` to 1e-10 in the length and in every
+    crossing position and angle."""
     try:
-        length, s, theta = _measure_scene(scene)
+        measured = _measure_scene(scene)
     except SystolicaError as exc:
         raise InconsistentSceneError(
             f"scene geometry is not a transverse chord configuration: {exc}"
         ) from exc
+    length, s, theta = measured[:3]
     cfg = scene.cfg
     if abs(length - cfg.length) > 1e-10:
         raise InconsistentSceneError(
@@ -696,44 +521,181 @@ def _checked_grid(scene: HalfplaneScene) -> dict:
             f"leaf {i} measured at (s={s[i].item()!r}, "
             f"theta={theta[i].item()!r}) but declared "
             f"(s={cfg.s[i].item()!r}, theta={cfg.theta[i].item()!r})")
-    hs, he = scene._steps
-    plus, minus = _shear_chains(length, s, theta, scene.weights.weights, hs)
-    chains = {-1: minus, 0: _far_end(math.exp(0.5 * length)), 1: plus}
-    plus, minus = _endpoint_frames(scene.endpoints, he)
-    ends = {-1: minus, 0: (_IDENTITY, _IDENTITY), 1: plus}
-    return {(i, j): _chord_distance(ends[j][0], chains[i], ends[j][1])
-            for i in (-1, 0, 1) for j in (-1, 0, 1)}
+    return measured
+
+
+def _shear_jet(length: float, s, cos, sin, weights):
+    """The Taylor coefficients ``(M0, M1, M2)`` of the chord's far end
+    sheared by ``t``, ``M(t) = M0 + t M1 + t^2 M2 + O(t^3)``, each as
+    entries ``(a, b, c, d)`` in the chord's frame (``p = i``,
+    ``q = D(L) i``, ``D(x) = diag(e^{x/2}, e^{-x/2})``, ``M0 = D(L)``),
+    with ``M2``'s off-diagonal entries left 0.
+
+    The shear by ``t a`` along the leaf at ``(s, theta)`` is
+    ``D(s) (I + E) D(-s)`` with
+    ``E = (cosh(t a/2) - 1) I + sinh(t a/2) X``,
+    ``X = [[cos theta, -sin theta], [-sin theta, -cos theta]]``, so
+    ``E = t E1 + t^2 E2 + O(t^3)`` with ``E1 = (a/2) X`` and
+    ``E2 = (a^2/8) I``, and ``M = D(s_1) (I + E_1) D(s_2 - s_1) ...
+    (I + E_n) D(L - s_n)``.  Its normalized difference from ``D``,
+    ``Psi_i = D(-g) (Psi_{i-1} (I + E_i) + E_i) D(g)`` for the gap
+    ``g = s_{i+1} - s_i`` (``s_{n+1} = L``) and ``Psi_0 = 0``, vanishes
+    at ``t = 0``, so its coefficients follow
+    ``Psi1 <- D(-g) (Psi1 + E1) D(g)`` and
+    ``Psi2 <- D(-g) (Psi2 + Psi1 E1 + E2) D(g)``, and ``Mk = D(L) Psik``,
+    with ``cos`` and ``sin`` as ``_measure_scene`` reads them: no sinh or
+    cosh.  Only the diagonal of ``Psi2`` is carried, six floats a step.
+    Its off-diagonal entries feed no other entry, and they never reach
+    an output: the endpoint turns are rotations, so at ``u = 0`` the
+    distance depends on ``M`` only through
+    ``r^2 = |M|_F^2 - 2 det M``, which to first order at ``D(L)`` moves
+    with the diagonal of ``M2`` alone.  ``Psi2`` reaches about
+    ``(sum|a|)^2 e^L / 4``, so the loop runs in the unit ``t T``, ``T``
+    the power of two at or above ``sum|a|`` (1 below it): an exact
+    rescaling, undone in ``Mk``, that keeps ``Psi`` a float on every
+    chord whose far end ``i e^L`` is one.  One numpy exp of the gaps and
+    one ``n``-step float loop.  An overflow leaves a non-finite entry,
+    with no warning.
+    """
+    rates = weights.tolist()
+    T = math.ldexp(1.0, max(0, math.frexp(sum(map(abs, rates)))[1]))
+    a1 = b1 = c1 = d1 = a2 = d2 = 0.0
+    gaps = np.exp(np.concatenate((s[1:], (length,))) - s).tolist()
+    for w, co, si, g in zip(rates, cos.tolist(), sin.tolist(), gaps):
+        h = 0.5 * w / T  # E1 = [[e, f], [f, -e]] and E2 = q I
+        e, f, q = h * co, -(h * si), 0.5 * (h * h)
+        a1, b1, c1, d1, a2, d2 = (
+            a1 + e, (b1 + f) / g, (c1 + f) * g, d1 - e,
+            a2 + a1 * e + b1 * f + q, d2 + c1 * f - d1 * e + q)
+    e = math.exp(0.5 * length)
+    return ((e, 0.0, 0.0, 1.0 / e), (e * a1 * T, e * b1 * T, c1 / e * T, d1 / e * T),
+            (e * a2 * T * T, 0.0, 0.0, d2 / e * T * T))
+
+
+_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+
+
+def _endpoint_turns(ev: EndpointVariation):
+    """``((R_p, |w_p|), (R_q, |w_q|))``: the rotation about ``i``, as
+    entries, that turns "up" onto each endpoint's variation vector ``w``,
+    and its speed.  In the chord's frame at either end the chord runs up
+    the imaginary axis through ``i`` (left is -x; outward is -y at
+    ``p``, +y at ``q``); ``R`` is ``halfplane._turned`` at ``r = 1``,
+    normalized by ``_unit``, and the identity for a resting endpoint.
+    The endpoint moved by ``u`` is ``R D(u |w|) i``.  A speed beyond the
+    float range raises DegenerateConfigurationError."""
+    turns = []
+    for dx, dy in ((-ev.u_perp, -ev.u_par), (-ev.v_perp, ev.v_par)):
+        speed = math.hypot(dx, dy)
+        if not math.isfinite(speed):
+            raise DegenerateConfigurationError(f"endpoint speed {speed!r} overflows")
+        turns.append((_unit(*_turned(1.0, *_half_turn(complex(dy, -dx))))
+                      if speed else _IDENTITY, speed))
+    return turns
+
+
+def _distance_jet(g0, g1, g2, alpha: float, beta: float):
+    """``((d_t, d_u), (d_tt, d_tu, d_uu))`` of the distance ``d`` from
+    ``i`` to ``N(t, u) i``, where ``N = D(-u |w_p|) G(t) D(u |w_q|)`` and
+    ``G = g0 + t g1 + t^2 g2``, each as entries ``(A, B, C, D)``.
+
+    ``N``'s entries are ``G``'s times ``e^{alpha u}``, ``e^{-beta u}``,
+    ``e^{beta u}`` and ``e^{-alpha u}``, with
+    ``alpha = (|w_q| - |w_p|)/2`` and ``beta = (|w_p| + |w_q|)/2``.  For
+    determinant one, ``d = 2 asinh(r/2)`` with ``r = hypot(X, Y)``,
+    ``X = A - D`` and ``Y = B + C``.  With ``(x, y) = (X, Y)/r`` at 0
+    and primes for derivatives over ``r``, ``r_i / r = x X_i' + y Y_i'``
+    and ``r_ij / r = k_i k_j + x X_ij' + y Y_ij'`` with the curvature
+    parts ``k_i = y X_i' - x Y_i'``.  The chain rule through
+    ``f1 = 1/hypot(1, r/2)``, ``d' = f1`` and ``d'' = -(r/4) f1^3``,
+    gives ``d_i = c r_i/r`` and ``d_ij = c r_ij/r - (d_i d_j / 2) tanh``
+    with ``c = r f1 = 2 tanh(d/2)`` and ``tanh = (r/2) f1``, each at most
+    2, so nothing overflows for any float ``r``.
+    """
+    A0, B0, C0, D0 = g0
+    A1, B1, C1, D1 = g1
+    A2, B2, C2, D2 = g2
+    r = math.hypot(A0 - D0, B0 + C0)
+    x, y = (A0 - D0) / r, (B0 + C0) / r
+    xt, yt = (A1 - D1) / r, (B1 + C1) / r
+    xu, yu = alpha * (A0 + D0) / r, beta * (C0 - B0) / r
+    kt, ku = y * xt - x * yt, y * xu - x * yu
+    ax, by = alpha * x, beta * y
+    rtt = kt * kt + 2.0 * (x * (A2 - D2) + y * (B2 + C2)) / r
+    rtu = kt * ku + (ax * (A1 + D1) + by * (C1 - B1)) / r
+    ruu = ku * ku + ax * ax + by * by
+    f1 = 1.0 / math.hypot(1.0, 0.5 * r)
+    c, tanh = r * f1, 0.5 * r * f1
+    dt, du = c * (x * xt + y * yt), c * (x * xu + y * yu)
+    return (dt, du), (c * rtt - 0.5 * tanh * dt * dt,
+                      c * rtu - 0.5 * tanh * dt * du,
+                      c * ruu - 0.5 * tanh * du * du)
+
+
+def _oracle_jet(scene: HalfplaneScene):
+    """Check the scene, then both orders of ``fd_oracle`` from one pass:
+    ``_checked_measure`` (O(1) numpy calls), ``_shear_jet`` (O(1) numpy
+    calls and one ``n``-step float loop), the endpoint turns, and
+    ``_distance_jet`` on ``G_k = R_p^-1 M_k R_q``.
+    ``HalfplaneScene._jet`` memoizes the result."""
+    length, s, _, cos, sin = _checked_measure(scene)
+    (rp, wp), (rq, wq) = _endpoint_turns(scene.endpoints)
+    g0, g1, g2 = (_product(_relative(rp, *m), *rq)
+                  for m in _shear_jet(length, s, cos, sin, scene.weights.weights))
+    first, second = _distance_jet(g0, g1, g2, 0.5 * (wq - wp), 0.5 * (wp + wq))
+    if not all(map(math.isfinite, first + second)):
+        raise DegenerateConfigurationError(
+            f"the chord's derivatives {first + second!r} are not finite floats")
+    return first, second
 
 
 def fd_oracle(scene: HalfplaneScene, order: int):
-    """Differentiate the realized chord length numerically.
+    """Differentiate the realized chord length exactly, up to rounding.
 
-    ``order == 1`` returns ``(d_shear, d_endpoints)`` by central
-    differences in each deformation parameter separately; ``order == 2``
-    returns ``(shear2, mixed, end2)`` from the full 3 x 3 grid of
-    deformations: the pure second derivatives along each parameter and
-    the mixed partial, so the second derivative of the joint motion is
-    ``shear2 + 2 * mixed + end2``.  Each grid value is exactly
-    ``scene_length(scene, i * h_s, j * h_e)``.  The steps are
-    ``FD_STEP`` unless a total rate r, the sum of the shear weights'
-    or of the two endpoint speeds' sizes, has ``FD_STEP r`` above 1e-2;
-    that step is then 1e-2 / r, so no step moves the scene by more than
-    1e-2 in all.
+    ``order == 1`` returns ``(d_shear, d_endpoints)``, the derivatives
+    along the shear parameter ``t`` (every leaf's far side sheared by
+    ``t`` times its weight, leaves composed from ``q`` inward) and along
+    the endpoint parameter ``u`` (both endpoints moved by ``u`` along
+    their variation vectors); ``order == 2`` returns
+    ``(shear2, mixed, end2)``, the pure second derivatives and the mixed
+    partial, so the second derivative of the joint motion is
+    ``shear2 + 2 * mixed + end2``.
 
-    The first call on a scene checks it and evaluates the nine grid
-    values (``_checked_grid``): O(1) numpy calls and one ``n``-step float
-    loop, which walks the chains at both shear steps at once.  The scene
-    memoizes them, so a later call of either order costs a lookup and a
-    few flops and reads the same values.  Nothing that raises is memoized.
+    The oracle differentiates the realized geometry, not the closed
+    forms: shears are translations along the measured leaves.  Every
+    factor of the chord walk is analytic in ``t`` and ``u``, so it
+    carries truncated Taylor series, jets, through the walk (Griewank &
+    Walther, *Evaluating Derivatives*, 2nd ed., ch. 13): the shear chain's
+    two coefficients in one float loop (``_shear_jet``), the endpoint
+    motion in closed form, and the distance by the chain rule
+    (``_distance_jet``).  There is no step and no truncation.  The first
+    call on a scene checks it and computes both orders: O(1) numpy calls
+    and one ``n``-step float loop.  The scene memoizes them, so a later
+    call of either order is a lookup.  Nothing that raises is memoized.
 
-    The walk rounds in the chord's frame, not in half-plane coordinates
-    of size ``e^L``: to first order a grid value ``d`` errs by at most
-    (10 + d) eps, plus 32 eps coth(d/2) with moving endpoints, for any
-    ``n`` with ``h_s sum|a|`` small, and an order-2 value by its
-    truncation, O((h r)^2) relative to r^2, plus four such budgets over
-    h^2 (see tests/test_hessian.py).  On s = (1, L/2, L - 1), theta = (1, 2, 0.5),
-    weights (1, -1, 0.5) and endpoint motion (0.3, 0.1, -0.2, 0.4) the
-    order-2 error, relative to max(1, |value|), is at most 2e-6 up to L = 700.
+    Rounding, to first order with ``u = eps/2``, taking the measured
+    ``(L, s, cos, sin)`` as exact, with ``S = sum|a_i| + |w_p| + |w_q|``,
+    ``k = coth(L/2)`` and ``r = 2 sinh(L/2)``:
+
+    - a step value rounds once, ``e^g`` of a rounded gap errs by
+      ``(2 + g) u``, and a step rounds each entry at most five times, so
+      ``Mk`` errs entrywise by at most ``(L + 7n + 4) u`` of
+      ``T^k D(L) |Psik|``, the chain walked on absolute values, whose
+      entries sum to at most ``2 cosh(L/2) S^k = r k S^k``;
+    - the turns are rotations to ``4u`` an entry and the two products add
+      ``4u``, so ``G_k`` errs by ``(L + 7n + 16) u`` of a matrix whose
+      entries sum to at most ``2 r k S^k``, and ``G0``'s ``14u`` becomes
+      up to ``28 k u`` in ``(x, y)`` through the cancellation in
+      ``A0 - D0``;
+    - an order-1 output is ``c <= 2`` times terms summing to at most
+      ``2 k S``, an order-2 one a sum of terms of at most ``6 (2 k S)^2``,
+      each term with a few roundings of its own.
+
+    So an order-k output errs by at most ``4 (L + 8n + 40 k) eps (2 k S)^k``.
+    The bound is linear in ``n`` only through the worst case of the
+    loop's sums, and free of the size ``e^{L/2}`` of the chord's frame;
+    tests/test_hessian.py holds the jet to it against 50-digit central
+    differences.
 
     Raises
     ------
@@ -743,24 +705,18 @@ def fd_oracle(scene: HalfplaneScene, order: int):
         angle (including a leaf that misses the chord or crosses it
         clockwise).
     DegenerateConfigurationError
-        If a total rate r has ``FD_STEP r`` beyond ``MAX_CHORD_LENGTH``
-        (r above about 7.1e6), or a deformed length is not a finite
-        float, as when an endpoint motion overflows.
+        If an output is not a finite float: an endpoint speed whose
+        square overflows, or rates whose ``M2``, about
+        ``e^{L/2} (sum|a|)^2``, leave the float range.
     ValueError
-        For any ``order`` other than 1 or 2, after the scene is checked.
+        For any ``order`` other than the int 1 or 2 (a bool or a float
+        is refused), after the scene is checked.
     """
-    grid = scene._grid
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order!r}")
-    hs, he = scene._steps
-    if order == 1:
-        d_shear = (grid[1, 0] - grid[-1, 0]) / (2.0 * hs)
-        d_end = (grid[0, 1] - grid[0, -1]) / (2.0 * he)
-        return d_shear, d_end
-    shear2 = (grid[1, 0] - 2.0 * grid[0, 0] + grid[-1, 0]) / (hs * hs)
-    end2 = (grid[0, 1] - 2.0 * grid[0, 0] + grid[0, -1]) / (he * he)
-    mixed = (grid[1, 1] - grid[1, -1] - grid[-1, 1] + grid[-1, -1]) / (4.0 * hs * he)
-    return shear2, mixed, end2
+    jet = scene._jet
+    if not (type(order) is int or isinstance(order, Integral)
+            and not isinstance(order, bool)) or order not in (1, 2):
+        raise ValueError(f"order must be the int 1 or 2, got {order!r}")
+    return jet[order - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -807,8 +763,8 @@ def scene_from_json(data: dict) -> tuple[ChordConfig, TransverseWeights, Endpoin
     beyond the float range, and every check of ``ChordConfig`` and
     ``TransverseWeights``.  A boolean ``s``, ``theta`` or weight is still
     read as 0 or 1, because an exact-type check per value would cost
-    more than the conversion itself.  The finite-difference oracle
-    layers its own checks on top of this.
+    more than the conversion itself.  ``fd_oracle`` layers its own
+    checks on the realized scene on top of this.
     """
     if not isinstance(data, dict):
         raise ValueError("a scene must be a JSON object")

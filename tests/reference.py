@@ -5,8 +5,13 @@ The library itself works on frames and points only; the tests also need
 tangent vectors, isometries acting on points and vectors, and geodesics
 named by their endpoints or by a direction, to measure its results by an
 independent route.  They live here, on top of the frame helpers that
-``systolica.halfplane`` keeps (``_point``, ``_frame_at``, ``_relative``
+``systolica.halfplane`` keeps (``_point``, ``_turned``, ``_relative``
 and the rest), so the kernel ships none of them.
+
+The second half is the finite-difference reference for
+``hessian.fd_oracle``: ``scene_length``, the deformed chord length of a
+scene, and ``fd_oracle``, its central differences on a 3 x 3 grid, which
+the library's Taylor-jet oracle replaced.
 
 Tangent vectors are (dx, dy) pairs based at a point.  A quarter turn
 rotates one by +pi/2 counterclockwise in the (dx, dy) chart, which is
@@ -16,10 +21,13 @@ angles are counterclockwise-positive.
 
 import math
 
+import numpy as np
+
+from systolica import hessian
 from systolica.errors import DegenerateConfigurationError
-from systolica.halfplane import (HGeodesic, HIsometry, HPoint, _frame, _frame_at,
+from systolica.halfplane import (HGeodesic, HIsometry, HPoint, _frame,
                                  _frame_through, _half_turn, _point, _product,
-                                 _relative, _toward)
+                                 _relative, _shifted, _toward, _turned, _unit)
 
 
 class HTangent:
@@ -141,7 +149,7 @@ def geodesic_from_direction(p, u):
     if u.dx == 0.0 and u.dy == 0.0:
         raise DegenerateConfigurationError("zero tangent vector has no direction")
     c, s = _half_turn(complex(u.dy, -u.dx))
-    return HGeodesic(HIsometry(*_frame_at(p.x, math.sqrt(p.y), c, s)))
+    return HGeodesic(HIsometry(*_shifted(p.x, *_turned(math.sqrt(p.y), c, s))))
 
 
 def unit_toward(p, q):
@@ -189,3 +197,191 @@ def dist_to_geodesic(p, g):
     """Distance from a point to a complete geodesic, in closed form."""
     w = _pull(g.frame, p)
     return math.asinh(abs(w.real) / w.imag)
+
+
+# ---------------------------------------------------------------------------
+# the finite-difference oracle of a hessian scene
+
+FD_STEP = 1e-4
+
+# How far one finite-difference step may move the scene: a total rate r
+# with FD_STEP r beyond it is stepped by _FD_REACH / r instead.
+_FD_REACH = 1e-2
+
+
+def fd_steps(scene):
+    """The steps ``(h_s, h_e)`` in ``shear_t`` and ``end_t``.
+
+    Each is ``FD_STEP`` unless its total rate r, the sum of ``|a_i|``
+    for the shear and of the endpoint speeds ``|u| + |v|`` for the
+    endpoints, has ``FD_STEP r`` above ``_FD_REACH``; then it is
+    ``_FD_REACH / r``.  So no step moves the scene by more than
+    ``_FD_REACH`` in all, and the truncation error stays
+    O(_FD_REACH^2) relative to the output's scale r^2 however many
+    crossings share the motion.  A total rate with ``FD_STEP r`` beyond
+    ``MAX_CHORD_LENGTH`` is outside the differences' range and raises
+    DegenerateConfigurationError.
+    """
+    ev = scene.endpoints
+    return (_fd_step(math.fsum(map(abs, scene.weights.weights.tolist())), "shear rates"),
+            _fd_step(math.hypot(ev.u_perp, ev.u_par) + math.hypot(ev.v_perp, ev.v_par),
+                     "endpoint speeds"))
+
+
+def _fd_step(r, what):
+    if FD_STEP * r <= _FD_REACH:
+        return FD_STEP
+    if FD_STEP * r > hessian.MAX_CHORD_LENGTH:
+        raise DegenerateConfigurationError(
+            f"{what} sum to {r!r}, beyond the oracle's range: a step of "
+            f"FD_STEP moves the scene by {FD_STEP * r!r}")
+    return _FD_REACH / r
+
+
+def shear_chains(length, s, theta, weights, t):
+    """The chord's far end sheared by ``t`` and by ``-t``, the pair
+    ``(M(t), M(-t))`` in the chord's frame (``p = i``, ``q = D(L) i``,
+    ``D(x) = diag(e^{x/2}, e^{-x/2})``), each as entries ``(a, b, c, d)``:
+    the sheared ``q`` is ``M(t) i``.
+
+    The shear by ``x = t a`` along the leaf at ``(s, theta)`` is
+    ``D(s) (I + E) D(-s)``, ``E = (cosh - 1) I + sinh X`` at ``x/2`` with
+    ``X = [[cos theta, -sin theta], [-sin theta, -cos theta]]``, so
+    ``M = D(s_1) K_1 D(s_2 - s_1) ... K_n D(L - s_n)`` with ``K = I + E``.
+    The loop carries the difference ``Psi_i = D(-s_{i+1}) P_i - I`` of
+    the first ``i`` steps ``P_i`` from ``D``: ``Psi_0 = 0``,
+    ``Psi_i = D(-g) (Psi_{i-1} K_i + E_i) D(g)`` for the gap
+    ``g = s_{i+1} - s_i`` (``s_{n+1} = L``), and ``M = D(L) (I + Psi_n)``.
+    So each step rounds relative to ``Psi = O(t)``, not to entries of
+    size ``e^{s/2}``; ``cosh - 1`` is ``2 sinh^2(x/4)``.
+
+    sinh is odd and ``2 sinh^2(x/4)`` even, both exactly so in floats,
+    so ``E`` at ``-t`` is ``E`` at ``t`` with ``e11`` and ``e22``
+    swapped and ``e12`` negated; the loop carries the ``-t`` difference
+    beside the ``+t`` one from the same step values, each sum written
+    with the negated terms subtracted, which rounds exactly as a walk
+    at ``-t`` would.  An overflow leaves a non-finite entry.
+    """
+    a = b = c = d = am = bm = cm = dm = 0.0  # Psi at +t, then at -t
+    if t != 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = (0.5 * t) * weights
+            sh, ch1 = np.sinh(half), 2.0 * np.sinh(0.5 * half) ** 2
+            cs, e12 = sh * np.cos(theta), sh * -np.sin(theta)
+            e11, e22 = ch1 + cs, ch1 - cs
+            g = np.exp(np.concatenate((s[1:], (length,))) - s)
+            steps = (1.0 + e11, 1.0 + e22, e11, e12, e22, g)
+        for k11, k22, e11, e12, e22, g in zip(*(v.tolist() for v in steps)):
+            a, b, c, d, am, bm, cm, dm = (
+                a * k11 + b * e12 + e11,
+                (a * e12 + b * k22 + e12) / g,
+                (c * k11 + d * e12 + e12) * g,
+                c * e12 + d * k22 + e22,
+                am * k22 - bm * e12 + e22,
+                (bm * k11 - am * e12 - e12) / g,
+                (cm * k22 - dm * e12 - e12) * g,
+                dm * k11 - cm * e12 + e11)
+    e = math.exp(0.5 * length)
+    return _far_end(e, a, b, c, d), _far_end(e, am, bm, cm, dm)
+
+
+def _far_end(e, a=0.0, b=0.0, c=0.0, d=0.0):
+    """Entries of ``D(L) (I + Psi)`` for ``e = e^{L/2}`` and
+    ``Psi = (a, b, c, d)``: the chain's far end, ``D(L)`` at ``Psi = 0``."""
+    return e * (1.0 + a), e * b, c / e, (1.0 + d) / e
+
+
+_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+
+
+def endpoint_frames(ev, t):
+    """The pairs ``(E_p, E_q)`` at ``t`` and at ``-t``: the frames
+    ``E = R(phi) D(t |w|)``, as entries, that move ``p`` and ``q`` by
+    ``t`` along their variation vectors ``w`` to ``E(i)``, with
+    ``R(phi)`` as ``hessian._endpoint_turns`` builds it.  With
+    ``R(phi) = (a, b, c, d)`` and ``x = t |w| / 2``, ``E(t)`` is
+    ``(a e^x, b e^-x, c e^x, d e^-x)`` and ``E(-t)`` the same with
+    ``e^x`` and ``e^-x`` swapped.  An overflow at either sign raises
+    DegenerateConfigurationError."""
+    plus, minus = [], []
+    for dx, dy in ((-ev.u_perp, -ev.u_par), (-ev.v_perp, ev.v_par)):
+        x = 0.5 * t * math.hypot(dx, dy)
+        if x == 0.0:
+            plus.append(_IDENTITY)
+            minus.append(_IDENTITY)
+            continue
+        try:
+            e, ei = math.exp(x), math.exp(-x)
+            a, b, c, d = _unit(*_turned(1.0, *_half_turn(complex(dy, -dx))))
+        except OverflowError as exc:
+            raise DegenerateConfigurationError(
+                f"endpoint moved +-{t!r} x {math.hypot(dx, dy)!r} overflows") from exc
+        plus.append((a * e, b * ei, c * e, d * ei))
+        minus.append((a * ei, b * e, c * ei, d * e))
+    return tuple(plus), tuple(minus)
+
+
+def chord_distance(ep, m, eq):
+    """The distance from ``E_p(i)`` to ``M E_q(i)``: for
+    ``[[A, B], [C, D]] = E_p^-1 M E_q`` of determinant one,
+    ``4 sinh^2(d/2) = (A - D)^2 + (B + C)^2``.  A distance that is not
+    finite raises DegenerateConfigurationError."""
+    A, B, C, D = _product(_relative(ep, *m), *eq)
+    dist = 2.0 * math.asinh(0.5 * math.hypot(A - D, B + C))
+    if not math.isfinite(dist):
+        raise DegenerateConfigurationError(
+            f"the deformed chord length {dist!r} is not a finite float")
+    return dist
+
+
+def scene_length(scene, shear_t, end_t):
+    """Deformed chord length: endpoints moved a parameter ``end_t``
+    along their variation vectors, the far side of each leaf sheared by
+    ``shear_t`` times its weight (leaves composed from ``q`` inward, so
+    the leaf nearest ``p`` acts last), walked in the chord's frame from
+    the measured ``(length, s, theta)``.
+
+    Raises ValueError if ``shear_t`` or ``end_t`` is not finite, and
+    DegenerateConfigurationError if a leaf misses the chord or the
+    deformed chord overflows.
+    """
+    if not (math.isfinite(shear_t) and math.isfinite(end_t)):
+        raise ValueError(f"deformation parameters must be finite "
+                         f"(shear_t={shear_t!r}, end_t={end_t!r})")
+    length, s, theta = hessian._measure_scene(scene)[:3]
+    ep, eq = endpoint_frames(scene.endpoints, end_t)[0]
+    m = shear_chains(length, s, theta, scene.weights.weights, shear_t)[0]
+    return chord_distance(ep, m, eq)
+
+
+def fd_grid(scene):
+    """Check the scene as ``hessian.fd_oracle`` does, then evaluate the
+    3 x 3 grid ``{(i, j): scene_length(scene, i * h_s, j * h_e)}`` for
+    ``i, j`` in ``(-1, 0, 1)`` and the steps ``fd_steps(scene)``, from
+    one walk for both shear steps and one pair of endpoint frames.  Each
+    value is bit for bit what ``scene_length`` computes."""
+    length, s, theta = hessian._checked_measure(scene)[:3]
+    hs, he = fd_steps(scene)
+    plus, minus = shear_chains(length, s, theta, scene.weights.weights, hs)
+    chains = {-1: minus, 0: _far_end(math.exp(0.5 * length)), 1: plus}
+    plus, minus = endpoint_frames(scene.endpoints, he)
+    ends = {-1: minus, 0: (_IDENTITY, _IDENTITY), 1: plus}
+    return {(i, j): chord_distance(ends[j][0], chains[i], ends[j][1])
+            for i in (-1, 0, 1) for j in (-1, 0, 1)}
+
+
+def fd_oracle(scene, order):
+    """``hessian.fd_oracle`` by central differences of ``fd_grid``:
+    ``order == 1`` gives ``(d_shear, d_endpoints)`` and ``order == 2``
+    ``(shear2, mixed, end2)``, each truncated at O((h r)^2) relative to
+    its scale for the step h and total rate r of ``fd_steps``."""
+    grid = fd_grid(scene)
+    hs, he = fd_steps(scene)
+    if order == 1:
+        d_shear = (grid[1, 0] - grid[-1, 0]) / (2.0 * hs)
+        d_end = (grid[0, 1] - grid[0, -1]) / (2.0 * he)
+        return d_shear, d_end
+    shear2 = (grid[1, 0] - 2.0 * grid[0, 0] + grid[-1, 0]) / (hs * hs)
+    end2 = (grid[0, 1] - 2.0 * grid[0, 0] + grid[0, -1]) / (he * he)
+    mixed = (grid[1, 1] - grid[1, -1] - grid[-1, 1] + grid[-1, -1]) / (4.0 * hs * he)
+    return shear2, mixed, end2

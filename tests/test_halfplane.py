@@ -333,6 +333,23 @@ class TestCommonPerpendicular:
         assert dist_to_geodesic(f1, g1) < 1e-14
         assert dist_to_geodesic(f2, g2) < 1e-14
 
+    @pytest.mark.parametrize("t", [0.0, 350.0, 360.0])
+    def test_feet_of_a_scaled_pair_stay_finite(self, t):
+        # The imaginary axis and the circle of centre 5 e^t and radius e^t:
+        # cosh(length) = 5 for every t, and the perpendicular is the circle
+        # |z| = sqrt(24) e^t, with feet i sqrt(24) e^t and
+        # (4.8 + i sqrt(0.96)) e^t.  At t = 360 the quotients ab/cd and
+        # bd/ac of the relative frame overflow, though the feet, near
+        # 1e157, are floats.
+        scale = math.exp(t)
+        f1, f2, length = perpendicular(vertical_geodesic(0.0),
+                                       circle_geodesic(5.0 * scale, scale))
+        assert length == pytest.approx(math.acosh(5.0), rel=1e-12)
+        assert f1.x == 0.0
+        assert f1.y == pytest.approx(math.sqrt(24.0) * scale, rel=1e-12)
+        assert (f2.x, f2.y) == (pytest.approx(4.8 * scale, rel=1e-12),
+                                pytest.approx(math.sqrt(0.96) * scale, rel=1e-12))
+
     def test_two_verticals_are_asymptotic(self):
         with pytest.raises(NoPerpendicularError):
             common_perpendicular(vertical_geodesic(-1.0), vertical_geodesic(1.0))

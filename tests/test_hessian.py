@@ -1,8 +1,11 @@
-"""Second-variation formulas against the finite-difference channel.
+"""Second-variation formulas against the oracle that differentiates a
+realized half-plane scene.
 
 Every closed form here was frozen only after ``fd_oracle`` agreed with
 it; the sweeps below re-run a smaller version of that certification on
-every test run.
+every test run.  ``fd_oracle`` differentiates by Taylor jets; the
+finite differences it replaced stay in tests/reference.py as a second,
+independent route, tested here with their own budgets.
 """
 
 import json
@@ -34,10 +37,10 @@ from systolica.hessian import (
     hessian_split,
     realize_scene,
     scene_from_json,
-    scene_length,
     scene_to_json,
 )
 
+import reference
 from reference import HTangent, geodesic_from_direction, rotate_tangent
 
 # The closed chord-length-2 endpoint Hessian at d = arccosh(2), i.e.
@@ -389,6 +392,14 @@ class TestSceneOracle:
         with pytest.raises(ValueError):
             fd_oracle(scene, 3)
 
+    @pytest.mark.parametrize("order", [True, False, 1.0, 2.0, np.float64(2.0), "2", None])
+    def test_order_must_be_the_int_1_or_2(self, order):
+        # True == 1 and 2.0 == 2, but neither is an order
+        scene = random_scene(random.Random(4))
+        with pytest.raises(ValueError, match="order"):
+            fd_oracle(scene, order)
+        assert fd_oracle(scene, np.int64(2)) == fd_oracle(scene, 2)
+
     def test_scene_json_round_trip(self):
         cfg = REF_CFG
         weights = TransverseWeights((0.4, -1.1))
@@ -703,7 +714,7 @@ class TestLongChords:
 
 
 # ---------------------------------------------------------------------------
-# the oracle's grid: each shear chain and each pair of endpoint frames built once
+# the finite-difference reference's grid, and the oracle's one pass per scene
 
 @st.composite
 def oracle_scenes(draw, max_n=40):
@@ -717,46 +728,47 @@ class TestOracleGrid:
     @given(oracle_scenes())
     @settings(max_examples=30, deadline=None)
     def test_oracle_is_the_difference_quotients_of_scene_length(self, scene):
-        h = hessian.FD_STEP
+        # the finite-difference reference in tests/reference.py
+        h = reference.FD_STEP
 
         def D(i, j):
-            return scene_length(scene, i * h, j * h)
+            return reference.scene_length(scene, i * h, j * h)
 
-        assert fd_oracle(scene, 1) == (
+        assert reference.fd_oracle(scene, 1) == (
             (D(1, 0) - D(-1, 0)) / (2.0 * h),
             (D(0, 1) - D(0, -1)) / (2.0 * h))
-        assert fd_oracle(scene, 2) == (
+        assert reference.fd_oracle(scene, 2) == (
             (D(1, 0) - 2.0 * D(0, 0) + D(-1, 0)) / (h * h),
             (D(1, 1) - D(1, -1) - D(-1, 1) + D(-1, -1)) / (4.0 * h * h),
             (D(0, 1) - 2.0 * D(0, 0) + D(0, -1)) / (h * h))
 
     @pytest.mark.parametrize("orders", [(1, 2), (2, 1)])
     def test_oracle_composes_each_shear_once(self, monkeypatch, orders):
-        chains, measure = hessian._shear_chains, hessian._measure_scene
-        steps, measured = [], []
+        jet, measure = hessian._shear_jet, hessian._measure_scene
+        walked, measured = [], []
 
-        def counted(length, s, theta, weights, t):
-            steps.append(t)
-            return chains(length, s, theta, weights, t)
+        def counted(length, s, cos, sin, weights):
+            walked.append(len(weights))
+            return jet(length, s, cos, sin, weights)
 
         def counted_measure(scene):
             measured.append(scene)
             return measure(scene)
 
-        monkeypatch.setattr(hessian, "_shear_chains", counted)
+        monkeypatch.setattr(hessian, "_shear_jet", counted)
         monkeypatch.setattr(hessian, "_measure_scene", counted_measure)
         scene = realize_scene(*long_scene(random.Random(9), 12, 3.0))
-        h = hessian.FD_STEP
-        for order in orders:
+        for order in orders * 2:
             fd_oracle(scene, order)
-        # over both orders on one scene: one measurement, and one walk
-        # at shear_t = h that gives the chains at -h and +h
-        assert steps == [h]
+        # over both orders on one scene, each asked twice: one
+        # measurement, and one walk of the 12 leaves that gives both
+        # Taylor coefficients
+        assert walked == [12]
         assert measured == [scene]
 
     def test_grid_builds_only_the_chord(self, built):
-        # the chord's frame, the endpoint frames, the shear chains and
-        # the distances are entries: one grid makes no object
+        # the chord's frame, the endpoint turns, the shear jet and the
+        # distance jet are entries: one oracle pass makes no object
         scene = realize_scene(*long_scene(random.Random(9), 12, 3.0))
         assert scene.endpoints != EndpointVariation()
         built.clear()
@@ -796,7 +808,7 @@ class TestOracleGrid:
         assert fd_oracle(copy, 2) == want == fd_oracle(scene, 2)
 
     @given(oracle_scenes(),
-           st.one_of(st.sampled_from([hessian.FD_STEP, -hessian.FD_STEP]),
+           st.one_of(st.sampled_from([reference.FD_STEP, -reference.FD_STEP]),
                      st.floats(-2.0, 2.0)))
     @example(realize_scene(ChordConfig(1.0, s=(0.08, 0.13, 0.76, 0.8),
                                        theta=(1.38, 2.21, 0.31, 1.41)),
@@ -823,7 +835,7 @@ class TestOracleGrid:
         # to each |E| entry carries that through A.  |E| is even in t, so
         # the pair's chains at +t and -t are held to the same A.
         cfg, w = scene.cfg, scene.weights.weights
-        pair = hessian._shear_chains(cfg.length, cfg.s, cfg.theta, w, t)
+        pair = reference.shear_chains(cfg.length, cfg.s, cfg.theta, w, t)
         u, tiny = EPS / 2, np.nextafter(0.0, 1.0)
         x = 0.5 * t * w
         e_diag = 2.0 * np.sinh(0.5 * x) ** 2 + np.abs(np.sinh(x) * np.cos(cfg.theta))
@@ -846,11 +858,12 @@ class TestOracleGrid:
         scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)))
         for t in (math.nan, math.inf):
             with pytest.raises(ValueError):
-                scene_length(scene, t, 0.0)
+                reference.scene_length(scene, t, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# the oracle's accuracy: a rounding budget that does not grow with n or L
+# the finite-difference reference's accuracy: a rounding budget that does not
+# grow with n or L
 
 def mp_chain(length, s, theta, weights, t):
     """The sheared far end M(t) = D(s_1) K_1 D(s_2 - s_1) ... K_n D(L - s_n)
@@ -886,16 +899,17 @@ def mp_moved(m, dx, dy, t):
     return (f[0, 0] * 1j + f[0, 1]) / (f[1, 0] * 1j + f[1, 1])
 
 
-def mp_grid(scene, steps):
-    """scene_length(scene, i h_s, j h_e) to 50 digits for (i, j) in steps,
-    at the oracle's steps (h_s, h_e), from the scene's measured
+def mp_grid(scene, steps, at=None):
+    """scene_length(scene, i h_s, j h_e) to 50 digits for (i, j) in
+    steps, at the steps ``at`` = (h_s, h_e), by default those of the
+    finite-difference reference, from the scene's measured
     (length, s, theta): p and q moved along their variation vectors in
     the chord's frame (p = i, q = D(L) i), q sheared by M(i h_s), and the
     distance of the two points.  The height of the sheared q is a
     determinant-one cancellation among entries of size e^{L/2}, so the
     working precision grows by L digits."""
-    length, s, theta = hessian._measure_scene(scene)
-    ev, (hs, he) = scene.endpoints, scene._steps
+    length, s, theta = hessian._measure_scene(scene)[:3]
+    ev, (hs, he) = scene.endpoints, at or reference.fd_steps(scene)
     out = {}
     with mp.workdps(50 + int(length)):
         chains = {i: mp_chain(length, s, theta, scene.weights.weights, i * hs)
@@ -928,7 +942,7 @@ def mp_order_two(W, k, steps):
 # the three crossings of the long chords below, and for the two of the
 # large rates, whose step keeps h sum|a| at 1e-2: (10 + d) eps in all.  A
 # moving endpoint adds the roundings of E_p and E_q (6u per entry from
-# _frame_at's normalization, exp and a product) and of the two products
+# _turned's normalization, exp and a product) and of the two products
 # (2u per entry), 16u in all, entrywise against |R_p| |M| |R_q|, whose
 # Frobenius norm is at most twice that of G for rotations R.  Since
 # X^2 = |G|_F^2 - 2 and |G|_F^2 = X^2 coth^2(d/2), that moves d by at
@@ -943,21 +957,22 @@ RICHARDSON = [(i, 0) for i in (-2, 2)] + [(0, j) for j in (-2, 2)] + [
 
 
 def assert_oracle_within_budget(scene):
-    """Each grid value within ``value_budget`` of the 50-digit walk, and
-    the order-2 oracle within the budgets of its quotients' values plus
-    twice Richardson's truncation estimate |D(2h) - D(h)| / 3 from the
-    50-digit walk, against ``hessian_split``.  The quotients' own
-    rounding (u d from the first subtraction, the rest exact by Sterbenz,
-    and 2u of the value) is added to the rounding term."""
-    hs, he = scene._steps
+    """Each value of the finite-difference reference's grid within
+    ``value_budget`` of the 50-digit walk, and its order-2 quotients
+    within the budgets of their values plus twice Richardson's truncation
+    estimate |D(2h) - D(h)| / 3 from the 50-digit walk, against
+    ``hessian_split``.  The quotients' own rounding (u d from the first
+    subtraction, the rest exact by Sterbenz, and 2u of the value) is
+    added to the rounding term."""
+    hs, he = reference.fd_steps(scene)
     W = mp_grid(scene, GRID + RICHARDSON)
-    grid = scene._grid
+    grid = reference.fd_grid(scene)
     moving = scene.endpoints != EndpointVariation()
     budget = {(i, j): value_budget(d, moving and j != 0)
               for (i, j), d in grid.items()}
     for key in GRID:
         assert abs(grid[key] - float(W[key])) <= budget[key], key
-    got = fd_oracle(scene, 2)
+    got = reference.fd_oracle(scene, 2)
     want = hessian_split(scene.cfg, scene.weights, scene.endpoints)
     with mp.workdps(50 + int(scene.cfg.length)):
         near, far = mp_order_two(W, 1, (hs, he)), mp_order_two(W, 2, (hs, he))
@@ -1004,26 +1019,26 @@ class TestOracleAccuracy:
 
 
 class TestOracleSteps:
-    """A total rate r (the shear weights' sizes, or the two endpoint
-    speeds, summed) with FD_STEP r above 1e-2 gets the step 1e-2 / r; the
-    order-2 outputs then err by O(1e-6) of their scale r^2, where FD_STEP
-    loses every digit."""
+    """The finite-difference reference's steps: a total rate r (the
+    shear weights' sizes, or the two endpoint speeds, summed) with
+    FD_STEP r above 1e-2 gets the step 1e-2 / r; the order-2 outputs then
+    err by O(1e-6) of their scale r^2, where FD_STEP loses every digit."""
 
     FOUND = ChordConfig(2.0, s=(0.7, 1.4), theta=(1.1, 0.6))
 
     @pytest.mark.parametrize("rate, steps", [
-        (0.0, (hessian.FD_STEP, hessian.FD_STEP)),
-        (60.0, (hessian.FD_STEP, hessian.FD_STEP)),
-        (1e3, (1e-2 / 1.5e3, hessian.FD_STEP)),
-        (1e6, (1e-2 / 1.5e6, hessian.FD_STEP))])
+        (0.0, (reference.FD_STEP, reference.FD_STEP)),
+        (60.0, (reference.FD_STEP, reference.FD_STEP)),
+        (1e3, (1e-2 / 1.5e3, reference.FD_STEP)),
+        (1e6, (1e-2 / 1.5e6, reference.FD_STEP))])
     def test_only_a_step_that_moves_the_scene_too_far_is_scaled(self, rate, steps):
         scene = realize_scene(self.FOUND, TransverseWeights((-rate, rate / 2)),
                               EndpointVariation(u_perp=0.6, v_par=-0.8))
-        assert scene._steps == steps
+        assert reference.fd_steps(scene) == steps
         moved = realize_scene(self.FOUND, TransverseWeights((0.3, -0.2)),
                               EndpointVariation(u_perp=0.6 * rate, u_par=0.8 * rate,
                                                 v_par=rate / 2))
-        assert moved._steps == steps[::-1]
+        assert reference.fd_steps(moved) == steps[::-1]
 
     def test_many_crossings_share_one_step(self):
         # 1000 crossings with weights in [5, 10]: each rate alone keeps
@@ -1034,8 +1049,8 @@ class TestOracleSteps:
         cfg = ChordConfig(6.0, s=s, theta=[rng.uniform(0.15, math.pi - 0.15) for _ in s])
         weights = TransverseWeights([rng.uniform(5.0, 10.0) for _ in s])
         scene = realize_scene(cfg, weights)
-        assert scene._steps[0] == 1e-2 / math.fsum(weights.weights.tolist())
-        shear2, _, _ = fd_oracle(scene, 2)
+        assert reference.fd_steps(scene)[0] == 1e-2 / math.fsum(weights.weights.tolist())
+        shear2, _, _ = reference.fd_oracle(scene, 2)
         want, _, _ = hessian_split(cfg, weights)
         assert shear2 == pytest.approx(want, rel=1e-6)
 
@@ -1044,7 +1059,7 @@ class TestOracleSteps:
         # FD_STEP itself is off by 8.1e-5, 1.1e-2 and 93% here
         scene = realize_scene(self.FOUND, TransverseWeights((w, -w / 2)))
         assert_oracle_within_budget(scene)
-        shear2, _, _ = fd_oracle(scene, 2)
+        shear2, _, _ = reference.fd_oracle(scene, 2)
         want, _, _ = hessian_split(self.FOUND, scene.weights)
         assert shear2 == pytest.approx(want, rel=1e-6)
 
@@ -1054,22 +1069,22 @@ class TestOracleSteps:
         ev = EndpointVariation(u_par=1e5)
         scene = realize_scene(self.FOUND, TransverseWeights((1.0, -0.5)), ev)
         assert_oracle_within_budget(scene)
-        _, _, end2 = fd_oracle(scene, 2)
+        _, _, end2 = reference.fd_oracle(scene, 2)
         assert abs(end2) <= 1e-6 * 1e5 ** 2
 
     def test_rates_beyond_the_oracles_range_are_refused(self):
-        rate = 1.01 * hessian.MAX_CHORD_LENGTH / hessian.FD_STEP
+        rate = 1.01 * hessian.MAX_CHORD_LENGTH / reference.FD_STEP
         for weights, ev in [((rate, 1.0), EndpointVariation()),
                             ((1.0, 1.0), EndpointVariation(v_perp=rate))]:
             scene = realize_scene(self.FOUND, TransverseWeights(weights), ev)
             for order in (1, 2):
                 with pytest.raises(DegenerateConfigurationError, match="range"):
-                    fd_oracle(scene, order)
+                    reference.fd_oracle(scene, order)
 
 
 class TestOracleRefusals:
     """What the walk cannot evaluate is refused with a typed error, and
-    numpy's overflow warnings stay inside the library."""
+    numpy's overflow warnings stay inside the library and the reference."""
 
     @pytest.fixture(autouse=True)
     def warnings_as_errors(self):
@@ -1078,29 +1093,206 @@ class TestOracleRefusals:
             yield
 
     def test_overflowing_shear_is_refused(self):
-        # sinh(FD_STEP * 1e10 / 2) overflows, and the chain turns NaN
+        # sinh(FD_STEP * 1e10 / 2) overflows, and the reference's chain
+        # turns NaN
         scene = realize_scene(REF_CFG, TransverseWeights((1e10, -1e10)))
         for order in (1, 2):
             with pytest.raises(DegenerateConfigurationError):
-                fd_oracle(scene, order)
+                reference.fd_oracle(scene, order)
 
-    def test_overflowing_endpoint_frame_is_refused(self):
-        scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)),
-                              EndpointVariation(v_par=1e300))
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("ev", [
+        EndpointVariation(v_par=1e300),
+        EndpointVariation(u_perp=1.7e308, u_par=-1.7e308)],
+        ids=["speed1e300", "speed-beyond-the-float-range"])
+    def test_overflowing_endpoint_frame_is_refused(self, ev, order):
+        # the jet squares the speed, and the second speed is not a float
+        scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)), ev)
         with pytest.raises(DegenerateConfigurationError):
-            fd_oracle(scene, 2)
+            fd_oracle(scene, order)
 
     def test_nonfinite_endpoint_step_is_a_value_error(self):
         scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)),
                               EndpointVariation(u_par=0.5))
         with pytest.raises(ValueError):
-            scene_length(scene, 0.0, math.nan)
+            reference.scene_length(scene, 0.0, math.nan)
 
     def test_endpoint_step_beyond_the_float_range_is_refused(self):
         scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)),
                               EndpointVariation(u_par=0.5))
         with pytest.raises(DegenerateConfigurationError):
-            scene_length(scene, 0.0, 1e6)
+            reference.scene_length(scene, 0.0, 1e6)
+
+
+# ---------------------------------------------------------------------------
+# the Taylor-jet oracle: exact derivatives within a derived rounding budget
+
+def total_rate(scene):
+    """S = sum|a_i| + |w_p| + |w_q|: the scene's shear rates and endpoint
+    speeds."""
+    ev = scene.endpoints
+    return (math.fsum(np.abs(scene.weights.weights).tolist())
+            + math.hypot(ev.u_perp, ev.u_par) + math.hypot(ev.v_perp, ev.v_par))
+
+
+def jet_budget(scene, k):
+    """``fd_oracle``'s first-order rounding bound on its order-k outputs,
+    4 (L + 8n + 40 coth(L/2)) eps (2 coth(L/2) S)^k, derived in its
+    docstring from the roundings of the walk, the turns and the finish."""
+    coth = 1.0 / math.tanh(0.5 * scene.cfg.length)
+    return (4 * (scene.cfg.length + 8 * scene.cfg.n + 40 * coth) * EPS
+            * (2 * coth * total_rate(scene)) ** k)
+
+
+def mp_jet(scene, h=1e-12):
+    """Both orders of ``fd_oracle`` by central differences of the 50-digit
+    ``mp_grid``, at the steps h / max(1, r) for each parameter's total
+    rate r (sum|a_i| for the shear, |w_p| + |w_q| for the endpoints).
+    Each difference truncates at O((h r)^2) <= 1e-24 relative to its
+    output's scale r^k, and the grid's rounding, about 1e-50 L, divided
+    by the steps' squares adds at most about 1e-26 L of it, so the
+    reference is exact far below any float's rounding."""
+    ev = scene.endpoints
+    rates = (math.fsum(np.abs(scene.weights.weights).tolist()),
+             math.hypot(ev.u_perp, ev.u_par) + math.hypot(ev.v_perp, ev.v_par))
+    hs, he = (h / max(1.0, r) for r in rates)
+    W = mp_grid(scene, GRID, at=(hs, he))
+    with mp.workdps(50 + int(scene.cfg.length)):
+        first = ((W[1, 0] - W[-1, 0]) / (2 * mp.mpf(hs)),
+                 (W[0, 1] - W[0, -1]) / (2 * mp.mpf(he)))
+        second = mp_order_two(W, 1, (hs, he))
+        return [float(v) for v in first], [float(v) for v in second]
+
+
+TANGENT_700 = [(ChordConfig(700.0, s=(692.0647053396148,), theta=(1e-12,)), (1.0,)),
+               (ChordConfig(700.0, s=(694.8175870820836,), theta=(math.pi - 1e-12,)),
+                (1.0,))]
+MOVING = EndpointVariation(0.3, 0.1, -0.2, 0.4)
+FOUND = ChordConfig(2.0, s=(0.7, 1.4), theta=(1.1, 0.6))
+# the rate at which the finite-difference step leaves MAX_CHORD_LENGTH
+BEYOND_THE_STEP = 1.01 * hessian.MAX_CHORD_LENGTH / reference.FD_STEP
+
+
+def jet_scenes():
+    """(id, scene) pairs: variation-check-like scenes, the long chords and
+    near-tangent leaves of TestOracleAccuracy, large rates and speeds,
+    the inputs the finite differences refuse, and a short chord."""
+    rng = random.Random(16)
+    out = [(f"n{n}", realize_scene(*long_scene(rng, n, rng.uniform(1.0, 6.0))))
+           for n in (0, 1, 2, 5, 12, 25, 40)]
+    for length in (30.0, 300.0, 700.0):
+        cfg = ChordConfig(length, s=(1.0, length / 2, length - 1.0),
+                          theta=(1.0, 2.0, 0.5))
+        out.append((f"L{length:g}", realize_scene(
+            cfg, TransverseWeights((1.0, -1.0, 0.5)), MOVING)))
+    for name, (cfg, weights) in zip(("tangent-at-0", "tangent-at-pi"), TANGENT_700):
+        out.append((name, realize_scene(cfg, TransverseWeights(weights), MOVING)))
+    for w in (1e3, 1e6, 1e10, BEYOND_THE_STEP):
+        out.append((f"rate{w:.3g}", realize_scene(
+            FOUND, TransverseWeights((w, -w / 2)),
+            EndpointVariation(u_perp=0.6, v_par=-0.8))))
+    out.append(("u_par1e5", realize_scene(
+        FOUND, TransverseWeights((1.0, -0.5)), EndpointVariation(u_par=1e5))))
+    out.append(("v_perp-beyond-the-step", realize_scene(
+        FOUND, TransverseWeights((1.0, 1.0)), EndpointVariation(v_perp=BEYOND_THE_STEP))))
+    out.append(("L0.01", realize_scene(
+        ChordConfig(0.01, s=(0.003, 0.007), theta=(1.0, 2.0)),
+        TransverseWeights((1.0, -0.5)), MOVING)))
+    return out
+
+
+JET_SCENES = jet_scenes()
+
+
+def closed_forms(scene):
+    return (first_derivatives(scene.cfg, scene.weights, scene.endpoints),
+            hessian_split(scene.cfg, scene.weights, scene.endpoints))
+
+
+def assert_matches_the_closed_forms(scene, rtol=1e-12):
+    """The oracle's accuracy target: within rtol of the closed forms,
+    relative to max(1, |value|)."""
+    got = fd_oracle(scene, 1) + fd_oracle(scene, 2)
+    want = sum(closed_forms(scene), ())
+    for g, w in zip(got, want):
+        assert abs(g - w) <= rtol * max(1.0, abs(w)), (got, want)
+
+
+def assert_within_budget_of_the_closed_forms(scene):
+    """Within ``jet_budget`` of the closed forms, plus their own error:
+    the prefix sum's rounding (8 eps cond, TestPrefixSumKernel) and the
+    measured crossings' drift from the declared ones, about eps (1 + s)
+    in each s and theta (TestClosedFormMeasurement), which moves an
+    order-k output by at most (2 coth(L/2) S)^k per unit; together
+    (16 + L) eps (2 coth(L/2) S)^k.  An output that cancels far below
+    S^k, such as d_end under purely perpendicular endpoint motion, keeps
+    an error of order eps S^k."""
+    coth = 1.0 / math.tanh(0.5 * scene.cfg.length)
+    for k, got, want in zip((1, 2), (fd_oracle(scene, 1), fd_oracle(scene, 2)),
+                            closed_forms(scene)):
+        slack = (16 + scene.cfg.length) * EPS * (2 * coth * total_rate(scene)) ** k
+        for g, w in zip(got, want):
+            assert abs(g - w) <= jet_budget(scene, k) + slack, (k, got, want)
+
+
+class TestTaylorJet:
+    @pytest.fixture(autouse=True)
+    def warnings_as_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("scene", [s for _, s in JET_SCENES],
+                             ids=[name for name, _ in JET_SCENES])
+    def test_tracks_50_digit_central_differences(self, scene):
+        got = fd_oracle(scene, 1), fd_oracle(scene, 2)
+        want = mp_jet(scene)
+        for k in (1, 2):
+            budget = jet_budget(scene, k)
+            for g, w in zip(got[k - 1], want[k - 1]):
+                assert abs(g - w) <= budget, (k, g, w, budget)
+
+    @pytest.mark.parametrize("rate", [1.0, 1e3])
+    @pytest.mark.parametrize("length", [1.0, 6.0, 30.0, 300.0, 700.0])
+    @pytest.mark.parametrize("n", [1, 40, 1000])
+    def test_matches_the_closed_forms(self, n, length, rate):
+        # the oracle's accuracy target: 1e-12 relative to max(1, |value|)
+        # for n up to 1,000 and L up to 700; at n = 1,000, L = 700 and
+        # rate 1e3 the chain's second coefficient reaches about
+        # 1e11 e^L, beyond the float range, unless the walk is rescaled
+        cfg, weights, endpoints = long_scene(random.Random(n + int(length)), n, length)
+        scene = realize_scene(cfg, TransverseWeights(rate * weights.weights), endpoints)
+        assert_matches_the_closed_forms(scene)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["tangent-at-0", "tangent-at-pi"])
+    def test_near_tangent_leaves_match_the_closed_forms(self, which):
+        cfg, weights = TANGENT_700[which]
+        scene = realize_scene(cfg, TransverseWeights(weights), MOVING)
+        assert_matches_the_closed_forms(scene)
+        # at rate 1e3, shear2 ~ (1e3 sin(theta))^2 ~ 1e-18 cancels from
+        # terms of size 1e6, so only the budget applies
+        scene = realize_scene(cfg, TransverseWeights(1e3 * np.array(weights)), MOVING)
+        assert_within_budget_of_the_closed_forms(scene)
+
+    @pytest.mark.parametrize("scene", [s for _, s in JET_SCENES],
+                             ids=[name for name, _ in JET_SCENES])
+    def test_within_budget_of_the_closed_forms(self, scene):
+        assert_within_budget_of_the_closed_forms(scene)
+
+    @pytest.mark.parametrize("weights, ev", [
+        ((1e10, -1e10), EndpointVariation()),
+        ((BEYOND_THE_STEP, 1.0), EndpointVariation()),
+        ((1.0, 1.0), EndpointVariation(v_perp=BEYOND_THE_STEP))],
+        ids=["weights1e10", "rate-beyond-the-step", "speed-beyond-the-step"])
+    def test_inputs_the_finite_differences_refuse_are_answered(self, weights, ev):
+        # the reference's sinh(FD_STEP * 1e10 / 2) overflows, and a step
+        # of FD_STEP at the other two rates moves the scene beyond
+        # MAX_CHORD_LENGTH; the jet has no step
+        cfg = REF_CFG if weights[0] == 1e10 else FOUND
+        scene = realize_scene(cfg, TransverseWeights(weights), ev)
+        with pytest.raises(DegenerateConfigurationError):
+            reference.fd_oracle(scene, 2)
+        assert_within_budget_of_the_closed_forms(scene)
 
 
 # ---------------------------------------------------------------------------
@@ -1170,7 +1362,7 @@ class TestClosedFormMeasurement:
                                    q=placed.q, leaves=frame.reshape(1, 4))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                _, (got_s,), (got_theta,) = hessian._measure_scene(scene)
+                _, (got_s,), (got_theta,), _, _ = hessian._measure_scene(scene)
             row = scene.leaves[0].tolist()
             want_s, want_theta = mp_crossing(row)
             a, b, c, d = row

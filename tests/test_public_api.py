@@ -38,12 +38,12 @@ PUBLIC = {
         "realize", "sides_from_pentagon_coords", "tangent_u",
     },
     hessian: {
-        "ChordConfig", "ENDPOINT_FIELDS", "EndpointVariation", "FD_STEP",
+        "ChordConfig", "ENDPOINT_FIELDS", "EndpointVariation",
         "HalfplaneScene", "MAX_CHORD_LENGTH", "MarginReport", "SCENE_FIELDS",
         "TransverseWeights", "ZERO_ENDPOINTS", "fd_oracle",
         "first_derivatives", "hessian_form", "hessian_margin",
         "hessian_matrix", "hessian_split", "realize_scene", "scene_from_json",
-        "scene_length", "scene_to_json",
+        "scene_to_json",
     },
 }
 
