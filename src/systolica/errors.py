@@ -7,6 +7,7 @@ out-of-range indices, non-finite numbers, and values that are not numbers.
 """
 
 import struct
+from numbers import Integral
 
 
 class SystolicaError(Exception):
@@ -61,3 +62,9 @@ def _real_floats(values, what: str) -> tuple:
         return struct.unpack(fmt, struct.pack(fmt, *values))
     except (struct.error, TypeError, OverflowError) as exc:
         raise ValueError(f"{what} must be a sequence of numbers: {exc}") from exc
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an Integral but not a bool; ``type(value) is
+    int`` is tested first, as isinstance against the Integral ABC is slow."""
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)

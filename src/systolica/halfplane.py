@@ -1,9 +1,11 @@
 """Upper half-plane model of the hyperbolic plane.
 
-Points carry Euclidean coordinates (x, y) with y > 0.  Isometries are
-real Moebius maps held as determinant-one 2x2 matrices.  A geodesic is the image of the
-upward imaginary axis under one of them, its frame (Beardon, *The
-Geometry of Discrete Groups*, ch. 7): arclength s sits at frame(i e^s).
+Points carry Euclidean coordinates (x, y) with y > 0.  An isometry is
+a real Moebius map z -> (az + b)/(cz + d), held as the four entries
+(a, b, c, d) of its determinant-one matrix, and every helper here takes
+and returns such entries.  A geodesic is the image of the upward
+imaginary axis under one of them, its frame (Beardon, *The Geometry of
+Discrete Groups*, ch. 7): arclength s sits at frame(i e^s).
 Half-circles and vertical rays are the same object, so no formula here
 tells them apart, and any question about two geodesics is asked of the
 relative frame g.frame^-1 h.frame, in which g is the imaginary axis.
@@ -63,30 +65,10 @@ def dist(p, q):
                             / (2.0 * math.sqrt(p.y * q.y)))
 
 
-class HIsometry:
-    """Orientation-preserving isometry, a real Moebius map z -> (az+b)/(cz+d).
-
-    The matrix is normalized to determinant one on construction; a
-    non-positive determinant is rejected rather than silently flipped.
-    """
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = _unit(a, b, c, d)
-
-    def __iter__(self):
-        """The entries, so that ``a, b, c, d = frame`` unpacks them."""
-        return iter((self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return f"HIsometry({self.a:.6g}, {self.b:.6g}, {self.c:.6g}, {self.d:.6g})"
-
-
 def _unit(a, b, c, d):
-    """The entries divided by the square root of their determinant, as
-    ``HIsometry`` stores them; a determinant that is not positive and
-    finite raises ValueError."""
+    """The entries divided by the square root of their determinant, the
+    frame normalized to determinant one; a determinant that is not
+    positive and finite raises ValueError rather than being flipped."""
     det = a * d - b * c
     if not math.isfinite(det) or det <= 0.0:
         raise ValueError(f"matrix must have positive determinant (det={det!r})")
@@ -94,19 +76,10 @@ def _unit(a, b, c, d):
     return a / s, b / s, c / s, d / s
 
 
-def _frame(a, b, c, d):
-    """An HIsometry holding these entries as given, for entries whose
-    determinant is one by construction: dividing by a rounded determinant
-    would change their last bits."""
-    m = HIsometry.__new__(HIsometry)
-    m.a, m.b, m.c, m.d = a, b, c, d
-    return m
-
-
 class HGeodesic:
-    """An oriented complete geodesic, parametrized at unit speed: its
-    ``frame`` takes the upward imaginary axis onto it, arclength s to
-    ``_point``'s frame(i e^s), so "up" is forward and s = 0 is frame(i)."""
+    """An oriented complete geodesic at unit speed: its ``frame``, four
+    entries held as given, takes the upward imaginary axis onto it, s to
+    frame(i e^s) (``_point``), so "up" is forward and s = 0 is frame(i)."""
 
     __slots__ = ("frame",)
 
@@ -114,13 +87,12 @@ class HGeodesic:
         self.frame = frame
 
     def point_at(self, s):
-        f = self.frame
-        return HPoint(*_point(f.a, f.b, f.c, f.d, math.exp(s)))
+        return HPoint(*_point(*self.frame, math.exp(s)))
 
     def endpoints(self):
         """Boundary endpoints (backward, forward); math.inf encodes infinity."""
-        f = self.frame
-        return (f.b / f.d if f.d else math.inf, f.a / f.c if f.c else math.inf)
+        a, b, c, d = self.frame
+        return (b / d if d else math.inf, a / c if c else math.inf)
 
     def __repr__(self):
         back, fwd = self.endpoints()
@@ -156,7 +128,7 @@ def _half_turn(w):
 
 
 def _product(f, a, b, c, d):
-    """Entries of f [[a, b], [c, d]], for f an HIsometry or four entries."""
+    """Entries of f [[a, b], [c, d]], for f four entries."""
     fa, fb, fc, fd = f
     return (fa * a + fb * c, fa * b + fb * d,
             fc * a + fd * c, fc * b + fd * d)
@@ -185,11 +157,11 @@ def _frame_through(p, q):
 
 
 def _relative(f, a, b, c, d):
-    """Entries of f^-1 [[a, b], [c, d]] for a frame f of determinant one,
-    an HIsometry or any four entries: the frame (a, b, c, d) seen from
-    f, in which f's geodesic is the upward imaginary axis.  Its geodesic
-    then runs from b/d to a/c on the real line.  The entries may be
-    floats or numpy columns of many frames."""
+    """Entries of f^-1 [[a, b], [c, d]] for the four entries f of a frame
+    of determinant one: the frame (a, b, c, d) seen from f, in which f's
+    geodesic is the upward imaginary axis.  Its geodesic then runs from
+    b/d to a/c on the real line.  The entries may be floats or numpy
+    columns of many frames."""
     fa, fb, fc, fd = f
     return (fd * a - fb * c, fd * b - fb * d,
             fa * c - fc * a, fa * d - fc * b)

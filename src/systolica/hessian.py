@@ -46,9 +46,9 @@ rounding.
 
 The kernel ``cosh(s_<) cosh(L - s_>)`` is semiseparable, so
 ``hessian_form`` and ``hessian_split`` evaluate the form as one prefix
-sum, O(n) numpy work, without building it; ``hessian_margin`` is O(n)
-too.  ``hessian_matrix`` builds the dense O(n^2) kernel only as the
-reference for tests and eigenvalue checks.
+sum, O(n) numpy work, and never build the dense ``(n+2) x (n+2)``
+matrix; ``hessian_margin`` is O(n) too.  The tests build that matrix
+as their dense reference.
 """
 
 from __future__ import annotations
@@ -58,13 +58,12 @@ import math
 import struct
 import sys
 from dataclasses import dataclass, fields
-from numbers import Integral
 
 import numpy as np
 
 from . import halfplane
 from .errors import (DegenerateConfigurationError, DegenerateMarginError,
-                     InconsistentSceneError, SystolicaError, _real_floats)
+                     InconsistentSceneError, SystolicaError, _is_integer, _real_floats)
 from .halfplane import _frame_through, _half_turn, _product, _relative, _turned, _unit
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "MarginReport",
     "HalfplaneScene",
     "first_derivatives",
-    "hessian_matrix",
     "hessian_form",
     "hessian_split",
     "hessian_margin",
@@ -224,48 +222,13 @@ def first_derivatives(cfg: ChordConfig, weights: TransverseWeights,
     return d_metric, endpoints.u_par + endpoints.v_par
 
 
-def hessian_matrix(cfg: ChordConfig) -> np.ndarray:
-    """The ``(n+2) x (n+2)`` kernel matrix ``H`` of the second variation.
-
-    Slots ``0..n-1`` are the crossings in chord order; slot ``n`` is the
-    ``p`` endpoint and slot ``n+1`` the ``q`` endpoint.  The quadratic
-    form ``x^T H x / sinh(L)`` with
-    ``x = (sin(theta_1) a_1, ..., sin(theta_n) a_n, u_perp, v_perp)``
-    is the full second derivative of the chord length.
-
-    Crossing-crossing entries are ``cosh(s_min) cosh(L - s_max)``; the
-    ``p`` row carries ``-cosh(L - s_i)`` and the ``q`` row
-    ``+cosh(s_i)``, with ``cosh(L)`` on the endpoint diagonal and ``-1``
-    in the corner.  The sign asymmetry between the endpoint rows comes
-    from the shear jumps displacing only the far segment of the chord,
-    so they co-operate with the ``q`` endpoint and work against ``p``.
-    Negating the ``p`` slot turns the matrix into the Green's kernel of
-    ``-d''+1`` on ``[0, L]`` sampled at all crossing and endpoint
-    positions, which is a Gram matrix: the form is positive definite.
-
-    The matrix costs O(n^2) time and memory.  It is the dense reference
-    for tests and eigenvalue checks; ``hessian_form`` and
-    ``hessian_split`` evaluate the same form in O(n) without it.  Like
-    them it raises ``DegenerateConfigurationError`` for a chord longer
-    than ``MAX_CHORD_LENGTH``.
-    """
-    _check_length(cfg)
-    n = cfg.n
-    L = cfg.length
-    t = np.concatenate((cfg.s, [0.0, L]))
-    H = np.cosh(np.minimum.outer(t, t)) * np.cosh(L - np.maximum.outer(t, t))
-    H[n, :] *= -1.0
-    H[:, n] *= -1.0
-    return H
-
-
 def hessian_form(cfg: ChordConfig, weights: TransverseWeights,
                  endpoints: EndpointVariation = ZERO_ENDPOINTS) -> float:
     """Second derivative of the chord length for a joint shear/endpoint
     variation, evaluated in closed form.
 
     This is ``shear2 + 2 * mixed + end2`` from ``hessian_split``: O(n)
-    numpy work, without building ``hessian_matrix``.
+    numpy work, without building the kernel matrix.
     """
     shear2, mixed, end2 = hessian_split(cfg, weights, endpoints)
     return shear2 + 2.0 * mixed + end2
@@ -346,8 +309,8 @@ def hessian_margin(cfg: ChordConfig) -> MarginReport:
     The crossings are sorted, so a crossing's nearest marked point is
     one of its two neighbours: ``epsilons`` is the smaller of the two
     adjacent gaps in ``diff([0, s_1, ..., s_n, L])``, O(n) numpy work.
-    The report is no bound on the quadratic form; use the eigenvalues of
-    ``hessian_matrix`` for quantitative positivity.
+    The report is no bound on the quadratic form, whose positivity comes
+    from the Gram structure of its kernel (module docstring).
 
     Raises
     ------
@@ -376,9 +339,9 @@ class HalfplaneScene:
     float64 array: row ``i`` holds the entries ``(a, b, c, d)`` of the
     frame of leaf ``i``, the matrix taking the upward imaginary axis onto
     the leaf as in ``halfplane.HGeodesic``, normalized to determinant one
-    as ``halfplane.HIsometry`` is.  ``fd_oracle`` re-measures the geometry,
-    refuses a scene that drifted from its configuration, and
-    differentiates it.
+    as ``halfplane._unit`` normalizes a frame.  ``fd_oracle`` re-measures
+    the geometry, refuses a scene that drifted from its configuration,
+    and differentiates it.
 
     A scene is immutable: the dataclass is frozen, ``cfg`` and
     ``weights`` hold read-only arrays, and ``p``, ``q`` and ``leaves``
@@ -410,6 +373,8 @@ class HalfplaneScene:
             raise ValueError("leaves must be an (n, 4) array of frame entries")
         if len(rows) != self.cfg.n:
             raise ValueError(f"{len(rows)} leaves for {self.cfg.n} crossings")
+        # halfplane._unit is the float form of this normalization; the
+        # column form names the first failing row
         a, b, c, d = rows.T
         det = a * d - b * c  # not finite if any entry is not
         ok = np.isfinite(det) & (det > 0.0)
@@ -713,8 +678,7 @@ def fd_oracle(scene: HalfplaneScene, order: int):
         is refused), after the scene is checked.
     """
     jet = scene._jet
-    if not (type(order) is int or isinstance(order, Integral)
-            and not isinstance(order, bool)) or order not in (1, 2):
+    if not _is_integer(order) or order not in (1, 2):
         raise ValueError(f"order must be the int 1 or 2, got {order!r}")
     return jet[order - 1]
 

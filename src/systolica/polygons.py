@@ -30,15 +30,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
 from . import halfplane
-from .errors import DegenerateConfigurationError, NoPentagonError, NoPolygonError, _real_floats
-from .halfplane import (HGeodesic, HPoint, _disk, _frame, _perpendicular_length, _point,
-                        _product, _relative, _unit, dist)
+from .errors import (DegenerateConfigurationError, NoPentagonError, NoPolygonError,
+                     _is_integer, _real_floats)
+from .halfplane import (HGeodesic, HPoint, _disk, _perpendicular_length, _point, _product,
+                        _relative, _unit, dist)
 from .trig import pentagon_perpendicular, pentagon_side, semiregular_partner
 
 
@@ -47,8 +47,8 @@ class MarkedRightPolygon:
     """A realized marked right-angled polygon.
 
     The geometry is one immutable table of frame rows, not one object
-    per side; ``geodesics`` and ``vertices`` are built from it on first
-    access, and ``side_geodesic`` builds one geodesic per call.
+    per side; ``vertices`` are built from it on first access, and
+    ``side_geodesic`` wraps one row, shared, per call.
 
     Attributes
     ----------
@@ -89,24 +89,18 @@ class MarkedRightPolygon:
         return len(self.sides)
 
     @functools.cached_property
-    def geodesics(self) -> tuple[HGeodesic, ...]:
-        """The complete geodesic carrying each side, from ``frames``."""
-        return tuple(HGeodesic(_frame(*row)) for row in self.frames)
-
-    @functools.cached_property
     def vertices(self) -> tuple[HPoint, ...]:
         """vertices[j-1] = F_j(i), where side j starts (``halfplane._point``)."""
         return tuple(HPoint(*_point(*row)) for row in self.frames)
 
     def side_geodesic(self, i: int) -> HGeodesic:
-        """The oriented geodesic carrying side i (1-based)."""
-        return HGeodesic(_frame(*self.frames[_side_index(i, self.n)]))
+        """The oriented geodesic carrying side i (1-based) on the row ``frames[i-1]``."""
+        return HGeodesic(self.frames[_side_index(i, self.n)])
 
 
 def _side_index(i, n: int) -> int:
     """Slot i - 1 of side i, an Integral but not a bool in 1..n, else ValueError."""
-    if not (type(i) is int or isinstance(i, Integral) and not isinstance(i, bool)) \
-            or not 1 <= i <= n:
+    if not _is_integer(i) or not 1 <= i <= n:
         raise ValueError(f"side index must be an integer in 1..{n}, got {i!r}")
     return i - 1
 
@@ -284,28 +278,12 @@ def pentagon_coords(poly: MarkedRightPolygon) -> tuple[float, ...]:
     return (poly.sides[2], *hs, poly.sides[n - 2])
 
 
-def tangent_u(poly: MarkedRightPolygon, i: int) -> np.ndarray:
-    """The tangent vector to the moduli space that stretches side i at
-    unit rate while rolling the change into its three cyclic neighbours.
-
-    Geometrically: the perpendicular between sides i-1 and i+2 cuts off a
-    pentagon, and the variation keeps everything outside that pentagon
-    frozen.  Nonzero slots (1-based sides): i-1, i, i+1, i+2 with
-
-        [ -tanh(l_{i+1})/sinh(l_i),  1,
-          -tanh(l_{i+1}) coth(l_i),  1/cosh(l_{i+1}) ].
-    """
-    n = poly.n
-    k = _side_index(i, n)
-    v = np.zeros(n)
-    v[k] = 1.0
-    v[[k - 1, (k + 1) % n, (k + 2) % n]] = _tangent_entries(poly.sides[k],
-                                                             poly.sides[(k + 1) % n])
-    return v
-
-
 def _tangent_entries(li, lj):
-    """``tangent_u``'s entries at sides i-1, i+1 and i+2 from l_i, l_{i+1}."""
+    """The entries at sides i-1, i+1 and i+2, from l_i and l_{i+1}, of the
+    moduli-space tangent u_i that stretches side i at unit rate and keeps
+    all outside the pentagon cut off between sides i-1 and i+2 frozen.
+    Its nonzeros at sides i-1, i, i+1, i+2 are
+    [-tanh(l_{i+1})/sinh(l_i), 1, -tanh(l_{i+1}) coth(l_i), 1/cosh(l_{i+1})]."""
     t = math.tanh(lj)
     return -t / math.sinh(li), -t / math.tanh(li), 1.0 / math.cosh(lj)
 
@@ -427,11 +405,11 @@ def proportionality_check(poly: MarkedRightPolygon) -> float:
     coth(l1/2) sum(d l_odd) + coth(l2/2) sum(d l_even), where
     coth(l/2) = (1 + cosh l)/sinh l, cancel on the whole tangent space of
     the moduli space.  Returns the largest absolute value over the basis
-    vectors tangent_u(poly, i); a genuine alternating polygon stays below
-    1e-8.
+    vectors u_i of ``_tangent_entries``, one per side i; a genuine
+    alternating polygon stays below 1e-8.
 
-    The sums are read off ``tangent_u``'s four nonzeros without building
-    the vectors: slots i and i+2 (same parity as side i) hold 1 and the
+    The sums are read off each u_i's four nonzeros without building the
+    vectors: slots i and i+2 (same parity as side i) hold 1 and the
     entry at i+2, slots i-1 and i+1 the other two.  All n basis vectors
     cost one float pass over the sides, O(n).
     """

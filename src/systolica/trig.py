@@ -11,9 +11,8 @@ silently infinite value.
 """
 
 import math
-from numbers import Integral
 
-from .errors import DegenerateConfigurationError, NoPentagonError
+from .errors import DegenerateConfigurationError, NoPentagonError, _is_integer
 
 # Arguments to acosh this far below 1 are treated as genuinely degenerate
 # rather than roundoff.
@@ -46,9 +45,7 @@ def _check_lengths(*lengths):
 
 
 def _check_order(n):
-    # an Integral but not a bool; type(n) is int first, as isinstance
-    # against the Integral ABC is slow
-    if not (type(n) is int or isinstance(n, Integral) and not isinstance(n, bool)) or n < 3:
+    if not _is_integer(n) or n < 3:
         raise ValueError(f"need an integer n >= 3 sides of each type, got n={n!r}")
 
 

@@ -6,12 +6,14 @@ tangent vectors, isometries acting on points and vectors, and geodesics
 named by their endpoints or by a direction, to measure its results by an
 independent route.  They live here, on top of the frame helpers that
 ``systolica.halfplane`` keeps (``_point``, ``_turned``, ``_relative``
-and the rest), so the kernel ships none of them.
+and the rest), so the kernel ships none of them.  An isometry is its
+four entries (a, b, c, d), as in the library.  Then come two dense
+references, ``tangent_u`` and ``hessian_matrix``.
 
-The second half is the finite-difference reference for
+The last part is the finite-difference reference for
 ``hessian.fd_oracle``: ``scene_length``, the deformed chord length of a
-scene, and ``fd_oracle``, its central differences on a 3 x 3 grid, which
-the library's Taylor-jet oracle replaced.
+scene, and ``fd_differences``, its central differences on a 3 x 3 grid,
+which the library's Taylor-jet oracle replaced.
 
 Tangent vectors are (dx, dy) pairs based at a point.  A quarter turn
 rotates one by +pi/2 counterclockwise in the (dx, dy) chart, which is
@@ -25,9 +27,10 @@ import numpy as np
 
 from systolica import hessian
 from systolica.errors import DegenerateConfigurationError
-from systolica.halfplane import (HGeodesic, HIsometry, HPoint, _frame,
-                                 _frame_through, _half_turn, _point, _product,
-                                 _relative, _shifted, _toward, _turned, _unit)
+from systolica.halfplane import (HGeodesic, HPoint, _frame_through, _half_turn, _point,
+                                 _product, _relative, _shifted, _toward, _turned, _unit)
+from systolica.hessian import _IDENTITY, ChordConfig, _check_length
+from systolica.polygons import MarkedRightPolygon, _side_index, _tangent_entries
 
 
 class HTangent:
@@ -76,32 +79,36 @@ def oriented_angle(u, v):
 
 
 def apply(m, p):
-    """The isometry m applied to the point p."""
-    den = m.c * p.z + m.d
-    z = (m.a * p.z + m.b) / den
+    """The isometry m = (a, b, c, d) applied to the point p."""
+    a, b, c, d = m
+    den = c * p.z + d
+    z = (a * p.z + b) / den
     return HPoint(z.real, z.imag)
 
 
 def push(m, u):
     """Pushforward of a tangent vector (derivative of the Moebius map)."""
-    den = m.c * u.base.z + m.d
+    _, _, c, d = m
+    den = c * u.base.z + d
     w = u.w / (den * den)
     return HTangent(apply(m, u.base), w.real, w.imag)
 
 
 def inverse(m):
-    return HIsometry(m.d, -m.b, -m.c, m.a)
+    a, b, c, d = m
+    return _unit(d, -b, -c, a)
 
 
 def compose(m, n):
     """The isometry m after n."""
-    return HIsometry(*_product(m, n.a, n.b, n.c, n.d))
+    return _unit(*_product(m, *n))
 
 
 def _pull(frame, p):
     """frame^-1(p) as a complex number: p seen from the frame, in which
     the geodesic is the imaginary axis."""
-    return (frame.d * p.z - frame.b) / (frame.a - frame.c * p.z)
+    a, b, c, d = frame
+    return (d * p.z - b) / (a - c * p.z)
 
 
 def param_of(g, p):
@@ -115,19 +122,19 @@ def param_of(g, p):
 
 def tangent_at(g, s):
     """Unit tangent of g at arclength s, in the direction of increasing s."""
-    f, t = g.frame, math.exp(s)
-    x, y = _point(f.a, f.b, f.c, f.d, t)
+    (a, b, c, d), t = g.frame, math.exp(s)
+    x, y = _point(a, b, c, d, t)
     # the unit "up" vector i t at i t, pushed by the derivative
     # 1/(c i t + d)^2, is i y (d - i ct)/(d + i ct) with y = t/|d + i ct|^2
-    v = 1j * y * complex(f.d, -f.c * t) / complex(f.d, f.c * t)
+    v = 1j * y * complex(d, -c * t) / complex(d, c * t)
     return HTangent(HPoint(x, y), v.real, v.imag)
 
 
 def vertical_geodesic(x0, upward=True):
     """The vertical ray over x0, with s = 0 at x0 + i."""
     if upward:
-        return HGeodesic(HIsometry(1.0, x0, 0.0, 1.0))
-    return HGeodesic(HIsometry(x0, -1.0, 1.0, 0.0))
+        return HGeodesic(_unit(1.0, x0, 0.0, 1.0))
+    return HGeodesic(_unit(x0, -1.0, 1.0, 0.0))
 
 
 def circle_geodesic(c, r, rightward=True):
@@ -135,13 +142,13 @@ def circle_geodesic(c, r, rightward=True):
     if r <= 0.0:
         raise ValueError("circle radius must be positive")
     if rightward:
-        return HGeodesic(HIsometry(c + r, c - r, 1.0, 1.0))
-    return HGeodesic(HIsometry(c - r, -c - r, 1.0, -1.0))
+        return HGeodesic(_unit(c + r, c - r, 1.0, 1.0))
+    return HGeodesic(_unit(c - r, -c - r, 1.0, -1.0))
 
 
 def geodesic_through(p, q):
     """The geodesic through two distinct points, oriented p -> q, s=0 at p."""
-    return HGeodesic(_frame(*_frame_through(p, q)))
+    return HGeodesic(_frame_through(p, q))
 
 
 def geodesic_from_direction(p, u):
@@ -149,7 +156,7 @@ def geodesic_from_direction(p, u):
     if u.dx == 0.0 and u.dy == 0.0:
         raise DegenerateConfigurationError("zero tangent vector has no direction")
     c, s = _half_turn(complex(u.dy, -u.dx))
-    return HGeodesic(HIsometry(*_shifted(p.x, *_turned(math.sqrt(p.y), c, s))))
+    return HGeodesic(_unit(*_shifted(p.x, *_turned(math.sqrt(p.y), c, s))))
 
 
 def unit_toward(p, q):
@@ -168,19 +175,19 @@ def translate_along(g, t):
     Closed form: F diag(e^{t/2}, e^{-t/2}) F^-1 = cosh(t/2) I + sinh(t/2) X
     with F = g.frame = [[a, b], [c, d]] of determinant one and
     X = F diag(1, -1) F^-1 = [[A, B], [C, -A]], A = ad + bc, B = -2ab,
-    C = 2cd.  One call costs a cosh, a sinh, about ten flops and one
-    HIsometry.  The entries are stored without the constructor's
-    renormalization, since their determinant is cosh^2 - sinh^2 = 1 by
-    construction, and dividing by a rounded determinant, whose error
-    grows like eps (|ad| + |bc|), would amplify their rounding by the
-    square of their size.
+    C = 2cd.  One call costs a cosh, a sinh and about ten flops, and
+    returns the four entries.  They are not renormalized by ``_unit``,
+    since their determinant is cosh^2 - sinh^2 = 1 by construction, and
+    dividing by a rounded determinant, whose error grows like
+    eps (|ad| + |bc|), would amplify their rounding by the square of
+    their size.
     """
     if not math.isfinite(t):
         raise ValueError(f"translation length must be finite (t={t!r})")
-    f = g.frame
-    A, B, C = f.a * f.d + f.b * f.c, -2.0 * f.a * f.b, 2.0 * f.c * f.d
+    a, b, c, d = g.frame
+    A, B, C = a * d + b * c, -2.0 * a * b, 2.0 * c * d
     ch, sh = math.cosh(0.5 * t), math.sinh(0.5 * t)
-    return _frame(ch + sh * A, sh * B, sh * C, ch - sh * A)
+    return ch + sh * A, sh * B, sh * C, ch - sh * A
 
 
 def intersection_point(g, h):
@@ -197,6 +204,51 @@ def dist_to_geodesic(p, g):
     """Distance from a point to a complete geodesic, in closed form."""
     w = _pull(g.frame, p)
     return math.asinh(abs(w.real) / w.imag)
+
+
+def geodesics(poly):
+    """The geodesic carrying each side of the polygon, in side order."""
+    return tuple(poly.side_geodesic(i) for i in range(1, poly.n + 1))
+
+
+# ---------------------------------------------------------------------------
+# dense references
+
+
+def tangent_u(poly: MarkedRightPolygon, i: int) -> np.ndarray:
+    """The moduli-space tangent vector u_i of ``polygons._tangent_entries``
+    as a dense vector, whose sums ``proportionality_check`` reads off its
+    four nonzeros."""
+    n = poly.n
+    k = _side_index(i, n)
+    v = np.zeros(n)
+    v[k] = 1.0
+    v[[k - 1, (k + 1) % n, (k + 2) % n]] = _tangent_entries(poly.sides[k],
+                                                             poly.sides[(k + 1) % n])
+    return v
+
+
+def hessian_matrix(cfg: ChordConfig) -> np.ndarray:
+    """The ``(n+2) x (n+2)`` kernel matrix ``H`` of the second variation,
+    the dense O(n^2) form of ``hessian.hessian_split``.
+
+    Slots ``0..n-1`` are the crossings in chord order, slot ``n`` is ``p``
+    and slot ``n+1`` is ``q``, so ``x^T H x / sinh(L)`` with
+    ``x = (sin(theta_1) a_1, ..., sin(theta_n) a_n, u_perp, v_perp)`` is
+    the full second derivative of the chord length.  Entries are
+    ``cosh(s_min) cosh(L - s_max)`` over the positions ``(s..., 0, L)``,
+    with the ``p`` slot negated (the ``hessian`` module docstring says
+    why).  A chord longer than ``hessian.MAX_CHORD_LENGTH`` raises
+    ``DegenerateConfigurationError``.
+    """
+    _check_length(cfg)
+    n = cfg.n
+    L = cfg.length
+    t = np.concatenate((cfg.s, [0.0, L]))
+    H = np.cosh(np.minimum.outer(t, t)) * np.cosh(L - np.maximum.outer(t, t))
+    H[n, :] *= -1.0
+    H[:, n] *= -1.0
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +290,10 @@ def _fd_step(r, what):
     return _FD_REACH / r
 
 
-def shear_chains(length, s, theta, weights, t):
-    """The chord's far end sheared by ``t`` and by ``-t``, the pair
-    ``(M(t), M(-t))`` in the chord's frame (``p = i``, ``q = D(L) i``,
-    ``D(x) = diag(e^{x/2}, e^{-x/2})``), each as entries ``(a, b, c, d)``:
-    the sheared ``q`` is ``M(t) i``.
+def shear_chain(length, s, theta, weights, t):
+    """The chord's far end sheared by ``t``, ``M(t)`` in the chord's frame
+    (``p = i``, ``q = D(L) i``, ``D(x) = diag(e^{x/2}, e^{-x/2})``), as
+    entries ``(a, b, c, d)``: the sheared ``q`` is ``M(t) i``.
 
     The shear by ``x = t a`` along the leaf at ``(s, theta)`` is
     ``D(s) (I + E) D(-s)``, ``E = (cosh - 1) I + sinh X`` at ``x/2`` with
@@ -253,16 +304,10 @@ def shear_chains(length, s, theta, weights, t):
     ``Psi_i = D(-g) (Psi_{i-1} K_i + E_i) D(g)`` for the gap
     ``g = s_{i+1} - s_i`` (``s_{n+1} = L``), and ``M = D(L) (I + Psi_n)``.
     So each step rounds relative to ``Psi = O(t)``, not to entries of
-    size ``e^{s/2}``; ``cosh - 1`` is ``2 sinh^2(x/4)``.
-
-    sinh is odd and ``2 sinh^2(x/4)`` even, both exactly so in floats,
-    so ``E`` at ``-t`` is ``E`` at ``t`` with ``e11`` and ``e22``
-    swapped and ``e12`` negated; the loop carries the ``-t`` difference
-    beside the ``+t`` one from the same step values, each sum written
-    with the negated terms subtracted, which rounds exactly as a walk
-    at ``-t`` would.  An overflow leaves a non-finite entry.
+    size ``e^{s/2}``; ``cosh - 1`` is ``2 sinh^2(x/4)``.  An overflow
+    leaves a non-finite entry.
     """
-    a = b = c = d = am = bm = cm = dm = 0.0  # Psi at +t, then at -t
+    a = b = c = d = 0.0  # Psi
     if t != 0.0:
         with np.errstate(over="ignore", invalid="ignore"):
             half = (0.5 * t) * weights
@@ -272,66 +317,35 @@ def shear_chains(length, s, theta, weights, t):
             g = np.exp(np.concatenate((s[1:], (length,))) - s)
             steps = (1.0 + e11, 1.0 + e22, e11, e12, e22, g)
         for k11, k22, e11, e12, e22, g in zip(*(v.tolist() for v in steps)):
-            a, b, c, d, am, bm, cm, dm = (
-                a * k11 + b * e12 + e11,
-                (a * e12 + b * k22 + e12) / g,
-                (c * k11 + d * e12 + e12) * g,
-                c * e12 + d * k22 + e22,
-                am * k22 - bm * e12 + e22,
-                (bm * k11 - am * e12 - e12) / g,
-                (cm * k22 - dm * e12 - e12) * g,
-                dm * k11 - cm * e12 + e11)
+            a, b, c, d = (a * k11 + b * e12 + e11,
+                          (a * e12 + b * k22 + e12) / g,
+                          (c * k11 + d * e12 + e12) * g,
+                          c * e12 + d * k22 + e22)
     e = math.exp(0.5 * length)
-    return _far_end(e, a, b, c, d), _far_end(e, am, bm, cm, dm)
-
-
-def _far_end(e, a=0.0, b=0.0, c=0.0, d=0.0):
-    """Entries of ``D(L) (I + Psi)`` for ``e = e^{L/2}`` and
-    ``Psi = (a, b, c, d)``: the chain's far end, ``D(L)`` at ``Psi = 0``."""
     return e * (1.0 + a), e * b, c / e, (1.0 + d) / e
 
 
-_IDENTITY = (1.0, 0.0, 0.0, 1.0)
-
-
 def endpoint_frames(ev, t):
-    """The pairs ``(E_p, E_q)`` at ``t`` and at ``-t``: the frames
-    ``E = R(phi) D(t |w|)``, as entries, that move ``p`` and ``q`` by
-    ``t`` along their variation vectors ``w`` to ``E(i)``, with
-    ``R(phi)`` as ``hessian._endpoint_turns`` builds it.  With
-    ``R(phi) = (a, b, c, d)`` and ``x = t |w| / 2``, ``E(t)`` is
-    ``(a e^x, b e^-x, c e^x, d e^-x)`` and ``E(-t)`` the same with
-    ``e^x`` and ``e^-x`` swapped.  An overflow at either sign raises
-    DegenerateConfigurationError."""
-    plus, minus = [], []
+    """The frames ``(E_p, E_q)``, as entries, that move ``p`` and ``q``
+    by ``t`` along their variation vectors ``w`` to ``E(i)``:
+    ``E = R(phi) D(t |w|)`` with ``R(phi)`` as
+    ``hessian._endpoint_turns`` builds it.  With ``R(phi) = (a, b, c, d)``
+    and ``x = t |w| / 2``, ``E`` is ``(a e^x, b e^-x, c e^x, d e^-x)``.
+    An overflow raises DegenerateConfigurationError."""
+    frames = []
     for dx, dy in ((-ev.u_perp, -ev.u_par), (-ev.v_perp, ev.v_par)):
         x = 0.5 * t * math.hypot(dx, dy)
         if x == 0.0:
-            plus.append(_IDENTITY)
-            minus.append(_IDENTITY)
+            frames.append(_IDENTITY)
             continue
         try:
             e, ei = math.exp(x), math.exp(-x)
             a, b, c, d = _unit(*_turned(1.0, *_half_turn(complex(dy, -dx))))
         except OverflowError as exc:
             raise DegenerateConfigurationError(
-                f"endpoint moved +-{t!r} x {math.hypot(dx, dy)!r} overflows") from exc
-        plus.append((a * e, b * ei, c * e, d * ei))
-        minus.append((a * ei, b * e, c * ei, d * e))
-    return tuple(plus), tuple(minus)
-
-
-def chord_distance(ep, m, eq):
-    """The distance from ``E_p(i)`` to ``M E_q(i)``: for
-    ``[[A, B], [C, D]] = E_p^-1 M E_q`` of determinant one,
-    ``4 sinh^2(d/2) = (A - D)^2 + (B + C)^2``.  A distance that is not
-    finite raises DegenerateConfigurationError."""
-    A, B, C, D = _product(_relative(ep, *m), *eq)
-    dist = 2.0 * math.asinh(0.5 * math.hypot(A - D, B + C))
-    if not math.isfinite(dist):
-        raise DegenerateConfigurationError(
-            f"the deformed chord length {dist!r} is not a finite float")
-    return dist
+                f"endpoint moved {t!r} x {math.hypot(dx, dy)!r} overflows") from exc
+        frames.append((a * e, b * ei, c * e, d * ei))
+    return frames
 
 
 def scene_length(scene, shear_t, end_t):
@@ -339,7 +353,9 @@ def scene_length(scene, shear_t, end_t):
     along their variation vectors, the far side of each leaf sheared by
     ``shear_t`` times its weight (leaves composed from ``q`` inward, so
     the leaf nearest ``p`` acts last), walked in the chord's frame from
-    the measured ``(length, s, theta)``.
+    the measured ``(length, s, theta)``: the distance from ``E_p(i)`` to
+    ``M E_q(i)``, with ``4 sinh^2(d/2) = (A - D)^2 + (B + C)^2`` for
+    ``[[A, B], [C, D]] = E_p^-1 M E_q`` of determinant one.
 
     Raises ValueError if ``shear_t`` or ``end_t`` is not finite, and
     DegenerateConfigurationError if a leaf misses the chord or the
@@ -349,28 +365,27 @@ def scene_length(scene, shear_t, end_t):
         raise ValueError(f"deformation parameters must be finite "
                          f"(shear_t={shear_t!r}, end_t={end_t!r})")
     length, s, theta = hessian._measure_scene(scene)[:3]
-    ep, eq = endpoint_frames(scene.endpoints, end_t)[0]
-    m = shear_chains(length, s, theta, scene.weights.weights, shear_t)[0]
-    return chord_distance(ep, m, eq)
+    ep, eq = endpoint_frames(scene.endpoints, end_t)
+    m = shear_chain(length, s, theta, scene.weights.weights, shear_t)
+    A, B, C, D = _product(_relative(ep, *m), *eq)
+    dist = 2.0 * math.asinh(0.5 * math.hypot(A - D, B + C))
+    if not math.isfinite(dist):
+        raise DegenerateConfigurationError(
+            f"the deformed chord length {dist!r} is not a finite float")
+    return dist
 
 
 def fd_grid(scene):
     """Check the scene as ``hessian.fd_oracle`` does, then evaluate the
     3 x 3 grid ``{(i, j): scene_length(scene, i * h_s, j * h_e)}`` for
-    ``i, j`` in ``(-1, 0, 1)`` and the steps ``fd_steps(scene)``, from
-    one walk for both shear steps and one pair of endpoint frames.  Each
-    value is bit for bit what ``scene_length`` computes."""
-    length, s, theta = hessian._checked_measure(scene)[:3]
+    ``i, j`` in ``(-1, 0, 1)`` and the steps ``fd_steps(scene)``."""
+    hessian._checked_measure(scene)
     hs, he = fd_steps(scene)
-    plus, minus = shear_chains(length, s, theta, scene.weights.weights, hs)
-    chains = {-1: minus, 0: _far_end(math.exp(0.5 * length)), 1: plus}
-    plus, minus = endpoint_frames(scene.endpoints, he)
-    ends = {-1: minus, 0: (_IDENTITY, _IDENTITY), 1: plus}
-    return {(i, j): chord_distance(ends[j][0], chains[i], ends[j][1])
+    return {(i, j): scene_length(scene, i * hs, j * he)
             for i in (-1, 0, 1) for j in (-1, 0, 1)}
 
 
-def fd_oracle(scene, order):
+def fd_differences(scene, order):
     """``hessian.fd_oracle`` by central differences of ``fd_grid``:
     ``order == 1`` gives ``(d_shear, d_endpoints)`` and ``order == 2``
     ``(shear2, mixed, end2)``, each truncated at O((h r)^2) relative to

@@ -9,13 +9,14 @@ integral of dy/y.
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from systolica.errors import DegenerateConfigurationError, NoPerpendicularError
-from systolica.halfplane import HIsometry, HPoint, common_perpendicular, dist
+from systolica.halfplane import HGeodesic, HPoint, _unit, common_perpendicular, dist
 
 from reference import (
     HTangent,
@@ -56,11 +57,11 @@ def vertical_oracle_dist(p, q):
     the height ratio).
     """
     sy = math.sqrt(p.y)
-    to_i = HIsometry(1.0 / sy, -p.x / sy, 0.0, sy)
+    to_i = _unit(1.0 / sy, -p.x / sy, 0.0, sy)
     q1 = apply(to_i, q)
     phi = oriented_angle(HTangent(HPoint(0, 1), 0.0, 1.0), unit_toward(HPoint(0, 1), q1))
     c, s = math.cos(phi / 2), math.sin(phi / 2)
-    q2 = apply(HIsometry(c, -s, s, c), q1)
+    q2 = apply(_unit(c, -s, s, c), q1)
     assert abs(q2.x) < 1e-9
     return abs(math.log(q2.y))
 
@@ -103,17 +104,41 @@ class TestDistance:
 
 
 class TestIsometries:
-    def test_determinant_guard(self):
-        with pytest.raises(ValueError):
-            HIsometry(1.0, 0.0, 0.0, -1.0)
-        with pytest.raises(ValueError):
-            HIsometry(1.0, 2.0, 2.0, 4.0)  # det = 0
+    @pytest.mark.parametrize("entries", [
+        (1.0, 0.0, 0.0, -1.0),  # det < 0
+        (1.0, 2.0, 2.0, 4.0),  # det = 0
+        (math.nan, 0.0, 0.0, 1.0),
+        (math.inf, 0.0, 0.0, 1.0),
+        (1e200, 0.0, 0.0, 1e200),  # det overflows to inf
+    ])
+    def test_determinant_guard(self, entries):
+        with pytest.raises(ValueError, match="positive determinant"):
+            _unit(*entries)
+
+    @given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+           st.floats(-4.0, 4.0))
+    @settings(max_examples=100, deadline=None)
+    def test_normalizes_to_determinant_one(self, a, b, c, d):
+        # Each entry and the root round once and the determinant a few
+        # times, in total well under 8 eps of |ad| + |bc| relative to det,
+        # while det is a normal float; a subnormal one has fewer digits.
+        det = a * d - b * c
+        if not det > 0.0:
+            with pytest.raises(ValueError):
+                _unit(a, b, c, d)
+            return
+        m = _unit(a, b, c, d)
+        root = math.sqrt(det)
+        assert m == (a / root, b / root, c / root, d / root)
+        if det >= sys.float_info.min:
+            drift = abs(m[0] * m[3] - m[1] * m[2] - 1.0)
+            assert drift <= 8 * EPS * ((abs(a * d) + abs(b * c)) / det)
 
     @given(st.floats(0.5, 2.0), st.floats(-1, 1), st.floats(-0.5, 0.5),
            finite_xy, log_y, finite_xy, log_y)
     @settings(max_examples=60, deadline=None)
     def test_distance_invariance(self, a, b, c, x1, t1, x2, t2):
-        m = HIsometry(a, b, c, (1.0 + b * c) / a)  # det 1 by construction
+        m = _unit(a, b, c, (1.0 + b * c) / a)  # det 1 by construction
         p, q = HPoint(x1, math.exp(t1)), HPoint(x2, math.exp(t2))
         assert dist(apply(m, p), apply(m, q)) == pytest.approx(dist(p, q), abs=1e-9)
 
@@ -124,12 +149,12 @@ class TestIsometries:
             u = HTangent(p, rng.uniform(-1, 1), rng.uniform(-1, 1))
             v = HTangent(p, rng.uniform(-1, 1), rng.uniform(-1, 1))
             a, b, c = rng.uniform(0.5, 2.0), rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)
-            m = HIsometry(a, b, c, (1.0 + b * c) / a)  # det 1 by construction
+            m = _unit(a, b, c, (1.0 + b * c) / a)  # det 1 by construction
             assert inner(push(m, u), push(m, v)) == pytest.approx(inner(u, v), abs=1e-9)
 
     def test_compose_and_inverse(self):
-        m = HIsometry(2.0, 1.0, 0.5, 1.0)
-        n = HIsometry(1.0, -0.3, 0.0, 1.0)
+        m = _unit(2.0, 1.0, 0.5, 1.0)
+        n = _unit(1.0, -0.3, 0.0, 1.0)
         p = HPoint(0.2, 1.7)
         lhs = apply(compose(m, n), p)
         rhs = apply(m, apply(n, p))
@@ -139,6 +164,11 @@ class TestIsometries:
 
 
 class TestGeodesics:
+    def test_frame_is_the_four_entries_as_given(self):
+        g = HGeodesic((2.0, 0.0, 0.0, 0.5))  # z -> 4z
+        assert g.endpoints() == (0.0, math.inf)
+        assert (g.point_at(0.0).x, g.point_at(0.0).y) == (0.0, 4.0)
+
     def test_through_hits_both_points_at_right_parameters(self):
         rng = random.Random(5)
         for _ in range(200):
@@ -216,7 +246,7 @@ def mp_translation(frame, t, dps=50):
     digits for the stored frame F, with F^-1 its exact inverse, and the
     frame's determinant drift |det F - 1|; entries in row-major order."""
     with mp.workdps(dps):
-        F = mp.matrix([[mpf(frame.a), mpf(frame.b)], [mpf(frame.c), mpf(frame.d)]])
+        F = mp.matrix([list(map(mpf, frame[:2])), list(map(mpf, frame[2:]))])
         half = mpf(t) / 2
         M = F * mp.diag([mp.exp(half), mp.exp(-half)]) * F ** -1
         X = F * mp.diag([1, -1]) * F ** -1
@@ -241,11 +271,10 @@ class TestClosedFormTranslation:
         for _ in range(200):
             g = random_geodesic(rng, kind)
             t = rng.uniform(-10.0, 10.0)
-            f = g.frame
-            norm2 = f.a * f.a + f.b * f.b + f.c * f.c + f.d * f.d
-            want, X, drift = mp_translation(f, t)
-            m = translate_along(g, t)
-            for got, w, x in zip((m.a, m.b, m.c, m.d), want, X):
+            a, b, c, d = g.frame
+            norm2 = a * a + b * b + c * c + d * d
+            want, X, drift = mp_translation(g.frame, t)
+            for got, w, x in zip(translate_along(g, t), want, X):
                 budget = (3 * EPS * norm2 * math.cosh(t / 2)
                           + abs(math.sinh(t / 2)) * float(drift * abs(x)))
                 assert abs(got - float(w)) <= budget

@@ -8,9 +8,11 @@ finite differences it replaced stay in tests/reference.py as a second,
 independent route, tested here with their own budgets.
 """
 
+import dataclasses
 import json
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +25,7 @@ from systolica import hessian
 from systolica.errors import (DegenerateConfigurationError,
                               DegenerateMarginError, InconsistentSceneError)
 from systolica.polygons import polygon_from_json
-from systolica.halfplane import HPoint
+from systolica.halfplane import HPoint, _unit
 from systolica.hessian import (
     ChordConfig,
     EndpointVariation,
@@ -33,7 +35,6 @@ from systolica.hessian import (
     first_derivatives,
     hessian_form,
     hessian_margin,
-    hessian_matrix,
     hessian_split,
     realize_scene,
     scene_from_json,
@@ -41,7 +42,7 @@ from systolica.hessian import (
 )
 
 import reference
-from reference import HTangent, geodesic_from_direction, rotate_tangent
+from reference import HTangent, geodesic_from_direction, hessian_matrix, rotate_tangent
 
 # The closed chord-length-2 endpoint Hessian at d = arccosh(2), i.e.
 # (1/sinh d)[[cosh d, -1], [-1, cosh d]] with sinh d = sqrt(3).
@@ -304,8 +305,7 @@ class TestSceneOracle:
         if flip == "mirrored":
             base = HPoint(0.0, math.exp(0.9))
             up = HTangent(base, 0.0, base.y)
-            f = geodesic_from_direction(base, rotate_tangent(up, -theta)).frame
-            row = (f.a, f.b, f.c, f.d)
+            row = geodesic_from_direction(base, rotate_tangent(up, -theta)).frame
         else:
             a, b, c, d = scene.leaves[0]
             row = (b, -a, d, -c)
@@ -379,6 +379,24 @@ class TestSceneOracle:
                 <= 4 * EPS * (np.abs(a * d) + np.abs(b * c))).all()
         with pytest.raises(ValueError):
             scene.leaves[0, 0] = 1.0
+
+    def test_stored_rows_are_unit_of_the_input_rows(self):
+        # The scene normalizes its rows as numpy columns and
+        # halfplane._unit normalizes one frame in floats; they agree to
+        # an ulp per entry, on realized rows scaled over 40 decades and
+        # on random rows of either determinant sign made positive.
+        rng = np.random.default_rng(17)
+        n = 64
+        cfg = ChordConfig(8.0, s=np.linspace(0.1, 7.9, n), theta=np.full(n, 1.3))
+        base = realize_scene(cfg, TransverseWeights(np.ones(n)))
+        scaled = base.leaves * 10.0 ** rng.uniform(-20.0, 20.0, (n, 1))
+        noise = rng.normal(size=(n, 4))
+        a, b, c, d = noise.T
+        noise[a * d < b * c] = noise[a * d < b * c][:, [1, 0, 3, 2]]  # det -> -det
+        for rows in (scaled, noise):
+            scene = dataclasses.replace(base, leaves=rows)
+            want = np.array([_unit(*row) for row in rows.tolist()])
+            assert (np.abs(scene.leaves - want) <= np.spacing(np.abs(want))).all()
 
     def test_realize_rejects_a_chord_whose_far_end_overflows(self):
         # e^L leaves the float range above log(float max) = 709.78..., below
@@ -629,15 +647,17 @@ class TestPrefixSumKernel:
         scale = ref_abs[0] + 2 * ref_abs[1] + ref_abs[2]
         assert abs(form - want) <= 8 * EPS * scale
 
-    def test_form_and_split_never_build_the_matrix(self, monkeypatch):
-        def refuse(cfg):
-            raise AssertionError("hessian_matrix called")
-
-        monkeypatch.setattr(hessian, "hessian_matrix", refuse)
-        cfg, weights, endpoints = long_scene(random.Random(8), 50, 4.0)
+    def test_form_and_split_never_build_the_matrix(self):
+        # At n = 2000 the dense kernel is 32 MB; the O(n) paths allocate
+        # a few arrays of n floats, 16 kB each.
+        cfg, weights, endpoints = long_scene(random.Random(8), 2000, 4.0)
+        tracemalloc.start()
         hessian_form(cfg, weights, endpoints)
         hessian_split(cfg, weights, endpoints)
         hessian_margin(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def brute_margins(cfg):
@@ -734,10 +754,10 @@ class TestOracleGrid:
         def D(i, j):
             return reference.scene_length(scene, i * h, j * h)
 
-        assert reference.fd_oracle(scene, 1) == (
+        assert reference.fd_differences(scene, 1) == (
             (D(1, 0) - D(-1, 0)) / (2.0 * h),
             (D(0, 1) - D(0, -1)) / (2.0 * h))
-        assert reference.fd_oracle(scene, 2) == (
+        assert reference.fd_differences(scene, 2) == (
             (D(1, 0) - 2.0 * D(0, 0) + D(-1, 0)) / (h * h),
             (D(1, 1) - D(1, -1) - D(-1, 1) + D(-1, -1)) / (4.0 * h * h),
             (D(0, 1) - 2.0 * D(0, 0) + D(0, -1)) / (h * h))
@@ -833,9 +853,8 @@ class TestOracleGrid:
         # product).  A rounding that underflows (a subnormal t) errs by an
         # absolute half of the smallest subnormal instead: adding tiny/u
         # to each |E| entry carries that through A.  |E| is even in t, so
-        # the pair's chains at +t and -t are held to the same A.
+        # the chains at +t and -t are held to the same A.
         cfg, w = scene.cfg, scene.weights.weights
-        pair = reference.shear_chains(cfg.length, cfg.s, cfg.theta, w, t)
         u, tiny = EPS / 2, np.nextafter(0.0, 1.0)
         x = 0.5 * t * w
         e_diag = 2.0 * np.sinh(0.5 * x) ** 2 + np.abs(np.sinh(x) * np.cos(cfg.theta))
@@ -847,7 +866,8 @@ class TestOracleGrid:
             g = np.diag([math.exp(0.5 * gap), math.exp(-0.5 * gap)])
             A = A @ (np.eye(2) + E) @ g + np.diag(
                 [math.exp(0.5 * s), math.exp(-0.5 * s)]) @ E @ g
-        for sign, got in zip((1, -1), pair):
+        for sign in (1, -1):
+            got = reference.shear_chain(cfg.length, cfg.s, cfg.theta, w, sign * t)
             with mp.workdps(50):
                 want = np.array(mp_chain(cfg.length, cfg.s, cfg.theta, w,
                                          sign * t).tolist(), dtype=float).ravel()
@@ -972,7 +992,7 @@ def assert_oracle_within_budget(scene):
               for (i, j), d in grid.items()}
     for key in GRID:
         assert abs(grid[key] - float(W[key])) <= budget[key], key
-    got = reference.fd_oracle(scene, 2)
+    got = reference.fd_differences(scene, 2)
     want = hessian_split(scene.cfg, scene.weights, scene.endpoints)
     with mp.workdps(50 + int(scene.cfg.length)):
         near, far = mp_order_two(W, 1, (hs, he)), mp_order_two(W, 2, (hs, he))
@@ -1050,7 +1070,7 @@ class TestOracleSteps:
         weights = TransverseWeights([rng.uniform(5.0, 10.0) for _ in s])
         scene = realize_scene(cfg, weights)
         assert reference.fd_steps(scene)[0] == 1e-2 / math.fsum(weights.weights.tolist())
-        shear2, _, _ = reference.fd_oracle(scene, 2)
+        shear2, _, _ = reference.fd_differences(scene, 2)
         want, _, _ = hessian_split(cfg, weights)
         assert shear2 == pytest.approx(want, rel=1e-6)
 
@@ -1059,7 +1079,7 @@ class TestOracleSteps:
         # FD_STEP itself is off by 8.1e-5, 1.1e-2 and 93% here
         scene = realize_scene(self.FOUND, TransverseWeights((w, -w / 2)))
         assert_oracle_within_budget(scene)
-        shear2, _, _ = reference.fd_oracle(scene, 2)
+        shear2, _, _ = reference.fd_differences(scene, 2)
         want, _, _ = hessian_split(self.FOUND, scene.weights)
         assert shear2 == pytest.approx(want, rel=1e-6)
 
@@ -1069,7 +1089,7 @@ class TestOracleSteps:
         ev = EndpointVariation(u_par=1e5)
         scene = realize_scene(self.FOUND, TransverseWeights((1.0, -0.5)), ev)
         assert_oracle_within_budget(scene)
-        _, _, end2 = reference.fd_oracle(scene, 2)
+        _, _, end2 = reference.fd_differences(scene, 2)
         assert abs(end2) <= 1e-6 * 1e5 ** 2
 
     def test_rates_beyond_the_oracles_range_are_refused(self):
@@ -1079,7 +1099,7 @@ class TestOracleSteps:
             scene = realize_scene(self.FOUND, TransverseWeights(weights), ev)
             for order in (1, 2):
                 with pytest.raises(DegenerateConfigurationError, match="range"):
-                    reference.fd_oracle(scene, order)
+                    reference.fd_differences(scene, order)
 
 
 class TestOracleRefusals:
@@ -1098,7 +1118,7 @@ class TestOracleRefusals:
         scene = realize_scene(REF_CFG, TransverseWeights((1e10, -1e10)))
         for order in (1, 2):
             with pytest.raises(DegenerateConfigurationError):
-                reference.fd_oracle(scene, order)
+                reference.fd_differences(scene, order)
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("ev", [
@@ -1291,7 +1311,7 @@ class TestTaylorJet:
         cfg = REF_CFG if weights[0] == 1e10 else FOUND
         scene = realize_scene(cfg, TransverseWeights(weights), ev)
         with pytest.raises(DegenerateConfigurationError):
-            reference.fd_oracle(scene, 2)
+            reference.fd_differences(scene, 2)
         assert_within_budget_of_the_closed_forms(scene)
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import reference
 from systolica import errors, halfplane, hessian, polygons, trig
 
 PUBLIC = {
@@ -28,32 +29,30 @@ PUBLIC = {
         "trirectangle_center",
     },
     halfplane: {
-        "ASYMPTOTIC_EPS", "CommonPerpendicular", "HGeodesic", "HIsometry",
-        "HPoint", "YMIN", "common_perpendicular", "dist",
+        "ASYMPTOTIC_EPS", "CommonPerpendicular", "HGeodesic", "HPoint", "YMIN",
+        "common_perpendicular", "dist",
     },
     polygons: {
         "BoundaryFunctional", "COORDS_RTOL", "ChainDifferentials",
         "MarkedRightPolygon", "boundary_functional", "pentagon_coords",
         "polygon_from_json", "polygon_to_json", "proportionality_check",
-        "realize", "sides_from_pentagon_coords", "tangent_u",
+        "realize", "sides_from_pentagon_coords",
     },
     hessian: {
         "ChordConfig", "ENDPOINT_FIELDS", "EndpointVariation",
         "HalfplaneScene", "MAX_CHORD_LENGTH", "MarginReport", "SCENE_FIELDS",
         "TransverseWeights", "ZERO_ENDPOINTS", "fd_oracle",
-        "first_derivatives", "hessian_form", "hessian_margin",
-        "hessian_matrix", "hessian_split", "realize_scene", "scene_from_json",
-        "scene_to_json",
+        "first_derivatives", "hessian_form", "hessian_margin", "hessian_split",
+        "realize_scene", "scene_from_json", "scene_to_json",
     },
 }
 
 # public methods and properties each class defines itself
 METHODS = {
     halfplane.HPoint: {"z"},
-    halfplane.HIsometry: set(),
     halfplane.HGeodesic: {"endpoints", "point_at"},
     halfplane.CommonPerpendicular: set(),
-    polygons.MarkedRightPolygon: {"geodesics", "n", "side_geodesic", "vertices"},
+    polygons.MarkedRightPolygon: {"n", "side_geodesic", "vertices"},
     polygons.ChainDifferentials: {
         "angle_matrix", "angles", "length_matrix", "length_rank",
     },
@@ -114,18 +113,42 @@ def references(tree):
     return walk(tree, frozenset())
 
 
-def test_halfplane_surface_has_callers_outside_the_tests():
-    # Every public name and method of the kernel is referenced by the
-    # library or the benchmark outside its own definition, matched by
-    # name; geometry that only the tests use belongs in tests/reference.py.
-    surface = public_names(halfplane).union(*(
-        public_methods(value) for value in vars(halfplane).values()
-        if inspect.isclass(value) and value.__module__ == halfplane.__name__))
+def surface(module):
+    """The module's public names, with the public methods of the classes
+    it defines as "Class.method"."""
+    names = public_names(module)
+    return names.union(*({f"{name}.{method}" for method in public_methods(value)}
+                         for name, value in vars(module).items()
+                         if name in names and inspect.isclass(value)))
+
+
+# Names nothing outside the tests calls yet: the report of the systolica
+# CLI (ROADMAP direction 4) is to use them or see them deleted.
+AWAITING_CLI = {
+    "equilateral_angle", "polygon_to_json", "scene_to_json",
+    "ChainDifferentials.angles", "ChainDifferentials.angle_matrix",
+}
+
+
+def test_surface_has_callers_outside_the_tests():
+    # Every public name and method is referenced by the library or the
+    # benchmark outside its own definition, matched by its last name,
+    # except the pinned AWAITING_CLI names.  Geometry that only the tests
+    # use belongs in tests/reference.py; a name that gains a caller must
+    # leave the pinned set.
     used = set()
     for path in sorted(ROOT.glob("src/systolica/*.py")) + sorted(ROOT.glob("perfbench/*.py")):
         used.update(name for name, enclosing in references(ast.parse(path.read_text()))
                     if name not in enclosing)
-    assert surface - used == set()
+    uncalled = {name for module in PUBLIC for name in surface(module)
+                if name.rpartition(".")[2] not in used}
+    assert uncalled == AWAITING_CLI
+
+
+def test_reference_defines_no_library_name():
+    # a name that moved to tests/reference.py exists there only
+    library = set().union(*(surface(module) for module in PUBLIC))
+    assert surface(reference) & library == set()
 
 
 def test_declared_scripts_resolve():

@@ -32,6 +32,7 @@ from reference import (
     HTangent,
     dist_to_geodesic,
     geodesic_from_direction,
+    geodesics,
     intersection_point,
     rotate_quarter,
     rotate_tangent,
@@ -121,7 +122,7 @@ class TestSemiRegularPolygonFigures:
         l2 = semiregular_partner(l1, n)
         poly = realize([l1, l2] * n)
         assert poly.closure_defect < 1e-9
-        g2 = poly.geodesics[1]
+        g2 = geodesics(poly)[1]
         m2 = g2.point_at(l2 / 2)
         bisector2 = geodesic_from_direction(m2, rotate_quarter(tangent_at(g2, l2 / 2)))
         center = intersection_point(vertical_geodesic(0.0), bisector2)
@@ -129,34 +130,34 @@ class TestSemiRegularPolygonFigures:
 
     def test_trirectangle_center_gives_the_apothems(self, figure):
         n, l1, l2, poly, center = figure
-        h_odd = dist_to_geodesic(center, poly.geodesics[0])
-        h_even = dist_to_geodesic(center, poly.geodesics[1])
+        h_odd = dist_to_geodesic(center, geodesics(poly)[0])
+        h_even = dist_to_geodesic(center, geodesics(poly)[1])
         assert trirectangle_center(l2 / 2, n) == pytest.approx(h_odd, abs=1e-10)
         assert trirectangle_center(l1 / 2, n) == pytest.approx(h_even, abs=1e-10)
 
     def test_same_type_diagonals(self, figure):
         n, l1, l2, poly, center = figure
-        h_odd = dist_to_geodesic(center, poly.geodesics[0])
+        h_odd = dist_to_geodesic(center, geodesics(poly)[0])
         for k in range(1, n):
-            cp = common_perpendicular(poly.geodesics[0],
-                                      poly.geodesics[(2 * k) % (2 * n)])
+            cp = common_perpendicular(geodesics(poly)[0],
+                                      geodesics(poly)[(2 * k) % (2 * n)])
             assert diagonal_same_type(h_odd, k, n) == pytest.approx(
                 cp.length, abs=1e-9)
 
     def test_adjacent_same_type_diagonal_is_the_enclosed_side(self, figure):
         n, l1, l2, poly, center = figure
-        h_odd = dist_to_geodesic(center, poly.geodesics[0])
-        h_even = dist_to_geodesic(center, poly.geodesics[1])
+        h_odd = dist_to_geodesic(center, geodesics(poly)[0])
+        h_even = dist_to_geodesic(center, geodesics(poly)[1])
         assert diagonal_same_type(h_odd, 1, n) == pytest.approx(l2, abs=1e-10)
         assert diagonal_same_type(h_even, 1, n) == pytest.approx(l1, abs=1e-10)
 
     def test_mixed_type_diagonals_double_the_perpendicular(self, figure):
         n, l1, l2, poly, center = figure
-        h_odd = dist_to_geodesic(center, poly.geodesics[0])
-        h_even = dist_to_geodesic(center, poly.geodesics[1])
+        h_odd = dist_to_geodesic(center, geodesics(poly)[0])
+        h_even = dist_to_geodesic(center, geodesics(poly)[1])
         for k in range(3, 2 * n - 2, 2):
-            cp = common_perpendicular(poly.geodesics[0],
-                                      poly.geodesics[k % (2 * n)])
+            cp = common_perpendicular(geodesics(poly)[0],
+                                      geodesics(poly)[k % (2 * n)])
             assert diagonal_mixed_type(h_odd, h_even, k, n) == pytest.approx(
                 2.0 * cp.length, abs=1e-9)
 
