@@ -20,6 +20,7 @@ counterclockwise from the chart's vertical.
 
 import cmath
 import math
+import sys
 
 from .errors import DegenerateConfigurationError, NoPerpendicularError
 
@@ -65,15 +66,66 @@ def dist(p, q):
                             / (2.0 * math.sqrt(p.y * q.y)))
 
 
+# The smallest positive normal float: a determinant below it has lost digits.
+_NORMAL_MIN = sys.float_info.min
+
+
 def _unit(a, b, c, d):
     """The entries divided by the square root of their determinant, the
     frame normalized to determinant one; a determinant that is not
-    positive and finite raises ValueError rather than being flipped."""
+    positive and finite raises ValueError rather than being flipped.
+    One below the normal range goes to ``_unit_rescaled``, so tiny
+    entries keep their digits."""
     det = a * d - b * c
-    if not math.isfinite(det) or det <= 0.0:
-        raise ValueError(f"matrix must have positive determinant (det={det!r})")
+    if not _NORMAL_MIN <= det < math.inf:
+        return _unit_rescaled(a, b, c, d, det)
     s = math.sqrt(det)
     return a / s, b / s, c / s, d / s
+
+
+def _unit_rescaled(a, b, c, d, det):
+    """``_unit`` when ``det`` is not a positive normal float.  Below the
+    normal range the entries are scaled up by the power of two that brings
+    the larger of ``|ad|`` and ``|bc|`` into [1/8, 1), which is exact and
+    leaves the normalized frame as it is, and the determinant is formed
+    again.  The frame is refused unless that determinant is positive and
+    finite and every normalized entry is finite; the message names the
+    determinant as given."""
+    if det < _NORMAL_MIN:
+        k = max((math.frexp(x)[1] + math.frexp(y)[1] for x, y in ((a, d), (b, c))
+                 if x and y), default=0)
+        if k < 0:
+            try:
+                a, b, c, d = (math.ldexp(v, -k // 2) for v in (a, b, c, d))
+            except OverflowError:  # an entry beyond the float range, refused below
+                a = b = c = d = math.nan
+        scaled = a * d - b * c
+        if 0.0 < scaled < math.inf:
+            s = math.sqrt(scaled)
+            m = a / s, b / s, c / s, d / s
+            if max(map(abs, m)) < math.inf:
+                return m
+    raise ValueError(f"matrix must have positive determinant (det={det!r})")
+
+
+def _unit_rows(rows, det):
+    """``_unit`` over the rows of an (n, 4) float64 array of frame
+    entries whose determinants are the array ``det``, both changed in
+    place: a row whose determinant is not a positive normal float is
+    normalized by ``_unit_rescaled`` and its ``det`` set to one, so that
+    dividing every row by ``sqrt(det)`` finishes the normalization.
+    Returns the index of the first row that ``_unit`` refuses, left as
+    given, or None when it refuses none."""
+    normal = (det >= _NORMAL_MIN) & (det < math.inf)
+    if normal.all():
+        return None
+    for i in (~normal).nonzero()[0].tolist():
+        try:
+            rows[i] = _unit_rescaled(*rows[i].tolist(), det[i].item())
+        except ValueError:
+            return i
+        det[i] = 1.0
+    return None
 
 
 class HGeodesic:
@@ -89,13 +141,10 @@ class HGeodesic:
     def point_at(self, s):
         return HPoint(*_point(*self.frame, math.exp(s)))
 
-    def endpoints(self):
-        """Boundary endpoints (backward, forward); math.inf encodes infinity."""
-        a, b, c, d = self.frame
-        return (b / d if d else math.inf, a / c if c else math.inf)
-
     def __repr__(self):
-        back, fwd = self.endpoints()
+        # the boundary endpoints, backward -> forward; inf is infinity
+        a, b, c, d = self.frame
+        back, fwd = b / d if d else math.inf, a / c if c else math.inf
         return f"HGeodesic({back:.6g} -> {fwd:.6g})"
 
 

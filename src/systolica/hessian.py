@@ -15,7 +15,9 @@ The crossing data lives in arrays, not in one object per crossing:
 ``ChordConfig`` holds ``s`` and ``theta``, and ``TransverseWeights`` the
 rates ``a``, as read-only float64 arrays in chord order, validated once,
 and a realized ``HalfplaneScene`` holds its leaves as one (n, 4) array
-of frame entries.  ``fd_oracle`` measures a scene in O(1) numpy calls,
+of frame entries.  A config decides its validity in one pass of
+comparisons and works out which crossing to name only when it refuses.
+``fd_oracle`` measures a scene in O(1) numpy calls,
 then walks the chord in its own frame: one float loop from ``p`` to
 ``q`` carries the Taylor coefficients of the sheared chain, so it
 rounds relative to the chord, not to half-plane coordinates of size
@@ -47,8 +49,11 @@ rounding.
 The kernel ``cosh(s_<) cosh(L - s_>)`` is semiseparable, so
 ``hessian_form`` and ``hessian_split`` evaluate the form as one prefix
 sum, O(n) numpy work, and never build the dense ``(n+2) x (n+2)``
-matrix; ``hessian_margin`` is O(n) too.  The tests build that matrix
-as their dense reference.
+matrix; the sums over the crossings of the last ``(config, weights)``
+pair are kept, so ``hessian_form`` and ``hessian_split`` on one scene
+evaluate the kernel once.  ``hessian_margin`` takes its gaps from the
+marks ``[0, s_1, ..., s_n, L]`` that the config kept from its check.
+The tests build the dense matrix as their reference.
 """
 
 from __future__ import annotations
@@ -57,14 +62,16 @@ import functools
 import math
 import struct
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from . import halfplane
 from .errors import (DegenerateConfigurationError, DegenerateMarginError,
                      InconsistentSceneError, SystolicaError, _is_integer, _real_floats)
-from .halfplane import _frame_through, _half_turn, _product, _relative, _turned, _unit
+from .halfplane import (_frame_through, _half_turn, _product, _relative, _turned, _unit,
+                        _unit_rows)
 
 __all__ = [
     "ChordConfig",
@@ -85,7 +92,12 @@ __all__ = [
 
 
 def _readonly_vector(values, what: str) -> np.ndarray:
-    # a private float64 copy, so no caller can change a validated config
+    # A 1-D float64 array over a bytes object is read-only over immutable
+    # memory, so no caller can change it; any other input is copied, so
+    # no caller can change a validated config either.
+    if (type(values) is np.ndarray and type(values.base) is bytes
+            and values.dtype == np.float64 and values.ndim == 1):
+        return values
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "biuf"):
         values = _real_floats(values, what)
     a = np.array(values, dtype=np.float64)
@@ -102,7 +114,8 @@ class ChordConfig:
     Crossing ``i`` sits at arclength ``s[i]`` from ``p`` and meets the
     chord at angle ``theta[i]`` in ``(0, pi)``, measured counterclockwise
     from the forward chord direction.  Both are stored as read-only 1-D
-    float64 arrays.
+    float64 arrays: one over immutable bytes, as ``scene_from_json``
+    makes them, is kept as given, and any other input is copied.
 
     Raises
     ------
@@ -120,7 +133,9 @@ class ChordConfig:
     theta: np.ndarray
 
     def __post_init__(self):
-        L, = _real_floats((self.length,), "chord length")
+        L = self.length
+        if type(L) is not float:
+            L, = _real_floats((L,), "chord length")
         if not (math.isfinite(L) and L > 0):
             raise ValueError("chord length must be positive and finite")
         s = _readonly_vector(self.s, "crossing positions")
@@ -128,31 +143,42 @@ class ChordConfig:
         if s.shape != theta.shape:
             raise ValueError(
                 f"{s.size} crossing positions but {theta.size} angles")
-        # diff([0, s..., L]) > 0, written so that crossing i owns the test
-        placed = (s > np.concatenate(([0.0], s[:-1]))) & (s < L)
-        angled = (theta > 0.0) & (theta < math.pi)
-        ok = placed & angled
-        if not ok.all():
-            i = int(ok.argmin())
-            if not placed[i]:
-                raise ValueError(f"crossing {i} at s={s[i].item()!r} outside "
-                                 "the chord or out of order")
-            raise ValueError(
-                f"crossing {i} angle {theta[i].item()!r} outside (0, pi)")
+        # 0 < s_1 < ... < s_n < L and every angle in (0, pi), decided in
+        # one pass of comparisons, which NaN fails and which warn of nothing
+        marks = np.concatenate(([0.0], s, [L]))
+        if not ((marks[1:] > marks[:-1]).all() and (not s.size or theta.min() > 0.0
+                                                     and theta.max() < math.pi)):
+            _refuse_crossings(s, theta, L)
         object.__setattr__(self, "length", L)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "theta", theta)
+        # [0, s_1, ..., s_n, L], kept for hessian_margin's gaps
+        marks.setflags(write=False)
+        object.__setattr__(self, "_marks", marks)
 
     @property
     def n(self) -> int:
         return len(self.s)
 
 
+def _refuse_crossings(s, theta, L) -> None:
+    """Name the first crossing of a refused config: the per-crossing form
+    of ``ChordConfig``'s one-pass decision."""
+    # diff([0, s..., L]) > 0, written so that crossing i owns the test
+    placed = (s > np.concatenate(([0.0], s[:-1]))) & (s < L)
+    angled = (theta > 0.0) & (theta < math.pi)
+    i = int((placed & angled).argmin())
+    if not placed[i]:
+        raise ValueError(f"crossing {i} at s={s[i].item()!r} outside "
+                         "the chord or out of order")
+    raise ValueError(f"crossing {i} angle {theta[i].item()!r} outside (0, pi)")
+
+
 @dataclass(frozen=True, eq=False)
 class TransverseWeights:
     """Shear rates, one per crossing of the configuration, stored as a
-    read-only 1-D float64 array.  A rate that is not a finite number
-    raises ValueError."""
+    read-only 1-D float64 array, kept or copied as in ``ChordConfig``.  A
+    rate that is not a finite number raises ValueError."""
 
     weights: np.ndarray
 
@@ -161,6 +187,9 @@ class TransverseWeights:
         if not np.isfinite(w).all():
             raise ValueError("shear weights must be finite")
         object.__setattr__(self, "weights", w)
+
+
+ENDPOINT_FIELDS = ("u_perp", "u_par", "v_perp", "v_par")
 
 
 @dataclass(frozen=True)
@@ -175,10 +204,9 @@ class EndpointVariation:
     v_par: float = 0.0
 
     def __post_init__(self):
-        names = [f.name for f in fields(self)]
-        values = _real_floats([getattr(self, k) for k in names],
+        values = _real_floats((self.u_perp, self.u_par, self.v_perp, self.v_par),
                               "endpoint components")
-        for name, v in zip(names, values):
+        for name, v in zip(ENDPOINT_FIELDS, values):
             if not math.isfinite(v):
                 raise ValueError(f"endpoint component {name} must be finite")
             object.__setattr__(self, name, v)
@@ -228,7 +256,8 @@ def hessian_form(cfg: ChordConfig, weights: TransverseWeights,
     variation, evaluated in closed form.
 
     This is ``shear2 + 2 * mixed + end2`` from ``hessian_split``: O(n)
-    numpy work, without building the kernel matrix.
+    numpy work, without building the kernel matrix, which a following
+    ``hessian_split`` on the same ``cfg`` and ``weights`` does not repeat.
     """
     shear2, mixed, end2 = hessian_split(cfg, weights, endpoints)
     return shear2 + 2.0 * mixed + end2
@@ -255,7 +284,12 @@ def hessian_split(cfg: ChordConfig, weights: TransverseWeights,
     one prefix sum over the crossings in chord order.  The endpoint
     rows are ``-d`` and ``c``, so ``mixed = -u_perp (x.d) + v_perp (x.c)``
     and ``end2 = cosh(L)(u_perp^2 + v_perp^2) - 2 u_perp v_perp``.  The
-    cost is O(n) numpy work; no ``(n+2) x (n+2)`` matrix is built.
+    cost is O(n) numpy work; no ``(n+2) x (n+2)`` matrix is built.  The
+    three sums over the crossings depend on ``cfg`` and ``weights`` only
+    and are kept for the last pair (``_shear_sums``), so a second call on
+    the pair, from ``hessian_form`` or with other endpoints, is O(1).
+    The cache keeps that last config and weights, arrays and all, alive
+    until a call on another pair replaces them.
 
     ``c`` and ``d`` are finite for every admitted ``L``, but a product
     ``c_i d_j`` overflows once ``L + s_i - s_j`` passes about 709.  So
@@ -275,28 +309,44 @@ def hessian_split(cfg: ChordConfig, weights: TransverseWeights,
     L = cfg.length
     h = math.exp(-0.5 * L)
     scale = math.sinh(L)
-    x = np.sin(cfg.theta) * weights.weights * h
-    xc = x * np.cosh(cfg.s)
-    xd = x * np.cosh(L - cfg.s)
-    shear2 = float(xc @ xd) + 2.0 * float(xd[1:] @ np.cumsum(xc)[:-1])
+    shear2, sum_xc, sum_xd = _shear_sums(cfg, weights)
     u, v = endpoints.u_perp, endpoints.v_perp
-    mixed = v * float(xc.sum()) - u * float(xd.sum())
+    mixed = v * sum_xc - u * sum_xd
     end2 = math.cosh(L) * (u * u + v * v) - 2.0 * u * v
     return shear2 / (scale * h * h), mixed / (scale * h), end2 / scale
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=1)
+def _shear_sums(cfg: ChordConfig, weights: TransverseWeights) -> tuple[float, float, float]:
+    """``shear2``, ``sum(xc)`` and ``sum(xd)`` of ``hessian_split``, with
+    ``x`` carrying ``h``, for the last checked ``(cfg, weights)`` pair.
+    Both types are immutable and compare by identity, and the cache holds
+    both alive, so no other pair can take their ids while they are kept:
+    a hit is the same pair."""
+    L = cfg.length
+    x = np.sin(cfg.theta) * weights.weights * math.exp(-0.5 * L)
+    xc = x * np.cosh(cfg.s)
+    xd = x * np.cosh(L - cfg.s)
+    shear2 = float(xc @ xd) + 2.0 * float(xd[1:] @ np.cumsum(xc)[:-1])
+    return shear2, float(xc.sum()), float(xd.sum())
+
+
+@dataclass(frozen=True, eq=False)
 class MarginReport:
     """Separation margins of the marked points on the chord.
 
-    ``epsilons[i]`` is the distance from crossing ``i`` to its nearest
-    neighbour among the other crossings and both endpoints; ``eps_p``
-    and ``eps_q`` are the end gaps.  Each is one rounded difference of
-    two stored positions, so it is correct to half an ulp and strictly
-    positive for any valid configuration.
+    ``epsilons`` is a read-only float64 array: ``epsilons[i]`` is the
+    distance from crossing ``i`` to its nearest neighbour among the other
+    crossings and both endpoints; ``eps_p`` and ``eps_q`` are the end
+    gaps.  Each is one rounded difference of two stored positions, so it
+    is correct to half an ulp and strictly positive for any valid
+    configuration.
+
+    Because ``epsilons`` is an array, reports compare and hash by
+    identity, not by value: compare ``tuple(report.epsilons)`` instead.
     """
 
-    epsilons: tuple[float, ...]
+    epsilons: np.ndarray
     eps_p: float
     eps_q: float
 
@@ -308,7 +358,8 @@ def hessian_margin(cfg: ChordConfig) -> MarginReport:
 
     The crossings are sorted, so a crossing's nearest marked point is
     one of its two neighbours: ``epsilons`` is the smaller of the two
-    adjacent gaps in ``diff([0, s_1, ..., s_n, L])``, O(n) numpy work.
+    adjacent gaps in ``diff([0, s_1, ..., s_n, L])``, a new read-only
+    array, O(n) numpy work.
     The report is no bound on the quadratic form, whose positivity comes
     from the Gram structure of its kernel (module docstring).
 
@@ -320,10 +371,11 @@ def hessian_margin(cfg: ChordConfig) -> MarginReport:
     """
     if cfg.n == 0:
         raise DegenerateMarginError("no crossings: nothing to separate")
-    gaps = np.diff(np.concatenate(([0.0], cfg.s, [cfg.length])))
+    marks = cfg._marks
+    gaps = marks[1:] - marks[:-1]
     eps = np.minimum(gaps[:-1], gaps[1:])
-    return MarginReport(epsilons=tuple(eps.tolist()),
-                        eps_p=float(gaps[0]), eps_q=float(gaps[-1]))
+    eps.setflags(write=False)
+    return MarginReport(epsilons=eps, eps_p=float(gaps[0]), eps_q=float(gaps[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +425,13 @@ class HalfplaneScene:
             raise ValueError("leaves must be an (n, 4) array of frame entries")
         if len(rows) != self.cfg.n:
             raise ValueError(f"{len(rows)} leaves for {self.cfg.n} crossings")
-        # halfplane._unit is the float form of this normalization; the
-        # column form names the first failing row
+        # halfplane._unit is the float form of this normalization, and
+        # _unit_rows gives it the rows that the column form would round;
+        # the first row it refuses is named
         a, b, c, d = rows.T
         det = a * d - b * c  # not finite if any entry is not
-        ok = np.isfinite(det) & (det > 0.0)
-        if not ok.all():
-            i = int(ok.argmin())
+        i = _unit_rows(rows, det)
+        if i is not None:
             raise ValueError(f"leaf {i} frame {rows[i].tolist()!r} is not "
                              "finite with positive determinant")
         rows /= np.sqrt(det)[:, None]
@@ -687,7 +739,6 @@ def fd_oracle(scene: HalfplaneScene, order: int):
 # scene serialization
 
 SCENE_FIELDS = ("chord_length", "crossings", "weights", "endpoint")
-ENDPOINT_FIELDS = ("u_perp", "u_par", "v_perp", "v_par")
 
 
 def scene_to_json(cfg: ChordConfig, weights: TransverseWeights,
@@ -715,8 +766,11 @@ def scene_from_json(data: dict) -> tuple[ChordConfig, TransverseWeights, Endpoin
 
     Each crossing field is read in one flat pass: the ``s`` values, then
     the ``theta`` values, and ``weights`` as given, each converted once to
-    float64 by ``struct.pack``.  That is O(n) dict lookups and three flat
-    conversions, with no nested-sequence shape discovery.
+    float64 by ``struct.pack`` into immutable bytes, which the
+    constructors keep without copying.  That is O(n) dict lookups, made
+    by ``operator.itemgetter`` in C, three flat conversions and the
+    constructors' O(1) numpy checks, with no nested-sequence shape
+    discovery.
 
     Malformed input raises ValueError: a missing field, an unknown
     ``endpoint`` key, a crossing that is not an object or lacks ``s`` or
@@ -743,8 +797,8 @@ def scene_from_json(data: dict) -> tuple[ChordConfig, TransverseWeights, Endpoin
             raise ValueError(f"scene field {field!r} must be a JSON number, got {v!r}")
     try:
         crossings = data["crossings"]
-        s = _flat_floats([c["s"] for c in crossings])
-        theta = _flat_floats([c["theta"] for c in crossings])
+        s = _flat_floats(list(map(itemgetter("s"), crossings)))
+        theta = _flat_floats(list(map(itemgetter("theta"), crossings)))
         weights = TransverseWeights(_flat_floats(data["weights"]))
         length = float(data["chord_length"])
         endpoints = EndpointVariation(**ep)

@@ -355,7 +355,7 @@ class ChainDifferentials:
         a = np.angle(self._u[self._into] * self._v[self._out].conj())
         return np.where(a > 0.0, a, a + 2.0 * math.pi)
 
-    def length_matrix(self) -> np.ndarray:
+    def _length_matrix(self) -> np.ndarray:
         """The d(length) rows, one per segment: V at the segment's start
         and U at its end are its only nonzeros."""
         start, end = self._ends
@@ -375,8 +375,8 @@ class ChainDifferentials:
 
     def length_rank(self) -> tuple[int, float]:
         """Rank data of the full set of length differentials:
-        (rank, smallest singular value) of ``length_matrix``."""
-        svals = np.linalg.svd(self.length_matrix(), compute_uv=False)
+        (rank, smallest singular value) of ``_length_matrix``."""
+        svals = np.linalg.svd(self._length_matrix(), compute_uv=False)
         rank = int(np.sum(svals > 1e-8 * svals[0]))
         return rank, float(svals[-1])
 

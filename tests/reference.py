@@ -130,6 +130,13 @@ def tangent_at(g, s):
     return HTangent(HPoint(x, y), v.real, v.imag)
 
 
+def endpoints(g):
+    """Boundary endpoints of a geodesic, (backward, forward), as the
+    quotients of its frame's entries; math.inf encodes infinity."""
+    a, b, c, d = g.frame
+    return (b / d if d else math.inf, a / c if c else math.inf)
+
+
 def vertical_geodesic(x0, upward=True):
     """The vertical ray over x0, with s = 0 at x0 + i."""
     if upward:

@@ -10,6 +10,7 @@ integral of dy/y.
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +25,7 @@ from reference import (
     circle_geodesic,
     compose,
     dist_to_geodesic,
+    endpoints,
     geodesic_from_direction,
     geodesic_through,
     inner,
@@ -110,29 +112,56 @@ class TestIsometries:
         (math.nan, 0.0, 0.0, 1.0),
         (math.inf, 0.0, 0.0, 1.0),
         (1e200, 0.0, 0.0, 1e200),  # det overflows to inf
+        (5e-324, 4.0, 0.0, 5e-324),  # det 2^-2148 > 0, but b / sqrt(det) overflows
     ])
     def test_determinant_guard(self, entries):
         with pytest.raises(ValueError, match="positive determinant"):
             _unit(*entries)
 
     @given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
-           st.floats(-4.0, 4.0))
-    @settings(max_examples=100, deadline=None)
-    def test_normalizes_to_determinant_one(self, a, b, c, d):
-        # Each entry and the root round once and the determinant a few
-        # times, in total well under 8 eps of |ad| + |bc| relative to det,
-        # while det is a normal float; a subnormal one has fewer digits.
-        det = a * d - b * c
-        if not det > 0.0:
+           st.floats(-4.0, 4.0), st.integers(-600, 0))
+    @example(1.0, 0.0, 0.0, 1.0, -600)  # det = 2^-1200 underflows to 0
+    @example(0.3, 0.1, 0.2, 0.9, -520)  # det subnormal
+    @example(5.739351818022753e-210, 0.0, 1.0, 5.739351818022753e-210, 0)
+    @example(5e-324, 4.0, 0.0, 5e-324, 0)
+    @settings(max_examples=200, deadline=None)
+    def test_normalizes_to_determinant_one(self, a, b, c, d, k):
+        # The entries are scaled by 2^k, which takes det below the normal
+        # range from k near -510.  Each entry and the root round once and
+        # the determinant a few times, in total well under 8 eps of
+        # |ad| + |bc| relative to det.  Below the normal range _unit forms
+        # det again from exactly rescaled entries, so the bound holds for
+        # every determinant it accepts.
+        a, b, c, d = (math.ldexp(v, k) for v in (a, b, c, d))
+        exact = Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c)
+        size = abs(Fraction(a) * Fraction(d)) + abs(Fraction(b) * Fraction(c))
+        if exact <= 0:
+            # rounding is monotone, so the float determinant is not positive
             with pytest.raises(ValueError):
                 _unit(a, b, c, d)
             return
-        m = _unit(a, b, c, d)
-        root = math.sqrt(det)
-        assert m == (a / root, b / root, c / root, d / root)
+        det = a * d - b * c
         if det >= sys.float_info.min:
-            drift = abs(m[0] * m[3] - m[1] * m[2] - 1.0)
-            assert drift <= 8 * EPS * ((abs(a * d) + abs(b * c)) / det)
+            # the fast path: one division by the root of det
+            root = math.sqrt(det)
+            assert _unit(a, b, c, d) == (a / root, b / root, c / root, d / root)
+        try:
+            m = _unit(a, b, c, d)
+        except ValueError:
+            # refused only when cancellation leaves det no digit, or when
+            # the normalized frame has an entry beyond the float range
+            top = Fraction(max(abs(a), abs(b), abs(c), abs(d)))
+            assert (exact <= 8 * EPS * size
+                    or top * top > exact * Fraction(sys.float_info.max) ** 2)
+            return
+        drift = abs(m[0] * m[3] - m[1] * m[2] - 1.0)
+        assert drift <= 8 * EPS * float(size / exact)
+
+    def test_tiny_entries_keep_their_frame(self):
+        # det = 1e-400 underflows to 0 unscaled
+        assert _unit(1e-200, 0.0, 0.0, 1e-200) == (1.0, 0.0, 0.0, 1.0)
+        m = _unit(1.2345678e-160, 0.0, 0.0, 1.2345678e-151)  # det subnormal
+        assert abs(m[0] * m[3] - 1.0) <= 2 * EPS
 
     @given(st.floats(0.5, 2.0), st.floats(-1, 1), st.floats(-0.5, 0.5),
            finite_xy, log_y, finite_xy, log_y)
@@ -166,7 +195,8 @@ class TestIsometries:
 class TestGeodesics:
     def test_frame_is_the_four_entries_as_given(self):
         g = HGeodesic((2.0, 0.0, 0.0, 0.5))  # z -> 4z
-        assert g.endpoints() == (0.0, math.inf)
+        assert endpoints(g) == (0.0, math.inf)
+        assert repr(g) == "HGeodesic(0 -> inf)"
         assert (g.point_at(0.0).x, g.point_at(0.0).y) == (0.0, 4.0)
 
     def test_through_hits_both_points_at_right_parameters(self):

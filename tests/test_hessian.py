@@ -124,6 +124,74 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             first_derivatives(REF_CFG, TransverseWeights((1.0,)))
 
+    def test_arrays_are_private(self):
+        # a writable array, a read-only view of one and a view of a
+        # bytearray are copied: writing through the source afterwards
+        # leaves the configs and weights as built
+        source = np.array([0.5, 1.0, 1.5])
+        view = source[:]
+        view.setflags(write=False)
+        buffer = bytearray(source.tobytes())
+        built = [(ChordConfig(2.0, s=a, theta=a), TransverseWeights(a))
+                 for a in (source, view, np.frombuffer(buffer))]
+        source[0] = 0.7
+        buffer[:8] = np.float64(0.7).tobytes()
+        for cfg, weights in built:
+            assert cfg.s.tolist() == cfg.theta.tolist() == [0.5, 1.0, 1.5]
+            assert weights.weights.tolist() == [0.5, 1.0, 1.5]
+            # the marks kept from the check for hessian_margin are read-only too
+            assert cfg._marks.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+            assert not cfg._marks.flags.writeable
+        # a float64 vector over immutable bytes is kept as it is; over
+        # bytes but float32 or strided, it is copied
+        packed = np.array([0.5, 0.75, 1.0, 1.25, 1.5]).tobytes()
+        frozen = np.frombuffer(packed)
+        assert ChordConfig(8.0, s=frozen, theta=frozen).s is frozen
+        single = np.array([0.5, 1.0, 1.5], dtype=np.float32).tobytes()
+        for given in (np.frombuffer(single, dtype=np.float32), frozen[::2]):
+            assert ChordConfig(2.0, s=given, theta=given).s is not given
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("i", [0, 2, 4])
+    @pytest.mark.parametrize("field, value", [
+        ("s", "before"), ("s", "equal"), ("s", 0.0), ("s", -0.5), ("s", 3.0),
+        ("s", 3.5), ("s", math.nan), ("s", math.inf), ("s", -math.inf),
+        ("theta", 0.0), ("theta", math.pi), ("theta", -1.0), ("theta", math.nan),
+    ])
+    def test_refusal_names_the_first_bad_crossing(self, i, field, value):
+        # ChordConfig decides in one pass and explains only a refusal; the
+        # message must still name the crossing this loop finds first
+        s, theta = list(FIVE_S), list(FIVE_THETA)
+        if field == "theta":
+            theta[i] = value
+        elif value in ("before", "equal"):
+            # out of order against a neighbour: crossing 0 against crossing 1
+            j = i - 1 if i else 1
+            s[i] = s[j] + (0.0 if value == "equal" else -0.25 if i else 0.25)
+        else:
+            s[i] = value
+        with pytest.raises(ValueError) as info:
+            ChordConfig(FIVE_L, s=np.array(s), theta=tuple(theta))
+        assert str(info.value) == first_refusal(FIVE_L, s, theta)
+
+
+FIVE_L = 3.0
+FIVE_S = (0.5, 1.0, 1.5, 2.0, 2.5)
+FIVE_THETA = (0.3, 0.9, 1.5, 2.1, 2.7)
+
+
+def first_refusal(length, s, theta):
+    """The message that names the first crossing outside the open chord,
+    out of order or with its angle outside (0, pi), found by a loop."""
+    previous = 0.0
+    for i, (x, angle) in enumerate(zip(s, theta)):
+        if not previous < x < length:
+            return f"crossing {i} at s={x!r} outside the chord or out of order"
+        if not 0.0 < angle < math.pi:
+            return f"crossing {i} angle {angle!r} outside (0, pi)"
+        previous = x
+    return None
+
 
 class TestFirstDerivatives:
     def test_perpendicular_crossing_contributes_nothing(self):
@@ -258,17 +326,27 @@ class TestHessianForm:
 class TestMargins:
     def test_midpoint_crossing_saturates_floor(self):
         rep = hessian_margin(ChordConfig(2.0, s=(1.0,), theta=(1.0,)))
-        assert rep.epsilons == (1.0,)
+        assert tuple(rep.epsilons) == (1.0,)
 
     def test_reference_config_margins(self):
         rep = hessian_margin(REF_CFG)
-        assert rep.epsilons == pytest.approx((0.7, 0.6))
+        assert tuple(rep.epsilons) == pytest.approx((0.7, 0.6))
         assert rep.eps_p == pytest.approx(0.7)
         assert rep.eps_q == pytest.approx(0.6)
 
     def test_no_crossings_raises(self):
         with pytest.raises(DegenerateMarginError):
             hessian_margin(ChordConfig(2.0, (), ()))
+
+    def test_epsilons_are_a_read_only_float64_array(self):
+        rep = hessian_margin(REF_CFG)
+        assert isinstance(rep.epsilons, np.ndarray)
+        assert rep.epsilons.dtype == np.float64 and rep.epsilons.shape == (2,)
+        with pytest.raises(ValueError):
+            rep.epsilons[0] = 1.0
+        # a report holds an array, so it compares by identity, not by value
+        again = hessian_margin(REF_CFG)
+        assert rep != again and tuple(rep.epsilons) == tuple(again.epsilons)
 
     def test_long_chord_margins_stay_finite(self):
         # cosh(s) near the far end of a chord this long overflows; the
@@ -383,17 +461,19 @@ class TestSceneOracle:
     def test_stored_rows_are_unit_of_the_input_rows(self):
         # The scene normalizes its rows as numpy columns and
         # halfplane._unit normalizes one frame in floats; they agree to
-        # an ulp per entry, on realized rows scaled over 40 decades and
-        # on random rows of either determinant sign made positive.
+        # an ulp per entry, on realized rows scaled over 40 decades, on
+        # rows so small that det leaves the normal range or underflows,
+        # and on random rows of either determinant sign made positive.
         rng = np.random.default_rng(17)
         n = 64
         cfg = ChordConfig(8.0, s=np.linspace(0.1, 7.9, n), theta=np.full(n, 1.3))
         base = realize_scene(cfg, TransverseWeights(np.ones(n)))
         scaled = base.leaves * 10.0 ** rng.uniform(-20.0, 20.0, (n, 1))
+        tiny = base.leaves * 10.0 ** rng.uniform(-175.0, -150.0, (n, 1))
         noise = rng.normal(size=(n, 4))
         a, b, c, d = noise.T
         noise[a * d < b * c] = noise[a * d < b * c][:, [1, 0, 3, 2]]  # det -> -det
-        for rows in (scaled, noise):
+        for rows in (scaled, tiny, noise):
             scene = dataclasses.replace(base, leaves=rows)
             want = np.array([_unit(*row) for row in rows.tolist()])
             assert (np.abs(scene.leaves - want) <= np.spacing(np.abs(want))).all()
@@ -429,6 +509,15 @@ class TestSceneOracle:
         assert np.array_equal(cfg2.theta, cfg.theta)
         assert np.array_equal(w2.weights, weights.weights)
         assert ev2 == endpoints
+
+    def test_scene_json_arrays_cannot_be_made_writeable(self):
+        # they are read-only views of immutable bytes, so they are not copied
+        cfg, weights, _ = scene_from_json(
+            scene_to_json(REF_CFG, TransverseWeights((0.4, -1.1))))
+        for a in (cfg.s, cfg.theta, weights.weights):
+            assert isinstance(a.base, bytes)
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
 
     def test_scene_json_missing_field(self):
         data = scene_to_json(REF_CFG, TransverseWeights((0.0, 0.0)))
@@ -647,6 +736,28 @@ class TestPrefixSumKernel:
         scale = ref_abs[0] + 2 * ref_abs[1] + ref_abs[2]
         assert abs(form - want) <= 8 * EPS * scale
 
+    def test_form_then_split_sum_the_prefix_once(self):
+        # chord-kernel asks hessian_form and hessian_split of one scene;
+        # the second call reads the weight-dependent sums of the first
+        cfg, weights, endpoints = long_scene(random.Random(5), 300, 4.0)
+        memo = hessian._shear_sums
+        memo.cache_clear()
+        form = hessian_form(cfg, weights, endpoints)
+        split = hessian_split(cfg, weights, endpoints)
+        assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 1)
+        assert form == split[0] + 2.0 * split[1] + split[2]
+        # new endpoints reuse the sums; new weights, even equal ones, do not
+        assert hessian_split(cfg, weights) == (split[0], 0.0, 0.0)
+        again = TransverseWeights(weights.weights)
+        assert hessian_split(cfg, again, endpoints) == split
+        assert (memo.cache_info().misses, memo.cache_info().hits) == (2, 2)
+        # the memo is invisible: a fresh config of the same data agrees bit for bit
+        fresh = ChordConfig(cfg.length, cfg.s.tolist(), cfg.theta.tolist())
+        assert hessian_split(fresh, TransverseWeights(weights.weights.tolist()),
+                             endpoints) == split
+        assert first_derivatives(fresh, weights, endpoints) == \
+            first_derivatives(cfg, weights, endpoints)
+
     def test_form_and_split_never_build_the_matrix(self):
         # At n = 2000 the dense kernel is 32 MB; the O(n) paths allocate
         # a few arrays of n floats, 16 kB each.
@@ -684,7 +795,7 @@ class TestAdjacentGapMargins:
         ss = list(np.cumsum(gaps))
         cfg = ChordConfig(ss[-1], s=ss[:-1], theta=[1.0] * (len(ss) - 1))
         rep = hessian_margin(cfg)
-        assert rep.epsilons == brute_margins(cfg)
+        assert tuple(rep.epsilons) == brute_margins(cfg)
         assert rep.eps_p == cfg.s[0]
         assert rep.eps_q == cfg.length - cfg.s[-1]
 

@@ -352,7 +352,7 @@ class TestChainDifferentials:
             cdp = ChainDifferentials(pp, closed)
             cdm = ChainDifferentials(pm, closed)
             fd_l = (cdp.lengths - cdm.lengths) / (2 * eps)
-            assert cd.length_matrix() @ var == pytest.approx(fd_l, abs=1e-6)
+            assert cd._length_matrix() @ var == pytest.approx(fd_l, abs=1e-6)
             fd_t = (cdp.angles() - cdm.angles()) / (2 * eps)
             assert cd.angle_matrix() @ var == pytest.approx(fd_t, abs=1e-6)
 
@@ -364,7 +364,7 @@ class TestChainDifferentials:
         pts = random_chain(rng, 5, closed=False)
         cd = ChainDifferentials(pts, closed=False)
         ring = ChainDifferentials(pts)
-        assert cd.length_matrix().shape == (4, 10)
+        assert cd._length_matrix().shape == (4, 10)
         assert np.array_equal(cd.lengths, ring.lengths[:4])
         assert np.array_equal(cd.angles(), ring.angles()[1:4])
         assert np.array_equal(cd.angle_matrix(), ring.angle_matrix()[1:4])
@@ -396,7 +396,7 @@ class TestChainDifferentials:
                     for k, w in ((r, v[r]), ((r + 1) % m, u[r])):
                         want[r, 2 * k] = float(w.real)
                         want[r, 2 * k + 1] = float(w.imag)
-            got = cd.length_matrix()
+            got = cd._length_matrix()
             assert np.array_equal(got == 0.0, want == 0.0)
             assert np.abs(got - want).max() <= 4 * EPS
 
@@ -481,7 +481,7 @@ class TestRegularChains:
             cd = ChainDifferentials(self.ring(m, r))
             factor = -math.tanh(cd.lengths[0] / 2) * math.tan(cd.angles()[0] / 2)
             lhs = cd.angle_matrix().sum(axis=0)
-            rhs = factor * cd.length_matrix().sum(axis=0)
+            rhs = factor * cd._length_matrix().sum(axis=0)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
