@@ -66,31 +66,41 @@ def dist(p, q):
                             / (2.0 * math.sqrt(p.y * q.y)))
 
 
-# The smallest positive normal float: a determinant below it has lost digits.
+# The smallest positive normal float, 2^-1022: a determinant below it has
+# lost digits.
 _NORMAL_MIN = sys.float_info.min
+
+# Entries below 2^511 have a finite determinant, and divided by its root,
+# at least 2^-511 where the determinant is normal, stay below 2^1022.
+_SAFE_ENTRY = 2.0 ** 511
 
 
 def _unit(a, b, c, d):
     """The entries divided by the square root of their determinant, the
     frame normalized to determinant one; a determinant that is not
-    positive and finite raises ValueError rather than being flipped.
-    One below the normal range goes to ``_unit_rescaled``, so tiny
-    entries keep their digits."""
+    positive and finite raises ValueError rather than being flipped, and
+    so does a normalized entry beyond the float range, which only a root
+    below 1 can make.  A determinant below the normal range goes to
+    ``_unit_rescaled``, so tiny entries keep their digits."""
     det = a * d - b * c
     if not _NORMAL_MIN <= det < math.inf:
         return _unit_rescaled(a, b, c, d, det)
     s = math.sqrt(det)
-    return a / s, b / s, c / s, d / s
+    m = a / s, b / s, c / s, d / s
+    if s < 1.0 and not max(map(abs, m)) < math.inf:
+        return _unit_rescaled(a, b, c, d, det)  # which refuses it
+    return m
 
 
 def _unit_rescaled(a, b, c, d, det):
-    """``_unit`` when ``det`` is not a positive normal float.  Below the
-    normal range the entries are scaled up by the power of two that brings
-    the larger of ``|ad|`` and ``|bc|`` into [1/8, 1), which is exact and
-    leaves the normalized frame as it is, and the determinant is formed
-    again.  The frame is refused unless that determinant is positive and
-    finite and every normalized entry is finite; the message names the
-    determinant as given."""
+    """``_unit`` when ``det`` is not a positive normal float, or when a
+    normalized entry is not finite.  Below the normal range the entries
+    are scaled up by the power of two that brings the larger of ``|ad|``
+    and ``|bc|`` into [1/8, 1), which is exact and leaves the normalized
+    frame as it is, and the determinant is formed again.  The frame is
+    refused unless that determinant is positive and finite and every
+    normalized entry is finite; the message names the determinant as
+    given."""
     if det < _NORMAL_MIN:
         k = max((math.frexp(x)[1] + math.frexp(y)[1] for x, y in ((a, d), (b, c))
                  if x and y), default=0)
@@ -99,27 +109,31 @@ def _unit_rescaled(a, b, c, d, det):
                 a, b, c, d = (math.ldexp(v, -k // 2) for v in (a, b, c, d))
             except OverflowError:  # an entry beyond the float range, refused below
                 a = b = c = d = math.nan
-        scaled = a * d - b * c
-        if 0.0 < scaled < math.inf:
-            s = math.sqrt(scaled)
-            m = a / s, b / s, c / s, d / s
-            if max(map(abs, m)) < math.inf:
-                return m
-    raise ValueError(f"matrix must have positive determinant (det={det!r})")
+    scaled = a * d - b * c
+    if 0.0 < scaled < math.inf:
+        s = math.sqrt(scaled)
+        m = a / s, b / s, c / s, d / s
+        if max(map(abs, m)) < math.inf:
+            return m
+    raise ValueError(f"matrix must have positive determinant and a normalized frame "
+                     f"within the float range (det={det!r})")
 
 
 def _unit_rows(rows, det):
     """``_unit`` over the rows of an (n, 4) float64 array of frame
     entries whose determinants are the array ``det``, both changed in
-    place: a row whose determinant is not a positive normal float is
-    normalized by ``_unit_rescaled`` and its ``det`` set to one, so that
-    dividing every row by ``sqrt(det)`` finishes the normalization.
-    Returns the index of the first row that ``_unit`` refuses, left as
-    given, or None when it refuses none."""
-    normal = (det >= _NORMAL_MIN) & (det < math.inf)
-    if normal.all():
+    place, so that dividing every row by ``sqrt(det)`` finishes the
+    normalization.  That division is ``_unit`` and cannot overflow when
+    every determinant is at least ``_NORMAL_MIN`` and every entry below
+    ``_SAFE_ENTRY``, which three numpy calls decide.  Otherwise each row
+    whose determinant is not in [1, inf) is normalized by
+    ``_unit_rescaled`` and its ``det`` set to one.  Returns the index of
+    the first row that ``_unit`` refuses, left as given, or None when it
+    refuses none."""
+    # a NaN entry or determinant makes its reduction NaN, which fails
+    if not len(det) or (_NORMAL_MIN <= det.min() and abs(rows).max() < _SAFE_ENTRY):
         return None
-    for i in (~normal).nonzero()[0].tolist():
+    for i in (~((det >= 1.0) & (det < math.inf))).nonzero()[0].tolist():
         try:
             rows[i] = _unit_rescaled(*rows[i].tolist(), det[i].item())
         except ValueError:

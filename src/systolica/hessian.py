@@ -406,9 +406,9 @@ class HalfplaneScene:
     ValueError
         If ``weights`` or the rows of ``leaves`` are not one per crossing
         of ``cfg`` (the message names both counts), ``leaves`` is not an
-        (n, 4) array, or a row has a non-finite entry or a determinant
-        that is not positive and finite, when the message names the first
-        bad leaf.
+        (n, 4) array, or a row has a non-finite entry, a determinant
+        that is not positive and finite or a normalized entry beyond the
+        float range, when the message names the first bad leaf.
     """
 
     cfg: ChordConfig
@@ -432,8 +432,8 @@ class HalfplaneScene:
         det = a * d - b * c  # not finite if any entry is not
         i = _unit_rows(rows, det)
         if i is not None:
-            raise ValueError(f"leaf {i} frame {rows[i].tolist()!r} is not "
-                             "finite with positive determinant")
+            raise ValueError(f"leaf {i} frame {rows[i].tolist()!r} is not finite with "
+                             "positive determinant, or its normalized entries are not")
         rows /= np.sqrt(det)[:, None]
         rows.setflags(write=False)
         object.__setattr__(self, "leaves", rows)

@@ -10,9 +10,12 @@ between each consecutive pair, and the tuple
     (l_3, h_4, h_5, ..., h_{n-2}, l_{n-1})
 
 of side 3, the inner perpendiculars, and side n-1 gives n - 3 free
-positive coordinates.  With P = ``trig.pentagon_side``, the pentagon
-between h_k and h_{k+1} has the tail P(h_{k+1}, h_k) of side k, the head
-P(h_k, h_{k+1}) of side k+1 and the piece P(tail, h_{k+1}) of side 1.
+positive coordinates.  With P(x, y) = asinh(cosh x / sinh y)
+(``trig.pentagon_side``), the pentagon between h_k and h_{k+1} has the
+tail P(h_{k+1}, h_k) of side k, the head P(h_k, h_{k+1}) of side k+1 and
+the piece P(tail, h_{k+1}) of side 1.  The chart reads them off the cosh
+and sinh of each h_k, taken once: with q = cosh h_{k+1} / sinh h_k the
+tail is asinh q and its cosh is hypot(1, q).
 
 A realized polygon is one table of frame rows, one per side, and no
 object per side.  The chart builds every row in closed form off side 1's
@@ -216,42 +219,61 @@ def sides_from_pentagon_coords(coords: Sequence[float]) -> MarkedRightPolygon:
     """Assemble the marked right-angled polygon from pentagon-chain
     coordinates (l_3, h_4, ..., h_{n-2}, l_{n-1}) with n = len(coords)+3.
 
-    For n >= 6 every positive coordinate tuple is admissible: l_3 is the
-    first tail and l_{n-1} the last head of the module docstring's
-    pentagons, which gives h_3 and h_{n-1}.  For n = 5 the two
+    Every coordinate must be positive and finite (ValueError).  For
+    n >= 6 every such tuple is admissible: l_3 is the first tail and
+    l_{n-1} the last head of the module docstring's pentagons, which
+    gives h_3 and h_{n-1} (``trig.pentagon_side``).  For n = 5 the two
     coordinates are the adjacent sides (l_3, l_4) of a pentagon and must
     satisfy sinh(l_3) sinh(l_4) > 1; otherwise NoPolygonError reports the
-    failing slot.  The sides are one pass of ``trig.pentagon_side``, and
-    every frame row is a closed-form product off side 1's frame
+    failing slot.
+
+    One float loop over h_3..h_{n-1} reads the pentagons off the cosh and
+    sinh of each perpendicular, as the module docstring says.  Every
+    frame row is then a closed-form product off side 1's frame
     (``_chart_frames``), with no walk: the geometry rounds like the
     coordinates, where walking the rounded sides loses eps e^{l_1}.  The
-    closure defect is the right-angle defect.  Two float loops, O(n),
-    with no object per side.  Sides or frames that overflow, or a vertex
+    rows' vertices are tested (``_checked``, as in ``realize``) and the
+    closure defect is their right-angle defect.  O(n) float loops, with
+    no object per side.  Sides or frames that overflow, or a vertex
     within ``halfplane.YMIN`` of the real axis, raise
     DegenerateConfigurationError.
     """
     coords = _real_floats(coords, "pentagon coordinates")
     if len(coords) < 2:
         raise ValueError("need at least two coordinates (n >= 5)")
-    if len(coords) == 2:  # n = 5: (l_3, l_4) and their perpendicular l_1
-        try:
-            l1 = pentagon_perpendicular(*coords)
-        except NoPentagonError as exc:
-            raise NoPolygonError(str(exc), index=0) from exc
-        h = (pentagon_side(coords[1], l1), pentagon_side(coords[0], l1))  # l_2, l_5
-        heads, pieces = coords[1:], (l1,)
-        sides = (l1, h[0], *coords, h[1])
-    else:
-        h = (pentagon_side(coords[1], coords[0]), *coords[1:-1],
-             pentagon_side(coords[-2], coords[-1]))  # h_3 .. h_{n-1}
-        pairs = list(zip(h, h[1:]))  # the pentagons, (h_k, h_{k+1})
-        tails = [coords[0]] + [pentagon_side(b, a) for a, b in pairs[1:]]
-        heads = [pentagon_side(a, b) for a, b in pairs[:-1]] + [coords[-1]]
-        pieces = [pentagon_side(t, b) for t, (_, b) in zip(tails, pairs)]
-        l1 = sum(pieces)
-        sides = (l1, h[0], tails[0],
-                 *(a + b for a, b in zip(heads, tails[1:])), heads[-1], h[-1])
+    if not all(0.0 < x < math.inf for x in coords):
+        raise ValueError(f"pentagon coordinates must be positive and finite, got {coords!r}")
+    l3, last = coords[0], coords[-1]
     try:
+        if len(coords) == 2:  # n = 5: (l_3, l_4) and their perpendicular l_1
+            try:
+                l1 = pentagon_perpendicular(l3, last)
+            except NoPentagonError as exc:
+                raise NoPolygonError(str(exc), index=0) from exc
+            h = (pentagon_side(last, l1), pentagon_side(l3, l1))  # l_2, l_5
+            heads, pieces = coords[1:], (l1,)
+            sides = (l1, h[0], *coords, h[1])
+        else:
+            h = (pentagon_side(coords[1], l3), *coords[1:-1],
+                 pentagon_side(coords[-2], last))  # h_3 .. h_{n-1}
+            # the step to h_{k+1} takes the head of the pentagon before,
+            # from c = cosh h_{k-1} and sn = sinh h_k, then the tail and
+            # piece of (h_k, h_{k+1}); side k is that head and this tail
+            c, s = math.cosh(h[0]), math.sinh(h[0])
+            cn, sn = math.cosh(h[1]), math.sinh(h[1])
+            heads, pieces, inner = [], [math.asinh(math.cosh(l3) / sn)], []
+            for hk in h[2:]:
+                head = math.asinh(c / sn)
+                c, s, cn, sn = cn, sn, math.cosh(hk), math.sinh(hk)
+                q = cn / s  # the sinh of the tail, whose cosh is hypot(1, q)
+                heads.append(head)
+                inner.append(head + math.asinh(q))
+                pieces.append(math.asinh(math.hypot(1.0, q) / sn))
+            heads.append(last)
+            l1 = sum(pieces)
+            sides = (l1, h[0], l3, *inner, last, h[-1])
+            if not max(sides) < math.inf:  # a quotient overflowed
+                raise OverflowError("a side is infinite")
         rows = _checked(_chart_frames(l1, h, heads, pieces))
     except ArithmeticError as exc:
         raise DegenerateConfigurationError(f"the chart left the float range: {exc}") from exc

@@ -89,7 +89,9 @@ def pentagon_perpendicular(a: float, b: float) -> float:
 def pentagon_side(x: float, y: float) -> float:
     """asinh(cosh x / sinh y): the side z of a right-angled pentagon with
     cosh x = sinh y sinh z, the side next to y that is, like y, opposite
-    x (Buser, ch. 2), and every piece of the chart in ``polygons``.  The
+    x (Buser, ch. 2).  In ``polygons`` it gives the end perpendiculars
+    h_3 and h_{n-1} of the pentagon chain and the sides l_2, l_5 of a
+    pentagon; the chain's loop takes the same steps inline.  The
     quotient rounds three times and asinh has relative condition at most
     1, so z is within a few eps relative.  Raises ValueError unless x and
     y are positive and finite, and DegenerateConfigurationError where
@@ -100,7 +102,7 @@ def pentagon_side(x: float, y: float) -> float:
     except (OverflowError, ZeroDivisionError):
         z = math.nan
     # valid arguments give a positive finite z unless the float range is
-    # exceeded; testing the result keeps the chart's 3n calls cheap
+    # exceeded, so the arguments are checked only when z is not
     if 0.0 < x and 0.0 < z < math.inf:
         return z
     _check_lengths(x, y)

@@ -113,6 +113,8 @@ class TestIsometries:
         (math.inf, 0.0, 0.0, 1.0),
         (1e200, 0.0, 0.0, 1e200),  # det overflows to inf
         (5e-324, 4.0, 0.0, 5e-324),  # det 2^-2148 > 0, but b / sqrt(det) overflows
+        # det 7e-218 is normal, but d / sqrt(det) overflows to -inf
+        (0.0, 5e-324, -1.4205162362562467e+106, -1.1227006134817266e+280),
     ])
     def test_determinant_guard(self, entries):
         with pytest.raises(ValueError, match="positive determinant"):
@@ -142,7 +144,7 @@ class TestIsometries:
             return
         det = a * d - b * c
         if det >= sys.float_info.min:
-            # the fast path: one division by the root of det
+            # a normal determinant: one division by the root of det
             root = math.sqrt(det)
             assert _unit(a, b, c, d) == (a / root, b / root, c / root, d / root)
         try:

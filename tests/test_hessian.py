@@ -417,6 +417,10 @@ class TestSceneOracle:
         [(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)],    # determinant -1
         [(1.0, 0.0, 0.0, 1.0), (math.nan, 0.0, 0.0, 1.0)],
         [(1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, math.inf)],
+        # det 7e-218 is normal, but the last entry over its root passes
+        # the float range
+        [(1.0, 0.0, 0.0, 1.0),
+         (0.0, 5e-324, -1.4205162362562467e+106, -1.1227006134817266e+280)],
     ])
     def test_scene_rejects_malformed_leaves(self, leaves):
         scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)))
@@ -463,7 +467,9 @@ class TestSceneOracle:
         # halfplane._unit normalizes one frame in floats; they agree to
         # an ulp per entry, on realized rows scaled over 40 decades, on
         # rows so small that det leaves the normal range or underflows,
-        # and on random rows of either determinant sign made positive.
+        # on random rows of either determinant sign made positive, and
+        # on rows with entries beyond 2^511, which are normalized one at
+        # a time.
         rng = np.random.default_rng(17)
         n = 64
         cfg = ChordConfig(8.0, s=np.linspace(0.1, 7.9, n), theta=np.full(n, 1.3))
@@ -473,7 +479,8 @@ class TestSceneOracle:
         noise = rng.normal(size=(n, 4))
         a, b, c, d = noise.T
         noise[a * d < b * c] = noise[a * d < b * c][:, [1, 0, 3, 2]]  # det -> -det
-        for rows in (scaled, tiny, noise):
+        wide = base.leaves * 2.0 ** np.array([-560.0, -560.0, 560.0, 560.0])
+        for rows in (scaled, tiny, noise, wide):
             scene = dataclasses.replace(base, leaves=rows)
             want = np.array([_unit(*row) for row in rows.tolist()])
             assert (np.abs(scene.leaves - want) <= np.spacing(np.abs(want))).all()

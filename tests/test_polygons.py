@@ -130,10 +130,22 @@ class TestPentagonChart:
             sides_from_pentagon_coords([1.0])
         with pytest.raises(ValueError):
             sides_from_pentagon_coords([1.0, -0.5, 1.0])
+        # a bad inner perpendicular of a 9-gon, which only the chain's
+        # loop over h_4..h_7 reads, and one next to a coordinate that
+        # overflows: malformed input is refused before any pentagon
+        for bad in (-0.5, 0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                sides_from_pentagon_coords([1.0, 1.2, bad, 0.9, 1.1, 0.8])
+            with pytest.raises(ValueError):
+                sides_from_pentagon_coords([800.0, 1.2, bad, 0.9, 1.1, 0.8])
 
     @pytest.mark.parametrize("build, args", [
         (sides_from_pentagon_coords, ([800.0, 1.0, 1.0],)),
         (sides_from_pentagon_coords, ([1.0, 1.0, 800.0],)),
+        (sides_from_pentagon_coords, ([1.0, 1.2, 800.0, 0.9, 1.1, 0.8],)),  # an inner h
+        (sides_from_pentagon_coords, ([1.0, 1.2, 0.9, 800.0, 1.1, 0.8],)),
+        # cosh h_5 / sinh h_4 overflows, though each is a float
+        (sides_from_pentagon_coords, ([1.0, 1e-300, 700.0, 0.9, 1.1, 0.8],)),
         (sides_from_pentagon_coords, ([800.0, 1.0],)),
         (pentagon_perpendicular, (800.0, 1.0)),
         (pentagon_side, (800.0, 1.0)),
@@ -687,9 +699,10 @@ def test_all_ones_chain_round_trip_at_even_n(n):
 # --------------------------------------------------------------------------
 # the pentagon chain against a 60-digit assembly
 
-# One pentagon_side rounds cosh and sinh (an ulp each), their quotient
-# (half an ulp) and asinh (an ulp), and asinh(r) has relative condition
-# r / (sqrt(1 + r^2) asinh r) <= 1: 3.5 eps relative, 4 eps with margin.
+# One step P(x, y) = asinh(cosh x / sinh y) of the float chain rounds
+# cosh and sinh (an ulp each), their quotient (half an ulp) and asinh (an
+# ulp), and asinh(r) has relative condition r / (sqrt(1 + r^2) asinh r)
+# <= 1: 3.5 eps relative, 4 eps with margin.
 CHAIN_U = 4 * EPS
 
 
@@ -713,8 +726,18 @@ def mp_pentagons(coords):
     for the float chain: h_3..h_{n-1}, the tails of sides 3..n-2, the
     heads of sides 4..n-1 and the pieces of side 1.  The values of the
     pieces come from the relation cosh c = coth h_k coth h_{k+1}, not
-    from P.  For n = 5 the one piece is l_1 = acosh(s) with
-    s = sinh l_3 sinh l_4, which rounds by 2.5 eps."""
+    from P.
+
+    The float chain takes h_3 and h_{n-1} by ``trig.pentagon_side`` and
+    every other step in one loop that takes cosh and sinh of each h_k
+    once.  A tail is asinh(q) with q = cosh h_{k+1} / sinh h_k, a head
+    P(h_k, h_{k+1}); both round as P does.  A piece is
+    asinh(hypot(1, q) / sinh h_{k+1}): hypot(1, q) is the tail's cosh,
+    which inherits tanh^2 of q's relative error and rounds once, where
+    cosh of the rounded tail inherits tanh of the tail's error, which
+    includes asinh's rounding, and rounds once more.  So the bound of
+    P(tail, h_{k+1}) holds for it.  For n = 5 the one piece is
+    l_1 = acosh(s) with s = sinh l_3 sinh l_4, which rounds by 2.5 eps."""
     n = len(coords) + 3
     c = [(mpf(x), mpf(0)) for x in coords]
     if n == 5:
@@ -733,9 +756,11 @@ def mp_chain(coords):
     """(sides, budgets): the chart's sides at 60 digits, and for each a
     first-order bound on the relative error of the float assembly.
 
-    The bound follows the float chain's data flow (``mp_side``): each
-    z = P(x, y) = asinh(cosh x / sinh y) adds CHAIN_U z of its own to
-    what it inherits, and each sum adds half an ulp per addition."""
+    The bound follows the float chain's data flow (``mp_pentagons``):
+    each step z = P(x, y) = asinh(cosh x / sinh y) adds CHAIN_U z of its
+    own to what it inherits (``mp_side``), a piece no more than that,
+    and each sum adds half an ulp per addition: side 1 sums the pieces,
+    sides 4..n-2 each a head and the next tail."""
     with mp.workdps(60):
         h, tails, heads, pieces = mp_pentagons(coords)
         sides = [mp_total(*pieces), h[0], tails[0],
