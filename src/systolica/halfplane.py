@@ -1,11 +1,12 @@
 """Upper half-plane model of the hyperbolic plane.
 
-Points carry Euclidean coordinates (x, y) with y > 0.  An isometry is
-a real Moebius map z -> (az + b)/(cz + d), held as the four entries
-(a, b, c, d) of its determinant-one matrix, and every helper here takes
-and returns such entries.  A geodesic is the image of the upward
-imaginary axis under one of them, its frame (Beardon, *The Geometry of
-Discrete Groups*, ch. 7): arclength s sits at frame(i e^s).
+Points carry Euclidean coordinates (x, y), x finite and y a positive
+normal float.  An isometry is a real Moebius map z -> (az + b)/(cz + d),
+held as the four entries (a, b, c, d) of its determinant-one matrix, and
+every helper here takes and returns such entries.  A geodesic is the
+image of the upward imaginary axis under one of them, its frame
+(Beardon, *The Geometry of Discrete Groups*, ch. 7): arclength s sits at
+frame(i e^s).
 Half-circles and vertical rays are the same object, so no formula here
 tells them apart, and any question about two geodesics is asked of the
 relative frame g.frame^-1 h.frame, in which g is the imaginary axis.
@@ -24,28 +25,29 @@ import sys
 
 from .errors import DegenerateConfigurationError, NoPerpendicularError
 
-# Points this close to the real axis (or below) are rejected: the model
-# degenerates and every formula loses all precision there anyway.
-YMIN = 1e-12
-
 # Margin for deciding that two geodesics touch at infinity (asymptotic)
 # rather than admitting a common perpendicular: the distance of |ad + bc|,
 # the cosh of their distance or the cosine of their angle, from 1.
 ASYMPTOTIC_EPS = 1e-12
 
+# The smallest positive normal float, 2^-1022: a point's y or a
+# determinant below it has lost digits.
+_NORMAL_MIN = sys.float_info.min
+
 
 class HPoint:
-    """A point x + iy of the open upper half-plane."""
+    """A point x + iy, x finite and y a positive normal float, else ValueError."""
 
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError("point coordinates must be finite")
-        if y < YMIN:
-            raise ValueError(f"point must lie in the upper half-plane (y={y!r})")
-        self.x = float(x)
-        self.y = float(y)
+        try:
+            if math.isfinite(x) and _NORMAL_MIN <= y < math.inf:
+                self.x, self.y = float(x), float(y)
+                return
+        except (TypeError, OverflowError):  # not a number, or an int beyond the floats
+            pass
+        raise ValueError(f"point ({x!r}, {y!r}) is not finite with y a positive normal float")
 
     @property
     def z(self):
@@ -60,15 +62,11 @@ def dist(p, q):
 
     Written as 2 asinh(|p - q| / (2 sqrt(y1 y2))) rather than
     acosh(1 + |p - q|^2 / (2 y1 y2)), which loses every digit of a short
-    distance.
+    distance, with each y rooted alone, as their product can underflow.
     """
     return 2.0 * math.asinh(math.hypot(p.x - q.x, p.y - q.y)
-                            / (2.0 * math.sqrt(p.y * q.y)))
+                            / (2.0 * math.sqrt(p.y) * math.sqrt(q.y)))
 
-
-# The smallest positive normal float, 2^-1022: a determinant below it has
-# lost digits.
-_NORMAL_MIN = sys.float_info.min
 
 # Entries below 2^511 have a finite determinant, and divided by its root,
 # at least 2^-511 where the determinant is normal, stay below 2^1022.
@@ -119,27 +117,35 @@ def _unit_rescaled(a, b, c, d, det):
                      f"within the float range (det={det!r})")
 
 
-def _unit_rows(rows, det):
+def _unit_rows(rows):
     """``_unit`` over the rows of an (n, 4) float64 array of frame
-    entries whose determinants are the array ``det``, both changed in
-    place, so that dividing every row by ``sqrt(det)`` finishes the
-    normalization.  That division is ``_unit`` and cannot overflow when
-    every determinant is at least ``_NORMAL_MIN`` and every entry below
-    ``_SAFE_ENTRY``, which three numpy calls decide.  Otherwise each row
-    whose determinant is not in [1, inf) is normalized by
-    ``_unit_rescaled`` and its ``det`` set to one.  Returns the index of
-    the first row that ``_unit`` refuses, left as given, or None when it
-    refuses none."""
-    # a NaN entry or determinant makes its reduction NaN, which fails
-    if not len(det) or (_NORMAL_MIN <= det.min() and abs(rows).max() < _SAFE_ENTRY):
-        return None
+    entries, changed in place, so that dividing every row by the root of
+    its determinant in the returned array ``det`` finishes the
+    normalization.  Below ``_SAFE_ENTRY`` no product of two entries
+    overflows, and where every determinant is then at least
+    ``_NORMAL_MIN`` that division is ``_unit`` and cannot overflow,
+    which three numpy calls decide.  Otherwise the determinants are
+    formed in Python floats, which overflow without numpy's warning, and
+    each row whose determinant is not in [1, inf) is normalized by
+    ``_unit_rescaled`` and its determinant set to one.  Returns
+    ``(det, i)``, with i the index of the first row that ``_unit``
+    refuses, left unfinished, or None when it refuses none."""
+    a, b, c, d = rows.T
+    if len(rows) and abs(rows).max() < _SAFE_ENTRY:  # a NaN entry fails this
+        det = a * d - b * c
+        if _NORMAL_MIN <= det.min():
+            return det, None
+    else:
+        det = a.copy()
+        for k, (ak, bk, ck, dk) in enumerate(rows.tolist()):
+            det[k] = ak * dk - bk * ck
     for i in (~((det >= 1.0) & (det < math.inf))).nonzero()[0].tolist():
         try:
             rows[i] = _unit_rescaled(*rows[i].tolist(), det[i].item())
         except ValueError:
-            return i
+            return det, i
         det[i] = 1.0
-    return None
+    return det, None
 
 
 class HGeodesic:
@@ -153,7 +159,16 @@ class HGeodesic:
         self.frame = frame
 
     def point_at(self, s):
-        return HPoint(*_point(*self.frame, math.exp(s)))
+        """The point at arclength s.  A non-finite s raises ValueError,
+        and one whose point is not a float point (``HPoint``) raises
+        DegenerateConfigurationError."""
+        try:
+            return HPoint(*_point(*self.frame, math.exp(s)))
+        except (ArithmeticError, ValueError):
+            if not -math.inf < s < math.inf:
+                raise ValueError(f"arclength {s!r} is not finite") from None
+            raise DegenerateConfigurationError(
+                f"the point at arclength {s!r} is beyond the float range") from None
 
     def __repr__(self):
         # the boundary endpoints, backward -> forward; inf is infinity
@@ -272,11 +287,15 @@ def common_perpendicular(g, h):
     |z|^2 = (b/d)(a/c) of the frame, so the foot on g sits at
     s = log(ab/cd)/2 and, symmetrically, the foot on h at log(bd/ac)/2.
     Each is a sum of the logs of single entries, so no quotient is formed
-    and a foot stays finite wherever its point is a float.
+    and a foot stays finite wherever its point is a float.  A length or
+    foot beyond the float range raises DegenerateConfigurationError.
     """
     a, b, c, d = _relative(g.frame, *h.frame)
     length = _perpendicular_length(a, b, c, d)
     la, lb, lc, ld = math.log(abs(a)), math.log(abs(b)), math.log(abs(c)), math.log(abs(d))
-    return CommonPerpendicular(g.point_at(0.5 * (la + lb - lc - ld)),
-                               h.point_at(0.5 * (lb + ld - la - lc)),
-                               length)
+    s, t = 0.5 * (la + lb - lc - ld), 0.5 * (lb + ld - la - lc)
+    if not math.isfinite(s + t + length):  # finite when all three are
+        raise DegenerateConfigurationError(
+            f"common perpendicular of length {length!r} with feet at arclengths "
+            f"{s!r} and {t!r} is beyond the float range")
+    return CommonPerpendicular(g.point_at(s), h.point_at(t), length)

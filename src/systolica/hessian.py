@@ -184,9 +184,11 @@ class TransverseWeights:
 
     def __post_init__(self):
         w = _readonly_vector(self.weights, "shear weights")
-        if not np.isfinite(w).all():
+        top = float(abs(w).max(initial=0.0))  # NaN if a rate is
+        if not top < math.inf:
             raise ValueError("shear weights must be finite")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_top", top)  # the largest |rate|, for _shear_sums
 
 
 ENDPOINT_FIELDS = ("u_perp", "u_par", "v_perp", "v_par")
@@ -258,9 +260,15 @@ def hessian_form(cfg: ChordConfig, weights: TransverseWeights,
     This is ``shear2 + 2 * mixed + end2`` from ``hessian_split``: O(n)
     numpy work, without building the kernel matrix, which a following
     ``hessian_split`` on the same ``cfg`` and ``weights`` does not repeat.
+
+    Raises
+    ------
+    DegenerateConfigurationError
+        As ``hessian_split`` does, or if the sum is not a finite float.
     """
     shear2, mixed, end2 = hessian_split(cfg, weights, endpoints)
-    return shear2 + 2.0 * mixed + end2
+    form, = _finite("the second variation", shear2 + 2.0 * mixed + end2)
+    return form
 
 
 def hessian_split(cfg: ChordConfig, weights: TransverseWeights,
@@ -302,7 +310,9 @@ def hessian_split(cfg: ChordConfig, weights: TransverseWeights,
     ------
     DegenerateConfigurationError
         If the chord is longer than ``MAX_CHORD_LENGTH``, where
-        ``sinh(L)`` leaves the float range.
+        ``sinh(L)`` leaves the float range, or a part is not a finite
+        float: rates or endpoint speeds whose squares, scaled by the
+        kernel, leave the float range.
     """
     _check_weights(cfg, weights)
     _check_length(cfg)
@@ -313,7 +323,16 @@ def hessian_split(cfg: ChordConfig, weights: TransverseWeights,
     u, v = endpoints.u_perp, endpoints.v_perp
     mixed = v * sum_xc - u * sum_xd
     end2 = math.cosh(L) * (u * u + v * v) - 2.0 * u * v
-    return shear2 / (scale * h * h), mixed / (scale * h), end2 / scale
+    return _finite("the second variation's parts",
+                   shear2 / (scale * h * h), mixed / (scale * h), end2 / scale)
+
+
+def _finite(what: str, *parts: float) -> tuple:
+    """``parts``, refused with DegenerateConfigurationError, which names
+    them ``what``, unless every one is a finite float."""
+    if not all(map(math.isfinite, parts)):
+        raise DegenerateConfigurationError(f"{what} {parts!r}: not all are finite floats")
+    return parts
 
 
 @functools.lru_cache(maxsize=1)
@@ -322,7 +341,21 @@ def _shear_sums(cfg: ChordConfig, weights: TransverseWeights) -> tuple[float, fl
     ``x`` carrying ``h``, for the last checked ``(cfg, weights)`` pair.
     Both types are immutable and compare by identity, and the cache holds
     both alive, so no other pair can take their ids while they are kept:
-    a hit is the same pair."""
+    a hit is the same pair.  Sums beyond the float range come back
+    infinite or NaN, with no warning, for the caller to refuse."""
+    # e^{L/2} < 2^513 for every admitted L, so with every |a| at most
+    # 2^400 a scaled term x c or x d stays below 2^913 and a product
+    # x_i c_i x_j d_j (i <= j) below 2^800: no sum of fewer than 2^100 of
+    # them overflows, and the sums need no overflow context, whose cold
+    # cost is tens of microseconds
+    if weights._top <= 2.0 ** 400:
+        return _kernel_sums(cfg, weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _kernel_sums(cfg, weights)
+
+
+def _kernel_sums(cfg: ChordConfig, weights: TransverseWeights) -> tuple[float, float, float]:
+    """The sums of ``_shear_sums``, in the numpy error state of the caller."""
     L = cfg.length
     x = np.sin(cfg.theta) * weights.weights * math.exp(-0.5 * L)
     xc = x * np.cosh(cfg.s)
@@ -428,9 +461,7 @@ class HalfplaneScene:
         # halfplane._unit is the float form of this normalization, and
         # _unit_rows gives it the rows that the column form would round;
         # the first row it refuses is named
-        a, b, c, d = rows.T
-        det = a * d - b * c  # not finite if any entry is not
-        i = _unit_rows(rows, det)
+        det, i = _unit_rows(rows)
         if i is not None:
             raise ValueError(f"leaf {i} frame {rows[i].tolist()!r} is not finite with "
                              "positive determinant, or its normalized entries are not")

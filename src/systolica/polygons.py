@@ -18,10 +18,12 @@ and sinh of each h_k, taken once: with q = cosh h_{k+1} / sinh h_k the
 tail is asinh q and its cosh is hypot(1, q).
 
 A realized polygon is one table of frame rows, one per side, and no
-object per side.  The chart builds every row in closed form off side 1's
-frame, so its geometry rounds like the coordinates; ``realize`` walks a
-side vector alone, whose rounding the walk amplifies by up to e^{l_1}.
-Both are O(n) float loops.
+object per side, with side 1 up the imaginary axis as in ``hessian``.
+The chart builds every row in closed form, each entry one product, so
+its geometry rounds like the coordinates; ``realize`` walks a side
+vector alone, whose rounding the walk amplifies by up to e^{l_1}.  Both
+are O(n) float loops, and both refuse a vertex whose y is not a positive
+normal float, as ``halfplane.HPoint`` does.
 
 Side indices are 1-based throughout the public API, matching the
 coordinate names; arrays returned to the caller are 0-based with slot
@@ -40,8 +42,8 @@ import numpy as np
 from . import halfplane
 from .errors import (DegenerateConfigurationError, NoPentagonError, NoPolygonError,
                      _is_integer, _real_floats)
-from .halfplane import (HGeodesic, HPoint, _disk, _perpendicular_length, _point, _product,
-                        _relative, _unit, dist)
+from .halfplane import (HGeodesic, HPoint, _disk, _perpendicular_length, _point, _relative,
+                        _unit, dist)
 from .trig import pentagon_perpendicular, pentagon_side, semiregular_partner
 
 
@@ -62,7 +64,8 @@ class MarkedRightPolygon:
         a matrix of determinant one taking the upward imaginary axis onto
         the geodesic of side j (as ``halfplane.HGeodesic`` holds it),
         oriented counterclockwise around the polygon, with s = 0 at the
-        side's first vertex and s = l_j at the next.
+        side's first vertex and s = l_j at the next; side 1 runs up the
+        imaginary axis with its midpoint at i.
     closure_defect:
         The constructor's residual; a genuine polygon has it at roundoff
         level, and the constructors report rather than raise it.
@@ -110,33 +113,34 @@ def _side_index(i, n: int) -> int:
 
 def _checked(rows):
     """``rows`` as a tuple, refusing a vertex that ``HPoint`` would refuse
-    (not finite, or within ``halfplane.YMIN`` of the real axis) with
+    (x not finite, or y not a positive normal float) with
     DegenerateConfigurationError."""
-    ymin, inf = halfplane.YMIN, math.inf
+    ymin, inf = halfplane._NORMAL_MIN, math.inf
     for k, (a, b, c, d) in enumerate(rows, start=1):
         x, y = _point(a, b, c, d)
         if not (ymin <= y < inf and -inf < x < inf):
             raise DegenerateConfigurationError(
-                f"vertex {k} at ({x!r}, {y!r}) is not a finite point above YMIN")
+                f"vertex {k} at ({x!r}, {y!r}) is not finite with y a positive normal float")
     return tuple(rows)
 
 
 def realize(sides: Sequence[float]) -> MarkedRightPolygon:
     """Walk the closed right-angled polygon with the given side lengths.
 
-    Places the midpoint of side 1 at (0, 1) heading right along the unit
-    circle, then walks frames: F_{k+1} = F_k diag(e^{l_k/2}, e^{-l_k/2}) Q,
-    where Q turns by +pi/2 about i (counterclockwise traversal, interior
-    on the left), each renormalized to determinant one.  Row k of
-    ``frames`` is F_k.  Centering the first side keeps the excursion depth
-    at the polygon's intrinsic diameter, which matters for precision when
-    side 1 is long.  One float loop over the sides, O(n), with no object
-    per side.  The closure defect (the holonomy's, see
-    ``MarkedRightPolygon``) is reported on the result, never raised:
-    inadmissible side vectors are allowed and simply fail to close up.
-    Its float error grows like eps e^{l_1}, so a long side vector that
-    is admissible may still close only to that.  A walk that overflows
-    or puts a vertex within ``halfplane.YMIN`` of the real axis raises
+    Runs side 1 up the imaginary axis from F_1 = diag(e^{-l_1/4},
+    e^{l_1/4}), its midpoint at i, then walks frames:
+    F_{k+1} = F_k diag(e^{l_k/2}, e^{-l_k/2}) Q, where Q turns by +pi/2
+    about i (counterclockwise traversal, interior on the left), each
+    renormalized to determinant one.  Row k of ``frames`` is F_k.
+    Centering the first side keeps the excursion depth at the polygon's
+    intrinsic diameter, which matters for precision when side 1 is long.
+    One float loop over the sides, O(n), with no object per side.  The
+    closure defect (the holonomy's, see ``MarkedRightPolygon``) is
+    reported on the result, never raised: inadmissible side vectors are
+    allowed and simply fail to close up.  Its float error grows like
+    eps e^{l_1}, so a long side vector that is admissible may still close
+    only to that.  A walk that overflows or puts a vertex below the
+    normal floats (vertex 1 at y = e^{-l_1/2}) raises
     DegenerateConfigurationError.
     """
     sides = _real_floats(sides, "side lengths")
@@ -145,9 +149,9 @@ def realize(sides: Sequence[float]) -> MarkedRightPolygon:
     if any(not math.isfinite(s) or s <= 0 for s in sides):
         raise ValueError("side lengths must be positive and finite")
     try:
-        # turn up into rightward about i, then back half of side 1
+        # back half of side 1 down the imaginary axis
         h = math.exp(-0.25 * sides[0])
-        a0, b0, c0, d0 = a, b, c, d = _unit(h, -1.0 / h, h, 1.0 / h)
+        a, b, c, d = _unit(h, 0.0, 0.0, 1.0 / h)
         rows = []
         for length in sides:
             rows.append((a, b, c, d))
@@ -155,7 +159,7 @@ def realize(sides: Sequence[float]) -> MarkedRightPolygon:
             e = math.exp(0.5 * length)
             a, b, c, d = a * e, b / e, c * e, d / e
             a, b, c, d = _unit(a - b, a + b, c - d, c + d)
-        ha, hb, hc, hd = _unit(*_product(_unit(d0, -b0, -c0, a0), a, b, c, d))  # F_1^-1 F
+        ha, hb, hc, hd = _unit(a / h, b / h, c * h, d * h)  # F_1^-1 F
         rows = _checked(rows)
     except (ArithmeticError, ValueError) as exc:
         raise DegenerateConfigurationError(f"the walk left the float range: {exc}") from exc
@@ -164,35 +168,34 @@ def realize(sides: Sequence[float]) -> MarkedRightPolygon:
                               closure_defect=math.hypot(ha - sign, hb, hc, hd - sign))
 
 
-# 1/sqrt(2), the scale of a quarter turn Q = [[1, 1], [-1, 1]] / sqrt(2)
-_R = math.sqrt(0.5)
-
-
 def _chart_frames(l1, h, heads, pieces):
     """The rows of sides 1..n, each a fixed product off side 1's frame
-    F_1 = Q^-1 D(-l_1/2), with D(x) = diag(e^{x/2}, e^{-x/2}):
+    F_1 = D(-l_1/2), D(x) = diag(e^{x/2}, e^{-x/2}), up the imaginary axis:
 
         F_2 = F_1 D(l_1) Q,  F_n = -F_1 Q^-1 D(-l_n),
         F_k = F_1 D(sigma_k) Q D(h_k) Q D(-eta_k)   (3 <= k <= n - 1),
 
-    where sigma_k is the foot of h_k on side 1, l_1 less the pieces of
-    side 1 before it, and eta_k the head of side k (eta_3 = 0).  With
-    mu = sigma_k - l_1/2, s = sinh(h_k/2), c = cosh(h_k/2),
-    u = e^{(mu - eta_k)/2} and v = e^{-(mu + eta_k)/2}, F_k is
-    (s u + c v, c/v + s/u, s u - c v, c/v - s/u) / sqrt(2).  No row
-    depends on the one before, so no error is carried along the chain.
-    Each row has the walk's sign: the walk closes at F_{n+1} = -F_1."""
-    q = 0.25 * l1
-    e, ch, sh = math.exp(-q), math.cosh(q), math.sinh(q)
-    rows = [(_R * e, -_R / e, _R * e, _R / e), (ch, sh, sh, ch)]
-    mu = 2.0 * q
+    where sigma_k is the foot of h_k on side 1, l_1 less the running sum
+    of the pieces before it (``l1`` is that sum in full), and eta_k the
+    head of side k (eta_3 = 0).  With mu = sigma_k - l_1/2,
+    s, c = sinh, cosh(h_k/2), u = e^{(mu - eta_k)/2} and
+    v = e^{-(mu + eta_k)/2}, F_k is (s u, c/v, -c v, -s/u); with
+    e = e^{l_1/4} and t = e^{l_n/2}, F_1 = (1/e, 0, 0, e) and, over
+    sqrt 2, F_2 = (e, e, -1/e, 1/e) and F_n = (-1/(e t), t/e, -e/t, -e t).
+    Each entry is one product, and consecutive rows differ by one
+    rounded piece.  Each row has the walk's sign: F_{n+1} = -F_1."""
+    e = math.exp(0.25 * l1)
+    r, w = math.sqrt(0.5) / e, math.sqrt(0.5) * e
+    rows = [(1.0 / e, 0.0, 0.0, e), (w, w, -r, r)]
+    half, foot = 0.5 * l1, 0.0
     for hk, eta, piece in zip(h, (0.0, *heads), (*pieces, 0.0)):
+        mu = half - foot
         u, v = math.exp(0.5 * (mu - eta)), math.exp(-0.5 * (mu + eta))
-        s, c = _R * math.sinh(0.5 * hk), _R * math.cosh(0.5 * hk)
-        rows.append((s * u + c * v, c / v + s / u, s * u - c * v, c / v - s / u))
-        mu -= piece
+        s, c = math.sinh(0.5 * hk), math.cosh(0.5 * hk)
+        rows.append((s * u, c / v, -c * v, -s / u))
+        foot += piece
     t = math.exp(0.5 * h[-1])
-    rows.append((sh / t, ch * t, -ch / t, -sh * t))
+    rows.append((-r / t, r * t, -w / t, -w * t))
     return rows
 
 
@@ -230,13 +233,13 @@ def sides_from_pentagon_coords(coords: Sequence[float]) -> MarkedRightPolygon:
     One float loop over h_3..h_{n-1} reads the pentagons off the cosh and
     sinh of each perpendicular, as the module docstring says.  Every
     frame row is then a closed-form product off side 1's frame
-    (``_chart_frames``), with no walk: the geometry rounds like the
-    coordinates, where walking the rounded sides loses eps e^{l_1}.  The
-    rows' vertices are tested (``_checked``, as in ``realize``) and the
-    closure defect is their right-angle defect.  O(n) float loops, with
-    no object per side.  Sides or frames that overflow, or a vertex
-    within ``halfplane.YMIN`` of the real axis, raise
-    DegenerateConfigurationError.
+    (``_chart_frames``), with side 1 up the imaginary axis and no walk:
+    the geometry rounds like the coordinates, where walking the rounded
+    sides loses eps e^{l_1}.  The rows' vertices are tested (``_checked``,
+    as in ``realize``) and the closure defect is their right-angle
+    defect.  O(n) float loops, with no object per side.  Sides or frames
+    that overflow, or a vertex whose y is not a positive normal float,
+    raise DegenerateConfigurationError.
     """
     coords = _real_floats(coords, "pentagon coordinates")
     if len(coords) < 2:
@@ -261,7 +264,8 @@ def sides_from_pentagon_coords(coords: Sequence[float]) -> MarkedRightPolygon:
             # piece of (h_k, h_{k+1}); side k is that head and this tail
             c, s = math.cosh(h[0]), math.sinh(h[0])
             cn, sn = math.cosh(h[1]), math.sinh(h[1])
-            heads, pieces, inner = [], [math.asinh(math.cosh(l3) / sn)], []
+            l1 = math.asinh(math.cosh(l3) / sn)  # summed piece by piece, as _chart_frames sums
+            heads, pieces, inner = [], [l1], []
             for hk in h[2:]:
                 head = math.asinh(c / sn)
                 c, s, cn, sn = cn, sn, math.cosh(hk), math.sinh(hk)
@@ -269,8 +273,8 @@ def sides_from_pentagon_coords(coords: Sequence[float]) -> MarkedRightPolygon:
                 heads.append(head)
                 inner.append(head + math.asinh(q))
                 pieces.append(math.asinh(math.hypot(1.0, q) / sn))
+                l1 += pieces[-1]
             heads.append(last)
-            l1 = sum(pieces)
             sides = (l1, h[0], l3, *inner, last, h[-1])
             if not max(sides) < math.inf:  # a quotient overflowed
                 raise OverflowError("a side is infinite")

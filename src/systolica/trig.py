@@ -4,8 +4,8 @@ Every function here is a single formula; the geometric content (which
 pentagon, which Lambert quadrilateral, which pair of polygon sides) is
 spelled out in the docstring and verified against explicitly constructed
 half-plane figures in the test suite.  Malformed arguments raise
-ValueError: a length that is not positive and finite, a count n that is
-not an integer >= 3.  A formula whose intermediate leaves the float range
+ValueError: a length that is not a positive finite number, a count n that
+is not an integer >= 3.  A formula whose intermediate leaves the float range
 raises DegenerateConfigurationError rather than OverflowError or a
 silently infinite value.
 """
@@ -27,9 +27,14 @@ def guarded_acosh(x: float) -> float:
 
     Below 1 - ACOSH_SLACK the configuration is degenerate and raising is
     the only honest answer; within the roundoff band around 1 the figure
-    is touching and the length is 0.
+    is touching and the length is 0.  A value that is not a number raises
+    ValueError.
     """
-    if x < 1.0 - ACOSH_SLACK:
+    try:
+        below = x < 1.0 - ACOSH_SLACK
+    except TypeError:
+        raise ValueError(f"acosh argument {x!r} is not a number") from None
+    if below:
         raise DegenerateConfigurationError(
             f"acosh argument {x!r} is below 1: the configuration degenerates"
         )
@@ -40,8 +45,12 @@ def guarded_acosh(x: float) -> float:
 
 def _check_lengths(*lengths):
     for x in lengths:
-        if not 0.0 < x < math.inf:  # NaN fails this too
-            raise ValueError(f"lengths must be positive and finite, got {x!r}")
+        try:
+            if 0.0 < x < math.inf:  # NaN fails this too
+                continue
+        except TypeError:  # not a number
+            pass
+        raise ValueError(f"lengths must be positive finite numbers, got {x!r}")
 
 
 def _check_order(n):
@@ -99,11 +108,11 @@ def pentagon_side(x: float, y: float) -> float:
     """
     try:
         z = math.asinh(math.cosh(x) / math.sinh(y))
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, TypeError):  # TypeError: not a number
         z = math.nan
     # valid arguments give a positive finite z unless the float range is
     # exceeded, so the arguments are checked only when z is not
-    if 0.0 < x and 0.0 < z < math.inf:
+    if 0.0 < z < math.inf and 0.0 < x:
         return z
     _check_lengths(x, y)
     raise DegenerateConfigurationError(f"pentagon side of ({x!r}, {y!r}) overflows")
@@ -135,7 +144,11 @@ def diagonal_same_type(h1: float, k: float, n: int) -> float:
     2..n-2.
     """
     _check_order(n)
-    if not 1 <= k <= n - 1 or k != int(k):
+    try:
+        ok = 1 <= k <= n - 1 and k == int(k)
+    except TypeError:  # not a number
+        ok = False
+    if not ok:
         raise ValueError(f"slot count k must be an integer in 1..n-1, got {k!r}")
     _check_lengths(h1)
     return _in_range(lambda: 2.0 * guarded_acosh(math.cosh(h1) * math.sin(k * math.pi / n)),
@@ -152,7 +165,11 @@ def diagonal_mixed_type(h1: float, h2: float, k: float, n: int) -> float:
     arc doubles it.  k = 1 is excluded: adjacent sides meet at a vertex.
     """
     _check_order(n)
-    if not 3 <= k <= 2 * n - 3 or k != int(k) or int(k) % 2 == 0:
+    try:
+        ok = 3 <= k <= 2 * n - 3 and k == int(k) and int(k) % 2 == 1
+    except TypeError:  # not a number
+        ok = False
+    if not ok:
         raise ValueError(f"slot count k must be odd in 3..2n-3, got {k!r}")
     _check_lengths(h1, h2)
     return _in_range(lambda: 2.0 * guarded_acosh(

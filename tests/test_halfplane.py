@@ -9,6 +9,7 @@ integral of dy/y.
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -224,6 +225,28 @@ class TestGeodesics:
             v = tangent_at(geodesic_from_direction(p, u), 0.0)
             assert math.hypot(v.dx - u.dx, v.dy - u.dy) < 1e-9
 
+    @pytest.mark.parametrize("s", [710.0, -746.0, 1e300])
+    def test_point_beyond_the_float_range_fails_typed(self, s):
+        # e^710 overflows and e^-746 underflows to a y of 0
+        with pytest.raises(DegenerateConfigurationError, match=re.escape(f"arclength {s!r}")):
+            HGeodesic((1.0, 0.0, 0.0, 1.0)).point_at(s)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_arclength_that_is_not_finite_is_a_value_error(self, s):
+        with pytest.raises(ValueError, match="arclength"):
+            HGeodesic((1.0, 0.0, 0.0, 1.0)).point_at(s)
+
+    def test_points_of_every_normal_height_are_points(self):
+        # y is refused only below the normal floats, and dist roots each
+        # y alone, so two points near 1e-300 are 2 asinh(1/2) apart
+        tiny = 2.0 * sys.float_info.min
+        assert dist(HPoint(0.0, tiny), HPoint(tiny, tiny)) == pytest.approx(
+            2.0 * math.asinh(0.5), rel=4 * EPS)
+        assert HGeodesic((1.0, 0.0, 0.0, 1.0)).point_at(-708.0).y == math.exp(-708.0)
+        for y in (sys.float_info.min / 2, 5e-324, 0.0):
+            with pytest.raises(ValueError):
+                HPoint(0.0, y)
+
     def test_coincident_points_raise(self):
         p = HPoint(1.0, 1.0)
         with pytest.raises(DegenerateConfigurationError):
@@ -410,6 +433,13 @@ class TestCommonPerpendicular:
         assert f1.y == pytest.approx(math.sqrt(24.0) * scale, rel=1e-12)
         assert (f2.x, f2.y) == (pytest.approx(4.8 * scale, rel=1e-12),
                                 pytest.approx(math.sqrt(0.96) * scale, rel=1e-12))
+
+    def test_feet_beyond_the_float_range_fail_typed(self):
+        # the foot on g sits near arclength 729, whose e^s is no float
+        g = geodesic_through(HPoint(-1e300, 1e-6), HPoint(-1e-300, 0.3))
+        h = geodesic_through(HPoint(1.0, 5.0), HPoint(1e-12, 1e6))
+        with pytest.raises(DegenerateConfigurationError, match="arclength"):
+            common_perpendicular(g, h)
 
     def test_two_verticals_are_asymptotic(self):
         with pytest.raises(NoPerpendicularError):

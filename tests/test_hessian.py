@@ -23,9 +23,9 @@ from mpmath import mp
 
 from systolica import hessian
 from systolica.errors import (DegenerateConfigurationError,
-                              DegenerateMarginError, InconsistentSceneError)
+                              DegenerateMarginError, InconsistentSceneError, SystolicaError)
 from systolica.polygons import polygon_from_json
-from systolica.halfplane import HPoint, _unit
+from systolica.halfplane import HPoint, _unit, common_perpendicular
 from systolica.hessian import (
     ChordConfig,
     EndpointVariation,
@@ -322,6 +322,33 @@ class TestHessianForm:
         assert hessian_form(cfg, w3) == pytest.approx(
             9.0 * hessian_form(cfg, w), rel=1e-13)
 
+    @pytest.mark.parametrize("weight, endpoints, split_refused", [
+        (1e200, EndpointVariation(), True),  # the kernel sums overflow
+        (1.0, EndpointVariation(u_perp=1e200), True),  # end2 overflows
+        (1.5e154, EndpointVariation(v_perp=6e153), False),  # only their sum
+    ])
+    def test_values_beyond_the_float_range_are_refused(self, weight, endpoints,
+                                                       split_refused):
+        # finite input whose second variation is not a float: typed, and
+        # without numpy's overflow warning (tier-1 turns it into an error)
+        cfg, weights = ChordConfig(2.0, (1.0,), (1.0,)), TransverseWeights((weight,))
+        if split_refused:
+            with pytest.raises(DegenerateConfigurationError, match="parts"):
+                hessian_split(cfg, weights, endpoints)
+        else:
+            assert all(map(math.isfinite, hessian_split(cfg, weights, endpoints)))
+        with pytest.raises(DegenerateConfigurationError):
+            hessian_form(cfg, weights, endpoints)
+
+    def test_rates_up_to_2_to_the_400_sum_without_overflow(self):
+        # the kernel sums skip numpy's overflow context up to rates of
+        # 2^400: at the longest chord, with crossings near both ends, no
+        # sum may overflow or warn (tier-1 turns warnings into errors)
+        L = hessian.MAX_CHORD_LENGTH
+        cfg = ChordConfig(L, s=(0.5, L - 0.5), theta=(math.pi / 2, 1.0))
+        split = hessian_split(cfg, TransverseWeights((2.0 ** 400, -(2.0 ** 400))))
+        assert all(map(math.isfinite, split)) and split[0] > 0.0
+
 
 class TestMargins:
     def test_midpoint_crossing_saturates_floor(self):
@@ -421,6 +448,9 @@ class TestSceneOracle:
         # the float range
         [(1.0, 0.0, 0.0, 1.0),
          (0.0, 5e-324, -1.4205162362562467e+106, -1.1227006134817266e+280)],
+        # the determinant overflows in a product, then in the difference
+        [(1.0, 0.0, 0.0, 1.0), (1e200, 0.0, 0.0, 1e200)],
+        [(1.0, 0.0, 0.0, 1.0), (1e154, 1e154, -1e154, 1e154)],
     ])
     def test_scene_rejects_malformed_leaves(self, leaves):
         scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)))
@@ -614,6 +644,56 @@ def test_json_readers_raise_value_error_on_malformed_input(reader, data):
 def test_constructors_raise_value_error_on_malformed_input(build, args, kwargs):
     with pytest.raises(ValueError):
         build(*args, **kwargs)
+
+
+def typed_or_none(call, *args, **kwargs):
+    """call(*args, **kwargs), or None where it raises ValueError or a
+    SystolicaError; any other exception escapes."""
+    try:
+        return call(*args, **kwargs)
+    except (ValueError, SystolicaError):
+        return None
+
+
+signed_extremes = st.tuples(st.floats(1e-300, 1e300), st.booleans()).map(
+    lambda v: -v[0] if v[1] else v[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(signed_extremes, min_size=19, max_size=19))
+@example([-1e300, 1e-6, -1e-300, 0.3, 1.0, 5.0, 1e-12, 1e6, 710.0]
+         + [1e200, 0.0, 0.0, 1e200] + [2.0, 1e200, 1.0, 1e200, 1.0, 1.0])
+def test_extreme_floats_fail_typed_or_give_finite_floats(v):
+    # Finite floats from 1e-300 to 1e300 in magnitude, either sign, through
+    # the points, geodesics and scenes built of them: only ValueError or a
+    # SystolicaError may escape (warnings are errors in tier-1), and every
+    # float returned is finite.
+    assert (typed_or_none(HPoint, v[0], v[1]) is None) == (v[1] < 0)
+    points = [typed_or_none(HPoint, x, abs(y)) for x, y in zip(v[0:8:2], v[1:8:2])]
+    g, h = (typed_or_none(reference.geodesic_through, *points[k:k + 2]) for k in (0, 2))
+    for geodesic in (g, h):
+        if geodesic is not None:
+            for s in (v[8], -v[8], math.log(abs(v[8]))):
+                foot = typed_or_none(geodesic.point_at, s)
+                assert foot is None or math.isfinite(foot.x) and math.isfinite(foot.y)
+    if g is not None and h is not None:
+        cp = typed_or_none(common_perpendicular, g, h)
+        assert cp is None or all(map(math.isfinite, (cp.length, cp.foot_first.x,
+                                                     cp.foot_first.y, cp.foot_second.x,
+                                                     cp.foot_second.y)))
+    scene = typed_or_none(HalfplaneScene, cfg=ChordConfig(2.0, (1.0,), (1.0,)),
+                          weights=TransverseWeights((1.0,)), endpoints=EndpointVariation(),
+                          p=HPoint(0.0, 1.0), q=HPoint(0.0, math.exp(2.0)), leaves=[v[9:13]])
+    assert scene is None or np.isfinite(scene.leaves).all()
+    length = abs(v[13])
+    cfg = typed_or_none(ChordConfig, length, (0.5 * length,), (min(abs(v[14]), 3.0),))
+    weights = TransverseWeights((v[15],))
+    endpoints = EndpointVariation(u_perp=v[16], u_par=v[17], v_perp=v[18])
+    if cfg is not None:
+        split = typed_or_none(hessian_split, cfg, weights, endpoints)
+        assert split is None or all(map(math.isfinite, split))
+        form = typed_or_none(hessian_form, cfg, weights, endpoints)
+        assert form is None or math.isfinite(form)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ finite differences or against an exactly-known curve in the moduli
 space.
 """
 
+import itertools
 import math
 import random
 
@@ -18,7 +19,7 @@ from mpmath import mp, mpf
 from systolica import polygons
 from systolica.errors import (DegenerateConfigurationError, NoPerpendicularError,
                               NoPolygonError)
-from systolica.halfplane import HPoint, _unit, common_perpendicular, dist
+from systolica.halfplane import HPoint, _relative, _unit, common_perpendicular, dist
 from systolica.polygons import (
     BoundaryFunctional,
     boundary_functional,
@@ -42,18 +43,19 @@ PENTAGON_SIDES = (1.1753002364660627, 1.0386778666805139, 1.0,
                   1.2, 0.9184666237052919)
 HEXAGON_SIDES = (1.8143493286660695, 1.3880521073768781, 0.8,
                  2.4001304938489234, 0.9, 1.2623782554610337)
-# realize(HEXAGON_SIDES) as the walk with one object per side gave it
+# realize(HEXAGON_SIDES) with side 1 up the imaginary axis: the float
+# walk's bits, each entry within 1.1e-15 of the 50-digit walk (mp_walk)
 HEXAGON_FRAMES = (
-    (0.44925666281864396, -1.1129495484006657, 0.44925666281864396, 1.1129495484006657),
-    (1.1046466055649178, 0.46930174002031494, 0.46930174002031494, 1.1046466055649178),
-    (1.3978023357972895, 1.729357255791486, 0.2740679854938813, 1.0544849021541158),
-    (0.6548185056964738, 2.2942071612104304, -0.2107043706066929, 0.7889216928992031),
-    (1.0488225146561019, 2.025983039754646, -0.6627089157447328, -0.32668732679271895),
-    (0.24964921755052916, 2.076563985201456, -0.5876265464883882, -0.8822143539925917))
+    (0.6353448655446029, 0.0, 0.0, 1.573948345585233),
+    (1.1129495484006657, 1.1129495484006657, -0.44925666281864396, 0.44925666281864396),
+    (1.1821908414495184, 1.9684736676363268, -0.794600179351799, -0.47720681769231016),
+    (0.31403611654278213, 2.1801013200128314, -0.6120170951060544, -1.0643975622644366),
+    (0.2730235440985711, 1.2015835218766069, -1.2102354806503415, -1.6635891700822822),
+    (-0.238986061179277, 0.844532723335439, -0.5920433704750656, -2.0921722276719814))
 HEXAGON_VERTICES = (
-    (-0.7197734176655047, 0.6942090659319563), (0.7197734176655046, 0.6942090659319564),
-    (1.8589536105043638, 0.8424233128659347), (2.507486952202692, 1.4997140735436758),
-    (-2.485634428460827, 1.831811439525633), (-1.7610025951926531, 0.8899907967561952))
+    (0.0, 0.4036630981738895), (0.0, 2.477313394570492),
+    (-2.186827581391523, 1.1639874501830652), (-1.666784859734581, 0.663346794948141),
+    (-0.5503909903888415, 0.23628379396148871), (-0.34380730627806905, 0.21151934421504065))
 
 
 def pentagon_curve(sides, i, t):
@@ -230,7 +232,7 @@ class TestFrameTable:
     def test_realize_keeps_the_walks_bits(self):
         poly = realize(HEXAGON_SIDES)
         assert poly.frames == HEXAGON_FRAMES
-        assert poly.closure_defect == 1.3440693017233997e-15
+        assert poly.closure_defect == 1.0838203501639382e-15
         assert tuple((v.x, v.y) for v in poly.vertices) == HEXAGON_VERTICES
         for k in range(1, poly.n + 1):  # each geodesic shares its row
             assert poly.side_geodesic(k).frame is poly.frames[k - 1]
@@ -270,9 +272,10 @@ class TestFrameTable:
             math.sin(phi), rel=1e-9)
 
     def test_vertex_near_the_real_axis_fails_typed(self):
-        # side 1 of length 60 puts vertex 1 at height about 2 e^-30
+        # side 1 of length 1418 puts vertex 1 at height e^-709, below the
+        # normal floats
         with pytest.raises(DegenerateConfigurationError, match="vertex 1"):
-            realize([60.0, 1.0, 1.0, 1.0, 1.0])
+            realize([1418.0, 1.0, 1.0, 1.0, 1.0])
 
 
 class TestTangentU:
@@ -604,12 +607,13 @@ WALK_C = 8.0
 
 def mp_walk(sides):
     """Step matrices M_0..M_n and frames F_0 = I, F_{k+1} = F_k M_k of the
-    walk in realize(), at 50 digits: M_0 puts the midpoint of side 1 at i
-    heading right, M_k (k >= 1) is diag(e^{l_k/2}, e^{-l_k/2}) and a
-    quarter turn.  Vertex k is F_k(i)."""
+    walk in realize(), at 50 digits: M_0 = diag(e^{-l_1/4}, e^{l_1/4})
+    runs side 1 up the imaginary axis with its midpoint at i, M_k
+    (k >= 1) is diag(e^{l_k/2}, e^{-l_k/2}) and a quarter turn.  Vertex k
+    is F_k(i)."""
     r = 1 / mp.sqrt(2)
     h = mp.exp(-mpf(sides[0]) / 4)
-    steps = [mp.matrix([[h, -1 / h], [h, 1 / h]]) * r]
+    steps = [mp.matrix([[h, 0], [0, 1 / h]])]
     for length in sides:
         e = mp.exp(mpf(length) / 2)
         steps.append(mp.matrix([[e, e], [-1 / e, 1 / e]]) * r)
@@ -799,25 +803,28 @@ U = EPS / 2  # math's exp, sinh and cosh are taken within an ulp, 2U
 
 def mp_chart(coords):
     """The chart at 50 digits, built as matrix products off side 1's
-    frame: F_1 = Q^-1 D(-l_1/2), F_2 = F_1 D(l_1) Q,
-    F_k = F_1 D(sigma_k) Q D(h_k) Q D(-eta_k) for 3 <= k <= n - 1 and
-    F_n = -F_1 Q^-1 D(-l_n) (the walk closes at F_{n+1} = -F_1), with
-    sigma_k the foot of h_k on side 1 and eta_k the head of side k.
-    Returns (sides, rows, budgets): the sides, the rows F_1..F_n as
-    lists (a, b, c, d), and for each entry a first-order bound on the
-    error of the float row.
+    frame: F_1 = D(-l_1/2), which runs side 1 up the imaginary axis,
+    F_2 = F_1 D(l_1) Q, F_k = F_1 D(sigma_k) Q D(h_k) Q D(-eta_k) for
+    3 <= k <= n - 1 and F_n = -F_1 Q^-1 D(-l_n) (the walk closes at
+    F_{n+1} = -F_1), with sigma_k the foot of h_k on side 1 and eta_k the
+    head of side k.  Returns (sides, rows, budgets): the sides, the rows
+    F_1..F_n as lists (a, b, c, d), and for each entry a first-order
+    bound on the error of the float row.
 
     The bound follows the float data flow of ``sides_from_pentagon_coords``
-    with the chain's errors of ``mp_pentagons``: l_1 = sum of the pieces,
-    mu = l_1/2 less one piece per row (a rounding each), and for rows
-    3..n-1 the terms T = s e^{(mu - eta)/2} and c e^{-(mu + eta)/2} (and
-    their reciprocal pairs), s, c = sinh, cosh(h/2)/sqrt 2.  s and c
-    each round 4U (the constant, sinh or cosh, the product) and inherit
-    coth(h/2)/2 or tanh(h/2)/2 of h's error; an exponential rounds its
-    argument (U |mu -+ eta| / 2) and itself (2U) and inherits half the
-    errors of mu and eta; each product or quotient adds U and each sum U
-    of its result.  Rows 1, 2 and n are one or two such factors of l_1/4
-    and l_n."""
+    with the chain's errors of ``mp_pentagons``, relative to each entry,
+    which is one product (or quotient) of two factors: l_1 = sum of the
+    pieces, mu = l_1/2 less the running sum of the pieces before the row
+    (a rounding per sum and one for the difference), and for rows
+    3..n-1 the factors s, c = sinh, cosh(h/2), which round 2U and
+    inherit coth(h/2)/2 or tanh(h/2)/2 of h's error, and
+    u, v = e^{(mu - eta)/2}, e^{-(mu + eta)/2}, which round their
+    argument (U |mu -+ eta| / 2) and themselves (2U) and inherit half the
+    errors of mu and eta; the product adds U.  Rows 1, 2 and n are
+    e = e^{l_1/4} (2U and a quarter of l_1's error), its reciprocal (U
+    more), 1/sqrt 2 (U) times e or over it (U), and t = e^{l_n/2} (2U
+    and half of l_n's error) times or over those (U).  A zero entry is
+    exact."""
     with mp.workdps(50):
         h, tails, heads, pieces = mp_pentagons(coords)
         l1, dl1 = mp_total(*pieces)
@@ -829,42 +836,33 @@ def mp_chart(coords):
         def d(x):
             return mp.matrix([[mp.exp(x / 2), 0], [0, mp.exp(-x / 2)]])
 
-        f1 = q ** -1 * d(-l1 / 2)
+        f1 = d(-l1 / 2)
         frames = [f1, f1 * d(l1) * q]
-        r = l1 / 4
-        dr = dl1 / 4
-        e = mp.exp(-r)
-        budgets = [[(4 * U + dr) * v / mp.sqrt(2) for v in (e, 1 / e, e, 1 / e)],
-                   [(2 * U + dr / mp.tanh(r)) * abs(v)
-                    for v in (mp.cosh(r), mp.sinh(r), mp.sinh(r), mp.cosh(r))]]
-        mu, dmu = l1 / 2, dl1 / 2
+        e, re = mp.exp(l1 / 4), 2 * U + dl1 / 4
+        w, r, rw = e / mp.sqrt(2), 1 / (e * mp.sqrt(2)), re + 2 * U  # e, 1/e over sqrt 2
+        budgets = [[(re + U) / e, 0, 0, re * e], [rw * w, rw * w, rw * r, rw * r]]
+        foot, dfoot = mpf(0), mpf(0)
         etas = [(mpf(0), mpf(0))] + heads
         for k, ((hk, dh), (eta, deta)) in enumerate(zip(h, etas)):
+            mu = l1 / 2 - foot
+            dmu = dl1 / 2 + dfoot + U * abs(mu)
             frames.append(f1 * d(l1 / 2 + mu) * q * d(hk) * q * d(-eta))
-            s, c = mp.sinh(hk / 2) / mp.sqrt(2), mp.cosh(hk / 2) / mp.sqrt(2)
+            s, c = mp.sinh(hk / 2), mp.cosh(hk / 2)
             eu, ev = mp.exp((mu - eta) / 2), mp.exp(-(mu + eta) / 2)
-            rs = 4 * U + dh / (2 * mp.tanh(hk / 2))
-            rc = 4 * U + dh * mp.tanh(hk / 2) / 2
+            rs = 2 * U + dh / (2 * mp.tanh(hk / 2))
+            rc = 2 * U + dh * mp.tanh(hk / 2) / 2
             ru = 2 * U + U * abs(mu - eta) / 2 + (dmu + deta) / 2
             rv = 2 * U + U * abs(mu + eta) / 2 + (dmu + deta) / 2
-            t1, t2 = s * eu * (rs + ru + U), c * ev * (rc + rv + U)
-            t3, t4 = c / ev * (rc + rv + U), s / eu * (rs + ru + U)
-            a, b = s * eu + c * ev, c / ev + s / eu
-            cc, dd = s * eu - c * ev, c / ev - s / eu
-            budgets.append([t1 + t2 + U * abs(a), t3 + t4 + U * abs(b),
-                            t1 + t2 + U * abs(cc), t3 + t4 + U * abs(dd)])
+            budgets.append([(rs + ru + U) * s * eu, (rc + rv + U) * c / ev,
+                            (rc + rv + U) * c * ev, (rs + ru + U) * s / eu])
             if k < len(pieces):
-                mu -= pieces[k][0]
-                dmu += pieces[k][1] + U * abs(mu)
+                foot += pieces[k][0]
+                dfoot += pieces[k][1] + U * foot
         ln, dln = h[-1]
         frames.append(-f1 * q ** -1 * d(-ln))
         t = mp.exp(ln / 2)
-        rt = 2 * U + dln / 2
-        sh, ch = mp.sinh(r), mp.cosh(r)
-        budgets.append([(2 * U + dr / mp.tanh(r) + rt + U) * sh / t,
-                        (2 * U + dr * mp.tanh(r) + rt + U) * ch * t,
-                        (2 * U + dr * mp.tanh(r) + rt + U) * ch / t,
-                        (2 * U + dr / mp.tanh(r) + rt + U) * sh * t])
+        rt = rw + 2 * U + dln / 2 + U
+        budgets.append([rt * r / t, rt * r * t, rt * w / t, rt * w * t])
         rows = [[f[0, 0], f[0, 1], f[1, 0], f[1, 1]] for f in frames]
     return sides, rows, budgets
 
@@ -964,3 +962,76 @@ def test_chart_round_trip_and_closure_track_the_50_digit_chart(n):
         assert poly.closure_defect <= 2 * closure
         assert poly.closure_defect <= 1e-9
         assert pentagon_coords(poly) == pytest.approx(coords, rel=1e-9)
+
+
+# --------------------------------------------------------------------------
+# the chart at n up to 400
+
+
+def chart_defect_budgets(coords, poly):
+    """For each corner, (side k, side k+1) at slot k - 1 cyclically, a
+    first-order bound on the float right-angle defect |AD + BC| of the
+    relative frame F_k^-1 F_{k+1} of the chart's rows.
+
+    Every row is D(mu) M with M a matrix of h_k and eta_k alone, and
+    |AD + BC| does not change when a row is multiplied by a diagonal
+    matrix: an error that both rows' mu share cancels.  So each row's
+    entries are charged a relative error r of their own, the roundings of
+    their two factors and of their product with what those inherit from
+    h and eta (``mp_chart``, less mu's error), and each corner half the
+    error of the difference of the rows' mu, D(mu_k - mu_{k+1}), which
+    is one piece: the piece's own error (``mp_pentagons``) and the
+    roundings of its running sum P and of the two differences, U of
+    P + |mu_k| + |mu_{k+1}|.  Rows 1 and n share -l_1/2 and rows 2 and 3
+    l_1/2 exactly, so the other four corners have no such term.  An entry
+    of the relative frame, A = f_d g_a - f_b g_c and its kin, is then off
+    by rho = r_f + r_g + shift/2 + 2U of A^ = |f_d g_a| + |f_b g_c|, and
+    the defect by (2 rho + 2U)(A^ D^ + B^ C^).  Every term is U times at
+    most l_1 or a local size, so the bound grows linearly in l_1."""
+    n = poly.n
+    with mp.workdps(20):
+        h, _, heads, pieces = mp_pentagons(coords)
+        h, heads, pieces = ([(float(v), float(e)) for v, e in xs] for xs in (h, heads, pieces))
+    feet = list(itertools.accumulate((p for p, _ in pieces), initial=0.0))
+    mus = [0.5 * poly.sides[0] - foot for foot in feet]  # rows 3..n-1
+    rel = [3 * U, 4 * U]  # 1/e and e; e/sqrt 2
+    for (hk, dh), (eta, deta), mu in zip(h, [(0.0, 0.0)] + heads, mus):
+        th = math.tanh(hk / 2)
+        rs, rc = 2 * U + dh / (2 * th), 2 * U + dh * th / 2
+        ru = 2 * U + U * abs(mu - eta) / 2 + deta / 2
+        rv = 2 * U + U * abs(mu + eta) / 2 + deta / 2
+        rel.append(max(rs + ru, rc + rv) + U)
+    rel.append(7 * U + h[-1][1] / 2)  # e/sqrt 2 (4U) and e^{l_n/2}
+    shift = [0.0] * n
+    for j, (_, dp) in enumerate(pieces):  # corner (j + 3, j + 4)
+        shift[j + 2] = dp + U * (feet[j + 1] + abs(mus[j]) + abs(mus[j + 1]))
+    budgets = []
+    for k in range(n):
+        (fa, fb, fc, fd), (ga, gb, gc, gd) = poly.frames[k], poly.frames[(k + 1) % n]
+        a, b = abs(fd * ga) + abs(fb * gc), abs(fd * gb) + abs(fb * gd)
+        c, d = abs(fa * gc) + abs(fc * ga), abs(fa * gd) + abs(fc * gb)
+        rho = rel[k] + rel[(k + 1) % n] + shift[k] / 2 + 2 * U
+        budgets.append((2 * rho + 2 * U) * (a * d + b * c))
+    return budgets
+
+
+@pytest.mark.parametrize("n", [6, 24, 48, 64, 100, 200, 400])
+def test_chart_accepts_long_chains_within_derived_budgets(n):
+    # Every chain is built, up to l_1 near 450 with vertex 1 at
+    # y = e^{-l_1/2}.  Its inner perpendiculars come back within 4 eps:
+    # -AD = (e s u)(s/u / e) is s^2 to 6U, as e and u cancel in the
+    # products, s = sinh(h/2) is within 2U, and sqrt and asinh (relative
+    # condition at most 1) add U and 2U, 8U in all.  Each corner's defect
+    # is within its derived budget (``chart_defect_budgets``).
+    rng = random.Random(1100 + n)
+    for coords in [random_coords(rng, n) for _ in range(10)]:
+        poly = sides_from_pentagon_coords(coords)
+        back = pentagon_coords(poly)
+        assert all(abs(b - c) <= 4 * EPS * c for b, c in zip(back, coords))
+        rows = poly.frames
+        defects = [abs(a * d + b * c) for a, b, c, d in
+                   (_relative(f, *g) for f, g in zip(rows, rows[1:] + rows[:1]))]
+        assert poly.closure_defect == max(defects)
+        budgets = chart_defect_budgets(coords, poly)
+        for k, (got, budget) in enumerate(zip(defects, budgets), start=1):
+            assert got <= budget, f"corner ({k}, {k % n + 1}) of {coords}"

@@ -29,7 +29,7 @@ PUBLIC = {
         "trirectangle_center",
     },
     halfplane: {
-        "ASYMPTOTIC_EPS", "CommonPerpendicular", "HGeodesic", "HPoint", "YMIN",
+        "ASYMPTOTIC_EPS", "CommonPerpendicular", "HGeodesic", "HPoint",
         "common_perpendicular", "dist",
     },
     polygons: {

@@ -30,6 +30,7 @@ from systolica.trig import (
 
 from reference import (
     HTangent,
+    circle_geodesic,
     dist_to_geodesic,
     geodesic_from_direction,
     geodesics,
@@ -110,7 +111,9 @@ class TestSemiRegularPolygonFigures:
     """Measurements on realized semi-regular right-angled 2n-gons.
 
     The polygon is walked from its side lengths alone; the center comes
-    from intersecting two perpendicular side bisectors.  Apothems and
+    from intersecting two perpendicular side bisectors, that of side 1
+    the unit circle, since side 1 runs up the imaginary axis with its
+    midpoint at i.  Apothems and
     side-to-side perpendiculars are then measured and compared with the
     closed forms.
     """
@@ -125,7 +128,7 @@ class TestSemiRegularPolygonFigures:
         g2 = geodesics(poly)[1]
         m2 = g2.point_at(l2 / 2)
         bisector2 = geodesic_from_direction(m2, rotate_quarter(tangent_at(g2, l2 / 2)))
-        center = intersection_point(vertical_geodesic(0.0), bisector2)
+        center = intersection_point(circle_geodesic(0.0, 1.0), bisector2)
         return n, l1, l2, poly, center
 
     def test_trirectangle_center_gives_the_apothems(self, figure):
@@ -238,6 +241,29 @@ def test_argument_validation():
 ])
 def test_float_range_and_non_integral_counts_fail_typed(call, args, error):
     with pytest.raises(error):
+        call(*args)
+
+
+@pytest.mark.parametrize("call, args", [
+    (semiregular_partner, ("1", 3)),
+    (trirectangle_center, (None, 3)),
+    (equilateral_angle, ("2",)),
+    (pentagon_perpendicular, ("1", 2.0)),
+    (guarded_acosh, ("2",)),
+    (diagonal_same_type, (1.0, "2", 6)),
+    (diagonal_mixed_type, (1.0, 1.0, None, 6)),
+    (pentagon_side, ("a", 1.0)),
+    (pentagon_side, (1.0, "a")),
+    (HPoint, ("1", 1.0)),
+    (HPoint, (0.0, None)),
+    (HPoint, (0.0, 1j)),
+    (HPoint, (0.0, 10**400)),
+])
+def test_values_that_are_not_numbers_raise_value_error(call, args):
+    # a string, None, a complex number or an integer beyond the floats is
+    # a malformed argument, whose comparison, libm call or float() would
+    # raise TypeError or OverflowError
+    with pytest.raises(ValueError):
         call(*args)
 
 
