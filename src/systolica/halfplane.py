@@ -63,14 +63,19 @@ def dist(p, q):
     Written as 2 asinh(|p - q| / (2 sqrt(y1 y2))) rather than
     acosh(1 + |p - q|^2 / (2 y1 y2)), which loses every digit of a short
     distance, with each y rooted alone, as their product can underflow.
+    Where a difference, |p - q| or the quotient overflows, the quotient
+    r is taken in log form from the quartered differences, and
+    asinh(r) = log r + log(1 + sqrt(1 + r^-2)), so every pair of points
+    has a finite distance.
     """
-    return 2.0 * math.asinh(math.hypot(p.x - q.x, p.y - q.y)
-                            / (2.0 * math.sqrt(p.y) * math.sqrt(q.y)))
-
-
-# Entries below 2^511 have a finite determinant, and divided by its root,
-# at least 2^-511 where the determinant is normal, stay below 2^1022.
-_SAFE_ENTRY = 2.0 ** 511
+    d = 2.0 * math.asinh(math.hypot(p.x - q.x, p.y - q.y)
+                         / (2.0 * math.sqrt(p.y) * math.sqrt(q.y)))
+    if d < math.inf:
+        return d
+    # here r > 1/4, as |p - q| is beyond the floats or r is, so e^{-2 log r} < 16
+    log_r = (math.log(math.hypot(0.25 * p.x - 0.25 * q.x, 0.25 * p.y - 0.25 * q.y))
+             + math.log(2.0) - 0.5 * (math.log(p.y) + math.log(q.y)))
+    return 2.0 * (log_r + math.log(1.0 + math.sqrt(1.0 + math.exp(-2.0 * log_r))))
 
 
 def _unit(a, b, c, d):
@@ -85,7 +90,9 @@ def _unit(a, b, c, d):
         return _unit_rescaled(a, b, c, d, det)
     s = math.sqrt(det)
     m = a / s, b / s, c / s, d / s
-    if s < 1.0 and not max(map(abs, m)) < math.inf:
+    # an infinite entry makes the sum infinite or NaN; a finite frame
+    # whose sum overflows only takes the slow path, which returns it
+    if s < 1.0 and not -math.inf < m[0] + m[1] + m[2] + m[3] < math.inf:
         return _unit_rescaled(a, b, c, d, det)  # which refuses it
     return m
 
@@ -115,37 +122,6 @@ def _unit_rescaled(a, b, c, d, det):
             return m
     raise ValueError(f"matrix must have positive determinant and a normalized frame "
                      f"within the float range (det={det!r})")
-
-
-def _unit_rows(rows):
-    """``_unit`` over the rows of an (n, 4) float64 array of frame
-    entries, changed in place, so that dividing every row by the root of
-    its determinant in the returned array ``det`` finishes the
-    normalization.  Below ``_SAFE_ENTRY`` no product of two entries
-    overflows, and where every determinant is then at least
-    ``_NORMAL_MIN`` that division is ``_unit`` and cannot overflow,
-    which three numpy calls decide.  Otherwise the determinants are
-    formed in Python floats, which overflow without numpy's warning, and
-    each row whose determinant is not in [1, inf) is normalized by
-    ``_unit_rescaled`` and its determinant set to one.  Returns
-    ``(det, i)``, with i the index of the first row that ``_unit``
-    refuses, left unfinished, or None when it refuses none."""
-    a, b, c, d = rows.T
-    if len(rows) and abs(rows).max() < _SAFE_ENTRY:  # a NaN entry fails this
-        det = a * d - b * c
-        if _NORMAL_MIN <= det.min():
-            return det, None
-    else:
-        det = a.copy()
-        for k, (ak, bk, ck, dk) in enumerate(rows.tolist()):
-            det[k] = ak * dk - bk * ck
-    for i in (~((det >= 1.0) & (det < math.inf))).nonzero()[0].tolist():
-        try:
-            rows[i] = _unit_rescaled(*rows[i].tolist(), det[i].item())
-        except ValueError:
-            return det, i
-        det[i] = 1.0
-    return det, None
 
 
 class HGeodesic:
@@ -187,8 +163,7 @@ def _point(a, b, c, d, t=1.0):
 def _turned(r, c, s):
     """Entries of diag(r, 1/r) R, the frame at i r^2 whose "up" points phi
     counterclockwise from the chart's vertical, for the rotation
-    R = [[c, s], [-s, c]], (c, s) = (cos, sin)(phi/2).  The arguments may
-    be floats or numpy columns."""
+    R = [[c, s], [-s, c]], (c, s) = (cos, sin)(phi/2)."""
     return r * c, r * s, -s / r, c / r
 
 
@@ -238,8 +213,7 @@ def _relative(f, a, b, c, d):
     """Entries of f^-1 [[a, b], [c, d]] for the four entries f of a frame
     of determinant one: the frame (a, b, c, d) seen from f, in which f's
     geodesic is the upward imaginary axis.  Its geodesic then runs from
-    b/d to a/c on the real line.  The entries may be floats or numpy
-    columns of many frames."""
+    b/d to a/c on the real line."""
     fa, fb, fc, fd = f
     return (fd * a - fb * c, fd * b - fb * d,
             fa * c - fc * a, fa * d - fc * b)

@@ -13,13 +13,14 @@ move simultaneously with tangent vectors ``u`` at ``p`` and ``v`` at
 
 The crossing data lives in arrays, not in one object per crossing:
 ``ChordConfig`` holds ``s`` and ``theta``, and ``TransverseWeights`` the
-rates ``a``, as read-only float64 arrays in chord order, validated once,
-and a realized ``HalfplaneScene`` holds its leaves as one (n, 4) array
-of frame entries.  A config decides its validity in one pass of
-comparisons and works out which crossing to name only when it refuses.
-``fd_oracle`` measures a scene in O(1) numpy calls,
-then walks the chord in its own frame: one float loop from ``p`` to
-``q`` carries the Taylor coefficients of the sheared chain, so it
+rates ``a``, as read-only float64 arrays in chord order, validated once.
+A config decides its validity in one pass of comparisons and works out
+which crossing to name only when it refuses.  A realized
+``HalfplaneScene`` holds its leaves as a tuple of float rows of frame
+entries, as ``polygons.MarkedRightPolygon`` holds its frames.
+``fd_oracle`` walks the chord in its own frame in one float pass from
+``p`` to ``q``: each leaf is measured, checked against the config and
+added to the Taylor coefficients of the sheared chain, so the oracle
 rounds relative to the chord, not to half-plane coordinates of size
 ``e^L``.  Both orders of its derivatives are memoized on the immutable
 scene.
@@ -70,8 +71,7 @@ import numpy as np
 from . import halfplane
 from .errors import (DegenerateConfigurationError, DegenerateMarginError,
                      InconsistentSceneError, SystolicaError, _is_integer, _real_floats)
-from .halfplane import (_frame_through, _half_turn, _product, _relative, _turned, _unit,
-                        _unit_rows)
+from .halfplane import _frame_through, _half_turn, _product, _relative, _turned, _unit
 
 __all__ = [
     "ChordConfig",
@@ -245,11 +245,23 @@ def first_derivatives(cfg: ChordConfig, weights: TransverseWeights,
         ``d_metric`` is the shear part ``sum(a_i * cos(theta_i))``;
         ``d_endpoints`` is ``u_par + v_par``, the outward components of
         the endpoint velocities.  The total derivative is their sum.
+
+    Raises
+    ------
+    DegenerateConfigurationError
+        If a part is not a finite float: rates whose sum, or outward
+        speeds whose sum, leaves the float range.
     """
     _check_weights(cfg, weights)
     # sin(pi/2 - theta) is cos(theta), exactly 0 at a perpendicular crossing
-    d_metric = float(weights.weights @ np.sin(0.5 * math.pi - cfg.theta))
-    return d_metric, endpoints.u_par + endpoints.v_par
+    cos = np.sin(0.5 * math.pi - cfg.theta)
+    # no partial sum of n terms at most _top overflows unless n _top does
+    if weights._top * cfg.n < math.inf:
+        d_metric = float(weights.weights @ cos)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_metric = float(weights.weights @ cos)
+    return _finite("the first variation's parts", d_metric, endpoints.u_par + endpoints.v_par)
 
 
 def hessian_form(cfg: ChordConfig, weights: TransverseWeights,
@@ -420,28 +432,31 @@ class HalfplaneScene:
 
     Carries both the abstract data (``cfg``, ``weights``, ``endpoints``)
     and its geometric realization: the endpoints ``p``, ``q`` and one
-    complete geodesic per crossing.  ``leaves`` is one read-only (n, 4)
-    float64 array: row ``i`` holds the entries ``(a, b, c, d)`` of the
-    frame of leaf ``i``, the matrix taking the upward imaginary axis onto
-    the leaf as in ``halfplane.HGeodesic``, normalized to determinant one
-    as ``halfplane._unit`` normalizes a frame.  ``fd_oracle`` re-measures
-    the geometry, refuses a scene that drifted from its configuration,
-    and differentiates it.
+    complete geodesic per crossing.  ``leaves`` is given as n rows of
+    four real numbers, such as a list of tuples or an (n, 4) array, and
+    kept as a tuple of n float rows: row ``i`` holds the entries
+    ``(a, b, c, d)`` of the frame of leaf ``i``, the matrix taking the
+    upward imaginary axis onto the leaf as in ``halfplane.HGeodesic``,
+    and is ``halfplane._unit`` of the given row read as floats, the frame
+    normalized to determinant one.  ``fd_oracle`` re-measures the
+    geometry, refuses a scene that drifted from its configuration, and
+    differentiates it.
 
     A scene is immutable: the dataclass is frozen, ``cfg`` and
-    ``weights`` hold read-only arrays, and ``p``, ``q`` and ``leaves``
-    are private copies taken here.  The private ``_jet`` memo holds both
-    orders of ``fd_oracle`` once ``_oracle_jet`` has computed them; a
-    check or jet that raises leaves it empty.
+    ``weights`` hold read-only arrays, ``leaves`` is a tuple of tuples,
+    and ``p`` and ``q`` are private copies taken here.  The private
+    ``_jet`` memo holds both orders of ``fd_oracle`` once ``_oracle_jet``
+    has computed them; a check or jet that raises leaves it empty.
 
     Raises
     ------
     ValueError
         If ``weights`` or the rows of ``leaves`` are not one per crossing
-        of ``cfg`` (the message names both counts), ``leaves`` is not an
-        (n, 4) array, or a row has a non-finite entry, a determinant
-        that is not positive and finite or a normalized entry beyond the
-        float range, when the message names the first bad leaf.
+        of ``cfg`` (the message names both counts), or a row is not four
+        numbers (a string is not a number) or ``_unit`` refuses it (a
+        non-finite entry, a determinant that is not positive and finite
+        or a normalized entry beyond the float range), when the message
+        names the first bad leaf.
     """
 
     cfg: ChordConfig
@@ -449,25 +464,24 @@ class HalfplaneScene:
     endpoints: EndpointVariation
     p: "halfplane.HPoint"
     q: "halfplane.HPoint"
-    leaves: np.ndarray
+    leaves: tuple
 
     def __post_init__(self):
         _check_weights(self.cfg, self.weights)
-        rows = np.array(self.leaves, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != 4:
-            raise ValueError("leaves must be an (n, 4) array of frame entries")
-        if len(rows) != self.cfg.n:
-            raise ValueError(f"{len(rows)} leaves for {self.cfg.n} crossings")
-        # halfplane._unit is the float form of this normalization, and
-        # _unit_rows gives it the rows that the column form would round;
-        # the first row it refuses is named
-        det, i = _unit_rows(rows)
-        if i is not None:
-            raise ValueError(f"leaf {i} frame {rows[i].tolist()!r} is not finite with "
-                             "positive determinant, or its normalized entries are not")
-        rows /= np.sqrt(det)[:, None]
-        rows.setflags(write=False)
-        object.__setattr__(self, "leaves", rows)
+        if len(self.leaves) != self.cfg.n:
+            raise ValueError(f"{len(self.leaves)} leaves for {self.cfg.n} crossings")
+        leaves = []
+        for i, row in enumerate(self.leaves):
+            try:
+                a, b, c, d = row
+                if not (type(a) is type(b) is type(c) is type(d) is float):
+                    a, b, c, d = _real_floats(row, "leaf entries")  # ints, numpy scalars
+                leaves.append(_unit(a, b, c, d))
+            except (TypeError, ValueError):
+                raise ValueError(f"leaf {i} frame {row!r} is not four finite numbers with "
+                                 "positive determinant, or its normalized entries are "
+                                 "not") from None
+        object.__setattr__(self, "leaves", tuple(leaves))
         object.__setattr__(self, "p", halfplane.HPoint(self.p.x, self.p.y))
         object.__setattr__(self, "q", halfplane.HPoint(self.q.x, self.q.y))
 
@@ -486,8 +500,8 @@ def realize_scene(cfg: ChordConfig, weights: TransverseWeights,
     ``theta_i`` from the upward direction.
 
     The frame of a leaf is ``halfplane._turned`` at ``r = e^{s/2}``,
-    turned by ``theta``: the frame at ``i r^2`` with no shift.  All ``n``
-    rows come from one numpy pass, O(1) numpy calls.
+    turned by ``theta``: the frame at ``i r^2`` with no shift, one float
+    row per leaf.
 
     Raises
     ------
@@ -501,123 +515,37 @@ def realize_scene(cfg: ChordConfig, weights: TransverseWeights,
     except OverflowError:
         raise DegenerateConfigurationError(
             f"chord length {cfg.length!r}: q = i e^L is not a float") from None
-    half = 0.5 * cfg.theta
-    leaves = np.stack(_turned(np.exp(0.5 * cfg.s), np.cos(half), np.sin(half)), axis=1)
+    leaves = [_turned(math.exp(0.5 * s), math.cos(0.5 * theta), math.sin(0.5 * theta))
+              for s, theta in zip(cfg.s.tolist(), cfg.theta.tolist())]
     return HalfplaneScene(cfg=cfg, weights=weights, endpoints=endpoints,
                           p=halfplane.HPoint(0.0, 1.0),
                           q=halfplane.HPoint(0.0, top), leaves=leaves)
 
 
-def _measure_scene(scene: HalfplaneScene):
-    """Re-derive the length and the crossing positions and angles from
-    the realized geometry: ``(length, s, theta, cos, sin)``, where
-    ``cos`` and ``sin`` are those of ``theta`` as the relative frames
-    give them.
+def _measure_leaf(a, b, c, d):
+    """``(s, cos, sin)`` of the crossing of a leaf with the chord, from
+    the float entries ``(a, b, c, d)`` of the leaf's frame seen from the
+    chord's (``halfplane._relative``, s = 0 at ``p``), or None for a
+    leaf that misses the chord.
 
-    Leaf ``i`` seen from the chord's frame (s = 0 at ``p``, as entries
-    from ``halfplane._frame_through``) has the relative frame
-    ``(a, b, c, d)`` and runs from ``b/d`` to ``a/c``; it crosses the
-    chord iff ``abcd < 0``, on the circle ``|z|^2 = -(b/d)(a/c)``.
-    Since ``ad - bc = 1`` and ``ad + bc = cos(theta)`` for a crossing
-    leaf, ``abcd`` is formed as ``(ad)(bc)``, a product of two factors
-    at most 1 in size, and the log of the crossing radius is taken
-    through ``(a/c)(b/d) = abcd / (cd)^2`` as
-    ``s = log(-abcd)/2 - log|c| - log|d|``: no quotient is formed, so
-    ``s`` stays finite where ``e^{2s}``, ``a/c`` or ``b/d`` overflows and
-    where ``cd`` underflows.  ``sin(theta)`` is ``-2 sign(ac) sqrt(-abcd)``
-    and the angle is ``atan2(sin, cos)``, free of cancellation and
-    signed, so a leaf that crosses clockwise measures outside ``(0, pi)``.
-    All ``n`` leaves cost O(1) numpy calls.
-
-    Raises
-    ------
-    DegenerateConfigurationError
-        If a leaf misses the chord; the message names the first one.
+    The leaf runs from ``b/d`` to ``a/c`` and crosses the chord iff
+    ``abcd < 0``, on the circle ``|z|^2 = -(b/d)(a/c)``.  Since
+    ``ad - bc = 1`` and ``ad + bc = cos(theta)`` for a crossing leaf,
+    ``abcd`` is formed as ``(ad)(bc)``, a product of two factors at most
+    1 in size, and the log of the crossing radius is taken through
+    ``(a/c)(b/d) = abcd / (cd)^2`` as ``s = log(-abcd)/2 - log|c| - log|d|``:
+    no quotient is formed, so ``s`` stays finite where ``e^{2s}``,
+    ``a/c`` or ``b/d`` overflows and where ``cd`` underflows.
+    ``sin(theta)`` is ``-2 sign(ac) sqrt(-abcd)``, so ``atan2(sin, cos)``
+    is the angle, free of cancellation and signed: a leaf that crosses
+    clockwise measures outside ``(0, pi)``.
     """
-    a, b, c, d = _relative(_frame_through(scene.p, scene.q), *scene.leaves.T)
     ad, bc = a * d, b * c
     minus_abcd = -(ad * bc)
-    crossing = minus_abcd > 0.0
-    if not crossing.all():
-        raise DegenerateConfigurationError(
-            f"leaf {int(crossing.argmin())} does not cross the chord")
-    s = 0.5 * np.log(minus_abcd) - (np.log(np.abs(c)) + np.log(np.abs(d)))
-    cos, sin = ad + bc, np.copysign(2.0 * np.sqrt(minus_abcd), -(a * c))
-    return halfplane.dist(scene.p, scene.q), s, np.arctan2(sin, cos), cos, sin
-
-
-def _checked_measure(scene: HalfplaneScene):
-    """``_measure_scene``, refused with InconsistentSceneError unless it
-    agrees with ``scene.cfg`` to 1e-10 in the length and in every
-    crossing position and angle."""
-    try:
-        measured = _measure_scene(scene)
-    except SystolicaError as exc:
-        raise InconsistentSceneError(
-            f"scene geometry is not a transverse chord configuration: {exc}"
-        ) from exc
-    length, s, theta = measured[:3]
-    cfg = scene.cfg
-    if abs(length - cfg.length) > 1e-10:
-        raise InconsistentSceneError(
-            f"realized chord length {length!r} != {cfg.length!r}")
-    # written as agreement so that a NaN measurement is refused too
-    agree = (np.abs(s - cfg.s) <= 1e-10) & (np.abs(theta - cfg.theta) <= 1e-10)
-    if not agree.all():
-        i = int(agree.argmin())
-        raise InconsistentSceneError(
-            f"leaf {i} measured at (s={s[i].item()!r}, "
-            f"theta={theta[i].item()!r}) but declared "
-            f"(s={cfg.s[i].item()!r}, theta={cfg.theta[i].item()!r})")
-    return measured
-
-
-def _shear_jet(length: float, s, cos, sin, weights):
-    """The Taylor coefficients ``(M0, M1, M2)`` of the chord's far end
-    sheared by ``t``, ``M(t) = M0 + t M1 + t^2 M2 + O(t^3)``, each as
-    entries ``(a, b, c, d)`` in the chord's frame (``p = i``,
-    ``q = D(L) i``, ``D(x) = diag(e^{x/2}, e^{-x/2})``, ``M0 = D(L)``),
-    with ``M2``'s off-diagonal entries left 0.
-
-    The shear by ``t a`` along the leaf at ``(s, theta)`` is
-    ``D(s) (I + E) D(-s)`` with
-    ``E = (cosh(t a/2) - 1) I + sinh(t a/2) X``,
-    ``X = [[cos theta, -sin theta], [-sin theta, -cos theta]]``, so
-    ``E = t E1 + t^2 E2 + O(t^3)`` with ``E1 = (a/2) X`` and
-    ``E2 = (a^2/8) I``, and ``M = D(s_1) (I + E_1) D(s_2 - s_1) ...
-    (I + E_n) D(L - s_n)``.  Its normalized difference from ``D``,
-    ``Psi_i = D(-g) (Psi_{i-1} (I + E_i) + E_i) D(g)`` for the gap
-    ``g = s_{i+1} - s_i`` (``s_{n+1} = L``) and ``Psi_0 = 0``, vanishes
-    at ``t = 0``, so its coefficients follow
-    ``Psi1 <- D(-g) (Psi1 + E1) D(g)`` and
-    ``Psi2 <- D(-g) (Psi2 + Psi1 E1 + E2) D(g)``, and ``Mk = D(L) Psik``,
-    with ``cos`` and ``sin`` as ``_measure_scene`` reads them: no sinh or
-    cosh.  Only the diagonal of ``Psi2`` is carried, six floats a step.
-    Its off-diagonal entries feed no other entry, and they never reach
-    an output: the endpoint turns are rotations, so at ``u = 0`` the
-    distance depends on ``M`` only through
-    ``r^2 = |M|_F^2 - 2 det M``, which to first order at ``D(L)`` moves
-    with the diagonal of ``M2`` alone.  ``Psi2`` reaches about
-    ``(sum|a|)^2 e^L / 4``, so the loop runs in the unit ``t T``, ``T``
-    the power of two at or above ``sum|a|`` (1 below it): an exact
-    rescaling, undone in ``Mk``, that keeps ``Psi`` a float on every
-    chord whose far end ``i e^L`` is one.  One numpy exp of the gaps and
-    one ``n``-step float loop.  An overflow leaves a non-finite entry,
-    with no warning.
-    """
-    rates = weights.tolist()
-    T = math.ldexp(1.0, max(0, math.frexp(sum(map(abs, rates)))[1]))
-    a1 = b1 = c1 = d1 = a2 = d2 = 0.0
-    gaps = np.exp(np.concatenate((s[1:], (length,))) - s).tolist()
-    for w, co, si, g in zip(rates, cos.tolist(), sin.tolist(), gaps):
-        h = 0.5 * w / T  # E1 = [[e, f], [f, -e]] and E2 = q I
-        e, f, q = h * co, -(h * si), 0.5 * (h * h)
-        a1, b1, c1, d1, a2, d2 = (
-            a1 + e, (b1 + f) / g, (c1 + f) * g, d1 - e,
-            a2 + a1 * e + b1 * f + q, d2 + c1 * f - d1 * e + q)
-    e = math.exp(0.5 * length)
-    return ((e, 0.0, 0.0, 1.0 / e), (e * a1 * T, e * b1 * T, c1 / e * T, d1 / e * T),
-            (e * a2 * T * T, 0.0, 0.0, d2 / e * T * T))
+    if not minus_abcd > 0.0:
+        return None
+    return (0.5 * math.log(minus_abcd) - (math.log(abs(c)) + math.log(abs(d))),
+            ad + bc, math.copysign(2.0 * math.sqrt(minus_abcd), -(a * c)))
 
 
 _IDENTITY = (1.0, 0.0, 0.0, 1.0)
@@ -681,15 +609,89 @@ def _distance_jet(g0, g1, g2, alpha: float, beta: float):
 
 
 def _oracle_jet(scene: HalfplaneScene):
-    """Check the scene, then both orders of ``fd_oracle`` from one pass:
-    ``_checked_measure`` (O(1) numpy calls), ``_shear_jet`` (O(1) numpy
-    calls and one ``n``-step float loop), the endpoint turns, and
+    """Check the scene and compute both orders of ``fd_oracle`` in one
+    float pass over the leaves, then the endpoint turns and
     ``_distance_jet`` on ``G_k = R_p^-1 M_k R_q``.
-    ``HalfplaneScene._jet`` memoizes the result."""
-    length, s, _, cos, sin = _checked_measure(scene)
+    ``HalfplaneScene._jet`` memoizes the result.
+
+    The chord's far end sheared by ``t`` has the Taylor coefficients
+    ``M(t) = M0 + t M1 + t^2 M2 + O(t^3)``, each as entries
+    ``(a, b, c, d)`` in the chord's frame (``p = i``, ``q = D(L) i``,
+    ``D(x) = diag(e^{x/2}, e^{-x/2})``, ``M0 = D(L)``), with ``M2``'s
+    off-diagonal entries left 0.  The shear by ``t a`` along the leaf at
+    ``(s, theta)`` is ``D(s) (I + E) D(-s)`` with
+    ``E = (cosh(t a/2) - 1) I + sinh(t a/2) X``,
+    ``X = [[cos theta, -sin theta], [-sin theta, -cos theta]]``, so
+    ``E = t E1 + t^2 E2 + O(t^3)`` with ``E1 = (a/2) X`` and
+    ``E2 = (a^2/8) I``, and ``M = D(s_1) (I + E_1) D(s_2 - s_1) ...
+    (I + E_n) D(L - s_n)``.  Its normalized difference from ``D``,
+    ``Psi_i = D(-g) Psi_{i-1} D(g) (I + E_i) + E_i`` for the gap
+    ``g = s_i - s_{i-1}`` and ``Psi_0 = 0`` (so the first gap is
+    immaterial), vanishes at ``t = 0``, and
+    ``Mk = D(L) D(-(L - s_n)) Psik D(L - s_n)``.  So each leaf is
+    measured (``_measure_leaf``) and checked, the coefficients carried
+    so far are conjugated by its gap, and
+    ``Psi1 <- Psi1 + E1`` and ``Psi2 <- Psi2 + Psi1 E1 + E2`` add it,
+    with the measured ``cos`` and ``sin``: no sinh or cosh.  Only the
+    diagonal of ``Psi2`` is carried, six floats a step.  Its
+    off-diagonal entries feed no other entry, and they never reach an
+    output: the endpoint turns are rotations, so at ``u = 0`` the
+    distance depends on ``M`` only through
+    ``r^2 = |M|_F^2 - 2 det M``, which to first order at ``D(L)`` moves
+    with the diagonal of ``M2`` alone.  ``Psi2`` reaches about
+    ``(sum|a|)^2 e^L / 4``, so the loop runs in the unit ``t T``, ``T``
+    the power of two at or above ``sum|a|`` (1 below it): an exact
+    rescaling, undone in ``Mk``, that keeps ``Psi`` a float on every
+    chord whose far end ``i e^L`` is one.  An overflow leaves a
+    non-finite entry, refused with the outputs.
+    """
+    cfg = scene.cfg
+    try:
+        chord = _frame_through(scene.p, scene.q)
+    except SystolicaError as exc:
+        raise InconsistentSceneError(
+            f"scene geometry is not a transverse chord configuration: {exc}") from exc
+    length = halfplane.dist(scene.p, scene.q)
+    if abs(length - cfg.length) > 1e-10:
+        raise InconsistentSceneError(
+            f"realized chord length {length!r} != {cfg.length!r}")
+    rates = scene.weights.weights.tolist()
+    T = math.ldexp(1.0, max(0, math.frexp(sum(map(abs, rates)))[1]))
+    declared = cfg.s.tolist()
+    a1 = b1 = c1 = d1 = a2 = d2 = 0.0
+    last = declared[0] if declared else length  # a zero Psi ignores its first gap
+    try:
+        for i, (row, w, s_i, theta_i) in enumerate(zip(scene.leaves, rates, declared,
+                                                       cfg.theta.tolist())):
+            measured = _measure_leaf(*_relative(chord, *row))
+            if measured is None:
+                raise InconsistentSceneError("scene geometry is not a transverse chord "
+                                             f"configuration: leaf {i} does not cross the chord")
+            s, co, si = measured
+            theta = math.atan2(si, co)
+            # written as agreement so that a NaN measurement is refused too
+            if not (abs(s - s_i) <= 1e-10 and abs(theta - theta_i) <= 1e-10):
+                raise InconsistentSceneError(
+                    f"leaf {i} measured at (s={s!r}, theta={theta!r}) but declared "
+                    f"(s={s_i!r}, theta={theta_i!r})")
+            g = math.exp(s - last)
+            last = s
+            h = 0.5 * w / T  # E1 = [[e, f], [f, -e]] and E2 = q I
+            e, f, q = h * co, -(h * si), 0.5 * (h * h)
+            b1, c1 = b1 / g, c1 * g
+            a1, b1, c1, d1, a2, d2 = (
+                a1 + e, b1 + f, c1 + f, d1 - e,
+                a2 + a1 * e + b1 * f + q, d2 + c1 * f - d1 * e + q)
+        g, e = math.exp(length - last), math.exp(0.5 * length)
+    except OverflowError:  # from e^gap or e^{L/2} alone
+        raise DegenerateConfigurationError(
+            f"chord length {length!r}: a gap between its marks or L/2 has no float "
+            "exponential") from None
+    b1, c1 = b1 / g, c1 * g
+    m0, m1, m2 = ((e, 0.0, 0.0, 1.0 / e), (e * a1 * T, e * b1 * T, c1 / e * T, d1 / e * T),
+                  (e * a2 * T * T, 0.0, 0.0, d2 / e * T * T))
     (rp, wp), (rq, wq) = _endpoint_turns(scene.endpoints)
-    g0, g1, g2 = (_product(_relative(rp, *m), *rq)
-                  for m in _shear_jet(length, s, cos, sin, scene.weights.weights))
+    g0, g1, g2 = (_product(_relative(rp, *m), *rq) for m in (m0, m1, m2))
     first, second = _distance_jet(g0, g1, g2, 0.5 * (wq - wp), 0.5 * (wp + wq))
     if not all(map(math.isfinite, first + second)):
         raise DegenerateConfigurationError(
@@ -714,19 +716,23 @@ def fd_oracle(scene: HalfplaneScene, order: int):
     factor of the chord walk is analytic in ``t`` and ``u``, so it
     carries truncated Taylor series, jets, through the walk (Griewank &
     Walther, *Evaluating Derivatives*, 2nd ed., ch. 13): the shear chain's
-    two coefficients in one float loop (``_shear_jet``), the endpoint
-    motion in closed form, and the distance by the chain rule
+    two coefficients in one float pass over the leaves (``_oracle_jet``),
+    which measures and checks each leaf as it goes, the endpoint motion
+    in closed form, and the distance by the chain rule
     (``_distance_jet``).  There is no step and no truncation.  The first
-    call on a scene checks it and computes both orders: O(1) numpy calls
-    and one ``n``-step float loop.  The scene memoizes them, so a later
-    call of either order is a lookup.  Nothing that raises is memoized.
+    call on a scene checks it and computes both orders in that one pass
+    of ``n`` steps.  The scene memoizes them, so a later call of either
+    order is a lookup.  Nothing that raises is memoized.
 
     Rounding, to first order with ``u = eps/2``, taking the measured
-    ``(L, s, cos, sin)`` as exact, with ``S = sum|a_i| + |w_p| + |w_q|``,
-    ``k = coth(L/2)`` and ``r = 2 sinh(L/2)``:
+    ``L`` and each leaf's measured ``(s, cos, sin)`` as exact, with
+    ``S = sum|a_i| + |w_p| + |w_q|``, ``k = coth(L/2)`` and
+    ``r = 2 sinh(L/2)``:
 
     - a step value rounds once, ``e^g`` of a rounded gap errs by
-      ``(2 + g) u``, and a step rounds each entry at most five times, so
+      ``(2 + g) u``, and a step, which conjugates the carried entries by
+      the gap before it and then adds the leaf, rounds each entry at most
+      five times, so
       ``Mk`` errs entrywise by at most ``(L + 7n + 4) u`` of
       ``T^k D(L) |Psik|``, the chain walked on absolute values, whose
       entries sum to at most ``2 cosh(L/2) S^k = r k S^k``;
@@ -755,7 +761,9 @@ def fd_oracle(scene: HalfplaneScene, order: int):
     DegenerateConfigurationError
         If an output is not a finite float: an endpoint speed whose
         square overflows, or rates whose ``M2``, about
-        ``e^{L/2} (sum|a|)^2``, leave the float range.
+        ``e^{L/2} (sum|a|)^2``, leave the float range; or if a gap
+        between the chord's marks, or ``L/2``, has no float exponential,
+        which only a chord longer than about 709.78 allows.
     ValueError
         For any ``order`` other than the int 1 or 2 (a bool or a float
         is refused), after the scene is checked.

@@ -27,14 +27,15 @@ def guarded_acosh(x: float) -> float:
 
     Below 1 - ACOSH_SLACK the configuration is degenerate and raising is
     the only honest answer; within the roundoff band around 1 the figure
-    is touching and the length is 0.  A value that is not a number raises
-    ValueError.
+    is touching and the length is 0.  A value that is not a finite
+    number raises ValueError.
     """
     try:
-        below = x < 1.0 - ACOSH_SLACK
+        if not -math.inf < x < math.inf:  # NaN fails this too
+            raise ValueError(f"acosh argument {x!r} is not finite")
     except TypeError:
         raise ValueError(f"acosh argument {x!r} is not a number") from None
-    if below:
+    if x < 1.0 - ACOSH_SLACK:
         raise DegenerateConfigurationError(
             f"acosh argument {x!r} is below 1: the configuration degenerates"
         )
@@ -65,7 +66,7 @@ def _in_range(formula, name, *args):
     guard, evaluate and then test the result."""
     try:
         z = formula()
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: guarded_acosh of inf or NaN
         z = math.nan
     if 0.0 <= z < math.inf:
         return z

@@ -26,9 +26,9 @@ import math
 import numpy as np
 
 from systolica import hessian
-from systolica.errors import DegenerateConfigurationError
+from systolica.errors import DegenerateConfigurationError, InconsistentSceneError
 from systolica.halfplane import (HGeodesic, HPoint, _frame_through, _half_turn, _point,
-                                 _product, _relative, _shifted, _toward, _turned, _unit)
+                                 _product, _relative, _shifted, _toward, _turned, _unit, dist)
 from systolica.hessian import _IDENTITY, ChordConfig, _check_length
 from systolica.polygons import MarkedRightPolygon, _side_index, _tangent_entries
 
@@ -355,6 +355,22 @@ def endpoint_frames(ev, t):
     return frames
 
 
+def measure_scene(scene):
+    """The realized ``(length, s, theta)`` of a scene: ``halfplane.dist``
+    of its endpoints, and each leaf measured by ``hessian._measure_leaf``
+    in the chord's frame, ``s`` and ``theta`` as float64 arrays.  Raises
+    DegenerateConfigurationError if a leaf misses the chord."""
+    chord = _frame_through(scene.p, scene.q)
+    s, theta = [], []
+    for i, row in enumerate(scene.leaves):
+        measured = hessian._measure_leaf(*_relative(chord, *row))
+        if measured is None:
+            raise DegenerateConfigurationError(f"leaf {i} does not cross the chord")
+        s.append(measured[0])
+        theta.append(math.atan2(measured[2], measured[1]))
+    return dist(scene.p, scene.q), np.array(s), np.array(theta)
+
+
 def scene_length(scene, shear_t, end_t):
     """Deformed chord length: endpoints moved a parameter ``end_t``
     along their variation vectors, the far side of each leaf sheared by
@@ -371,7 +387,7 @@ def scene_length(scene, shear_t, end_t):
     if not (math.isfinite(shear_t) and math.isfinite(end_t)):
         raise ValueError(f"deformation parameters must be finite "
                          f"(shear_t={shear_t!r}, end_t={end_t!r})")
-    length, s, theta = hessian._measure_scene(scene)[:3]
+    length, s, theta = measure_scene(scene)
     ep, eq = endpoint_frames(scene.endpoints, end_t)
     m = shear_chain(length, s, theta, scene.weights.weights, shear_t)
     A, B, C, D = _product(_relative(ep, *m), *eq)
@@ -383,10 +399,17 @@ def scene_length(scene, shear_t, end_t):
 
 
 def fd_grid(scene):
-    """Check the scene as ``hessian.fd_oracle`` does, then evaluate the
-    3 x 3 grid ``{(i, j): scene_length(scene, i * h_s, j * h_e)}`` for
-    ``i, j`` in ``(-1, 0, 1)`` and the steps ``fd_steps(scene)``."""
-    hessian._checked_measure(scene)
+    """Refuse a scene whose ``measure_scene`` is more than 1e-10 from
+    ``scene.cfg`` in the length or a crossing position or angle with
+    InconsistentSceneError, as ``hessian.fd_oracle`` does, then evaluate
+    the 3 x 3 grid ``{(i, j): scene_length(scene, i * h_s, j * h_e)}``
+    for ``i, j`` in ``(-1, 0, 1)`` and the steps ``fd_steps(scene)``."""
+    length, s, theta = measure_scene(scene)
+    cfg = scene.cfg
+    if not (abs(length - cfg.length) <= 1e-10 and (np.abs(s - cfg.s) <= 1e-10).all()
+            and (np.abs(theta - cfg.theta) <= 1e-10).all()):
+        raise InconsistentSceneError(f"scene measured at {(length, s, theta)!r} "
+                                     f"is not its config {cfg!r}")
     hs, he = fd_steps(scene)
     return {(i, j): scene_length(scene, i * hs, j * he)
             for i in (-1, 0, 1) for j in (-1, 0, 1)}

@@ -99,6 +99,24 @@ class TestDistance:
         r = HPoint(x3, math.exp(t3))
         assert dist(p, r) <= dist(p, q) + dist(q, r) + 1e-12
 
+    @pytest.mark.parametrize("p, q", [
+        (HPoint(-1e308, 1e-300), HPoint(1e308, 1e-300)),  # x - x overflows
+        (HPoint(-1e308, 1e308), HPoint(1e308, 1e308)),    # and so at distance 1.76
+        (HPoint(-1.7e308, 1e-300), HPoint(1.7e308, 1.7e308)),
+        (HPoint(0.0, 1e-300), HPoint(1e300, 1e-300)),     # only the quotient overflows
+    ])
+    def test_points_that_hpoint_admits_have_a_finite_distance(self, p, q):
+        # the far path forms log r from the logs of |p - q|/4 and of each
+        # y, a few roundings each, and d moves by at most 2 per unit of
+        # log r, so d errs by about eps (4 (|lh| + |ly1| + |ly2| + 1) + 2 d)
+        with mp.workdps(50):
+            x1, y1, x2, y2 = map(mpf, (p.x, p.y, q.x, q.y))
+            want = float(2 * mp.asinh(mp.hypot(x1 - x2, y1 - y2) / (2 * mp.sqrt(y1 * y2))))
+        lh = math.log(math.hypot(0.25 * p.x - 0.25 * q.x, 0.25 * p.y - 0.25 * q.y))
+        budget = EPS * (4 * (abs(lh) + abs(math.log(p.y)) + abs(math.log(q.y)) + 1) + 2 * want)
+        assert abs(dist(p, q) - want) <= budget
+        assert dist(q, p) == dist(p, q)
+
     def test_rejects_lower_half_plane(self):
         with pytest.raises(ValueError):
             HPoint(0.0, -1.0)

@@ -25,7 +25,7 @@ from systolica import hessian
 from systolica.errors import (DegenerateConfigurationError,
                               DegenerateMarginError, InconsistentSceneError, SystolicaError)
 from systolica.polygons import polygon_from_json
-from systolica.halfplane import HPoint, _unit, common_perpendicular
+from systolica.halfplane import HPoint, _frame_through, _unit, common_perpendicular
 from systolica.hessian import (
     ChordConfig,
     EndpointVariation,
@@ -209,6 +209,26 @@ class TestFirstDerivatives:
             ChordConfig(1.5, (), ()), TransverseWeights(()),
             EndpointVariation(u_par=0.25, v_par=-0.75, u_perp=3.0, v_perp=-2.0))
         assert d_end == pytest.approx(-0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("weights, ends", [
+        ((1e308, 1e308), EndpointVariation()),
+        ((0.5, 1.0), EndpointVariation(u_par=1e308, v_par=1e308))],
+        ids=["rates", "outward-speeds"])
+    def test_parts_beyond_the_float_range_are_refused(self, weights, ends):
+        # the shear part overflows in the dot product, the endpoint part
+        # in u_par + v_par; neither may warn or come back infinite
+        cfg = ChordConfig(2.0, (0.5, 1.0), (0.1, 0.2))
+        with pytest.raises(DegenerateConfigurationError):
+            first_derivatives(cfg, TransverseWeights(weights), ends)
+
+    def test_rates_whose_bound_overflows_keep_a_finite_part(self):
+        # n max|a| overflows, so the dot product runs under errstate, but
+        # the sum itself is a float; each term rounds to a few ulps of
+        # 1e308 (the cosine and the product), which the difference keeps
+        cfg = ChordConfig(2.0, (0.5, 1.0), (0.1, 0.2))
+        d_metric, _ = first_derivatives(cfg, TransverseWeights((1e308, -1e308)))
+        want = 1e308 * math.cos(0.1) - 1e308 * math.cos(0.2)
+        assert d_metric == pytest.approx(want, rel=0.0, abs=8 * EPS * 1e308)
 
     def test_against_oracle(self):
         rng = random.Random(101)
@@ -451,6 +471,8 @@ class TestSceneOracle:
         # the determinant overflows in a product, then in the difference
         [(1.0, 0.0, 0.0, 1.0), (1e200, 0.0, 0.0, 1e200)],
         [(1.0, 0.0, 0.0, 1.0), (1e154, 1e154, -1e154, 1e154)],
+        [(1.0, 0.0, 0.0, 1.0), ("1", "0", "0", "1")],    # numeric strings
+        [(1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0, 0.0)],
     ])
     def test_scene_rejects_malformed_leaves(self, leaves):
         scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)))
@@ -477,43 +499,65 @@ class TestSceneOracle:
     def test_scene_leaves_are_a_normalized_private_copy(self):
         scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)))
         rows = np.array(scene.leaves)
+        given = 4.0 * rows
         scaled = HalfplaneScene(cfg=REF_CFG, weights=scene.weights,
                                 endpoints=scene.endpoints, p=scene.p,
-                                q=scene.q, leaves=4.0 * rows)
+                                q=scene.q, leaves=given)
         # rows has determinant one to rounding, so rescaling 4 rows by
         # sqrt(16 det) = 4 sqrt(det) moves each entry by an ulp at most
         assert np.allclose(scaled.leaves, rows, rtol=2 * EPS, atol=0.0)
         # the determinant of each stored row is one to the rounding of
         # its entries (1.5 eps each, from the square root and division)
         # and of the determinant itself
-        a, b, c, d = scaled.leaves.T
+        a, b, c, d = np.array(scaled.leaves).T
         assert (np.abs(a * d - b * c - 1.0)
                 <= 4 * EPS * (np.abs(a * d) + np.abs(b * c))).all()
-        with pytest.raises(ValueError):
-            scene.leaves[0, 0] = 1.0
+        # the rows are tuples of floats, taken from the caller's array,
+        # which may change after the fact
+        stored = scaled.leaves
+        given[0, 0] = 1.0
+        assert scaled.leaves == stored and stored[0][0] != 1.0
+        assert type(stored) is tuple
+        assert all(type(row) is tuple and all(type(x) is float for x in row) for row in stored)
+        with pytest.raises(TypeError):
+            scene.leaves[0][0] = 1.0
 
     def test_stored_rows_are_unit_of_the_input_rows(self):
-        # The scene normalizes its rows as numpy columns and
-        # halfplane._unit normalizes one frame in floats; they agree to
-        # an ulp per entry, on realized rows scaled over 40 decades, on
-        # rows so small that det leaves the normal range or underflows,
-        # on random rows of either determinant sign made positive, and
-        # on rows with entries beyond 2^511, which are normalized one at
-        # a time.
+        # Each stored row is exactly halfplane._unit of the given row, on
+        # realized rows scaled over 40 decades, on rows so small that det
+        # leaves the normal range or underflows, on random rows of either
+        # determinant sign made positive, and on rows with entries beyond
+        # 2^511, whose products overflow; given as an array, as lists of
+        # floats, or as rows of numpy scalars, which are read as floats.
         rng = np.random.default_rng(17)
         n = 64
         cfg = ChordConfig(8.0, s=np.linspace(0.1, 7.9, n), theta=np.full(n, 1.3))
         base = realize_scene(cfg, TransverseWeights(np.ones(n)))
-        scaled = base.leaves * 10.0 ** rng.uniform(-20.0, 20.0, (n, 1))
-        tiny = base.leaves * 10.0 ** rng.uniform(-175.0, -150.0, (n, 1))
+        leaves = np.array(base.leaves)
+        scaled = leaves * 10.0 ** rng.uniform(-20.0, 20.0, (n, 1))
+        tiny = leaves * 10.0 ** rng.uniform(-175.0, -150.0, (n, 1))
         noise = rng.normal(size=(n, 4))
         a, b, c, d = noise.T
         noise[a * d < b * c] = noise[a * d < b * c][:, [1, 0, 3, 2]]  # det -> -det
-        wide = base.leaves * 2.0 ** np.array([-560.0, -560.0, 560.0, 560.0])
+        wide = leaves * 2.0 ** np.array([-560.0, -560.0, 560.0, 560.0])
         for rows in (scaled, tiny, noise, wide):
-            scene = dataclasses.replace(base, leaves=rows)
-            want = np.array([_unit(*row) for row in rows.tolist()])
-            assert (np.abs(scene.leaves - want) <= np.spacing(np.abs(want))).all()
+            want = tuple(_unit(*row) for row in rows.tolist())
+            for leaves in (rows, rows.tolist(), list(rows)):
+                scene = dataclasses.replace(base, leaves=leaves)
+                assert scene.leaves == want
+                assert all(type(x) is float for row in scene.leaves for x in row)
+        # float32 scalars are read exactly, then normalized in float64
+        single = list(scaled.astype(np.float32))
+        scene = dataclasses.replace(base, leaves=single)
+        assert scene.leaves == tuple(_unit(*map(float, row)) for row in single)
+
+    def test_a_chord_without_crossings_takes_an_empty_sequence(self):
+        cfg = ChordConfig(2.0, s=(), theta=())
+        scene = realize_scene(cfg, TransverseWeights(()), EndpointVariation(v_par=0.3))
+        assert scene.leaves == ()
+        for leaves in ((), [], np.empty((0, 4))):
+            empty = dataclasses.replace(scene, leaves=leaves)
+            assert empty.leaves == () and fd_oracle(empty, 2) == fd_oracle(scene, 2)
 
     def test_realize_rejects_a_chord_whose_far_end_overflows(self):
         # e^L leaves the float range above log(float max) = 709.78..., below
@@ -918,6 +962,21 @@ class TestLongChords:
         assert hessian_form(longest, weights, ends) == pytest.approx(
             hessian_form(near, weights, ends), rel=8 * EPS, abs=0.0)
 
+    def test_oracle_refuses_a_gap_without_a_float_exponential(self):
+        # L = 720 from p = 1e-160 i, beyond what realize_scene places:
+        # the gap from the crossing at 0.5 to q has no float e^gap, which
+        # must be refused with a typed error rather than warn or overflow
+        y0, r, c, s = 1e-160, math.exp(0.25), math.cos(0.5), math.sin(0.5)
+        k = math.sqrt(y0)  # the leaf's frame D(log y0) times realize_scene's
+        scene = HalfplaneScene(
+            cfg=ChordConfig(720.0, s=(0.5,), theta=(1.0,)),
+            weights=TransverseWeights((1.0,)), endpoints=EndpointVariation(),
+            p=HPoint(0.0, y0), q=HPoint(0.0, y0 * math.exp(360.0) * math.exp(360.0)),
+            leaves=[(r * c * k, r * s * k, -s / r / k, c / r / k)])
+        for order in (1, 2):
+            with pytest.raises(DegenerateConfigurationError, match="exponential"):
+                fd_oracle(scene, order)
+
     def test_longest_chord_is_accepted(self):
         longest = hessian.MAX_CHORD_LENGTH
         assert math.isfinite(math.sinh(longest))
@@ -962,27 +1021,27 @@ class TestOracleGrid:
 
     @pytest.mark.parametrize("orders", [(1, 2), (2, 1)])
     def test_oracle_composes_each_shear_once(self, monkeypatch, orders):
-        jet, measure = hessian._shear_jet, hessian._measure_scene
-        walked, measured = [], []
+        jet, measure = hessian._oracle_jet, hessian._measure_leaf
+        passes, measured = [], []
 
-        def counted(length, s, cos, sin, weights):
-            walked.append(len(weights))
-            return jet(length, s, cos, sin, weights)
+        def counted(scene):
+            passes.append(scene)
+            return jet(scene)
 
-        def counted_measure(scene):
-            measured.append(scene)
-            return measure(scene)
+        def counted_measure(*row):
+            measured.append(row)
+            return measure(*row)
 
-        monkeypatch.setattr(hessian, "_shear_jet", counted)
-        monkeypatch.setattr(hessian, "_measure_scene", counted_measure)
+        monkeypatch.setattr(hessian, "_oracle_jet", counted)
+        monkeypatch.setattr(hessian, "_measure_leaf", counted_measure)
         scene = realize_scene(*long_scene(random.Random(9), 12, 3.0))
         for order in orders * 2:
             fd_oracle(scene, order)
-        # over both orders on one scene, each asked twice: one
-        # measurement, and one walk of the 12 leaves that gives both
+        # over both orders on one scene, each asked twice: one pass,
+        # which measures each of the 12 leaves once and gives both
         # Taylor coefficients
-        assert walked == [12]
-        assert measured == [scene]
+        assert passes == [scene]
+        assert len(measured) == 12
 
     def test_grid_builds_only_the_chord(self, built):
         # the chord's frame, the endpoint turns, the shear jet and the
@@ -1126,7 +1185,7 @@ def mp_grid(scene, steps, at=None):
     distance of the two points.  The height of the sheared q is a
     determinant-one cancellation among entries of size e^{L/2}, so the
     working precision grows by L digits."""
-    length, s, theta = hessian._measure_scene(scene)[:3]
+    length, s, theta = reference.measure_scene(scene)
     ev, (hs, he) = scene.endpoints, at or reference.fd_steps(scene)
     out = {}
     with mp.workdps(50 + int(length)):
@@ -1554,7 +1613,7 @@ class TestClosedFormMeasurement:
         #     X^2 + Y^2 = 1: X errs by eps (|ad| + |bc|), Y by 1.25 eps Y,
         #     so theta by eps ((|ad| + |bc| + 1.25) Y + |theta|).
         # Each is held to twice its budget, for the last-ulp error of
-        # numpy's log and atan2.  The last 240 draws are chords up to
+        # math's log and atan2.  The last 240 draws are chords up to
         # L = 700 with theta within 1e-12 of 0 or pi, where the leaf's
         # endpoint a/c = -e^s cot(theta/2) or b/d = e^s tan(theta/2)
         # overflows once s passes about 681.
@@ -1578,10 +1637,12 @@ class TestClosedFormMeasurement:
             scene = HalfplaneScene(cfg=cfg, weights=placed.weights,
                                    endpoints=placed.endpoints, p=placed.p,
                                    q=placed.q, leaves=frame.reshape(1, 4))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                _, (got_s,), (got_theta,), _, _ = hessian._measure_scene(scene)
-            row = scene.leaves[0].tolist()
+            # the chord's frame is the identity, so the stored row is the
+            # relative frame that the oracle measures
+            assert _frame_through(scene.p, scene.q) == (1.0, 0.0, 0.0, 1.0)
+            row = scene.leaves[0]
+            got_s, cos, sin = hessian._measure_leaf(*row)
+            got_theta = math.atan2(sin, cos)
             want_s, want_theta = mp_crossing(row)
             a, b, c, d = row
             q = -(a * d) * (b * c)

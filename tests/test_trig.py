@@ -190,6 +190,9 @@ def test_guarded_acosh_edges():
     assert guarded_acosh(2.0) == pytest.approx(math.acosh(2.0), abs=0.0)
     with pytest.raises(DegenerateConfigurationError):
         guarded_acosh(0.9)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            guarded_acosh(x)
 
 
 def test_argument_validation():
