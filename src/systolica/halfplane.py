@@ -191,7 +191,9 @@ def _disk(zp, zq):
     """(zq - zp)/(zq - conj zp): zq in the disk model centred at zp, whose
     argument is the direction from zp to zq turned clockwise by pi/2 and
     whose modulus is tanh of half their distance.  The arguments may be
-    complex numbers or numpy arrays of them."""
+    complex numbers or numpy arrays of them, quartered first: a dilation
+    keeps the quotient, and z/4 keeps the division's intermediates finite."""
+    zp, zq = 0.25 * zp, 0.25 * zq
     return (zq - zp) / (zq - zp.conjugate())
 
 

@@ -178,7 +178,13 @@ def _refuse_crossings(s, theta, L) -> None:
 class TransverseWeights:
     """Shear rates, one per crossing of the configuration, stored as a
     read-only 1-D float64 array, kept or copied as in ``ChordConfig``.  A
-    rate that is not a finite number raises ValueError."""
+    rate that is not a finite number raises ValueError.  Sums over the
+    rates run in a power-of-two unit ``T``, in which none overflows and
+    scaling back is exact.  With ``n max|a| < 2^k``, the closed forms
+    take ``T = 2^max(0, k - 510)`` (``_sum_unit``), which scales no rate
+    below ``2^510 / n`` and leaves room below a scaled rate for its
+    square; ``fd_oracle``'s walk, whose entries also grow like ``e^L``,
+    takes ``T = 2^min(1023, max(0, k))`` (``_walk_unit``)."""
 
     weights: np.ndarray
 
@@ -188,7 +194,10 @@ class TransverseWeights:
         if not top < math.inf:
             raise ValueError("shear weights must be finite")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_top", top)  # the largest |rate|, for _shear_sums
+        # n top < 2^k for top = m 2^e with m < 1 and k = e + bit_length(n)
+        k = math.frexp(top)[1] + len(w).bit_length()
+        object.__setattr__(self, "_sum_unit", math.ldexp(1.0, max(0, k - 510)))
+        object.__setattr__(self, "_walk_unit", math.ldexp(1.0, min(1023, max(0, k))))
 
 
 ENDPOINT_FIELDS = ("u_perp", "u_par", "v_perp", "v_par")
@@ -255,12 +264,8 @@ def first_derivatives(cfg: ChordConfig, weights: TransverseWeights,
     _check_weights(cfg, weights)
     # sin(pi/2 - theta) is cos(theta), exactly 0 at a perpendicular crossing
     cos = np.sin(0.5 * math.pi - cfg.theta)
-    # no partial sum of n terms at most _top overflows unless n _top does
-    if weights._top * cfg.n < math.inf:
-        d_metric = float(weights.weights @ cos)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            d_metric = float(weights.weights @ cos)
+    T = weights._sum_unit  # every partial sum is at most sum|a| / T <= 2^510
+    d_metric = float((weights.weights / T) @ cos) * T
     return _finite("the first variation's parts", d_metric, endpoints.u_par + endpoints.v_par)
 
 
@@ -313,10 +318,10 @@ def hessian_split(cfg: ChordConfig, weights: TransverseWeights,
 
     ``c`` and ``d`` are finite for every admitted ``L``, but a product
     ``c_i d_j`` overflows once ``L + s_i - s_j`` passes about 709.  So
-    ``x`` carries a factor ``h = e^{-L/2}``: each scaled product
-    ``x_i c_i h x_j d_j h`` with ``i <= j`` is about
-    ``x_i x_j e^{s_i - s_j} / 4``, and the prefactors become ``1/(sinh(L) h^2)`` and ``1/(sinh(L) h)``,
-    so the form stays finite up to ``MAX_CHORD_LENGTH``.
+    ``x`` carries ``h / T``, with ``h = e^{-L/2}`` and ``T`` the weights'
+    ``_sum_unit``: each scaled product ``x_i c_i x_j d_j`` (``i <= j``) is about
+    ``x_i x_j e^{s_i - s_j} / (4 T^2)``, and the prefactors become
+    ``T^2 / (sinh(L) h^2)`` and ``T / (sinh(L) h)``, applied last.
 
     Raises
     ------
@@ -328,15 +333,15 @@ def hessian_split(cfg: ChordConfig, weights: TransverseWeights,
     """
     _check_weights(cfg, weights)
     _check_length(cfg)
-    L = cfg.length
+    L, T = cfg.length, weights._sum_unit
     h = math.exp(-0.5 * L)
     scale = math.sinh(L)
     shear2, sum_xc, sum_xd = _shear_sums(cfg, weights)
     u, v = endpoints.u_perp, endpoints.v_perp
     mixed = v * sum_xc - u * sum_xd
     end2 = math.cosh(L) * (u * u + v * v) - 2.0 * u * v
-    return _finite("the second variation's parts",
-                   shear2 / (scale * h * h), mixed / (scale * h), end2 / scale)
+    return _finite("the second variation's parts", shear2 / (scale * h * h) * T * T,
+                   mixed / (scale * h) * T, end2 / scale)
 
 
 def _finite(what: str, *parts: float) -> tuple:
@@ -350,26 +355,14 @@ def _finite(what: str, *parts: float) -> tuple:
 @functools.lru_cache(maxsize=1)
 def _shear_sums(cfg: ChordConfig, weights: TransverseWeights) -> tuple[float, float, float]:
     """``shear2``, ``sum(xc)`` and ``sum(xd)`` of ``hessian_split``, with
-    ``x`` carrying ``h``, for the last checked ``(cfg, weights)`` pair.
+    ``x`` carrying ``h / T``, for the last checked ``(cfg, weights)`` pair.
     Both types are immutable and compare by identity, and the cache holds
     both alive, so no other pair can take their ids while they are kept:
-    a hit is the same pair.  Sums beyond the float range come back
-    infinite or NaN, with no warning, for the caller to refuse."""
-    # e^{L/2} < 2^513 for every admitted L, so with every |a| at most
-    # 2^400 a scaled term x c or x d stays below 2^913 and a product
-    # x_i c_i x_j d_j (i <= j) below 2^800: no sum of fewer than 2^100 of
-    # them overflows, and the sums need no overflow context, whose cold
-    # cost is tens of microseconds
-    if weights._top <= 2.0 ** 400:
-        return _kernel_sums(cfg, weights)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _kernel_sums(cfg, weights)
-
-
-def _kernel_sums(cfg: ChordConfig, weights: TransverseWeights) -> tuple[float, float, float]:
-    """The sums of ``_shear_sums``, in the numpy error state of the caller."""
+    a hit is the same pair.  With ``rho = n max|a| / T <= 2^510``, the
+    ``|x| c`` and ``|x| d`` sum to at most ``rho e^{L/2} < 2^1023`` and the
+    products ``x_i c_i x_j d_j`` (``i <= j``) to ``rho^2``: none overflows."""
     L = cfg.length
-    x = np.sin(cfg.theta) * weights.weights * math.exp(-0.5 * L)
+    x = np.sin(cfg.theta) * weights.weights * math.exp(-0.5 * L) / weights._sum_unit
     xc = x * np.cosh(cfg.s)
     xd = x * np.cosh(L - cfg.s)
     shear2 = float(xc @ xd) + 2.0 * float(xd[1:] @ np.cumsum(xc)[:-1])
@@ -640,9 +633,9 @@ def _oracle_jet(scene: HalfplaneScene):
     ``r^2 = |M|_F^2 - 2 det M``, which to first order at ``D(L)`` moves
     with the diagonal of ``M2`` alone.  ``Psi2`` reaches about
     ``(sum|a|)^2 e^L / 4``, so the loop runs in the unit ``t T``, ``T``
-    the power of two at or above ``sum|a|`` (1 below it): an exact
-    rescaling, undone in ``Mk``, that keeps ``Psi`` a float on every
-    chord whose far end ``i e^L`` is one.  An overflow leaves a
+    the weights' ``_walk_unit``, at or above ``sum|a|`` below 2^1023: an
+    exact rescaling, undone in ``Mk``, that keeps ``Psi`` a float on
+    every chord whose far end ``i e^L`` is one.  An overflow leaves a
     non-finite entry, refused with the outputs.
     """
     cfg = scene.cfg
@@ -655,8 +648,7 @@ def _oracle_jet(scene: HalfplaneScene):
     if abs(length - cfg.length) > 1e-10:
         raise InconsistentSceneError(
             f"realized chord length {length!r} != {cfg.length!r}")
-    rates = scene.weights.weights.tolist()
-    T = math.ldexp(1.0, max(0, math.frexp(sum(map(abs, rates)))[1]))
+    rates, T = scene.weights.weights.tolist(), scene.weights._walk_unit
     declared = cfg.s.tolist()
     a1 = b1 = c1 = d1 = a2 = d2 = 0.0
     last = declared[0] if declared else length  # a zero Psi ignores its first gap
@@ -761,7 +753,8 @@ def fd_oracle(scene: HalfplaneScene, order: int):
     DegenerateConfigurationError
         If an output is not a finite float: an endpoint speed whose
         square overflows, or rates whose ``M2``, about
-        ``e^{L/2} (sum|a|)^2``, leave the float range; or if a gap
+        ``e^{L/2} (sum|a|)^2`` and formed in the weights' power-of-two
+        unit, leave the float range; or if a gap
         between the chord's marks, or ``L/2``, has no float exponential,
         which only a chord longer than about 709.78 allows.
     ValueError

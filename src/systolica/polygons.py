@@ -361,8 +361,9 @@ class ChainDifferentials:
         self._ends = seg, (seg + 1) % m  # each segment's first and last vertex
         z = np.array([p.z for p in self.points])
         zs, ze = z[:len(lengths)], z[self._ends[1]]
-        self._v, self._u = (-1j * zeta / np.abs(zeta)
-                            for zeta in (_disk(zs, ze), _disk(ze, zs)))
+        zeta = _disk(np.concatenate((zs, ze)), np.concatenate((ze, zs)))
+        vu = -1j * zeta / np.abs(zeta)  # V at each segment's start, then U at its end
+        self._v, self._u = vu[:len(lengths)], vu[len(lengths):]
         # the segments into and out of each vertex that has an angle
         self._into, self._out = ((seg - 1) % m, seg) if closed else (seg[:-1], seg[1:])
 
@@ -391,13 +392,15 @@ class ChainDifferentials:
         """The d(theta) rows.  With l_prev and l_next the lengths of the
         segments into and out of x_k, the row of theta_k has the blocks
         i(U_k/tanh l_prev - V_k/tanh l_next) at x_k, i V_{k-1}/sinh l_prev
-        at x_{k-1} and -i U_{k+1}/sinh l_next at x_{k+1}."""
+        at x_{k-1} and -i U_{k+1}/sinh l_next at x_{k+1}.  1/sinh l is
+        2 e^{-l} / -expm1(-2l), which is 0 where sinh l overflows."""
         into, out = self._into, self._out
-        l_in, l_out = self.lengths[into], self.lengths[out]
+        l = self.lengths
+        csch = 2.0 * np.exp(-l) / -np.expm1(-2.0 * l)
         return self._matrix(
-            (into, 1j * self._v[into] / np.sinh(l_in)),
-            (out, 1j * (self._u[into] / np.tanh(l_in) - self._v[out] / np.tanh(l_out))),
-            ((out + 1) % self.m, -1j * self._u[out] / np.sinh(l_out)))
+            (into, 1j * self._v[into] * csch[into]),
+            (out, 1j * (self._u[into] / np.tanh(l[into]) - self._v[out] / np.tanh(l[out]))),
+            ((out + 1) % self.m, -1j * self._u[out] * csch[out]))
 
     def length_rank(self) -> tuple[int, float]:
         """Rank data of the full set of length differentials:

@@ -31,10 +31,10 @@ def guarded_acosh(x: float) -> float:
     number raises ValueError.
     """
     try:
-        if not -math.inf < x < math.inf:  # NaN fails this too
+        if not math.isfinite(x):
             raise ValueError(f"acosh argument {x!r} is not finite")
-    except TypeError:
-        raise ValueError(f"acosh argument {x!r} is not a number") from None
+    except (TypeError, OverflowError):  # not a number, or an int beyond the floats
+        raise ValueError(f"acosh argument {x!r} is not a number in the float range") from None
     if x < 1.0 - ACOSH_SLACK:
         raise DegenerateConfigurationError(
             f"acosh argument {x!r} is below 1: the configuration degenerates"
@@ -62,11 +62,11 @@ def _check_order(n):
 def _in_range(formula, name, *args):
     """formula() for the checked arguments ``args`` of ``name``, raising
     DegenerateConfigurationError where an intermediate left the float
-    range, which makes the result infinite or NaN: ``pentagon_side``'s
-    guard, evaluate and then test the result."""
+    range (an infinite or NaN result, or a divisor that underflowed to
+    0): ``pentagon_side``'s guard, evaluate and then test the result."""
     try:
         z = formula()
-    except (OverflowError, ValueError):  # ValueError: guarded_acosh of inf or NaN
+    except (ArithmeticError, ValueError):  # ValueError: guarded_acosh of inf or NaN
         z = math.nan
     if 0.0 <= z < math.inf:
         return z

@@ -222,13 +222,21 @@ class TestFirstDerivatives:
             first_derivatives(cfg, TransverseWeights(weights), ends)
 
     def test_rates_whose_bound_overflows_keep_a_finite_part(self):
-        # n max|a| overflows, so the dot product runs under errstate, but
-        # the sum itself is a float; each term rounds to a few ulps of
-        # 1e308 (the cosine and the product), which the difference keeps
+        # n max|a| overflows, but the sum itself is a float; each term
+        # rounds to a few ulps of 1e308 (the cosine and the product),
+        # which the difference keeps
         cfg = ChordConfig(2.0, (0.5, 1.0), (0.1, 0.2))
         d_metric, _ = first_derivatives(cfg, TransverseWeights((1e308, -1e308)))
         want = 1e308 * math.cos(0.1) - 1e308 * math.cos(0.2)
         assert d_metric == pytest.approx(want, rel=0.0, abs=8 * EPS * 1e308)
+
+    def test_a_small_rate_beside_a_huge_perpendicular_one_keeps_its_part(self):
+        # the perpendicular crossing adds exactly 0, so the part is the
+        # 1e-30 term's alone: the unit that keeps 1e300 summable must not
+        # flush it to 0
+        cfg = ChordConfig(2.0, (0.5, 1.0), (math.pi / 2, 1.0))
+        d_metric, _ = first_derivatives(cfg, TransverseWeights((1e300, 1e-30)))
+        assert d_metric == pytest.approx(1e-30 * math.cos(1.0), rel=4 * EPS, abs=0.0)
 
     def test_against_oracle(self):
         rng = random.Random(101)
@@ -361,13 +369,38 @@ class TestHessianForm:
             hessian_form(cfg, weights, endpoints)
 
     def test_rates_up_to_2_to_the_400_sum_without_overflow(self):
-        # the kernel sums skip numpy's overflow context up to rates of
-        # 2^400: at the longest chord, with crossings near both ends, no
+        # the kernel sums run in the weights' power-of-two unit, 1 at these
+        # rates: at the longest chord, with crossings near both ends, no
         # sum may overflow or warn (tier-1 turns warnings into errors)
         L = hessian.MAX_CHORD_LENGTH
         cfg = ChordConfig(L, s=(0.5, L - 0.5), theta=(math.pi / 2, 1.0))
         split = hessian_split(cfg, TransverseWeights((2.0 ** 400, -(2.0 ** 400))))
         assert all(map(math.isfinite, split)) and split[0] > 0.0
+
+    @pytest.mark.parametrize("rate", [1e200, 1e300])
+    def test_a_near_tangent_leaf_of_huge_rate_keeps_its_square(self, rate):
+        # x = sin(theta) a is about 1 at theta = 1/rate; a unit near the
+        # rate itself would scale x^2 below the float range, and shear2
+        # must stay x^2 cosh(1)^2 / sinh(2), as for a unit rate
+        cfg = ChordConfig(2.0, (1.0,), (1.0 / rate,))
+        x = math.sin(1.0 / rate) * rate
+        shear2, _, _ = hessian_split(cfg, TransverseWeights((rate,)))
+        want = x * x * math.cosh(1.0) ** 2 / math.sinh(2.0)
+        assert shear2 == pytest.approx(want, rel=8 * EPS, abs=0.0)
+
+    def test_rates_of_2_to_the_1023_are_refused_at_the_longest_chord(self):
+        # the kernel sums run in a unit of 2^516 here: none may overflow
+        # or warn, and shear2, about 2^2046 once scaled back, is refused
+        # typed
+        L = hessian.MAX_CHORD_LENGTH
+        cfg = ChordConfig(L, s=(0.5, L - 0.5), theta=(math.pi / 2, 1.0))
+        weights = TransverseWeights((2.0 ** 1023, -(2.0 ** 1023)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateConfigurationError, match="parts"):
+                hessian_split(cfg, weights)
+            with pytest.raises(DegenerateConfigurationError):
+                hessian_form(cfg, weights)
 
 
 class TestMargins:
@@ -1386,6 +1419,15 @@ class TestOracleRefusals:
         # the jet squares the speed, and the second speed is not a float
         scene = realize_scene(REF_CFG, TransverseWeights((1.0, 1.0)), ev)
         with pytest.raises(DegenerateConfigurationError):
+            fd_oracle(scene, order)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("weight", [1e308, 2.0 ** 1023, -(2.0 ** 1023)])
+    def test_rates_whose_sum_has_no_power_of_two_above_it_are_refused(self, weight, order):
+        # the walk's unit caps at 2^1023, where the power of two at or
+        # above n max|a| is no float, and the outputs overflow
+        scene = realize_scene(ChordConfig(2.0, (1.0,), (1.0,)), TransverseWeights((weight,)))
+        with pytest.raises(DegenerateConfigurationError, match="not finite"):
             fd_oracle(scene, order)
 
     def test_nonfinite_endpoint_step_is_a_value_error(self):

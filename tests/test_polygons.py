@@ -463,6 +463,28 @@ class TestChainDifferentials:
             assert np.array_equal(got == 0.0, budget == 0.0)
             assert np.all(np.abs(got - want) <= budget)
 
+    def test_angle_matrix_is_finite_where_sinh_overflows(self):
+        # two segments of about 1,381, whose sinh is beyond the floats:
+        # their 1/sinh blocks are 0, with no overflow warning
+        cd = ChainDifferentials([HPoint(0.0, 1e-300), HPoint(0.0, 1e300),
+                                 HPoint(1e300, 1e300)])
+        assert cd.lengths.max() > 1000.0
+        assert np.isfinite(cd.angle_matrix()).all()
+
+    def test_angle_matrix_keeps_the_direct_quotient_on_short_segments(self):
+        # 2 e^{-l} / -expm1(-2l) rounds three times (exp, expm1 and the
+        # quotient, each within an ulp) where 1/sinh l rounds twice, so
+        # the entries stay within a few ulps of V / sinh l and U / sinh l
+        rng = random.Random(31)
+        for m in (3, 5, 9):
+            cd = ChainDifferentials(random_chain(rng, m))
+            l, into, out = cd.lengths, cd._into, cd._out
+            want = cd._matrix(
+                (into, 1j * cd._v[into] / np.sinh(l[into])),
+                (out, 1j * (cd._u[into] / np.tanh(l[into]) - cd._v[out] / np.tanh(l[out]))),
+                ((out + 1) % m, -1j * cd._u[out] / np.sinh(l[out])))
+            assert np.all(np.abs(cd.angle_matrix() - want) <= 4 * EPS * np.abs(want))
+
     def test_rejects_collapsed_segments(self):
         p = HPoint(0.0, 1.0)
         with pytest.raises(DegenerateConfigurationError):

@@ -234,6 +234,9 @@ def test_argument_validation():
     # cos(pi/n) / sinh(l/2) overflows to inf without an exception
     (semiregular_partner, (1e-320, 3), DegenerateConfigurationError),
     (boundary_functional, ([3], 1e-320), DegenerateConfigurationError),
+    # sinh(l/2) underflows to 0, and the quotient raises ZeroDivisionError
+    (semiregular_partner, (5e-324, 3), DegenerateConfigurationError),
+    (boundary_functional, ([3], 5e-324), DegenerateConfigurationError),
     (semiregular_partner, (1.0, 3.5), ValueError),
     (boundary_functional, ([3.7], 1.0), ValueError),
     (trirectangle_center, (1.0, 4.0), ValueError),
@@ -253,6 +256,7 @@ def test_float_range_and_non_integral_counts_fail_typed(call, args, error):
     (equilateral_angle, ("2",)),
     (pentagon_perpendicular, ("1", 2.0)),
     (guarded_acosh, ("2",)),
+    (guarded_acosh, (10**400,)),
     (diagonal_same_type, (1.0, "2", 6)),
     (diagonal_mixed_type, (1.0, 1.0, None, 6)),
     (pentagon_side, ("a", 1.0)),
