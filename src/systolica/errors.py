@@ -1,12 +1,27 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the gate for numbers
+from outside it.
 
 Every geometric failure mode gets its own class so callers can tell a
 degenerate input (fixable) from a genuinely infeasible problem (not).
 Plain ``ValueError`` is reserved for malformed arguments: wrong lengths,
 out-of-range indices, non-finite numbers, and values that are not numbers.
+Every layer admits an argument number by one of three rules, each
+enforced here:
+
+- a real number (``_real``; ``_real_floats`` for a sequence) is read by
+  the float protocol, which refuses a str, None, complex, nested sequence
+  or int beyond the float range, and lies in [floor, inf) for the call
+  site's floor, ``_FINITE``, ``_POSITIVE`` or ``_NORMAL_MIN``;
+- a count (``_count``) is an Integral but not a bool in the call site's
+  ``range``;
+- a JSON number (``_json_numbers``) is an int or a float by exact type,
+  not a bool, numeric string or numpy scalar, and an int in the float range.
 """
 
+import math
+import operator
 import struct
+import sys
 from numbers import Integral
 
 
@@ -56,19 +71,67 @@ class InconsistentSceneError(SystolicaError):
     describe beyond roundoff."""
 
 
-def _real_floats(values, what: str) -> tuple:
+# The floors of a real number: every finite float lies at or above the
+# first, every positive one at or above the least subnormal, and a point's
+# y or a determinant below 2^-1022, the least normal float, has lost digits.
+_FINITE = -sys.float_info.max
+_POSITIVE = math.ulp(0.0)
+_NORMAL_MIN = sys.float_info.min
+_FLOOR_WORDS = {_FINITE: "finite", _POSITIVE: "positive and finite",
+                _NORMAL_MIN: "a positive normal float"}
+
+
+def _real(value, what: str, floor: float) -> float:
+    """``value`` read as a float by the float protocol, if it lies in
+    [floor, inf); else ValueError, naming ``what``.  A float is tested
+    before anything is built."""
+    x = value
+    if type(x) is not float:
+        try:
+            x, = struct.unpack("d", struct.pack("d", x))
+        except (struct.error, OverflowError):  # not a number, or an int beyond the floats
+            x = math.nan
+    if floor <= x < math.inf:
+        return x
+    raise ValueError(f"{what} must be {_FLOOR_WORDS[floor]}, got {value!r}")
+
+
+def _real_floats(values, what: str, floor: float = None) -> tuple:
     """``values`` as a tuple of floats by the float protocol, in one C
-    call: a string (which ``float`` parses), None, a nested sequence or
-    an integer beyond the float range raises ValueError."""
+    call, each held to ``_real``'s floor when one is given: a string
+    (which ``float`` parses), None, a nested sequence or an integer
+    beyond the float range raises ValueError."""
     try:
         values = tuple(values)
         fmt = f"{len(values)}d"
-        return struct.unpack(fmt, struct.pack(fmt, *values))
+        values = struct.unpack(fmt, struct.pack(fmt, *values))
     except (struct.error, TypeError, OverflowError) as exc:
         raise ValueError(f"{what} must be a sequence of numbers: {exc}") from exc
+    if floor is not None:
+        for x in values:  # compared inline: a call per value costs more than the test
+            if not floor <= x < math.inf:
+                _real(x, what, floor)  # which refuses it
+    return values
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an Integral but not a bool; ``type(value) is
-    int`` is tested first, as isinstance against the Integral ABC is slow."""
-    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+def _count(value, what: str, allowed: range) -> int:
+    """``value`` as an int if it is an Integral but not a bool and lies in
+    ``allowed``; else ValueError, naming ``what``.  An int passes without
+    the isinstance tests against the Integral ABC, which are slow."""
+    if type(value) is not int and isinstance(value, Integral) and not isinstance(value, bool):
+        value = operator.index(value)  # a range tests an int alone in O(1)
+    if type(value) is int and value in allowed:
+        return value
+    raise ValueError(f"{what} must be an integer in {allowed!r}, got {value!r}")
+
+
+def _json_numbers(values, what: str) -> tuple:
+    """``values``, a list or tuple of JSON numbers, as a tuple of floats;
+    else ValueError, naming ``what``."""
+    if isinstance(values, (list, tuple)) and set(map(type, values)) <= {int, float}:
+        try:
+            return tuple(map(float, values))
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ValueError(f"{what} must be an array of JSON numbers in the float range, "
+                     f"got {values!r}")

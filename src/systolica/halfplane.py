@@ -21,18 +21,14 @@ counterclockwise from the chart's vertical.
 
 import cmath
 import math
-import sys
 
-from .errors import DegenerateConfigurationError, NoPerpendicularError
+from .errors import (_FINITE, _NORMAL_MIN, DegenerateConfigurationError, NoPerpendicularError,
+                     _real)
 
 # Margin for deciding that two geodesics touch at infinity (asymptotic)
 # rather than admitting a common perpendicular: the distance of |ad + bc|,
 # the cosh of their distance or the cosine of their angle, from 1.
 ASYMPTOTIC_EPS = 1e-12
-
-# The smallest positive normal float, 2^-1022: a point's y or a
-# determinant below it has lost digits.
-_NORMAL_MIN = sys.float_info.min
 
 
 class HPoint:
@@ -41,13 +37,7 @@ class HPoint:
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        try:
-            if math.isfinite(x) and _NORMAL_MIN <= y < math.inf:
-                self.x, self.y = float(x), float(y)
-                return
-        except (TypeError, OverflowError):  # not a number, or an int beyond the floats
-            pass
-        raise ValueError(f"point ({x!r}, {y!r}) is not finite with y a positive normal float")
+        self.x, self.y = _real(x, "point x", _FINITE), _real(y, "point y", _NORMAL_MIN)
 
     @property
     def z(self):
@@ -138,11 +128,10 @@ class HGeodesic:
         """The point at arclength s.  A non-finite s raises ValueError,
         and one whose point is not a float point (``HPoint``) raises
         DegenerateConfigurationError."""
+        s = _real(s, "arclength", _FINITE)
         try:
             return HPoint(*_point(*self.frame, math.exp(s)))
         except (ArithmeticError, ValueError):
-            if not -math.inf < s < math.inf:
-                raise ValueError(f"arclength {s!r} is not finite") from None
             raise DegenerateConfigurationError(
                 f"the point at arclength {s!r} is beyond the float range") from None
 

@@ -69,8 +69,9 @@ from operator import itemgetter
 import numpy as np
 
 from . import halfplane
-from .errors import (DegenerateConfigurationError, DegenerateMarginError,
-                     InconsistentSceneError, SystolicaError, _is_integer, _real_floats)
+from .errors import (_FINITE, _POSITIVE, DegenerateConfigurationError, DegenerateMarginError,
+                     InconsistentSceneError, SystolicaError, _count, _json_numbers, _real,
+                     _real_floats)
 from .halfplane import _frame_through, _half_turn, _product, _relative, _turned, _unit
 
 __all__ = [
@@ -120,12 +121,12 @@ class ChordConfig:
     Raises
     ------
     ValueError
-        If a value is not a number (a string, None or an integer beyond
-        the float range), the length is not positive and finite, ``s`` and
-        ``theta`` differ in shape, a crossing sits outside the open chord, the
-        crossings are not strictly increasing in ``s``, or an angle leaves
-        ``(0, pi)``.  NaN fails every one of these tests.  The message
-        names the first bad crossing.
+        If a value is not a real number (``errors._real``), the length is
+        not positive and finite, ``s`` and ``theta`` differ in shape, a
+        crossing sits outside the open chord, the crossings are not
+        strictly increasing in ``s``, or an angle leaves ``(0, pi)``.  NaN
+        fails every one of these tests.  The message names the first bad
+        crossing.
     """
 
     length: float
@@ -133,11 +134,7 @@ class ChordConfig:
     theta: np.ndarray
 
     def __post_init__(self):
-        L = self.length
-        if type(L) is not float:
-            L, = _real_floats((L,), "chord length")
-        if not (math.isfinite(L) and L > 0):
-            raise ValueError("chord length must be positive and finite")
+        L = _real(self.length, "chord length", _POSITIVE)
         s = _readonly_vector(self.s, "crossing positions")
         theta = _readonly_vector(self.theta, "crossing angles")
         if s.shape != theta.shape:
@@ -215,12 +212,9 @@ class EndpointVariation:
     v_par: float = 0.0
 
     def __post_init__(self):
-        values = _real_floats((self.u_perp, self.u_par, self.v_perp, self.v_par),
-                              "endpoint components")
-        for name, v in zip(ENDPOINT_FIELDS, values):
-            if not math.isfinite(v):
-                raise ValueError(f"endpoint component {name} must be finite")
-            object.__setattr__(self, name, v)
+        for name in ENDPOINT_FIELDS:
+            object.__setattr__(self, name, _real(getattr(self, name),
+                                                 f"endpoint component {name}", _FINITE))
 
 
 ZERO_ENDPOINTS = EndpointVariation()
@@ -523,22 +517,25 @@ def _measure_leaf(a, b, c, d):
 
     The leaf runs from ``b/d`` to ``a/c`` and crosses the chord iff
     ``abcd < 0``, on the circle ``|z|^2 = -(b/d)(a/c)``.  Since
-    ``ad - bc = 1`` and ``ad + bc = cos(theta)`` for a crossing leaf,
-    ``abcd`` is formed as ``(ad)(bc)``, a product of two factors at most
-    1 in size, and the log of the crossing radius is taken through
-    ``(a/c)(b/d) = abcd / (cd)^2`` as ``s = log(-abcd)/2 - log|c| - log|d|``:
-    no quotient is formed, so ``s`` stays finite where ``e^{2s}``,
-    ``a/c`` or ``b/d`` overflows and where ``cd`` underflows.
-    ``sin(theta)`` is ``-2 sign(ac) sqrt(-abcd)``, so ``atan2(sin, cos)``
-    is the angle, free of cancellation and signed: a leaf that crosses
+    ``ad - bc = 1``, ``ad`` and ``-bc`` are never both negative, so that
+    is ``ad > 0`` with ``b`` and ``c`` nonzero and of opposite signs,
+    decided by signs: a leaf whose ``bc`` underflows, at an angle below
+    about 1e-154, still crosses.  ``s``, the log of the crossing radius,
+    is a sum of the logs of single entries, as in
+    ``halfplane.common_perpendicular``:
+    ``(log|a| + log|b| - log|c| - log|d|)/2``, with no product or
+    quotient formed, so ``s`` stays finite wherever the entries are.
+    ``cos(theta)`` is ``ad + bc`` and ``sin(theta)`` is
+    ``-2 sign(ac) sqrt(ad) sqrt|b| sqrt|c|``, so ``atan2(sin, cos)`` is
+    the angle, free of cancellation and signed: a leaf that crosses
     clockwise measures outside ``(0, pi)``.
     """
-    ad, bc = a * d, b * c
-    minus_abcd = -(ad * bc)
-    if not minus_abcd > 0.0:
+    ad = a * d
+    if not (ad > 0.0 and (b < 0.0 < c or c < 0.0 < b)):
         return None
-    return (0.5 * math.log(minus_abcd) - (math.log(abs(c)) + math.log(abs(d))),
-            ad + bc, math.copysign(2.0 * math.sqrt(minus_abcd), -(a * c)))
+    return (0.5 * (math.log(abs(a)) + math.log(abs(b)) - math.log(abs(c)) - math.log(abs(d))),
+            ad + b * c,
+            math.copysign(2.0 * math.sqrt(ad) * math.sqrt(abs(b)) * math.sqrt(abs(c)), -(a * c)))
 
 
 _IDENTITY = (1.0, 0.0, 0.0, 1.0)
@@ -762,9 +759,7 @@ def fd_oracle(scene: HalfplaneScene, order: int):
         is refused), after the scene is checked.
     """
     jet = scene._jet
-    if not _is_integer(order) or order not in (1, 2):
-        raise ValueError(f"order must be the int 1 or 2, got {order!r}")
-    return jet[order - 1]
+    return jet[_count(order, "order", range(1, 3)) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -807,13 +802,12 @@ def scene_from_json(data: dict) -> tuple[ChordConfig, TransverseWeights, Endpoin
     Malformed input raises ValueError: a missing field, an unknown
     ``endpoint`` key, a crossing that is not an object or lacks ``s`` or
     ``theta``, a ``chord_length`` or endpoint component that is not a
-    JSON number (an int or a float by exact type; a bool, a numeric
-    string or a numpy scalar is not), an ``s``, ``theta`` or weight that
-    is not a number (a string, ``null`` or a nested array), an integer
-    beyond the float range, and every check of ``ChordConfig`` and
-    ``TransverseWeights``.  A boolean ``s``, ``theta`` or weight is still
-    read as 0 or 1, because an exact-type check per value would cost
-    more than the conversion itself.  ``fd_oracle`` layers its own
+    JSON number (``errors._json_numbers``), an ``s``, ``theta`` or weight
+    that is not a real number (a string, ``null``, a nested array or an
+    integer beyond the float range), and every check of ``ChordConfig``
+    and ``TransverseWeights``.  A boolean ``s``, ``theta`` or weight is
+    still read as 0 or 1, because an exact-type check per value would
+    cost more than the conversion itself.  ``fd_oracle`` layers its own
     checks on the realized scene on top of this.
     """
     if not isinstance(data, dict):
@@ -824,18 +818,16 @@ def scene_from_json(data: dict) -> tuple[ChordConfig, TransverseWeights, Endpoin
     ep = data["endpoint"]
     if not isinstance(ep, dict):
         raise ValueError("scene 'endpoint' must be a JSON object")
-    for field, v in (("chord_length", data["chord_length"]), *ep.items()):
-        if type(v) not in (int, float):
-            raise ValueError(f"scene field {field!r} must be a JSON number, got {v!r}")
+    _json_numbers([data["chord_length"], *ep.values()],
+                  "scene 'chord_length' and 'endpoint' values")
     try:
         crossings = data["crossings"]
         s = _flat_floats(list(map(itemgetter("s"), crossings)))
         theta = _flat_floats(list(map(itemgetter("theta"), crossings)))
         weights = TransverseWeights(_flat_floats(data["weights"]))
-        length = float(data["chord_length"])
         endpoints = EndpointVariation(**ep)
     except (KeyError, TypeError, OverflowError, struct.error) as exc:
         raise ValueError(f"malformed scene: {exc!r}") from exc
-    cfg = ChordConfig(length, s=s, theta=theta)
+    cfg = ChordConfig(data["chord_length"], s=s, theta=theta)
     _check_weights(cfg, weights)
     return cfg, weights, endpoints

@@ -39,9 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import halfplane
-from .errors import (DegenerateConfigurationError, NoPentagonError, NoPolygonError,
-                     _is_integer, _real_floats)
+from .errors import (_NORMAL_MIN, _POSITIVE, DegenerateConfigurationError, NoPentagonError,
+                     NoPolygonError, _count, _json_numbers, _real_floats)
 from .halfplane import (HGeodesic, HPoint, _disk, _perpendicular_length, _point, _relative,
                         _unit, dist)
 from .trig import pentagon_perpendicular, pentagon_side, semiregular_partner
@@ -106,16 +105,14 @@ class MarkedRightPolygon:
 
 def _side_index(i, n: int) -> int:
     """Slot i - 1 of side i, an Integral but not a bool in 1..n, else ValueError."""
-    if not _is_integer(i) or not 1 <= i <= n:
-        raise ValueError(f"side index must be an integer in 1..{n}, got {i!r}")
-    return i - 1
+    return _count(i, "side index", range(1, n + 1)) - 1
 
 
 def _checked(rows):
     """``rows`` as a tuple, refusing a vertex that ``HPoint`` would refuse
     (x not finite, or y not a positive normal float) with
     DegenerateConfigurationError."""
-    ymin, inf = halfplane._NORMAL_MIN, math.inf
+    ymin, inf = _NORMAL_MIN, math.inf
     for k, (a, b, c, d) in enumerate(rows, start=1):
         x, y = _point(a, b, c, d)
         if not (ymin <= y < inf and -inf < x < inf):
@@ -143,11 +140,9 @@ def realize(sides: Sequence[float]) -> MarkedRightPolygon:
     normal floats (vertex 1 at y = e^{-l_1/2}) raises
     DegenerateConfigurationError.
     """
-    sides = _real_floats(sides, "side lengths")
+    sides = _real_floats(sides, "side lengths", _POSITIVE)
     if len(sides) < 5:
         raise ValueError("a right-angled polygon needs at least 5 sides")
-    if any(not math.isfinite(s) or s <= 0 for s in sides):
-        raise ValueError("side lengths must be positive and finite")
     try:
         # back half of side 1 down the imaginary axis
         h = math.exp(-0.25 * sides[0])
@@ -241,11 +236,9 @@ def sides_from_pentagon_coords(coords: Sequence[float]) -> MarkedRightPolygon:
     that overflow, or a vertex whose y is not a positive normal float,
     raise DegenerateConfigurationError.
     """
-    coords = _real_floats(coords, "pentagon coordinates")
+    coords = _real_floats(coords, "pentagon coordinates", _POSITIVE)
     if len(coords) < 2:
         raise ValueError("need at least two coordinates (n >= 5)")
-    if not all(0.0 < x < math.inf for x in coords):
-        raise ValueError(f"pentagon coordinates must be positive and finite, got {coords!r}")
     l3, last = coords[0], coords[-1]
     try:
         if len(coords) == 2:  # n = 5: (l_3, l_4) and their perpendicular l_1
@@ -521,26 +514,18 @@ def polygon_from_json(data: dict) -> MarkedRightPolygon:
     each JSON side must be within ``COORDS_RTOL`` relative of the chart's
     side; the polygon carries the chart's sides.  Malformed input raises
     ValueError: a ``"sides"`` or ``"coords"`` entry that is not a JSON
-    number, an int or a float (a bool, a numeric string or a numpy
-    scalar is not), an integer beyond the float range, a count of
-    coordinates other than n - 3, a coordinate that is not positive and
-    finite, or sides that fail that test.  Coordinates the chart cannot
-    assemble raise its typed errors.
+    number (``errors._json_numbers``), an ``"n"`` other than the count of
+    sides, a count of coordinates other than n - 3, a coordinate that is
+    not positive and finite, or sides that fail that test.  Coordinates
+    the chart cannot assemble raise its typed errors.
     """
     if not isinstance(data, dict):
         raise ValueError("a polygon must be a JSON object")
-    sides, coords = data.get("sides"), data.get("coords")
-    for field, values in (("sides", sides), ("coords", () if coords is None else coords)):
-        if not isinstance(values, (list, tuple)) or not set(map(type, values)) <= {int, float}:
-            raise ValueError(f"polygon JSON '{field}' must be an array of numbers")
-    n = data.get("n", len(sides))
-    if type(n) is not int or n != len(sides):  # a JSON integer, not a bool
-        raise ValueError(f"polygon JSON 'n' is {n!r}, not {len(sides)}")
-    try:
-        sides = tuple(map(float, sides))
-        coords = None if coords is None else tuple(map(float, coords))
-    except OverflowError as exc:  # a JSON integer beyond the float range
-        raise ValueError(f"polygon JSON number out of range: {exc}") from exc
+    sides = _json_numbers(data.get("sides"), "polygon JSON 'sides'")
+    coords = data.get("coords")
+    if coords is not None:
+        coords = _json_numbers(coords, "polygon JSON 'coords'")
+    n = _count(data.get("n", len(sides)), "polygon JSON 'n'", range(len(sides), len(sides) + 1))
     if coords is None:
         return realize(sides)
     if len(coords) != n - 3:

@@ -3,16 +3,15 @@
 Every function here is a single formula; the geometric content (which
 pentagon, which Lambert quadrilateral, which pair of polygon sides) is
 spelled out in the docstring and verified against explicitly constructed
-half-plane figures in the test suite.  Malformed arguments raise
-ValueError: a length that is not a positive finite number, a count n that
-is not an integer >= 3.  A formula whose intermediate leaves the float range
-raises DegenerateConfigurationError rather than OverflowError or a
-silently infinite value.
+half-plane figures in the test suite.  A formula whose intermediate leaves
+the float range raises DegenerateConfigurationError rather than
+OverflowError or a silently infinite value.
 """
 
 import math
 
-from .errors import DegenerateConfigurationError, NoPentagonError, _is_integer
+from .errors import (_FINITE, _POSITIVE, DegenerateConfigurationError, NoPentagonError, _count,
+                     _real)
 
 # Arguments to acosh this far below 1 are treated as genuinely degenerate
 # rather than roundoff.
@@ -20,6 +19,10 @@ ACOSH_SLACK = 1e-10
 
 # Arguments within this band above 1 are treated as touching (result 0).
 ACOSH_TOUCH = 1e-14
+
+# n, the sides of each type of a semi-regular polygon: the formulas read
+# it as a float, which holds every integer up to 2^53 exactly
+_ORDERS = range(3, 2 ** 53 + 1)
 
 
 def guarded_acosh(x: float) -> float:
@@ -30,11 +33,7 @@ def guarded_acosh(x: float) -> float:
     is touching and the length is 0.  A value that is not a finite
     number raises ValueError.
     """
-    try:
-        if not math.isfinite(x):
-            raise ValueError(f"acosh argument {x!r} is not finite")
-    except (TypeError, OverflowError):  # not a number, or an int beyond the floats
-        raise ValueError(f"acosh argument {x!r} is not a number in the float range") from None
+    x = _real(x, "acosh argument", _FINITE)
     if x < 1.0 - ACOSH_SLACK:
         raise DegenerateConfigurationError(
             f"acosh argument {x!r} is below 1: the configuration degenerates"
@@ -44,26 +43,11 @@ def guarded_acosh(x: float) -> float:
     return math.acosh(x)
 
 
-def _check_lengths(*lengths):
-    for x in lengths:
-        try:
-            if 0.0 < x < math.inf:  # NaN fails this too
-                continue
-        except TypeError:  # not a number
-            pass
-        raise ValueError(f"lengths must be positive finite numbers, got {x!r}")
-
-
-def _check_order(n):
-    if not _is_integer(n) or n < 3:
-        raise ValueError(f"need an integer n >= 3 sides of each type, got n={n!r}")
-
-
 def _in_range(formula, name, *args):
     """formula() for the checked arguments ``args`` of ``name``, raising
     DegenerateConfigurationError where an intermediate left the float
     range (an infinite or NaN result, or a divisor that underflowed to
-    0): ``pentagon_side``'s guard, evaluate and then test the result."""
+    0): evaluate, then test the result."""
     try:
         z = formula()
     except (ArithmeticError, ValueError):  # ValueError: guarded_acosh of inf or NaN
@@ -81,7 +65,7 @@ def pentagon_perpendicular(a: float, b: float) -> float:
     threshold the five right angles cannot close up.  Raises
     DegenerateConfigurationError where sinh(a) sinh(b) overflows.
     """
-    _check_lengths(a, b)
+    a, b = _real(a, "length", _POSITIVE), _real(b, "length", _POSITIVE)
     try:
         s = math.sinh(a) * math.sinh(b)
     except OverflowError:
@@ -107,16 +91,8 @@ def pentagon_side(x: float, y: float) -> float:
     y are positive and finite, and DegenerateConfigurationError where
     cosh x, sinh y or their quotient overflows.
     """
-    try:
-        z = math.asinh(math.cosh(x) / math.sinh(y))
-    except (OverflowError, ZeroDivisionError, TypeError):  # TypeError: not a number
-        z = math.nan
-    # valid arguments give a positive finite z unless the float range is
-    # exceeded, so the arguments are checked only when z is not
-    if 0.0 < z < math.inf and 0.0 < x:
-        return z
-    _check_lengths(x, y)
-    raise DegenerateConfigurationError(f"pentagon side of ({x!r}, {y!r}) overflows")
+    x, y = _real(x, "length", _POSITIVE), _real(y, "length", _POSITIVE)
+    return _in_range(lambda: math.asinh(math.cosh(x) / math.sinh(y)), "pentagon_side", x, y)
 
 
 def trirectangle_center(h_side: float, n: int) -> float:
@@ -127,13 +103,13 @@ def trirectangle_center(h_side: float, n: int) -> float:
     pi/n and cosh(center distance) * sin(pi/n) = cosh(h_side), where
     h_side is half the length of a side of the *other* type.
     """
-    _check_order(n)
-    _check_lengths(h_side)
+    n = _count(n, "n", _ORDERS)
+    h_side = _real(h_side, "length", _POSITIVE)
     return _in_range(lambda: math.acosh(math.cosh(h_side) / math.sin(math.pi / n)),
                      "trirectangle_center", h_side, n)
 
 
-def diagonal_same_type(h1: float, k: float, n: int) -> float:
+def diagonal_same_type(h1: float, k: int, n: int) -> float:
     """Common perpendicular between two same-type sides, k slots apart.
 
     Both sides lie at distance h1 from the center with an angle 2*pi*k/n
@@ -144,19 +120,14 @@ def diagonal_same_type(h1: float, k: float, n: int) -> float:
     the value at k = n-1 repeats it; the strict diagonals are k in
     2..n-2.
     """
-    _check_order(n)
-    try:
-        ok = 1 <= k <= n - 1 and k == int(k)
-    except TypeError:  # not a number
-        ok = False
-    if not ok:
-        raise ValueError(f"slot count k must be an integer in 1..n-1, got {k!r}")
-    _check_lengths(h1)
+    n = _count(n, "n", _ORDERS)
+    k = _count(k, "slot count k", range(1, n))
+    h1 = _real(h1, "length", _POSITIVE)
     return _in_range(lambda: 2.0 * guarded_acosh(math.cosh(h1) * math.sin(k * math.pi / n)),
                      "diagonal_same_type", h1, k, n)
 
 
-def diagonal_mixed_type(h1: float, h2: float, k: float, n: int) -> float:
+def diagonal_mixed_type(h1: float, h2: float, k: int, n: int) -> float:
     """Arc between a side of each type, k slots apart (k odd), crossing
     the polygon and continuing symmetrically across the far side.
 
@@ -165,14 +136,9 @@ def diagonal_mixed_type(h1: float, h2: float, k: float, n: int) -> float:
     cosh = sinh(h1) sinh(h2) - cosh(h1) cosh(h2) cos(k pi / n); the full
     arc doubles it.  k = 1 is excluded: adjacent sides meet at a vertex.
     """
-    _check_order(n)
-    try:
-        ok = 3 <= k <= 2 * n - 3 and k == int(k) and int(k) % 2 == 1
-    except TypeError:  # not a number
-        ok = False
-    if not ok:
-        raise ValueError(f"slot count k must be odd in 3..2n-3, got {k!r}")
-    _check_lengths(h1, h2)
+    n = _count(n, "n", _ORDERS)
+    k = _count(k, "slot count k", range(3, 2 * n - 2, 2))  # odd in 3..2n-3
+    h1, h2 = _real(h1, "length", _POSITIVE), _real(h2, "length", _POSITIVE)
     return _in_range(lambda: 2.0 * guarded_acosh(
         math.sinh(h1) * math.sinh(h2)
         - math.cosh(h1) * math.cosh(h2) * math.cos(k * math.pi / n)),
@@ -185,8 +151,8 @@ def semiregular_partner(l1: float, n: int) -> float:
 
     Involutive in l1 <-> l2 for fixed n.
     """
-    _check_order(n)
-    _check_lengths(l1)
+    n = _count(n, "n", _ORDERS)
+    l1 = _real(l1, "length", _POSITIVE)
     return _in_range(lambda: 2.0 * math.asinh(math.cos(math.pi / n) / math.sinh(l1 / 2.0)),
                      "semiregular_partner", l1, n)
 
@@ -197,6 +163,6 @@ def equilateral_angle(x: float) -> float:
     Strictly decreasing from pi/3 (Euclidean limit) to 0, equal to
     2*arcsin(1 / (2 cosh(x/2))).
     """
-    _check_lengths(x)
+    x = _real(x, "length", _POSITIVE)
     return _in_range(lambda: 2.0 * math.asin(0.5 / math.cosh(x / 2.0)),
                      "equilateral_angle", x)

@@ -2,10 +2,14 @@
 
 Each of ``EXTREMES`` -- zero, the smallest subnormal, a tiny normal, a
 length past sinh's range, the top of the floats, both infinities, NaN, an
-integer beyond the floats and a bool -- goes into every argument of each
-``trig`` function, and in pairs into the slots of a two-crossing chord
-scene and of a vertex chain.  Only ``ValueError`` or a ``SystolicaError``
-may escape, nothing may warn, and every float returned is finite.
+integer beyond the floats, a bool, a numeric string and None -- goes into
+every argument of each ``trig`` function, and in pairs into the slots of
+a two-crossing chord scene, as built and as JSON, of the leaf rows of its
+realization, of a vertex chain and of a polygon's sides, coordinates and
+JSON.  Only ``ValueError`` or a ``SystolicaError`` may escape, nothing may
+warn, and every float returned is finite.  A value that is not a number
+in the float range raises exactly ``ValueError`` in every slot that takes
+a length, a count or a coordinate.
 """
 
 import itertools
@@ -16,16 +20,20 @@ import numpy as np
 import pytest
 
 from systolica import trig
-from systolica.halfplane import HPoint
-from systolica.hessian import (ChordConfig, EndpointVariation, TransverseWeights,
-                               first_derivatives, fd_oracle, hessian_form, hessian_margin,
-                               hessian_split, realize_scene)
-from systolica.polygons import ChainDifferentials
+from systolica.halfplane import HGeodesic, HPoint
+from systolica.hessian import (ChordConfig, EndpointVariation, HalfplaneScene,
+                               TransverseWeights, first_derivatives, fd_oracle, hessian_form,
+                               hessian_margin, hessian_split, realize_scene, scene_from_json)
+from systolica.polygons import (ChainDifferentials, polygon_from_json, polygon_to_json, realize,
+                                sides_from_pentagon_coords)
 
 from test_hessian import typed_or_none
 
 EXTREMES = (0.0, 5e-324, 1e-300, 710.0, 1e308, 2.0 ** 1023,
-            math.inf, -math.inf, math.nan, 10 ** 400, True)
+            math.inf, -math.inf, math.nan, 10 ** 400, True, "1", None)
+
+# values that are not numbers in the float range
+MALFORMED = (10 ** 400, "1.5", None)
 
 # the trig functions and, per argument, values that make the others valid
 TRIG = [
@@ -45,6 +53,10 @@ SCENE = (2.0, 0.5, 1.5, 1.0, 2.0, 1.0, -0.5, 0.5, 0.25, -0.5, 0.75)
 
 # a valid triangle, coordinate by coordinate: (x0, y0, x1, y1, x2, y2)
 TRIANGLE = (0.0, 1.0, 0.0, 2.0, 1.5, 2.0)
+
+# side lengths to walk, and pentagon-chain coordinates of a hexagon
+SIDES = (1.0, 1.2, 0.8, 1.1, 0.9)
+COORDS = (1.0, 1.2, 0.8)
 
 
 @pytest.fixture(autouse=True)
@@ -112,3 +124,82 @@ def test_vertex_chain_fails_typed_on_extreme_coordinates(closed):
             out = typed_or_none(method)
             if out is not None:
                 assert_finite(out)
+
+
+def scene_json(L, s1, s2, t1, t2, a1, a2, u_perp, u_par, v_perp, v_par):
+    return {"chord_length": L,
+            "crossings": [{"s": s1, "theta": t1}, {"s": s2, "theta": t2}],
+            "weights": [a1, a2],
+            "endpoint": {"u_perp": u_perp, "u_par": u_par, "v_perp": v_perp, "v_par": v_par}}
+
+
+def test_scene_json_fails_typed_on_extreme_slots():
+    for slots in variants(SCENE):
+        read = typed_or_none(scene_from_json, scene_json(*slots))
+        if read is not None:
+            cfg, weights, endpoints = read
+            assert_finite([cfg.length, *cfg.s, *cfg.theta, *weights.weights,
+                           endpoints.u_perp, endpoints.u_par, endpoints.v_perp, endpoints.v_par])
+
+
+def test_scene_leaf_rows_fail_typed_on_extreme_entries():
+    placed = realize_scene(ChordConfig(SCENE[0], SCENE[1:3], SCENE[3:5]),
+                           TransverseWeights(SCENE[5:7]), EndpointVariation(*SCENE[7:]))
+    for entries in variants(sum(placed.leaves, ())):
+        scene = typed_or_none(HalfplaneScene, cfg=placed.cfg, weights=placed.weights,
+                              endpoints=placed.endpoints, p=placed.p, q=placed.q,
+                              leaves=(entries[:4], entries[4:]))
+        if scene is None:
+            continue
+        assert_finite(scene.leaves)
+        for order in (1, 2):
+            out = typed_or_none(fd_oracle, scene, order)
+            if out is not None:
+                assert_finite(out)
+
+
+@pytest.mark.parametrize("build, base", [(realize, SIDES), (sides_from_pentagon_coords, COORDS)],
+                         ids=["realize", "sides_from_pentagon_coords"])
+def test_polygons_fail_typed_on_extreme_slots(build, base):
+    for values in variants(base):
+        poly = typed_or_none(build, values)
+        if poly is not None:
+            assert_finite([*poly.sides, *sum(poly.frames, ()), poly.closure_defect])
+
+
+@pytest.mark.parametrize("field", ["sides", "coords"])
+def test_polygon_json_fails_typed_on_extreme_entries(field):
+    data = polygon_to_json(sides_from_pentagon_coords(COORDS))
+    for values in variants(data[field]):
+        poly = typed_or_none(polygon_from_json, {**data, field: values})
+        if poly is not None:
+            assert_finite([*poly.sides, *sum(poly.frames, ()), poly.closure_defect])
+
+
+def malformed_slots():
+    """(id, call, args) with one length, count or coordinate slot of a valid
+    call replaced by each of ``MALFORMED``."""
+    cases = [(f.__name__, f, base) for f, base in TRIG] + [
+        ("ChordConfig", lambda L: ChordConfig(L, (0.5,), (1.0,)), (2.0,)),
+        ("EndpointVariation", EndpointVariation, (0.1, 0.2, 0.3, 0.4)),
+        ("HPoint", HPoint, (0.0, 1.0)),
+        ("point_at", HGeodesic((1.0, 0.0, 0.0, 1.0)).point_at, (1.0,)),
+        ("realize", lambda *sides: realize(sides), SIDES),
+        ("sides_from_pentagon_coords", lambda *c: sides_from_pentagon_coords(c), COORDS)]
+    for name, call, base in cases:
+        for i, bad in itertools.product(range(len(base)), MALFORMED):
+            args = list(base)
+            args[i] = bad
+            yield pytest.param(call, args, id=f"{name}-{i}-{type(bad).__name__}")
+    for f, base in TRIG:
+        if "diagonal" in f.__name__:  # the slot count k, second from last
+            for bad in (2.0, True):
+                yield pytest.param(f, [*base[:-2], bad, base[-1]],
+                                   id=f"{f.__name__}-k-{bad!r}")
+
+
+@pytest.mark.parametrize("call, args", malformed_slots())
+def test_values_that_are_not_numbers_raise_exactly_value_error(call, args):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert type(info.value) is ValueError

@@ -1613,6 +1613,16 @@ class TestTaylorJet:
             reference.fd_differences(scene, 2)
         assert_within_budget_of_the_closed_forms(scene)
 
+    @pytest.mark.parametrize("ev", [EndpointVariation(), MOVING], ids=["resting", "moving"])
+    @pytest.mark.parametrize("theta", [1e-160, 1e-200, 1e-300])
+    def test_leaves_whose_bc_underflows_match_the_closed_forms(self, theta, ev):
+        # below theta ~ 1e-154 the product bc of the leaf's relative frame,
+        # of the size of sin^2(theta/2), is subnormal or 0, so a crossing
+        # decided and measured through -(ad)(bc) drifts or misses the chord
+        scene = realize_scene(ChordConfig(2.0, s=(1.0,), theta=(theta,)),
+                              TransverseWeights((1.0,)), ev)
+        assert_matches_the_closed_forms(scene)
+
 
 # ---------------------------------------------------------------------------
 # the closed-form measurement against a 50-digit reference
@@ -1643,9 +1653,12 @@ def mp_crossing(row):
 class TestClosedFormMeasurement:
     def test_tracks_the_50_digit_reference(self):
         # Random frames D(s) R(theta) D(tau) on the chord p = i, where the
-        # relative frame is the stored row exactly.  First-order rounding
-        # budgets of the two formulas, for the row (a, b, c, d), with
-        # u = eps/2, q = -(ad)(bc), l0 = log q and lx = log|x|:
+        # relative frame is the stored row exactly.  The budgets are the
+        # first-order rounding of the product form below, which
+        # _measure_leaf used until it took the logs and roots of single
+        # entries; the single-entry form stays within a third of them on
+        # these draws.  For the row (a, b, c, d), with u = eps/2,
+        # q = -(ad)(bc), l0 = log q and lx = log|x|:
         #   s = l0/2 - (lc + ld): q rounds by 3u relative, so l0 by
         #     3u + u |l0|, halved; the logs of c and d, their sum and the
         #     difference add u (|lc| + |ld| + |lc + ld| + |s|), and the
