@@ -23,7 +23,7 @@ import cmath
 import math
 
 from .errors import (_FINITE, _NORMAL_MIN, DegenerateConfigurationError, NoPerpendicularError,
-                     _real)
+                     _real, _real_floats)
 
 # Margin for deciding that two geodesics touch at infinity (asymptotic)
 # rather than admitting a common perpendicular: the distance of |ad + bc|,
@@ -116,12 +116,28 @@ def _unit_rescaled(a, b, c, d, det):
 
 class HGeodesic:
     """An oriented complete geodesic at unit speed: its ``frame``, four
-    entries held as given, takes the upward imaginary axis onto it, s to
-    frame(i e^s) (``_point``), so "up" is forward and s = 0 is frame(i)."""
+    entries (a, b, c, d) of determinant one, takes the upward imaginary
+    axis onto it, s to frame(i e^s) (``_point``), so "up" is forward and
+    s = 0 is frame(i).
+
+    The frame must be four real numbers (``errors._real_floats``) with
+    ad - bc a positive finite float, else ValueError.  It is held as a
+    tuple of floats, and a tuple of four floats is held as given, the
+    same object: it is not normalized, so a frame of determinant other
+    than one is the caller's to avoid (``_unit`` normalizes one)."""
 
     __slots__ = ("frame",)
 
     def __init__(self, frame):
+        try:
+            a, b, c, d = frame
+            if type(frame) is not tuple or not type(a) is type(b) is type(c) is type(d) is float:
+                frame = a, b, c, d = _real_floats(frame, "geodesic frame")
+        except (TypeError, ValueError):  # not four entries, or not numbers
+            a = b = c = d = math.nan
+        if not 0.0 < a * d - b * c < math.inf:
+            raise ValueError(f"a geodesic frame must be four real numbers with ad - bc "
+                             f"positive and finite, got {frame!r}")
         self.frame = frame
 
     def point_at(self, s):
@@ -210,6 +226,17 @@ def _relative(f, a, b, c, d):
             fa * c - fc * a, fa * d - fc * b)
 
 
+def _foot(a, b, c, d):
+    """log sqrt|ab/cd|, taken as (log|a| + log|b| - log|c| - log|d|)/2:
+    for the entries (a, b, c, d) of a frame seen from another
+    (``_relative``), the arclength up the imaginary axis of the circle
+    |z|^2 = |ab/cd|, where the two geodesics' common perpendicular or
+    crossing meets it.  A sum of the logs of single entries forms no
+    product or quotient, so it is finite wherever the entries are
+    nonzero floats."""
+    return 0.5 * (math.log(abs(a)) + math.log(abs(b)) - math.log(abs(c)) - math.log(abs(d)))
+
+
 def _perpendicular_length(a, b, c, d):
     """Length of the common perpendicular of two geodesics, without its
     feet, from the float entries of their relative frame (``_relative``);
@@ -250,15 +277,15 @@ def common_perpendicular(g, h):
     2 asinh(sqrt(-ad)) when ad < 0, and either sign pattern means h
     stays on one side of g.  The perpendicular is the circle
     |z|^2 = (b/d)(a/c) of the frame, so the foot on g sits at
-    s = log(ab/cd)/2 and, symmetrically, the foot on h at log(bd/ac)/2.
-    Each is a sum of the logs of single entries, so no quotient is formed
-    and a foot stays finite wherever its point is a float.  A length or
+    s = log(ab/cd)/2 and, symmetrically, the foot on h at log(bd/ac)/2,
+    the one ``_foot`` on (a, b, c, d) and on (b, d, a, c).  Each is a sum
+    of the logs of single entries, so no quotient is formed and a foot
+    stays finite wherever its point is a float.  A length or
     foot beyond the float range raises DegenerateConfigurationError.
     """
     a, b, c, d = _relative(g.frame, *h.frame)
     length = _perpendicular_length(a, b, c, d)
-    la, lb, lc, ld = math.log(abs(a)), math.log(abs(b)), math.log(abs(c)), math.log(abs(d))
-    s, t = 0.5 * (la + lb - lc - ld), 0.5 * (lb + ld - la - lc)
+    s, t = _foot(a, b, c, d), _foot(b, d, a, c)
     if not math.isfinite(s + t + length):  # finite when all three are
         raise DegenerateConfigurationError(
             f"common perpendicular of length {length!r} with feet at arclengths "

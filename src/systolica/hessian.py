@@ -72,7 +72,7 @@ from . import halfplane
 from .errors import (_FINITE, _POSITIVE, DegenerateConfigurationError, DegenerateMarginError,
                      InconsistentSceneError, SystolicaError, _count, _json_numbers, _real,
                      _real_floats)
-from .halfplane import _frame_through, _half_turn, _product, _relative, _turned, _unit
+from .halfplane import _foot, _frame_through, _half_turn, _product, _relative, _turned, _unit
 
 __all__ = [
     "ChordConfig",
@@ -521,9 +521,8 @@ def _measure_leaf(a, b, c, d):
     is ``ad > 0`` with ``b`` and ``c`` nonzero and of opposite signs,
     decided by signs: a leaf whose ``bc`` underflows, at an angle below
     about 1e-154, still crosses.  ``s``, the log of the crossing radius,
-    is a sum of the logs of single entries, as in
-    ``halfplane.common_perpendicular``:
-    ``(log|a| + log|b| - log|c| - log|d|)/2``, with no product or
+    is ``halfplane._foot``, ``(log|a| + log|b| - log|c| - log|d|)/2``, as
+    ``halfplane.common_perpendicular`` takes its feet, with no product or
     quotient formed, so ``s`` stays finite wherever the entries are.
     ``cos(theta)`` is ``ad + bc`` and ``sin(theta)`` is
     ``-2 sign(ac) sqrt(ad) sqrt|b| sqrt|c|``, so ``atan2(sin, cos)`` is
@@ -533,8 +532,7 @@ def _measure_leaf(a, b, c, d):
     ad = a * d
     if not (ad > 0.0 and (b < 0.0 < c or c < 0.0 < b)):
         return None
-    return (0.5 * (math.log(abs(a)) + math.log(abs(b)) - math.log(abs(c)) - math.log(abs(d))),
-            ad + b * c,
+    return (_foot(a, b, c, d), ad + b * c,
             math.copysign(2.0 * math.sqrt(ad) * math.sqrt(abs(b)) * math.sqrt(abs(c)), -(a * c)))
 
 

@@ -326,14 +326,20 @@ class ChainDifferentials:
     an open chain have none, and row r is vertex r + 1.
 
     A variation moves each vertex by a tangent vector, written in the
-    orthonormal frame (y, 0), (0, y) at the vertex.  Both matrices have
-    one column pair (2k, 2k+1) per vertex k, holding the differential of
-    their row's length or angle against that vertex's two components.
+    orthonormal frame (y, 0), (0, y) at the vertex.  A differential is a
+    row with one column pair (2k, 2k+1) per vertex k, holding it against
+    that vertex's two components: ``angle_matrix`` returns the angle
+    rows.  The length row of segment r has only two nonzero pairs, V at
+    its start and U at its end, so ``length_rank`` reads the length rows
+    through their Gram matrix 2I + C, C holding cos theta_k where the
+    segments into and out of x_k meet, and never builds them.
 
     The constructor does the geometry once: ``lengths`` (read-only, one
-    per segment, from ``halfplane.dist``) and, as complex components in
-    those frames, V at each segment's start and U at its end.  The unit
-    vector at z_k pointing away from z_o is -i zeta/|zeta| with
+    per segment, from ``halfplane.dist``), as complex components in
+    those frames V at each segment's start and U at its end, and
+    U_k conj V_k at each vertex that has an angle, whose argument is
+    theta_k and whose real part is cos theta_k.  The unit vector at z_k
+    pointing away from z_o is -i zeta/|zeta| with
     zeta = ``halfplane._disk(z_k, z_o)``, so all of them come from one
     complex-array pass, and each method is O(1) numpy calls on them.
     """
@@ -351,14 +357,15 @@ class ChainDifferentials:
         self.lengths = np.array(lengths)
         self.lengths.flags.writeable = False
         seg = np.arange(len(lengths))
-        self._ends = seg, (seg + 1) % m  # each segment's first and last vertex
         z = np.array([p.z for p in self.points])
-        zs, ze = z[:len(lengths)], z[self._ends[1]]
+        zs, ze = z[:len(lengths)], z[(seg + 1) % m]  # each segment's first and last vertex
         zeta = _disk(np.concatenate((zs, ze)), np.concatenate((ze, zs)))
         vu = -1j * zeta / np.abs(zeta)  # V at each segment's start, then U at its end
         self._v, self._u = vu[:len(lengths)], vu[len(lengths):]
-        # the segments into and out of each vertex that has an angle
+        # the segments into and out of each vertex that has an angle, and
+        # U_k conj V_k there: e^{i theta_k}, to within rounding
         self._into, self._out = ((seg - 1) % m, seg) if closed else (seg[:-1], seg[1:])
+        self._turn = self._u[self._into] * self._v[self._out].conj()
 
     def _matrix(self, *blocks) -> np.ndarray:
         """One row per block entry; block (k, w) puts w at vertex k's
@@ -372,14 +379,8 @@ class ChainDifferentials:
 
     def angles(self) -> np.ndarray:
         """The vertex angles theta in (0, 2*pi)."""
-        a = np.angle(self._u[self._into] * self._v[self._out].conj())
+        a = np.angle(self._turn)
         return np.where(a > 0.0, a, a + 2.0 * math.pi)
-
-    def _length_matrix(self) -> np.ndarray:
-        """The d(length) rows, one per segment: V at the segment's start
-        and U at its end are its only nonzeros."""
-        start, end = self._ends
-        return self._matrix((start, self._v), (end, self._u))
 
     def angle_matrix(self) -> np.ndarray:
         """The d(theta) rows.  With l_prev and l_next the lengths of the
@@ -396,11 +397,37 @@ class ChainDifferentials:
             ((out + 1) % self.m, -1j * self._u[out] * csch[out]))
 
     def length_rank(self) -> tuple[int, float]:
-        """Rank data of the full set of length differentials:
-        (rank, smallest singular value) of ``_length_matrix``."""
-        svals = np.linalg.svd(self._length_matrix(), compute_uv=False)
-        rank = int(np.sum(svals > 1e-8 * svals[0]))
-        return rank, float(svals[-1])
+        """(rank, smallest singular value) of the s length rows, one per
+        segment, from one ``eigvalsh`` of their Gram matrix.
+
+        Row r is V_r at the segment's start and U_r at its end, both unit
+        vectors, so its squared norm is 2, and two rows meet only where
+        their segments share a vertex x_k, as the product Re(U conj V) =
+        cos theta_k of the segment into x_k and the one out of it.  The
+        Gram matrix is therefore exactly G = 2I + C, with cos theta_k at
+        (into, out) and (out, into): tridiagonal for an open chain, cyclic
+        for a closed one, and ||G|| <= 4 (Gershgorin; Golub & Van Loan,
+        *Matrix Computations*, 7.2 and 8.1).
+
+        The rank counts the eigenvalues above (4 s + 20) eps.  Each cosine
+        errs by at most 10 eps (U and V are within 4 eps each, and the
+        product's real part rounds by 2 eps), two to a row, so the
+        computed C moves every eigenvalue by at most 20 eps (Weyl), and
+        the symmetric eigensolver, backward stable, by c s eps ||G||,
+        taken with c = 1.  An eigenvalue at or below the cut may be zero:
+        the rank sees a singular value only above about its root, 1e-7.
+        sigma_min = sqrt(max(lambda_min, 0)) is the root of an eigenvalue,
+        so it errs by about c eps / sigma_min, not c eps.
+
+        On a right-angled polygon every cos theta_k is 0, so C vanishes to
+        within the corner defect and the answer is (m, sqrt 2) to within
+        it: a rank below m cannot happen there.
+        """
+        gram = 2.0 * np.eye(len(self.lengths))
+        gram[self._into, self._out] = gram[self._out, self._into] = self._turn.real
+        lam = np.linalg.eigvalsh(gram)
+        rank = int(np.sum(lam > (4 * len(lam) + 20) * math.ulp(1.0)))
+        return rank, math.sqrt(max(lam[0], 0.0))
 
 
 # --------------------------------------------------------------------------
@@ -468,11 +495,13 @@ def boundary_functional(ns: Sequence[int], l_even: float) -> BoundaryFunctional:
             = -tanh(l_odd/2) / tanh(l_even/2),
 
     evaluated in the second form, which cannot overflow, and the
-    derivative of the total is the coefficient-weighted count.  Each n_i
-    must be an integer >= 3 (ValueError); where a partner length leaves
-    the float range, ``semiregular_partner`` raises
-    DegenerateConfigurationError.
+    derivative of the total is the coefficient-weighted count.  ``ns``
+    must be a non-empty list, tuple or range, and each n_i an integer
+    >= 3 (ValueError); where a partner length leaves the float range,
+    ``semiregular_partner`` raises DegenerateConfigurationError.
     """
+    if not isinstance(ns, (list, tuple, range)):
+        raise ValueError(f"ns must be a list, tuple or range of counts, got {ns!r}")
     if not ns:
         raise ValueError("need at least one polygon")
     total = 0.0

@@ -7,8 +7,8 @@ named by their endpoints or by a direction, to measure its results by an
 independent route.  They live here, on top of the frame helpers that
 ``systolica.halfplane`` keeps (``_point``, ``_turned``, ``_relative``
 and the rest), so the kernel ships none of them.  An isometry is its
-four entries (a, b, c, d), as in the library.  Then come two dense
-references, ``tangent_u`` and ``hessian_matrix``.
+four entries (a, b, c, d), as in the library.  Then come three dense
+references, ``tangent_u``, ``length_rows`` and ``hessian_matrix``.
 
 The last part is the finite-difference reference for
 ``hessian.fd_oracle``: ``scene_length``, the deformed chord length of a
@@ -233,6 +233,16 @@ def tangent_u(poly: MarkedRightPolygon, i: int) -> np.ndarray:
     v[[k - 1, (k + 1) % n, (k + 2) % n]] = _tangent_entries(poly.sides[k],
                                                              poly.sides[(k + 1) % n])
     return v
+
+
+def length_rows(chain) -> np.ndarray:
+    """The d(length) rows of a ``polygons.ChainDifferentials``, one per
+    segment in the column pairs of ``angle_matrix``: V at the segment's
+    start and U at its end, as the chain stores them, are its only
+    nonzeros.  ``length_rank`` reads their Gram matrix and never builds
+    them."""
+    seg = np.arange(len(chain.lengths))
+    return chain._matrix((seg, chain._v), ((seg + 1) % chain.m, chain._u))
 
 
 def hessian_matrix(cfg: ChordConfig) -> np.ndarray:

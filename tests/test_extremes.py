@@ -5,11 +5,12 @@ length past sinh's range, the top of the floats, both infinities, NaN, an
 integer beyond the floats, a bool, a numeric string and None -- goes into
 every argument of each ``trig`` function, and in pairs into the slots of
 a two-crossing chord scene, as built and as JSON, of the leaf rows of its
-realization, of a vertex chain and of a polygon's sides, coordinates and
-JSON.  Only ``ValueError`` or a ``SystolicaError`` may escape, nothing may
-warn, and every float returned is finite.  A value that is not a number
-in the float range raises exactly ``ValueError`` in every slot that takes
-a length, a count or a coordinate.
+realization, of a geodesic's frame, of a vertex chain and of a polygon's
+sides, coordinates and JSON.  Only ``ValueError`` or a ``SystolicaError``
+may escape, nothing may warn, and every float returned is finite.  A
+value that is not a number in the float range raises exactly
+``ValueError`` in every slot that takes a length, a count, a coordinate
+or a frame entry.
 """
 
 import itertools
@@ -158,6 +159,18 @@ def test_scene_leaf_rows_fail_typed_on_extreme_entries():
                 assert_finite(out)
 
 
+def test_geodesic_frames_fail_typed_on_extreme_entries():
+    for frame in variants((1.0, 0.0, 0.0, 1.0)):
+        g = typed_or_none(HGeodesic, frame)
+        if g is None:
+            continue
+        assert_finite(g.frame)
+        for s in (0.0, 1.0):
+            point = typed_or_none(g.point_at, s)
+            if point is not None:
+                assert_finite((point.x, point.y))
+
+
 @pytest.mark.parametrize("build, base", [(realize, SIDES), (sides_from_pentagon_coords, COORDS)],
                          ids=["realize", "sides_from_pentagon_coords"])
 def test_polygons_fail_typed_on_extreme_slots(build, base):
@@ -184,6 +197,7 @@ def malformed_slots():
         ("EndpointVariation", EndpointVariation, (0.1, 0.2, 0.3, 0.4)),
         ("HPoint", HPoint, (0.0, 1.0)),
         ("point_at", HGeodesic((1.0, 0.0, 0.0, 1.0)).point_at, (1.0,)),
+        ("HGeodesic", lambda *frame: HGeodesic(frame), (1.0, 0.0, 0.0, 1.0)),
         ("realize", lambda *sides: realize(sides), SIDES),
         ("sides_from_pentagon_coords", lambda *c: sides_from_pentagon_coords(c), COORDS)]
     for name, call, base in cases:

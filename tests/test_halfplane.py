@@ -13,6 +13,7 @@ import re
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
@@ -219,6 +220,26 @@ class TestGeodesics:
         assert endpoints(g) == (0.0, math.inf)
         assert repr(g) == "HGeodesic(0 -> inf)"
         assert (g.point_at(0.0).x, g.point_at(0.0).y) == (0.0, 4.0)
+
+    def test_a_tuple_of_four_floats_is_kept_and_other_rows_are_read(self):
+        frame = (2.0, 0.0, 0.0, 0.5)
+        assert HGeodesic(frame).frame is frame
+        for given in ([2.0, 0.0, 0.0, 0.5], [2, 0, 0, 0.5], np.array(frame),
+                      tuple(np.array(frame)), np.array(frame, dtype=np.float32)):
+            g = HGeodesic(given)
+            assert type(g.frame) is tuple and g.frame == frame
+            assert all(type(x) is float for x in g.frame)
+
+    @pytest.mark.parametrize("frame", [
+        "abcd", (1.0, 0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0), None, 5.0, [1.0, "x", 0.0, 1.0],
+        (1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, -1.0), (math.nan, 0.0, 0.0, 1.0),
+        (math.inf, 0.0, 0.0, 1.0), (1e200, 0.0, 0.0, 1e200), (1.0, 0.0, 0.0, 10**400)])
+    def test_frame_that_is_not_four_reals_of_positive_determinant_is_refused(self, frame):
+        # at construction, not at first use: not four real numbers, or
+        # ad - bc zero, negative, NaN or beyond the float range
+        with pytest.raises(ValueError, match="geodesic frame") as info:
+            HGeodesic(frame)
+        assert type(info.value) is ValueError
 
     def test_through_hits_both_points_at_right_parameters(self):
         rng = random.Random(5)

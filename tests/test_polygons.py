@@ -33,7 +33,8 @@ from systolica.polygons import (
 )
 from systolica.trig import pentagon_perpendicular, pentagon_side, semiregular_partner
 
-from reference import HTangent, apply, geodesic_from_direction, geodesics, tangent_u
+from reference import (HTangent, apply, geodesic_from_direction, geodesics, length_rows,
+                       tangent_u)
 
 EPS = np.finfo(float).eps
 
@@ -367,7 +368,7 @@ class TestChainDifferentials:
             cdp = ChainDifferentials(pp, closed)
             cdm = ChainDifferentials(pm, closed)
             fd_l = (cdp.lengths - cdm.lengths) / (2 * eps)
-            assert cd._length_matrix() @ var == pytest.approx(fd_l, abs=1e-6)
+            assert length_rows(cd) @ var == pytest.approx(fd_l, abs=1e-6)
             fd_t = (cdp.angles() - cdm.angles()) / (2 * eps)
             assert cd.angle_matrix() @ var == pytest.approx(fd_t, abs=1e-6)
 
@@ -379,7 +380,7 @@ class TestChainDifferentials:
         pts = random_chain(rng, 5, closed=False)
         cd = ChainDifferentials(pts, closed=False)
         ring = ChainDifferentials(pts)
-        assert cd._length_matrix().shape == (4, 10)
+        assert length_rows(cd).shape == (4, 10)
         assert np.array_equal(cd.lengths, ring.lengths[:4])
         assert np.array_equal(cd.angles(), ring.angles()[1:4])
         assert np.array_equal(cd.angle_matrix(), ring.angle_matrix()[1:4])
@@ -391,6 +392,76 @@ class TestChainDifferentials:
             rank, smin = ChainDifferentials(pts).length_rank()
             assert rank == m
             assert smin > 1e-8
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_length_rank_decomposes_the_gram_of_the_length_rows(self, closed, monkeypatch):
+        # The matrix length_rank hands to eigvalsh against L L^T of the
+        # float rows.  A diagonal entry there is |V|^2 + |U|^2 of float
+        # vectors whose moduli are within 1.5 eps of 1 (hypot and one
+        # division), 6 eps, and the dot product rounds its sum below 2
+        # twice more, 2 eps; an off-diagonal entry is Re(U conj V),
+        # rounded by numpy's complex product and by the dot product, 3
+        # eps.  8 eps in all, against G's exact 2 on the diagonal.
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(gram):
+            seen.append(gram.copy())
+            return eigvalsh(gram)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        rng = random.Random(37 + closed)
+        for m in range(3, 25):
+            cd = ChainDifferentials(random_chain(rng, m, closed), closed)
+            cd.length_rank()
+            (gram,), rows = seen, length_rows(cd)
+            seen.clear()
+            assert np.array_equal(np.diag(gram), np.full(len(cd.lengths), 2.0))
+            assert np.abs(rows @ rows.T - gram).max() <= 8 * EPS
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_length_rank_matches_the_svd_of_the_length_rows(self, closed):
+        # lambda_min of the computed G is within 3 * 8 eps (the test
+        # above, three entries to a row) plus eigvalsh's 4 s eps of
+        # sigma^2, sigma the float rows' smallest singular value, so its
+        # root is within (24 + 4 s) eps / sigma of it; the SVD finds
+        # sigma within s eps ||L|| <= 2 s eps <= 4 s eps / sigma.  The
+        # rank is the one the SVD counts above 1e-8 of its largest.
+        rng = random.Random(41 + closed)
+        for m in range(3, 25):
+            cd = ChainDifferentials(random_chain(rng, m, closed), closed)
+            svals = np.linalg.svd(length_rows(cd), compute_uv=False)
+            rank, smin = cd.length_rank()
+            assert rank == int(np.sum(svals > 1e-8 * svals[0])) == len(svals)
+            assert abs(smin - svals[-1]) <= (24 + 8 * len(svals)) * EPS / svals[-1]
+
+    @pytest.mark.parametrize("times", [2, 3])
+    def test_a_chain_that_doubles_back_loses_one_rank(self, times):
+        # [A, B] repeated: every segment runs back along the one before,
+        # every cos theta is 1, and 2I + C is 2I plus the adjacency of an
+        # m-cycle, whose eigenvalues 2 + 2 cos(2 pi j/m) are 0 at j = m/2.
+        # The zero eigenvalue reads at most the cut, (4 m + 20) eps.
+        cd = ChainDifferentials([HPoint(0.0, 1.0), HPoint(0.0, 2.0)] * times)
+        svals = np.linalg.svd(length_rows(cd), compute_uv=False)
+        rank, smin = cd.length_rank()
+        assert rank == 2 * times - 1 == int(np.sum(svals > 1e-8 * svals[0]))
+        assert smin <= math.sqrt((8 * times + 20) * EPS)
+
+    def test_right_angled_polygons_have_full_rank_at_root_two(self):
+        # Every corner is right, so C holds the corner cosines, which came
+        # within the chart's closure defect delta (its largest corner
+        # |cos|) plus 14 eps of 0 on 600 chart polygons: the vertices
+        # round once more, and U and V take 10 eps.  |lambda - 2| is at
+        # most ||C|| <= 2 max|C| plus eigvalsh's 4 m eps, and
+        # sigma + sqrt 2 >= 2, so |sigma - sqrt 2| <= delta + (14 + 2 m) eps.
+        rng = random.Random(43)
+        for m in (6, 7, 8, 9, 10, 11, 12, 13, 14) * 3:
+            poly = sides_from_pentagon_coords([rng.uniform(0.2, 3.0) for _ in range(m - 3)])
+            cd = ChainDifferentials(poly.vertices)
+            svals = np.linalg.svd(length_rows(cd), compute_uv=False)
+            rank, smin = cd.length_rank()
+            assert rank == m == int(np.sum(svals > 1e-8 * svals[0]))
+            assert abs(smin - math.sqrt(2.0)) <= poly.closure_defect + (14 + 2 * m) * EPS
 
     @pytest.mark.parametrize("closed", [True, False])
     def test_length_matrix_tracks_the_50_digit_reference(self, closed):
@@ -411,7 +482,7 @@ class TestChainDifferentials:
                     for k, w in ((r, v[r]), ((r + 1) % m, u[r])):
                         want[r, 2 * k] = float(w.real)
                         want[r, 2 * k + 1] = float(w.imag)
-            got = cd._length_matrix()
+            got = length_rows(cd)
             assert np.array_equal(got == 0.0, want == 0.0)
             assert np.abs(got - want).max() <= 4 * EPS
 
@@ -518,7 +589,7 @@ class TestRegularChains:
             cd = ChainDifferentials(self.ring(m, r))
             factor = -math.tanh(cd.lengths[0] / 2) * math.tan(cd.angles()[0] / 2)
             lhs = cd.angle_matrix().sum(axis=0)
-            rhs = factor * cd._length_matrix().sum(axis=0)
+            rhs = factor * length_rows(cd).sum(axis=0)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -566,6 +637,11 @@ class TestBoundaryFunctional:
         want = sum(k * semiregular_partner(1.3, k) for k in (3, 4, 4, 7))
         assert bf.value == pytest.approx(want, abs=1e-12)
 
+    def test_counts_may_be_a_list_tuple_or_range(self):
+        want = boundary_functional([3, 4, 5], 1.3)
+        assert boundary_functional((3, 4, 5), 1.3) == want
+        assert boundary_functional(range(3, 6), 1.3) == want
+
     def test_derivative_against_finite_differences(self):
         h = 1e-5
         for ns, l in [([3], 0.9), ([3, 5], 1.7), ([4, 4, 6], 2.2)]:
@@ -597,6 +673,10 @@ class TestBoundaryFunctional:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             boundary_functional([], 1.0)
+        for ns in (5, {3: 1}, "34", None, iter([3, 4])):  # not a list, tuple or range
+            with pytest.raises(ValueError, match="ns") as info:
+                boundary_functional(ns, 1.0)
+            assert type(info.value) is ValueError
         with pytest.raises(ValueError):
             boundary_functional([2], 1.0)
         for bad in (0.0, math.nan, math.inf):

@@ -9,6 +9,9 @@ import ast
 import functools
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,3 +199,15 @@ def test_declared_scripts_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name!r}: {target} is not callable"
+
+
+def test_the_library_imports_no_scipy():
+    # a fresh interpreter's import of scipy.linalg alone takes about
+    # 340 ms, which the benchmark's setup time would carry
+    code = ("import sys, systolica.polygons, systolica.hessian; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
