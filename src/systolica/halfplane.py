@@ -121,10 +121,16 @@ class HGeodesic:
     s = 0 is frame(i).
 
     The frame must be four real numbers (``errors._real_floats``) with
-    ad - bc a positive finite float, else ValueError.  It is held as a
-    tuple of floats, and a tuple of four floats is held as given, the
-    same object: it is not normalized, so a frame of determinant other
-    than one is the caller's to avoid (``_unit`` normalizes one)."""
+    |ad - bc - 1| <= 8 eps (|ad| + |bc|), that bound finite, else
+    ValueError.  The rows the library builds are within 4 eps: in a
+    chart row (``polygons``) ad and bc each err by 3.5 eps of themselves
+    (each entry is one product or quotient of sinh, cosh and exp values
+    within an ulp, and the exp factors cancel), in a ``_unit`` row by
+    3 eps plus its determinant's 0.5 eps, and the subtraction adds
+    0.5 eps.  The frame is held as a tuple of floats, a tuple of four
+    floats as given, the same object, and is not normalized: on a row at
+    distance h from the axis |ad| + |bc| is near cosh h, and ``_unit``
+    would move it by far more than its rounding."""
 
     __slots__ = ("frame",)
 
@@ -135,9 +141,10 @@ class HGeodesic:
                 frame = a, b, c, d = _real_floats(frame, "geodesic frame")
         except (TypeError, ValueError):  # not four entries, or not numbers
             a = b = c = d = math.nan
-        if not 0.0 < a * d - b * c < math.inf:
+        ad, bc = a * d, b * c
+        if not abs(ad - bc - 1.0) <= 8.0 * math.ulp(1.0) * (abs(ad) + abs(bc)) < math.inf:
             raise ValueError(f"a geodesic frame must be four real numbers with ad - bc "
-                             f"positive and finite, got {frame!r}")
+                             f"one to within rounding, got {frame!r}")
         self.frame = frame
 
     def point_at(self, s):
@@ -226,15 +233,15 @@ def _relative(f, a, b, c, d):
             fa * c - fc * a, fa * d - fc * b)
 
 
-def _foot(a, b, c, d):
-    """log sqrt|ab/cd|, taken as (log|a| + log|b| - log|c| - log|d|)/2:
-    for the entries (a, b, c, d) of a frame seen from another
-    (``_relative``), the arclength up the imaginary axis of the circle
-    |z|^2 = |ab/cd|, where the two geodesics' common perpendicular or
-    crossing meets it.  A sum of the logs of single entries forms no
-    product or quotient, so it is finite wherever the entries are
-    nonzero floats."""
-    return 0.5 * (math.log(abs(a)) + math.log(abs(b)) - math.log(abs(c)) - math.log(abs(d)))
+def _feet(a, b, c, d):
+    """(log sqrt|ab/cd|, log sqrt|bd/ac|) from log|a|, ..., log|d|, each
+    taken once: for a frame seen from another (``_relative``), the
+    arclengths up the imaginary axis and along the frame's geodesic of
+    the circle |z|^2 = |ab/cd|, the feet of the common perpendicular, or
+    the first the crossing.  A sum of logs of single entries is finite
+    wherever the entries are nonzero floats."""
+    la, lb, lc, ld = math.log(abs(a)), math.log(abs(b)), math.log(abs(c)), math.log(abs(d))
+    return 0.5 * (la + lb - lc - ld), 0.5 * (lb + ld - la - lc)
 
 
 def _perpendicular_length(a, b, c, d):
@@ -278,14 +285,13 @@ def common_perpendicular(g, h):
     stays on one side of g.  The perpendicular is the circle
     |z|^2 = (b/d)(a/c) of the frame, so the foot on g sits at
     s = log(ab/cd)/2 and, symmetrically, the foot on h at log(bd/ac)/2,
-    the one ``_foot`` on (a, b, c, d) and on (b, d, a, c).  Each is a sum
-    of the logs of single entries, so no quotient is formed and a foot
-    stays finite wherever its point is a float.  A length or
-    foot beyond the float range raises DegenerateConfigurationError.
+    both from one ``_feet``, sums of logs of single entries that stay
+    finite wherever their points are floats.  A length or foot beyond
+    the float range raises DegenerateConfigurationError.
     """
     a, b, c, d = _relative(g.frame, *h.frame)
     length = _perpendicular_length(a, b, c, d)
-    s, t = _foot(a, b, c, d), _foot(b, d, a, c)
+    s, t = _feet(a, b, c, d)
     if not math.isfinite(s + t + length):  # finite when all three are
         raise DegenerateConfigurationError(
             f"common perpendicular of length {length!r} with feet at arclengths "

@@ -313,68 +313,60 @@ def _tangent_entries(li, lj):
 
 class ChainDifferentials:
     """First-order behaviour of the segment lengths and vertex angles of a
-    polygonal chain x_0, ..., x_{m-1} under independent motions of its
-    vertices.
+    closed polygonal chain x_0, ..., x_{m-1} under independent motions of
+    its vertices.
 
-    Segment r runs from x_r to x_{r+1}: a closed chain has m segments,
-    the last one back to x_0, an open chain m - 1.  At a vertex x_k, U_k
-    is the unit vector pointing away from x_{k-1} and V_k the one
-    pointing away from x_{k+1}; theta_k is the counterclockwise angle
-    from V_k to U_k in (0, 2*pi), the interior angle when the chain runs
-    counterclockwise.  Every vertex of a closed chain has an angle, and
-    row k of ``angles`` and ``angle_matrix`` is vertex k; the two ends of
-    an open chain have none, and row r is vertex r + 1.
+    Segment k runs from x_k to x_{k+1}, the last one back to x_0, so the
+    chain has m segments and m angles, and everything is indexed by
+    vertex, cyclically.  At x_k, U_k is the unit vector pointing away
+    from x_{k-1} and V_k the one pointing away from x_{k+1}; theta_k is
+    the counterclockwise angle from V_k to U_k in (0, 2*pi), the interior
+    angle when the chain runs counterclockwise.
 
     A variation moves each vertex by a tangent vector, written in the
     orthonormal frame (y, 0), (0, y) at the vertex.  A differential is a
     row with one column pair (2k, 2k+1) per vertex k, holding it against
     that vertex's two components: ``angle_matrix`` returns the angle
-    rows.  The length row of segment r has only two nonzero pairs, V at
-    its start and U at its end, so ``length_rank`` reads the length rows
-    through their Gram matrix 2I + C, C holding cos theta_k where the
-    segments into and out of x_k meet, and never builds them.
+    rows.  The length row of segment k has only two nonzero pairs, V_k
+    and U_{k+1}, so ``length_rank`` reads the length rows through their
+    Gram matrix 2I + C, C holding cos theta_k where segments k - 1 and k
+    meet, and never builds them.
 
     The constructor does the geometry once: ``lengths`` (read-only, one
-    per segment, from ``halfplane.dist``), as complex components in
-    those frames V at each segment's start and U at its end, and
-    U_k conj V_k at each vertex that has an angle, whose argument is
+    per segment, from ``halfplane.dist``), V_k and U_k as complex
+    components in those frames, and U_k conj V_k, whose argument is
     theta_k and whose real part is cos theta_k.  The unit vector at z_k
     pointing away from z_o is -i zeta/|zeta| with
     zeta = ``halfplane._disk(z_k, z_o)``, so all of them come from one
     complex-array pass, and each method is O(1) numpy calls on them.
     """
 
-    def __init__(self, points: Sequence[HPoint], closed: bool = True):
+    def __init__(self, points: Sequence[HPoint]):
         self.points = tuple(points)
         m = self.m = len(self.points)
         if m < 3:
             raise ValueError("a chain needs at least 3 vertices")
-        ends = self.points[1:] + self.points[:1] if closed else self.points[1:]
-        lengths = [dist(p, q) for p, q in zip(self.points, ends)]
+        lengths = [dist(p, q) for p, q in zip(self.points, self.points[1:] + self.points[:1])]
         if min(lengths) < 1e-9:
             raise DegenerateConfigurationError(
                 f"segment {lengths.index(min(lengths))} of the chain is collapsed")
         self.lengths = np.array(lengths)
         self.lengths.flags.writeable = False
-        seg = np.arange(len(lengths))
         z = np.array([p.z for p in self.points])
-        zs, ze = z[:len(lengths)], z[(seg + 1) % m]  # each segment's first and last vertex
-        zeta = _disk(np.concatenate((zs, ze)), np.concatenate((ze, zs)))
-        vu = -1j * zeta / np.abs(zeta)  # V at each segment's start, then U at its end
-        self._v, self._u = vu[:len(lengths)], vu[len(lengths):]
-        # the segments into and out of each vertex that has an angle, and
-        # U_k conj V_k there: e^{i theta_k}, to within rounding
-        self._into, self._out = ((seg - 1) % m, seg) if closed else (seg[:-1], seg[1:])
-        self._turn = self._u[self._into] * self._v[self._out].conj()
+        # each vertex against the next one, then against the one before
+        zeta = _disk(np.concatenate((z, z)), np.concatenate((z[1:], z[:1], z[-1:], z[:-1])))
+        vu = -1j * zeta / np.abs(zeta)
+        self._v, self._u = vu[:m], vu[m:]
+        self._turn = self._u * self._v.conj()  # e^{i theta_k}, to within rounding
 
     def _matrix(self, *blocks) -> np.ndarray:
-        """One row per block entry; block (k, w) puts w at vertex k's
-        column of one complex array, whose float64 view is the column
-        pair (real, imaginary)."""
-        rows = np.arange(len(blocks[0][1]))
-        mat = np.zeros((len(rows), self.m), dtype=complex)
-        for k, w in blocks:
-            mat[rows, k] = w
+        """One row per vertex; block (o, w) puts w[k] at vertex k + o's
+        column of row k, cyclically, in one complex array whose float64
+        view is the column pair (real, imaginary)."""
+        k = np.arange(self.m)
+        mat = np.zeros((self.m, self.m), dtype=complex)
+        for offset, w in blocks:
+            mat[k, (k + offset) % self.m] = w
         return mat.view(np.float64)
 
     def angles(self) -> np.ndarray:
@@ -388,32 +380,31 @@ class ChainDifferentials:
         i(U_k/tanh l_prev - V_k/tanh l_next) at x_k, i V_{k-1}/sinh l_prev
         at x_{k-1} and -i U_{k+1}/sinh l_next at x_{k+1}.  1/sinh l is
         2 e^{-l} / -expm1(-2l), which is 0 where sinh l overflows."""
-        into, out = self._into, self._out
-        l = self.lengths
+        l, u, v = self.lengths, self._u, self._v
+        k = np.arange(self.m)  # k - 1 wraps to the last vertex
         csch = 2.0 * np.exp(-l) / -np.expm1(-2.0 * l)
-        return self._matrix(
-            (into, 1j * self._v[into] * csch[into]),
-            (out, 1j * (self._u[into] / np.tanh(l[into]) - self._v[out] / np.tanh(l[out]))),
-            ((out + 1) % self.m, -1j * self._u[out] * csch[out]))
+        tanh = np.tanh(l)
+        return self._matrix((-1, (1j * v * csch)[k - 1]),
+                            (0, 1j * (u / tanh[k - 1] - v / tanh)),
+                            (1, -1j * u[(k + 1) % self.m] * csch))
 
     def length_rank(self) -> tuple[int, float]:
-        """(rank, smallest singular value) of the s length rows, one per
+        """(rank, smallest singular value) of the m length rows, one per
         segment, from one ``eigvalsh`` of their Gram matrix.
 
-        Row r is V_r at the segment's start and U_r at its end, both unit
-        vectors, so its squared norm is 2, and two rows meet only where
-        their segments share a vertex x_k, as the product Re(U conj V) =
-        cos theta_k of the segment into x_k and the one out of it.  The
-        Gram matrix is therefore exactly G = 2I + C, with cos theta_k at
-        (into, out) and (out, into): tridiagonal for an open chain, cyclic
-        for a closed one, and ||G|| <= 4 (Gershgorin; Golub & Van Loan,
-        *Matrix Computations*, 7.2 and 8.1).
+        Row k is V_k at the segment's start and U_{k+1} at its end, both
+        unit vectors, so its squared norm is 2, and two rows meet only
+        where their segments share a vertex x_k, as the product
+        Re(U_k conj V_k) = cos theta_k of segments k - 1 and k.  The Gram
+        matrix is therefore exactly G = 2I + C, cyclic tridiagonal with
+        cos theta_k at (k - 1, k) and (k, k - 1), and ||G|| <= 4
+        (Gershgorin; Golub & Van Loan, *Matrix Computations*, 7.2 and 8.1).
 
-        The rank counts the eigenvalues above (4 s + 20) eps.  Each cosine
+        The rank counts the eigenvalues above (4 m + 20) eps.  Each cosine
         errs by at most 10 eps (U and V are within 4 eps each, and the
         product's real part rounds by 2 eps), two to a row, so the
         computed C moves every eigenvalue by at most 20 eps (Weyl), and
-        the symmetric eigensolver, backward stable, by c s eps ||G||,
+        the symmetric eigensolver, backward stable, by c m eps ||G||,
         taken with c = 1.  An eigenvalue at or below the cut may be zero:
         the rank sees a singular value only above about its root, 1e-7.
         sigma_min = sqrt(max(lambda_min, 0)) is the root of an eigenvalue,
@@ -423,10 +414,11 @@ class ChainDifferentials:
         within the corner defect and the answer is (m, sqrt 2) to within
         it: a rank below m cannot happen there.
         """
-        gram = 2.0 * np.eye(len(self.lengths))
-        gram[self._into, self._out] = gram[self._out, self._into] = self._turn.real
+        k = np.arange(self.m)  # k - 1 wraps to the last segment
+        gram = 2.0 * np.eye(self.m)
+        gram[k - 1, k] = gram[k, k - 1] = self._turn.real
         lam = np.linalg.eigvalsh(gram)
-        rank = int(np.sum(lam > (4 * len(lam) + 20) * math.ulp(1.0)))
+        rank = int(np.count_nonzero(lam > (4 * self.m + 20) * math.ulp(1.0)))
         return rank, math.sqrt(max(lam[0], 0.0))
 
 

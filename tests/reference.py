@@ -237,12 +237,11 @@ def tangent_u(poly: MarkedRightPolygon, i: int) -> np.ndarray:
 
 def length_rows(chain) -> np.ndarray:
     """The d(length) rows of a ``polygons.ChainDifferentials``, one per
-    segment in the column pairs of ``angle_matrix``: V at the segment's
-    start and U at its end, as the chain stores them, are its only
-    nonzeros.  ``length_rank`` reads their Gram matrix and never builds
-    them."""
-    seg = np.arange(len(chain.lengths))
-    return chain._matrix((seg, chain._v), ((seg + 1) % chain.m, chain._u))
+    segment in the column pairs of ``angle_matrix``: V_k at the segment's
+    start x_k and U_{k+1} at its end, as the chain stores them, are row
+    k's only nonzeros.  ``length_rank`` reads their Gram matrix and never
+    builds them."""
+    return chain._matrix((0, chain._v), (1, np.roll(chain._u, -1)))
 
 
 def hessian_matrix(cfg: ChordConfig) -> np.ndarray:

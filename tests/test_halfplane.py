@@ -20,6 +20,8 @@ from mpmath import mp, mpf
 
 from systolica.errors import DegenerateConfigurationError, NoPerpendicularError
 from systolica.halfplane import HGeodesic, HPoint, _unit, common_perpendicular, dist
+from systolica.hessian import ChordConfig, TransverseWeights, realize_scene
+from systolica.polygons import realize, sides_from_pentagon_coords
 
 from reference import (
     HTangent,
@@ -233,13 +235,38 @@ class TestGeodesics:
     @pytest.mark.parametrize("frame", [
         "abcd", (1.0, 0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0), None, 5.0, [1.0, "x", 0.0, 1.0],
         (1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, -1.0), (math.nan, 0.0, 0.0, 1.0),
-        (math.inf, 0.0, 0.0, 1.0), (1e200, 0.0, 0.0, 1e200), (1.0, 0.0, 0.0, 10**400)])
+        (math.inf, 0.0, 0.0, 1.0), (1e200, 0.0, 0.0, 1e200), (1.0, 0.0, 0.0, 10**400),
+        (2.0, 0.0, 0.0, 2.0), [2, 0, 0, 2]])
     def test_frame_that_is_not_four_reals_of_positive_determinant_is_refused(self, frame):
         # at construction, not at first use: not four real numbers, or
-        # ad - bc zero, negative, NaN or beyond the float range
+        # ad - bc zero, negative, NaN, beyond the float range, or a
+        # positive determinant other than one: (2, 0, 0, 2) is the
+        # identity map, whose point at s = 0 is i, not i/4
         with pytest.raises(ValueError, match="geodesic frame") as info:
             HGeodesic(frame)
         assert type(info.value) is ValueError
+
+    def test_every_row_the_library_builds_is_within_half_the_band(self):
+        # chart and walk rows on short, middling and long coordinates, and
+        # scene leaves at angles down to 1e-6: each within the 4 eps
+        # (|ad| + |bc|) of determinant one that the HGeodesic docstring
+        # derives, half the band it accepts
+        rng = random.Random(47)
+        rows = []
+        for lo, hi in ((0.05, 0.5), (0.2, 3.0), (2.0, 6.0)) * 50:
+            poly = sides_from_pentagon_coords(
+                [rng.uniform(lo, hi) for _ in range(rng.randint(3, 21))])
+            rows += poly.frames + realize(poly.sides).frames
+        for _ in range(100):
+            n, length = rng.randint(1, 40), rng.uniform(0.5, 30.0)
+            s = sorted(rng.uniform(0.0, length) for _ in range(n))
+            theta = [rng.uniform(1e-6, math.pi - 1e-6) for _ in range(n)]
+            rows += realize_scene(ChordConfig(length, s, theta),
+                                  TransverseWeights([1.0] * n)).leaves
+        eps = math.ulp(1.0)
+        for a, b, c, d in rows:
+            assert HGeodesic((a, b, c, d)).frame == (a, b, c, d)
+            assert abs(a * d - b * c - 1.0) <= 4 * eps * (abs(a * d) + abs(b * c))
 
     def test_through_hits_both_points_at_right_parameters(self):
         rng = random.Random(5)

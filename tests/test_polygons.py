@@ -318,14 +318,14 @@ class TestTangentU:
         assert tangent_u(poly, np.int64(2)).tolist() == tangent_u(poly, 2).tolist()
 
 
-def random_chain(rng, m, closed=True):
-    """A well-separated random vertex chain with no straight angles."""
+def random_chain(rng, m):
+    """A well-separated random closed vertex chain with no straight angles."""
     while True:
         pts = [HPoint(rng.uniform(-2, 2), math.exp(rng.uniform(-0.8, 0.8)))
                for _ in range(m)]
         if any(dist(pts[i], pts[(i + 1) % m]) < 0.3 for i in range(m)):
             continue
-        theta = ChainDifferentials(pts, closed=closed).angles()
+        theta = ChainDifferentials(pts).angles()
         if np.all((0.15 < theta) & (theta < 2 * math.pi - 0.15)
                   & (np.abs(theta - math.pi) > 0.12)):
             return pts
@@ -336,7 +336,7 @@ def mp_vertex_chain(cd):
     segment's start and U at its end as the complex components
     -i zeta/|zeta|, zeta = (z_o - z_k)/(z_o - conj z_k)."""
     z = [mp.mpc(q.x, q.y) for q in cd.points]
-    ends = [(r, (r + 1) % cd.m) for r in range(len(cd.lengths))]
+    ends = [(r, (r + 1) % cd.m) for r in range(cd.m)]
 
     def unit(k, o):
         zeta = (z[o] - z[k]) / (z[o] - mp.conj(z[k]))
@@ -353,11 +353,10 @@ class TestChainDifferentials:
     def test_against_finite_differences(self):
         rng = random.Random(11)
         eps = 1e-5
-        for trial in range(30):
-            closed = trial % 3 != 0
+        for _ in range(30):
             m = rng.randint(3, 6)
-            pts = random_chain(rng, m, closed)
-            cd = ChainDifferentials(pts, closed)
+            pts = random_chain(rng, m)
+            cd = ChainDifferentials(pts)
             j = rng.randrange(m)
             ang = rng.uniform(0, 2 * math.pi)
             var = np.zeros(2 * m)  # vertex j moves at unit speed
@@ -365,25 +364,12 @@ class TestChainDifferentials:
             g = geodesic_from_direction(pts[j], HTangent(pts[j], *var[2 * j:2 * j + 2]))
             pp, pm = list(pts), list(pts)
             pp[j], pm[j] = g.point_at(eps), g.point_at(-eps)
-            cdp = ChainDifferentials(pp, closed)
-            cdm = ChainDifferentials(pm, closed)
+            cdp = ChainDifferentials(pp)
+            cdm = ChainDifferentials(pm)
             fd_l = (cdp.lengths - cdm.lengths) / (2 * eps)
             assert length_rows(cd) @ var == pytest.approx(fd_l, abs=1e-6)
             fd_t = (cdp.angles() - cdm.angles()) / (2 * eps)
             assert cd.angle_matrix() @ var == pytest.approx(fd_t, abs=1e-6)
-
-    def test_open_chain_endpoints_have_no_angle(self):
-        # row r of an open chain is vertex r + 1, which sees the same two
-        # segments, through the same elementwise arithmetic, as in the
-        # closed chain through the same points
-        rng = random.Random(2)
-        pts = random_chain(rng, 5, closed=False)
-        cd = ChainDifferentials(pts, closed=False)
-        ring = ChainDifferentials(pts)
-        assert length_rows(cd).shape == (4, 10)
-        assert np.array_equal(cd.lengths, ring.lengths[:4])
-        assert np.array_equal(cd.angles(), ring.angles()[1:4])
-        assert np.array_equal(cd.angle_matrix(), ring.angle_matrix()[1:4])
 
     def test_length_differentials_have_full_rank(self):
         rng = random.Random(3)
@@ -393,8 +379,7 @@ class TestChainDifferentials:
             assert rank == m
             assert smin > 1e-8
 
-    @pytest.mark.parametrize("closed", [True, False])
-    def test_length_rank_decomposes_the_gram_of_the_length_rows(self, closed, monkeypatch):
+    def test_length_rank_decomposes_the_gram_of_the_length_rows(self, monkeypatch):
         # The matrix length_rank hands to eigvalsh against L L^T of the
         # float rows.  A diagonal entry there is |V|^2 + |U|^2 of float
         # vectors whose moduli are within 1.5 eps of 1 (hypot and one
@@ -410,26 +395,25 @@ class TestChainDifferentials:
             return eigvalsh(gram)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        rng = random.Random(37 + closed)
+        rng = random.Random(38)
         for m in range(3, 25):
-            cd = ChainDifferentials(random_chain(rng, m, closed), closed)
+            cd = ChainDifferentials(random_chain(rng, m))
             cd.length_rank()
             (gram,), rows = seen, length_rows(cd)
             seen.clear()
-            assert np.array_equal(np.diag(gram), np.full(len(cd.lengths), 2.0))
+            assert np.array_equal(np.diag(gram), np.full(m, 2.0))
             assert np.abs(rows @ rows.T - gram).max() <= 8 * EPS
 
-    @pytest.mark.parametrize("closed", [True, False])
-    def test_length_rank_matches_the_svd_of_the_length_rows(self, closed):
+    def test_length_rank_matches_the_svd_of_the_length_rows(self):
         # lambda_min of the computed G is within 3 * 8 eps (the test
         # above, three entries to a row) plus eigvalsh's 4 s eps of
         # sigma^2, sigma the float rows' smallest singular value, so its
         # root is within (24 + 4 s) eps / sigma of it; the SVD finds
         # sigma within s eps ||L|| <= 2 s eps <= 4 s eps / sigma.  The
         # rank is the one the SVD counts above 1e-8 of its largest.
-        rng = random.Random(41 + closed)
+        rng = random.Random(42)
         for m in range(3, 25):
-            cd = ChainDifferentials(random_chain(rng, m, closed), closed)
+            cd = ChainDifferentials(random_chain(rng, m))
             svals = np.linalg.svd(length_rows(cd), compute_uv=False)
             rank, smin = cd.length_rank()
             assert rank == int(np.sum(svals > 1e-8 * svals[0])) == len(svals)
@@ -463,8 +447,7 @@ class TestChainDifferentials:
             assert rank == m == int(np.sum(svals > 1e-8 * svals[0]))
             assert abs(smin - math.sqrt(2.0)) <= poly.closure_defect + (14 + 2 * m) * EPS
 
-    @pytest.mark.parametrize("closed", [True, False])
-    def test_length_matrix_tracks_the_50_digit_reference(self, closed):
+    def test_length_matrix_tracks_the_50_digit_reference(self):
         # Entry blocks are the components of V and U, here at 50 digits.
         # First-order rounding budget of the float pass, relative to
         # |zeta| = 1 after normalizing: eps/2 for each of the two
@@ -472,13 +455,13 @@ class TestChainDifferentials:
         # eps/2 for |zeta| and eps/2 for the final division, 4 eps in
         # all, absolute.  Every entry outside the two blocks of a row is
         # exactly zero.
-        rng = random.Random(23 + closed)
+        rng = random.Random(24)
         for m in (3, 4, 7, 12, 24):
-            cd = ChainDifferentials(random_chain(rng, m, closed), closed)
-            want = np.zeros((len(cd.lengths), 2 * m))
+            cd = ChainDifferentials(random_chain(rng, m))
+            want = np.zeros((m, 2 * m))
             with mp.workdps(50):
                 _, v, u = mp_vertex_chain(cd)
-                for r in range(len(cd.lengths)):
+                for r in range(m):
                     for k, w in ((r, v[r]), ((r + 1) % m, u[r])):
                         want[r, 2 * k] = float(w.real)
                         want[r, 2 * k + 1] = float(w.imag)
@@ -486,8 +469,7 @@ class TestChainDifferentials:
             assert np.array_equal(got == 0.0, want == 0.0)
             assert np.abs(got - want).max() <= 4 * EPS
 
-    @pytest.mark.parametrize("closed", [True, False])
-    def test_angles_track_the_50_digit_reference(self, closed):
+    def test_angles_track_the_50_digit_reference(self):
         # First-order budgets of the float values against 50 digits.  U
         # and V each err by at most 4 eps in modulus (the length-matrix
         # budget above), and a length by 4 eps relative: dist rounds the
@@ -505,12 +487,11 @@ class TestChainDifferentials:
         # eps: the unit vector, the length, sinh or tanh (4 eps allowed),
         # the quotient, the own block's one sum and the reference's
         # rounding to float.
-        rng = random.Random(29 + closed)
+        rng = random.Random(30)
         for m in (3, 4, 7, 12, 24):
-            cd = ChainDifferentials(random_chain(rng, m, closed), closed)
-            vertices = range(m) if closed else range(1, m - 1)
-            theta = np.zeros(len(vertices))
-            want = np.zeros((len(vertices), 2 * m))
+            cd = ChainDifferentials(random_chain(rng, m))
+            theta = np.zeros(m)
+            want = np.zeros((m, 2 * m))
             budget = np.zeros_like(want)
             with mp.workdps(50):
                 ls, v, u = mp_vertex_chain(cd)
@@ -518,17 +499,17 @@ class TestChainDifferentials:
                 csch = [(1 / mp.sinh(l), (10 + 4 * l / mp.tanh(l)) / mp.sinh(l)) for l in ls]
                 coth = [(1 / mp.tanh(l), (10 + 8 * l / mp.sinh(2 * l)) / mp.tanh(l))
                         for l in ls]
-                for r, k in enumerate(vertices):
+                for k in range(m):
                     i, o = (k - 1) % m, k  # the segments into and out of x_k
                     a = mp.arg(u[i] * mp.conj(v[o]))
-                    theta[r] = float(a if a > 0 else a + 2 * mp.pi)
+                    theta[k] = float(a if a > 0 else a + 2 * mp.pi)
                     blocks = {i: (1j * v[i] * csch[i][0], csch[i][1]),
                               k: (1j * (u[i] * coth[i][0] - v[o] * coth[o][0]),
                                   coth[i][1] + coth[o][1]),
                               (k + 1) % m: (-1j * u[o] * csch[o][0], csch[o][1])}
                     for col, (w, b) in blocks.items():
-                        want[r, 2 * col:2 * col + 2] = float(w.real), float(w.imag)
-                        budget[r, 2 * col:2 * col + 2] = float(b) * EPS
+                        want[k, 2 * col:2 * col + 2] = float(w.real), float(w.imag)
+                        budget[k, 2 * col:2 * col + 2] = float(b) * EPS
             assert np.abs(cd.angles() - theta).max() <= 19 * EPS
             got = cd.angle_matrix()
             assert np.array_equal(got == 0.0, budget == 0.0)
@@ -549,11 +530,11 @@ class TestChainDifferentials:
         rng = random.Random(31)
         for m in (3, 5, 9):
             cd = ChainDifferentials(random_chain(rng, m))
-            l, into, out = cd.lengths, cd._into, cd._out
-            want = cd._matrix(
-                (into, 1j * cd._v[into] / np.sinh(l[into])),
-                (out, 1j * (cd._u[into] / np.tanh(l[into]) - cd._v[out] / np.tanh(l[out]))),
-                ((out + 1) % m, -1j * cd._u[out] / np.sinh(l[out])))
+            l, u, v = cd.lengths, cd._u, cd._v
+            lp = np.roll(l, 1)  # the segment into x_k
+            want = cd._matrix((-1, 1j * np.roll(v, 1) / np.sinh(lp)),
+                              (0, 1j * (u / np.tanh(lp) - v / np.tanh(l))),
+                              (1, -1j * np.roll(u, -1) / np.sinh(l)))
             assert np.all(np.abs(cd.angle_matrix() - want) <= 4 * EPS * np.abs(want))
 
     def test_rejects_collapsed_segments(self):
