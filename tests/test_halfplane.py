@@ -236,15 +236,28 @@ class TestGeodesics:
         "abcd", (1.0, 0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0), None, 5.0, [1.0, "x", 0.0, 1.0],
         (1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, -1.0), (math.nan, 0.0, 0.0, 1.0),
         (math.inf, 0.0, 0.0, 1.0), (1e200, 0.0, 0.0, 1e200), (1.0, 0.0, 0.0, 10**400),
-        (2.0, 0.0, 0.0, 2.0), [2, 0, 0, 2]])
+        (2.0, 0.0, 0.0, 2.0), [2, 0, 0, 2], (1.0, 0.0, 0.0, 1.0 + 9 * 2.0 ** -52),
+        (1.0, 0.0, 0.0, 1.0 - 8 * 2.0 ** -52), (1.0, 1.0, 1.0, 2.0 + 26 * 2.0 ** -52)])
     def test_frame_that_is_not_four_reals_of_positive_determinant_is_refused(self, frame):
         # at construction, not at first use: not four real numbers, or
         # ad - bc zero, negative, NaN, beyond the float range, or a
         # positive determinant other than one: (2, 0, 0, 2) is the
-        # identity map, whose point at s = 0 is i, not i/4
+        # identity map, whose point at s = 0 is i, not i/4.  The last
+        # three are just outside the band of the test below: their
+        # ad - bc - 1 is 9, -8 and 26 eps, exactly, against bounds of
+        # 8 eps (|ad| + |bc|) a hair above 8, below 8 and above 24 eps
         with pytest.raises(ValueError, match="geodesic frame") as info:
             HGeodesic(frame)
         assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("frame", [
+        (1.0, 0.0, 0.0, 1.0 + 8 * 2.0 ** -52), (1.0, 0.0, 0.0, 1.0 - 7 * 2.0 ** -52),
+        (1.0, 1.0, 1.0, 2.0 + 24 * 2.0 ** -52)])
+    def test_frame_within_the_band_is_kept_as_given(self, frame):
+        # ad - bc - 1 is 8, -7 and 24 eps, exactly, each within its bound
+        # 8 eps (|ad| + |bc|) of 8 eps (1 + 8 eps), 8 eps (1 - 7 eps) and
+        # 8 eps (3 + 24 eps): accepted and not normalized
+        assert HGeodesic(frame).frame is frame
 
     def test_every_row_the_library_builds_is_within_half_the_band(self):
         # chart and walk rows on short, middling and long coordinates, and
@@ -455,6 +468,25 @@ class TestCommonPerpendicular:
                 assert abs(a) == pytest.approx(math.pi / 2, abs=1e-8)
             # the perpendicular realizes the minimal distance
             assert length <= dist(g1.point_at(0.3), g2.point_at(-0.2)) + 1e-12
+
+    def test_swapping_the_geodesics_swaps_the_feet(self):
+        # both feet come from the four logs of one relative frame, and
+        # from h's side that frame is the inverse: the feet trade places
+        # to within the rounding of the two frames (26 eps at worst over
+        # 2,000 such pairs), and the length is the same
+        rng = random.Random(19)
+        built = 0
+        while built < 100:
+            g1 = circle_geodesic(rng.uniform(-4, 4), rng.uniform(0.2, 2))
+            g2 = circle_geodesic(rng.uniform(-4, 4), rng.uniform(0.2, 2))
+            try:
+                f1, f2, length = perpendicular(g1, g2)
+            except NoPerpendicularError:
+                continue
+            built += 1
+            e2, e1, back = perpendicular(g2, g1)
+            assert back == pytest.approx(length, rel=4 * EPS)
+            assert dist(f1, e1) <= 1e-12 and dist(f2, e2) <= 1e-12
 
     def test_concentric(self):
         f1, f2, length = perpendicular(

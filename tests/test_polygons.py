@@ -371,6 +371,31 @@ class TestChainDifferentials:
             fd_t = (cdp.angles() - cdm.angles()) / (2 * eps)
             assert cd.angle_matrix() @ var == pytest.approx(fd_t, abs=1e-6)
 
+    def test_relabeling_the_chain_cyclically_rolls_every_output(self):
+        # vertex k of the chain started at x_j is x_{k+j}: each output is
+        # the original one rolled by j, the angle rows along both the rows
+        # and the column pairs, since every entry is the same elementwise
+        # arithmetic on the same points.  length_rank's Gram matrix is the
+        # original one conjugated by a permutation, so both eigensolves
+        # are within (4 m + 20) eps of the same eigenvalues and their
+        # roots within (4 m + 20) eps / sigma_min of each other.
+        rng = random.Random(43)
+        for m in (3, 4, 7, 12):
+            pts = random_chain(rng, m)
+            cd = ChainDifferentials(pts)
+            rank, smin = cd.length_rank()
+            for j in (1, m - 1):
+                cj = ChainDifferentials(pts[j:] + pts[:j])
+                assert np.array_equal(cj.lengths, np.roll(cd.lengths, -j))
+                assert np.abs(cj.angles() - np.roll(cd.angles(), -j)).max() <= 4 * EPS
+                want = np.roll(np.roll(cd.angle_matrix(), -j, axis=0), -2 * j, axis=1)
+                got = cj.angle_matrix()
+                assert np.array_equal(got == 0.0, want == 0.0)
+                assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want))
+                rank_j, smin_j = cj.length_rank()
+                assert rank_j == rank == m
+                assert abs(smin_j - smin) <= (4 * m + 20) * EPS / smin
+
     def test_length_differentials_have_full_rank(self):
         rng = random.Random(3)
         for m in (4, 5, 6):
