@@ -121,16 +121,17 @@ class HGeodesic:
     s = 0 is frame(i).
 
     The frame must be four real numbers (``errors._real_floats``) with
-    |ad - bc - 1| <= 8 eps (|ad| + |bc|), that bound finite, else
-    ValueError.  The rows the library builds are within 4 eps: in a
-    chart row (``polygons``) ad and bc each err by 3.5 eps of themselves
-    (each entry is one product or quotient of sinh, cosh and exp values
-    within an ulp, and the exp factors cancel), in a ``_unit`` row by
-    3 eps plus its determinant's 0.5 eps, and the subtraction adds
-    0.5 eps.  The frame is held as a tuple of floats, a tuple of four
-    floats as given, the same object, and is not normalized: on a row at
-    distance h from the axis |ad| + |bc| is near cosh h, and ``_unit``
-    would move it by far more than its rounding."""
+    ad - bc positive and |ad - bc - 1| <= 8 eps (|ad| + |bc|) finite,
+    else ValueError (the band alone admits ad = bc past 1/(8 eps)).  The
+    rows the library builds are within 4 eps: in a chart row
+    (``polygons``) ad and bc each err by 3.5 eps of themselves (each
+    entry is one product or quotient of sinh, cosh and exp values within
+    an ulp, and the exp factors cancel), in a ``_unit`` row by 3 eps
+    plus its determinant's 0.5 eps, and the subtraction adds 0.5 eps.
+    The frame is held as a tuple of floats, a tuple of four floats as
+    given, the same object, and is not normalized: on a row at distance
+    h from the axis |ad| + |bc| is near cosh h, and ``_unit`` would move
+    it by far more than its rounding."""
 
     __slots__ = ("frame",)
 
@@ -141,10 +142,10 @@ class HGeodesic:
                 frame = a, b, c, d = _real_floats(frame, "geodesic frame")
         except (TypeError, ValueError):  # not four entries, or not numbers
             a = b = c = d = math.nan
-        ad, bc = a * d, b * c
-        if not abs(ad - bc - 1.0) <= 8.0 * math.ulp(1.0) * (abs(ad) + abs(bc)) < math.inf:
+        det, size = a * d - b * c, abs(a * d) + abs(b * c)
+        if not (0.0 < det and abs(det - 1.0) <= 8.0 * math.ulp(1.0) * size < math.inf):
             raise ValueError(f"a geodesic frame must be four real numbers with ad - bc "
-                             f"one to within rounding, got {frame!r}")
+                             f"positive and one to within rounding, got {frame!r}")
         self.frame = frame
 
     def point_at(self, s):

@@ -225,7 +225,13 @@ class TestGeodesics:
 
     def test_a_tuple_of_four_floats_is_kept_and_other_rows_are_read(self):
         frame = (2.0, 0.0, 0.0, 0.5)
-        assert HGeodesic(frame).frame is frame
+        # the last three are within the band, not normalized: their
+        # ad - bc - 1 is 8, -7 and 24 eps, exactly, each within its bound
+        # 8 eps (|ad| + |bc|) of 8 eps (1 + 8 eps), 8 eps (1 - 7 eps) and
+        # 8 eps (3 + 24 eps)
+        for kept in (frame, (1.0, 0.0, 0.0, 1.0 + 8 * 2.0 ** -52),
+                     (1.0, 0.0, 0.0, 1.0 - 7 * 2.0 ** -52), (1.0, 1.0, 1.0, 2.0 + 24 * 2.0 ** -52)):
+            assert HGeodesic(kept).frame is kept
         for given in ([2.0, 0.0, 0.0, 0.5], [2, 0, 0, 0.5], np.array(frame),
                       tuple(np.array(frame)), np.array(frame, dtype=np.float32)):
             g = HGeodesic(given)
@@ -237,27 +243,21 @@ class TestGeodesics:
         (1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, -1.0), (math.nan, 0.0, 0.0, 1.0),
         (math.inf, 0.0, 0.0, 1.0), (1e200, 0.0, 0.0, 1e200), (1.0, 0.0, 0.0, 10**400),
         (2.0, 0.0, 0.0, 2.0), [2, 0, 0, 2], (1.0, 0.0, 0.0, 1.0 + 9 * 2.0 ** -52),
-        (1.0, 0.0, 0.0, 1.0 - 8 * 2.0 ** -52), (1.0, 1.0, 1.0, 2.0 + 26 * 2.0 ** -52)])
-    def test_frame_that_is_not_four_reals_of_positive_determinant_is_refused(self, frame):
+        (1.0, 0.0, 0.0, 1.0 - 8 * 2.0 ** -52), (1.0, 1.0, 1.0, 2.0 + 26 * 2.0 ** -52),
+        (2e7, 2e7, 2e7, 2e7)])
+    def test_frame_that_is_not_four_reals_of_determinant_one_is_refused(self, frame):
         # at construction, not at first use: not four real numbers, or
         # ad - bc zero, negative, NaN, beyond the float range, or a
         # positive determinant other than one: (2, 0, 0, 2) is the
-        # identity map, whose point at s = 0 is i, not i/4.  The last
-        # three are just outside the band of the test below: their
-        # ad - bc - 1 is 9, -8 and 26 eps, exactly, against bounds of
-        # 8 eps (|ad| + |bc|) a hair above 8, below 8 and above 24 eps
+        # identity map, whose point at s = 0 is i, not i/4.  The three
+        # before the last are just outside the band of the keep-as-given
+        # test above: their ad - bc - 1 is 9, -8 and 26 eps, exactly,
+        # against bounds of 8 eps (|ad| + |bc|) a hair above 8, below 8
+        # and above 24 eps.  The last has ad - bc = 0 exactly, inside the
+        # band, as |ad| + |bc| = 8e14 makes it wider than 1
         with pytest.raises(ValueError, match="geodesic frame") as info:
             HGeodesic(frame)
         assert type(info.value) is ValueError
-
-    @pytest.mark.parametrize("frame", [
-        (1.0, 0.0, 0.0, 1.0 + 8 * 2.0 ** -52), (1.0, 0.0, 0.0, 1.0 - 7 * 2.0 ** -52),
-        (1.0, 1.0, 1.0, 2.0 + 24 * 2.0 ** -52)])
-    def test_frame_within_the_band_is_kept_as_given(self, frame):
-        # ad - bc - 1 is 8, -7 and 24 eps, exactly, each within its bound
-        # 8 eps (|ad| + |bc|) of 8 eps (1 + 8 eps), 8 eps (1 - 7 eps) and
-        # 8 eps (3 + 24 eps): accepted and not normalized
-        assert HGeodesic(frame).frame is frame
 
     def test_every_row_the_library_builds_is_within_half_the_band(self):
         # chart and walk rows on short, middling and long coordinates, and
