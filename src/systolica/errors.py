@@ -9,9 +9,10 @@ Every layer admits an argument number by one of three rules, each
 enforced here:
 
 - a real number (``_real``; ``_real_floats`` for a sequence) is read by
-  the float protocol, which refuses a str, None, complex, nested sequence
-  or int beyond the float range, and lies in [floor, inf) for the call
-  site's floor, ``_FINITE``, ``_POSITIVE`` or ``_NORMAL_MIN``;
+  the float protocol, which refuses a str, None, nested sequence or int
+  beyond the float range, is not complex (``_complex``), and lies in
+  [floor, inf) for the call site's floor, ``_FINITE``, ``_POSITIVE`` or
+  ``_NORMAL_MIN``;
 - a count (``_count``) is an Integral but not a bool in the call site's
   ``range``;
 - a JSON number (``_json_numbers``) is an int or a float by exact type,
@@ -22,7 +23,7 @@ import math
 import operator
 import struct
 import sys
-from numbers import Integral
+from numbers import Complex, Integral, Real
 
 
 class SystolicaError(Exception):
@@ -81,14 +82,26 @@ _FLOOR_WORDS = {_FINITE: "finite", _POSITIVE: "positive and finite",
                 _NORMAL_MIN: "a positive normal float"}
 
 
+# the types of a sequence of reals that need no test for a complex type
+_PLAIN = frozenset((float, int))
+
+
+def _complex(kind: type) -> bool:
+    """Whether ``kind`` is a complex type.  The float protocol refuses a
+    Python complex, but a numpy complex scalar converts to its real part
+    with only a ComplexWarning, which the default filter lets pass, so the
+    gates test the type before they convert."""
+    return issubclass(kind, Complex) and not issubclass(kind, Real)
+
+
 def _real(value, what: str, floor: float) -> float:
-    """``value`` read as a float by the float protocol, if it lies in
-    [floor, inf); else ValueError, naming ``what``.  A float is tested
-    before anything is built."""
+    """``value`` read as a float by the float protocol, if it is not
+    complex and lies in [floor, inf); else ValueError, naming ``what``.  A
+    float is tested before anything is built."""
     x = value
     if type(x) is not float:
         try:
-            x, = struct.unpack("d", struct.pack("d", x))
+            x, = struct.unpack("d", struct.pack("d", math.nan if _complex(type(x)) else x))
         except (struct.error, OverflowError):  # not a number, or an int beyond the floats
             x = math.nan
     if floor <= x < math.inf:
@@ -99,17 +112,20 @@ def _real(value, what: str, floor: float) -> float:
 def _real_floats(values, what: str, floor: float = None) -> tuple:
     """``values`` as a tuple of floats by the float protocol, in one C
     call, each held to ``_real``'s floor when one is given: a string
-    (which ``float`` parses), None, a nested sequence or an integer
-    beyond the float range raises ValueError."""
+    (which ``float`` parses), None, a nested sequence, a complex number
+    or an integer beyond the float range raises ValueError."""
     try:
         values = tuple(values)
+        if not _PLAIN.issuperset(map(type, values)) and any(map(_complex, set(map(type, values)))):
+            raise TypeError("a complex number is not a real number")
         fmt = f"{len(values)}d"
         values = struct.unpack(fmt, struct.pack(fmt, *values))
     except (struct.error, TypeError, OverflowError) as exc:
         raise ValueError(f"{what} must be a sequence of numbers: {exc}") from exc
     if floor is not None:
+        inf = math.inf  # a local: the loop is on every polygon's path
         for x in values:  # compared inline: a call per value costs more than the test
-            if not floor <= x < math.inf:
+            if not floor <= x < inf:
                 _real(x, what, floor)  # which refuses it
     return values
 

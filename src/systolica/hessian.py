@@ -14,10 +14,14 @@ move simultaneously with tangent vectors ``u`` at ``p`` and ``v`` at
 The crossing data lives in arrays, not in one object per crossing:
 ``ChordConfig`` holds ``s`` and ``theta``, and ``TransverseWeights`` the
 rates ``a``, as read-only float64 arrays in chord order, validated once.
-A config decides its validity in one pass of comparisons and works out
-which crossing to name only when it refuses.  A realized
-``HalfplaneScene`` holds its leaves as a tuple of float rows of frame
-entries, as ``polygons.MarkedRightPolygon`` holds its frames.
+A config decides its validity by three C-level ``argmin`` and ``argmax``
+calls, which find its first mark not above the one before and its least
+and greatest angle, and works out which crossing to name only when it
+refuses.  ``scene_from_json`` converts a scene's ``s``, ``theta`` and
+rates in one ``struct.pack`` into one immutable buffer, which all three
+arrays view.  A realized ``HalfplaneScene`` holds its leaves as a tuple
+of float rows of frame entries, as ``polygons.MarkedRightPolygon`` holds
+its frames.
 ``fd_oracle`` walks the chord in its own frame in one float pass from
 ``p`` to ``q``: each leaf is measured, checked against the config and
 added to the Taylor coefficients of the sheared chain, so the oracle
@@ -140,11 +144,15 @@ class ChordConfig:
         if s.shape != theta.shape:
             raise ValueError(
                 f"{s.size} crossing positions but {theta.size} angles")
-        # 0 < s_1 < ... < s_n < L and every angle in (0, pi), decided in
-        # one pass of comparisons, which NaN fails and which warn of nothing
+        # 0 < s_1 < ... < s_n < L and every angle in (0, pi): no mark is at
+        # or below the one before (argmin finds the first False), and the
+        # least and the greatest angle lie inside.  argmin and argmax are C
+        # calls, not Python-level reductions, and pick the first NaN, which
+        # fails; comparisons warn of nothing, where inf - inf would.
         marks = np.concatenate(([0.0], s, [L]))
-        if not ((marks[1:] > marks[:-1]).all() and (not s.size or theta.min() > 0.0
-                                                     and theta.max() < math.pi)):
+        rising = marks[1:] > marks[:-1]
+        if not (rising[rising.argmin()] and (not s.size or theta[theta.argmin()] > 0.0
+                                             and theta[theta.argmax()] < math.pi)):
             _refuse_crossings(s, theta, L)
         object.__setattr__(self, "length", L)
         object.__setattr__(self, "s", s)
@@ -187,7 +195,8 @@ class TransverseWeights:
 
     def __post_init__(self):
         w = _readonly_vector(self.weights, "shear weights")
-        top = float(abs(w).max(initial=0.0))  # NaN if a rate is
+        size = abs(w)
+        top = float(size[size.argmax()]) if len(w) else 0.0  # NaN if a rate is
         if not top < math.inf:
             raise ValueError("shear weights must be finite")
         object.__setattr__(self, "weights", w)
@@ -359,7 +368,7 @@ def _shear_sums(cfg: ChordConfig, weights: TransverseWeights) -> tuple[float, fl
     x = np.sin(cfg.theta) * weights.weights * math.exp(-0.5 * L) / weights._sum_unit
     xc = x * np.cosh(cfg.s)
     xd = x * np.cosh(L - cfg.s)
-    shear2 = float(xc @ xd) + 2.0 * float(xd[1:] @ np.cumsum(xc)[:-1])
+    shear2 = float(xc @ xd) + 2.0 * float(xd[1:] @ np.add.accumulate(xc)[:-1])
     return shear2, float(xc.sum()), float(xd.sum())
 
 
@@ -779,23 +788,16 @@ def scene_to_json(cfg: ChordConfig, weights: TransverseWeights,
     }
 
 
-def _flat_floats(values: list) -> np.ndarray:
-    # one C call converts every value by the float protocol and refuses
-    # a string, null, nested array or integer beyond the float range,
-    # where np.array would parse a numeric string or add a dimension
-    return np.frombuffer(struct.pack(f"{len(values)}d", *values))
-
-
 def scene_from_json(data: dict) -> tuple[ChordConfig, TransverseWeights, EndpointVariation]:
     """Rebuild (config, weights, endpoint variation) from a scene dict.
 
-    Each crossing field is read in one flat pass: the ``s`` values, then
-    the ``theta`` values, and ``weights`` as given, each converted once to
-    float64 by ``struct.pack`` into immutable bytes, which the
-    constructors keep without copying.  That is O(n) dict lookups, made
-    by ``operator.itemgetter`` in C, three flat conversions and the
-    constructors' O(1) numpy checks, with no nested-sequence shape
-    discovery.
+    One ``struct.pack`` converts every ``s``, then every ``theta``, then
+    every weight to float64 in one immutable ``bytes``, taking the
+    crossing fields by ``operator.itemgetter`` in C with no intermediate
+    list.  ``cfg.s``, ``cfg.theta`` and ``weights.weights`` are read-only
+    views of that buffer, which the constructors keep without copying.
+    That is O(n) dict lookups, one conversion and the constructors' checks,
+    a fixed number of numpy calls, with no nested-sequence shape discovery.
 
     Malformed input raises ValueError: a missing field, an unknown
     ``endpoint`` key, a crossing that is not an object or lacks ``s`` or
@@ -804,9 +806,11 @@ def scene_from_json(data: dict) -> tuple[ChordConfig, TransverseWeights, Endpoin
     that is not a real number (a string, ``null``, a nested array or an
     integer beyond the float range), and every check of ``ChordConfig``
     and ``TransverseWeights``.  A boolean ``s``, ``theta`` or weight is
-    still read as 0 or 1, because an exact-type check per value would
-    cost more than the conversion itself.  ``fd_oracle`` layers its own
-    checks on the realized scene on top of this.
+    still read as 0 or 1, and a numpy complex scalar, which no JSON
+    document holds, as its real part with numpy's ComplexWarning, because
+    an exact-type check per value would cost more than the conversion
+    itself.  ``fd_oracle`` layers its own checks on the realized scene on
+    top of this.
     """
     if not isinstance(data, dict):
         raise ValueError("a scene must be a JSON object")
@@ -819,13 +823,15 @@ def scene_from_json(data: dict) -> tuple[ChordConfig, TransverseWeights, Endpoin
     _json_numbers([data["chord_length"], *ep.values()],
                   "scene 'chord_length' and 'endpoint' values")
     try:
-        crossings = data["crossings"]
-        s = _flat_floats(list(map(itemgetter("s"), crossings)))
-        theta = _flat_floats(list(map(itemgetter("theta"), crossings)))
-        weights = TransverseWeights(_flat_floats(data["weights"]))
+        crossings, rates = data["crossings"], data["weights"]
+        n, m = len(crossings), len(rates)
+        buf = struct.pack(f"{2 * n + m}d", *map(itemgetter("s"), crossings),
+                          *map(itemgetter("theta"), crossings), *rates)
+        weights = TransverseWeights(np.frombuffer(buf, count=m, offset=16 * n))
         endpoints = EndpointVariation(**ep)
     except (KeyError, TypeError, OverflowError, struct.error) as exc:
         raise ValueError(f"malformed scene: {exc!r}") from exc
-    cfg = ChordConfig(data["chord_length"], s=s, theta=theta)
+    cfg = ChordConfig(data["chord_length"], s=np.frombuffer(buf, count=n),
+                      theta=np.frombuffer(buf, count=n, offset=8 * n))
     _check_weights(cfg, weights)
     return cfg, weights, endpoints

@@ -10,7 +10,8 @@ sides, coordinates and JSON.  Only ``ValueError`` or a ``SystolicaError``
 may escape, nothing may warn, and every float returned is finite.  A
 value that is not a number in the float range raises exactly
 ``ValueError`` in every slot that takes a length, a count, a coordinate
-or a frame entry.
+or a frame entry, and so does a numpy complex scalar or array, with no
+warning whatever the filter.
 """
 
 import itertools
@@ -58,6 +59,17 @@ TRIANGLE = (0.0, 1.0, 0.0, 2.0, 1.5, 2.0)
 # side lengths to walk, and pentagon-chain coordinates of a hexagon
 SIDES = (1.0, 1.2, 0.8, 1.1, 0.9)
 COORDS = (1.0, 1.2, 0.8)
+
+# the scene realized from SCENE, and the polygon JSON of COORDS
+PLACED = realize_scene(ChordConfig(SCENE[0], SCENE[1:3], SCENE[3:5]),
+                       TransverseWeights(SCENE[5:7]), EndpointVariation(*SCENE[7:]))
+POLYGON_JSON = polygon_to_json(sides_from_pentagon_coords(COORDS))
+
+
+def with_leaves(*rows):
+    """PLACED with its leaf rows replaced by ``rows``."""
+    return HalfplaneScene(cfg=PLACED.cfg, weights=PLACED.weights, endpoints=PLACED.endpoints,
+                          p=PLACED.p, q=PLACED.q, leaves=rows)
 
 
 @pytest.fixture(autouse=True)
@@ -143,12 +155,8 @@ def test_scene_json_fails_typed_on_extreme_slots():
 
 
 def test_scene_leaf_rows_fail_typed_on_extreme_entries():
-    placed = realize_scene(ChordConfig(SCENE[0], SCENE[1:3], SCENE[3:5]),
-                           TransverseWeights(SCENE[5:7]), EndpointVariation(*SCENE[7:]))
-    for entries in variants(sum(placed.leaves, ())):
-        scene = typed_or_none(HalfplaneScene, cfg=placed.cfg, weights=placed.weights,
-                              endpoints=placed.endpoints, p=placed.p, q=placed.q,
-                              leaves=(entries[:4], entries[4:]))
+    for entries in variants(sum(PLACED.leaves, ())):
+        scene = typed_or_none(with_leaves, entries[:4], entries[4:])
         if scene is None:
             continue
         assert_finite(scene.leaves)
@@ -181,25 +189,53 @@ def test_polygons_fail_typed_on_extreme_slots(build, base):
 
 @pytest.mark.parametrize("field", ["sides", "coords"])
 def test_polygon_json_fails_typed_on_extreme_entries(field):
-    data = polygon_to_json(sides_from_pentagon_coords(COORDS))
-    for values in variants(data[field]):
-        poly = typed_or_none(polygon_from_json, {**data, field: values})
+    for values in variants(POLYGON_JSON[field]):
+        poly = typed_or_none(polygon_from_json, {**POLYGON_JSON, field: values})
         if poly is not None:
             assert_finite([*poly.sides, *sum(poly.frames, ()), poly.closure_defect])
+
+
+# (id, call, valid arguments): each argument is one real-number slot
+SLOTS = [(f.__name__, f, base) for f, base in TRIG] + [
+    ("ChordConfig", lambda L, s1, s2, t1, t2: ChordConfig(L, (s1, s2), (t1, t2)), SCENE[:5]),
+    ("TransverseWeights", lambda a1, a2: TransverseWeights((a1, a2)), SCENE[5:7]),
+    ("EndpointVariation", EndpointVariation, SCENE[7:]),
+    ("scene_from_json", lambda L, *ends: scene_from_json(scene_json(L, *SCENE[1:7], *ends)),
+     (SCENE[0], *SCENE[7:])),
+    ("leaves", lambda *e: with_leaves(e[:4], e[4:]), sum(PLACED.leaves, ())),
+    ("HPoint", HPoint, (0.0, 1.0)),
+    ("point_at", HGeodesic((1.0, 0.0, 0.0, 1.0)).point_at, (1.0,)),
+    ("HGeodesic", lambda *frame: HGeodesic(frame), (1.0, 0.0, 0.0, 1.0)),
+    ("realize", lambda *sides: realize(sides), SIDES),
+    ("sides_from_pentagon_coords", lambda *c: sides_from_pentagon_coords(c), COORDS),
+    ("polygon_from_json-sides", lambda *v: polygon_from_json({**POLYGON_JSON, "sides": list(v)}),
+     POLYGON_JSON["sides"]),
+    ("polygon_from_json-coords", lambda *v: polygon_from_json({**POLYGON_JSON, "coords": list(v)}),
+     POLYGON_JSON["coords"])]
+
+# (id, call, valid vector): the vector is one sequence-of-reals slot
+VECTOR_SLOTS = [
+    ("ChordConfig-s", lambda s: ChordConfig(SCENE[0], s, SCENE[3:5]), SCENE[1:3]),
+    ("ChordConfig-theta", lambda theta: ChordConfig(SCENE[0], SCENE[1:3], theta), SCENE[3:5]),
+    ("TransverseWeights", TransverseWeights, SCENE[5:7]),
+    ("leaves", lambda row: with_leaves(row, PLACED.leaves[1]), PLACED.leaves[0]),
+    ("HGeodesic", HGeodesic, (1.0, 0.0, 0.0, 1.0)),
+    ("realize", realize, SIDES),
+    ("sides_from_pentagon_coords", sides_from_pentagon_coords, COORDS),
+    ("polygon_from_json", lambda v: polygon_from_json({**POLYGON_JSON, "sides": v}),
+     POLYGON_JSON["sides"])]
+
+# complex scalars, with and without an imaginary part, and arrays of them:
+# numpy's complex scalars convert to their real part by the float protocol
+# with only a ComplexWarning
+COMPLEX = (np.complex128(1.5 + 2j), np.complex64(1.5 + 2j), np.complex128(1.5),
+           np.complex64(1.5), np.array(1.5 + 2j), np.array([1.5 + 2j], dtype=np.complex64))
 
 
 def malformed_slots():
     """(id, call, args) with one length, count or coordinate slot of a valid
     call replaced by each of ``MALFORMED``."""
-    cases = [(f.__name__, f, base) for f, base in TRIG] + [
-        ("ChordConfig", lambda L: ChordConfig(L, (0.5,), (1.0,)), (2.0,)),
-        ("EndpointVariation", EndpointVariation, (0.1, 0.2, 0.3, 0.4)),
-        ("HPoint", HPoint, (0.0, 1.0)),
-        ("point_at", HGeodesic((1.0, 0.0, 0.0, 1.0)).point_at, (1.0,)),
-        ("HGeodesic", lambda *frame: HGeodesic(frame), (1.0, 0.0, 0.0, 1.0)),
-        ("realize", lambda *sides: realize(sides), SIDES),
-        ("sides_from_pentagon_coords", lambda *c: sides_from_pentagon_coords(c), COORDS)]
-    for name, call, base in cases:
+    for name, call, base in SLOTS:
         for i, bad in itertools.product(range(len(base)), MALFORMED):
             args = list(base)
             args[i] = bad
@@ -216,3 +252,36 @@ def test_values_that_are_not_numbers_raise_exactly_value_error(call, args):
     with pytest.raises(ValueError) as info:
         call(*args)
     assert type(info.value) is ValueError
+
+
+def refused_without_a_warning(call, *args):
+    """Whether call(*args) raises exactly ValueError and warns of nothing,
+    under a filter that ignores warnings and under one that shows all."""
+    for action in ("ignore", "always"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            try:
+                call(*args)
+            except ValueError as exc:
+                if type(exc) is not ValueError or caught:
+                    return False
+            else:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("call, base", [case[1:] for case in SLOTS],
+                         ids=[case[0] for case in SLOTS])
+def test_complex_values_are_refused_without_a_warning(call, base):
+    for i, value in itertools.product(range(len(base)), COMPLEX):
+        args = list(base)
+        args[i] = value
+        assert refused_without_a_warning(call, *args), (i, value)
+
+
+@pytest.mark.parametrize("call, base", [case[1:] for case in VECTOR_SLOTS],
+                         ids=[case[0] for case in VECTOR_SLOTS])
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_complex_arrays_are_refused_without_a_warning(call, base, dtype):
+    for imag in (0.0, 0.5):
+        assert refused_without_a_warning(call, np.array(base, dtype=dtype) + 1j * imag), imag

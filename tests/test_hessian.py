@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import random
+import struct
 import tracemalloc
 import warnings
 
@@ -178,6 +179,7 @@ class TestConfigValidation:
 FIVE_L = 3.0
 FIVE_S = (0.5, 1.0, 1.5, 2.0, 2.5)
 FIVE_THETA = (0.3, 0.9, 1.5, 2.1, 2.7)
+THREE_CFG = ChordConfig(3.0, s=(0.5, 1.0, 1.5), theta=(1.0, 1.5, 2.0))
 
 
 def first_refusal(length, s, theta):
@@ -191,6 +193,52 @@ def first_refusal(length, s, theta):
             return f"crossing {i} angle {angle!r} outside (0, pi)"
         previous = x
     return None
+
+
+# values injected into a column of a random config: the ends of the chord
+# and of the angle range, both zeros, non-finite values, and "equal", a copy
+# of the neighbour before (of the one after, at the first slot)
+INJECTED = (math.nan, math.inf, -math.inf, 0.0, -0.0, "L", math.pi, "equal")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+def test_checks_agree_with_a_loop_on_injected_values(n):
+    # ChordConfig and TransverseWeights decide by argmin and argmax over
+    # their arrays; a loop over the values must accept and refuse the same
+    # inputs, name the same first bad crossing and find the same top rate
+    rng = random.Random(2800 + n)
+    slots = sorted({0, n // 2, n - 1}) if n else []
+    for _ in range(60):
+        length = rng.uniform(0.5, 10.0)
+        columns = {"s": sorted(rng.uniform(0.0, length) for _ in range(n)),
+                   "theta": [rng.uniform(0.0, math.pi) for _ in range(n)],
+                   "rates": [rng.uniform(-2.0, 2.0) * 2.0 ** rng.randint(-600, 1020)
+                             for _ in range(n)]}
+        for _ in range(rng.randint(0, 2) if n else 0):
+            values, slot = columns[rng.choice(list(columns))], rng.choice(slots)
+            value = rng.choice(INJECTED)
+            if value == "L":
+                value = length
+            elif value == "equal":
+                value = values[slot - 1 if slot else min(1, n - 1)]
+            values[slot] = value
+        s, theta, rates = columns["s"], columns["theta"], columns["rates"]
+        want = first_refusal(length, s, theta)
+        if want is None:
+            cfg = ChordConfig(length, s=np.array(s), theta=np.array(theta))
+            assert cfg.s.tolist() == s and cfg.theta.tolist() == theta
+        else:
+            with pytest.raises(ValueError) as info:
+                ChordConfig(length, s=np.array(s), theta=np.array(theta))
+            assert str(info.value) == want
+        if not all(abs(a) < math.inf for a in rates):
+            with pytest.raises(ValueError, match="shear weights must be finite"):
+                TransverseWeights(np.array(rates))
+            continue
+        weights = TransverseWeights(np.array(rates))
+        k = math.frexp(max(map(abs, rates), default=0.0))[1] + n.bit_length()
+        assert weights._sum_unit == 2.0 ** max(0, k - 510)
+        assert weights._walk_unit == 2.0 ** min(1023, max(0, k))
 
 
 class TestFirstDerivatives:
@@ -628,8 +676,10 @@ class TestSceneOracle:
         # they are read-only views of immutable bytes, so they are not copied
         cfg, weights, _ = scene_from_json(
             scene_to_json(REF_CFG, TransverseWeights((0.4, -1.1))))
+        # all three view the one buffer that one conversion made
+        assert type(cfg.s.base) is bytes
+        assert cfg.s.base is cfg.theta.base is weights.weights.base
         for a in (cfg.s, cfg.theta, weights.weights):
-            assert isinstance(a.base, bytes)
             with pytest.raises(ValueError):
                 a.setflags(write=True)
 
@@ -645,11 +695,73 @@ class TestSceneOracle:
         with pytest.raises(ValueError):
             scene_from_json(data)
 
+    @pytest.mark.parametrize("faults, first", [
+        # a rate is checked before the crossings are
+        ({"weights": [0.1, math.inf, 0.3], "s": [0.5, 1.0, 0.2]}, "shear weights must be finite"),
+        # the endpoint before the crossings
+        ({"endpoint": {"u_prep": 0.3}, "theta": [4.0, 1.5, 2.0]}, TypeError),
+        # the crossings before the weight count
+        ({"s": [0.5, 1.0, 0.2], "weights": [0.1]},
+         "crossing 2 at s=0.2 outside the chord or out of order"),
+        # a value that is not a number before a rate that is not finite
+        ({"s": ["0.5", 1.0, 1.5], "weights": [0.1, 0.2, math.nan]}, struct.error),
+        # a crossing without theta before the chord length
+        ({"chord_length": math.inf, "theta": [1.0, None, 2.0]}, KeyError),
+        # the JSON numbers before a crossing without s
+        ({"endpoint": {"v_par": "0.5"}, "s": [None, 1.0, 1.5]},
+         "scene 'chord_length' and 'endpoint' values must be an array of JSON numbers in "
+         "the float range, got [3.0, '0.5']"),
+        # the chord length before the crossings
+        ({"chord_length": -1.0, "theta": [4.0, 1.5, 2.0]},
+         "chord length must be positive and finite, got -1.0"),
+        # the first bad crossing, whichever column is bad
+        ({"s": [-1.0, 1.0, 1.5], "theta": [1.0, 1.5, 0.0]},
+         "crossing 0 at s=-1.0 outside the chord or out of order"),
+    ], ids=["rate-order", "endpoint-angle", "order-count", "string-nan", "theta-length",
+            "json-s", "length-angle", "s-angle"])
+    def test_scene_json_with_two_faults_reports_the_first(self, faults, first):
+        # the one conversion and the checks keep the order in which the
+        # scene's fields were read column by column; None in a column
+        # removes that field of the crossing
+        data = scene_to_json(THREE_CFG, TransverseWeights((0.1, 0.2, 0.3)))
+        for field, value in faults.items():
+            if field in ("s", "theta"):
+                for crossing, x in zip(data["crossings"], value):
+                    if x is None:
+                        del crossing[field]
+                    else:
+                        crossing[field] = x
+            else:
+                data[field] = value
+        with pytest.raises(ValueError) as info:
+            scene_from_json(data)
+        if isinstance(first, str):
+            assert str(info.value) == first
+        else:
+            assert type(info.value.__cause__) is first
+
 
 def _scene_with(**fields):
     data = scene_to_json(REF_CFG, TransverseWeights((0.0, 0.0)))
     data.update(fields)
     return data
+
+
+def _last_slot_scenes():
+    """A three-crossing scene with a string, None, a nested array or an
+    integer beyond the floats in the last slot of each column, and one
+    whose last crossing lacks theta."""
+    for column in ("s", "theta", "weights"):
+        for bad in ("0.5", None, [0.5], 10**400):
+            data = scene_to_json(THREE_CFG, TransverseWeights((0.1, 0.2, 0.3)))
+            if column == "weights":
+                data["weights"][-1] = bad
+            else:
+                data["crossings"][-1][column] = bad
+            yield data
+    data = scene_to_json(THREE_CFG, TransverseWeights((0.1, 0.2, 0.3)))
+    del data["crossings"][-1]["theta"]
+    yield data
 
 
 @pytest.mark.parametrize("reader, data", [
@@ -696,6 +808,7 @@ def _scene_with(**fields):
     (scene_from_json, _scene_with(weights=[None, 0.0])),
     (polygon_from_json, {"sides": [10**400, 1.0, 1.0, 1.0, 1.0]}),
     (polygon_from_json, {"sides": [1.0] * 6, "coords": [10**400, 1.0, 1.0]}),
+    *((scene_from_json, data) for data in _last_slot_scenes()),
 ])
 def test_json_readers_raise_value_error_on_malformed_input(reader, data):
     with pytest.raises(ValueError):
