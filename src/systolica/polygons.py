@@ -339,6 +339,15 @@ class ChainDifferentials:
     pointing away from z_o is -i zeta/|zeta| with
     zeta = ``halfplane._disk(z_k, z_o)``, so all of them come from one
     complex-array pass, and each method is O(1) numpy calls on them.
+    That pass takes the vertices twice, z_0 .. z_{m-1} z_0 .. z_{m-1},
+    against their neighbours, z_1 .. z_{m-1} z_0 (the next ones, giving
+    V) then z_{m-1} z_0 .. z_{m-2} (the ones before, giving U), both
+    arrays joined from one list of the vertices' complex values.
+
+    A segment shorter than 1e-9 is refused as collapsed.  That bound is a
+    modelling choice, not derived from any error: the angle rows only
+    grow as 1/l on a short segment, but a chain whose vertices nearly
+    coincide is taken for a mistake in its input rather than a polygon.
     """
 
     def __init__(self, points: Sequence[HPoint]):
@@ -352,9 +361,9 @@ class ChainDifferentials:
                 f"segment {lengths.index(min(lengths))} of the chain is collapsed")
         self.lengths = np.array(lengths)
         self.lengths.flags.writeable = False
-        z = np.array([p.z for p in self.points])
+        zs = [p.z for p in self.points]
         # each vertex against the next one, then against the one before
-        zeta = _disk(np.concatenate((z, z)), np.concatenate((z[1:], z[:1], z[-1:], z[:-1])))
+        zeta = _disk(np.array(zs + zs), np.array(zs[1:] + zs[:1] + zs[-1:] + zs[:-1]))
         vu = -1j * zeta / np.abs(zeta)
         self._v, self._u = vu[:m], vu[m:]
         self._turn = self._u * self._v.conj()  # e^{i theta_k}, to within rounding
@@ -413,12 +422,26 @@ class ChainDifferentials:
         On a right-angled polygon every cos theta_k is 0, so C vanishes to
         within the corner defect and the answer is (m, sqrt 2) to within
         it: a rank below m cannot happen there.
+
+        Layout, with c = cos theta: row k holds 2 at (k, k) and c_{k+1} at
+        (k, k + 1) for k < m - 1, and symmetrically below, and c_0 sits
+        at the corners (0, m - 1) and (m - 1, 0), where segment m - 1
+        meets segment 0.  In the row-major flat view a step of m + 1 runs
+        down a diagonal, so the three diagonals are basic slices starting
+        at 0, 1 and m, and the corners are the entries m - 1 and
+        m (m - 1).  At the m <= 14 of the benchmark's polygons, building
+        the matrix by index arrays cost about as much as the O(m^3)
+        solve, and it was the part that could be cut, so nothing here
+        builds an index array.
         """
-        k = np.arange(self.m)  # k - 1 wraps to the last segment
-        gram = 2.0 * np.eye(self.m)
-        gram[k - 1, k] = gram[k, k - 1] = self._turn.real
+        m, c = self.m, self._turn.real
+        gram = np.zeros((m, m))
+        flat = gram.reshape(-1)
+        flat[::m + 1] = 2.0
+        flat[1::m + 1] = flat[m::m + 1] = c[1:]
+        flat[m - 1] = flat[m * (m - 1)] = c[0]
         lam = np.linalg.eigvalsh(gram)
-        rank = int(np.count_nonzero(lam > (4 * self.m + 20) * math.ulp(1.0)))
+        rank = int(np.count_nonzero(lam > (4 * m + 20) * math.ulp(1.0)))
         return rank, math.sqrt(max(lam[0], 0.0))
 
 

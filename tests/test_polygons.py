@@ -396,6 +396,36 @@ class TestChainDifferentials:
                 assert rank_j == rank == m
                 assert abs(smin_j - smin) <= (4 * m + 20) * EPS / smin
 
+    def test_reversing_the_chain_reflects_every_output(self):
+        # Vertex k of the reversed chain is x_j, j = m - 1 - k, and its
+        # segment k is segment m - 2 - k (mod m) run backwards.  The
+        # constructor calls _disk on the same pairs, so U and V at x_j
+        # trade places bit for bit: the angle rows come back negated
+        # and reversed along both axes, exactly, and dist is symmetric
+        # to the bit.  The turn becomes V conj U, the conjugate of
+        # U conj V up to the products' rounding, 1 eps a part for unit
+        # factors, so the exact angles of the two turns sum to 0 within
+        # 2 sqrt(2) eps; np.angle errs by an ulp, 2 eps below pi, in
+        # each; one of the two raw angles is shifted by 2 pi, which
+        # rounds by half an ulp of 2 pi, 2 eps; and the test's own
+        # 2 pi - theta rounds by 2 eps more.  C is the original one
+        # permuted (its real parts are the same float sums), so the rank
+        # and sigma_min keep the relabeling test's budget.
+        angle_budget = (2 * math.sqrt(2) + 2 * 2 + 2 + 2) * EPS
+        rng = random.Random(29)
+        for m in (3, 4, 7, 12):
+            for _ in range(5):
+                pts = random_chain(rng, m)
+                cd, cr = ChainDifferentials(pts), ChainDifferentials(pts[::-1])
+                assert np.array_equal(cr.lengths, np.roll(cd.lengths[::-1], -1))
+                reflected = 2.0 * math.pi - cd.angles()[::-1]
+                assert np.abs(cr.angles() - reflected).max() <= angle_budget
+                want = -cd.angle_matrix()[::-1].reshape(m, m, 2)[:, ::-1].reshape(m, 2 * m)
+                assert np.array_equal(cr.angle_matrix(), want)
+                (rank, smin), (rank_r, smin_r) = cd.length_rank(), cr.length_rank()
+                assert rank_r == rank == m
+                assert abs(smin_r - smin) <= (4 * m + 20) * EPS / smin
+
     def test_length_differentials_have_full_rank(self):
         rng = random.Random(3)
         for m in (4, 5, 6):
