@@ -62,11 +62,6 @@ class NoPolygonError(SystolicaError):
         self.index = index
 
 
-class DegenerateMarginError(SystolicaError):
-    """A chord has no crossings, so it has no separation margins to
-    report."""
-
-
 class InconsistentSceneError(SystolicaError):
     """A serialized scene disagrees with the configuration it claims to
     describe beyond roundoff."""

@@ -73,9 +73,8 @@ from operator import itemgetter
 import numpy as np
 
 from . import halfplane
-from .errors import (_FINITE, _POSITIVE, DegenerateConfigurationError, DegenerateMarginError,
-                     InconsistentSceneError, SystolicaError, _count, _json_numbers, _real,
-                     _real_floats)
+from .errors import (_FINITE, _POSITIVE, DegenerateConfigurationError, InconsistentSceneError,
+                     SystolicaError, _count, _json_numbers, _real, _real_floats)
 from .halfplane import _feet, _frame_through, _half_turn, _product, _relative, _turned, _unit
 
 __all__ = [
@@ -91,7 +90,6 @@ __all__ = [
     "realize_scene",
     "fd_oracle",
     "MAX_CHORD_LENGTH",
-    "scene_to_json",
     "scene_from_json",
 ]
 
@@ -403,15 +401,9 @@ def hessian_margin(cfg: ChordConfig) -> MarginReport:
     array, O(n) numpy work.
     The report is no bound on the quadratic form, whose positivity comes
     from the Gram structure of its kernel (module docstring).
-
-    Raises
-    ------
-    DegenerateMarginError
-        If the configuration has no crossings (there is no gap
-        structure to report).
+    With no crossings the one gap is the chord: ``epsilons`` is empty
+    and ``eps_p == eps_q == L``.
     """
-    if cfg.n == 0:
-        raise DegenerateMarginError("no crossings: nothing to separate")
     marks = cfg._marks
     gaps = marks[1:] - marks[:-1]
     eps = np.minimum(gaps[:-1], gaps[1:])
@@ -770,22 +762,9 @@ def fd_oracle(scene: HalfplaneScene, order: int):
 
 
 # ---------------------------------------------------------------------------
-# scene serialization
+# reading a scene from JSON
 
 SCENE_FIELDS = ("chord_length", "crossings", "weights", "endpoint")
-
-
-def scene_to_json(cfg: ChordConfig, weights: TransverseWeights,
-                  endpoints: EndpointVariation = ZERO_ENDPOINTS) -> dict:
-    """Serialize a full variation scene (geometry + rates) to a dict."""
-    _check_weights(cfg, weights)
-    return {
-        "chord_length": cfg.length,
-        "crossings": [{"s": s, "theta": theta} for s, theta
-                      in zip(cfg.s.tolist(), cfg.theta.tolist())],
-        "weights": weights.weights.tolist(),
-        "endpoint": {k: getattr(endpoints, k) for k in ENDPOINT_FIELDS},
-    }
 
 
 def scene_from_json(data: dict) -> tuple[ChordConfig, TransverseWeights, EndpointVariation]:

@@ -308,29 +308,27 @@ def _tangent_entries(li, lj):
 
 
 # --------------------------------------------------------------------------
-# differentials of lengths and angles along a vertex chain
+# differentials of lengths along a vertex chain
 
 
 class ChainDifferentials:
-    """First-order behaviour of the segment lengths and vertex angles of a
-    closed polygonal chain x_0, ..., x_{m-1} under independent motions of
-    its vertices.
+    """First-order behaviour of the segment lengths of a closed polygonal
+    chain x_0, ..., x_{m-1} under independent motions of its vertices.
 
     Segment k runs from x_k to x_{k+1}, the last one back to x_0, so the
-    chain has m segments and m angles, and everything is indexed by
-    vertex, cyclically.  At x_k, U_k is the unit vector pointing away
+    chain has m segments and m vertex angles, and everything is indexed
+    by vertex, cyclically.  At x_k, U_k is the unit vector pointing away
     from x_{k-1} and V_k the one pointing away from x_{k+1}; theta_k is
     the counterclockwise angle from V_k to U_k in (0, 2*pi), the interior
     angle when the chain runs counterclockwise.
 
     A variation moves each vertex by a tangent vector, written in the
-    orthonormal frame (y, 0), (0, y) at the vertex.  A differential is a
-    row with one column pair (2k, 2k+1) per vertex k, holding it against
-    that vertex's two components: ``angle_matrix`` returns the angle
-    rows.  The length row of segment k has only two nonzero pairs, V_k
-    and U_{k+1}, so ``length_rank`` reads the length rows through their
-    Gram matrix 2I + C, C holding cos theta_k where segments k - 1 and k
-    meet, and never builds them.
+    orthonormal frame (y, 0), (0, y) at the vertex.  The differential of
+    the length of segment k is a row with one column pair (2k, 2k+1) per
+    vertex k, holding it against that vertex's two components, and its
+    only two nonzero pairs are V_k and U_{k+1}.  So ``length_rank`` reads
+    the length rows through their Gram matrix 2I + C, C holding
+    cos theta_k where segments k - 1 and k meet, and never builds them.
 
     The constructor does the geometry once: ``lengths`` (read-only, one
     per segment, from ``halfplane.dist``), V_k and U_k as complex
@@ -338,16 +336,16 @@ class ChainDifferentials:
     theta_k and whose real part is cos theta_k.  The unit vector at z_k
     pointing away from z_o is -i zeta/|zeta| with
     zeta = ``halfplane._disk(z_k, z_o)``, so all of them come from one
-    complex-array pass, and each method is O(1) numpy calls on them.
+    complex-array pass, and ``length_rank`` is O(1) numpy calls on them.
     That pass takes the vertices twice, z_0 .. z_{m-1} z_0 .. z_{m-1},
     against their neighbours, z_1 .. z_{m-1} z_0 (the next ones, giving
     V) then z_{m-1} z_0 .. z_{m-2} (the ones before, giving U), both
     arrays joined from one list of the vertices' complex values.
 
     A segment shorter than 1e-9 is refused as collapsed.  That bound is a
-    modelling choice, not derived from any error: the angle rows only
-    grow as 1/l on a short segment, but a chain whose vertices nearly
-    coincide is taken for a mistake in its input rather than a polygon.
+    modelling choice, not derived from any error: a chain whose vertices
+    nearly coincide is taken for a mistake in its input rather than a
+    polygon.
     """
 
     def __init__(self, points: Sequence[HPoint]):
@@ -367,35 +365,6 @@ class ChainDifferentials:
         vu = -1j * zeta / np.abs(zeta)
         self._v, self._u = vu[:m], vu[m:]
         self._turn = self._u * self._v.conj()  # e^{i theta_k}, to within rounding
-
-    def _matrix(self, *blocks) -> np.ndarray:
-        """One row per vertex; block (o, w) puts w[k] at vertex k + o's
-        column of row k, cyclically, in one complex array whose float64
-        view is the column pair (real, imaginary)."""
-        k = np.arange(self.m)
-        mat = np.zeros((self.m, self.m), dtype=complex)
-        for offset, w in blocks:
-            mat[k, (k + offset) % self.m] = w
-        return mat.view(np.float64)
-
-    def angles(self) -> np.ndarray:
-        """The vertex angles theta in (0, 2*pi)."""
-        a = np.angle(self._turn)
-        return np.where(a > 0.0, a, a + 2.0 * math.pi)
-
-    def angle_matrix(self) -> np.ndarray:
-        """The d(theta) rows.  With l_prev and l_next the lengths of the
-        segments into and out of x_k, the row of theta_k has the blocks
-        i(U_k/tanh l_prev - V_k/tanh l_next) at x_k, i V_{k-1}/sinh l_prev
-        at x_{k-1} and -i U_{k+1}/sinh l_next at x_{k+1}.  1/sinh l is
-        2 e^{-l} / -expm1(-2l), which is 0 where sinh l overflows."""
-        l, u, v = self.lengths, self._u, self._v
-        k = np.arange(self.m)  # k - 1 wraps to the last vertex
-        csch = 2.0 * np.exp(-l) / -np.expm1(-2.0 * l)
-        tanh = np.tanh(l)
-        return self._matrix((-1, (1j * v * csch)[k - 1]),
-                            (0, 1j * (u / tanh[k - 1] - v / tanh)),
-                            (1, -1j * u[(k + 1) % self.m] * csch))
 
     def length_rank(self) -> tuple[int, float]:
         """(rank, smallest singular value) of the m length rows, one per
@@ -535,22 +504,16 @@ def boundary_functional(ns: Sequence[int], l_even: float) -> BoundaryFunctional:
 # serialization
 
 
-def polygon_to_json(poly: MarkedRightPolygon) -> dict:
-    return {
-        "n": poly.n,
-        "sides": list(poly.sides),
-        "coords": list(poly.coords) if poly.coords is not None else None,
-        "closure_defect": poly.closure_defect,
-    }
-
-
 # How far the JSON "sides" may sit from the sides that the JSON "coords"
 # give through the chart, relative to each side.
 COORDS_RTOL = 1e-6
 
 
 def polygon_from_json(data: dict) -> MarkedRightPolygon:
-    """Realize a polygon from ``polygon_to_json`` output.
+    """Realize a polygon from a JSON object: ``"sides"``, the cyclic side
+    lengths (l_1, ..., l_n), an optional ``"n"``, their count, and an
+    optional ``"coords"``, the pentagon-chain coordinates
+    (l_3, h_4, ..., h_{n-2}, l_{n-1}) or null.  Any other key is ignored.
 
     Without ``"coords"`` the sides are walked by ``realize``.  With them,
     the polygon is built through the chart by

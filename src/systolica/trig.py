@@ -155,14 +155,3 @@ def semiregular_partner(l1: float, n: int) -> float:
     l1 = _real(l1, "length", _POSITIVE)
     return _in_range(lambda: 2.0 * math.asinh(math.cos(math.pi / n) / math.sinh(l1 / 2.0)),
                      "semiregular_partner", l1, n)
-
-
-def equilateral_angle(x: float) -> float:
-    """Interior angle of the equilateral hyperbolic triangle with side x.
-
-    Strictly decreasing from pi/3 (Euclidean limit) to 0, equal to
-    2*arcsin(1 / (2 cosh(x/2))).
-    """
-    x = _real(x, "length", _POSITIVE)
-    return _in_range(lambda: 2.0 * math.asin(0.5 / math.cosh(x / 2.0)),
-                     "equilateral_angle", x)

@@ -7,8 +7,13 @@ named by their endpoints or by a direction, to measure its results by an
 independent route.  They live here, on top of the frame helpers that
 ``systolica.halfplane`` keeps (``_point``, ``_turned``, ``_relative``
 and the rest), so the kernel ships none of them.  An isometry is its
-four entries (a, b, c, d), as in the library.  Then come three dense
-references, ``tangent_u``, ``length_rows`` and ``hessian_matrix``.
+four entries (a, b, c, d), as in the library.  Then come the dense
+references: ``tangent_u``; the rows of a ``polygons.ChainDifferentials``,
+``length_rows`` and the angle rows ``angle_matrix``, laid out by
+``chain_matrix``, with ``chain_angles``; and ``hessian_matrix``.  The
+tests build their JSON inputs with ``polygon_to_json`` and
+``scene_to_json``, and ``equilateral_angle`` is a closed form that only
+they evaluate.
 
 The last part is the finite-difference reference for
 ``hessian.fd_oracle``: ``scene_length``, the deformed chord length of a
@@ -26,11 +31,14 @@ import math
 import numpy as np
 
 from systolica import hessian
-from systolica.errors import DegenerateConfigurationError, InconsistentSceneError
+from systolica.errors import (_POSITIVE, DegenerateConfigurationError, InconsistentSceneError,
+                              _real)
 from systolica.halfplane import (HGeodesic, HPoint, _frame_through, _half_turn, _point,
                                  _product, _relative, _shifted, _toward, _turned, _unit, dist)
-from systolica.hessian import _IDENTITY, ChordConfig, _check_length
+from systolica.hessian import (_IDENTITY, ZERO_ENDPOINTS, ChordConfig, EndpointVariation,
+                               TransverseWeights, _check_length, _check_weights)
 from systolica.polygons import MarkedRightPolygon, _side_index, _tangent_entries
+from systolica.trig import _in_range
 
 
 class HTangent:
@@ -235,13 +243,49 @@ def tangent_u(poly: MarkedRightPolygon, i: int) -> np.ndarray:
     return v
 
 
+def chain_matrix(chain, *blocks) -> np.ndarray:
+    """Rows of a ``polygons.ChainDifferentials``, one per vertex; block
+    (o, w) puts w[k] at vertex k + o's column of row k, cyclically, in
+    one complex array whose float64 view is the column pair (real,
+    imaginary)."""
+    m = chain.m
+    k = np.arange(m)
+    mat = np.zeros((m, m), dtype=complex)
+    for offset, w in blocks:
+        mat[k, (k + offset) % m] = w
+    return mat.view(np.float64)
+
+
 def length_rows(chain) -> np.ndarray:
     """The d(length) rows of a ``polygons.ChainDifferentials``, one per
-    segment in the column pairs of ``angle_matrix``: V_k at the segment's
+    segment in the column pairs of ``chain_matrix``: V_k at the segment's
     start x_k and U_{k+1} at its end, as the chain stores them, are row
     k's only nonzeros.  ``length_rank`` reads their Gram matrix and never
     builds them."""
-    return chain._matrix((0, chain._v), (1, np.roll(chain._u, -1)))
+    return chain_matrix(chain, (0, chain._v), (1, np.roll(chain._u, -1)))
+
+
+def chain_angles(chain) -> np.ndarray:
+    """The vertex angles theta in (0, 2*pi) of a
+    ``polygons.ChainDifferentials``, the arguments of its U_k conj V_k."""
+    a = np.angle(chain._turn)
+    return np.where(a > 0.0, a, a + 2.0 * math.pi)
+
+
+def angle_matrix(chain) -> np.ndarray:
+    """The d(theta) rows of a ``polygons.ChainDifferentials``.  With
+    l_prev and l_next the lengths of the segments into and out of x_k,
+    the row of theta_k has the blocks i(U_k/tanh l_prev - V_k/tanh l_next)
+    at x_k, i V_{k-1}/sinh l_prev at x_{k-1} and -i U_{k+1}/sinh l_next
+    at x_{k+1}.  1/sinh l is 2 e^{-l} / -expm1(-2l), which is 0 where
+    sinh l overflows."""
+    l, u, v = chain.lengths, chain._u, chain._v
+    k = np.arange(chain.m)  # k - 1 wraps to the last vertex
+    csch = 2.0 * np.exp(-l) / -np.expm1(-2.0 * l)
+    tanh = np.tanh(l)
+    return chain_matrix(chain, (-1, (1j * v * csch)[k - 1]),
+                        (0, 1j * (u / tanh[k - 1] - v / tanh)),
+                        (1, -1j * u[(k + 1) % chain.m] * csch))
 
 
 def hessian_matrix(cfg: ChordConfig) -> np.ndarray:
@@ -265,6 +309,49 @@ def hessian_matrix(cfg: ChordConfig) -> np.ndarray:
     H[n, :] *= -1.0
     H[:, n] *= -1.0
     return H
+
+
+# ---------------------------------------------------------------------------
+# test inputs as JSON, and a closed form
+
+
+def polygon_to_json(poly: MarkedRightPolygon) -> dict:
+    """The JSON object of a polygon that ``polygons.polygon_from_json``
+    reads, with its closure defect, which that ignores."""
+    return {
+        "n": poly.n,
+        "sides": list(poly.sides),
+        "coords": list(poly.coords) if poly.coords is not None else None,
+        "closure_defect": poly.closure_defect,
+    }
+
+
+def scene_to_json(cfg: ChordConfig, weights: TransverseWeights,
+                  endpoints: EndpointVariation = ZERO_ENDPOINTS) -> dict:
+    """The JSON object of a full variation scene (geometry + rates) that
+    ``hessian.scene_from_json`` reads.  Weights whose count is not the
+    config's raise ValueError."""
+    _check_weights(cfg, weights)
+    return {
+        "chord_length": cfg.length,
+        "crossings": [{"s": s, "theta": theta} for s, theta
+                      in zip(cfg.s.tolist(), cfg.theta.tolist())],
+        "weights": weights.weights.tolist(),
+        "endpoint": {k: getattr(endpoints, k) for k in hessian.ENDPOINT_FIELDS},
+    }
+
+
+def equilateral_angle(x: float) -> float:
+    """Interior angle of the equilateral hyperbolic triangle with side x.
+
+    Strictly decreasing from pi/3 (Euclidean limit) to 0, equal to
+    2*arcsin(1 / (2 cosh(x/2))).  Gated as the ``trig`` formulas are:
+    ValueError unless x is positive and finite, and
+    DegenerateConfigurationError where the result leaves the float range.
+    """
+    x = _real(x, "length", _POSITIVE)
+    return _in_range(lambda: 2.0 * math.asin(0.5 / math.cosh(x / 2.0)),
+                     "equilateral_angle", x)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from systolica import hessian
-from systolica.errors import (DegenerateConfigurationError,
-                              DegenerateMarginError, InconsistentSceneError, SystolicaError)
+from systolica.errors import (DegenerateConfigurationError, InconsistentSceneError,
+                              SystolicaError)
 from systolica.polygons import polygon_from_json
 from systolica.halfplane import HPoint, _frame_through, _unit, common_perpendicular
 from systolica.hessian import (
@@ -39,11 +39,11 @@ from systolica.hessian import (
     hessian_split,
     realize_scene,
     scene_from_json,
-    scene_to_json,
 )
 
 import reference
-from reference import HTangent, geodesic_from_direction, hessian_matrix, rotate_tangent
+from reference import (HTangent, geodesic_from_direction, hessian_matrix, rotate_tangent,
+                       scene_to_json)
 
 # The closed chord-length-2 endpoint Hessian at d = arccosh(2), i.e.
 # (1/sinh d)[[cosh d, -1], [-1, cosh d]] with sinh d = sqrt(3).
@@ -462,9 +462,15 @@ class TestMargins:
         assert rep.eps_p == pytest.approx(0.7)
         assert rep.eps_q == pytest.approx(0.6)
 
-    def test_no_crossings_raises(self):
-        with pytest.raises(DegenerateMarginError):
-            hessian_margin(ChordConfig(2.0, (), ()))
+    def test_no_crossings_leave_the_chord_as_the_one_gap(self):
+        # marks [0, L], one gap: no crossing has a margin, and both end
+        # gaps are the chord, as hessian_split has (0, 0, 0) to split
+        cfg = ChordConfig(2.0, (), ())
+        rep = hessian_margin(cfg)
+        assert rep.epsilons.dtype == np.float64 and rep.epsilons.shape == (0,)
+        assert not rep.epsilons.flags.writeable
+        assert rep.eps_p == rep.eps_q == 2.0
+        assert hessian_split(cfg, TransverseWeights(())) == (0.0, 0.0, 0.0)
 
     def test_epsilons_are_a_read_only_float64_array(self):
         rep = hessian_margin(REF_CFG)

@@ -21,15 +21,14 @@ from systolica import errors, halfplane, hessian, polygons, trig
 
 PUBLIC = {
     errors: {
-        "DegenerateConfigurationError", "DegenerateMarginError",
-        "InconsistentSceneError", "NoPentagonError", "NoPerpendicularError",
-        "NoPolygonError", "SystolicaError",
+        "DegenerateConfigurationError", "InconsistentSceneError",
+        "NoPentagonError", "NoPerpendicularError", "NoPolygonError",
+        "SystolicaError",
     },
     trig: {
         "ACOSH_SLACK", "ACOSH_TOUCH", "diagonal_mixed_type",
-        "diagonal_same_type", "equilateral_angle", "guarded_acosh",
-        "pentagon_perpendicular", "pentagon_side", "semiregular_partner",
-        "trirectangle_center",
+        "diagonal_same_type", "guarded_acosh", "pentagon_perpendicular",
+        "pentagon_side", "semiregular_partner", "trirectangle_center",
     },
     halfplane: {
         "ASYMPTOTIC_EPS", "CommonPerpendicular", "HGeodesic", "HPoint",
@@ -38,15 +37,15 @@ PUBLIC = {
     polygons: {
         "BoundaryFunctional", "COORDS_RTOL", "ChainDifferentials",
         "MarkedRightPolygon", "boundary_functional", "pentagon_coords",
-        "polygon_from_json", "polygon_to_json", "proportionality_check",
-        "realize", "sides_from_pentagon_coords",
+        "polygon_from_json", "proportionality_check", "realize",
+        "sides_from_pentagon_coords",
     },
     hessian: {
         "ChordConfig", "ENDPOINT_FIELDS", "EndpointVariation",
         "HalfplaneScene", "MAX_CHORD_LENGTH", "MarginReport", "SCENE_FIELDS",
         "TransverseWeights", "ZERO_ENDPOINTS", "fd_oracle",
         "first_derivatives", "hessian_form", "hessian_margin", "hessian_split",
-        "realize_scene", "scene_from_json", "scene_to_json",
+        "realize_scene", "scene_from_json",
     },
 }
 
@@ -56,9 +55,7 @@ METHODS = {
     halfplane.HGeodesic: {"point_at"},
     halfplane.CommonPerpendicular: set(),
     polygons.MarkedRightPolygon: {"n", "side_geodesic", "vertices"},
-    polygons.ChainDifferentials: {
-        "angle_matrix", "angles", "length_rank",
-    },
+    polygons.ChainDifferentials: {"length_rank"},
     hessian.ChordConfig: {"n"},
 }
 
@@ -147,14 +144,6 @@ def surface(module):
                          if name in names and inspect.isclass(value)))
 
 
-# Names nothing outside the tests calls yet: the report of the systolica
-# CLI (ROADMAP direction 4) is to use them or see them deleted.
-AWAITING_CLI = {
-    "equilateral_angle", "polygon_to_json", "scene_to_json",
-    "ChainDifferentials.angles", "ChainDifferentials.angle_matrix",
-}
-
-
 def is_called(name, refs):
     """Whether a reference in ``refs`` calls the public ``name`` from
     outside its own definition.  A ``Class.method`` counts as called only
@@ -170,22 +159,52 @@ def is_called(name, refs):
 def test_surface_has_callers_outside_the_tests():
     # Every public name and method is referenced by the library or the
     # benchmark outside its own definition, matched by its last name, and
-    # a method from outside its own class (is_called), except the pinned
-    # AWAITING_CLI names.  Geometry that only the tests use belongs in
-    # tests/reference.py; a name that gains a caller must leave the
-    # pinned set.
+    # a method from outside its own class (is_called).  Code that only the
+    # tests use belongs in tests/reference.py.
     refs = [ref for path in sorted(ROOT.glob("src/systolica/*.py"))
             + sorted(ROOT.glob("perfbench/*.py"))
             for ref in references(ast.parse(path.read_text()))]
     uncalled = {name for module in PUBLIC for name in surface(module)
                 if not is_called(name, refs)}
-    assert uncalled == AWAITING_CLI
+    assert uncalled == set()
 
 
 def test_reference_defines_no_library_name():
-    # a name that moved to tests/reference.py exists there only
-    library = set().union(*(surface(module) for module in PUBLIC))
-    assert surface(reference) & library == set()
+    # a name that moved to tests/reference.py, a method of the library's
+    # among them, exists there only
+    library = {name.rpartition(".")[2] for module in PUBLIC for name in surface(module)}
+    assert {name.rpartition(".")[2] for name in surface(reference)} & library == set()
+
+
+def test_reference_holds_no_dead_code():
+    # every public name of tests/reference.py is referenced by a test
+    # module, or by the reference itself outside its own definition
+    refs = [ref for path in sorted(ROOT.glob("tests/test_*.py")) + [ROOT / "tests/reference.py"]
+            for ref in references(ast.parse(path.read_text()))]
+    assert {name for name in public_names(reference) if not is_called(name, refs)} == set()
+
+
+STREAMS = {"stdout", "stderr", "__stdout__", "__stderr__"}
+
+
+def writes_to_the_console(node):
+    """Whether the AST node calls print or breakpoint, or reads one of
+    sys's streams, as ``sys.stdout`` or by ``from sys import stdout``."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id in ("print", "breakpoint")
+    if isinstance(node, ast.Attribute):
+        return (node.attr in STREAMS and isinstance(node.value, ast.Name)
+                and node.value.id == "sys")
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "sys" and any(alias.name in STREAMS for alias in node.names)
+    return False
+
+
+def test_the_library_never_prints():
+    # logging at DEBUG is the library's only channel
+    found = [f"{path.name}:{node.lineno}" for path in sorted(ROOT.glob("src/systolica/*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if writes_to_the_console(node)]
+    assert found == []
 
 
 def test_declared_scripts_resolve():

@@ -20,7 +20,6 @@ from systolica.polygons import boundary_functional, realize
 from systolica.trig import (
     diagonal_mixed_type,
     diagonal_same_type,
-    equilateral_angle,
     guarded_acosh,
     pentagon_perpendicular,
     pentagon_side,
@@ -32,6 +31,7 @@ from reference import (
     HTangent,
     circle_geodesic,
     dist_to_geodesic,
+    equilateral_angle,
     geodesic_from_direction,
     geodesics,
     intersection_point,
