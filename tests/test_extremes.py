@@ -3,7 +3,8 @@
 Each of ``EXTREMES`` -- zero, the smallest subnormal, a tiny normal, a
 length past sinh's range, the top of the floats, both infinities, NaN, an
 integer beyond the floats, a bool, a numeric string and None -- goes into
-every argument of each ``trig`` function, and in pairs into the slots of
+every argument of each ``trig`` function and of the reference's
+``equilateral_angle``, which keeps their gates, and in pairs into the slots of
 a two-crossing chord scene, as built and as JSON, of the leaf rows of its
 realization, of a geodesic's frame, of a vertex chain and of a polygon's
 sides, coordinates and JSON.  Only ``ValueError`` or a ``SystolicaError``
@@ -29,7 +30,7 @@ from systolica.hessian import (ChordConfig, EndpointVariation, HalfplaneScene,
 from systolica.polygons import (ChainDifferentials, polygon_from_json, realize,
                                 sides_from_pentagon_coords)
 
-from reference import angle_matrix, chain_angles, polygon_to_json
+from reference import angle_matrix, chain_angles, equilateral_angle, polygon_to_json
 from test_hessian import typed_or_none
 
 EXTREMES = (0.0, 5e-324, 1e-300, 710.0, 1e308, 2.0 ** 1023,
@@ -38,7 +39,8 @@ EXTREMES = (0.0, 5e-324, 1e-300, 710.0, 1e308, 2.0 ** 1023,
 # values that are not numbers in the float range
 MALFORMED = (10 ** 400, "1.5", None)
 
-# the trig functions and, per argument, values that make the others valid
+# the trig functions (and the reference's equilateral_angle, gated as they
+# are) and, per argument, values that make the others valid
 TRIG = [
     (trig.guarded_acosh, (2.0,)),
     (trig.pentagon_perpendicular, (1.5, 1.5)),
@@ -47,6 +49,7 @@ TRIG = [
     (trig.diagonal_same_type, (1.0, 2, 5)),
     (trig.diagonal_mixed_type, (1.0, 1.0, 3, 5)),
     (trig.semiregular_partner, (1.0, 4)),
+    (equilateral_angle, (1.0,)),
 ]
 
 # a valid two-crossing scene, slot by slot: (L, s1, s2, theta1, theta2,
