@@ -35,9 +35,8 @@ class DegenerateConfigurationError(SystolicaError):
     is undefined (coincident points, zero-length chord, angle at a
     degenerate vertex, diagonal argument below 1), or lies beyond the
     float range in which it can be evaluated: a chord longer than
-    ``hessian.MAX_CHORD_LENGTH``, whose sinh overflows; a point at an
-    arclength whose e^s is no float (``HGeodesic.point_at``), or a common
-    perpendicular whose length or feet are not; a polygon vertex whose y
+    ``hessian.MAX_CHORD_LENGTH``, whose sinh overflows; a common
+    perpendicular whose length is no float; a polygon vertex whose y
     is not a positive normal float; a second variation that is not a
     finite float (``hessian_split``, ``hessian_form``, ``fd_oracle``)."""
 

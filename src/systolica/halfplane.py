@@ -53,18 +53,23 @@ def dist(p, q):
     Written as 2 asinh(|p - q| / (2 sqrt(y1 y2))) rather than
     acosh(1 + |p - q|^2 / (2 y1 y2)), which loses every digit of a short
     distance, with each y rooted alone, as their product can underflow.
-    Where a difference, |p - q| or the quotient overflows, the quotient
-    r is taken in log form from the quartered differences, and
+    Where a difference, |p - q| or the denominator overflows, the
+    quotient r is taken again from the quartered differences over a
+    quarter of the denominator, which is a float; where r is beyond the
+    floats, it is taken in log form, and
     asinh(r) = log r + log(1 + sqrt(1 + r^-2)), so every pair of points
     has a finite distance.
     """
-    d = 2.0 * math.asinh(math.hypot(p.x - q.x, p.y - q.y)
-                         / (2.0 * math.sqrt(p.y) * math.sqrt(q.y)))
-    if d < math.inf:
+    den = 2.0 * math.sqrt(p.y) * math.sqrt(q.y)
+    d = 2.0 * math.asinh(math.hypot(p.x - q.x, p.y - q.y) / den)
+    if d < math.inf and den < math.inf:
         return d
-    # here r > 1/4, as |p - q| is beyond the floats or r is, so e^{-2 log r} < 16
-    log_r = (math.log(math.hypot(0.25 * p.x - 0.25 * q.x, 0.25 * p.y - 0.25 * q.y))
-             + math.log(2.0) - 0.5 * (math.log(p.y) + math.log(q.y)))
+    quarter = math.hypot(0.25 * p.x - 0.25 * q.x, 0.25 * p.y - 0.25 * q.y)
+    r = quarter / (0.5 * math.sqrt(p.y) * math.sqrt(q.y))
+    if r < math.inf:
+        return 2.0 * math.asinh(r)
+    # here r is beyond the floats, so e^{-2 log r} is below 1
+    log_r = math.log(quarter) + math.log(2.0) - 0.5 * (math.log(p.y) + math.log(q.y))
     return 2.0 * (log_r + math.log(1.0 + math.sqrt(1.0 + math.exp(-2.0 * log_r))))
 
 
@@ -148,17 +153,6 @@ class HGeodesic:
                              f"positive and one to within rounding, got {frame!r}")
         self.frame = frame
 
-    def point_at(self, s):
-        """The point at arclength s.  A non-finite s raises ValueError,
-        and one whose point is not a float point (``HPoint``) raises
-        DegenerateConfigurationError."""
-        s = _real(s, "arclength", _FINITE)
-        try:
-            return HPoint(*_point(*self.frame, math.exp(s)))
-        except (ArithmeticError, ValueError):
-            raise DegenerateConfigurationError(
-                f"the point at arclength {s!r} is beyond the float range") from None
-
     def __repr__(self):
         # the boundary endpoints, backward -> forward; inf is infinity
         a, b, c, d = self.frame
@@ -234,21 +228,19 @@ def _relative(f, a, b, c, d):
             fa * c - fc * a, fa * d - fc * b)
 
 
-def _feet(a, b, c, d):
-    """(log sqrt|ab/cd|, log sqrt|bd/ac|) from log|a|, ..., log|d|, each
-    taken once: for a frame seen from another (``_relative``), the
-    arclengths up the imaginary axis and along the frame's geodesic of
-    the circle |z|^2 = |ab/cd|, the feet of the common perpendicular, or
-    the first the crossing.  A sum of logs of single entries is finite
+def _foot(a, b, c, d):
+    """log sqrt|ab/cd| from log|a|, ..., log|d|, each taken once: for a
+    frame seen from another (``_relative``) whose geodesic crosses the
+    imaginary axis, the arclength up the axis of the crossing, on the
+    circle |z|^2 = |ab/cd|.  A sum of logs of single entries is finite
     wherever the entries are nonzero floats."""
-    la, lb, lc, ld = math.log(abs(a)), math.log(abs(b)), math.log(abs(c)), math.log(abs(d))
-    return 0.5 * (la + lb - lc - ld), 0.5 * (lb + ld - la - lc)
+    return 0.5 * (math.log(abs(a)) + math.log(abs(b)) - math.log(abs(c)) - math.log(abs(d)))
 
 
 def _perpendicular_length(a, b, c, d):
-    """Length of the common perpendicular of two geodesics, without its
-    feet, from the float entries of their relative frame (``_relative``);
-    see ``common_perpendicular``."""
+    """Length of the common perpendicular of two geodesics from the float
+    entries of their relative frame (``_relative``); see
+    ``common_perpendicular``."""
     ad, bc = a * d, b * c
     touch = 0.5 * ASYMPTOTIC_EPS  # |ad + bc| - 1 is 2 min(|ad|, |bc|)
     if -touch <= ad <= touch or -touch <= bc <= touch:
@@ -259,42 +251,32 @@ def _perpendicular_length(a, b, c, d):
 
 
 class CommonPerpendicular:
-    """The common perpendicular segment between two disjoint geodesics."""
+    """The common perpendicular segment between two disjoint geodesics,
+    held by its length."""
 
-    __slots__ = ("foot_first", "foot_second", "length")
+    __slots__ = ("length",)
 
-    def __init__(self, foot_first, foot_second, length):
-        self.foot_first = foot_first
-        self.foot_second = foot_second
-        self.length = float(length)
+    def __init__(self, length):
+        self.length = length
 
     def __repr__(self):
-        return (f"CommonPerpendicular({self.foot_first!r}, "
-                f"{self.foot_second!r}, length={self.length:.12g})")
+        return f"CommonPerpendicular(length={self.length:.12g})"
 
 
 def common_perpendicular(g, h):
-    """Common perpendicular of two disjoint geodesics.
-
-    Returns a CommonPerpendicular with the foot on g first.  Raises
-    NoPerpendicularError when the geodesics intersect, are asymptotic
-    (shared boundary endpoint, e.g. any two verticals), or coincide.
+    """Common perpendicular of two disjoint geodesics, as a
+    CommonPerpendicular holding its length.  Raises NoPerpendicularError
+    when the geodesics intersect, are asymptotic (shared boundary
+    endpoint, e.g. any two verticals), or coincide.
 
     With (a, b, c, d) = g.frame^-1 h.frame, cosh(length) = |ad + bc|.
     Since ad - bc = 1, the length is 2 asinh(sqrt(bc)) when bc > 0 and
     2 asinh(sqrt(-ad)) when ad < 0, and either sign pattern means h
-    stays on one side of g.  The perpendicular is the circle
-    |z|^2 = (b/d)(a/c) of the frame, so the foot on g sits at
-    s = log(ab/cd)/2 and, symmetrically, the foot on h at log(bd/ac)/2,
-    both from one ``_feet``, sums of logs of single entries that stay
-    finite wherever their points are floats.  A length or foot beyond
-    the float range raises DegenerateConfigurationError.
+    stays on one side of g.  A length beyond the float range raises
+    DegenerateConfigurationError.
     """
-    a, b, c, d = _relative(g.frame, *h.frame)
-    length = _perpendicular_length(a, b, c, d)
-    s, t = _feet(a, b, c, d)
-    if not math.isfinite(s + t + length):  # finite when all three are
+    length = _perpendicular_length(*_relative(g.frame, *h.frame))
+    if not length < math.inf:
         raise DegenerateConfigurationError(
-            f"common perpendicular of length {length!r} with feet at arclengths "
-            f"{s!r} and {t!r} is beyond the float range")
-    return CommonPerpendicular(g.point_at(s), h.point_at(t), length)
+            f"common perpendicular of length {length!r} is beyond the float range")
+    return CommonPerpendicular(length)

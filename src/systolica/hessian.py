@@ -75,7 +75,7 @@ import numpy as np
 from . import halfplane
 from .errors import (_FINITE, _POSITIVE, DegenerateConfigurationError, InconsistentSceneError,
                      SystolicaError, _count, _json_numbers, _real, _real_floats)
-from .halfplane import _feet, _frame_through, _half_turn, _product, _relative, _turned, _unit
+from .halfplane import _foot, _frame_through, _half_turn, _product, _relative, _turned, _unit
 
 __all__ = [
     "ChordConfig",
@@ -522,10 +522,9 @@ def _measure_leaf(a, b, c, d):
     is ``ad > 0`` with ``b`` and ``c`` nonzero and of opposite signs,
     decided by signs: a leaf whose ``bc`` underflows, at an angle below
     about 1e-154, still crosses.  ``s``, the log of the crossing radius,
-    ``halfplane._feet``' first, ``(log|a| + log|b| - log|c| - log|d|)/2``,
-    as ``halfplane.common_perpendicular`` takes its feet, with no product or
-    quotient formed, so ``s`` stays finite wherever the entries are.
-    ``cos(theta)`` is ``ad + bc`` and ``sin(theta)`` is
+    is ``halfplane._foot``, ``(log|a| + log|b| - log|c| - log|d|)/2``,
+    with no product or quotient formed, so ``s`` stays finite wherever
+    the entries are.  ``cos(theta)`` is ``ad + bc`` and ``sin(theta)`` is
     ``-2 sign(ac) sqrt(ad) sqrt|b| sqrt|c|``, so ``atan2(sin, cos)`` is
     the angle, free of cancellation and signed: a leaf that crosses
     clockwise measures outside ``(0, pi)``.
@@ -533,7 +532,7 @@ def _measure_leaf(a, b, c, d):
     ad = a * d
     if not (ad > 0.0 and (b < 0.0 < c or c < 0.0 < b)):
         return None
-    return (_feet(a, b, c, d)[0], ad + b * c,
+    return (_foot(a, b, c, d), ad + b * c,
             math.copysign(2.0 * math.sqrt(ad) * math.sqrt(abs(b)) * math.sqrt(abs(c)), -(a * c)))
 
 

@@ -41,8 +41,7 @@ import numpy as np
 
 from .errors import (_NORMAL_MIN, _POSITIVE, DegenerateConfigurationError, NoPentagonError,
                      NoPolygonError, _count, _json_numbers, _real_floats)
-from .halfplane import (HGeodesic, HPoint, _disk, _perpendicular_length, _point, _relative,
-                        _unit, dist)
+from .halfplane import HGeodesic, HPoint, _disk, _perpendicular_length, _point, _relative, _unit
 from .trig import pentagon_perpendicular, pentagon_side, semiregular_partner
 
 
@@ -284,7 +283,7 @@ def pentagon_coords(poly: MarkedRightPolygon) -> tuple[float, ...]:
     Independent of the assembly direction: l_3 and l_{n-1} come straight
     from the side vector, and each h_i (4 <= i <= n - 2) is the length of
     the common perpendicular between the geodesics of side 1 and side i,
-    read from their frame rows without its feet.
+    read from their frame rows (``halfplane._perpendicular_length``).
     """
     n = poly.n
     if n < 5:
@@ -310,6 +309,10 @@ def _tangent_entries(li, lj):
 # --------------------------------------------------------------------------
 # differentials of lengths along a vertex chain
 
+# |zeta| of a segment of length 1e-9, below which ChainDifferentials
+# refuses it as collapsed
+_COLLAPSED = math.tanh(0.5e-9)
+
 
 class ChainDifferentials:
     """First-order behaviour of the segment lengths of a closed polygonal
@@ -330,8 +333,7 @@ class ChainDifferentials:
     the length rows through their Gram matrix 2I + C, C holding
     cos theta_k where segments k - 1 and k meet, and never builds them.
 
-    The constructor does the geometry once: ``lengths`` (read-only, one
-    per segment, from ``halfplane.dist``), V_k and U_k as complex
+    The constructor does the geometry once: V_k and U_k as complex
     components in those frames, and U_k conj V_k, whose argument is
     theta_k and whose real part is cos theta_k.  The unit vector at z_k
     pointing away from z_o is -i zeta/|zeta| with
@@ -345,24 +347,24 @@ class ChainDifferentials:
     A segment shorter than 1e-9 is refused as collapsed.  That bound is a
     modelling choice, not derived from any error: a chain whose vertices
     nearly coincide is taken for a mistake in its input rather than a
-    polygon.
+    polygon.  The test reads the moduli the pass computes anyway:
+    |zeta_k| = tanh(d_k/2) for the segment of length d_k from z_k, so
+    the segment is refused iff |zeta_k| < tanh(5e-10), and the error
+    names the shortest one.
     """
 
     def __init__(self, points: Sequence[HPoint]):
-        self.points = tuple(points)
-        m = self.m = len(self.points)
+        zs = [p.z for p in points]
+        m = self.m = len(zs)
         if m < 3:
             raise ValueError("a chain needs at least 3 vertices")
-        lengths = [dist(p, q) for p, q in zip(self.points, self.points[1:] + self.points[:1])]
-        if min(lengths) < 1e-9:
-            raise DegenerateConfigurationError(
-                f"segment {lengths.index(min(lengths))} of the chain is collapsed")
-        self.lengths = np.array(lengths)
-        self.lengths.flags.writeable = False
-        zs = [p.z for p in self.points]
         # each vertex against the next one, then against the one before
         zeta = _disk(np.array(zs + zs), np.array(zs[1:] + zs[:1] + zs[-1:] + zs[:-1]))
-        vu = -1j * zeta / np.abs(zeta)
+        size = np.abs(zeta)
+        if size[:m].min() < _COLLAPSED:
+            raise DegenerateConfigurationError(
+                f"segment {size[:m].argmin()} of the chain is collapsed")
+        vu = -1j * zeta / size
         self._v, self._u = vu[:m], vu[m:]
         self._turn = self._u * self._v.conj()  # e^{i theta_k}, to within rounding
 

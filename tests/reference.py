@@ -3,17 +3,18 @@ primitives.
 
 The library itself works on frames and points only; the tests also need
 tangent vectors, isometries acting on points and vectors, and geodesics
-named by their endpoints or by a direction, to measure its results by an
+named by their endpoints or by a direction, points at an arclength and
+the feet of a common perpendicular, to measure its results by an
 independent route.  They live here, on top of the frame helpers that
 ``systolica.halfplane`` keeps (``_point``, ``_turned``, ``_relative``
 and the rest), so the kernel ships none of them.  An isometry is its
 four entries (a, b, c, d), as in the library.  Then come the dense
 references: ``tangent_u``; the rows of a ``polygons.ChainDifferentials``,
 ``length_rows`` and the angle rows ``angle_matrix``, laid out by
-``chain_matrix``, with ``chain_angles``; and ``hessian_matrix``.  The
-tests build their JSON inputs with ``polygon_to_json`` and
-``scene_to_json``, and ``equilateral_angle`` is a closed form that only
-they evaluate.
+``chain_matrix``, with ``chain_angles`` and the chain's
+``segment_lengths``; and ``hessian_matrix``.  The tests build their
+JSON inputs with ``polygon_to_json`` and ``scene_to_json``, and
+``equilateral_angle`` is a closed form that only they evaluate.
 
 The last part is the finite-difference reference for
 ``hessian.fd_oracle``: ``scene_length``, the deformed chord length of a
@@ -31,13 +32,14 @@ import math
 import numpy as np
 
 from systolica import hessian
-from systolica.errors import (_POSITIVE, DegenerateConfigurationError, InconsistentSceneError,
-                              _real)
-from systolica.halfplane import (HGeodesic, HPoint, _frame_through, _half_turn, _point,
-                                 _product, _relative, _shifted, _toward, _turned, _unit, dist)
+from systolica.errors import (_FINITE, _POSITIVE, DegenerateConfigurationError,
+                              InconsistentSceneError, _real)
+from systolica.halfplane import (HGeodesic, HPoint, _foot, _frame_through, _half_turn,
+                                 _perpendicular_length, _point, _product, _relative, _shifted,
+                                 _toward, _turned, _unit, dist)
 from systolica.hessian import (_IDENTITY, ZERO_ENDPOINTS, ChordConfig, EndpointVariation,
                                TransverseWeights, _check_length, _check_weights)
-from systolica.polygons import MarkedRightPolygon, _side_index, _tangent_entries
+from systolica.polygons import ChainDifferentials, MarkedRightPolygon, _side_index, _tangent_entries
 from systolica.trig import _in_range
 
 
@@ -119,8 +121,20 @@ def _pull(frame, p):
     return (d * p.z - b) / (a - c * p.z)
 
 
+def point_at(g, s):
+    """The point of the geodesic g at arclength s.  A non-finite s raises
+    ValueError, and one whose point is not a float point (``HPoint``)
+    raises DegenerateConfigurationError."""
+    s = _real(s, "arclength", _FINITE)
+    try:
+        return HPoint(*_point(*g.frame, math.exp(s)))
+    except (ArithmeticError, ValueError):
+        raise DegenerateConfigurationError(
+            f"the point at arclength {s!r} is beyond the float range") from None
+
+
 def param_of(g, p):
-    """Arclength s with g.point_at(s) = p, for a point on the geodesic.
+    """Arclength s with point_at(g, s) = p, for a point on the geodesic.
 
     For a point off the geodesic this is the parameter of its
     orthogonal projection.
@@ -212,7 +226,28 @@ def intersection_point(g, h):
     # signs; it does so on the circle |z|^2 = -(b/d)(a/c).
     if a * b * c * d >= 0.0:
         raise DegenerateConfigurationError("geodesics do not cross")
-    return g.point_at(0.5 * math.log(-a * b / (c * d)))
+    return point_at(g, 0.5 * math.log(-a * b / (c * d)))
+
+
+def perpendicular_feet(g, h):
+    """(foot on g, foot on h) of the common perpendicular of two disjoint
+    geodesics, refused as ``halfplane.common_perpendicular`` refuses them.
+
+    With (a, b, c, d) = g.frame^-1 h.frame the perpendicular is the
+    circle |z|^2 = (b/d)(a/c) of g's frame, so the foot on g sits at
+    s = log(ab/cd)/2 and, symmetrically, the foot on h at log(bd/ac)/2:
+    ``halfplane._foot`` of (a, b, c, d) and of (b, d, a, c), sums of
+    logs of single entries that stay finite wherever their points are
+    floats.  A foot beyond the float range raises
+    DegenerateConfigurationError."""
+    a, b, c, d = _relative(g.frame, *h.frame)
+    _perpendicular_length(a, b, c, d)  # NoPerpendicularError where there is none
+    s, t = _foot(a, b, c, d), _foot(b, d, a, c)
+    if not math.isfinite(s + t):
+        raise DegenerateConfigurationError(
+            f"common perpendicular with feet at arclengths {s!r} and {t!r} "
+            f"is beyond the float range")
+    return point_at(g, s), point_at(h, t)
 
 
 def dist_to_geodesic(p, g):
@@ -265,6 +300,13 @@ def length_rows(chain) -> np.ndarray:
     return chain_matrix(chain, (0, chain._v), (1, np.roll(chain._u, -1)))
 
 
+def segment_lengths(points) -> np.ndarray:
+    """``halfplane.dist`` of each segment of the closed chain on
+    ``points``, segment k from x_k to x_{k+1} and the last back to x_0,
+    as a ``polygons.ChainDifferentials`` numbers them."""
+    return np.array([dist(p, q) for p, q in zip(points, [*points[1:], points[0]])])
+
+
 def chain_angles(chain) -> np.ndarray:
     """The vertex angles theta in (0, 2*pi) of a
     ``polygons.ChainDifferentials``, the arguments of its U_k conj V_k."""
@@ -272,14 +314,15 @@ def chain_angles(chain) -> np.ndarray:
     return np.where(a > 0.0, a, a + 2.0 * math.pi)
 
 
-def angle_matrix(chain) -> np.ndarray:
-    """The d(theta) rows of a ``polygons.ChainDifferentials``.  With
-    l_prev and l_next the lengths of the segments into and out of x_k,
-    the row of theta_k has the blocks i(U_k/tanh l_prev - V_k/tanh l_next)
-    at x_k, i V_{k-1}/sinh l_prev at x_{k-1} and -i U_{k+1}/sinh l_next
-    at x_{k+1}.  1/sinh l is 2 e^{-l} / -expm1(-2l), which is 0 where
-    sinh l overflows."""
-    l, u, v = chain.lengths, chain._u, chain._v
+def angle_matrix(points) -> np.ndarray:
+    """The d(theta) rows of the ``polygons.ChainDifferentials`` on
+    ``points``.  With l_prev and l_next the lengths of the segments into
+    and out of x_k (``segment_lengths``), the row of theta_k has the
+    blocks i(U_k/tanh l_prev - V_k/tanh l_next) at x_k, i V_{k-1}/sinh
+    l_prev at x_{k-1} and -i U_{k+1}/sinh l_next at x_{k+1}.  1/sinh l
+    is 2 e^{-l} / -expm1(-2l), which is 0 where sinh l overflows."""
+    chain = ChainDifferentials(points)
+    l, u, v = segment_lengths(points), chain._u, chain._v
     k = np.arange(chain.m)  # k - 1 wraps to the last vertex
     csch = 2.0 * np.exp(-l) / -np.expm1(-2.0 * l)
     tanh = np.tanh(l)

@@ -4,15 +4,15 @@ Each of ``EXTREMES`` -- zero, the smallest subnormal, a tiny normal, a
 length past sinh's range, the top of the floats, both infinities, NaN, an
 integer beyond the floats, a bool, a numeric string and None -- goes into
 every argument of each ``trig`` function and of the reference's
-``equilateral_angle``, which keeps their gates, and in pairs into the slots of
-a two-crossing chord scene, as built and as JSON, of the leaf rows of its
-realization, of a geodesic's frame, of a vertex chain and of a polygon's
-sides, coordinates and JSON.  Only ``ValueError`` or a ``SystolicaError``
-may escape, nothing may warn, and every float returned is finite.  A
-value that is not a number in the float range raises exactly
-``ValueError`` in every slot that takes a length, a count, a coordinate
-or a frame entry, and so does a numpy complex scalar or array, with no
-warning whatever the filter.
+``equilateral_angle`` and ``point_at``, which keep their gates, and in
+pairs into the slots of a two-crossing chord scene, as built and as
+JSON, of the leaf rows of its realization, of a geodesic's frame, of a
+vertex chain and of a polygon's sides, coordinates and JSON.  Only
+``ValueError`` or a ``SystolicaError`` may escape, nothing may warn,
+and every float returned is finite.  A value that is not a number in
+the float range raises exactly ``ValueError`` in every slot that takes
+a length, a count, a coordinate or a frame entry, and so does a numpy
+complex scalar or array, with no warning whatever the filter.
 """
 
 import itertools
@@ -30,7 +30,8 @@ from systolica.hessian import (ChordConfig, EndpointVariation, HalfplaneScene,
 from systolica.polygons import (ChainDifferentials, polygon_from_json, realize,
                                 sides_from_pentagon_coords)
 
-from reference import angle_matrix, chain_angles, equilateral_angle, polygon_to_json
+from reference import (angle_matrix, chain_angles, equilateral_angle, point_at, polygon_to_json,
+                       segment_lengths)
 from test_hessian import typed_or_none
 
 EXTREMES = (0.0, 5e-324, 1e-300, 710.0, 1e308, 2.0 ** 1023,
@@ -134,9 +135,10 @@ def test_vertex_chain_fails_typed_on_extreme_coordinates():
         chain = typed_or_none(ChainDifferentials, points)
         if chain is None:
             continue
-        assert_finite(chain.lengths)
-        for method in (chain_angles, angle_matrix, ChainDifferentials.length_rank):
-            out = typed_or_none(method, chain)
+        assert_finite(segment_lengths(points))
+        for method, arg in ((chain_angles, chain), (angle_matrix, points),
+                            (ChainDifferentials.length_rank, chain)):
+            out = typed_or_none(method, arg)
             if out is not None:
                 assert_finite(out)
 
@@ -176,7 +178,7 @@ def test_geodesic_frames_fail_typed_on_extreme_entries():
             continue
         assert_finite(g.frame)
         for s in (0.0, 1.0):
-            point = typed_or_none(g.point_at, s)
+            point = typed_or_none(point_at, g, s)
             if point is not None:
                 assert_finite((point.x, point.y))
 
@@ -207,7 +209,7 @@ SLOTS = [(f.__name__, f, base) for f, base in TRIG] + [
      (SCENE[0], *SCENE[7:])),
     ("leaves", lambda *e: with_leaves(e[:4], e[4:]), sum(PLACED.leaves, ())),
     ("HPoint", HPoint, (0.0, 1.0)),
-    ("point_at", HGeodesic((1.0, 0.0, 0.0, 1.0)).point_at, (1.0,)),
+    ("point_at", lambda s: point_at(HGeodesic((1.0, 0.0, 0.0, 1.0)), s), (1.0,)),
     ("HGeodesic", lambda *frame: HGeodesic(frame), (1.0, 0.0, 0.0, 1.0)),
     ("realize", lambda *sides: realize(sides), SIDES),
     ("sides_from_pentagon_coords", lambda *c: sides_from_pentagon_coords(c), COORDS),

@@ -38,6 +38,8 @@ from reference import (
     norm,
     oriented_angle,
     param_of,
+    perpendicular_feet,
+    point_at,
     push,
     rotate_quarter,
     tangent_at,
@@ -107,11 +109,13 @@ class TestDistance:
         (HPoint(-1e308, 1e308), HPoint(1e308, 1e308)),    # and so at distance 1.76
         (HPoint(-1.7e308, 1e-300), HPoint(1.7e308, 1.7e308)),
         (HPoint(0.0, 1e-300), HPoint(1e300, 1e-300)),     # only the quotient overflows
+        (HPoint(0.0, 1e308), HPoint(0.0, 2.0 ** 1023)),   # only 2 sqrt(y1 y2) overflows
     ])
     def test_points_that_hpoint_admits_have_a_finite_distance(self, p, q):
         # the far path forms log r from the logs of |p - q|/4 and of each
         # y, a few roundings each, and d moves by at most 2 per unit of
-        # log r, so d errs by about eps (4 (|lh| + |ly1| + |ly2| + 1) + 2 d)
+        # log r, so d errs by about eps (4 (|lh| + |ly1| + |ly2| + 1) + 2 d);
+        # the quartered quotient, a finite r, rounds far less
         with mp.workdps(50):
             x1, y1, x2, y2 = map(mpf, (p.x, p.y, q.x, q.y))
             want = float(2 * mp.asinh(mp.hypot(x1 - x2, y1 - y2) / (2 * mp.sqrt(y1 * y2))))
@@ -221,7 +225,7 @@ class TestGeodesics:
         g = HGeodesic((2.0, 0.0, 0.0, 0.5))  # z -> 4z
         assert endpoints(g) == (0.0, math.inf)
         assert repr(g) == "HGeodesic(0 -> inf)"
-        assert (g.point_at(0.0).x, g.point_at(0.0).y) == (0.0, 4.0)
+        assert (point_at(g, 0.0).x, point_at(g, 0.0).y) == (0.0, 4.0)
 
     def test_a_tuple_of_four_floats_is_kept_and_other_rows_are_read(self):
         frame = (2.0, 0.0, 0.0, 0.5)
@@ -286,14 +290,14 @@ class TestGeodesics:
         for _ in range(200):
             p, q = hpoints(rng, 2)
             g = geodesic_through(p, q)
-            assert dist(g.point_at(0.0), p) < 1e-9
-            assert dist(g.point_at(dist(p, q)), q) < 1e-9
+            assert dist(point_at(g, 0.0), p) < 1e-9
+            assert dist(point_at(g, dist(p, q)), q) < 1e-9
             assert norm(tangent_at(g, rng.uniform(-1, 1))) == pytest.approx(1.0, abs=1e-12)
 
     def test_param_of_inverts_point_at(self):
         g = circle_geodesic(0.7, 2.2, rightward=False)
         for s in (-1.3, 0.0, 0.9):
-            assert param_of(g, g.point_at(s)) == pytest.approx(s, abs=1e-12)
+            assert param_of(g, point_at(g, s)) == pytest.approx(s, abs=1e-12)
 
     def test_from_direction_matches_tangent(self):
         rng = random.Random(6)
@@ -308,12 +312,12 @@ class TestGeodesics:
     def test_point_beyond_the_float_range_fails_typed(self, s):
         # e^710 overflows and e^-746 underflows to a y of 0
         with pytest.raises(DegenerateConfigurationError, match=re.escape(f"arclength {s!r}")):
-            HGeodesic((1.0, 0.0, 0.0, 1.0)).point_at(s)
+            point_at(HGeodesic((1.0, 0.0, 0.0, 1.0)), s)
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
     def test_arclength_that_is_not_finite_is_a_value_error(self, s):
         with pytest.raises(ValueError, match="arclength"):
-            HGeodesic((1.0, 0.0, 0.0, 1.0)).point_at(s)
+            point_at(HGeodesic((1.0, 0.0, 0.0, 1.0)), s)
 
     def test_points_of_every_normal_height_are_points(self):
         # y is refused only below the normal floats, and dist roots each
@@ -321,7 +325,7 @@ class TestGeodesics:
         tiny = 2.0 * sys.float_info.min
         assert dist(HPoint(0.0, tiny), HPoint(tiny, tiny)) == pytest.approx(
             2.0 * math.asinh(0.5), rel=4 * EPS)
-        assert HGeodesic((1.0, 0.0, 0.0, 1.0)).point_at(-708.0).y == math.exp(-708.0)
+        assert point_at(HGeodesic((1.0, 0.0, 0.0, 1.0)), -708.0).y == math.exp(-708.0)
         for y in (sys.float_info.min / 2, 5e-324, 0.0):
             with pytest.raises(ValueError):
                 HPoint(0.0, y)
@@ -338,10 +342,10 @@ class TestGeodesics:
             g = geodesic_through(a, b)
             s0 = param_of(g, p)  # the parameter of p's orthogonal projection
             d = dist_to_geodesic(p, g)
-            assert d == pytest.approx(dist(p, g.point_at(s0)), abs=1e-9)
+            assert d == pytest.approx(dist(p, point_at(g, s0)), abs=1e-9)
             # any other point of g is farther
             for ds in (-0.7, -0.1, 0.1, 0.7):
-                assert dist(p, g.point_at(s0 + ds)) >= d - 1e-12
+                assert dist(p, point_at(g, s0 + ds)) >= d - 1e-12
 
 
 class TestTranslate:
@@ -352,7 +356,7 @@ class TestTranslate:
             g = geodesic_through(p, q)
             t = rng.uniform(-2, 2)
             m = translate_along(g, t)
-            assert dist(apply(m, g.point_at(0.4)), g.point_at(0.4 + t)) < 1e-9
+            assert dist(apply(m, point_at(g, 0.4)), point_at(g, 0.4 + t)) < 1e-9
 
     def test_group_law(self):
         g = circle_geodesic(-1.0, 1.5)
@@ -428,9 +432,9 @@ class TestAngles:
         assert inner(u, u) == pytest.approx(inner(r, r), abs=1e-15)
 
 def perpendicular(g, h):
-    """common_perpendicular(g, h) as (foot on g, foot on h, length)."""
-    cp = common_perpendicular(g, h)
-    return cp.foot_first, cp.foot_second, cp.length
+    """(foot on g, foot on h, length): the reference's feet and the
+    library's length of the common perpendicular of g and h."""
+    return (*perpendicular_feet(g, h), common_perpendicular(g, h).length)
 
 
 class TestCommonPerpendicular:
@@ -467,7 +471,7 @@ class TestCommonPerpendicular:
                                    tangent_at(g, param_of(g, f)))
                 assert abs(a) == pytest.approx(math.pi / 2, abs=1e-8)
             # the perpendicular realizes the minimal distance
-            assert length <= dist(g1.point_at(0.3), g2.point_at(-0.2)) + 1e-12
+            assert length <= dist(point_at(g1, 0.3), point_at(g2, -0.2)) + 1e-12
 
     def test_swapping_the_geodesics_swaps_the_feet(self):
         # both feet come from the four logs of one relative frame, and
@@ -487,6 +491,84 @@ class TestCommonPerpendicular:
             e2, e1, back = perpendicular(g2, g1)
             assert back == pytest.approx(length, rel=4 * EPS)
             assert dist(f1, e1) <= 1e-12 and dist(f2, e2) <= 1e-12
+
+    @staticmethod
+    def length_error_and_budget(g, h):
+        """(|error|, budget) of common_perpendicular(g, h).length against
+        the length at 50 digits of the two geodesics that the float frames
+        fix exactly.
+
+        There, R = G^-1 H has determinant D = det G det H and the length
+        is 2 asinh(sqrt x) with x = bc/D, or -ad/D, whichever is positive.
+        The library forms each entry e of R as a difference of two
+        products whose moduli sum to P_e (|fd a'| + |fb c'| for a, and so
+        on), so it errs by eps/2 (P_e + |e|); the float x = bc, or -ad,
+        adds eps/2 |x|; and taking det R for 1 adds x |D - 1|.  Those
+        move the length by 1/sqrt(x (1 + x)) = 2/sinh L per unit of x,
+        where cosh L = 1 + 2x is the relative frame's |ad| + |bc|.  The
+        root rounds by eps/2, which moves L by eps tanh(L/2) at most, and
+        asinh by 2 ulps at most, 2 eps L after the doubling."""
+        (fa, fb, fc, fd), (a2, b2, c2, d2) = g.frame, h.frame
+        got = common_perpendicular(g, h).length
+        a, b, c, d = (fd * a2 - fb * c2, fd * b2 - fb * d2,
+                      fa * c2 - fc * a2, fa * d2 - fc * b2)
+        pa, pb, pc, pd = (abs(fd * a2) + abs(fb * c2), abs(fd * b2) + abs(fb * d2),
+                          abs(fa * c2) + abs(fc * a2), abs(fa * d2) + abs(fc * b2))
+        with mp.workdps(50):
+            ga, gb, gc, gd = map(mpf, g.frame)
+            ha, hb, hc, hd = map(mpf, h.frame)
+            ea, eb, ec, ed = (gd * ha - gb * hc, gd * hb - gb * hd,
+                              ga * hc - gc * ha, ga * hd - gc * hb)
+            det = ea * ed - eb * ec
+            x = (eb * ec if b * c > 0.0 else -ea * ed) / det
+            want = 2 * mp.asinh(mp.sqrt(x))
+            error, x, drift = float(abs(got - want)), float(x), float(abs(det - 1))
+        if b * c > 0.0:
+            dx = 0.5 * EPS * ((pb + abs(b)) * abs(c) + abs(b) * (pc + abs(c)) + abs(b * c))
+        else:
+            dx = 0.5 * EPS * ((pa + abs(a)) * abs(d) + abs(a) * (pd + abs(d)) + abs(a * d))
+        size = abs(a * d) + abs(b * c)  # cosh L
+        slope = 2.0 / math.sqrt(size * size - 1.0)  # 2/sinh L
+        length = float(want)
+        return error, slope * (dx + x * drift) + EPS * (math.tanh(0.5 * length) + 2.0 * length)
+
+    def test_length_tracks_the_50_digit_reference_on_random_pairs(self):
+        # half-circles and verticals of either orientation, far apart
+        # and nearly touching
+        rng = random.Random(61)
+        built = 0
+        while built < 2000:
+            g, h = (circle_geodesic(rng.uniform(-4, 4), rng.uniform(0.05, 2),
+                                    rightward=rng.random() < 0.5)
+                    if rng.random() < 0.8 else
+                    vertical_geodesic(rng.uniform(-4, 4), upward=rng.random() < 0.5)
+                    for _ in range(2))
+            try:
+                error, budget = self.length_error_and_budget(g, h)
+            except NoPerpendicularError:
+                continue
+            built += 1
+            assert error <= budget, (g, h, error, budget)
+
+    def test_length_tracks_the_50_digit_reference_on_chart_sides(self):
+        # every pair of sides of chart polygons that are not neighbours,
+        # on short, middling and long coordinates
+        rng = random.Random(62)
+        pairs = 0
+        for lo, hi in ((0.05, 0.5), (0.2, 3.0), (2.0, 6.0)) * 10:
+            poly = sides_from_pentagon_coords(
+                [rng.uniform(lo, hi) for _ in range(rng.randint(3, 13))])
+            n = poly.n
+            for i in range(1, n + 1):
+                for j in range(i + 2, n + 1 if i > 1 else n):
+                    try:
+                        error, budget = self.length_error_and_budget(
+                            poly.side_geodesic(i), poly.side_geodesic(j))
+                    except NoPerpendicularError:
+                        continue
+                    pairs += 1
+                    assert error <= budget, (poly.coords, i, j, error, budget)
+        assert pairs > 1000
 
     def test_concentric(self):
         f1, f2, length = perpendicular(
@@ -533,11 +615,14 @@ class TestCommonPerpendicular:
                                 pytest.approx(math.sqrt(0.96) * scale, rel=1e-12))
 
     def test_feet_beyond_the_float_range_fail_typed(self):
-        # the foot on g sits near arclength 729, whose e^s is no float
+        # the foot on g sits near arclength 729, whose e^s is no float:
+        # the reference's feet are refused, typed, while the length the
+        # library returns for the pair is a float
         g = geodesic_through(HPoint(-1e300, 1e-6), HPoint(-1e-300, 0.3))
         h = geodesic_through(HPoint(1.0, 5.0), HPoint(1e-12, 1e6))
+        assert math.isfinite(common_perpendicular(g, h).length)
         with pytest.raises(DegenerateConfigurationError, match="arclength"):
-            common_perpendicular(g, h)
+            perpendicular_feet(g, h)
 
     def test_two_verticals_are_asymptotic(self):
         with pytest.raises(NoPerpendicularError):

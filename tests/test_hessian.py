@@ -870,13 +870,14 @@ def test_extreme_floats_fail_typed_or_give_finite_floats(v):
     for geodesic in (g, h):
         if geodesic is not None:
             for s in (v[8], -v[8], math.log(abs(v[8]))):
-                foot = typed_or_none(geodesic.point_at, s)
+                foot = typed_or_none(reference.point_at, geodesic, s)
                 assert foot is None or math.isfinite(foot.x) and math.isfinite(foot.y)
     if g is not None and h is not None:
         cp = typed_or_none(common_perpendicular, g, h)
-        assert cp is None or all(map(math.isfinite, (cp.length, cp.foot_first.x,
-                                                     cp.foot_first.y, cp.foot_second.x,
-                                                     cp.foot_second.y)))
+        assert cp is None or math.isfinite(cp.length)
+        feet = typed_or_none(reference.perpendicular_feet, g, h)
+        assert feet is None or all(math.isfinite(foot.x) and math.isfinite(foot.y)
+                                   for foot in feet)
     scene = typed_or_none(HalfplaneScene, cfg=ChordConfig(2.0, (1.0,), (1.0,)),
                           weights=TransverseWeights((1.0,)), endpoints=EndpointVariation(),
                           p=HPoint(0.0, 1.0), q=HPoint(0.0, math.exp(2.0)), leaves=[v[9:13]])

@@ -33,8 +33,8 @@ from systolica.polygons import (
 from systolica.trig import pentagon_perpendicular, pentagon_side, semiregular_partner
 
 from reference import (HTangent, angle_matrix, apply, chain_angles, chain_matrix,
-                       geodesic_from_direction, geodesics, length_rows, polygon_to_json,
-                       tangent_u)
+                       geodesic_from_direction, geodesics, length_rows, point_at,
+                       polygon_to_json, segment_lengths, tangent_u)
 
 EPS = np.finfo(float).eps
 
@@ -256,7 +256,7 @@ class TestFrameTable:
     def test_vertices_are_the_frames_images_of_i(self):
         poly = sides_from_pentagon_coords([0.7, 1.3, 0.9, 1.6, 1.1])
         for g, v in zip(geodesics(poly), poly.vertices):
-            p = g.point_at(0.0)
+            p = point_at(g, 0.0)
             assert (p.x, p.y) == (v.x, v.y)
 
     def test_right_angle_defect_sees_a_turned_side(self):
@@ -331,12 +331,13 @@ def random_chain(rng, m):
             return pts
 
 
-def mp_vertex_chain(cd):
-    """At the working precision: (lengths, V, U), with V at each
-    segment's start and U at its end as the complex components
-    -i zeta/|zeta|, zeta = (z_o - z_k)/(z_o - conj z_k)."""
-    z = [mp.mpc(q.x, q.y) for q in cd.points]
-    ends = [(r, (r + 1) % cd.m) for r in range(cd.m)]
+def mp_vertex_chain(points):
+    """At the working precision, for the closed chain on ``points``:
+    (lengths, V, U), with V at each segment's start and U at its end as
+    the complex components -i zeta/|zeta|, zeta = (z_o - z_k)/(z_o - conj z_k)."""
+    m = len(points)
+    z = [mp.mpc(q.x, q.y) for q in points]
+    ends = [(r, (r + 1) % m) for r in range(m)]
 
     def unit(k, o):
         zeta = (z[o] - z[k]) / (z[o] - mp.conj(z[k]))
@@ -363,13 +364,13 @@ class TestChainDifferentials:
             var[2 * j:2 * j + 2] = math.cos(ang), math.sin(ang)
             g = geodesic_from_direction(pts[j], HTangent(pts[j], *var[2 * j:2 * j + 2]))
             pp, pm = list(pts), list(pts)
-            pp[j], pm[j] = g.point_at(eps), g.point_at(-eps)
+            pp[j], pm[j] = point_at(g, eps), point_at(g, -eps)
             cdp = ChainDifferentials(pp)
             cdm = ChainDifferentials(pm)
-            fd_l = (cdp.lengths - cdm.lengths) / (2 * eps)
+            fd_l = (segment_lengths(pp) - segment_lengths(pm)) / (2 * eps)
             assert length_rows(cd) @ var == pytest.approx(fd_l, abs=1e-6)
             fd_t = (chain_angles(cdp) - chain_angles(cdm)) / (2 * eps)
-            assert angle_matrix(cd) @ var == pytest.approx(fd_t, abs=1e-6)
+            assert angle_matrix(pts) @ var == pytest.approx(fd_t, abs=1e-6)
 
     def test_relabeling_the_chain_cyclically_rolls_every_output(self):
         # vertex k of the chain started at x_j is x_{k+j}: each output is
@@ -386,10 +387,11 @@ class TestChainDifferentials:
             rank, smin = cd.length_rank()
             for j in (1, m - 1):
                 cj = ChainDifferentials(pts[j:] + pts[:j])
-                assert np.array_equal(cj.lengths, np.roll(cd.lengths, -j))
+                assert np.array_equal(segment_lengths(pts[j:] + pts[:j]),
+                                      np.roll(segment_lengths(pts), -j))
                 assert np.abs(chain_angles(cj) - np.roll(chain_angles(cd), -j)).max() <= 4 * EPS
-                want = np.roll(np.roll(angle_matrix(cd), -j, axis=0), -2 * j, axis=1)
-                got = angle_matrix(cj)
+                want = np.roll(np.roll(angle_matrix(pts), -j, axis=0), -2 * j, axis=1)
+                got = angle_matrix(pts[j:] + pts[:j])
                 assert np.array_equal(got == 0.0, want == 0.0)
                 assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want))
                 rank_j, smin_j = cj.length_rank()
@@ -417,11 +419,12 @@ class TestChainDifferentials:
             for _ in range(5):
                 pts = random_chain(rng, m)
                 cd, cr = ChainDifferentials(pts), ChainDifferentials(pts[::-1])
-                assert np.array_equal(cr.lengths, np.roll(cd.lengths[::-1], -1))
+                assert np.array_equal(segment_lengths(pts[::-1]),
+                                      np.roll(segment_lengths(pts)[::-1], -1))
                 reflected = 2.0 * math.pi - chain_angles(cd)[::-1]
                 assert np.abs(chain_angles(cr) - reflected).max() <= angle_budget
-                want = -angle_matrix(cd)[::-1].reshape(m, m, 2)[:, ::-1].reshape(m, 2 * m)
-                assert np.array_equal(angle_matrix(cr), want)
+                want = -angle_matrix(pts)[::-1].reshape(m, m, 2)[:, ::-1].reshape(m, 2 * m)
+                assert np.array_equal(angle_matrix(pts[::-1]), want)
                 (rank, smin), (rank_r, smin_r) = cd.length_rank(), cr.length_rank()
                 assert rank_r == rank == m
                 assert abs(smin_r - smin) <= (4 * m + 20) * EPS / smin
@@ -512,10 +515,11 @@ class TestChainDifferentials:
         # exactly zero.
         rng = random.Random(24)
         for m in (3, 4, 7, 12, 24):
-            cd = ChainDifferentials(random_chain(rng, m))
+            pts = random_chain(rng, m)
+            cd = ChainDifferentials(pts)
             want = np.zeros((m, 2 * m))
             with mp.workdps(50):
-                _, v, u = mp_vertex_chain(cd)
+                _, v, u = mp_vertex_chain(pts)
                 for r in range(m):
                     for k, w in ((r, v[r]), ((r + 1) % m, u[r])):
                         want[r, 2 * k] = float(w.real)
@@ -544,12 +548,13 @@ class TestChainDifferentials:
         # rounding to float.
         rng = random.Random(30)
         for m in (3, 4, 7, 12, 24):
-            cd = ChainDifferentials(random_chain(rng, m))
+            pts = random_chain(rng, m)
+            cd = ChainDifferentials(pts)
             theta = np.zeros(m)
             want = np.zeros((m, 2 * m))
             budget = np.zeros_like(want)
             with mp.workdps(50):
-                ls, v, u = mp_vertex_chain(cd)
+                ls, v, u = mp_vertex_chain(pts)
                 # per segment: (1/sinh l, budget in eps), (1/tanh l, budget)
                 csch = [(1 / mp.sinh(l), (10 + 4 * l / mp.tanh(l)) / mp.sinh(l)) for l in ls]
                 coth = [(1 / mp.tanh(l), (10 + 8 * l / mp.sinh(2 * l)) / mp.tanh(l))
@@ -566,17 +571,16 @@ class TestChainDifferentials:
                         want[k, 2 * col:2 * col + 2] = float(w.real), float(w.imag)
                         budget[k, 2 * col:2 * col + 2] = float(b) * EPS
             assert np.abs(chain_angles(cd) - theta).max() <= 19 * EPS
-            got = angle_matrix(cd)
+            got = angle_matrix(pts)
             assert np.array_equal(got == 0.0, budget == 0.0)
             assert np.all(np.abs(got - want) <= budget)
 
     def test_angle_matrix_is_finite_where_sinh_overflows(self):
         # two segments of about 1,381, whose sinh is beyond the floats:
         # their 1/sinh blocks are 0, with no overflow warning
-        cd = ChainDifferentials([HPoint(0.0, 1e-300), HPoint(0.0, 1e300),
-                                 HPoint(1e300, 1e300)])
-        assert cd.lengths.max() > 1000.0
-        assert np.isfinite(angle_matrix(cd)).all()
+        pts = [HPoint(0.0, 1e-300), HPoint(0.0, 1e300), HPoint(1e300, 1e300)]
+        assert segment_lengths(pts).max() > 1000.0
+        assert np.isfinite(angle_matrix(pts)).all()
 
     def test_angle_matrix_keeps_the_direct_quotient_on_short_segments(self):
         # 2 e^{-l} / -expm1(-2l) rounds three times (exp, expm1 and the
@@ -584,18 +588,32 @@ class TestChainDifferentials:
         # the entries stay within a few ulps of V / sinh l and U / sinh l
         rng = random.Random(31)
         for m in (3, 5, 9):
-            cd = ChainDifferentials(random_chain(rng, m))
-            l, u, v = cd.lengths, cd._u, cd._v
+            pts = random_chain(rng, m)
+            cd = ChainDifferentials(pts)
+            l, u, v = segment_lengths(pts), cd._u, cd._v
             lp = np.roll(l, 1)  # the segment into x_k
             want = chain_matrix(cd, (-1, 1j * np.roll(v, 1) / np.sinh(lp)),
                                 (0, 1j * (u / np.tanh(lp) - v / np.tanh(l))),
                                 (1, -1j * np.roll(u, -1) / np.sinh(l)))
-            assert np.all(np.abs(angle_matrix(cd) - want) <= 4 * EPS * np.abs(want))
+            assert np.all(np.abs(angle_matrix(pts) - want) <= 4 * EPS * np.abs(want))
 
     def test_rejects_collapsed_segments(self):
         p = HPoint(0.0, 1.0)
         with pytest.raises(DegenerateConfigurationError):
             ChainDifferentials([p, HPoint(0.0, 1.0 + 1e-12), HPoint(1.0, 1.0)])
+
+    def test_a_segment_is_collapsed_below_a_length_of_1e_9(self):
+        # segment 1 runs up from i to i e^l, of length l to within the
+        # rounding of e^l, 2.2e-16: refused, and named, at 0.9e-9 and kept
+        # at 1.1e-9
+        def chain(length):
+            return [HPoint(1.0, 1.0), HPoint(0.0, 1.0), HPoint(0.0, math.exp(length))]
+
+        assert segment_lengths(chain(0.9e-9))[1] == pytest.approx(0.9e-9, rel=1e-6)
+        with pytest.raises(DegenerateConfigurationError, match="segment 1 of the chain"):
+            ChainDifferentials(chain(0.9e-9))
+        assert segment_lengths(chain(1.1e-9))[1] == pytest.approx(1.1e-9, rel=1e-6)
+        assert ChainDifferentials(chain(1.1e-9)).length_rank()[0] == 3
 
 
 class TestRegularChains:
@@ -612,19 +630,21 @@ class TestRegularChains:
 
     def test_side_and_angle_match_the_closed_forms(self):
         for m, r in [(3, 1.0), (5, 1.3), (7, 0.6)]:
-            cd = ChainDifferentials(self.ring(m, r))
-            ell = cd.lengths[0]
+            ring = self.ring(m, r)
+            cd, lengths = ChainDifferentials(ring), segment_lengths(ring)
+            ell = lengths[0]
             theta = 2.0 * math.asin(math.cos(math.pi / m) / math.cosh(ell / 2))
-            assert cd.lengths == pytest.approx([ell] * m, abs=1e-12)
+            assert lengths == pytest.approx([ell] * m, abs=1e-12)
             assert chain_angles(cd) == pytest.approx([theta] * m, abs=1e-12)
 
     def test_angle_sum_identity(self):
         # d(sum theta) = -tanh(l/2) tan(theta/2) d(sum l) as covectors,
         # so on every variation of the ring's vertices
         for m, r in [(3, 1.0), (4, 0.8), (5, 1.3)]:
-            cd = ChainDifferentials(self.ring(m, r))
-            factor = -math.tanh(cd.lengths[0] / 2) * math.tan(chain_angles(cd)[0] / 2)
-            lhs = angle_matrix(cd).sum(axis=0)
+            ring = self.ring(m, r)
+            cd = ChainDifferentials(ring)
+            factor = -math.tanh(segment_lengths(ring)[0] / 2) * math.tan(chain_angles(cd)[0] / 2)
+            lhs = angle_matrix(ring).sum(axis=0)
             rhs = factor * length_rows(cd).sum(axis=0)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 

@@ -52,7 +52,7 @@ PUBLIC = {
 # public methods and properties each class defines itself
 METHODS = {
     halfplane.HPoint: {"z"},
-    halfplane.HGeodesic: {"point_at"},
+    halfplane.HGeodesic: set(),
     halfplane.CommonPerpendicular: set(),
     polygons.MarkedRightPolygon: {"n", "side_geodesic", "vertices"},
     polygons.ChainDifferentials: {"length_rank"},
@@ -61,10 +61,18 @@ METHODS = {
 
 
 def public_names(module):
-    """Names the module defines itself, not the ones it imports."""
-    return {name for name, value in vars(module).items()
-            if not name.startswith("_") and not inspect.ismodule(value)
-            and getattr(value, "__module__", module.__name__) == module.__name__}
+    """Names the module defines itself, by a top-level ``def``, ``class``
+    or assignment in its source, and not the ones it imports, whatever
+    their values."""
+    names = set()
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+    return {name for name in names if not name.startswith("_")}
 
 
 @pytest.mark.parametrize("module", list(PUBLIC), ids=lambda m: m.__name__)

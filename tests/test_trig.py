@@ -35,6 +35,8 @@ from reference import (
     geodesic_from_direction,
     geodesics,
     intersection_point,
+    perpendicular_feet,
+    point_at,
     rotate_quarter,
     rotate_tangent,
     tangent_at,
@@ -49,7 +51,7 @@ PENTAGON_SELF_DUAL = math.acosh((1.0 + math.sqrt(5.0)) / 2.0)
 def _walk(p, u, length):
     """Advance (point, unit tangent) by `length` along the geodesic of u."""
     g = geodesic_from_direction(p, u)
-    return g.point_at(length), tangent_at(g, length)
+    return point_at(g, length), tangent_at(g, length)
 
 
 class TestPentagonPerpendicular:
@@ -79,10 +81,10 @@ class TestPentagonPerpendicular:
         # pentagon_side(x, y) returns the one of them next to y.
         for a, b in [(0.8, 1.5), (1.2, 1.2), (2.5, 0.5), (0.95, 0.95)]:
             g_e, g_c = self._figure(a, b)
-            cp = common_perpendicular(g_e, g_c)
-            corner = g_c.point_at(0.0)  # where c leaves the end of b
-            sides = (a, b, dist(corner, cp.foot_second), cp.length,
-                     dist(HPoint(0.0, 1.0), cp.foot_first))
+            foot_e, foot_c = perpendicular_feet(g_e, g_c)
+            corner = point_at(g_c, 0.0)  # where c leaves the end of b
+            sides = (a, b, dist(corner, foot_c), common_perpendicular(g_e, g_c).length,
+                     dist(HPoint(0.0, 1.0), foot_e))
             for k, x in enumerate(sides):
                 y, z = sides[(k + 2) % 5], sides[(k + 3) % 5]
                 assert pentagon_side(x, y) == pytest.approx(z, rel=1e-10)
@@ -126,7 +128,7 @@ class TestSemiRegularPolygonFigures:
         poly = realize([l1, l2] * n)
         assert poly.closure_defect < 1e-9
         g2 = geodesics(poly)[1]
-        m2 = g2.point_at(l2 / 2)
+        m2 = point_at(g2, l2 / 2)
         bisector2 = geodesic_from_direction(m2, rotate_quarter(tangent_at(g2, l2 / 2)))
         center = intersection_point(circle_geodesic(0.0, 1.0), bisector2)
         return n, l1, l2, poly, center
