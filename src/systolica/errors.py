@@ -53,12 +53,7 @@ class NoPentagonError(SystolicaError):
 
 class NoPolygonError(SystolicaError):
     """Pentagon-chain coordinates do not assemble into a right-angled
-    polygon.  ``index`` names the first coordinate slot whose pentagon
-    fails to exist."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
+    polygon."""
 
 
 class InconsistentSceneError(SystolicaError):

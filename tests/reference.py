@@ -283,7 +283,7 @@ def chain_matrix(chain, *blocks) -> np.ndarray:
     (o, w) puts w[k] at vertex k + o's column of row k, cyclically, in
     one complex array whose float64 view is the column pair (real,
     imaginary)."""
-    m = chain.m
+    m = len(chain._turn)
     k = np.arange(m)
     mat = np.zeros((m, m), dtype=complex)
     for offset, w in blocks:
@@ -322,13 +322,13 @@ def angle_matrix(points) -> np.ndarray:
     l_prev at x_{k-1} and -i U_{k+1}/sinh l_next at x_{k+1}.  1/sinh l
     is 2 e^{-l} / -expm1(-2l), which is 0 where sinh l overflows."""
     chain = ChainDifferentials(points)
-    l, u, v = segment_lengths(points), chain._u, chain._v
-    k = np.arange(chain.m)  # k - 1 wraps to the last vertex
+    l, u, v, m = segment_lengths(points), chain._u, chain._v, len(chain._turn)
+    k = np.arange(m)  # k - 1 wraps to the last vertex
     csch = 2.0 * np.exp(-l) / -np.expm1(-2.0 * l)
     tanh = np.tanh(l)
     return chain_matrix(chain, (-1, (1j * v * csch)[k - 1]),
                         (0, 1j * (u / tanh[k - 1] - v / tanh)),
-                        (1, -1j * u[(k + 1) % chain.m] * csch))
+                        (1, -1j * u[(k + 1) % m] * csch))
 
 
 def hessian_matrix(cfg: ChordConfig) -> np.ndarray:
@@ -358,13 +358,14 @@ def hessian_matrix(cfg: ChordConfig) -> np.ndarray:
 # test inputs as JSON, and a closed form
 
 
-def polygon_to_json(poly: MarkedRightPolygon) -> dict:
+def polygon_to_json(poly: MarkedRightPolygon, coords=None) -> dict:
     """The JSON object of a polygon that ``polygons.polygon_from_json``
-    reads, with its closure defect, which that ignores."""
+    reads, with ``coords``, its pentagon-chain coordinates or None, and
+    its closure defect, which that ignores."""
     return {
         "n": poly.n,
         "sides": list(poly.sides),
-        "coords": list(poly.coords) if poly.coords is not None else None,
+        "coords": list(coords) if coords is not None else None,
         "closure_defect": poly.closure_defect,
     }
 

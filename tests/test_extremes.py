@@ -67,7 +67,7 @@ COORDS = (1.0, 1.2, 0.8)
 # the scene realized from SCENE, and the polygon JSON of COORDS
 PLACED = realize_scene(ChordConfig(SCENE[0], SCENE[1:3], SCENE[3:5]),
                        TransverseWeights(SCENE[5:7]), EndpointVariation(*SCENE[7:]))
-POLYGON_JSON = polygon_to_json(sides_from_pentagon_coords(COORDS))
+POLYGON_JSON = polygon_to_json(sides_from_pentagon_coords(COORDS), COORDS)
 
 
 def with_leaves(*rows):

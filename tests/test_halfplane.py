@@ -556,8 +556,8 @@ class TestCommonPerpendicular:
         rng = random.Random(62)
         pairs = 0
         for lo, hi in ((0.05, 0.5), (0.2, 3.0), (2.0, 6.0)) * 10:
-            poly = sides_from_pentagon_coords(
-                [rng.uniform(lo, hi) for _ in range(rng.randint(3, 13))])
+            coords = [rng.uniform(lo, hi) for _ in range(rng.randint(3, 13))]
+            poly = sides_from_pentagon_coords(coords)
             n = poly.n
             for i in range(1, n + 1):
                 for j in range(i + 2, n + 1 if i > 1 else n):
@@ -567,7 +567,7 @@ class TestCommonPerpendicular:
                     except NoPerpendicularError:
                         continue
                     pairs += 1
-                    assert error <= budget, (poly.coords, i, j, error, budget)
+                    assert error <= budget, (coords, i, j, error, budget)
         assert pairs > 1000
 
     def test_concentric(self):

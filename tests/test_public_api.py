@@ -1,8 +1,11 @@
-"""The public surface of each module, pinned.
+"""The public surface of each module, pinned: its names, the methods of
+its classes and the attributes of their instances.
 
-Adding or deleting a public name means editing these lists in the same
-change, so the API grows only by decision and a deletion cannot leave a
-dangling export behind.
+Adding or deleting a public name, method or attribute means editing
+these lists in the same change, so the API grows only by decision and a
+deletion cannot leave a dangling export behind.  Each of them must also
+have a reader in the library or the benchmark; code that only the tests
+use lives in tests/reference.py.
 """
 
 import ast
@@ -59,6 +62,20 @@ METHODS = {
     hessian.ChordConfig: {"n"},
 }
 
+# public attributes of each class that has any (public_attributes)
+ATTRIBUTES = {
+    halfplane.HPoint: {"x", "y"},
+    halfplane.HGeodesic: {"frame"},
+    halfplane.CommonPerpendicular: {"length"},
+    polygons.MarkedRightPolygon: {"closure_defect", "frames", "sides"},
+    polygons.BoundaryFunctional: {"coefficients", "derivative", "value"},
+    hessian.ChordConfig: {"length", "s", "theta"},
+    hessian.TransverseWeights: {"weights"},
+    hessian.EndpointVariation: {"u_par", "u_perp", "v_par", "v_perp"},
+    hessian.MarginReport: {"eps_p", "eps_q", "epsilons"},
+    hessian.HalfplaneScene: {"cfg", "endpoints", "leaves", "p", "q", "weights"},
+}
+
 
 def public_names(module):
     """Names the module defines itself, by a top-level ``def``, ``class``
@@ -100,6 +117,49 @@ def test_public_methods_are_the_listed_ones(cls):
     assert public_methods(cls) == METHODS[cls]
 
 
+def _stored_on(method):
+    """Names a method stores on its first parameter, by ``self.x = ...``
+    or ``object.__setattr__(self, "x", ...)``."""
+    this = method.args.args[0].arg
+    names = set()
+    for node in ast.walk(method):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == this):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+              and len(node.args) > 1 and ast.unparse(node.args[0]) == this
+              and isinstance(node.args[1], ast.Constant)):
+            names.add(node.args[1].value)
+    return names
+
+
+def public_attributes(module):
+    """{class: public attribute names} for each class the module's source
+    defines: the names annotated in its body (a dataclass's fields), its
+    ``__slots__`` entries, and the names its methods store on their first
+    parameter (``_stored_on``)."""
+    found = {}
+    for cls in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = set()
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.add(node.target.id)
+            elif isinstance(node, ast.Assign) and "__slots__" in map(ast.unparse, node.targets):
+                names.update(ast.literal_eval(node.value))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names |= _stored_on(node)
+        found[getattr(module, cls.name)] = {name for name in names if not name.startswith("_")}
+    return found
+
+
+def test_public_attributes_are_the_listed_ones():
+    found = {cls: names for module in PUBLIC
+             for cls, names in public_attributes(module).items() if names}
+    assert found == ATTRIBUTES
+
+
 ROOT = Path(__file__).parents[1]
 
 
@@ -115,12 +175,14 @@ def _class_of(annotation):
 
 def references(tree):
     """(name, enclosing, attribute, receiver) for each name the tree
-    loads, reads as an attribute or imports.  ``enclosing`` holds the
-    names of the functions and classes whose definitions enclose it, and
-    ``attribute`` says whether it is read as ``x.name``.  ``receiver`` is
-    then the class ``x`` is known to be: the enclosing class for the first
-    parameter of its method, the annotation of any other parameter;
-    otherwise it is None."""
+    loads, reads as an attribute or imports; an attribute stored or
+    deleted is no read.  ``enclosing`` holds the names of the functions
+    and classes whose definitions enclose it, and ``attribute`` says
+    whether it is read as ``x.name``.  ``receiver`` is then the class
+    ``x`` is known to be: the enclosing class for the first parameter of
+    its method, the annotation of any other parameter; "import" for a
+    name that an import binds, as ``x`` of ``operator.index`` is a
+    module; otherwise it is None."""
     def walk(node, enclosing, known, cls):
         if isinstance(node, ast.ClassDef):
             enclosing, cls = enclosing | {node.name}, node.name
@@ -133,14 +195,16 @@ def references(tree):
             cls = None
         if isinstance(node, ast.Name):
             yield node.id, enclosing, False, None
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             receiver = node.value.id if isinstance(node.value, ast.Name) else None
             yield node.attr, enclosing, True, known.get(receiver)
         elif isinstance(node, ast.alias):
             yield node.name, enclosing, False, None
         for child in ast.iter_child_nodes(node):
             yield from walk(child, enclosing, known, cls)
-    return walk(tree, frozenset(), {}, None)
+    imported = {(alias.asname or alias.name).partition(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    return walk(tree, frozenset(), dict.fromkeys(imported, "import"), None)
 
 
 def surface(module):
@@ -154,9 +218,9 @@ def surface(module):
 
 def is_called(name, refs):
     """Whether a reference in ``refs`` calls the public ``name`` from
-    outside its own definition.  A ``Class.method`` counts as called only
-    by an attribute read outside ``Class``, through a receiver not known
-    to be another class."""
+    outside its own definition.  A ``Class.method`` or ``Class.attribute``
+    counts as called only by an attribute read outside ``Class``, through
+    a receiver not known to be another class or a module."""
     owner, _, last = name.rpartition(".")
     return any(ref == last and last not in enclosing
                and (not owner or attribute and owner not in enclosing
@@ -164,17 +228,32 @@ def is_called(name, refs):
                for ref, enclosing, attribute, receiver in refs)
 
 
+def library_references():
+    """``references`` of the library's and the benchmark's sources."""
+    return [ref for path in sorted(ROOT.glob("src/systolica/*.py"))
+            + sorted(ROOT.glob("perfbench/*.py"))
+            for ref in references(ast.parse(path.read_text()))]
+
+
 def test_surface_has_callers_outside_the_tests():
     # Every public name and method is referenced by the library or the
     # benchmark outside its own definition, matched by its last name, and
     # a method from outside its own class (is_called).  Code that only the
     # tests use belongs in tests/reference.py.
-    refs = [ref for path in sorted(ROOT.glob("src/systolica/*.py"))
-            + sorted(ROOT.glob("perfbench/*.py"))
-            for ref in references(ast.parse(path.read_text()))]
+    refs = library_references()
     uncalled = {name for module in PUBLIC for name in surface(module)
                 if not is_called(name, refs)}
     assert uncalled == set()
+
+
+def test_attributes_are_read_outside_the_tests():
+    # every public attribute is read by the library or the benchmark from
+    # outside its own class (is_called)
+    refs = library_references()
+    unread = {f"{cls.__name__}.{name}" for module in PUBLIC
+              for cls, names in public_attributes(module).items() for name in names
+              if not is_called(f"{cls.__name__}.{name}", refs)}
+    assert unread == set()
 
 
 def test_reference_defines_no_library_name():
