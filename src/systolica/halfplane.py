@@ -3,10 +3,12 @@
 Points carry Euclidean coordinates (x, y), x finite and y a positive
 normal float.  An isometry is a real Moebius map z -> (az + b)/(cz + d),
 held as the four entries (a, b, c, d) of its determinant-one matrix, and
-every helper here takes and returns such entries.  A geodesic is the
-image of the upward imaginary axis under one of them, its frame
-(Beardon, *The Geometry of Discrete Groups*, ch. 7): arclength s sits at
-frame(i e^s).
+every helper here takes and returns such a frame whole, as one row, a
+4-tuple: a call that spread a row into four arguments would build a
+fresh argument tuple for each row of the per-row loops in ``polygons``
+and ``hessian``.  A geodesic is the image of the upward imaginary axis
+under one of them, its frame (Beardon, *The Geometry of Discrete
+Groups*, ch. 7): arclength s sits at frame(i e^s).
 Half-circles and vertical rays are the same object, so no formula here
 tells them apart, and any question about two geodesics is asked of the
 relative frame g.frame^-1 h.frame, in which g is the imaginary axis.
@@ -73,13 +75,14 @@ def dist(p, q):
     return 2.0 * (log_r + math.log(1.0 + math.sqrt(1.0 + math.exp(-2.0 * log_r))))
 
 
-def _unit(a, b, c, d):
-    """The entries divided by the square root of their determinant, the
-    frame normalized to determinant one; a determinant that is not
+def _unit(f):
+    """The entries of the row f divided by the square root of their
+    determinant, the frame normalized to determinant one; a determinant that is not
     positive and finite raises ValueError rather than being flipped, and
     so does a normalized entry beyond the float range, which only a root
     below 1 can make.  A determinant below the normal range goes to
     ``_unit_rescaled``, so tiny entries keep their digits."""
+    a, b, c, d = f
     det = a * d - b * c
     if not _NORMAL_MIN <= det < math.inf:
         return _unit_rescaled(a, b, c, d, det)
@@ -160,8 +163,9 @@ class HGeodesic:
         return f"HGeodesic({back:.6g} -> {fwd:.6g})"
 
 
-def _point(a, b, c, d, t=1.0):
-    """(x, y) of F(i t) for the frame F = (a, b, c, d) of determinant one."""
+def _point(f, t=1.0):
+    """(x, y) of F(i t) for the frame row f = (a, b, c, d) of determinant one."""
+    a, b, c, d = f
     ct = c * t
     den = d * d + ct * ct
     return (b * d + a * t * ct) / den, t / den
@@ -174,10 +178,11 @@ def _turned(r, c, s):
     return r * c, r * s, -s / r, c / r
 
 
-def _shifted(x, a, b, c, d):
-    """Entries of [[1, x], [0, 1]] [[a, b], [c, d]]: the frame moved by x
-    along the real axis, so ``_shifted(x, *_turned(r, c, s))`` is the
+def _shifted(x, f):
+    """Entries of [[1, x], [0, 1]] f: the frame row f = (a, b, c, d) moved
+    by x along the real axis, so ``_shifted(x, _turned(r, c, s))`` is the
     frame at x + i r^2."""
+    a, b, c, d = f
     return a + x * c, b + x * d, c, d
 
 
@@ -187,9 +192,10 @@ def _half_turn(w):
     return h.real, h.imag
 
 
-def _product(f, a, b, c, d):
-    """Entries of f [[a, b], [c, d]], for f four entries."""
+def _product(f, g):
+    """Entries of the product f g of two frame rows."""
     fa, fb, fc, fd = f
+    a, b, c, d = g
     return (fa * a + fb * c, fa * b + fb * d,
             fc * a + fd * c, fc * b + fd * d)
 
@@ -215,32 +221,36 @@ def _toward(p, q):
 def _frame_through(p, q):
     """Entries of the frame of the geodesic through two distinct points,
     oriented p -> q, s=0 at p, normalized by ``_unit``."""
-    return _unit(*_shifted(p.x, *_turned(math.sqrt(p.y), *_half_turn(_toward(p, q)))))
+    c, s = _half_turn(_toward(p, q))
+    return _unit(_shifted(p.x, _turned(math.sqrt(p.y), c, s)))
 
 
-def _relative(f, a, b, c, d):
-    """Entries of f^-1 [[a, b], [c, d]] for the four entries f of a frame
-    of determinant one: the frame (a, b, c, d) seen from f, in which f's
-    geodesic is the upward imaginary axis.  Its geodesic then runs from
-    b/d to a/c on the real line."""
+def _relative(f, g):
+    """Entries of f^-1 g for two frame rows, f of determinant one: the
+    frame g = (a, b, c, d) seen from f, in which f's geodesic is the
+    upward imaginary axis.  Its geodesic then runs from b/d to a/c on the
+    real line."""
     fa, fb, fc, fd = f
+    a, b, c, d = g
     return (fd * a - fb * c, fd * b - fb * d,
             fa * c - fc * a, fa * d - fc * b)
 
 
-def _foot(a, b, c, d):
-    """log sqrt|ab/cd| from log|a|, ..., log|d|, each taken once: for a
-    frame seen from another (``_relative``) whose geodesic crosses the
-    imaginary axis, the arclength up the axis of the crossing, on the
-    circle |z|^2 = |ab/cd|.  A sum of logs of single entries is finite
-    wherever the entries are nonzero floats."""
+def _foot(f):
+    """log sqrt|ab/cd| from log|a|, ..., log|d|, each taken once, for the
+    row f = (a, b, c, d): for a frame seen from another (``_relative``)
+    whose geodesic crosses the imaginary axis, the arclength up the axis
+    of the crossing, on the circle |z|^2 = |ab/cd|.  A sum of logs of
+    single entries is finite wherever the entries are nonzero floats."""
+    a, b, c, d = f
     return 0.5 * (math.log(abs(a)) + math.log(abs(b)) - math.log(abs(c)) - math.log(abs(d)))
 
 
-def _perpendicular_length(a, b, c, d):
-    """Length of the common perpendicular of two geodesics from the float
-    entries of their relative frame (``_relative``); see
+def _perpendicular_length(f):
+    """Length of the common perpendicular of two geodesics from their
+    relative frame f, a row of floats (``_relative``); see
     ``common_perpendicular``."""
+    a, b, c, d = f
     ad, bc = a * d, b * c
     touch = 0.5 * ASYMPTOTIC_EPS  # |ad + bc| - 1 is 2 min(|ad|, |bc|)
     if -touch <= ad <= touch or -touch <= bc <= touch:
@@ -275,7 +285,7 @@ def common_perpendicular(g, h):
     stays on one side of g.  A length beyond the float range raises
     DegenerateConfigurationError.
     """
-    length = _perpendicular_length(*_relative(g.frame, *h.frame))
+    length = _perpendicular_length(_relative(g.frame, h.frame))
     if not length < math.inf:
         raise DegenerateConfigurationError(
             f"common perpendicular of length {length!r} is beyond the float range")

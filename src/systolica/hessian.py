@@ -464,7 +464,7 @@ class HalfplaneScene:
                 a, b, c, d = row
                 if not (type(a) is type(b) is type(c) is type(d) is float):
                     a, b, c, d = _real_floats(row, "leaf entries")  # ints, numpy scalars
-                leaves.append(_unit(a, b, c, d))
+                leaves.append(_unit((a, b, c, d)))
             except (TypeError, ValueError):
                 raise ValueError(f"leaf {i} frame {row!r} is not four finite numbers with "
                                  "positive determinant, or its normalized entries are "
@@ -510,11 +510,11 @@ def realize_scene(cfg: ChordConfig, weights: TransverseWeights,
                           q=halfplane.HPoint(0.0, top), leaves=leaves)
 
 
-def _measure_leaf(a, b, c, d):
+def _measure_leaf(f):
     """``(s, cos, sin)`` of the crossing of a leaf with the chord, from
-    the float entries ``(a, b, c, d)`` of the leaf's frame seen from the
-    chord's (``halfplane._relative``, s = 0 at ``p``), or None for a
-    leaf that misses the chord.
+    the row of float entries ``f = (a, b, c, d)`` of the leaf's frame
+    seen from the chord's (``halfplane._relative``, s = 0 at ``p``), or
+    None for a leaf that misses the chord.
 
     The leaf runs from ``b/d`` to ``a/c`` and crosses the chord iff
     ``abcd < 0``, on the circle ``|z|^2 = -(b/d)(a/c)``.  Since
@@ -529,10 +529,11 @@ def _measure_leaf(a, b, c, d):
     the angle, free of cancellation and signed: a leaf that crosses
     clockwise measures outside ``(0, pi)``.
     """
+    a, b, c, d = f
     ad = a * d
     if not (ad > 0.0 and (b < 0.0 < c or c < 0.0 < b)):
         return None
-    return (_foot(a, b, c, d), ad + b * c,
+    return (_foot(f), ad + b * c,
             math.copysign(2.0 * math.sqrt(ad) * math.sqrt(abs(b)) * math.sqrt(abs(c)), -(a * c)))
 
 
@@ -553,8 +554,11 @@ def _endpoint_turns(ev: EndpointVariation):
         speed = math.hypot(dx, dy)
         if not math.isfinite(speed):
             raise DegenerateConfigurationError(f"endpoint speed {speed!r} overflows")
-        turns.append((_unit(*_turned(1.0, *_half_turn(complex(dy, -dx))))
-                      if speed else _IDENTITY, speed))
+        turn = _IDENTITY
+        if speed:
+            c, s = _half_turn(complex(dy, -dx))
+            turn = _unit(_turned(1.0, c, s))
+        turns.append((turn, speed))
     return turns
 
 
@@ -650,7 +654,7 @@ def _oracle_jet(scene: HalfplaneScene):
     try:
         for i, (row, w, s_i, theta_i) in enumerate(zip(scene.leaves, rates, declared,
                                                        cfg.theta.tolist())):
-            measured = _measure_leaf(*_relative(chord, *row))
+            measured = _measure_leaf(_relative(chord, row))
             if measured is None:
                 raise InconsistentSceneError("scene geometry is not a transverse chord "
                                              f"configuration: leaf {i} does not cross the chord")
@@ -678,7 +682,7 @@ def _oracle_jet(scene: HalfplaneScene):
     m0, m1, m2 = ((e, 0.0, 0.0, 1.0 / e), (e * a1 * T, e * b1 * T, c1 / e * T, d1 / e * T),
                   (e * a2 * T * T, 0.0, 0.0, d2 / e * T * T))
     (rp, wp), (rq, wq) = _endpoint_turns(scene.endpoints)
-    g0, g1, g2 = (_product(_relative(rp, *m), *rq) for m in (m0, m1, m2))
+    g0, g1, g2 = (_product(_relative(rp, m), rq) for m in (m0, m1, m2))
     first, second = _distance_jet(g0, g1, g2, 0.5 * (wq - wp), 0.5 * (wp + wq))
     if not all(map(math.isfinite, first + second)):
         raise DegenerateConfigurationError(

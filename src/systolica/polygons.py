@@ -15,10 +15,13 @@ positive coordinates.  With P(x, y) = asinh(cosh x / sinh y)
 tail P(h_{k+1}, h_k) of side k, the head P(h_k, h_{k+1}) of side k+1 and
 the piece P(tail, h_{k+1}) of side 1.  The chart reads them off the cosh
 and sinh of each h_k, taken once: with q = cosh h_{k+1} / sinh h_k the
-tail is asinh q and its cosh is hypot(1, q).
+tail is asinh q and its cosh is hypot(1, q).  It checks the coordinates
+once and takes every P inline, the end perpendiculars h_3 and h_{n-1}
+among them, with no ``trig`` call that would check them again.
 
 A realized polygon is one table of frame rows, one per side, and no
 object per side, with side 1 up the imaginary axis as in ``hessian``.
+Each row travels whole, one 4-tuple, into the ``halfplane`` helpers.
 The chart builds every row in closed form, each entry one product, so
 its geometry rounds like the coordinates; ``realize`` walks a side
 vector alone, whose rounding the walk amplifies by up to e^{l_1}.  Both
@@ -40,9 +43,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (_NORMAL_MIN, _POSITIVE, DegenerateConfigurationError, NoPentagonError,
-                     NoPolygonError, _count, _json_numbers, _real_floats)
+                     NoPolygonError, _count, _json_numbers, _real, _real_floats)
 from .halfplane import HGeodesic, HPoint, _disk, _perpendicular_length, _point, _relative, _unit
-from .trig import pentagon_perpendicular, pentagon_side, semiregular_partner
+from .trig import _ORDERS, _half_sinh, _partner, pentagon_perpendicular, pentagon_side
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,11 +81,20 @@ class MarkedRightPolygon:
         defect, max |ad + bc| over the relative frames of consecutive
         sides, the largest |cos| of a corner angle; it does not see
         where a row puts s = 0.
+
+    Fewer than 5 sides, or a count of frames other than the count of
+    sides, raises ValueError; the rows themselves are not checked here.
     """
 
     sides: tuple[float, ...]
     frames: tuple[tuple[float, float, float, float], ...]
     closure_defect: float
+
+    def __post_init__(self):
+        if not 5 <= len(self.sides) == len(self.frames):
+            raise ValueError(f"a right-angled polygon needs at least 5 sides and one frame "
+                             f"per side, got {len(self.sides)} sides and "
+                             f"{len(self.frames)} frames")
 
     @property
     def n(self) -> int:
@@ -91,7 +103,7 @@ class MarkedRightPolygon:
     @functools.cached_property
     def vertices(self) -> tuple[HPoint, ...]:
         """vertices[j-1] = F_j(i), where side j starts (``halfplane._point``)."""
-        return tuple(HPoint(*_point(*row)) for row in self.frames)
+        return tuple(HPoint(x, y) for x, y in map(_point, self.frames))
 
     def side_geodesic(self, i: int) -> HGeodesic:
         """The oriented geodesic carrying side i (1-based) on the row ``frames[i-1]``."""
@@ -108,8 +120,8 @@ def _checked(rows):
     (x not finite, or y not a positive normal float) with
     DegenerateConfigurationError."""
     ymin, inf = _NORMAL_MIN, math.inf
-    for k, (a, b, c, d) in enumerate(rows, start=1):
-        x, y = _point(a, b, c, d)
+    for k, row in enumerate(rows, start=1):
+        x, y = _point(row)
         if not (ymin <= y < inf and -inf < x < inf):
             raise DegenerateConfigurationError(
                 f"vertex {k} at ({x!r}, {y!r}) is not finite with y a positive normal float")
@@ -141,15 +153,17 @@ def realize(sides: Sequence[float]) -> MarkedRightPolygon:
     try:
         # back half of side 1 down the imaginary axis
         h = math.exp(-0.25 * sides[0])
-        a, b, c, d = _unit(h, 0.0, 0.0, 1.0 / h)
+        row = _unit((h, 0.0, 0.0, 1.0 / h))
         rows = []
         for length in sides:
-            rows.append((a, b, c, d))
+            rows.append(row)
             # fused step and quarter turn, F diag(e, 1/e) [[1, 1], [-1, 1]]
+            a, b, c, d = row
             e = math.exp(0.5 * length)
             a, b, c, d = a * e, b / e, c * e, d / e
-            a, b, c, d = _unit(a - b, a + b, c - d, c + d)
-        ha, hb, hc, hd = _unit(a / h, b / h, c * h, d * h)  # F_1^-1 F
+            row = _unit((a - b, a + b, c - d, c + d))
+        a, b, c, d = row
+        ha, hb, hc, hd = _unit((a / h, b / h, c * h, d * h))  # F_1^-1 F
         rows = _checked(rows)
     except (ArithmeticError, ValueError) as exc:
         raise DegenerateConfigurationError(f"the walk left the float range: {exc}") from exc
@@ -167,9 +181,10 @@ def _chart_frames(l1, h, heads, pieces):
 
     where sigma_k is the foot of h_k on side 1, l_1 less the running sum
     of the pieces before it (``l1`` is that sum in full), and eta_k the
-    head of side k (eta_3 = 0).  With mu = sigma_k - l_1/2,
-    s, c = sinh, cosh(h_k/2), u = e^{(mu - eta_k)/2} and
-    v = e^{-(mu + eta_k)/2}, F_k is (s u, c/v, -c v, -s/u); with
+    head of side k: ``heads`` holds eta_3 = 0, ..., eta_{n-1} and
+    ``pieces`` the n - 4 pieces and a last 0, one of each per h_k.  With
+    mu = sigma_k - l_1/2, s, c = sinh, cosh(h_k/2), u = e^{(mu - eta_k)/2}
+    and v = e^{-(mu + eta_k)/2}, F_k is (s u, c/v, -c v, -s/u); with
     e = e^{l_1/4} and t = e^{l_n/2}, F_1 = (1/e, 0, 0, e) and, over
     sqrt 2, F_2 = (e, e, -1/e, 1/e) and F_n = (-1/(e t), t/e, -e/t, -e t).
     Each entry is one product, and consecutive rows differ by one
@@ -178,7 +193,7 @@ def _chart_frames(l1, h, heads, pieces):
     r, w = math.sqrt(0.5) / e, math.sqrt(0.5) * e
     rows = [(1.0 / e, 0.0, 0.0, e), (w, w, -r, r)]
     half, foot = 0.5 * l1, 0.0
-    for hk, eta, piece in zip(h, (0.0, *heads), (*pieces, 0.0)):
+    for hk, eta, piece in zip(h, heads, pieces):
         mu = half - foot
         u, v = math.exp(0.5 * (mu - eta)), math.exp(-0.5 * (mu + eta))
         s, c = math.sinh(0.5 * hk), math.cosh(0.5 * hk)
@@ -197,8 +212,7 @@ def _right_angle_defect(rows) -> float:
     worst = 0.0
     f = rows[-1]
     for row in rows:
-        a, b, c, d = row
-        a, b, c, d = _relative(f, a, b, c, d)
+        a, b, c, d = _relative(f, row)
         cos = a * d + b * c
         if not -worst <= cos <= worst:
             if cos != cos:
@@ -212,15 +226,19 @@ def sides_from_pentagon_coords(coords: Sequence[float]) -> MarkedRightPolygon:
     """Assemble the marked right-angled polygon from pentagon-chain
     coordinates (l_3, h_4, ..., h_{n-2}, l_{n-1}) with n = len(coords)+3.
 
-    Every coordinate must be positive and finite (ValueError).  For
-    n >= 6 every such tuple is admissible: l_3 is the first tail and
-    l_{n-1} the last head of the module docstring's pentagons, which
-    gives h_3 and h_{n-1} (``trig.pentagon_side``).  For n = 5 the two
-    coordinates are the adjacent sides (l_3, l_4) of a pentagon and must
-    satisfy sinh(l_3) sinh(l_4) > 1; otherwise NoPolygonError names them.
+    Every coordinate must be positive and finite (ValueError), checked
+    once here.  For n >= 6 every such tuple is admissible: l_3 is the
+    first tail and l_{n-1} the last head of the module docstring's
+    pentagons, which gives h_3 = P(h_4, l_3) and
+    h_{n-1} = P(h_{n-2}, l_{n-1}).  For n = 5 the two coordinates are the
+    adjacent sides (l_3, l_4) of a pentagon and must satisfy
+    sinh(l_3) sinh(l_4) > 1; otherwise NoPolygonError names them.
 
     One float loop over h_3..h_{n-1} reads the pentagons off the cosh and
-    sinh of each perpendicular, as the module docstring says.  Every
+    sinh of each perpendicular, as the module docstring says.  h_3 and
+    h_{n-1} are taken in the same code as the loop's heads and tails,
+    with ``math`` on the checked coordinates and no ``trig`` call to
+    check them again; an infinite one fails the test of the sides.  Every
     frame row is then a closed-form product off side 1's frame
     (``_chart_frames``), with side 1 up the imaginary axis and no walk:
     the geometry rounds like the coordinates, where walking the rounded
@@ -241,18 +259,20 @@ def sides_from_pentagon_coords(coords: Sequence[float]) -> MarkedRightPolygon:
             except NoPentagonError as exc:
                 raise NoPolygonError(str(exc)) from exc
             h = (pentagon_side(last, l1), pentagon_side(l3, l1))  # l_2, l_5
-            heads, pieces = coords[1:], (l1,)
+            heads, pieces = (0.0, last), (l1, 0.0)
             sides = (l1, h[0], *coords, h[1])
         else:
-            h = (pentagon_side(coords[1], l3), *coords[1:-1],
-                 pentagon_side(coords[-2], last))  # h_3 .. h_{n-1}
+            # h_3 = P(h_4, l_3) and h_{n-1} = P(h_{n-2}, l_{n-1}), inline
+            # as the loop below takes every head and tail
+            cn, sn = math.cosh(coords[1]), math.sinh(coords[1])
+            h = (math.asinh(cn / math.sinh(l3)), *coords[1:-1],
+                 math.asinh(math.cosh(coords[-2]) / math.sinh(last)))  # h_3 .. h_{n-1}
             # the step to h_{k+1} takes the head of the pentagon before,
             # from c = cosh h_{k-1} and sn = sinh h_k, then the tail and
             # piece of (h_k, h_{k+1}); side k is that head and this tail
             c, s = math.cosh(h[0]), math.sinh(h[0])
-            cn, sn = math.cosh(h[1]), math.sinh(h[1])
             l1 = math.asinh(math.cosh(l3) / sn)  # summed piece by piece, as _chart_frames sums
-            heads, pieces, inner = [], [l1], []
+            heads, pieces, inner = [0.0], [l1], []
             for hk in h[2:]:
                 head = math.asinh(c / sn)
                 c, s, cn, sn = cn, sn, math.cosh(hk), math.sinh(hk)
@@ -262,6 +282,7 @@ def sides_from_pentagon_coords(coords: Sequence[float]) -> MarkedRightPolygon:
                 pieces.append(math.asinh(math.hypot(1.0, q) / sn))
                 l1 += pieces[-1]
             heads.append(last)
+            pieces.append(0.0)
             sides = (l1, h[0], l3, *inner, last, h[-1])
             if not max(sides) < math.inf:  # a quotient overflowed
                 raise OverflowError("a side is infinite")
@@ -286,8 +307,7 @@ def pentagon_coords(poly: MarkedRightPolygon) -> tuple[float, ...]:
     if n == 5:
         return (poly.sides[2], poly.sides[3])
     f1 = poly.frames[0]
-    hs = [_perpendicular_length(*_relative(f1, a, b, c, d))
-          for a, b, c, d in poly.frames[3:n - 2]]
+    hs = [_perpendicular_length(_relative(f1, row)) for row in poly.frames[3:n - 2]]
     return (poly.sides[2], *hs, poly.sides[n - 2])
 
 
@@ -476,28 +496,35 @@ def boundary_functional(ns: Sequence[int], l_even: float) -> BoundaryFunctional:
     even sides all have length l_even.
 
     Each polygon contributes n_i odd sides of the partner length
-    2*asinh(cos(pi/n_i)/sinh(l_even/2)).  The per-side dilation
-    coefficient d(l_odd)/d(l_even) is strictly negative:
+    2*asinh(cos(pi/n_i)/sinh(l_even/2)) (``semiregular_partner``).  The
+    per-side dilation coefficient d(l_odd)/d(l_even) is strictly
+    negative:
 
         -(1 + cosh l_even) sinh l_odd / ((1 + cosh l_odd) sinh l_even)
             = -tanh(l_odd/2) / tanh(l_even/2),
 
     evaluated in the second form, which cannot overflow, and the
     derivative of the total is the coefficient-weighted count.  ``ns``
-    must be a non-empty list, tuple or range, and each n_i an integer
-    >= 3 (ValueError); where a partner length leaves the float range,
-    ``semiregular_partner`` raises DegenerateConfigurationError.
+    must be a non-empty list, tuple or range, each n_i an integer >= 3,
+    and l_even positive and finite (ValueError).  l_even is checked, and
+    sinh(l_even/2) and tanh(l_even/2) taken, once; each partner is the
+    kernel that ``semiregular_partner`` evaluates, ``trig._partner``,
+    which raises DegenerateConfigurationError as it does where a partner
+    length leaves the float range.
     """
     if not isinstance(ns, (list, tuple, range)):
         raise ValueError(f"ns must be a list, tuple or range of counts, got {ns!r}")
     if not ns:
         raise ValueError("need at least one polygon")
+    l_even = _real(l_even, "length", _POSITIVE)
+    half_sinh, half_tanh = _half_sinh(l_even), math.tanh(0.5 * l_even)
     total = 0.0
     deriv = 0.0
     coeffs = []
     for k in ns:
-        l_odd = semiregular_partner(l_even, k)
-        coeff = -math.tanh(0.5 * l_odd) / math.tanh(0.5 * l_even)
+        k = _count(k, "n", _ORDERS)
+        l_odd = _partner(l_even, half_sinh, k)
+        coeff = -math.tanh(0.5 * l_odd) / half_tanh
         coeffs.append(coeff)
         total += k * l_odd
         deriv += k * coeff

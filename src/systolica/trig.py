@@ -83,9 +83,10 @@ def pentagon_perpendicular(a: float, b: float) -> float:
 def pentagon_side(x: float, y: float) -> float:
     """asinh(cosh x / sinh y): the side z of a right-angled pentagon with
     cosh x = sinh y sinh z, the side next to y that is, like y, opposite
-    x (Buser, ch. 2).  In ``polygons`` it gives the end perpendiculars
-    h_3 and h_{n-1} of the pentagon chain and the sides l_2, l_5 of a
-    pentagon; the chain's loop takes the same steps inline.  The
+    x (Buser, ch. 2).  In ``polygons`` it gives the sides l_2 and l_5 of
+    the n = 5 chart; for n >= 6 the chart takes this formula inline, on
+    coordinates it has checked once, for the end perpendiculars h_3 and
+    h_{n-1} as for every head and tail of its loop.  The
     quotient rounds three times and asinh has relative condition at most
     1, so z is within a few eps relative.  Raises ValueError unless x and
     y are positive and finite, and DegenerateConfigurationError where
@@ -153,5 +154,21 @@ def semiregular_partner(l1: float, n: int) -> float:
     """
     n = _count(n, "n", _ORDERS)
     l1 = _real(l1, "length", _POSITIVE)
-    return _in_range(lambda: 2.0 * math.asinh(math.cos(math.pi / n) / math.sinh(l1 / 2.0)),
+    return _partner(l1, _half_sinh(l1), n)
+
+
+def _half_sinh(l):
+    """sinh(l/2), or NaN where it overflows, which ``_partner`` refuses."""
+    try:
+        return math.sinh(0.5 * l)
+    except OverflowError:
+        return math.nan
+
+
+def _partner(l1, half_sinh, n):
+    """``semiregular_partner(l1, n)`` of checked arguments, with
+    ``half_sinh`` = ``_half_sinh(l1)``, so that ``polygons`` takes it once
+    per family; DegenerateConfigurationError names l1 and n where the
+    partner leaves the float range."""
+    return _in_range(lambda: 2.0 * math.asinh(math.cos(math.pi / n) / half_sinh),
                      "semiregular_partner", l1, n)

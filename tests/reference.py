@@ -106,12 +106,12 @@ def push(m, u):
 
 def inverse(m):
     a, b, c, d = m
-    return _unit(d, -b, -c, a)
+    return _unit((d, -b, -c, a))
 
 
 def compose(m, n):
     """The isometry m after n."""
-    return _unit(*_product(m, *n))
+    return _unit(_product(m, n))
 
 
 def _pull(frame, p):
@@ -127,7 +127,7 @@ def point_at(g, s):
     raises DegenerateConfigurationError."""
     s = _real(s, "arclength", _FINITE)
     try:
-        return HPoint(*_point(*g.frame, math.exp(s)))
+        return HPoint(*_point(g.frame, math.exp(s)))
     except (ArithmeticError, ValueError):
         raise DegenerateConfigurationError(
             f"the point at arclength {s!r} is beyond the float range") from None
@@ -145,7 +145,7 @@ def param_of(g, p):
 def tangent_at(g, s):
     """Unit tangent of g at arclength s, in the direction of increasing s."""
     (a, b, c, d), t = g.frame, math.exp(s)
-    x, y = _point(a, b, c, d, t)
+    x, y = _point(g.frame, t)
     # the unit "up" vector i t at i t, pushed by the derivative
     # 1/(c i t + d)^2, is i y (d - i ct)/(d + i ct) with y = t/|d + i ct|^2
     v = 1j * y * complex(d, -c * t) / complex(d, c * t)
@@ -162,8 +162,8 @@ def endpoints(g):
 def vertical_geodesic(x0, upward=True):
     """The vertical ray over x0, with s = 0 at x0 + i."""
     if upward:
-        return HGeodesic(_unit(1.0, x0, 0.0, 1.0))
-    return HGeodesic(_unit(x0, -1.0, 1.0, 0.0))
+        return HGeodesic(_unit((1.0, x0, 0.0, 1.0)))
+    return HGeodesic(_unit((x0, -1.0, 1.0, 0.0)))
 
 
 def circle_geodesic(c, r, rightward=True):
@@ -171,8 +171,8 @@ def circle_geodesic(c, r, rightward=True):
     if r <= 0.0:
         raise ValueError("circle radius must be positive")
     if rightward:
-        return HGeodesic(_unit(c + r, c - r, 1.0, 1.0))
-    return HGeodesic(_unit(c - r, -c - r, 1.0, -1.0))
+        return HGeodesic(_unit((c + r, c - r, 1.0, 1.0)))
+    return HGeodesic(_unit((c - r, -c - r, 1.0, -1.0)))
 
 
 def geodesic_through(p, q):
@@ -185,7 +185,7 @@ def geodesic_from_direction(p, u):
     if u.dx == 0.0 and u.dy == 0.0:
         raise DegenerateConfigurationError("zero tangent vector has no direction")
     c, s = _half_turn(complex(u.dy, -u.dx))
-    return HGeodesic(_unit(*_shifted(p.x, *_turned(math.sqrt(p.y), c, s))))
+    return HGeodesic(_unit(_shifted(p.x, _turned(math.sqrt(p.y), c, s))))
 
 
 def unit_toward(p, q):
@@ -221,7 +221,7 @@ def translate_along(g, t):
 
 def intersection_point(g, h):
     """The intersection point of two geodesics, if there is exactly one."""
-    a, b, c, d = _relative(g.frame, *h.frame)
+    a, b, c, d = _relative(g.frame, h.frame)
     # h crosses the axis iff its endpoints b/d and a/c have opposite
     # signs; it does so on the circle |z|^2 = -(b/d)(a/c).
     if a * b * c * d >= 0.0:
@@ -240,9 +240,9 @@ def perpendicular_feet(g, h):
     logs of single entries that stay finite wherever their points are
     floats.  A foot beyond the float range raises
     DegenerateConfigurationError."""
-    a, b, c, d = _relative(g.frame, *h.frame)
-    _perpendicular_length(a, b, c, d)  # NoPerpendicularError where there is none
-    s, t = _foot(a, b, c, d), _foot(b, d, a, c)
+    f = a, b, c, d = _relative(g.frame, h.frame)
+    _perpendicular_length(f)  # NoPerpendicularError where there is none
+    s, t = _foot(f), _foot((b, d, a, c))
     if not math.isfinite(s + t):
         raise DegenerateConfigurationError(
             f"common perpendicular with feet at arclengths {s!r} and {t!r} "
@@ -487,7 +487,7 @@ def endpoint_frames(ev, t):
             continue
         try:
             e, ei = math.exp(x), math.exp(-x)
-            a, b, c, d = _unit(*_turned(1.0, *_half_turn(complex(dy, -dx))))
+            a, b, c, d = _unit(_turned(1.0, *_half_turn(complex(dy, -dx))))
         except OverflowError as exc:
             raise DegenerateConfigurationError(
                 f"endpoint moved {t!r} x {math.hypot(dx, dy)!r} overflows") from exc
@@ -503,7 +503,7 @@ def measure_scene(scene):
     chord = _frame_through(scene.p, scene.q)
     s, theta = [], []
     for i, row in enumerate(scene.leaves):
-        measured = hessian._measure_leaf(*_relative(chord, *row))
+        measured = hessian._measure_leaf(_relative(chord, row))
         if measured is None:
             raise DegenerateConfigurationError(f"leaf {i} does not cross the chord")
         s.append(measured[0])
@@ -530,7 +530,7 @@ def scene_length(scene, shear_t, end_t):
     length, s, theta = measure_scene(scene)
     ep, eq = endpoint_frames(scene.endpoints, end_t)
     m = shear_chain(length, s, theta, scene.weights.weights, shear_t)
-    A, B, C, D = _product(_relative(ep, *m), *eq)
+    A, B, C, D = _product(_relative(ep, m), eq)
     dist = 2.0 * math.asinh(0.5 * math.hypot(A - D, B + C))
     if not math.isfinite(dist):
         raise DegenerateConfigurationError(

@@ -65,11 +65,11 @@ def vertical_oracle_dist(p, q):
     the height ratio).
     """
     sy = math.sqrt(p.y)
-    to_i = _unit(1.0 / sy, -p.x / sy, 0.0, sy)
+    to_i = _unit((1.0 / sy, -p.x / sy, 0.0, sy))
     q1 = apply(to_i, q)
     phi = oriented_angle(HTangent(HPoint(0, 1), 0.0, 1.0), unit_toward(HPoint(0, 1), q1))
     c, s = math.cos(phi / 2), math.sin(phi / 2)
-    q2 = apply(_unit(c, -s, s, c), q1)
+    q2 = apply(_unit((c, -s, s, c)), q1)
     assert abs(q2.x) < 1e-9
     return abs(math.log(q2.y))
 
@@ -144,7 +144,7 @@ class TestIsometries:
     ])
     def test_determinant_guard(self, entries):
         with pytest.raises(ValueError, match="positive determinant"):
-            _unit(*entries)
+            _unit(entries)
 
     @given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
            st.floats(-4.0, 4.0), st.integers(-600, 0))
@@ -166,15 +166,15 @@ class TestIsometries:
         if exact <= 0:
             # rounding is monotone, so the float determinant is not positive
             with pytest.raises(ValueError):
-                _unit(a, b, c, d)
+                _unit((a, b, c, d))
             return
         det = a * d - b * c
         if det >= sys.float_info.min:
             # a normal determinant: one division by the root of det
             root = math.sqrt(det)
-            assert _unit(a, b, c, d) == (a / root, b / root, c / root, d / root)
+            assert _unit((a, b, c, d)) == (a / root, b / root, c / root, d / root)
         try:
-            m = _unit(a, b, c, d)
+            m = _unit((a, b, c, d))
         except ValueError:
             # refused only when cancellation leaves det no digit, or when
             # the normalized frame has an entry beyond the float range
@@ -187,15 +187,15 @@ class TestIsometries:
 
     def test_tiny_entries_keep_their_frame(self):
         # det = 1e-400 underflows to 0 unscaled
-        assert _unit(1e-200, 0.0, 0.0, 1e-200) == (1.0, 0.0, 0.0, 1.0)
-        m = _unit(1.2345678e-160, 0.0, 0.0, 1.2345678e-151)  # det subnormal
+        assert _unit((1e-200, 0.0, 0.0, 1e-200)) == (1.0, 0.0, 0.0, 1.0)
+        m = _unit((1.2345678e-160, 0.0, 0.0, 1.2345678e-151))  # det subnormal
         assert abs(m[0] * m[3] - 1.0) <= 2 * EPS
 
     @given(st.floats(0.5, 2.0), st.floats(-1, 1), st.floats(-0.5, 0.5),
            finite_xy, log_y, finite_xy, log_y)
     @settings(max_examples=60, deadline=None)
     def test_distance_invariance(self, a, b, c, x1, t1, x2, t2):
-        m = _unit(a, b, c, (1.0 + b * c) / a)  # det 1 by construction
+        m = _unit((a, b, c, (1.0 + b * c) / a))  # det 1 by construction
         p, q = HPoint(x1, math.exp(t1)), HPoint(x2, math.exp(t2))
         assert dist(apply(m, p), apply(m, q)) == pytest.approx(dist(p, q), abs=1e-9)
 
@@ -206,12 +206,12 @@ class TestIsometries:
             u = HTangent(p, rng.uniform(-1, 1), rng.uniform(-1, 1))
             v = HTangent(p, rng.uniform(-1, 1), rng.uniform(-1, 1))
             a, b, c = rng.uniform(0.5, 2.0), rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)
-            m = _unit(a, b, c, (1.0 + b * c) / a)  # det 1 by construction
+            m = _unit((a, b, c, (1.0 + b * c) / a))  # det 1 by construction
             assert inner(push(m, u), push(m, v)) == pytest.approx(inner(u, v), abs=1e-9)
 
     def test_compose_and_inverse(self):
-        m = _unit(2.0, 1.0, 0.5, 1.0)
-        n = _unit(1.0, -0.3, 0.0, 1.0)
+        m = _unit((2.0, 1.0, 0.5, 1.0))
+        n = _unit((1.0, -0.3, 0.0, 1.0))
         p = HPoint(0.2, 1.7)
         lhs = apply(compose(m, n), p)
         rhs = apply(m, apply(n, p))

@@ -628,7 +628,7 @@ class TestSceneOracle:
         noise[a * d < b * c] = noise[a * d < b * c][:, [1, 0, 3, 2]]  # det -> -det
         wide = leaves * 2.0 ** np.array([-560.0, -560.0, 560.0, 560.0])
         for rows in (scaled, tiny, noise, wide):
-            want = tuple(_unit(*row) for row in rows.tolist())
+            want = tuple(_unit(row) for row in rows.tolist())
             for leaves in (rows, rows.tolist(), list(rows)):
                 scene = dataclasses.replace(base, leaves=leaves)
                 assert scene.leaves == want
@@ -636,7 +636,7 @@ class TestSceneOracle:
         # float32 scalars are read exactly, then normalized in float64
         single = list(scaled.astype(np.float32))
         scene = dataclasses.replace(base, leaves=single)
-        assert scene.leaves == tuple(_unit(*map(float, row)) for row in single)
+        assert scene.leaves == tuple(_unit(tuple(map(float, row))) for row in single)
 
     def test_a_chord_without_crossings_takes_an_empty_sequence(self):
         cfg = ChordConfig(2.0, s=(), theta=())
@@ -1181,9 +1181,9 @@ class TestOracleGrid:
             passes.append(scene)
             return jet(scene)
 
-        def counted_measure(*row):
+        def counted_measure(row):
             measured.append(row)
-            return measure(*row)
+            return measure(row)
 
         monkeypatch.setattr(hessian, "_oracle_jet", counted)
         monkeypatch.setattr(hessian, "_measure_leaf", counted_measure)
@@ -1816,7 +1816,7 @@ class TestClosedFormMeasurement:
             # relative frame that the oracle measures
             assert _frame_through(scene.p, scene.q) == (1.0, 0.0, 0.0, 1.0)
             row = scene.leaves[0]
-            got_s, cos, sin = hessian._measure_leaf(*row)
+            got_s, cos, sin = hessian._measure_leaf(row)
             got_theta = math.atan2(sin, cos)
             want_s, want_theta = mp_crossing(row)
             a, b, c, d = row

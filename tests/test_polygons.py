@@ -150,6 +150,8 @@ class TestPentagonChart:
         (sides_from_pentagon_coords, ([1.0, 1.2, 0.9, 800.0, 1.1, 0.8],)),
         # cosh h_5 / sinh h_4 overflows, though each is a float
         (sides_from_pentagon_coords, ([1.0, 1e-300, 700.0, 0.9, 1.1, 0.8],)),
+        # cosh h_5 / sinh l_7 overflows to an infinite h_6 without raising
+        (sides_from_pentagon_coords, ([0.9, 1.1, 700.0, 1e-300],)),
         (sides_from_pentagon_coords, ([800.0, 1.0],)),
         (pentagon_perpendicular, (800.0, 1.0)),
         (pentagon_side, (800.0, 1.0)),
@@ -161,6 +163,16 @@ class TestPentagonChart:
     def test_input_beyond_the_float_range_fails_typed(self, build, args):
         with pytest.raises(DegenerateConfigurationError):
             build(*args)
+
+    @pytest.mark.parametrize("sides, frames", [
+        ((1.0,) * 6, ()),
+        ((1.0,) * 6, ((1.0, 0.0, 0.0, 1.0),) * 5),
+        ((1.0,) * 4, ((1.0, 0.0, 0.0, 1.0),) * 4),
+    ], ids=["no-frames", "a-frame-short", "four-sides"])
+    def test_polygon_counts_its_sides_and_frames(self, sides, frames):
+        # refused when it is built, not by an IndexError in a later reader
+        with pytest.raises(ValueError, match="at least 5 sides and one frame per side"):
+            MarkedRightPolygon(sides=sides, frames=frames, closure_defect=0.0)
 
     def test_realize_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
@@ -631,7 +643,7 @@ class TestRegularChains:
         # the rotation about i by 2a is [[cos a, sin a], [-sin a, cos a]]
         top = HPoint(0.0, math.exp(radius))
         halves = [math.pi * k / m for k in range(m)]
-        return [apply(_unit(math.cos(a), math.sin(a), -math.sin(a), math.cos(a)), top)
+        return [apply(_unit((math.cos(a), math.sin(a), -math.sin(a), math.cos(a))), top)
                 for a in halves]
 
     def test_side_and_angle_match_the_closed_forms(self):
@@ -697,7 +709,8 @@ class TestAlternatingLocus:
     ], ids=["nan-even", "nan-odd", "nan-later", "inf-even", "inf-odd"])
     def test_nan_and_infinite_sides_do_not_alternate(self, sides):
         # a NaN or an infinite side agrees with no side, itself included
-        poly = MarkedRightPolygon(sides=sides, frames=(), closure_defect=0.0)
+        poly = MarkedRightPolygon(sides=sides, frames=((1.0, 0.0, 0.0, 1.0),) * len(sides),
+                                  closure_defect=0.0)
         with pytest.raises(ValueError, match="alternate"):
             proportionality_check(poly)
 
@@ -909,9 +922,9 @@ def mp_pentagons(coords):
     pieces come from the relation cosh c = coth h_k coth h_{k+1}, not
     from P.
 
-    The float chain takes h_3 and h_{n-1} by ``trig.pentagon_side`` and
-    every other step in one loop that takes cosh and sinh of each h_k
-    once.  A tail is asinh(q) with q = cosh h_{k+1} / sinh h_k, a head
+    The float chain takes h_3 and h_{n-1} as ``trig.pentagon_side``
+    does, inline, and every other step in one loop that takes cosh and
+    sinh of each h_k once.  A tail is asinh(q) with q = cosh h_{k+1} / sinh h_k, a head
     P(h_k, h_{k+1}); both round as P does.  A piece is
     asinh(hypot(1, q) / sinh h_{k+1}): hypot(1, q) is the tail's cosh,
     which inherits tanh^2 of q's relative error and rounds once, where
@@ -1207,7 +1220,7 @@ def test_chart_accepts_long_chains_within_derived_budgets(n):
         assert all(abs(b - c) <= 4 * EPS * c for b, c in zip(back, coords))
         rows = poly.frames
         defects = [abs(a * d + b * c) for a, b, c, d in
-                   (_relative(f, *g) for f, g in zip(rows, rows[1:] + rows[:1]))]
+                   (_relative(f, g) for f, g in zip(rows, rows[1:] + rows[:1]))]
         assert poly.closure_defect == max(defects)
         budgets = chart_defect_budgets(coords, poly)
         for k, (got, budget) in enumerate(zip(defects, budgets), start=1):

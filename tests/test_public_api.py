@@ -271,6 +271,30 @@ def test_reference_holds_no_dead_code():
     assert {name for name in public_names(reference) if not is_called(name, refs)} == set()
 
 
+def frame_helpers():
+    """The names that take a frame row: every function and class that
+    ``halfplane`` defines, and ``hessian._measure_leaf``."""
+    tree = ast.parse(Path(halfplane.__file__).read_text())
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))} | {"_measure_leaf"}
+
+
+def test_no_library_call_spreads_a_row():
+    # a frame travels whole, as one row: a call that spreads it into
+    # four arguments builds a fresh argument tuple per row of the chart,
+    # per leaf of the oracle and per side pair
+    helpers = frame_helpers()
+    assert {"_point", "_relative", "_product", "_unit", "_shifted", "_perpendicular_length",
+            "_foot", "_measure_leaf"} <= helpers
+    spread = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+              for path in sorted(ROOT.glob("src/systolica/*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call)
+              and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in helpers
+              and any(isinstance(arg, ast.Starred) for arg in node.args)]
+    assert spread == []
+
+
 STREAMS = {"stdout", "stderr", "__stdout__", "__stderr__"}
 
 
