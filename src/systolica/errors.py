@@ -46,11 +46,6 @@ class NoPerpendicularError(SystolicaError):
     perpendicular segment exists."""
 
 
-class NoPentagonError(SystolicaError):
-    """No right-angled pentagon has the two prescribed adjacent sides
-    (requires sinh(a) * sinh(b) > 1)."""
-
-
 class NoPolygonError(SystolicaError):
     """Pentagon-chain coordinates do not assemble into a right-angled
     polygon."""

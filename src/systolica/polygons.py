@@ -10,14 +10,18 @@ between each consecutive pair, and the tuple
     (l_3, h_4, h_5, ..., h_{n-2}, l_{n-1})
 
 of side 3, the inner perpendiculars, and side n-1 gives n - 3 free
-positive coordinates.  With P(x, y) = asinh(cosh x / sinh y)
-(``trig.pentagon_side``), the pentagon between h_k and h_{k+1} has the
-tail P(h_{k+1}, h_k) of side k, the head P(h_k, h_{k+1}) of side k+1 and
-the piece P(tail, h_{k+1}) of side 1.  The chart reads them off the cosh
-and sinh of each h_k, taken once: with q = cosh h_{k+1} / sinh h_k the
-tail is asinh q and its cosh is hypot(1, q).  It checks the coordinates
-once and takes every P inline, the end perpendiculars h_3 and h_{n-1}
-among them, with no ``trig`` call that would check them again.
+positive coordinates.  Each side x of a right-angled pentagon has
+cosh x = sinh y sinh z for its two opposite sides y and z (Buser,
+ch. 2), so P(x, y) = asinh(cosh x / sinh y) is the side z next to y.
+The pentagon between h_k and h_{k+1} has the tail P(h_{k+1}, h_k) of
+side k, the head P(h_k, h_{k+1}) of side k+1 and the piece
+P(tail, h_{k+1}) of side 1.  The chart reads them off the cosh and sinh
+of each h_k, taken once: with q = cosh h_{k+1} / sinh h_k the tail is
+asinh q and its cosh is hypot(1, q).  It checks the coordinates once and
+takes every P inline, the end perpendiculars h_3 and h_{n-1} among
+them.  For n = 5 the polygon is one pentagon: the relation at side 1
+gives l_1 = acosh(sinh l_3 sinh l_4), and then l_2 = P(l_4, l_1) and
+l_5 = P(l_3, l_1).
 
 A realized polygon is one table of frame rows, one per side, and no
 object per side, with side 1 up the imaginary axis as in ``hessian``.
@@ -42,10 +46,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (_NORMAL_MIN, _POSITIVE, DegenerateConfigurationError, NoPentagonError,
-                     NoPolygonError, _count, _json_numbers, _real, _real_floats)
+from .errors import (_NORMAL_MIN, _POSITIVE, DegenerateConfigurationError, NoPolygonError,
+                     _count, _json_numbers, _real, _real_floats)
 from .halfplane import HGeodesic, HPoint, _disk, _perpendicular_length, _point, _relative, _unit
-from .trig import _ORDERS, _half_sinh, _partner, pentagon_perpendicular, pentagon_side
+from .trig import ACOSH_TOUCH, _ORDERS, _half_sinh, _partner
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,14 +235,15 @@ def sides_from_pentagon_coords(coords: Sequence[float]) -> MarkedRightPolygon:
     first tail and l_{n-1} the last head of the module docstring's
     pentagons, which gives h_3 = P(h_4, l_3) and
     h_{n-1} = P(h_{n-2}, l_{n-1}).  For n = 5 the two coordinates are the
-    adjacent sides (l_3, l_4) of a pentagon and must satisfy
-    sinh(l_3) sinh(l_4) > 1; otherwise NoPolygonError names them.
+    adjacent sides (l_3, l_4) of the pentagon of the module docstring and
+    must satisfy sinh(l_3) sinh(l_4) > 1 + ``trig.ACOSH_TOUCH``;
+    otherwise NoPolygonError names them.
 
     One float loop over h_3..h_{n-1} reads the pentagons off the cosh and
     sinh of each perpendicular, as the module docstring says.  h_3 and
-    h_{n-1} are taken in the same code as the loop's heads and tails,
-    with ``math`` on the checked coordinates and no ``trig`` call to
-    check them again; an infinite one fails the test of the sides.  Every
+    h_{n-1}, like the n = 5 pentagon's sides, are taken in the same code
+    as the loop's heads and tails, with ``math`` on the checked
+    coordinates; an infinite side fails the test of the sides.  Every
     frame row is then a closed-form product off side 1's frame
     (``_chart_frames``), with side 1 up the imaginary axis and no walk:
     the geometry rounds like the coordinates, where walking the rounded
@@ -254,13 +259,14 @@ def sides_from_pentagon_coords(coords: Sequence[float]) -> MarkedRightPolygon:
     l3, last = coords[0], coords[-1]
     try:
         if len(coords) == 2:  # n = 5: (l_3, l_4) and their perpendicular l_1
-            try:
-                l1 = pentagon_perpendicular(l3, last)
-            except NoPentagonError as exc:
-                raise NoPolygonError(str(exc)) from exc
-            h = (pentagon_side(last, l1), pentagon_side(l3, l1))  # l_2, l_5
-            heads, pieces = (0.0, last), (l1, 0.0)
-            sides = (l1, h[0], *coords, h[1])
+            s = math.sinh(l3) * math.sinh(last)
+            if s <= 1.0 + ACOSH_TOUCH:
+                raise NoPolygonError(f"no right-angled pentagon with adjacent sides {l3!r}, "
+                                     f"{last!r} (sinh*sinh = {s!r} <= 1)")
+            l1 = math.acosh(s)
+            h = (math.asinh(math.cosh(last) / math.sinh(l1)),
+                 math.asinh(math.cosh(l3) / math.sinh(l1)))  # l_2, l_5
+            heads, pieces, inner = [0.0], [l1], []
         else:
             # h_3 = P(h_4, l_3) and h_{n-1} = P(h_{n-2}, l_{n-1}), inline
             # as the loop below takes every head and tail
@@ -281,11 +287,11 @@ def sides_from_pentagon_coords(coords: Sequence[float]) -> MarkedRightPolygon:
                 inner.append(head + math.asinh(q))
                 pieces.append(math.asinh(math.hypot(1.0, q) / sn))
                 l1 += pieces[-1]
-            heads.append(last)
-            pieces.append(0.0)
-            sides = (l1, h[0], l3, *inner, last, h[-1])
-            if not max(sides) < math.inf:  # a quotient overflowed
-                raise OverflowError("a side is infinite")
+        heads.append(last)
+        pieces.append(0.0)
+        sides = (l1, h[0], l3, *inner, last, h[-1])
+        if not max(sides) < math.inf:  # a product or a quotient overflowed
+            raise OverflowError("a side is infinite")
         rows = _checked(_chart_frames(l1, h, heads, pieces))
     except ArithmeticError as exc:
         raise DegenerateConfigurationError(f"the chart left the float range: {exc}") from exc
@@ -302,8 +308,6 @@ def pentagon_coords(poly: MarkedRightPolygon) -> tuple[float, ...]:
     read from their frame rows (``halfplane._perpendicular_length``).
     """
     n = poly.n
-    if n < 5:
-        raise ValueError("a right-angled polygon needs at least 5 sides")
     if n == 5:
         return (poly.sides[2], poly.sides[3])
     f1 = poly.frames[0]
@@ -438,7 +442,7 @@ class ChainDifferentials:
 
 def _split_alternating(poly: MarkedRightPolygon) -> tuple[float, float]:
     sides, n = poly.sides, poly.n
-    if n % 2 != 0 or n < 6:
+    if n % 2 != 0:
         raise ValueError("the alternating locus lives in even polygons with >= 6 sides")
     # each side agrees with side 1 or side 2, which a NaN fails, and so
     # does an infinite side, as inf - inf is NaN

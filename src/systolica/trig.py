@@ -1,23 +1,23 @@
 """Closed-form hyperbolic trigonometry for right-angled figures.
 
 Every function here is a single formula; the geometric content (which
-pentagon, which Lambert quadrilateral, which pair of polygon sides) is
-spelled out in the docstring and verified against explicitly constructed
-half-plane figures in the test suite.  A formula whose intermediate leaves
-the float range raises DegenerateConfigurationError rather than
+Lambert quadrilateral, which pair of polygon sides) is spelled out in
+the docstring and verified against explicitly constructed half-plane
+figures in the test suite.  A formula whose intermediate leaves the
+float range raises DegenerateConfigurationError rather than
 OverflowError or a silently infinite value.
 """
 
 import math
 
-from .errors import (_FINITE, _POSITIVE, DegenerateConfigurationError, NoPentagonError, _count,
-                     _real)
+from .errors import _FINITE, _POSITIVE, DegenerateConfigurationError, _count, _real
 
 # Arguments to acosh this far below 1 are treated as genuinely degenerate
 # rather than roundoff.
 ACOSH_SLACK = 1e-10
 
-# Arguments within this band above 1 are treated as touching (result 0).
+# Arguments within this band above 1 are treated as touching (result 0),
+# and the n = 5 chart finds no pentagon where sinh l_3 sinh l_4 lies there.
 ACOSH_TOUCH = 1e-14
 
 # n, the sides of each type of a semi-regular polygon: the formulas read
@@ -55,45 +55,6 @@ def _in_range(formula, name, *args):
     if 0.0 <= z < math.inf:
         return z
     raise DegenerateConfigurationError(f"{name}{args!r} leaves the float range")
-
-
-def pentagon_perpendicular(a: float, b: float) -> float:
-    """Side of a right-angled pentagon opposite to the adjacent pair (a, b).
-
-    Equivalently: the common perpendicular between the two sides that
-    extend a and b.  Exists only when sinh(a) sinh(b) > 1; below that
-    threshold the five right angles cannot close up.  Raises
-    DegenerateConfigurationError where sinh(a) sinh(b) overflows.
-    """
-    a, b = _real(a, "length", _POSITIVE), _real(b, "length", _POSITIVE)
-    try:
-        s = math.sinh(a) * math.sinh(b)
-    except OverflowError:
-        s = math.inf
-    if s == math.inf:
-        raise DegenerateConfigurationError(f"sinh({a!r}) sinh({b!r}) overflows")
-    if s <= 1.0 + ACOSH_TOUCH:
-        raise NoPentagonError(
-            f"no right-angled pentagon with adjacent sides {a!r}, {b!r} "
-            f"(sinh*sinh = {s!r} <= 1)"
-        )
-    return math.acosh(s)
-
-
-def pentagon_side(x: float, y: float) -> float:
-    """asinh(cosh x / sinh y): the side z of a right-angled pentagon with
-    cosh x = sinh y sinh z, the side next to y that is, like y, opposite
-    x (Buser, ch. 2).  In ``polygons`` it gives the sides l_2 and l_5 of
-    the n = 5 chart; for n >= 6 the chart takes this formula inline, on
-    coordinates it has checked once, for the end perpendiculars h_3 and
-    h_{n-1} as for every head and tail of its loop.  The
-    quotient rounds three times and asinh has relative condition at most
-    1, so z is within a few eps relative.  Raises ValueError unless x and
-    y are positive and finite, and DegenerateConfigurationError where
-    cosh x, sinh y or their quotient overflows.
-    """
-    x, y = _real(x, "length", _POSITIVE), _real(y, "length", _POSITIVE)
-    return _in_range(lambda: math.asinh(math.cosh(x) / math.sinh(y)), "pentagon_side", x, y)
 
 
 def trirectangle_center(h_side: float, n: int) -> float:

@@ -44,8 +44,6 @@ MALFORMED = (10 ** 400, "1.5", None)
 # are) and, per argument, values that make the others valid
 TRIG = [
     (trig.guarded_acosh, (2.0,)),
-    (trig.pentagon_perpendicular, (1.5, 1.5)),
-    (trig.pentagon_side, (1.0, 1.0)),
     (trig.trirectangle_center, (1.0, 4)),
     (trig.diagonal_same_type, (1.0, 2, 5)),
     (trig.diagonal_mixed_type, (1.0, 1.0, 3, 5)),
@@ -60,9 +58,11 @@ SCENE = (2.0, 0.5, 1.5, 1.0, 2.0, 1.0, -0.5, 0.5, 0.25, -0.5, 0.75)
 # a valid triangle, coordinate by coordinate: (x0, y0, x1, y1, x2, y2)
 TRIANGLE = (0.0, 1.0, 0.0, 2.0, 1.5, 2.0)
 
-# side lengths to walk, and pentagon-chain coordinates of a hexagon
+# side lengths to walk, and pentagon-chain coordinates of a hexagon and
+# of a pentagon
 SIDES = (1.0, 1.2, 0.8, 1.1, 0.9)
 COORDS = (1.0, 1.2, 0.8)
+PENTAGON = (1.5, 1.5)
 
 # the scene realized from SCENE, and the polygon JSON of COORDS
 PLACED = realize_scene(ChordConfig(SCENE[0], SCENE[1:3], SCENE[3:5]),
@@ -183,8 +183,10 @@ def test_geodesic_frames_fail_typed_on_extreme_entries():
                 assert_finite((point.x, point.y))
 
 
-@pytest.mark.parametrize("build, base", [(realize, SIDES), (sides_from_pentagon_coords, COORDS)],
-                         ids=["realize", "sides_from_pentagon_coords"])
+@pytest.mark.parametrize("build, base", [(realize, SIDES), (sides_from_pentagon_coords, COORDS),
+                                         (sides_from_pentagon_coords, PENTAGON)],
+                         ids=["realize", "sides_from_pentagon_coords",
+                              "sides_from_pentagon_coords-pentagon"])
 def test_polygons_fail_typed_on_extreme_slots(build, base):
     for values in variants(base):
         poly = typed_or_none(build, values)
@@ -213,6 +215,7 @@ SLOTS = [(f.__name__, f, base) for f, base in TRIG] + [
     ("HGeodesic", lambda *frame: HGeodesic(frame), (1.0, 0.0, 0.0, 1.0)),
     ("realize", lambda *sides: realize(sides), SIDES),
     ("sides_from_pentagon_coords", lambda *c: sides_from_pentagon_coords(c), COORDS),
+    ("sides_from_pentagon_coords-pentagon", lambda *c: sides_from_pentagon_coords(c), PENTAGON),
     ("polygon_from_json-sides", lambda *v: polygon_from_json({**POLYGON_JSON, "sides": list(v)}),
      POLYGON_JSON["sides"]),
     ("polygon_from_json-coords", lambda *v: polygon_from_json({**POLYGON_JSON, "coords": list(v)}),

@@ -31,7 +31,7 @@ from systolica.polygons import (
     realize,
     sides_from_pentagon_coords,
 )
-from systolica.trig import pentagon_perpendicular, pentagon_side, semiregular_partner
+from systolica.trig import semiregular_partner
 
 from reference import (HTangent, angle_matrix, apply, chain_angles, chain_matrix,
                        geodesic_from_direction, geodesics, length_rows, point_at,
@@ -153,10 +153,12 @@ class TestPentagonChart:
         # cosh h_5 / sinh l_7 overflows to an infinite h_6 without raising
         (sides_from_pentagon_coords, ([0.9, 1.1, 700.0, 1e-300],)),
         (sides_from_pentagon_coords, ([800.0, 1.0],)),
-        (pentagon_perpendicular, (800.0, 1.0)),
-        (pentagon_side, (800.0, 1.0)),
-        (pentagon_side, (1.0, 800.0)),
-        (pentagon_side, (700.0, 1e-300)),  # the quotient overflows
+        (sides_from_pentagon_coords, ([1.0, 800.0],)),
+        # sinh l_3 sinh l_4 overflows to inf without raising
+        (sides_from_pentagon_coords, ([400.0, 400.0],)),
+        # sinh l_3 sinh l_4 = 1 + 1e-12, and cosh l_3 / sinh l_1 overflows
+        # to an infinite l_5 without raising
+        (sides_from_pentagon_coords, ([700.0, 1.9719353087539264e-304],)),
         (realize, ([800.0] * 6,)),
         (realize, ([3000.0] * 6,)),  # e^{-l/4} underflows to zero
     ])
@@ -922,16 +924,17 @@ def mp_pentagons(coords):
     pieces come from the relation cosh c = coth h_k coth h_{k+1}, not
     from P.
 
-    The float chain takes h_3 and h_{n-1} as ``trig.pentagon_side``
-    does, inline, and every other step in one loop that takes cosh and
-    sinh of each h_k once.  A tail is asinh(q) with q = cosh h_{k+1} / sinh h_k, a head
+    The float chain takes h_3 and h_{n-1} as P, inline, and every other
+    step in one loop that takes cosh and sinh of each h_k once.  A tail
+    is asinh(q) with q = cosh h_{k+1} / sinh h_k, a head
     P(h_k, h_{k+1}); both round as P does.  A piece is
     asinh(hypot(1, q) / sinh h_{k+1}): hypot(1, q) is the tail's cosh,
     which inherits tanh^2 of q's relative error and rounds once, where
     cosh of the rounded tail inherits tanh of the tail's error, which
     includes asinh's rounding, and rounds once more.  So the bound of
     P(tail, h_{k+1}) holds for it.  For n = 5 the one piece is
-    l_1 = acosh(s) with s = sinh l_3 sinh l_4, which rounds by 2.5 eps."""
+    l_1 = acosh(s) with s = sinh l_3 sinh l_4, which rounds by 2.5 eps,
+    and l_2 = P(l_4, l_1) and l_5 = P(l_3, l_1) are taken inline."""
     n = len(coords) + 3
     c = [(mpf(x), mpf(0)) for x in coords]
     if n == 5:

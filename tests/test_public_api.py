@@ -25,13 +25,12 @@ from systolica import errors, halfplane, hessian, polygons, trig
 PUBLIC = {
     errors: {
         "DegenerateConfigurationError", "InconsistentSceneError",
-        "NoPentagonError", "NoPerpendicularError", "NoPolygonError",
-        "SystolicaError",
+        "NoPerpendicularError", "NoPolygonError", "SystolicaError",
     },
     trig: {
         "ACOSH_SLACK", "ACOSH_TOUCH", "diagonal_mixed_type",
-        "diagonal_same_type", "guarded_acosh", "pentagon_perpendicular",
-        "pentagon_side", "semiregular_partner", "trirectangle_center",
+        "diagonal_same_type", "guarded_acosh", "semiregular_partner",
+        "trirectangle_center",
     },
     halfplane: {
         "ASYMPTOTIC_EPS", "CommonPerpendicular", "HGeodesic", "HPoint",
@@ -254,6 +253,27 @@ def test_attributes_are_read_outside_the_tests():
               for cls, names in public_attributes(module).items() for name in names
               if not is_called(f"{cls.__name__}.{name}", refs)}
     assert unread == set()
+
+
+def raised_names(tree):
+    """The last names of the exceptions the tree raises, by ``raise E``
+    or ``raise E(...)``, with or without a module prefix."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield _class_of(exc)
+
+
+def test_every_error_class_has_a_raiser():
+    # a SystolicaError subclass that nothing in the library raises names
+    # a failure that cannot happen; the base class is only caught
+    raised = {name for path in sorted(ROOT.glob("src/systolica/*.py"))
+              for name in raised_names(ast.parse(path.read_text()))}
+    classes = {name for name, value in vars(errors).items()
+               if inspect.isclass(value) and issubclass(value, errors.SystolicaError)
+               and value is not errors.SystolicaError}
+    assert classes
+    assert classes - raised == set()
 
 
 def test_reference_defines_no_library_name():

@@ -1,8 +1,9 @@
 """Closed-form hyperbolic trigonometry, re-derived from explicit figures.
 
-Every formula in systolica.trig is checked here against a construction
-built out of half-plane primitives only: walk the figure, measure the
-distance, compare.  None of the oracles call back into trig.
+Every formula in systolica.trig, and the one pentagon of the n = 5
+polygon chart, is checked here against a construction built out of
+half-plane primitives only: walk the figure, measure the distance,
+compare.  None of the oracles call back into trig.
 """
 
 import math
@@ -12,17 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 from systolica.errors import (
     DegenerateConfigurationError,
-    NoPentagonError,
     NoPerpendicularError,
+    NoPolygonError,
 )
 from systolica.halfplane import HPoint, common_perpendicular, dist
-from systolica.polygons import boundary_functional, realize
+from systolica.polygons import boundary_functional, realize, sides_from_pentagon_coords
 from systolica.trig import (
     diagonal_mixed_type,
     diagonal_same_type,
     guarded_acosh,
-    pentagon_perpendicular,
-    pentagon_side,
     semiregular_partner,
     trirectangle_center,
 )
@@ -54,7 +53,10 @@ def _walk(p, u, length):
     return point_at(g, length), tangent_at(g, length)
 
 
-class TestPentagonPerpendicular:
+class TestWalkedPentagon:
+    """The chart of two coordinates (a, b) is the pentagon with the
+    adjacent sides a and b, measured here on a walked figure."""
+
     def _figure(self, a, b):
         """Geodesics carrying the two sides *not* adjacent to the (a, b)
         corner of a right-angled pentagon: e enters the corner vertically,
@@ -71,42 +73,38 @@ class TestPentagonPerpendicular:
         for a, b in [(0.8, 1.5), (1.2, 1.2), (2.5, 0.5), (0.95, 0.95)]:
             g_e, g_c = self._figure(a, b)
             want = common_perpendicular(g_e, g_c).length
-            assert pentagon_perpendicular(a, b) == pytest.approx(want, abs=1e-11)
+            assert sides_from_pentagon_coords([a, b]).sides[0] == pytest.approx(want, abs=1e-11)
 
-    def test_pentagon_side_solves_every_relation_of_the_walked_pentagon(self):
+    def test_chart_solves_every_relation_of_the_walked_pentagon(self):
         # The walked pentagon has the cyclic sides (a, b, c, d, e): the
         # corner (e, a) sits at i, c runs from the end of b to the foot of
         # the perpendicular d, and e from that foot on the vertical to i.
-        # Each side's two opposite sides are the next two but one, and
-        # pentagon_side(x, y) returns the one of them next to y.
+        # The chart of (a, b) has the sides (d, e, a, b, c), and each side
+        # x has cosh x = sinh y sinh z for its opposite sides, the next
+        # two but one.
         for a, b in [(0.8, 1.5), (1.2, 1.2), (2.5, 0.5), (0.95, 0.95)]:
             g_e, g_c = self._figure(a, b)
             foot_e, foot_c = perpendicular_feet(g_e, g_c)
             corner = point_at(g_c, 0.0)  # where c leaves the end of b
-            sides = (a, b, dist(corner, foot_c), common_perpendicular(g_e, g_c).length,
-                     dist(HPoint(0.0, 1.0), foot_e))
+            walked = (common_perpendicular(g_e, g_c).length, dist(HPoint(0.0, 1.0), foot_e),
+                      a, b, dist(corner, foot_c))
+            sides = sides_from_pentagon_coords([a, b]).sides
+            assert sides == pytest.approx(walked, rel=1e-10)
             for k, x in enumerate(sides):
                 y, z = sides[(k + 2) % 5], sides[(k + 3) % 5]
-                assert pentagon_side(x, y) == pytest.approx(z, rel=1e-10)
-                assert pentagon_side(x, z) == pytest.approx(y, rel=1e-10)
+                assert math.cosh(x) == pytest.approx(math.sinh(y) * math.sinh(z), rel=1e-10)
 
     def test_too_small_sides_leave_no_pentagon(self):
         # sinh(0.5)^2 < 1: the would-be opposite sides cross instead
         g_e, g_c = self._figure(0.5, 0.5)
         with pytest.raises(NoPerpendicularError):
             common_perpendicular(g_e, g_c)
-        with pytest.raises(NoPentagonError):
-            pentagon_perpendicular(0.5, 0.5)
+        with pytest.raises(NoPolygonError):
+            sides_from_pentagon_coords([0.5, 0.5])
 
     def test_self_dual_side_is_fixed(self):
         s = PENTAGON_SELF_DUAL
-        assert pentagon_perpendicular(s, s) == pytest.approx(s, abs=1e-14)
-
-    @pytest.mark.parametrize("f", [pentagon_perpendicular, pentagon_side])
-    def test_rejects_nonpositive_sides(self, f):
-        for a, b in [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)]:
-            with pytest.raises(ValueError):
-                f(a, b)
+        assert sides_from_pentagon_coords([s, s]).sides == pytest.approx((s,) * 5, abs=1e-14)
 
 
 class TestSemiRegularPolygonFigures:
@@ -213,11 +211,7 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         equilateral_angle(0.0)
     for bad in (math.nan, math.inf):
-        for call in (lambda: pentagon_perpendicular(bad, 1.0),
-                     lambda: pentagon_perpendicular(1.0, bad),
-                     lambda: pentagon_side(bad, 1.0),
-                     lambda: pentagon_side(1.0, bad),
-                     lambda: trirectangle_center(bad, 4),
+        for call in (lambda: trirectangle_center(bad, 4),
                      lambda: diagonal_same_type(bad, 2, 5),
                      lambda: diagonal_mixed_type(bad, 1.0, 3, 5),
                      lambda: diagonal_mixed_type(1.0, bad, 3, 5),
@@ -256,13 +250,10 @@ def test_float_range_and_non_integral_counts_fail_typed(call, args, error):
     (semiregular_partner, ("1", 3)),
     (trirectangle_center, (None, 3)),
     (equilateral_angle, ("2",)),
-    (pentagon_perpendicular, ("1", 2.0)),
     (guarded_acosh, ("2",)),
     (guarded_acosh, (10**400,)),
     (diagonal_same_type, (1.0, "2", 6)),
     (diagonal_mixed_type, (1.0, 1.0, None, 6)),
-    (pentagon_side, ("a", 1.0)),
-    (pentagon_side, (1.0, "a")),
     (HPoint, ("1", 1.0)),
     (HPoint, (0.0, None)),
     (HPoint, (0.0, 1j)),
@@ -319,9 +310,9 @@ def test_same_type_diagonal_symmetry(h, k, n):
 
 @settings(max_examples=60, deadline=None)
 @given(a=lengths, b=lengths)
-def test_pentagon_perpendicular_is_symmetric_where_defined(a, b):
+def test_pentagon_chart_is_symmetric_where_defined(a, b):
     s = math.sinh(a) * math.sinh(b)
     if s <= 1.0 + 1e-9:
         return
-    assert pentagon_perpendicular(a, b) == pytest.approx(
-        pentagon_perpendicular(b, a), rel=1e-13)
+    assert sides_from_pentagon_coords([a, b]).sides[0] == pytest.approx(
+        sides_from_pentagon_coords([b, a]).sides[0], rel=1e-13)
