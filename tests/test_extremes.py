@@ -230,6 +230,7 @@ VECTOR_SLOTS = [
     ("HGeodesic", HGeodesic, (1.0, 0.0, 0.0, 1.0)),
     ("realize", realize, SIDES),
     ("sides_from_pentagon_coords", sides_from_pentagon_coords, COORDS),
+    ("sides_from_pentagon_coords-pentagon", sides_from_pentagon_coords, PENTAGON),
     ("polygon_from_json", lambda v: polygon_from_json({**POLYGON_JSON, "sides": v}),
      POLYGON_JSON["sides"])]
 

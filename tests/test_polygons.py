@@ -31,7 +31,7 @@ from systolica.polygons import (
     realize,
     sides_from_pentagon_coords,
 )
-from systolica.trig import semiregular_partner
+from systolica.trig import ACOSH_TOUCH, semiregular_partner
 
 from reference import (HTangent, angle_matrix, apply, chain_angles, chain_matrix,
                        geodesic_from_direction, geodesics, length_rows, point_at,
@@ -128,6 +128,24 @@ class TestPentagonChart:
         # the message names both coordinates of the pentagon
         with pytest.raises(NoPolygonError, match=r"adjacent sides 0\.4, 0\.5 "):
             sides_from_pentagon_coords([0.4, 0.5])
+
+    @pytest.mark.parametrize("excess, refused", [(0.0, True), (5e-15, True), (1e-13, False),
+                                                 (1e-12, False)])
+    def test_pentagon_inside_the_touch_band_is_refused(self, excess, refused):
+        # b puts s = sinh a sinh b at 1 + excess, to a few ulps; within
+        # ACOSH_TOUCH of 1 the pentagon touches and there is none, above
+        # it l_1 is acosh(s)
+        a = 1.0
+        b = math.asinh((1.0 + excess) / math.sinh(a))
+        s = math.sinh(a) * math.sinh(b)
+        assert (s <= 1.0 + ACOSH_TOUCH) is refused
+        if refused:
+            with pytest.raises(NoPolygonError, match="no right-angled pentagon"):
+                sides_from_pentagon_coords([a, b])
+        else:
+            sides = sides_from_pentagon_coords([a, b]).sides
+            assert sides[0] == math.acosh(s)
+            assert 0.0 < min(sides) and max(sides) < math.inf
 
     def test_rejects_bad_coordinates(self):
         with pytest.raises(ValueError):

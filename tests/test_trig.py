@@ -106,6 +106,22 @@ class TestWalkedPentagon:
         s = PENTAGON_SELF_DUAL
         assert sides_from_pentagon_coords([s, s]).sides == pytest.approx((s,) * 5, abs=1e-14)
 
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                                      (-1.0, -2.0)])
+    def test_rejects_nonpositive_sides(self, a, b):
+        # sinh a sinh b <= 1 for the first four and > 1 for (-1, -2): the
+        # coordinate gate refuses each before the pentagon test reads it
+        with pytest.raises(ValueError) as info:
+            sides_from_pentagon_coords([a, b])
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                      (1.0, math.inf)])
+    def test_rejects_nonfinite_sides(self, a, b):
+        with pytest.raises(ValueError) as info:
+            sides_from_pentagon_coords([a, b])
+        assert type(info.value) is ValueError
+
 
 class TestSemiRegularPolygonFigures:
     """Measurements on realized semi-regular right-angled 2n-gons.
